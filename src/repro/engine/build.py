@@ -3,9 +3,9 @@
 The kernel is a single C file (``kernel.c``) compiled on first use
 with whatever C compiler the host provides (``$CC``, then ``cc``,
 ``gcc``, ``clang``).  The shared object is cached under a name derived
-from the SHA-256 of the source *and the active build flags*, so
-editing the kernel — or upgrading the package, or changing the
-sanitizer mode — transparently triggers a rebuild, while repeated
+from the SHA-256 of the source *and the full compile flag list*, so
+editing the kernel — or upgrading the package, or changing a base or
+sanitizer flag — transparently triggers a rebuild, while repeated
 runs reuse the cached binary.  Everything here raises on failure;
 :func:`repro.engine.compiled_available` treats any exception as "no
 compiled engine" and the simulator falls back to the portable tiers.
@@ -46,6 +46,13 @@ ST_NEED_PYTHON_REF = 3
 ST_EVBUF_FULL = 4
 ST_ERROR = 5
 
+#: Compile flags every build uses.  ``-ffp-contract=off`` keeps each
+#: multiply and add a separately rounded double operation, as CPython
+#: evaluates them: a fused multiply-add (which some ``$CC``/``-march``
+#: settings emit) would break the trace generator's bit-identity with
+#: the Python reference loop.
+BASE_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
 _kernel: ctypes.CDLL | None = None
 _kernel_error: Exception | None = None
 
@@ -64,9 +71,7 @@ def sanitize_flags() -> tuple[str, ...]:
     """Compiler flags for ``$REPRO_CC_SANITIZE`` (empty when unset).
 
     The variable is a comma-separated list of ``-fsanitize`` arguments
-    (``address``, ``undefined``, …).  Flags participate in the kernel
-    cache key, so switching modes rebuilds instead of reusing a
-    mismatched binary.
+    (``address``, ``undefined``, …).
     """
     raw = os.environ.get("REPRO_CC_SANITIZE", "").strip()
     if not raw:
@@ -77,6 +82,11 @@ def sanitize_flags() -> tuple[str, ...]:
     # CI fails instead of scrolling diagnostics past everyone.
     flags += ["-g", "-fno-sanitize-recover=all"]
     return tuple(flags)
+
+
+def compile_flags() -> tuple[str, ...]:
+    """Every flag passed to the compiler; all of them key the cache."""
+    return (*BASE_FLAGS, *sanitize_flags())
 
 
 def _find_compiler() -> str:
@@ -95,9 +105,7 @@ def _find_compiler() -> str:
 def _compile(source: Path, out: Path) -> None:
     compiler = _find_compiler()
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
-    cmd = [compiler, "-O2", "-fPIC", "-shared",
-           *sanitize_flags(),
-           "-o", str(tmp), str(source)]
+    cmd = [compiler, *compile_flags(), "-o", str(tmp), str(source)]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
@@ -112,11 +120,9 @@ def _compile(source: Path, out: Path) -> None:
 
 def kernel_path() -> Path:
     """Path of the cached shared object for the current source and
-    build flags (sanitizer mode included — see :func:`sanitize_flags`)."""
+    :func:`compile_flags` (sanitizer mode included)."""
     hasher = hashlib.sha256(_SOURCE.read_bytes())
-    flags = sanitize_flags()
-    if flags:
-        hasher.update("\0".join(flags).encode("utf-8"))
+    hasher.update("\0".join(compile_flags()).encode("utf-8"))
     digest = hasher.hexdigest()[:16]
     return _cache_dir() / f"repro_kernel_{digest}.so"
 
@@ -139,6 +145,14 @@ def load_kernel() -> ctypes.CDLL:
         lib.repro_run_span.argtypes = [ctypes.c_void_p]
         lib.repro_warm_sweep.restype = ctypes.c_int64
         lib.repro_warm_sweep.argtypes = [ctypes.c_void_p]
+        i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+        lib.repro_trace_fill.restype = i64
+        lib.repro_trace_fill.argtypes = [  # as declared in kernel.c
+            ptr, i64, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, f64, f64, i64,
+            ptr, ptr, ptr,
+        ]
+        lib.repro_mt_words.restype = None
+        lib.repro_mt_words.argtypes = [ptr, i64, ptr]
         _kernel = lib
         return lib
     except Exception as exc:  # remember: probing repeatedly is cheap

@@ -26,9 +26,10 @@ into flat arrays before each span and synced back after it:
   densely per span (takeover-vector bit arrays are shared in place).
 
 A policy whose access path the kernel does not model — custom hooks
-outside the five built-in schemes — silently falls back to the batched
-or pure-Python engine; selection stays an optimisation, never a
-behaviour change.
+outside the five built-in schemes — falls back to the pure-Python
+engine, noted once per process and counted in
+``repro_kernel_fallbacks_total``; selection stays an optimisation,
+never a behaviour change.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from repro.engine.build import (
     ST_WARMUP_GATE,
     load_kernel,
 )
+from repro.obs.log import note_fallback
 from repro.obs.metrics import metrics_enabled
 from repro.obs.trace import recorder as obs_recorder
 
@@ -987,10 +989,16 @@ def run_compiled(sim):
 
     Falls back to the pure-Python engine when the policy's access path
     is not one the kernel models (the scalar loop is the fastest
-    portable tier on this corpus's short L1 hit runs).
+    portable tier on this corpus's short L1 hit runs); the fallback is
+    counted in ``repro_kernel_fallbacks_total`` and noted once.
     """
     kind = policy_kind(sim.policy)
     if kind is None:
+        note_fallback(
+            "engine.run",
+            f"repro: the C kernel does not model {type(sim.policy).__name__}; "
+            "running it on the python engine",
+        )
         return sim._run_python()
 
     lib = load_kernel()

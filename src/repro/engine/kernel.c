@@ -947,3 +947,115 @@ i64 repro_warm_sweep(Ctx *c)
     }
     return ST_DONE;
 }
+
+/* ------------------------------------------------------------------ */
+/* Synthetic trace generation: repro.workloads.trace._fill_columns_python
+ * line for line.  `mt` is CPython's MT19937 state as random.getstate()
+ * lists it (624 words, then the word index) and advances in place.
+ * The word arithmetic of random(), getrandbits(k <= 32) and
+ * randrange(n) follows Modules/_randommodule.c, and every double
+ * operation runs in the Python loop's order; the build passes
+ * -ffp-contract=off so no compiler fuses the gap multiply-add. */
+
+#define MT_N 624
+#define MT_M 397
+
+static uint32_t mt_word(uint32_t *mt)
+{
+    if (mt[MT_N] >= MT_N) {  /* regenerate all N words */
+        for (int k = 0; k < MT_N; k++) {
+            uint32_t y = (mt[k] & 0x80000000U) |
+                         (mt[k + 1 < MT_N ? k + 1 : 0] & 0x7fffffffU);
+            mt[k] = mt[k + MT_M < MT_N ? k + MT_M : k + MT_M - MT_N] ^
+                    (y >> 1) ^ ((y & 1U) ? 0x9908b0dfU : 0U);
+        }
+        mt[MT_N] = 0;
+    }
+    uint32_t y = mt[mt[MT_N]++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= y >> 18;
+    return y;
+}
+
+static double mt_random(uint32_t *mt)
+{
+    uint32_t a = mt_word(mt) >> 5;
+    uint32_t b = mt_word(mt) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* The generator's raw word stream, getrandbits(32) per word. */
+void repro_mt_words(uint32_t *mt, i64 n, uint32_t *out)
+{
+    for (i64 i = 0; i < n; i++)
+        out[i] = mt_word(mt);
+}
+
+/* Category c (0 = hot region, 1..n = rings, last = stream) walks
+ * tables[offsets[c] .. offsets[c] + lines[c]) cyclically or draws from
+ * it uniformly; the stream walks upward from stream_base.  Phase p
+ * lasts durations[p] references with weights[p * n_cat ..] and the
+ * schedule repeats.  Returns ST_DONE, or ST_ERROR on bad arguments. */
+i64 repro_trace_fill(uint32_t *mt, i64 n_refs,
+                     i64 n_phases, const i64 *durations, const double *weights,
+                     i64 n_cat, const i64 *lines, const i64 *cyclic,
+                     const i64 *offsets, const i64 *tables,
+                     double mean_gap, double write_ratio, i64 stream_base,
+                     i64 *gaps, i64 *addresses, int8_t *writes)
+{
+    if (n_cat < 2 || n_cat > 64 || n_phases < 1 || mt[MT_N] > MT_N)
+        return ST_ERROR;
+    double credits[64] = {0.0};
+    i64 cursors[64] = {0};
+    int shifts[64];
+    for (i64 c = 0; c < n_cat - 1; c++) {  /* 32 - bit_length(lines[c]) */
+        shifts[c] = 32;
+        while (lines[c] >> (32 - shifts[c]))
+            shifts[c]--;
+    }
+    i64 stream = n_cat - 1;
+    i64 phase_index = 0;
+    i64 refs_left_in_phase = durations[0];
+    for (i64 i = 0; i < n_refs; i++) {
+        if (refs_left_in_phase <= 0) {
+            phase_index = (phase_index + 1) % n_phases;
+            refs_left_in_phase = durations[phase_index];
+        }
+        refs_left_in_phase -= 1;
+        const double *w = weights + phase_index * n_cat;
+
+        i64 best = 0;
+        double best_credit = credits[0] + w[0];
+        credits[0] = best_credit;
+        for (i64 c = 1; c < n_cat; c++) {
+            double credit = credits[c] + w[c];
+            credits[c] = credit;
+            if (credit > best_credit) {
+                best = c;
+                best_credit = credit;
+            }
+        }
+        credits[best] -= 1.0;
+
+        i64 address;
+        if (best == stream) {
+            address = stream_base + cursors[best];
+            cursors[best] += 1;
+        } else if (cyclic[best]) {
+            address = tables[offsets[best] + cursors[best]];
+            cursors[best] = (cursors[best] + 1) % lines[best];
+        } else {  /* randrange(lines): rejection-sample the top bits */
+            i64 r;
+            do
+                r = mt_word(mt) >> shifts[best];
+            while (r >= lines[best]);
+            address = tables[offsets[best] + r];
+        }
+        gaps[i] = (i64)(mt_random(mt) * 2.0 * mean_gap + 0.5);
+        addresses[i] = address;
+        writes[i] = mt_random(mt) < write_ratio;
+    }
+    return ST_DONE;
+}

@@ -27,6 +27,10 @@ ENGINE_EPOCHS = counter(
     "repro_engine_epochs_total",
     help="Partitioning epochs executed across all runs.",
 )
+KERNEL_FALLBACKS = counter(
+    "repro_kernel_fallbacks_total",
+    help="Work the C kernel could have done that ran in Python, by layer.",
+)
 BATCHED_HIT_RUN_REFS = histogram(
     "repro_batched_hit_run_refs",
     help="References retired per batched-engine L1 hit run.",

@@ -32,3 +32,17 @@ def progress(line: str, *, stream: TextIO | None = None) -> None:
         return
     out = stream if stream is not None else sys.stderr
     print(line, file=out, flush=True)
+
+
+_noted: set[str] = set()
+
+
+def note_fallback(layer: str, line: str) -> None:
+    """Count one C-kernel-to-Python fallback in ``layer``
+    (``repro_kernel_fallbacks_total``); print ``line`` once per process."""
+    from repro.obs.builtin import KERNEL_FALLBACKS
+
+    KERNEL_FALLBACKS.inc(layer=layer)
+    if layer not in _noted:
+        _noted.add(layer)
+        progress(line)

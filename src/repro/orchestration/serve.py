@@ -282,9 +282,10 @@ class SweepServer:
             for task in record["tasks"]:
                 task["state"] = task_state
             record["events"].append(error if error else "done")
+            # count first: a client that sees the job finished sees it counted
+            obs_metrics.SERVE_JOBS.inc(state=state)
+            obs_metrics.SERVE_JOBS_ACTIVE.add(-1.0)
             self._persist(record)
-        obs_metrics.SERVE_JOBS.inc(state=state)
-        obs_metrics.SERVE_JOBS_ACTIVE.add(-1.0)
 
     def _run_job(self, job_id: str) -> None:
         with self._lock:

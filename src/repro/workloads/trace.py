@@ -14,20 +14,30 @@ Address-space layout (line addresses):
 * the streaming component walks upward from ``STREAM_BASE``;
 * the simulator offsets whole traces per core, keeping the
   multiprogrammed address spaces disjoint.
+
+Generation is one loop over references, written twice: the C kernel's
+``repro_trace_fill`` (steps CPython's Mersenne Twister itself) and
+:func:`_fill_columns_python`, its line-for-line reference and the
+fallback when no C compiler is available.  Both consume the same
+``random.Random`` words in the same order, so the traces are
+byte-identical whichever one runs.
 """
 
 from __future__ import annotations
 
+import ctypes
 import random
 from array import array
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import partial
+from itertools import accumulate, chain
 
 from repro.cache.geometry import CacheGeometry
-from repro.workloads.profiles import BenchmarkProfile
+from repro.engine.build import ST_DONE, load_kernel
+from repro.workloads.profiles import BenchmarkProfile, Phase
 from repro.workloads.seeding import stable_rng
 
-try:  # trace generation vectorizes with numpy but must not require it
+try:  # per-core address shifts vectorize with numpy but must not require it
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None
@@ -122,26 +132,13 @@ def _spread_addresses(base: int, lines: int, num_sets: int) -> list[int]:
     full_layers, remainder = divmod(lines, num_sets)
     for layer in range(full_layers):
         layer_base = base + layer * num_sets
-        addresses.extend(layer_base + s for s in range(num_sets))
+        addresses.extend(range(layer_base, layer_base + num_sets))
     if remainder:
         layer_base = base + full_layers * num_sets
         addresses.extend(
             layer_base + (i * num_sets) // remainder for i in range(remainder)
         )
     return addresses
-
-
-class _RingState:
-    """Concrete, mutable state of one ring during generation."""
-
-    __slots__ = ("addresses", "lines", "cyclic", "cursor")
-
-    def __init__(self, index: int, lines: int, cyclic: bool, num_sets: int) -> None:
-        base = (index + 1) << RING_REGION_BITS
-        self.addresses = _spread_addresses(base, lines, num_sets)
-        self.lines = lines
-        self.cyclic = cyclic
-        self.cursor = 0
 
 
 def generate_trace(
@@ -158,99 +155,101 @@ def generate_trace(
     pressure on the paper-scale and scaled-down caches.  The hot
     region is sized to half the L1 so it filters into L1 hits after
     warmup.
+
+    The C kernel fills the columns; the scalar loop runs only when it
+    cannot be built or loaded (counted in
+    ``repro_kernel_fallbacks_total``).  Both give the same bytes.
     """
     if n_refs <= 0:
         raise ValueError(f"n_refs must be positive, got {n_refs}")
-    # crc32, not hash(): str hashing is salted per process, and trace
-    # identity must hold across the sweep executor's worker processes
-    # (and across sessions sharing one result store).
-    rng = stable_rng(profile.name, seed)
     num_sets = llc_geometry.num_sets
-    rings = [
-        _RingState(
-            index,
+    hot_addresses = _spread_addresses(0, max(1, l1_lines // 2), num_sets)
+    ring_addresses = [
+        _spread_addresses(
+            (index + 1) << RING_REGION_BITS,
             max(1, round(ring.ways_worth * num_sets)),
-            ring.pattern == "cyclic",
             num_sets,
         )
         for index, ring in enumerate(profile.rings)
     ]
-    hot_lines = max(1, l1_lines // 2)
-    hot_addresses = _spread_addresses(0, hot_lines, num_sets)
-    mean_gap = 1000.0 / profile.apki - 1.0
+    # Per category (0 = hot region, 1..n = rings, last = stream): the
+    # address table, empty for the stream, and whether it is walked
+    # cyclically instead of drawn from uniformly.
+    tables = [hot_addresses, *ring_addresses, []]
+    cyclic = [False, *(ring.pattern == "cyclic" for ring in profile.rings), False]
+    try:
+        kernel = load_kernel()
+    except Exception as exc:  # noqa: BLE001 - any build/load failure
+        from repro.obs.log import note_fallback  # lazy: repro.obs imports us
 
-    # Phase schedule: a list of (duration, cumulative-weight table).
-    phases = _phase_tables(profile, rings)
-
-    # The per-reference work splits into two independent streams: the
-    # weighted round-robin category pick consumes no randomness, and
-    # the RNG words consumed per reference depend only on the category
-    # (a rejection-sampled index draw for hot/uniform references, none
-    # otherwise, then two uniforms for gap and write flag).  Computing
-    # all categories first therefore leaves the Mersenne Twister word
-    # stream untouched, and the column fill can replay that stream
-    # either scalar (no numpy) or in bulk (vectorized) — byte-identical
-    # traces by construction.
-    categories = _category_sequence(phases, len(rings) + 2, n_refs)
-
-    if _np is not None:
-        gaps, addresses, writes = _fill_columns_numpy(
-            profile, rng, categories, rings, hot_addresses, hot_lines, mean_gap
+        reason = str(exc).partition("\n")[0] or type(exc).__name__
+        note_fallback(
+            "workloads.trace_gen",
+            f"repro: C kernel unavailable ({reason}); generating traces in Python",
         )
+        fill = _fill_columns_python
     else:
-        gaps, addresses, writes = _fill_columns_python(
-            profile, rng, categories, rings, hot_addresses, hot_lines, mean_gap
-        )
-
-    warm_lines: list[int] = list(hot_addresses)
-    for ring in rings:
-        warm_lines.extend(ring.addresses)
+        fill = partial(_fill_columns_c, kernel)
+    # crc32, not hash(): str hashing is salted per process, and trace
+    # identity must hold across the sweep executor's worker processes
+    # (and across sessions sharing one result store).
+    gaps, addresses, writes = fill(
+        stable_rng(profile.name, seed),
+        _phase_tables(profile),
+        tables,
+        cyclic,
+        1000.0 / profile.apki - 1.0,  # mean gap
+        profile.write_ratio,
+        n_refs,
+    )
 
     return Trace(
         name=profile.name,
         gaps=gaps,
         line_addresses=addresses,
         writes=writes,
-        warm_lines=array("q", warm_lines),
+        warm_lines=array("q", chain.from_iterable(tables)),
     )
 
 
-def _category_sequence(
-    phases: list[tuple[int, list[float]]],
-    n_categories: int,
+Phases = list[tuple[int, list[float]]]
+
+
+def _fill_columns_python(
+    rng: random.Random,
+    phases: Phases,
+    tables: list[list[int]],
+    cyclic: list[bool],
+    mean_gap: float,
+    write_ratio: float,
     n_refs: int,
-) -> tuple[int, ...]:
-    """Per-reference category picks: 0 = hot, 1..n = rings, last = stream.
+) -> tuple["array[int]", "array[int]", "array[int]"]:
+    """Scalar column fill: the reference ``repro_trace_fill`` mirrors.
 
-    Smooth weighted round-robin over categories (hot region, each
-    ring, stream).  Deterministic interleaving keeps every
-    component's rate exact and gives cyclic rings knife-edge reuse
-    distances, which is what makes the UMON utility curves saturate
-    sharply — the behaviour the paper's threshold lookahead relies
-    on.  An iid category draw would smear each working-set knee over
-    several ways (Poisson interleaving noise).
-
-    The pick sequence depends only on the phase weight tables and the
-    length — not on the seed, the cache geometry, or the L1 size — so
-    one computed sequence serves a whole sweep's worth of traces for
-    the same profile (see the cache on the inner helper).
+    Each reference picks its category by smooth weighted round-robin
+    over the phase's weights (hot region, each ring, stream).
+    Deterministic interleaving keeps every component's rate exact and
+    gives cyclic rings knife-edge reuse distances, which is what makes
+    the UMON utility curves saturate sharply — the behaviour the
+    paper's threshold lookahead relies on.  An iid category draw would
+    smear each working-set knee over several ways (Poisson
+    interleaving noise).  The address then comes from the category's
+    cyclic cursor, a uniform ``randrange`` draw, or the stream cursor,
+    and two ``random()`` calls give the gap and the write flag.
     """
-    key = tuple((duration, tuple(weights)) for duration, weights in phases)
-    return _category_sequence_cached(key, n_categories, n_refs)
-
-
-@lru_cache(maxsize=16)
-def _category_sequence_cached(
-    phases: tuple[tuple[int, tuple[float, ...]], ...],
-    n_categories: int,
-    n_refs: int,
-) -> tuple[int, ...]:
+    n_categories = len(tables)
+    stream = n_categories - 1
+    lines = [len(table) for table in tables]
     credits = [0.0] * n_categories
-    categories: list[int] = []
-    append = categories.append
+    cursors = [0] * n_categories
+    category_range = range(1, n_categories)
+    gaps: list[int] = []
+    addresses: list[int] = []
+    writes: list[bool] = []
+    choose = rng.random
+    randrange = rng.randrange
     phase_index = 0
     refs_left_in_phase = phases[0][0]
-    category_range = range(1, n_categories)
     for _ in range(n_refs):
         if refs_left_in_phase <= 0:
             phase_index = (phase_index + 1) % len(phases)
@@ -268,235 +267,82 @@ def _category_sequence_cached(
                 best = index
                 best_credit = credit
         credits[best] -= 1.0
-        append(best)
-    return tuple(categories)
 
-
-def _fill_columns_python(
-    profile: BenchmarkProfile,
-    rng: random.Random,
-    categories: "tuple[int, ...]",
-    rings: list["_RingState"],
-    hot_addresses: list[int],
-    hot_lines: int,
-    mean_gap: float,
-) -> tuple["array[int]", "array[int]", "array[int]"]:
-    """Scalar column fill — the no-numpy fallback and semantic reference."""
-    n_categories = len(rings) + 2
-    gaps: list[int] = []
-    addresses: list[int] = []
-    writes: list[bool] = []
-    stream_cursor = 0
-    choose = rng.random
-    randrange = rng.randrange
-
-    for best in categories:
-        if best == 0:
-            address = hot_addresses[randrange(hot_lines)]
-        elif best == n_categories - 1:  # streaming component
-            address = STREAM_BASE + stream_cursor
-            stream_cursor += 1
+        if best == stream:
+            address = STREAM_BASE + cursors[best]
+            cursors[best] += 1
+        elif cyclic[best]:
+            address = tables[best][cursors[best]]
+            cursors[best] = (cursors[best] + 1) % lines[best]
         else:
-            ring = rings[best - 1]
-            if ring.cyclic:
-                address = ring.addresses[ring.cursor]
-                ring.cursor = (ring.cursor + 1) % ring.lines
-            else:
-                address = ring.addresses[randrange(ring.lines)]
-
+            address = tables[best][randrange(lines[best])]
         # Uniform in [0, 2*mean]; rounding keeps the mean unbiased so
         # instructions-per-reference matches the profile's APKI.
-        gap = int(choose() * 2.0 * mean_gap + 0.5)
-        gaps.append(gap)
+        gaps.append(int(choose() * 2.0 * mean_gap + 0.5))
         addresses.append(address)
-        writes.append(choose() < profile.write_ratio)
+        writes.append(choose() < write_ratio)
 
     return array("q", gaps), array("q", addresses), array("b", writes)
 
 
-class _WordStream:
-    """Bulk access to CPython's Mersenne Twister output stream.
-
-    ``Random.randbytes(4 * k)`` emits exactly ``k`` generator words,
-    each stored little-endian — the identical word sequence
-    ``getrandbits(32)`` (and hence ``random()``/``randrange``) would
-    consume, but produced by one C call instead of ``k`` Python-level
-    ones.  The words are exposed twice over the same byte buffer: as
-    an ``array('I')`` for cheap scalar indexing in the rejection-
-    sampling resolution loop, and as a numpy view for the vectorized
-    column math.  Only whole words are ever requested, so the buffer
-    stays word-aligned with the generator state.
-    """
-
-    def __init__(self, rng: random.Random) -> None:
-        self._rng = rng
-        self._buffer = bytearray()
-        self.words: "array[int]" = array("I")
-
-    def ensure(self, count: int) -> None:
-        """Grow the emitted-word buffer to at least ``count`` words."""
-        have = len(self.words)
-        if have < count:
-            need = max(count - have, 4096)
-            chunk = self._rng.randbytes(4 * need)
-            self._buffer += chunk
-            self.words.frombytes(chunk)
-
-    def asarray(self, count: int) -> "_np.ndarray":
-        """The first ``count`` words as one uint32 array (buffer view)."""
-        self.ensure(count)
-        return _np.frombuffer(self._buffer, dtype="<u4", count=count)
-
-
-def _fill_columns_numpy(
-    profile: BenchmarkProfile,
+def _fill_columns_c(
+    kernel: ctypes.CDLL,
     rng: random.Random,
-    categories: "tuple[int, ...]",
-    rings: list["_RingState"],
-    hot_addresses: list[int],
-    hot_lines: int,
+    phases: Phases,
+    tables: list[list[int]],
+    cyclic: list[bool],
     mean_gap: float,
+    write_ratio: float,
+    n_refs: int,
 ) -> tuple["array[int]", "array[int]", "array[int]"]:
-    """Vectorized column fill, bit-identical to the scalar path.
-
-    Word accounting: each reference consumes its category's index draw
-    (``randrange``, i.e. rejection sampling over ``bit_length``-wide
-    words — zero or more words) followed by exactly four words (two
-    per ``random()`` call, for the gap and the write flag).  Rejection
-    lengths are data-dependent, so the draws resolve in one tight
-    scalar pass over the pregenerated word list; everything downstream
-    of the resulting offsets — gap arithmetic, write thresholds,
-    address table lookups, stream/cyclic cursors — is pure array math.
-    """
-    n_refs = len(categories)
-    n_categories = len(rings) + 2
-
-    # Per-category draw modulus (0 = the category consumes no draw).
-    moduli = [hot_lines]
-    for ring in rings:
-        moduli.append(0 if ring.cyclic else ring.lines)
-    moduli.append(0)
-    shifts = [32 - m.bit_length() if m else 0 for m in moduli]
-
-    words = _WordStream(rng)
-    words.ensure(4 * n_refs + 624)
-    emitted = words.words
-    ensure = words.ensure
-    available = len(emitted)
-
-    draw_words = [0] * n_refs
-    draw_values = [0] * n_refs
-    extra = 0
-    base = 0
-    for index, category in enumerate(categories):
-        modulus = moduli[category]
-        if modulus:
-            shift = shifts[category]
-            position = base + extra
-            if position >= available:
-                ensure(position + 624)
-                available = len(emitted)
-            value = emitted[position] >> shift
-            while value >= modulus:
-                position += 1
-                if position >= available:
-                    ensure(position + 624)
-                    available = len(emitted)
-                value = emitted[position] >> shift
-            consumed = position + 1 - base - extra
-            draw_words[index] = consumed
-            draw_values[index] = value
-            extra += consumed
-        base += 4
-
-    total_words = 4 * n_refs + extra
-    word_arr = words.asarray(total_words)
-
-    consumed_arr = _np.asarray(draw_words, dtype=_np.int64)
-    offsets = _np.arange(n_refs, dtype=_np.int64) * 4
-    offsets[1:] += _np.cumsum(consumed_arr)[:-1]
-    gap_index = offsets + consumed_arr  # first post-draw word per ref
-
-    # CPython random(): ((a >> 5) * 2**26 + (b >> 6)) * 2**-53 over two
-    # consecutive words — exact in float64, so numpy reproduces it.
-    def uniform(at: "_np.ndarray") -> "_np.ndarray":
-        high = (word_arr[at] >> _np.uint32(5)).astype(_np.float64)
-        low = (word_arr[at + 1] >> _np.uint32(6)).astype(_np.float64)
-        return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
-
-    gaps_np = _np.trunc(uniform(gap_index) * 2.0 * mean_gap + 0.5).astype(
-        _np.int64
+    """:func:`_fill_columns_python` in the C kernel, byte for byte."""
+    state = array("I", rng.getstate()[1])  # 624 words, then the index
+    durations = array("q", [duration for duration, _weights in phases])
+    weights = array("d", [weight for _duration, row in phases for weight in row])
+    lines = array("q", map(len, tables))
+    flags = array("q", cyclic)
+    offsets = array("q", accumulate(lines[:-1], initial=0))
+    flat = array("q", chain.from_iterable(tables))
+    gaps = array("q", [0]) * n_refs
+    addresses = array("q", [0]) * n_refs
+    writes = array("b", [0]) * n_refs
+    status = kernel.repro_trace_fill(
+        _addr(state), n_refs,
+        len(phases), _addr(durations), _addr(weights),
+        len(tables), _addr(lines), _addr(flags), _addr(offsets), _addr(flat),
+        mean_gap, write_ratio, STREAM_BASE,
+        _addr(gaps), _addr(addresses), _addr(writes),
     )
-    writes_np = (uniform(gap_index + 2) < profile.write_ratio).astype(_np.int8)
-
-    addresses_np = _np.empty(n_refs, dtype=_np.int64)
-    category_arr = _np.asarray(categories, dtype=_np.int64)
-    value_arr = _np.asarray(draw_values, dtype=_np.int64)
-
-    hot_mask = category_arr == 0
-    addresses_np[hot_mask] = _np.asarray(hot_addresses, dtype=_np.int64)[
-        value_arr[hot_mask]
-    ]
-    stream_mask = category_arr == n_categories - 1
-    addresses_np[stream_mask] = STREAM_BASE + _np.arange(
-        int(stream_mask.sum()), dtype=_np.int64
-    )
-    for ring_index, ring in enumerate(rings):
-        mask = category_arr == ring_index + 1
-        table = _np.asarray(ring.addresses, dtype=_np.int64)
-        if ring.cyclic:
-            count = int(mask.sum())
-            addresses_np[mask] = table[
-                _np.arange(count, dtype=_np.int64) % ring.lines
-            ]
-            ring.cursor = count % ring.lines
-        else:
-            addresses_np[mask] = table[value_arr[mask]]
-
-    gaps = array("q")
-    gaps.frombytes(gaps_np.tobytes())
-    addresses = array("q")
-    addresses.frombytes(addresses_np.tobytes())
-    writes = array("b")
-    writes.frombytes(writes_np.tobytes())
+    if status != ST_DONE:
+        raise RuntimeError(f"repro_trace_fill returned status {status}")
     return gaps, addresses, writes
 
 
-def _phase_tables(
-    profile: BenchmarkProfile,
-    rings: list[_RingState],
-) -> list[tuple[int, list[float]]]:
-    """Per-phase category weight vectors: [hot, ring..., stream].
+def _addr(values: array) -> int:
+    return values.buffer_info()[0]
+
+
+def _phase_tables(profile: BenchmarkProfile) -> Phases:
+    """Per-phase ``(duration, [hot, ring..., stream] weights)``.
 
     Ring/stream weights are absolute fractions of all references; the
     mass not covered by rings+stream goes to the hot (L1-resident)
     region, so profiles control the absolute LLC access rate directly.
+    A profile without phases is one phase that never ends.
     """
-    tables: list[tuple[int, list[float]]] = []
-    if profile.phases:
-        for phase in profile.phases:
-            if len(phase.ring_weights) != len(profile.rings):
-                raise ValueError(
-                    f"{profile.name}: phase has {len(phase.ring_weights)} ring "
-                    f"weights for {len(profile.rings)} rings"
-                )
-            tables.append(
-                (
-                    phase.duration_refs,
-                    _weight_vector(phase.ring_weights, phase.stream_weight),
-                )
+    steady = Phase(
+        1 << 62, tuple(ring.weight for ring in profile.rings), profile.stream_weight
+    )
+    tables: Phases = []
+    for phase in profile.phases or (steady,):
+        if len(phase.ring_weights) != len(profile.rings):
+            raise ValueError(
+                f"{profile.name}: phase has {len(phase.ring_weights)} ring "
+                f"weights for {len(profile.rings)} rings"
             )
-    else:
-        weights = tuple(ring.weight for ring in profile.rings)
-        tables.append((1 << 62, _weight_vector(weights, profile.stream_weight)))
+        covered = sum(phase.ring_weights) + phase.stream_weight
+        if covered > 1.0:
+            raise ValueError(f"mixture weights sum to {covered:.3f} > 1")
+        weights = [1.0 - covered, *phase.ring_weights, phase.stream_weight]
+        tables.append((phase.duration_refs, weights))
     return tables
-
-
-def _weight_vector(
-    ring_weights: tuple[float, ...], stream_weight: float
-) -> list[float]:
-    """[hot, ring..., stream] weights summing to 1."""
-    covered = sum(ring_weights) + stream_weight
-    if covered > 1.0:
-        raise ValueError(f"mixture weights sum to {covered:.3f} > 1")
-    return [1.0 - covered, *ring_weights, stream_weight]

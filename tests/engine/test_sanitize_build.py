@@ -1,6 +1,7 @@
 """Sanitizer build mode: ``REPRO_CC_SANITIZE`` must reshape both the
 compile command and the kernel cache key, so a sanitized and an
-optimized kernel never collide in the cache."""
+optimized kernel never collide in the cache.  The base flags key the
+cache the same way."""
 
 from __future__ import annotations
 
@@ -40,3 +41,13 @@ class TestCacheKey:
     def test_key_is_stable_for_a_given_mode(self, monkeypatch):
         monkeypatch.setenv("REPRO_CC_SANITIZE", "undefined")
         assert build.kernel_path() == build.kernel_path()
+
+    def test_base_flags_change_kernel_path(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CC_SANITIZE", raising=False)
+        default = build.kernel_path()
+        monkeypatch.setattr(build, "BASE_FLAGS", ("-O3", "-fPIC", "-shared"))
+        assert build.kernel_path() != default
+
+    def test_fp_contraction_is_off(self):
+        # a fused multiply-add would break the trace fill's bit-identity
+        assert "-ffp-contract=off" in build.compile_flags()
