@@ -6,27 +6,34 @@ writable ways (WAP registers), and victim selection walks the recency
 order filtered by those same way subsets.
 
 Hot-path representation (everything the inner loop touches is flat,
-preallocated and allocation-free to mutate):
+preallocated and allocation-free to mutate, and is the *only* copy of
+the state — the C kernel indexes the same buffers in place):
 
 * ``tags``/``owner`` are ``array('q')`` columns with a ``-1`` sentinel
   (:data:`NO_TAG`/``NO_OWNER``) instead of ``list[int | None]``;
-* ``dirty`` is a ``bytearray`` of 0/1 flags;
+* ``dirty`` is an ``array('B')`` of 0/1 flags;
 * recency is a monotonically increasing **stamp** per way (``stamp``
-  plus the ``clock`` counter) instead of a reordered stack: a touch is
-  two integer stores, and the LRU victim is the minimum stamp among
-  the candidate ways — no ``list.remove``/``insert`` churn and no
-  ``set(candidates)`` allocation per eviction.  Stamps are unique, so
-  the induced order is exactly the old stack's order;
-* ``tag_map`` mirrors ``tags`` as a tag -> way dict so a full-width
-  probe is one hash lookup; restricted probes combine it with the
-  caller's precomputed way-membership bitmask (see
+  plus the set's ``clock`` counter) instead of a reordered stack: a
+  touch is two integer stores, and the LRU victim is the minimum stamp
+  among the candidate ways — no ``list.remove``/``insert`` churn and
+  no ``set(candidates)`` allocation per eviction.  Stamps are unique,
+  so the induced order is exactly the old stack's order;
+* ``clock`` and ``valid_count`` (valid lines, which lets the fill path
+  skip the invalid-way scan once the set is full) live in per-cache
+  ``array('q')`` columns indexed by set — :class:`SetAssociativeCache`
+  owns them and hands each set its slot, so a whole cache's counters
+  are two buffers;
+* ``mapped`` (LLC sets only) resolves a tag to the way holding its
+  *most recently installed* copy: ``mapped[way]`` is that way's tag
+  while the way is the newest copy of it, else :data:`NO_TAG`.  A
+  probe scans it and tests the way against the caller's precomputed
+  membership bitmask (see
   :meth:`repro.partitioning.base.BaseSharedCachePolicy.access_fast`).
-  The map always points at the *most recently installed* copy of a
-  tag, which for every simulated probe pattern is the only copy the
-  prober may see (cores have disjoint address spaces, and a stale
-  duplicate can only exist in a way its owner no longer probes);
-* ``valid_count`` lets the fill path skip the invalid-way scan once
-  the set is full (always, after warmup).
+  The newest copy is, for every simulated probe pattern, the only copy
+  the prober may see (cores have disjoint address spaces, and a stale
+  duplicate can only exist in a way its owner no longer probes).
+  Private L1 sets never hold duplicates, so they carry no ``mapped``
+  column (``None``) and are probed by scanning ``tags``.
 """
 
 from __future__ import annotations
@@ -43,26 +50,61 @@ NO_TAG = -1
 
 
 class CacheSet:
-    """State of a single set in a set-associative cache."""
+    """State of a single set in a set-associative cache.
 
-    __slots__ = ("ways", "tags", "dirty", "owner", "stamp", "clock",
-                 "tag_map", "valid_count")
+    ``clocks``/``valid``/``index`` place the set's recency clock and
+    valid-line count in its cache's shared columns; a standalone set
+    (``CacheSet(ways)``) allocates one-slot columns of its own.
+    ``track_copies`` allocates the ``mapped`` lookup column (LLC sets).
+    """
 
-    def __init__(self, ways: int) -> None:
+    __slots__ = ("ways", "tags", "dirty", "owner", "stamp", "mapped",
+                 "index", "clocks", "valid")
+
+    def __init__(
+        self,
+        ways: int,
+        clocks: array | None = None,
+        valid: array | None = None,
+        index: int = 0,
+        track_copies: bool = True,
+    ) -> None:
         if ways <= 0:
             raise ValueError(f"a cache set needs at least one way, got {ways}")
         self.ways = ways
         self.tags = array("q", [NO_TAG]) * ways
-        self.dirty = bytearray(ways)
+        self.dirty = array("B", bytes(ways))
         self.owner = array("q", [NO_OWNER]) * ways
         # Initial recency matches the historical stack [0, 1, .., w-1]
         # (way 0 most recent); stamps stay unique forever because the
-        # clock only moves forward.  An ``array('q')`` like the other
-        # columns, so engines can view the recency state zero-copy.
+        # clock only moves forward.
         self.stamp = array("q", range(ways, 0, -1))
-        self.clock = ways + 1
-        self.tag_map: dict[int, int] = {}
-        self.valid_count = 0
+        self.mapped = array("q", [NO_TAG]) * ways if track_copies else None
+        if clocks is None:
+            clocks = array("q", [ways + 1])
+            valid = array("q", [0])
+            index = 0
+        self.clocks = clocks
+        self.valid = valid
+        self.index = index
+
+    @property
+    def clock(self) -> int:
+        """Next recency stamp (the set's slot in the clock column)."""
+        return self.clocks[self.index]
+
+    @clock.setter
+    def clock(self, value: int) -> None:
+        self.clocks[self.index] = value
+
+    @property
+    def valid_count(self) -> int:
+        """Valid lines in the set (its slot in the valid column)."""
+        return self.valid[self.index]
+
+    @valid_count.setter
+    def valid_count(self, value: int) -> None:
+        self.valid[self.index] = value
 
     # ------------------------------------------------------------------
     # Lookup
@@ -73,8 +115,8 @@ class CacheSet:
         Returns :data:`NO_WAY` when the tag is absent from the searched
         ways.  Searching a subset models the RAP-restricted probes that
         give Cooperative Partitioning its dynamic-energy savings.  This
-        is the general (scan-based) API; the simulator's inner loop
-        uses ``tag_map`` with precomputed membership masks instead.
+        is the general (scan-based) API; the LLC's inner loop resolves
+        ``mapped`` against precomputed membership masks instead.
         """
         tags = self.tags
         if ways is None:
@@ -89,8 +131,10 @@ class CacheSet:
 
     def touch(self, way: int) -> None:
         """Make ``way`` the most recently used."""
-        self.stamp[way] = self.clock
-        self.clock += 1
+        clocks = self.clocks
+        index = self.index
+        self.stamp[way] = clocks[index]
+        clocks[index] += 1
 
     def stack_position(self, way: int) -> int:
         """Recency position of ``way`` (0 = MRU)."""
@@ -144,25 +188,29 @@ class CacheSet:
         """Fill ``way`` with a new line and make it MRU."""
         tags = self.tags
         old = tags[way]
-        tag_map = self.tag_map
+        mapped = self.mapped
         if old == NO_TAG:
-            self.valid_count += 1
-        elif tag_map.get(old) == way:
-            del tag_map[old]
+            self.valid[self.index] += 1
+        elif mapped is not None and mapped[way] == old:
+            mapped[way] = NO_TAG
         tags[way] = tag
-        tag_map[tag] = way
+        if mapped is not None:
+            # The new copy supersedes any older one as the tag's home.
+            if tag in mapped:
+                mapped[mapped.index(tag)] = NO_TAG
+            mapped[way] = tag
         self.dirty[way] = 1 if dirty else 0
         self.owner[way] = owner
-        self.stamp[way] = self.clock
-        self.clock += 1
+        self.touch(way)
 
     def invalidate(self, way: int) -> None:
         """Drop the line in ``way`` (used by power-gating and CPE flushes)."""
         old = self.tags[way]
         if old != NO_TAG:
-            self.valid_count -= 1
-            if self.tag_map.get(old) == way:
-                del self.tag_map[old]
+            self.valid[self.index] -= 1
+            mapped = self.mapped
+            if mapped is not None and mapped[way] == old:
+                mapped[way] = NO_TAG
         self.tags[way] = NO_TAG
         self.dirty[way] = 0
         self.owner[way] = NO_OWNER

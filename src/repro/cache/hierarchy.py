@@ -73,7 +73,10 @@ class CacheHierarchy:
         self.l1_latency = l1_latency
         self.l2_latency = l2_latency
         self.llc_policy = llc_policy
-        self.l1 = [SetAssociativeCache(l1_geometry) for _ in range(n_cores)]
+        self.l1 = [
+            SetAssociativeCache(l1_geometry, track_copies=False)
+            for _ in range(n_cores)
+        ]
         self.l1_hits = [0] * n_cores
         self.l1_misses = [0] * n_cores
         self.l1_writebacks = [0] * n_cores

@@ -10,6 +10,7 @@ timeline after a partitioning decision can be reproduced.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 
 
@@ -36,7 +37,9 @@ class MainMemory:
         self.n_banks = n_banks
         self.bank_busy = bank_busy
         self._bank_shift = line_address_bank_shift
-        self._bank_free_at = [0] * n_banks
+        #: cycle each bank frees up; an ``array('q')`` the C kernel
+        #: shares in place
+        self._bank_free_at = array("q", bytes(8 * n_banks))
         # Statistics.
         self.reads = 0
         self.writebacks = 0

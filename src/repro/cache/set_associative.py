@@ -11,10 +11,19 @@ is updated on every install, invalidation and ownership transfer, so
 sets x ways scan it used to be.  The simulator's inlined fill paths
 (:mod:`repro.sim.simulator`, :mod:`repro.partitioning.base`) maintain
 the same counters.
+
+Line state is flat and shared.  Each set's line columns are
+``array``-backed, and the cache itself owns the per-set ``clock`` and
+``valid`` columns, so the Python tiers and the C kernel read and write
+one copy of the state.  :meth:`pointer_table` exposes each column
+family as a table of per-set buffer addresses for the kernel; the
+buffers are allocated once and never resized, so a table stays valid
+for the cache's lifetime.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.cache.cache_set import NO_TAG, NO_WAY, CacheSet
@@ -54,12 +63,36 @@ class AccessResult:
 class SetAssociativeCache:
     """Array of cache sets plus address decomposition helpers."""
 
-    def __init__(self, geometry: CacheGeometry) -> None:
+    def __init__(self, geometry: CacheGeometry, track_copies: bool = True) -> None:
         self.geometry = geometry
-        self.sets = [CacheSet(geometry.ways) for _ in range(geometry.num_sets)]
+        ways = geometry.ways
+        num_sets = geometry.num_sets
+        #: per-set recency clocks and valid-line counts (one slot per set)
+        self.clock = array("q", [ways + 1]) * num_sets
+        self.valid = array("q", bytes(8 * num_sets))
+        #: ``track_copies`` gives every set a ``mapped`` lookup column
+        #: (a shared LLC, where stale duplicates can exist); private
+        #: L1s pass False and are probed by scanning ``tags``
+        self.sets = [
+            CacheSet(ways, self.clock, self.valid, index, track_copies)
+            for index in range(num_sets)
+        ]
         #: valid lines per owning core, maintained incrementally;
         #: grown on demand (owner ids are small non-negative ints)
         self.core_occupancy: list[int] = []
+        self._pointer_tables: dict[str, array] = {}
+
+    def pointer_table(self, column: str) -> array:
+        """Per-set buffer addresses of one line column (``tags``,
+        ``stamp``, ``owner``, ``dirty`` or ``mapped``), built on first
+        use and cached: the kernel's view of the sets, with no copy."""
+        table = self._pointer_tables.get(column)
+        if table is None:
+            table = array("q", [
+                getattr(cset, column).buffer_info()[0] for cset in self.sets
+            ])
+            self._pointer_tables[column] = table
+        return table
 
     def ensure_cores(self, n_cores: int) -> list[int]:
         """Grow (never shrink) the occupancy counters to ``n_cores``.
@@ -198,4 +231,4 @@ class SetAssociativeCache:
 
     def valid_line_count(self) -> int:
         """Number of valid lines in the cache."""
-        return sum(cset.valid_count for cset in self.sets)
+        return sum(self.valid)

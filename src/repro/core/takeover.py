@@ -21,6 +21,7 @@ than UCP's recipient-miss-only migration (Figure 15).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from repro.cache.memory import MainMemory
@@ -33,13 +34,16 @@ TO_OFF = -1
 
 
 class TakeoverVector:
-    """One bit per cache set; complete when every bit is set."""
+    """One bit per cache set; complete when every bit is set.
+
+    ``bits`` is an ``array('B')`` the C kernel marks in place.
+    """
 
     __slots__ = ("num_sets", "bits", "set_count")
 
     def __init__(self, num_sets: int) -> None:
         self.num_sets = num_sets
-        self.bits = bytearray(num_sets)
+        self.bits = array("B", bytes(num_sets))
         self.set_count = 0
 
     def mark(self, set_index: int) -> bool:
@@ -52,7 +56,7 @@ class TakeoverVector:
 
     def reset(self) -> None:
         """Clear all bits (start of a transition period)."""
-        self.bits = bytearray(self.num_sets)
+        self.bits = array("B", bytes(self.num_sets))
         self.set_count = 0
 
     @property
@@ -106,6 +110,9 @@ class TakeoverEngine:
         self._donor_ways: dict[int, tuple[int, ...]] = {}
         #: recipient core -> {donor: tuple of ways moving donor->recipient}
         self._recipient_sources: dict[int, dict[int, tuple[int, ...]]] = {}
+        #: bumped whenever the donor/recipient indexes change, so the
+        #: compiled engine repacks its way tables only then
+        self.generation = 0
 
     # ------------------------------------------------------------------
     # Transition lifecycle
@@ -139,6 +146,7 @@ class TakeoverEngine:
                 recipient_sources.setdefault(move.recipient, {}).setdefault(
                     move.donor, []
                 ).append(way)
+        self.generation += 1
         self._donor_ways = {d: tuple(ws) for d, ws in donor_ways.items()}
         self._recipient_sources = {
             r: {d: tuple(ws) for d, ws in sources.items()}

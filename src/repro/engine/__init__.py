@@ -1,45 +1,31 @@
 """Execution engines for :meth:`repro.sim.simulator.CMPSimulator.run`.
 
-One simulation, three interchangeable backends:
+One simulation, two interchangeable backends:
 
 ``python``
     The reference scalar loop in ``sim/simulator.py`` — pure Python,
     no dependencies, the historical bit-exact engine.
-``batched``
-    Numpy hit-run batching (:mod:`repro.engine.batched`): each core's
-    L1 state is mirrored into flat arrays and runs of consecutive L1
-    hits — which never touch the shared LLC — are resolved in bulk
-    between policy-epoch/scenario-event boundaries.  L1 misses, epoch
-    edges and all boundary-side work take the ordinary per-reference
-    path against the real policy objects.  Requires numpy.
 ``compiled``
     A C kernel (:mod:`repro.engine.compiled`) that transliterates the
     scalar inner loop — scheduler, L1, the LLC fast path, the bank
     model, UMON/ATD sampling, UCP migration tracking, cooperative
     takeover and the DVFS timing rows — and executes whole
-    epoch-to-epoch spans per call.  Built on demand with the system C
-    compiler and loaded through ctypes; anything the kernel does not
-    model returns to Python at a span boundary.
+    epoch-to-epoch spans per call on the simulator's own flat state
+    buffers.  Built on demand with the system C compiler and loaded
+    through ctypes; anything the kernel does not model returns to
+    Python at a span boundary.
 
-Every engine produces a bit-identical :class:`~repro.sim.stats.RunResult`
-— the golden fixture suite and ``tests/engine`` pin all of them
-against the same serialized artifacts.  Selection:
+Both engines produce a bit-identical :class:`~repro.sim.stats.RunResult`
+— the golden fixture suite and ``tests/engine`` pin them against the
+same serialized artifacts.  Selection:
 
 * an explicit ``engine=`` argument to ``run()`` wins;
-* else ``$REPRO_ENGINE`` (``python``/``batched``/``compiled``/``auto``);
+* else ``$REPRO_ENGINE`` (``python``/``compiled``/``auto``);
 * else ``auto``: ``compiled`` if the kernel builds and loads, else
   ``python``.
 
-``auto`` deliberately skips ``batched``: hit-run batching only pays
-when runs of consecutive L1 hits are long, and this reproduction's
-trace corpus is built to stress the *shared LLC* — the 4 KB private
-L1s measure ~20–25% hit rates on every benchmark (mean hit-run length
-below one reference), where the prediction overhead costs more than
-the batching saves.  The tier stays explicitly selectable for
-hit-dominated traces and as the vectorization reference.
-
-A bare install (no numpy, no C compiler) therefore still works: every
-selection path degrades to the pure-Python engine.
+A bare install (no C compiler) therefore still works: every selection
+path degrades to the pure-Python engine.
 """
 
 from __future__ import annotations
@@ -47,33 +33,18 @@ from __future__ import annotations
 import os
 
 PYTHON = "python"
-BATCHED = "batched"
 COMPILED = "compiled"
 AUTO = "auto"
 
 #: every engine name, preference order for ``auto`` first
-ENGINES = (COMPILED, PYTHON, BATCHED)
+ENGINES = (COMPILED, PYTHON)
 
 
 class EngineUnavailableError(RuntimeError):
     """An explicitly requested engine cannot run on this machine."""
 
 
-_numpy_available: bool | None = None
 _compiled_available: bool | None = None
-
-
-def numpy_available() -> bool:
-    """Whether the batched engine's numpy dependency imports."""
-    global _numpy_available
-    if _numpy_available is None:
-        try:
-            import numpy  # noqa: F401
-
-            _numpy_available = True
-        except ImportError:
-            _numpy_available = False
-    return _numpy_available
 
 
 def compiled_available() -> bool:
@@ -95,19 +66,11 @@ def compiled_available() -> bool:
 
 
 def available_engines() -> list[str]:
-    """Engines runnable on this machine, ``auto``-preference order.
-
-    ``batched`` sorts *after* ``python``: on this corpus's
-    LLC-stressing traces (short L1 hit runs) it measures slower than
-    the scalar loop, so ``auto`` never picks it — see the module
-    docstring.
-    """
+    """Engines runnable on this machine, ``auto``-preference order."""
     names = []
     if compiled_available():
         names.append(COMPILED)
     names.append(PYTHON)
-    if numpy_available():
-        names.append(BATCHED)
     return names
 
 
@@ -132,13 +95,6 @@ def resolve_engine(name: str | None) -> str:
         return default_engine()
     if name == PYTHON:
         return PYTHON
-    if name == BATCHED:
-        if not numpy_available():
-            raise EngineUnavailableError(
-                "engine 'batched' needs numpy, which is not importable; "
-                "use --engine python (or auto) on this machine"
-            )
-        return BATCHED
     if name == COMPILED:
         if not compiled_available():
             raise EngineUnavailableError(

@@ -36,7 +36,7 @@ import subprocess
 import tempfile
 from pathlib import Path
 
-_SOURCE = Path(__file__).with_name("kernel.c")
+KERNEL_SOURCE = Path(__file__).with_name("kernel.c")
 
 #: Bail-out statuses returned by ``repro_run_span`` (mirror kernel.c).
 ST_DONE = 0
@@ -121,7 +121,7 @@ def _compile(source: Path, out: Path) -> None:
 def kernel_path() -> Path:
     """Path of the cached shared object for the current source and
     :func:`compile_flags` (sanitizer mode included)."""
-    hasher = hashlib.sha256(_SOURCE.read_bytes())
+    hasher = hashlib.sha256(KERNEL_SOURCE.read_bytes())
     hasher.update("\0".join(compile_flags()).encode("utf-8"))
     digest = hasher.hexdigest()[:16]
     return _cache_dir() / f"repro_kernel_{digest}.so"
@@ -137,7 +137,7 @@ def load_kernel() -> ctypes.CDLL:
     try:
         so = kernel_path()
         if not so.exists():
-            _compile(_SOURCE, so)
+            _compile(KERNEL_SOURCE, so)
         lib = ctypes.CDLL(str(so))
         lib.repro_abi_size.restype = ctypes.c_int64
         lib.repro_abi_size.argtypes = []

@@ -3,27 +3,32 @@
 :func:`run_compiled` drives :mod:`repro.engine.kernel` (kernel.c,
 built/loaded by :mod:`repro.engine.build`) through the simulator's
 shared run protocol.  The C kernel executes references in exact global
-order between boundaries; everything episodic — partitioning epochs,
-scenario events, warmup reset, takeover completions — runs in the
-ordinary Python machinery between spans.  The contract is bit-exact
+order between boundaries, and warms caches (the run-start prewarm and
+every late arrival) in C as well; everything episodic — partitioning
+epochs, scenario events, warmup reset, takeover completions — runs in
+the ordinary Python machinery between spans.  The contract is bit-exact
 equality with ``CMPSimulator._run_python`` on every supported
 configuration; the golden fixtures and ``tests/engine`` pin it.
 
-Marshalling strategy.  Line-state columns (``tags``/``stamp``/
-``owner``/``dirty``) are ``array('q')``/``bytearray`` and the kernel
-works on them **in place** — pointers are captured once per run and
-never copied.  Everything else (Python ints, lists, dicts) is copied
-into flat arrays before each span and synced back after it:
+Shared state.  The simulator's state is a set of flat buffers that the
+Python tier and the kernel both index in place: the line columns
+(``tags``/``stamp``/``owner``/``dirty``), each cache's per-set
+``clock``/``valid`` columns, the LLC's ``mapped`` lookup column, the
+UMON tag directories, the memory banks, UCP's migration counters and
+the takeover bit vectors.  Their pointer tables are built once per run
+(the caches cache their own).  A span therefore copies only O(n_cores)
+scalars each way — per-core execution state and counters, energy and
+memory totals, the policy's per-core way tables — plus:
 
-* ``tag_map`` dicts become a per-set ``mapped[way] -> tag`` mirror
-  (the dicts are only ever used as tag -> way lookups, so their
-  iteration order is unobservable and they can be rebuilt from the
-  mirror for sets the kernel modified);
-* order-sensitive dict/list side effects (flush timelines, transfer
-  flush buckets, UCP transition durations) come back through an
+* order-sensitive dict side effects (flush timelines, transfer-flush
+  buckets, UCP transition durations), which come back through an
   ordered event buffer and are replayed chronologically;
-* ATD stacks, UCP transition counters and takeover vectors are packed
-  densely per span (takeover-vector bit arrays are shared in place).
+* the takeover engine's donor/recipient way tables, repacked only when
+  its ``generation`` moves.
+
+A reference (or warming line) whose LLC traffic would complete a
+takeover vector bails out to Python, which runs it through the
+simulator's own miss path and resumes the kernel.
 
 A policy whose access path the kernel does not model — custom hooks
 outside the five built-in schemes — falls back to the pure-Python
@@ -35,13 +40,16 @@ never a behaviour change.
 from __future__ import annotations
 
 import ctypes
+import re
 from array import array
+from functools import cache
+from operator import attrgetter
 from time import perf_counter
 
 from repro.engine.build import (
+    KERNEL_SOURCE,
     ST_BOUNDARY,
     ST_DONE,
-    ST_ERROR,
     ST_EVBUF_FULL,
     ST_NEED_PYTHON_REF,
     ST_WARMUP_GATE,
@@ -52,7 +60,6 @@ from repro.obs.metrics import metrics_enabled
 from repro.obs.trace import recorder as obs_recorder
 
 _NEVER = 1 << 62
-_NO_TAG = -1
 
 KIND_TABLED = 0
 KIND_UCP = 1
@@ -65,90 +72,82 @@ _EV_FLUSH_TL = 1
 _EV_TFB = 2
 _EV_TRANS_DUR = 3
 
-_i64 = ctypes.c_int64
 
+@cache
+def _ctx_type() -> type[ctypes.Structure]:
+    """ctypes mirror of kernel.c's ``Ctx`` struct, read from its source.
 
-class _Ctx(ctypes.Structure):
-    """Field-for-field mirror of the ``Ctx`` struct in kernel.c.
-
-    Every field is 8 bytes (int64 or a pointer stored as int64); the
-    ABI size check at load time catches any drift.
+    The layout is declared once, in C: every field is 8 bytes (int64
+    or a pointer), and the ABI size check at run start catches a
+    declaration this reader skipped.
     """
+    source = KERNEL_SOURCE.read_text()
+    body = source[source.index("typedef struct {"):source.index("} Ctx;")]
+    names = re.findall(r"^\s*(?:i64|u?int8_t)\s*\**\s*(\w+);", body, re.M)
+    fields = [(name, ctypes.c_int64) for name in names]
+    return type("Ctx", (ctypes.Structure,), {"_fields_": fields})
 
-    _fields_ = [(name, _i64) for name in (
-        "canary",
-        # constants
-        "n_cores", "issue_shift", "l1_latency", "miss_latency",
-        "l2_latency", "target", "warmup", "llc_set_mask", "llc_set_shift",
-        "llc_ways", "llc_nsets", "policy_kind", "has_dvfs", "mem_latency",
-        "mem_nbanks", "mem_bank_busy", "mem_bank_shift",
-        "flush_bucket_cycles", "stats_bucket_cycles", "has_monitors",
-        "umon_mask", "umon_offset", "umon_shift", "atd_nslots",
-        "last_decision_cycle", "l1_nsets", "l1_ways", "l1_mask", "l1_shift",
-        # loop state
-        "warmed_up", "unfinished", "boundary", "bail_now", "bail_core",
-        # per-core scalars
-        "core_active", "core_time", "core_position", "core_length",
-        "core_instructions", "core_refs_done", "core_window_open",
-        "core_window_closed", "core_instr_base", "core_cycle_base",
-        "core_frozen_instr", "core_frozen_cycles",
-        # traces
-        "trace_gaps", "trace_addr", "trace_writes",
-        # L1
-        "l1_tags", "l1_stamp", "l1_owner", "l1_dirty", "l1_clock",
-        "l1_valid", "l1_modified", "l1_occ", "l1_hits", "l1_misses",
-        "l1_writebacks",
-        # LLC
-        "llc_tags", "llc_stamp", "llc_owner", "llc_dirty", "llc_clock",
-        "llc_valid", "llc_mapped", "llc_modified", "llc_occ",
-        # policy fast tables
-        "probe_mask", "probe_count", "fill_count", "fill_ways",
-        "custom_victim", "pre_access_active", "post_fill_active",
-        # statistics
-        "ways_probed_sum", "probe_events", "writeback_accesses",
-        "demand_accesses", "demand_hits",
-        # energy
-        "e_tag_probes", "e_data_reads", "e_data_writes", "e_writebacks",
-        "e_monitor_updates",
-        # memory
-        "bank_free_at", "mem_reads", "mem_writebacks", "mem_read_stall",
-        # policy-stats scalars
-        "transfer_flushes", "transitions_completed", "tk_donor_hit",
-        "tk_donor_miss", "tk_recipient_hit", "tk_recipient_miss",
-        # dvfs
-        "dvfs_entries", "dvfs_stall",
-        # atd
-        "atd_stack", "atd_len", "atd_pos_hits", "atd_misses",
-        "atd_accesses",
-        # ucp
-        "ucp_target", "ucp_known", "ucp_counts", "ucp_trans_active",
-        "ucp_gained", "ucp_complete", "ucp_ways_gained", "ucp_ways_done",
-        "ucp_start_cycle",
-        # cooperative takeover
-        "engine_active", "coop_donor_count", "coop_donor_ways",
-        "coop_rs_count", "coop_rs_donor", "coop_rs_nways", "coop_rs_ways",
-        "coop_recv_count", "coop_recv_ways", "coop_vec_bits",
-        "coop_vec_count",
-        # event buffer
-        "evbuf", "evbuf_cap", "evbuf_len",
-        # prewarm sweep
-        "warm_lines", "warm_len", "warm_round", "warm_core",
-    )]
+
+#: CoreState attribute -> context column, copied both ways per span
+#: (``active`` and ``length`` only change between spans: in only)
+_CORE_STATE = (
+    ("time", "core_time"),
+    ("position", "core_position"),
+    ("instructions", "core_instructions"),
+    ("refs_done", "core_refs_done"),
+    ("window_open", "core_window_open"),
+    ("window_closed", "core_window_closed"),
+    ("instr_base", "core_instr_base"),
+    ("cycle_base", "core_cycle_base"),
+    ("frozen_instructions", "core_frozen_instr"),
+    ("frozen_cycles", "core_frozen_cycles"),
+)
+_CORE_FLAGS = frozenset({"window_open", "window_closed"})
+_CORE_IN = (("active", "core_active"), ("length", "core_length"))
+#: CoreState buffers the kernel reads through per-core pointers (a
+#: phase change rebinds them, so they are re-pointed per span)
+_CORE_BUFFERS = (
+    ("gaps", "trace_gaps"),
+    ("addresses", "trace_addr"),
+    ("writes", "trace_writes"),
+    ("warm_lines", "warm_lines"),
+)
+
+#: simulator component, attribute -> context field: the scalar totals
+#: the kernel advances, copied both ways per span
+_TOTALS = (
+    ("energy", "tag_probes", "e_tag_probes"),
+    ("energy", "data_reads", "e_data_reads"),
+    ("energy", "data_writes", "e_data_writes"),
+    ("energy", "writebacks", "e_writebacks"),
+    ("energy", "monitor_updates", "e_monitor_updates"),
+    ("memory", "reads", "mem_reads"),
+    ("memory", "writebacks", "mem_writebacks"),
+    ("memory", "read_stall_cycles", "mem_read_stall"),
+    ("stats", "transfer_flushes", "transfer_flushes"),
+    ("stats", "transitions_completed", "transitions_completed"),
+)
+#: ``PolicyStats.takeover_events`` key -> context field (the dict is
+#: rebound at the warmup reset, so it is looked up per span)
+_TAKEOVER_EVENTS = (
+    ("donor_hit", "tk_donor_hit"),
+    ("donor_miss", "tk_donor_miss"),
+    ("recipient_hit", "tk_recipient_hit"),
+    ("recipient_miss", "tk_recipient_miss"),
+)
 
 
 def _addr(arr: array) -> int:
     return arr.buffer_info()[0]
 
 
-def _pin(buf: bytearray, keep: list) -> int:
-    """Address of a bytearray's storage; the view keeps it importable."""
-    view = (ctypes.c_char * len(buf)).from_buffer(buf)
-    keep.append(view)
-    return ctypes.addressof(view)
-
-
 def _qzeros(n: int) -> array:
     return array("q", bytes(8 * max(1, n)))
+
+
+def _put(col: array, base: int, values) -> None:
+    """Store ``values`` into ``col`` from index ``base`` on."""
+    col[base:base + len(values)] = array("q", values)
 
 
 def policy_kind(policy) -> int | None:
@@ -198,34 +197,32 @@ def policy_kind(policy) -> int | None:
 
 
 class _Marshal:
-    """Per-run kernel context: pointer tables once, scalars per span."""
+    """Per-run kernel context: pointer tables once, O(n_cores) per span."""
 
     def __init__(self, sim, lib, kind: int, issue_shift: int) -> None:
         self.sim = sim
-        self.lib = lib
         self.kind = kind
         config = sim.config
         policy = sim.policy
         hierarchy = sim.hierarchy
+        cache = sim.cache
+        stats = sim.stats
+        memory = sim.memory
         n = config.n_cores
         self.n = n
         geometry = policy.geometry
         self.W = W = geometry.ways
-        self.nsets = nsets = geometry.num_sets
-        l1_geom = hierarchy.l1[0].geometry
-        self.l1_nsets = l1_nsets = l1_geom.num_sets
-        self.l1_ways = l1_ways = l1_geom.ways
-        self._keep: list = []          # pinned buffers, run lifetime
-        self._span_keep: list = []     # pinned buffers, span lifetime
+        l1_caches = hierarchy.l1
+        l1_geom = l1_caches[0].geometry
+        #: arrays whose addresses the context holds, kept alive per run
+        self._keep: list[array] = []
 
-        ctx = _Ctx()
-        self.ctx = ctx
+        ctx_type = _ctx_type()
         abi = lib.repro_abi_size()
-        if abi != ctypes.sizeof(_Ctx):
-            raise RuntimeError(
-                f"kernel ABI mismatch: C sizeof(Ctx)={abi}, "
-                f"ctypes={ctypes.sizeof(_Ctx)}"
-            )
+        if abi != ctypes.sizeof(ctx_type):
+            raise RuntimeError(f"kernel ABI mismatch: C sizeof(Ctx)={abi}, "
+                               f"ctypes={ctypes.sizeof(ctx_type)}")
+        self.ctx = ctx = ctx_type()
         ctx.canary = _CANARY
 
         # ---- constants -----------------------------------------------
@@ -234,218 +231,123 @@ class _Marshal:
         ctx.l1_latency = hierarchy.l1_latency
         ctx.miss_latency = sim._miss_latency
         ctx.l2_latency = config.l2_latency
-        ctx.target = 0   # set by run_compiled after _begin_run
-        ctx.warmup = 0
         ctx.llc_set_mask = geometry.set_mask
         ctx.llc_set_shift = geometry.set_shift
         ctx.llc_ways = W
-        ctx.llc_nsets = nsets
+        ctx.llc_nsets = geometry.num_sets
         ctx.policy_kind = kind
         ctx.has_dvfs = 0 if sim.dvfs is None else 1
-        memory = sim.memory
         ctx.mem_latency = memory.latency
         ctx.mem_nbanks = memory.n_banks
         ctx.mem_bank_busy = memory.bank_busy
         ctx.mem_bank_shift = memory._bank_shift
         ctx.flush_bucket_cycles = memory.flush_bucket_cycles
-        ctx.stats_bucket_cycles = sim.stats.flush_bucket_cycles
+        ctx.stats_bucket_cycles = stats.flush_bucket_cycles
         atds = policy._atds
         ctx.has_monitors = 1 if atds else 0
         ctx.umon_mask = policy._umon_mask
         ctx.umon_offset = policy._umon_offset
-        if atds:
-            interval = policy._umon_mask + 1
-            ctx.umon_shift = interval.bit_length() - 1
-            ctx.atd_nslots = nslots = nsets // interval
-        else:
-            ctx.umon_shift = 0
-            ctx.atd_nslots = nslots = 0
-        self.nslots = nslots
-        ctx.l1_nsets = l1_nsets
-        ctx.l1_ways = l1_ways
+        ctx.umon_shift = (policy._umon_mask + 1).bit_length() - 1 if atds else 0
+        ctx.l1_nsets = l1_geom.num_sets
+        ctx.l1_ways = l1_geom.ways
         ctx.l1_mask = sim._l1_mask
         ctx.l1_shift = sim._l1_shift
 
-        # ---- per-core scalar columns ---------------------------------
-        names = (
-            "core_active", "core_time", "core_position", "core_length",
-            "core_instructions", "core_refs_done", "core_window_open",
-            "core_window_closed", "core_instr_base", "core_cycle_base",
-            "core_frozen_instr", "core_frozen_cycles",
-        )
-        self._core_cols = {}
-        for name in names:
-            col = _qzeros(n)
-            self._core_cols[name] = col
-            setattr(ctx, name, _addr(col))
+        # ---- shared buffers: pointers only ---------------------------
+        for name in ("tags", "stamp", "owner", "dirty"):
+            table = array("q")
+            for l1 in l1_caches:
+                table.extend(l1.pointer_table(name))
+            setattr(ctx, "l1_" + name, self._hold(table))
+        ctx.l1_clock = self._table([l1.clock for l1 in l1_caches])
+        ctx.l1_valid = self._table([l1.valid for l1 in l1_caches])
+        for name in ("tags", "stamp", "owner", "dirty", "mapped"):
+            setattr(ctx, "llc_" + name, _addr(cache.pointer_table(name)))
+        ctx.llc_clock = _addr(cache.clock)
+        ctx.llc_valid = _addr(cache.valid)
+        ctx.bank_free_at = _addr(memory._bank_free_at)
+        if atds:
+            ctx.atd_stack = self._table([atd.stacks for atd in atds])
+            ctx.atd_len = self._table([atd.lengths for atd in atds])
+            ctx.atd_hits = self._table([atd.hits for atd in atds])
+            ctx.atd_counts = self._table([atd.counts for atd in atds])
 
-        # ---- trace pointer tables (refreshed per span: PHASE rebinds)
-        self._gap_tbl = _qzeros(n)
-        self._addr_tbl = _qzeros(n)
-        self._write_tbl = _qzeros(n)
-        ctx.trace_gaps = _addr(self._gap_tbl)
-        ctx.trace_addr = _addr(self._addr_tbl)
-        ctx.trace_writes = _addr(self._write_tbl)
-
-        # ---- L1 columns ----------------------------------------------
-        total_l1 = n * l1_nsets
-        self._l1_sets = [
-            sim.cores[ci].l1_sets[s]
-            for ci in range(n) for s in range(l1_nsets)
-        ]
-        self._l1_tags_tbl = _qzeros(total_l1)
-        self._l1_stamp_tbl = _qzeros(total_l1)
-        self._l1_owner_tbl = _qzeros(total_l1)
-        self._l1_dirty_tbl = _qzeros(total_l1)
-        for i, cset in enumerate(self._l1_sets):
-            self._l1_tags_tbl[i] = _addr(cset.tags)
-            self._l1_stamp_tbl[i] = _addr(cset.stamp)
-            self._l1_owner_tbl[i] = _addr(cset.owner)
-            self._l1_dirty_tbl[i] = _pin(cset.dirty, self._keep)
-        ctx.l1_tags = _addr(self._l1_tags_tbl)
-        ctx.l1_stamp = _addr(self._l1_stamp_tbl)
-        ctx.l1_owner = _addr(self._l1_owner_tbl)
-        ctx.l1_dirty = _addr(self._l1_dirty_tbl)
-        self._l1_clock = _qzeros(total_l1)
-        self._l1_valid = _qzeros(total_l1)
-        self._l1_modified = bytearray(total_l1)
-        ctx.l1_clock = _addr(self._l1_clock)
-        ctx.l1_valid = _addr(self._l1_valid)
-        ctx.l1_modified = _pin(self._l1_modified, self._keep)
-        for name in ("l1_occ", "l1_hits", "l1_misses", "l1_writebacks"):
-            col = _qzeros(n)
-            self._core_cols[name] = col
-            setattr(ctx, name, _addr(col))
-
-        # ---- LLC columns ---------------------------------------------
-        self._llc_sets = policy._sets
-        self._llc_tags_tbl = _qzeros(nsets)
-        self._llc_stamp_tbl = _qzeros(nsets)
-        self._llc_owner_tbl = _qzeros(nsets)
-        self._llc_dirty_tbl = _qzeros(nsets)
-        for i, cset in enumerate(self._llc_sets):
-            self._llc_tags_tbl[i] = _addr(cset.tags)
-            self._llc_stamp_tbl[i] = _addr(cset.stamp)
-            self._llc_owner_tbl[i] = _addr(cset.owner)
-            self._llc_dirty_tbl[i] = _pin(cset.dirty, self._keep)
-        ctx.llc_tags = _addr(self._llc_tags_tbl)
-        ctx.llc_stamp = _addr(self._llc_stamp_tbl)
-        ctx.llc_owner = _addr(self._llc_owner_tbl)
-        ctx.llc_dirty = _addr(self._llc_dirty_tbl)
-        self._llc_clock = _qzeros(nsets)
-        self._llc_valid = _qzeros(nsets)
-        self._llc_mapped = _qzeros(nsets * W)
-        self._llc_mapped_addr = _addr(self._llc_mapped)
-        self._llc_modified = bytearray(nsets)
-        ctx.llc_clock = _addr(self._llc_clock)
-        ctx.llc_valid = _addr(self._llc_valid)
-        ctx.llc_mapped = self._llc_mapped_addr
-        ctx.llc_modified = _pin(self._llc_modified, self._keep)
-        self._llc_occ = _qzeros(n)
-        ctx.llc_occ = _addr(self._llc_occ)
-
-        # ---- policy fast tables --------------------------------------
-        self._probe_mask = _qzeros(n)
-        self._probe_count = _qzeros(n)
-        self._fill_count = _qzeros(n)
-        self._fill_ways = _qzeros(n * W)
-        ctx.probe_mask = _addr(self._probe_mask)
-        ctx.probe_count = _addr(self._probe_count)
-        ctx.fill_count = _addr(self._fill_count)
-        ctx.fill_ways = _addr(self._fill_ways)
-
-        # ---- statistics ----------------------------------------------
-        for name in ("ways_probed_sum", "probe_events",
-                     "writeback_accesses", "demand_accesses", "demand_hits"):
-            col = _qzeros(n)
-            self._core_cols[name] = col
-            setattr(ctx, name, _addr(col))
-
-        # ---- memory --------------------------------------------------
-        self._bank_free = _qzeros(memory.n_banks)
-        ctx.bank_free_at = _addr(self._bank_free)
-
-        # ---- dvfs ----------------------------------------------------
-        self._dvfs_entries = _qzeros(n * 4)
-        self._dvfs_stall = _qzeros(n)
-        ctx.dvfs_entries = _addr(self._dvfs_entries)
-        ctx.dvfs_stall = _addr(self._dvfs_stall)
-
-        # ---- atd -----------------------------------------------------
-        self._atd_stack = _qzeros(n * nslots * W)
-        self._atd_len = _qzeros(n * nslots)
-        self._atd_pos_hits = _qzeros(n * W)
-        self._atd_misses = _qzeros(n)
-        self._atd_accesses = _qzeros(n)
-        ctx.atd_stack = _addr(self._atd_stack)
-        ctx.atd_len = _addr(self._atd_len)
-        ctx.atd_pos_hits = _addr(self._atd_pos_hits)
-        ctx.atd_misses = _addr(self._atd_misses)
-        ctx.atd_accesses = _addr(self._atd_accesses)
-
-        # ---- ucp -----------------------------------------------------
-        self._ucp_target = _qzeros(n)
-        self._ucp_counts = _qzeros(n)
-        self._ucp_trans_active = _qzeros(n)
-        self._ucp_gained = _qzeros(n)
-        self._ucp_complete = _qzeros(n)
-        self._ucp_ways_gained = _qzeros(n)
-        self._ucp_ways_done = _qzeros(n)
-        self._ucp_start_cycle = _qzeros(n)
-        ctx.ucp_target = _addr(self._ucp_target)
-        ctx.ucp_counts = _addr(self._ucp_counts)
-        ctx.ucp_trans_active = _addr(self._ucp_trans_active)
-        ctx.ucp_gained = _addr(self._ucp_gained)
-        ctx.ucp_complete = _addr(self._ucp_complete)
-        ctx.ucp_ways_gained = _addr(self._ucp_ways_gained)
-        ctx.ucp_ways_done = _addr(self._ucp_ways_done)
-        ctx.ucp_start_cycle = _addr(self._ucp_start_cycle)
-
-        # ---- cooperative takeover ------------------------------------
-        self._coop_donor_count = _qzeros(n)
-        self._coop_donor_ways = _qzeros(n * W)
-        self._coop_rs_count = _qzeros(n)
-        self._coop_rs_donor = _qzeros(n * n)
-        self._coop_rs_nways = _qzeros(n * n)
-        self._coop_rs_ways = _qzeros(n * n * W)
-        self._coop_recv_count = _qzeros(n)
-        self._coop_recv_ways = _qzeros(n * W)
-        self._coop_vec_bits = _qzeros(n)
-        self._coop_vec_count = _qzeros(n)
-        ctx.coop_donor_count = _addr(self._coop_donor_count)
-        ctx.coop_donor_ways = _addr(self._coop_donor_ways)
-        ctx.coop_rs_count = _addr(self._coop_rs_count)
-        ctx.coop_rs_donor = _addr(self._coop_rs_donor)
-        ctx.coop_rs_nways = _addr(self._coop_rs_nways)
-        ctx.coop_rs_ways = _addr(self._coop_rs_ways)
-        ctx.coop_recv_count = _addr(self._coop_recv_count)
-        ctx.coop_recv_ways = _addr(self._coop_recv_ways)
-        ctx.coop_vec_bits = _addr(self._coop_vec_bits)
-        ctx.coop_vec_count = _addr(self._coop_vec_count)
-
-        # ---- event buffer --------------------------------------------
-        self._evbuf = _qzeros(3 * _EVBUF_TRIPLES)
-        ctx.evbuf = _addr(self._evbuf)
+        # ---- per-core copies (O(n_cores) per span) -------------------
+        cols = {}
+        for name in (
+            "l1_occ", "probe_mask", "probe_count", "fill_count",
+            "ucp_target", "ucp_counts", "ucp_trans_active",
+            "ucp_gained", "ucp_complete", "ucp_ways_gained",
+            "ucp_ways_done", "ucp_start_cycle", "coop_donor_count",
+            "coop_rs_count", "coop_recv_count", "coop_vec_bits",
+            "coop_vec_count", "warm_len",
+        ):
+            cols[name] = self._column(name, n)
+        for name, size in (
+            ("fill_ways", n * W), ("dvfs_entries", n * 4),
+            ("coop_donor_ways", n * W), ("coop_rs_donor", n * n),
+            ("coop_rs_nways", n * n), ("coop_rs_ways", n * n * W),
+            ("coop_recv_ways", n * W), ("evbuf", 3 * _EVBUF_TRIPLES),
+        ):
+            cols[name] = self._column(name, size)
         ctx.evbuf_cap = _EVBUF_TRIPLES
+        self._cols = cols
+        fields = _CORE_STATE + _CORE_IN
+        self._core_get = attrgetter(*(attr for attr, _ in fields))
+        self._core_in = [self._column(name, n) for _, name in fields]
+        self._core_out = [
+            (attr, attr in _CORE_FLAGS, col)
+            for (attr, _), col in zip(_CORE_STATE, self._core_in)
+        ]
+        self._core_buffers = [
+            (attr, self._column(name, n)) for attr, name in _CORE_BUFFERS
+        ]
+        #: per-core counters held in Python lists (identity-stable:
+        #: every reset zeroes them in place)
+        counters = [
+            ("l1_hits", hierarchy.l1_hits),
+            ("l1_misses", hierarchy.l1_misses),
+            ("l1_writebacks", hierarchy.l1_writebacks),
+            ("llc_occ", cache.core_occupancy),
+            ("ways_probed_sum", stats.ways_probed_sum),
+            ("probe_events", stats.probe_events),
+            ("writeback_accesses", stats.writeback_accesses),
+            ("demand_accesses", stats.demand_accesses),
+            ("demand_hits", stats.demand_hits),
+        ]
+        if sim.dvfs is not None:
+            counters.append(("dvfs_stall", sim.dvfs.stall))
+        self._counters = [
+            (self._column(name, n), source) for name, source in counters
+        ]
+        self._totals = [
+            (getattr(sim, owner), attr, field) for owner, attr, field in _TOTALS
+        ]
+        self._packed_tables: list[tuple | None] = [None] * n
+        self._coop_generation = -1
+        self._span_ucp: list[int] = []
+        self._span_donors: list[int] = []
 
-        # ---- prewarm sweep -------------------------------------------
-        self._warm_tbl = _qzeros(n)
-        self._warm_len = _qzeros(n)
-        for ci, core in enumerate(sim.cores):
-            self._warm_tbl[ci] = _addr(core.warm_lines)
-            self._warm_len[ci] = len(core.warm_lines)
-        ctx.warm_lines = _addr(self._warm_tbl)
-        ctx.warm_len = _addr(self._warm_len)
+    def _hold(self, arr: array) -> int:
+        self._keep.append(arr)
+        return _addr(arr)
+
+    def _table(self, arrays: list[array]) -> int:
+        """A pointer table over ``arrays`` (one entry per core)."""
+        return self._hold(array("q", [_addr(arr) for arr in arrays]))
+
+    def _column(self, name: str, size: int) -> array:
+        col = _qzeros(size)
+        setattr(self.ctx, name, self._hold(col))
+        return col
 
     # ------------------------------------------------------------------
-    def span_in(self, boundary: int, unfinished: int,
-                warmed_up: bool) -> None:
-        """Copy all Python-held state into the kernel context."""
+    def enter(self, boundary: int, unfinished: int, warmed_up: bool) -> None:
+        """Copy the O(n_cores) Python-held scalars into the context."""
         sim = self.sim
         ctx = self.ctx
         n = self.n
-        W = self.W
-        cols = self._core_cols
+        cols = self._cols
         ctx.boundary = boundary
         ctx.unfinished = unfinished
         ctx.warmed_up = 1 if warmed_up else 0
@@ -453,165 +355,52 @@ class _Marshal:
         ctx.bail_now = 0
         ctx.bail_core = -1
 
-        c_active = cols["core_active"]
-        c_time = cols["core_time"]
-        c_pos = cols["core_position"]
-        c_len = cols["core_length"]
-        c_instr = cols["core_instructions"]
-        c_refs = cols["core_refs_done"]
-        c_wopen = cols["core_window_open"]
-        c_wclosed = cols["core_window_closed"]
-        c_ibase = cols["core_instr_base"]
-        c_cbase = cols["core_cycle_base"]
-        c_finstr = cols["core_frozen_instr"]
-        c_fcycles = cols["core_frozen_cycles"]
-        gap_tbl = self._gap_tbl
-        addr_tbl = self._addr_tbl
-        write_tbl = self._write_tbl
-        for ci, core in enumerate(sim.cores):
-            c_active[ci] = 1 if core.active else 0
-            c_time[ci] = core.time
-            c_pos[ci] = core.position
-            c_len[ci] = core.length
-            c_instr[ci] = core.instructions
-            c_refs[ci] = core.refs_done
-            c_wopen[ci] = 1 if core.window_open else 0
-            c_wclosed[ci] = 1 if core.window_closed else 0
-            c_ibase[ci] = core.instr_base
-            c_cbase[ci] = core.cycle_base
-            c_finstr[ci] = core.frozen_instructions
-            c_fcycles[ci] = core.frozen_cycles
-            gap_tbl[ci] = _addr(core.gaps)
-            addr_tbl[ci] = _addr(core.addresses)
-            write_tbl[ci] = _addr(core.writes)
-
-        # L1 / LLC per-set Python scalars.
-        l1_clock = self._l1_clock
-        l1_valid = self._l1_valid
-        for i, cset in enumerate(self._l1_sets):
-            l1_clock[i] = cset.clock
-            l1_valid[i] = cset.valid_count
-        mod = self._l1_modified
-        mod[:] = bytes(len(mod))
-        llc_clock = self._llc_clock
-        llc_valid = self._llc_valid
-        mapped = self._llc_mapped
-        ctypes.memset(self._llc_mapped_addr, 0xFF, 8 * len(mapped))
-        for i, cset in enumerate(self._llc_sets):
-            llc_clock[i] = cset.clock
-            llc_valid[i] = cset.valid_count
-            base = i * W
-            for tag, way in cset.tag_map.items():
-                mapped[base + way] = tag
-        mod = self._llc_modified
-        mod[:] = bytes(len(mod))
-
-        hierarchy = sim.hierarchy
+        core_get = self._core_get
+        core_in = self._core_in
         l1_occ = cols["l1_occ"]
-        for ci in range(n):
-            l1_occ[ci] = hierarchy.l1[ci].core_occupancy[ci]
-        for name, src in (
-            ("l1_hits", hierarchy.l1_hits),
-            ("l1_misses", hierarchy.l1_misses),
-            ("l1_writebacks", hierarchy.l1_writebacks),
-        ):
-            col = cols[name]
+        warm_len = cols["warm_len"]
+        l1_caches = sim.hierarchy.l1
+        for ci, core in enumerate(sim.cores):
+            for col, value in zip(core_in, core_get(core)):
+                col[ci] = value
+            for attr, col in self._core_buffers:
+                col[ci] = _addr(getattr(core, attr))
+            warm_len[ci] = len(core.warm_lines)
+            l1_occ[ci] = l1_caches[ci].core_occupancy[ci]
+        for col, source in self._counters:
             for ci in range(n):
-                col[ci] = src[ci]
-        occ = sim.cache.core_occupancy
-        llc_occ = self._llc_occ
-        for ci in range(n):
-            llc_occ[ci] = occ[ci]
+                col[ci] = source[ci]
+        for owner, attr, field in self._totals:
+            setattr(ctx, field, getattr(owner, attr))
+        stats = sim.stats
+        events = stats.takeover_events
+        for key, field in _TAKEOVER_EVENTS:
+            setattr(ctx, field, events[key])
+        ldc = stats.last_decision_cycle
+        ctx.last_decision_cycle = -1 if ldc is None else ldc
 
-        # Policy fast tables and hook flags.
+        # Policy fast tables (a core's entry is repacked only when the
+        # policy replaced it) and hook flags.
         policy = sim.policy
-        pm = self._probe_mask
-        pc = self._probe_count
-        fc = self._fill_count
-        fw = self._fill_ways
-        for ci, (mask, count, fill) in enumerate(policy._core_tables):
-            pm[ci] = mask
-            pc[ci] = count
-            if fill is None:
-                fc[ci] = -1
-            else:
-                fc[ci] = len(fill)
-                base = ci * W
-                for k, way in enumerate(fill):
-                    fw[base + k] = way
+        packed = self._packed_tables
+        for ci, table in enumerate(policy._core_tables):
+            if table is not packed[ci]:
+                packed[ci] = table
+                mask, count, fill = table
+                cols["probe_mask"][ci] = mask
+                cols["probe_count"][ci] = count
+                cols["fill_count"][ci] = -1 if fill is None else len(fill)
+                if fill is not None:
+                    _put(cols["fill_ways"], ci * self.W, fill)
         ctx.custom_victim = 1 if policy._custom_victim else 0
         ctx.pre_access_active = 1 if policy._pre_access_active else 0
         ctx.post_fill_active = 1 if policy._post_fill_active else 0
 
-        stats = sim.stats
-        for name, src in (
-            ("ways_probed_sum", stats.ways_probed_sum),
-            ("probe_events", stats.probe_events),
-            ("writeback_accesses", stats.writeback_accesses),
-            ("demand_accesses", stats.demand_accesses),
-            ("demand_hits", stats.demand_hits),
-        ):
-            col = cols[name]
-            for ci in range(n):
-                col[ci] = src[ci]
-        ldc = stats.last_decision_cycle
-        ctx.last_decision_cycle = -1 if ldc is None else ldc
-        ctx.transfer_flushes = stats.transfer_flushes
-        ctx.transitions_completed = stats.transitions_completed
-        events = stats.takeover_events
-        ctx.tk_donor_hit = events["donor_hit"]
-        ctx.tk_donor_miss = events["donor_miss"]
-        ctx.tk_recipient_hit = events["recipient_hit"]
-        ctx.tk_recipient_miss = events["recipient_miss"]
-
-        energy = sim.energy
-        ctx.e_tag_probes = energy.tag_probes
-        ctx.e_data_reads = energy.data_reads
-        ctx.e_data_writes = energy.data_writes
-        ctx.e_writebacks = energy.writebacks
-        ctx.e_monitor_updates = energy.monitor_updates
-
-        memory = sim.memory
-        bank = self._bank_free
-        for b, value in enumerate(memory._bank_free_at):
-            bank[b] = value
-        ctx.mem_reads = memory.reads
-        ctx.mem_writebacks = memory.writebacks
-        ctx.mem_read_stall = memory.read_stall_cycles
-
         dvfs = sim.dvfs
         if dvfs is not None:
-            entries = self._dvfs_entries
-            stall = self._dvfs_stall
+            entries = cols["dvfs_entries"]
             for ci in range(n):
-                entry = dvfs.entries[ci]
-                base = ci * 4
-                entries[base] = entry[0]
-                entries[base + 1] = entry[1]
-                entries[base + 2] = entry[2]
-                entries[base + 3] = entry[3]
-                stall[ci] = dvfs.stall[ci]
-
-        atds = policy._atds
-        if atds:
-            nslots = self.nslots
-            stack_arr = self._atd_stack
-            len_arr = self._atd_len
-            pos_arr = self._atd_pos_hits
-            miss_arr = self._atd_misses
-            acc_arr = self._atd_accesses
-            for ci, atd in enumerate(atds):
-                for k, stack in enumerate(atd._stacks.values()):
-                    slot = ci * nslots + k
-                    base = slot * W
-                    len_arr[slot] = len(stack)
-                    for j, tag in enumerate(stack):
-                        stack_arr[base + j] = tag
-                base = ci * W
-                for j, hits in enumerate(atd.position_hits):
-                    pos_arr[base + j] = hits
-                miss_arr[ci] = atd.misses
-                acc_arr[ci] = atd.accesses
+                _put(entries, ci * 4, dvfs.entries[ci])
 
         if self.kind == KIND_UCP:
             self._ucp_in()
@@ -621,103 +410,81 @@ class _Marshal:
             ctx.engine_active = 0
 
     def _ucp_in(self) -> None:
-        ctx = self.ctx
+        cols = self._cols
         policy = self.sim.policy
         selector = policy._selector
-        target_list = selector._target_list
         known = len(selector._counts)
-        ctx.ucp_known = known
-        ctx.engine_active = 0
-        tgt = self._ucp_target
-        for ci in range(known):
-            value = target_list[ci]
+        self.ctx.ucp_known = known
+        self.ctx.engine_active = 0
+        tgt = cols["ucp_target"]
+        for ci, value in enumerate(selector._target_list[:known]):
             tgt[ci] = -1 if value is None else value
-        active = self._ucp_trans_active
-        gained = self._ucp_gained
-        complete = self._ucp_complete
-        ways_gained = self._ucp_ways_gained
-        ways_done = self._ucp_ways_done
-        start = self._ucp_start_cycle
         transitions = policy._transitions
-        self._span_ucp = []
+        self._span_ucp = sorted(transitions)
         for ci in range(self.n):
             transition = transitions.get(ci)
-            if transition is None:
-                active[ci] = 0
-                gained[ci] = 0
-                complete[ci] = 0
-                continue
-            active[ci] = 1
-            gained[ci] = _addr(transition.gained_per_set)
-            complete[ci] = _addr(transition.complete_sets)
-            ways_gained[ci] = transition.ways_gained
-            ways_done[ci] = transition.ways_done
-            start[ci] = transition.start_cycle
-            self._span_ucp.append(ci)
+            cols["ucp_trans_active"][ci] = transition is not None
+            if transition is not None:
+                cols["ucp_gained"][ci] = _addr(transition.gained_per_set)
+                cols["ucp_complete"][ci] = _addr(transition.complete_sets)
+                cols["ucp_ways_gained"][ci] = transition.ways_gained
+                cols["ucp_ways_done"][ci] = transition.ways_done
+                cols["ucp_start_cycle"][ci] = transition.start_cycle
 
     def _coop_in(self) -> None:
-        ctx = self.ctx
         engine = self.sim.policy.engine
-        n = self.n
-        W = self.W
-        ctx.engine_active = 1 if engine.active else 0
-        donor_count = self._coop_donor_count
-        donor_ways = self._coop_donor_ways
-        rs_count = self._coop_rs_count
-        rs_donor = self._coop_rs_donor
-        rs_nways = self._coop_rs_nways
-        rs_ways = self._coop_rs_ways
-        recv_count = self._coop_recv_count
-        recv_ways = self._coop_recv_ways
-        vec_bits = self._coop_vec_bits
-        vec_count = self._coop_vec_count
-        self._span_keep.clear()
+        cols = self._cols
+        self.ctx.engine_active = 1 if engine.active else 0
+        if engine.generation != self._coop_generation:
+            self._coop_generation = engine.generation
+            self._pack_coop_tables(engine)
+        vectors = engine.vectors
+        vec_bits = cols["coop_vec_bits"]
+        vec_count = cols["coop_vec_count"]
         self._span_donors = donors = []
-        for ci in range(n):
-            ways = engine._donor_ways.get(ci, ())
-            donor_count[ci] = len(ways)
-            base = ci * W
-            for k, way in enumerate(ways):
-                donor_ways[base + k] = way
-            sources = engine._recipient_sources.get(ci)
-            if sources is None:
-                rs_count[ci] = 0
-            else:
-                rs_count[ci] = len(sources)
-                for k, (donor, dways) in enumerate(sources.items()):
-                    idx = ci * n + k
-                    rs_donor[idx] = donor
-                    rs_nways[idx] = len(dways)
-                    wbase = idx * W
-                    for j, way in enumerate(dways):
-                        rs_ways[wbase + j] = way
-            receiving = engine.receiving_ways(ci)
-            recv_count[ci] = len(receiving)
-            for k, way in enumerate(receiving):
-                recv_ways[base + k] = way
-            vector = engine.vectors.get(ci)
+        for ci in range(self.n):
+            vector = vectors.get(ci)
             if vector is None:
                 vec_bits[ci] = 0
-                vec_count[ci] = 0
-            else:
-                vec_bits[ci] = _pin(vector.bits, self._span_keep)
-                vec_count[ci] = vector.set_count
-                donors.append(ci)
+                continue
+            vec_bits[ci] = _addr(vector.bits)
+            vec_count[ci] = vector.set_count
+            donors.append(ci)
+
+    def _pack_coop_tables(self, engine) -> None:
+        """Flatten the donor/recipient way indexes (changed since the
+        last span: a takeover began or completed)."""
+        n = self.n
+        W = self.W
+        cols = self._cols
+        for ci in range(n):
+            ways = engine.ways_of_donor(ci)
+            cols["coop_donor_count"][ci] = len(ways)
+            _put(cols["coop_donor_ways"], ci * W, ways)
+            sources = engine._recipient_sources.get(ci, {})
+            cols["coop_rs_count"][ci] = len(sources)
+            for k, (donor, dways) in enumerate(sources.items()):
+                idx = ci * n + k
+                cols["coop_rs_donor"][idx] = donor
+                cols["coop_rs_nways"][idx] = len(dways)
+                _put(cols["coop_rs_ways"], idx * W, dways)
+            receiving = engine.receiving_ways(ci)
+            cols["coop_recv_count"][ci] = len(receiving)
+            _put(cols["coop_recv_ways"], ci * W, receiving)
 
     # ------------------------------------------------------------------
-    def span_out(self) -> None:
-        """Sync kernel-side results back into the Python objects."""
+    def leave(self) -> None:
+        """Copy the kernel's O(n_cores) scalars back to the Python side."""
         sim = self.sim
         ctx = self.ctx
         n = self.n
-        W = self.W
-        cols = self._core_cols
+        cols = self._cols
 
         # Ordered side effects first: the flush/bucket dicts must see
         # keys in chronological order across the whole run.
         memory = sim.memory
         stats = sim.stats
-        evbuf = self._evbuf
+        evbuf = cols["evbuf"]
         timeline = memory.flush_timeline
         buckets = stats.transfer_flush_buckets
         durations = stats.transition_durations
@@ -732,232 +499,65 @@ class _Marshal:
             else:
                 durations.append(value)
 
-        c_time = cols["core_time"]
-        c_pos = cols["core_position"]
-        c_instr = cols["core_instructions"]
-        c_refs = cols["core_refs_done"]
-        c_wopen = cols["core_window_open"]
-        c_wclosed = cols["core_window_closed"]
-        c_ibase = cols["core_instr_base"]
-        c_cbase = cols["core_cycle_base"]
-        c_finstr = cols["core_frozen_instr"]
-        c_fcycles = cols["core_frozen_cycles"]
-        for ci, core in enumerate(sim.cores):
-            core.time = c_time[ci]
-            core.position = c_pos[ci]
-            core.instructions = c_instr[ci]
-            core.refs_done = c_refs[ci]
-            core.window_open = bool(c_wopen[ci])
-            core.window_closed = bool(c_wclosed[ci])
-            core.instr_base = c_ibase[ci]
-            core.cycle_base = c_cbase[ci]
-            core.frozen_instructions = c_finstr[ci]
-            core.frozen_cycles = c_fcycles[ci]
-
-        l1_clock = self._l1_clock
-        l1_valid = self._l1_valid
-        l1_mod = self._l1_modified
-        for i, cset in enumerate(self._l1_sets):
-            cset.clock = l1_clock[i]
-            if l1_mod[i]:
-                cset.valid_count = l1_valid[i]
-                tags = cset.tags
-                cset.tag_map = {
-                    tags[w]: w for w in range(cset.ways)
-                    if tags[w] != _NO_TAG
-                }
-        llc_clock = self._llc_clock
-        llc_valid = self._llc_valid
-        llc_mod = self._llc_modified
-        mapped = self._llc_mapped
-        for i, cset in enumerate(self._llc_sets):
-            cset.clock = llc_clock[i]
-            if llc_mod[i]:
-                cset.valid_count = llc_valid[i]
-                base = i * W
-                cset.tag_map = {
-                    mapped[base + w]: w for w in range(W)
-                    if mapped[base + w] != _NO_TAG
-                }
-
-        hierarchy = sim.hierarchy
+        core_out = self._core_out
         l1_occ = cols["l1_occ"]
-        for ci in range(n):
-            hierarchy.l1[ci].core_occupancy[ci] = l1_occ[ci]
-        for name, dst in (
-            ("l1_hits", hierarchy.l1_hits),
-            ("l1_misses", hierarchy.l1_misses),
-            ("l1_writebacks", hierarchy.l1_writebacks),
-        ):
-            col = cols[name]
+        l1_caches = sim.hierarchy.l1
+        for ci, core in enumerate(sim.cores):
+            for attr, flag, col in core_out:
+                value = col[ci]
+                setattr(core, attr, bool(value) if flag else value)
+            l1_caches[ci].core_occupancy[ci] = l1_occ[ci]
+        for col, source in self._counters:
             for ci in range(n):
-                dst[ci] = col[ci]
-        occ = sim.cache.core_occupancy
-        llc_occ = self._llc_occ
-        for ci in range(n):
-            occ[ci] = llc_occ[ci]
-
-        for name, dst in (
-            ("ways_probed_sum", stats.ways_probed_sum),
-            ("probe_events", stats.probe_events),
-            ("writeback_accesses", stats.writeback_accesses),
-            ("demand_accesses", stats.demand_accesses),
-            ("demand_hits", stats.demand_hits),
-        ):
-            col = cols[name]
-            for ci in range(n):
-                dst[ci] = col[ci]
-        stats.transfer_flushes = ctx.transfer_flushes
-        stats.transitions_completed = ctx.transitions_completed
+                source[ci] = col[ci]
+        for owner, attr, field in self._totals:
+            setattr(owner, attr, getattr(ctx, field))
         events = stats.takeover_events
-        events["donor_hit"] = ctx.tk_donor_hit
-        events["donor_miss"] = ctx.tk_donor_miss
-        events["recipient_hit"] = ctx.tk_recipient_hit
-        events["recipient_miss"] = ctx.tk_recipient_miss
-
-        energy = sim.energy
-        energy.tag_probes = ctx.e_tag_probes
-        energy.data_reads = ctx.e_data_reads
-        energy.data_writes = ctx.e_data_writes
-        energy.writebacks = ctx.e_writebacks
-        energy.monitor_updates = ctx.e_monitor_updates
-
-        bank = self._bank_free
-        free_at = memory._bank_free_at
-        for b in range(len(free_at)):
-            free_at[b] = bank[b]
-        memory.reads = ctx.mem_reads
-        memory.writebacks = ctx.mem_writebacks
-        memory.read_stall_cycles = ctx.mem_read_stall
-
-        dvfs = sim.dvfs
-        if dvfs is not None:
-            stall = self._dvfs_stall
-            for ci in range(n):
-                dvfs.stall[ci] = stall[ci]
+        for key, field in _TAKEOVER_EVENTS:
+            events[key] = getattr(ctx, field)
 
         policy = sim.policy
-        atds = policy._atds
-        if atds:
-            nslots = self.nslots
-            stack_arr = self._atd_stack
-            len_arr = self._atd_len
-            pos_arr = self._atd_pos_hits
-            miss_arr = self._atd_misses
-            acc_arr = self._atd_accesses
-            for ci, atd in enumerate(atds):
-                for k, stack in enumerate(atd._stacks.values()):
-                    slot = ci * nslots + k
-                    base = slot * W
-                    stack[:] = stack_arr[base:base + len_arr[slot]]
-                base = ci * W
-                hits = atd.position_hits
-                for j in range(W):
-                    hits[j] = pos_arr[base + j]
-                atd.misses = miss_arr[ci]
-                atd.accesses = acc_arr[ci]
-
         if self.kind == KIND_UCP:
-            active = self._ucp_trans_active
-            ways_done = self._ucp_ways_done
+            active = cols["ucp_trans_active"]
+            ways_done = cols["ucp_ways_done"]
             transitions = policy._transitions
             for ci in self._span_ucp:
-                transition = transitions[ci]
-                transition.ways_done = ways_done[ci]
+                transitions[ci].ways_done = ways_done[ci]
                 if not active[ci]:
                     del transitions[ci]
             policy._post_fill_active = bool(transitions)
         elif self.kind == KIND_COOP:
-            engine = policy.engine
-            vec_count = self._coop_vec_count
+            vectors = policy.engine.vectors
+            vec_count = cols["coop_vec_count"]
             for ci in self._span_donors:
-                engine.vectors[ci].set_count = vec_count[ci]
-            self._span_keep.clear()
+                vectors[ci].set_count = vec_count[ci]
 
 
 # ----------------------------------------------------------------------
 def _scalar_ref(sim, core, target, warmup, unfinished, warmed_up, clock,
                 issue_shift):
-    """Execute exactly one reference through the Python machinery.
+    """Execute exactly one reference — an L1 miss — in Python.
 
-    Used when the kernel bails out on a reference that would complete
+    The kernel bails out on an L1 miss whose LLC traffic would complete
     a takeover vector: the completion restructures the policy (RAP
-    withdrawal, power gating), so the whole reference — including the
-    mid-reference restructure — runs through the reference loop's
-    scalar body.  Mirrors ``CMPSimulator._run_python``'s per-reference
-    section verbatim.
+    withdrawal, power gating) mid-reference, so the reference runs
+    through the simulator's own miss path (:meth:`CMPSimulator._l1_miss`)
+    and the per-reference bookkeeping of ``CMPSimulator._run_python``.
     """
-    from repro.cache.cache_set import NO_TAG
-
-    now = core.time
-    l1_mask = sim._l1_mask
-    l1_shift = sim._l1_shift
-    policy_access = sim._policy_access
-    dvfs = sim.dvfs
-
     position = core.position
     gap = core.gaps[position]
     address = core.addresses[position]
-    is_write = core.writes[position]
+    dvfs = sim.dvfs
     if dvfs is None:
-        issue_time = now + (gap >> issue_shift)
-        hit_latency = sim.hierarchy.l1_latency
-        miss_base = sim._miss_latency
+        issue_time = core.time + (gap >> issue_shift)
     else:
         entry = dvfs.entries[core.core_id]
-        issue_time = now + (gap >> issue_shift) * entry[0] // entry[1]
-        hit_latency = entry[2]
-        miss_base = entry[3]
-
-    set_index = address & l1_mask
-    tag = address >> l1_shift
-    cset = core.l1_sets[set_index]
-    way = cset.tag_map.get(tag, -1)
-    if way >= 0:
-        cset.stamp[way] = cset.clock
-        cset.clock += 1
-        if is_write:
-            cset.dirty[way] = 1
-        sim.hierarchy.l1_hits[core.core_id] += 1
-        core.time = issue_time + hit_latency
-    else:
-        core_id = core.core_id
-        sim._l1_misses[core_id] += 1
-        memory_latency = policy_access(core_id, address, False, issue_time)
-        tags = cset.tags
-        victim_way = -1
-        if cset.valid_count != cset.ways:
-            for candidate in range(cset.ways):
-                if tags[candidate] == NO_TAG:
-                    victim_way = candidate
-                    break
-        if victim_way < 0:
-            stamp = cset.stamp
-            victim_way = stamp.index(min(stamp))
-        old_tag = tags[victim_way]
-        tag_map = cset.tag_map
-        evicted_dirty = 0
-        if old_tag != NO_TAG:
-            evicted_dirty = cset.dirty[victim_way]
-            if tag_map.get(old_tag) == victim_way:
-                del tag_map[old_tag]
-        else:
-            cset.valid_count += 1
-            sim.hierarchy.l1[core_id].core_occupancy[core_id] += 1
-        tags[victim_way] = tag
-        tag_map[tag] = victim_way
-        cset.dirty[victim_way] = 1 if is_write else 0
-        cset.owner[victim_way] = core_id
-        cset.stamp[victim_way] = cset.clock
-        cset.clock += 1
-        if evicted_dirty:
-            sim._l1_writebacks[core_id] += 1
-            policy_access(
-                core_id, (old_tag << l1_shift) | set_index, True, issue_time
-            )
-        core.time = issue_time + miss_base + memory_latency
-        if dvfs is not None:
-            dvfs.stall[core_id] += sim.config.l2_latency + memory_latency
+        issue_time = core.time + (gap >> issue_shift) * entry[0] // entry[1]
+    set_index = address & sim._l1_mask
+    core.time = issue_time + sim._l1_miss(
+        core.core_id, address, core.writes[position], issue_time,
+        core.l1_sets[set_index], set_index, address >> sim._l1_shift,
+    )
     core.instructions += gap + 1
     position += 1
     core.position = 0 if position == core.length else position
@@ -965,11 +565,7 @@ def _scalar_ref(sim, core, target, warmup, unfinished, warmed_up, clock,
 
     if core.refs_done == warmup and not core.window_open:
         core.start_measurement()
-        if not warmed_up and sim._warm_gate_passed(warmup):
-            sim._end_warmup()
-            warmed_up = True
-            if sim.energy.window_start > clock:
-                clock = sim.energy.window_start
+        warmed_up, clock = sim._maybe_end_warmup(warmed_up, clock)
     if core.refs_done == target and not core.window_closed:
         core.freeze()
         unfinished -= 1
@@ -977,13 +573,6 @@ def _scalar_ref(sim, core, target, warmup, unfinished, warmed_up, clock,
 
 
 # ----------------------------------------------------------------------
-def _observe_kernel_span(seconds, refs):
-    from repro.obs import builtin as obs_metrics
-
-    obs_metrics.KERNEL_SPAN_SECONDS.observe(seconds)
-    obs_metrics.KERNEL_SPAN_REFS.observe(refs)
-
-
 def run_compiled(sim):
     """Run ``sim`` on the C kernel; bit-identical to the Python loop.
 
@@ -1010,29 +599,39 @@ def run_compiled(sim):
     run_span = lib.repro_run_span
     warm_sweep = lib.repro_warm_sweep
 
-    def warm() -> None:
-        # The C replica of _prewarm.  A takeover engine mid-flight at
-        # run start cannot happen (decisions only fire at epochs), but
-        # guard anyway: the kernel's warm path has no completion bail.
-        if kind == KIND_COOP and sim.policy.engine.active:
-            sim._prewarm()
-            return
+    def warm(only: int) -> None:
+        # The C replica of _prewarm (only = -1) and of _warm_core for
+        # one arriving core.  A line that would complete a takeover
+        # vector is warmed by the Python access path, then the sweep
+        # resumes from the next core of the same round.
+        ctx.warm_only = only
         ctx.warm_round = 0
         ctx.warm_core = 0
         while True:
-            marshal.span_in(0, 0, False)
+            marshal.enter(0, 0, False)
             status = warm_sweep(ctx_ptr)
-            marshal.span_out()
+            marshal.leave()
             if status == ST_DONE:
                 return
-            if status != ST_EVBUF_FULL:
+            if status == ST_NEED_PYTHON_REF:
+                core = sim.cores[ctx.bail_core]
+                sim._warm_access(
+                    core, core.warm_lines[ctx.warm_round], sim._l1_mask,
+                    sim._l1_shift, sim._l1_hit_cost(core.core_id),
+                    sim.hierarchy.l1_hits, sim._l1_miss,
+                )
+                ctx.warm_core += 1
+            elif status != ST_EVBUF_FULL:
                 raise RuntimeError(
                     f"compiled warm sweep returned status {status}"
                 )
 
     (
         target, warmup, warmed_up, unfinished, next_epoch, _initial,
-    ) = sim._begin_run(prewarm=warm)
+    ) = sim._begin_run(
+        prewarm=lambda: warm(-1),
+        warm_core=lambda core: warm(core.core_id),
+    )
     ctx.target = target
     ctx.warmup = warmup
     events = sim._pending_events
@@ -1041,27 +640,30 @@ def run_compiled(sim):
     clock = 0
     rec = obs_recorder()
     trace_spans = rec.enabled
-    observe_span = _observe_kernel_span if metrics_enabled() else None
+    observe_spans = metrics_enabled()
+    if observe_spans:
+        from repro.obs import builtin as obs_metrics
     # Span timing runs when either sink wants it; each sink is then
     # fed independently (metrics without tracing and vice versa).
-    measure_spans = trace_spans or observe_span is not None
+    measure_spans = trace_spans or observe_spans
 
     while unfinished:
         boundary = next_epoch if next_epoch < next_event else next_event
         if measure_spans:
             refs_before = sum(c.refs_done for c in sim.cores)
             span_start = perf_counter()
-        marshal.span_in(boundary, unfinished, warmed_up)
+        marshal.enter(boundary, unfinished, warmed_up)
         status = run_span(ctx_ptr)
-        marshal.span_out()
+        marshal.leave()
         if measure_spans:
             seconds = perf_counter() - span_start
             refs = sum(c.refs_done for c in sim.cores) - refs_before
             if trace_spans:
                 rec.kernel_span(seconds, refs=refs, boundary=boundary)
-            if observe_span is not None:
-                observe_span(seconds, refs)
-        unfinished = marshal.ctx.unfinished
+            if observe_spans:
+                obs_metrics.KERNEL_SPAN_SECONDS.observe(seconds)
+                obs_metrics.KERNEL_SPAN_REFS.observe(refs)
+        unfinished = ctx.unfinished
         if status == ST_DONE:
             break
         if status == ST_BOUNDARY:
@@ -1069,24 +671,18 @@ def run_compiled(sim):
                 clock, next_epoch, next_event, event_index,
                 unfinished, warmed_up, _rekey,
             ) = sim._advance_boundary(
-                marshal.ctx.bail_now, clock, next_epoch, next_event,
+                ctx.bail_now, clock, next_epoch, next_event,
                 event_index, unfinished, warmed_up,
             )
         elif status == ST_WARMUP_GATE:
-            if not warmed_up and sim._warm_gate_passed(warmup):
-                sim._end_warmup()
-                warmed_up = True
-                if sim.energy.window_start > clock:
-                    clock = sim.energy.window_start
+            warmed_up, clock = sim._maybe_end_warmup(warmed_up, clock)
         elif status == ST_NEED_PYTHON_REF:
-            core = sim.cores[marshal.ctx.bail_core]
+            core = sim.cores[ctx.bail_core]
             unfinished, warmed_up, clock = _scalar_ref(
                 sim, core, target, warmup, unfinished, warmed_up, clock,
                 issue_shift,
             )
-        elif status == ST_EVBUF_FULL:
-            pass
-        else:  # ST_ERROR or an unknown status
+        elif status != ST_EVBUF_FULL:  # ST_ERROR or an unknown status
             raise RuntimeError(
                 f"compiled kernel returned status {status} "
                 f"(corrupt context or empty victim way set)"

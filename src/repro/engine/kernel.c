@@ -25,10 +25,16 @@
  * transfer-flush buckets, transition durations) are recorded into an
  * ordered event buffer the Python driver replays on span exit.
  *
- * The struct layout below is mirrored field-for-field by the ctypes
- * Structure in repro/engine/compiled.py; every field is 8 bytes wide
- * so the two cannot drift silently, and a canary word is checked at
- * entry.  Keep the two declarations in sync.
+ * Cache lines, per-set clocks and valid counts, the LLC's `mapped`
+ * lookup column, the UMON tag directories, the memory banks and the
+ * UCP/takeover progress arrays are the Python objects' own buffers:
+ * the kernel reads and writes them in place through pointer tables
+ * built once per run.  Only O(n_cores) scalars are copied per span.
+ *
+ * repro/engine/compiled.py builds its ctypes mirror of the struct
+ * below by reading this declaration, so it must stay one 8-byte field
+ * (i64 or a pointer) per line; the ABI size check catches a line the
+ * reader skips, and a canary word is checked at entry.
  */
 
 #include <stdint.h>
@@ -81,7 +87,6 @@ typedef struct {
     i64 umon_mask;
     i64 umon_offset;
     i64 umon_shift;
-    i64 atd_nslots;
     i64 last_decision_cycle;  /* -1 = None */
     i64 l1_nsets;
     i64 l1_ways;
@@ -119,9 +124,8 @@ typedef struct {
     i64 **l1_stamp;
     i64 **l1_owner;
     uint8_t **l1_dirty;
-    i64 *l1_clock;
-    i64 *l1_valid;
-    uint8_t *l1_modified;
+    i64 **l1_clock;     /* per core -> [set] */
+    i64 **l1_valid;     /* per core -> [set] */
     i64 *l1_occ;        /* per core */
     i64 *l1_hits;       /* per core */
     i64 *l1_misses;     /* per core */
@@ -132,10 +136,9 @@ typedef struct {
     i64 **llc_stamp;
     i64 **llc_owner;
     uint8_t **llc_dirty;
+    i64 **llc_mapped;  /* [set][way] = tag resolving to way, -1 none */
     i64 *llc_clock;
     i64 *llc_valid;
-    i64 *llc_mapped;   /* [set * ways + way] = tag mapping to way, -1 none */
-    uint8_t *llc_modified;
     i64 *llc_occ;      /* per core */
 
     /* ---- policy fast tables (per core) ---- */
@@ -179,12 +182,11 @@ typedef struct {
     i64 *dvfs_entries; /* [core * 4 + k]: num, den, scaled_l1, miss_base */
     i64 *dvfs_stall;   /* per core, in/out */
 
-    /* ---- ATD (valid when has_monitors) ---- */
-    i64 *atd_stack;    /* [ (core * atd_nslots + slot) * llc_ways + k ] */
-    i64 *atd_len;      /* [core * atd_nslots + slot] */
-    i64 *atd_pos_hits; /* [core * llc_ways + k] */
-    i64 *atd_misses;   /* per core */
-    i64 *atd_accesses; /* per core */
+    /* ---- ATD (valid when has_monitors), per core -> its arrays ---- */
+    i64 **atd_stack;   /* [slot * llc_ways + k], slot = set >> umon_shift */
+    i64 **atd_len;     /* [slot] */
+    i64 **atd_hits;    /* [k] */
+    i64 **atd_counts;  /* [0] misses, [1] accesses */
 
     /* ---- UCP transitions ---- */
     i64 *ucp_target;       /* per core, TGT_NONE = no target */
@@ -215,11 +217,12 @@ typedef struct {
     i64 evbuf_cap;  /* capacity in triples */
     i64 evbuf_len;  /* in: 0; out: triples used */
 
-    /* ---- prewarm sweep (repro_warm_sweep only) ---- */
+    /* ---- warm sweep (repro_warm_sweep only) ---- */
     i64 **warm_lines; /* per core: resident lines to touch */
     i64 *warm_len;    /* per core */
-    i64 warm_round;   /* resume cursor after an evbuf bail */
+    i64 warm_round;   /* resume cursor after a bail */
     i64 warm_core;
+    i64 warm_only;    /* -1: every active core; else that core alone */
 } Ctx;
 
 /* ------------------------------------------------------------------ */
@@ -329,10 +332,11 @@ static void atd_record(Ctx *c, i64 core, i64 set, i64 tag)
 {
     i64 W = c->llc_ways;
     i64 slot = set >> c->umon_shift;
-    i64 base = core * c->atd_nslots + slot;
-    i64 *stack = c->atd_stack + base * W;
-    i64 len = c->atd_len[base];
-    c->atd_accesses[core]++;
+    i64 *stack = c->atd_stack[core] + slot * W;
+    i64 *lenp = c->atd_len[core] + slot;
+    i64 len = *lenp;
+    i64 *counts = c->atd_counts[core];
+    counts[1]++;
     i64 pos = -1;
     for (i64 i = 0; i < len; i++) {
         if (stack[i] == tag) {
@@ -341,16 +345,16 @@ static void atd_record(Ctx *c, i64 core, i64 set, i64 tag)
         }
     }
     if (pos < 0) {
-        c->atd_misses[core]++;
+        counts[0]++;
         i64 nl = len < W ? len + 1 : W;
         memmove(stack + 1, stack, (size_t)(nl - 1) * sizeof(i64));
         stack[0] = tag;
-        c->atd_len[base] = nl;
+        *lenp = nl;
         return;
     }
     memmove(stack + 1, stack, (size_t)pos * sizeof(i64));
     stack[0] = tag;
-    c->atd_pos_hits[core * W + pos]++;
+    c->atd_hits[core][pos]++;
 }
 
 /* CacheSet.victim(ways): fc < 0 means "all ways" */
@@ -517,7 +521,7 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     i64 W = c->llc_ways;
     i64 set = addr & c->llc_set_mask;
     i64 tag = addr >> c->llc_set_shift;
-    i64 *mapped = c->llc_mapped + set * W;
+    i64 *mapped = c->llc_mapped[set];
     i64 pm = c->probe_mask[core];
     i64 np = c->probe_count[core];
     i64 way = -1;
@@ -606,8 +610,8 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     } else {
         c->llc_valid[set]++;
     }
-    /* dict overwrite: clear a stale mapping of `tag` left in a way
-     * its owner no longer probes (tag_map[tag] = victim). */
+    /* The new copy supersedes an older one left in a way its owner no
+     * longer probes: `tag` resolves to `victim` from now on. */
     for (i64 w = 0; w < W; w++) {
         if (mapped[w] == tag) {
             mapped[w] = NO_TAG;
@@ -621,7 +625,6 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     c->llc_stamp[set][victim] = c->llc_clock[set]++;
     c->llc_occ[core]++;
     c->e_data_writes++;
-    c->llc_modified[set] = 1;
     if (evicted_dirty) {
         i64 vaddr = (old_tag << c->llc_set_shift) | set;
         i64 bank = (vaddr >> c->mem_bank_shift) % c->mem_nbanks;
@@ -636,6 +639,74 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     if (c->post_fill_active)
         ucp_post_fill(c, core, set, evicted_owner, evicted_dirty, now);
     return memory_latency;
+}
+
+/* The way of L1 set `sidx` holding `ltag`, or -1 (a private L1 never
+ * holds duplicates, so a scan of the tags is the lookup). */
+static i64 l1_find(Ctx *c, i64 sidx, i64 ltag)
+{
+    i64 *ltags = c->l1_tags[sidx];
+    for (i64 w = 0; w < c->l1_ways; w++)
+        if (ltags[w] == ltag)
+            return w;
+    return -1;
+}
+
+/* L1 victim: the first invalid way, else plain LRU over the full set. */
+static i64 l1_victim(Ctx *c, i64 core, i64 sidx, i64 lset)
+{
+    i64 *ltags = c->l1_tags[sidx];
+    if (c->l1_valid[core][lset] != c->l1_ways) {
+        for (i64 w = 0; w < c->l1_ways; w++)
+            if (ltags[w] == NO_TAG)
+                return w;
+    }
+    i64 *st = c->l1_stamp[sidx];
+    i64 victim = 0;
+    i64 bs = st[0];
+    for (i64 w = 1; w < c->l1_ways; w++) {
+        if (st[w] < bs) {
+            bs = st[w];
+            victim = w;
+        }
+    }
+    return victim;
+}
+
+/* CMPSimulator._l1_miss(): the LLC fetch, the inline L1 fill and the
+ * dirty victim's writeback through the LLC.  Returns the memory
+ * latency, or -1 on an internal error. */
+static i64 l1_miss(Ctx *c, i64 core, i64 addr, i64 lset, i64 ltag,
+                   i64 is_write, i64 now)
+{
+    i64 sidx = core * c->l1_nsets + lset;
+    c->l1_misses[core]++;
+    i64 mem_lat = llc_access(c, core, addr, 0, now);
+    if (mem_lat < 0)
+        return -1;
+    i64 victim = l1_victim(c, core, sidx, lset);
+    i64 *ltags = c->l1_tags[sidx];
+    uint8_t *ldirty = c->l1_dirty[sidx];
+    i64 old_tag = ltags[victim];
+    i64 evicted_dirty = 0;
+    if (old_tag != NO_TAG) {
+        evicted_dirty = ldirty[victim];
+    } else {
+        c->l1_valid[core][lset]++;
+        c->l1_occ[core]++;
+    }
+    ltags[victim] = ltag;
+    ldirty[victim] = is_write ? 1 : 0;
+    c->l1_owner[sidx][victim] = core;
+    c->l1_stamp[sidx][victim] = c->l1_clock[core][lset]++;
+    if (evicted_dirty) {
+        c->l1_writebacks[core]++;
+        if (llc_access(c, core, (old_tag << c->l1_shift) | lset, 1, now) < 0)
+            return -1;
+    }
+    if (c->has_dvfs)
+        c->dvfs_stall[core] += c->l2_latency + mem_lat;
+    return mem_lat;
 }
 
 /* Would this access complete a takeover vector?  A completion must be
@@ -656,29 +727,10 @@ static int coop_would_complete(Ctx *c, i64 core, i64 addr, i64 sidx, i64 lset)
     /* Would the L1 miss also write back a dirty victim?  The victim
      * choice is deterministic, so compute it read-only. */
     i64 s2 = -1;
-    i64 *ltags = c->l1_tags[sidx];
-    i64 victim = -1;
-    if (c->l1_valid[sidx] != c->l1_ways) {
-        for (i64 w = 0; w < c->l1_ways; w++) {
-            if (ltags[w] == NO_TAG) {
-                victim = w;
-                break;
-            }
-        }
-    }
-    if (victim < 0) {
-        i64 *st = c->l1_stamp[sidx];
-        i64 bs = st[0];
-        victim = 0;
-        for (i64 w = 1; w < c->l1_ways; w++) {
-            if (st[w] < bs) {
-                bs = st[w];
-                victim = w;
-            }
-        }
-    }
-    if (ltags[victim] != NO_TAG && c->l1_dirty[sidx][victim])
-        s2 = ((ltags[victim] << c->l1_shift) | lset) & c->llc_set_mask;
+    i64 victim = l1_victim(c, core, sidx, lset);
+    i64 vtag = c->l1_tags[sidx][victim];
+    if (vtag != NO_TAG && c->l1_dirty[sidx][victim])
+        s2 = ((vtag << c->l1_shift) | lset) & c->llc_set_mask;
 
     if (c->coop_donor_count[core] > 0 && vec_completes(c, core, s1, s2))
         return 1;
@@ -749,16 +801,9 @@ i64 repro_run_span(Ctx *c)
         i64 lset = addr & c->l1_mask;
         i64 ltag = addr >> c->l1_shift;
         i64 sidx = ci * c->l1_nsets + lset;
-        i64 *ltags = c->l1_tags[sidx];
-        i64 lway = -1;
-        for (i64 w = 0; w < c->l1_ways; w++) {
-            if (ltags[w] == ltag) {
-                lway = w;
-                break;
-            }
-        }
+        i64 lway = l1_find(c, sidx, ltag);
         if (lway >= 0) {
-            c->l1_stamp[sidx][lway] = c->l1_clock[sidx]++;
+            c->l1_stamp[sidx][lway] = c->l1_clock[ci][lset]++;
             if (is_write)
                 c->l1_dirty[sidx][lway] = 1;
             c->l1_hits[ci]++;
@@ -770,53 +815,11 @@ i64 repro_run_span(Ctx *c)
                 c->bail_core = ci;
                 return ST_NEED_PYTHON_REF;
             }
-            c->l1_misses[ci]++;
-            i64 mem_lat = llc_access(c, ci, addr, 0, issue_time);
+            i64 mem_lat = l1_miss(c, ci, addr, lset, ltag, is_write,
+                                  issue_time);
             if (mem_lat < 0)
                 return ST_ERROR;
-            /* L1 victim: plain LRU over the full set. */
-            i64 victim = -1;
-            if (c->l1_valid[sidx] != c->l1_ways) {
-                for (i64 w = 0; w < c->l1_ways; w++) {
-                    if (ltags[w] == NO_TAG) {
-                        victim = w;
-                        break;
-                    }
-                }
-            }
-            if (victim < 0) {
-                i64 *st = c->l1_stamp[sidx];
-                i64 bs = st[0];
-                victim = 0;
-                for (i64 w = 1; w < c->l1_ways; w++) {
-                    if (st[w] < bs) {
-                        bs = st[w];
-                        victim = w;
-                    }
-                }
-            }
-            i64 old_tag = ltags[victim];
-            i64 evicted_dirty = 0;
-            if (old_tag != NO_TAG) {
-                evicted_dirty = c->l1_dirty[sidx][victim];
-            } else {
-                c->l1_valid[sidx]++;
-                c->l1_occ[ci]++;
-            }
-            ltags[victim] = ltag;
-            c->l1_dirty[sidx][victim] = is_write ? 1 : 0;
-            c->l1_owner[sidx][victim] = ci;
-            c->l1_stamp[sidx][victim] = c->l1_clock[sidx]++;
-            c->l1_modified[sidx] = 1;
-            if (evicted_dirty) {
-                c->l1_writebacks[ci]++;
-                if (llc_access(c, ci, (old_tag << c->l1_shift) | lset, 1,
-                               issue_time) < 0)
-                    return ST_ERROR;
-            }
             c->core_time[ci] = issue_time + miss_base + mem_lat;
-            if (c->has_dvfs)
-                c->dvfs_stall[ci] += c->l2_latency + mem_lat;
         }
 
         c->core_instructions[ci] += gap + 1;
@@ -848,23 +851,31 @@ i64 repro_run_span(Ctx *c)
     }
 }
 
-/* CMPSimulator._prewarm(): pre-touch each core's resident working set
+/* CMPSimulator._prewarm() (warm_only = -1) and _warm_core() (warm_only
+ * = the arriving core): pre-touch each core's resident working set
  * through the real L1/LLC access path, one line per core per round
  * (the Python sweep's interleave).  No windows or reference counting
  * — warm traffic only ages the caches and advances core time.
- * Resumes from (warm_round, warm_core) after an ST_EVBUF_FULL bail. */
+ * Resumes from (warm_round, warm_core) after a bail: ST_EVBUF_FULL, or
+ * ST_NEED_PYTHON_REF for a line that would complete a takeover vector
+ * (Python warms that line, then resumes from the next core). */
 i64 repro_warm_sweep(Ctx *c)
 {
     if (c->canary != CANARY)
         return ST_ERROR;
-    i64 n = c->n_cores;
+    i64 lo = 0;
+    i64 hi = c->n_cores;
+    if (c->warm_only >= 0) {
+        lo = c->warm_only;
+        hi = lo + 1;
+    }
     i64 max_len = 0;
-    for (i64 i = 0; i < n; i++) {
+    for (i64 i = lo; i < hi; i++) {
         if (c->core_active[i] && c->warm_len[i] > max_len)
             max_len = c->warm_len[i];
     }
     for (i64 r = c->warm_round; r < max_len; r++) {
-        for (i64 ci = c->warm_core; ci < n; ci++) {
+        for (i64 ci = c->warm_core > lo ? c->warm_core : lo; ci < hi; ci++) {
             if (!c->core_active[ci] || r >= c->warm_len[ci])
                 continue;
             if (c->evbuf_len > c->evbuf_cap - 2048) {
@@ -877,71 +888,28 @@ i64 repro_warm_sweep(Ctx *c)
             i64 lset = addr & c->l1_mask;
             i64 ltag = addr >> c->l1_shift;
             i64 sidx = ci * c->l1_nsets + lset;
-            i64 *ltags = c->l1_tags[sidx];
-            i64 lway = -1;
-            for (i64 w = 0; w < c->l1_ways; w++) {
-                if (ltags[w] == ltag) {
-                    lway = w;
-                    break;
-                }
-            }
+            i64 lway = l1_find(c, sidx, ltag);
             if (lway >= 0) {
-                c->l1_stamp[sidx][lway] = c->l1_clock[sidx]++;
+                c->l1_stamp[sidx][lway] = c->l1_clock[ci][lset]++;
                 c->l1_hits[ci]++;
                 c->core_time[ci] = now +
                     (c->has_dvfs ? c->dvfs_entries[ci * 4 + 2]
                                  : c->l1_latency);
                 continue;
             }
-            c->l1_misses[ci]++;
-            i64 mem_lat = llc_access(c, ci, addr, 0, now);
+            if (c->engine_active &&
+                coop_would_complete(c, ci, addr, sidx, lset)) {
+                c->warm_round = r;
+                c->warm_core = ci;
+                c->bail_core = ci;
+                return ST_NEED_PYTHON_REF;
+            }
+            i64 mem_lat = l1_miss(c, ci, addr, lset, ltag, 0, now);
             if (mem_lat < 0)
                 return ST_ERROR;
-            i64 victim = -1;
-            if (c->l1_valid[sidx] != c->l1_ways) {
-                for (i64 w = 0; w < c->l1_ways; w++) {
-                    if (ltags[w] == NO_TAG) {
-                        victim = w;
-                        break;
-                    }
-                }
-            }
-            if (victim < 0) {
-                i64 *st = c->l1_stamp[sidx];
-                i64 bs = st[0];
-                victim = 0;
-                for (i64 w = 1; w < c->l1_ways; w++) {
-                    if (st[w] < bs) {
-                        bs = st[w];
-                        victim = w;
-                    }
-                }
-            }
-            i64 old_tag = ltags[victim];
-            i64 evicted_dirty = 0;
-            if (old_tag != NO_TAG) {
-                evicted_dirty = c->l1_dirty[sidx][victim];
-            } else {
-                c->l1_valid[sidx]++;
-                c->l1_occ[ci]++;
-            }
-            ltags[victim] = ltag;
-            c->l1_dirty[sidx][victim] = 0;
-            c->l1_owner[sidx][victim] = ci;
-            c->l1_stamp[sidx][victim] = c->l1_clock[sidx]++;
-            c->l1_modified[sidx] = 1;
-            if (evicted_dirty) {
-                c->l1_writebacks[ci]++;
-                if (llc_access(c, ci, (old_tag << c->l1_shift) | lset, 1,
-                               now) < 0)
-                    return ST_ERROR;
-            }
-            if (!c->has_dvfs) {
-                c->core_time[ci] = now + c->miss_latency + mem_lat;
-            } else {
-                c->dvfs_stall[ci] += c->l2_latency + mem_lat;
-                c->core_time[ci] = now + c->dvfs_entries[ci * 4 + 3] + mem_lat;
-            }
+            c->core_time[ci] = now + mem_lat +
+                (c->has_dvfs ? c->dvfs_entries[ci * 4 + 3]
+                             : c->miss_latency);
         }
         c->warm_core = 0;
     }

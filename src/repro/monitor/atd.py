@@ -2,13 +2,26 @@
 
 The ATD simulates, for one core, a cache with the LLC's full
 associativity dedicated entirely to that core.  Each sampled set keeps
-an LRU-ordered list of tags; a hit at stack position ``p`` means the
+an LRU-ordered stack of tags; a hit at stack position ``p`` means the
 access would have hit had the core owned at least ``p + 1`` ways
 (Mattson's stack-inclusion property), so one counter per position is
 all that is needed to recover the full miss curve.
+
+All state is flat ``array('q')`` storage updated in place — the C
+kernel indexes the same buffers, so nothing is copied between the two:
+
+* ``stacks``: one ``ways``-wide row per sampled set (its slot, in
+  ``sampled_set_indices`` order), MRU first, ``lengths[slot]`` live;
+* ``hits``: hits seen at each stack position (0 = MRU);
+* ``counts``: ``[misses, accesses]``.
 """
 
 from __future__ import annotations
+
+from array import array
+
+_MISSES = 0
+_ACCESSES = 1
 
 
 class AuxiliaryTagDirectory:
@@ -18,37 +31,74 @@ class AuxiliaryTagDirectory:
         if ways <= 0:
             raise ValueError(f"ways must be positive, got {ways}")
         self.ways = ways
-        #: map from real set index to this directory's stack
-        self._stacks: dict[int, list[int]] = {s: [] for s in sampled_set_indices}
-        #: hits seen at each LRU stack position (0 = MRU)
-        self.position_hits = [0] * ways
-        #: accesses that missed even with full associativity
-        self.misses = 0
-        #: total sampled accesses
-        self.accesses = 0
+        #: real set index -> row of this directory's stacks
+        self._slots = {s: slot for slot, s in enumerate(sampled_set_indices)}
+        self.stacks = array("q", bytes(8 * ways * len(self._slots)))
+        self.lengths = array("q", bytes(8 * len(self._slots)))
+        self.hits = array("q", bytes(8 * ways))
+        self.counts = array("q", [0, 0])
+
+    @property
+    def position_hits(self) -> list[int]:
+        """Hits per LRU stack position (a snapshot of ``hits``)."""
+        return self.hits.tolist()
+
+    @position_hits.setter
+    def position_hits(self, values: list[int]) -> None:
+        if len(values) != self.ways:
+            raise ValueError(f"need {self.ways} position counters, got {len(values)}")
+        self.hits[:] = array("q", values)
+
+    @property
+    def misses(self) -> int:
+        """Accesses that missed even with full associativity."""
+        return self.counts[_MISSES]
+
+    @misses.setter
+    def misses(self, value: int) -> None:
+        self.counts[_MISSES] = value
+
+    @property
+    def accesses(self) -> int:
+        """Total sampled accesses."""
+        return self.counts[_ACCESSES]
+
+    @accesses.setter
+    def accesses(self, value: int) -> None:
+        self.counts[_ACCESSES] = value
 
     def record(self, set_index: int, tag: int) -> int:
         """Record an access; returns the hit position or -1 for a miss.
 
         The caller has already established that ``set_index`` is
-        sampled (so the hot path pays the dictionary lookup only for
+        sampled (so the hot path pays the slot lookup only for
         monitored sets).
         """
-        stack = self._stacks[set_index]
-        self.accesses += 1
-        # Membership test first: both scans run at C speed over a
-        # stack of at most `ways` tags, and the miss path (common for
-        # streaming workloads) never pays exception dispatch.
-        if tag not in stack:
-            self.misses += 1
-            stack.insert(0, tag)
-            if len(stack) > self.ways:
-                stack.pop()
+        slot = self._slots[set_index]
+        ways = self.ways
+        base = slot * ways
+        length = self.lengths[slot]
+        stacks = self.stacks
+        counts = self.counts
+        counts[_ACCESSES] += 1
+        if length and stacks[base] == tag:
+            # Re-reference of the MRU tag (the common case): no shift.
+            self.hits[0] += 1
+            return 0
+        live = stacks[base:base + length]
+        if tag not in live:
+            counts[_MISSES] += 1
+            if length < ways:
+                self.lengths[slot] = length + 1
+            else:
+                length = ways - 1
+            stacks[base + 1:base + length + 1] = live[:length]
+            stacks[base] = tag
             return -1
-        position = stack.index(tag)
-        del stack[position]
-        stack.insert(0, tag)
-        self.position_hits[position] += 1
+        position = live.index(tag)
+        stacks[base + 1:base + position + 1] = live[:position]
+        stacks[base] = tag
+        self.hits[position] += 1
         return position
 
     def decay(self, factor: float = 0.5) -> None:
@@ -56,14 +106,17 @@ class AuxiliaryTagDirectory:
 
         UCP periodically ages its counters so that partitioning tracks
         phase changes rather than whole-run averages; a factor of 0
-        resets outright.
+        resets outright.  Ages in place: the buffers are shared.
         """
         if not 0.0 <= factor < 1.0:
             raise ValueError(f"decay factor must be in [0, 1), got {factor}")
-        self.position_hits = [int(h * factor) for h in self.position_hits]
-        self.misses = int(self.misses * factor)
-        self.accesses = int(self.accesses * factor)
+        hits = self.hits
+        for position in range(self.ways):
+            hits[position] = int(hits[position] * factor)
+        counts = self.counts
+        counts[_MISSES] = int(counts[_MISSES] * factor)
+        counts[_ACCESSES] = int(counts[_ACCESSES] * factor)
 
     def hits_for_ways(self, ways: int) -> int:
         """Hits this core would see with ``ways`` ways (stack property)."""
-        return sum(self.position_hits[:ways])
+        return sum(self.hits[:ways])

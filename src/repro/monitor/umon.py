@@ -62,9 +62,10 @@ class UtilityMonitor:
         scale = self.sampler.scale_factor
         total = self.atd.accesses * scale
         curve = [total]
+        position_hits = self.atd.hits
         hits = 0
         for way in range(self.ways):
-            hits += self.atd.position_hits[way]
+            hits += position_hits[way]
             curve.append(total - hits * scale)
         return curve
 

@@ -31,12 +31,6 @@ KERNEL_FALLBACKS = counter(
     "repro_kernel_fallbacks_total",
     help="Work the C kernel could have done that ran in Python, by layer.",
 )
-BATCHED_HIT_RUN_REFS = histogram(
-    "repro_batched_hit_run_refs",
-    help="References retired per batched-engine L1 hit run.",
-    unit="refs",
-    buckets=SIZE_BUCKETS,
-)
 KERNEL_SPAN_REFS = histogram(
     "repro_kernel_span_refs",
     help="References retired per compiled-kernel span.",

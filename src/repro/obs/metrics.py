@@ -29,7 +29,7 @@ METRIC_KINDS = ("counter", "gauge", "histogram")
 
 #: Histogram bucket presets.  Seconds buckets cover sub-millisecond store
 #: probes up to multi-second pool tasks; size buckets are powers of two
-#: matching the batched engine's hit-run cap.
+#: (kernel spans retire up to thousands of references).
 SECONDS_BUCKETS = (
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0,
 )

@@ -190,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--engine", default=None, metavar="NAME",
-        choices=("auto", "python", "batched", "compiled"),
+        choices=("auto", "python", "compiled"),
         help="execution backend every task (workers included) runs on "
              "(default: $REPRO_ENGINE, then auto); every backend is "
              "bit-identical, this only changes speed",
@@ -228,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     alone.add_argument(
         "--engine", default=None, metavar="NAME",
-        choices=("auto", "python", "batched", "compiled"),
+        choices=("auto", "python", "compiled"),
         help="execution backend every task (workers included) runs on "
              "(default: $REPRO_ENGINE, then auto)",
     )
@@ -344,10 +344,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--engine", default=None, metavar="NAME",
-        choices=["auto", "python", "batched", "compiled"],
+        choices=["auto", "python", "compiled"],
         help="execution backend to time: auto (default; fastest "
-             "available, also honours $REPRO_ENGINE), python, batched "
-             "or compiled — an explicit request this machine cannot "
+             "available, also honours $REPRO_ENGINE), python or "
+             "compiled — an explicit request this machine cannot "
              "satisfy is an error, never a silent fallback",
     )
     bench.add_argument(
@@ -390,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--engine", default=None, metavar="NAME",
-        choices=("auto", "python", "batched", "compiled"),
+        choices=("auto", "python", "compiled"),
         help="execution backend jobs run on unless their submission "
              "pins one (default: $REPRO_ENGINE, then auto)",
     )

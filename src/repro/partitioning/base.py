@@ -13,8 +13,8 @@ allocation-free inner loop: one flat function, no result objects, no
 per-access hook calls.  The way restrictions are *data*, not code —
 per-core tuples plus precomputed way-membership bitmasks
 (``_probe_masks``) that the built-in schemes keep in sync with their
-partitions — so a probe is a ``tag_map`` dict lookup and one mask
-test.  The historical ``_probe_ways``/``_fill_ways`` hook methods
+partitions — so a probe is a scan of the set's ``mapped`` column and
+one mask test.  The historical ``_probe_ways``/``_fill_ways`` hook methods
 remain fully supported: a subclass that overrides them (and does not
 declare ``_ways_are_tabled``) is transparently routed through a
 compatibility path that calls them per access, exactly as before.
@@ -171,6 +171,8 @@ class BaseSharedCachePolicy:
         cls = type(self)
         base = BaseSharedCachePolicy
         self._sets = cache.sets
+        self._clock = cache.clock
+        self._valid = cache.valid
         self._set_mask = self.geometry.set_mask
         self._set_shift = self.geometry.set_shift
         self._occ = cache.ensure_cores(n)
@@ -348,9 +350,11 @@ class BaseSharedCachePolicy:
         set_index = line_address & self._set_mask
         tag = line_address >> self._set_shift
         cset = self._sets[set_index]
-        tag_map = cset.tag_map
+        mapped = cset.mapped
         probe_mask, n_probed, fill_ways = self._core_tables[core]
-        way = tag_map.get(tag, -1)
+        # ``mapped_way`` is where the tag's newest copy lives, even when
+        # this core may not probe that way (then the fill below remaps it).
+        mapped_way = way = mapped.index(tag) if tag in mapped else -1
         if way >= 0 and not (probe_mask >> way) & 1:
             way = -1
         hit = way >= 0
@@ -380,8 +384,9 @@ class BaseSharedCachePolicy:
             # power-gating completion invalidated the hit way), so
             # re-check before touching.
             if not pre_access or cset.tags[way] == tag:
-                cset.stamp[way] = cset.clock
-                cset.clock += 1
+                clock = self._clock
+                cset.stamp[way] = clock[set_index]
+                clock[set_index] += 1
                 if is_write:
                     cset.dirty[way] = 1
                     energy.data_writes += 1
@@ -405,12 +410,13 @@ class BaseSharedCachePolicy:
             memory_latency = queueing + memory.latency
 
         tags = cset.tags
+        valid = self._valid
         if self._custom_victim:
             victim_way = self._select_victim(core, set_index, fill_ways)
         else:
             victim_way = -1
             if fill_ways is None:
-                if cset.valid_count != cset.ways:
+                if valid[set_index] != cset.ways:
                     for candidate in range(cset.ways):
                         if tags[candidate] == NO_TAG:
                             victim_way = candidate
@@ -419,7 +425,7 @@ class BaseSharedCachePolicy:
                     stamp = cset.stamp
                     victim_way = stamp.index(min(stamp))
             else:
-                if cset.valid_count != cset.ways:
+                if valid[set_index] != cset.ways:
                     for candidate in fill_ways:
                         if tags[candidate] == NO_TAG:
                             victim_way = candidate
@@ -437,25 +443,29 @@ class BaseSharedCachePolicy:
 
         # Inline fill (keep in sync with SetAssociativeCache.fill).
         old_tag = tags[victim_way]
-        tag_map = cset.tag_map
         occ = self._occ
         if old_tag != NO_TAG:
             evicted_dirty = cset.dirty[victim_way]
             evicted_owner = cset.owner[victim_way]
-            if tag_map.get(old_tag) == victim_way:
-                del tag_map[old_tag]
+            if mapped[victim_way] == old_tag:
+                mapped[victim_way] = NO_TAG
             if evicted_owner >= 0:
                 occ[evicted_owner] -= 1
         else:
             evicted_dirty = 0
             evicted_owner = -1
-            cset.valid_count += 1
+            valid[set_index] += 1
         tags[victim_way] = tag
-        tag_map[tag] = victim_way
+        if mapped_way >= 0:
+            # A stale copy in a way this core no longer probes loses
+            # its mapping: the tag now resolves to the new fill.
+            mapped[mapped_way] = NO_TAG
+        mapped[victim_way] = tag
         cset.dirty[victim_way] = 1 if is_write else 0
         cset.owner[victim_way] = core
-        cset.stamp[victim_way] = cset.clock
-        cset.clock += 1
+        clock = self._clock
+        cset.stamp[victim_way] = clock[set_index]
+        clock[set_index] += 1
         occ[core] += 1
         energy.data_writes += 1
         if evicted_dirty:

@@ -53,6 +53,8 @@ class CoreState:
         "active",
         "departed",
         "l1_sets",
+        "l1_clock",
+        "l1_valid",
     )
 
     def __init__(self, core_id: int, trace: Trace | None) -> None:
@@ -76,6 +78,9 @@ class CoreState:
         #: the core's private L1 sets, bound by the simulator so the
         #: inner loop reaches them in one attribute load
         self.l1_sets: list | None = None
+        #: the L1's per-set clock and valid-count columns (same binding)
+        self.l1_clock: array | None = None
+        self.l1_valid: array | None = None
         if trace is None:
             # An absent slot (scenario engine): never executes, but
             # keeps CoreResult/RunResult shapes uniform.

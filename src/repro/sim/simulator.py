@@ -46,10 +46,10 @@ Hot-path notes.  ``run`` is written for throughput and is
 allocation-free per reference: the next core comes from a two-way
 compare (2 cores), a plain read (1 core) or a heap (3+; always a heap
 when the schedule is dynamic, since membership changes mid-run); the
-L1 lookup is inlined (a ``tag_map`` dict probe plus a stamp store on a
-hit — the overwhelmingly common case never enters another frame); L1
-misses take one call into :meth:`_l1_miss`, which drives the LLC
-policy's ``access_fast`` and performs the L1 fill inline.  The same
+L1 lookup is inlined (a scan of the set's ``tags`` column plus a stamp
+store on a hit — the overwhelmingly common case never enters another
+frame); L1 misses take one call into :meth:`_l1_miss`, which drives
+the LLC policy's ``access_fast`` and performs the L1 fill inline.  The same
 state is reachable through :meth:`CacheHierarchy.access` for tests
 and API users — both paths mutate identical structures in the same
 order, so they are interchangeable mid-run.
@@ -205,6 +205,11 @@ class CMPSimulator:
             l1 = self.hierarchy.l1[core.core_id]
             l1.ensure_cores(config.n_cores)
             core.l1_sets = l1.sets
+            core.l1_clock = l1.clock
+            core.l1_valid = l1.valid
+        #: an engine's own arrival warming for the current run (see
+        #: :meth:`_begin_run`); None = :meth:`_warm_core`
+        self._arrival_warm: Callable[[CoreState], None] | None = None
         # Slots not present at cycle 0 (late arrivals and never-arriving
         # slots) start idle: the policy releases their share before the
         # run begins — under cooperative partitioning their ways are
@@ -291,38 +296,36 @@ class CMPSimulator:
         """Execute the run protocol and return the collected results.
 
         ``engine`` picks the execution backend: ``"python"`` (the
-        reference scalar loop below), ``"batched"`` (numpy hit-run
-        batching), ``"compiled"`` (the C kernel) or ``"auto"``/``None``
-        (fastest available, overridable via ``$REPRO_ENGINE``).  Every
-        backend produces a bit-identical :class:`RunResult` — the
-        golden suite pins all of them against the same fixtures.
+        reference scalar loop below), ``"compiled"`` (the C kernel) or
+        ``"auto"``/``None`` (fastest available, overridable via
+        ``$REPRO_ENGINE``).  Every backend produces a bit-identical
+        :class:`RunResult` — the golden suite pins both against the
+        same fixtures.
         """
-        from repro.engine import BATCHED, COMPILED, resolve_engine
+        from repro.engine import COMPILED, resolve_engine
 
-        name = resolve_engine(engine)
-        if name == COMPILED:
+        if resolve_engine(engine) == COMPILED:
             from repro.engine.compiled import run_compiled
 
             return run_compiled(self)
-        if name == BATCHED:
-            from repro.engine.batched import run_batched
-
-            return run_batched(self)
         return self._run_python()
 
     # ------------------------------------------------------------------
     def _begin_run(
-        self, prewarm: Callable[[], None] | None = None
+        self,
+        prewarm: Callable[[], None] | None = None,
+        warm_core: Callable[[CoreState], None] | None = None,
     ) -> tuple[int, int, bool, int, int, list[CoreState]]:
         """Shared run prologue: warmup windows, prewarm, first epoch.
 
         Returns ``(target, warmup, warmed_up, unfinished, next_epoch,
         initial)``.  Every engine starts a run through here so the
-        measurement protocol is defined exactly once.  ``prewarm``
-        substitutes an engine's own cache-warming implementation (the
-        compiled kernel warms in C); it must be traffic-equivalent to
-        :meth:`_prewarm`.
+        measurement protocol is defined exactly once.  ``prewarm`` and
+        ``warm_core`` substitute an engine's own cache-warming
+        implementations (the compiled kernel warms in C); they must be
+        traffic-equivalent to :meth:`_prewarm` and :meth:`_warm_core`.
         """
+        self._arrival_warm = warm_core
         config = self.config
         cores = self.cores
         target = config.refs_per_core
@@ -386,7 +389,6 @@ class CMPSimulator:
         """
         events = self._pending_events
         n_events = len(events)
-        warmup = self._warmup
         rekey = False
         if next_epoch <= next_event:
             stamp = next_epoch if next_epoch >= clock else clock
@@ -436,11 +438,7 @@ class CMPSimulator:
                 self.policy.pending_stall = 0
             if self._timeline is not None and self._measuring:
                 self._record_sample(stamp, labels)
-            if not warmed_up and self._warm_gate_passed(warmup):
-                self._end_warmup()
-                warmed_up = True
-                if self.energy.window_start > clock:
-                    clock = self.energy.window_start
+            warmed_up, clock = self._maybe_end_warmup(warmed_up, clock)
             rekey = True
         return (
             clock, next_epoch, next_event, event_index, unfinished,
@@ -495,6 +493,7 @@ class CMPSimulator:
                 "events": event_index,
             }
         self._record_run_metrics()
+        self._arrival_warm = None  # drop the engine's closure (a cycle)
         return self._collect(end_cycle)
 
     def _record_run_metrics(self) -> None:
@@ -628,10 +627,13 @@ class CMPSimulator:
             set_index = address & l1_mask
             tag = address >> l1_shift
             cset = core.l1_sets[set_index]
-            way = cset.tag_map.get(tag, -1)
-            if way >= 0:
-                cset.stamp[way] = cset.clock
-                cset.clock += 1
+            tags = cset.tags
+            stamp = cset.stamp
+            if tag in tags:
+                way = tags.index(tag)
+                l1_clock = core.l1_clock
+                stamp[way] = l1_clock[set_index]
+                l1_clock[set_index] += 1
                 if is_write:
                     cset.dirty[way] = 1
                 l1_hits[core.core_id] += 1
@@ -646,32 +648,28 @@ class CMPSimulator:
                 core_id = core.core_id
                 l1_misses[core_id] += 1
                 memory_latency = policy_access(core_id, address, False, issue_time)
-                tags = cset.tags
+                valid = core.l1_valid
                 victim_way = -1
-                if cset.valid_count != cset.ways:
+                if valid[set_index] != cset.ways:
                     for candidate in range(cset.ways):
                         if tags[candidate] == NO_TAG:
                             victim_way = candidate
                             break
                 if victim_way < 0:
-                    stamp = cset.stamp
                     victim_way = stamp.index(min(stamp))
                 old_tag = tags[victim_way]
-                tag_map = cset.tag_map
                 evicted_dirty = 0
                 if old_tag != NO_TAG:
                     evicted_dirty = cset.dirty[victim_way]
-                    if tag_map.get(old_tag) == victim_way:
-                        del tag_map[old_tag]
                 else:
-                    cset.valid_count += 1
+                    valid[set_index] += 1
                     self.hierarchy.l1[core_id].core_occupancy[core_id] += 1
                 tags[victim_way] = tag
-                tag_map[tag] = victim_way
                 cset.dirty[victim_way] = 1 if is_write else 0
                 cset.owner[victim_way] = core_id
-                cset.stamp[victim_way] = cset.clock
-                cset.clock += 1
+                l1_clock = core.l1_clock
+                stamp[victim_way] = l1_clock[set_index]
+                l1_clock[set_index] += 1
                 if evicted_dirty:
                     l1_writebacks[core_id] += 1
                     policy_access(
@@ -693,11 +691,7 @@ class CMPSimulator:
                 # (target - warmup) references per core; the global
                 # statistics reset once the last gating core gets there.
                 core.start_measurement()
-                if not warmed_up and self._warm_gate_passed(warmup):
-                    self._end_warmup()
-                    warmed_up = True
-                    if self.energy.window_start > clock:
-                        clock = self.energy.window_start
+                warmed_up, clock = self._maybe_end_warmup(warmed_up, clock)
             if core.refs_done == target and not core.window_closed:
                 core.freeze()
                 unfinished -= 1
@@ -719,7 +713,7 @@ class CMPSimulator:
                 # The arrival executes at the governor-chosen operating
                 # point from its very first (warming) access.
                 self.dvfs.activate_core(event.core, when, core.instructions)
-            self._warm_core(core)
+            (self._arrival_warm or self._warm_core)(core)
             if self._warmup == 0:
                 core.start_measurement()
             return 0
@@ -748,6 +742,16 @@ class CMPSimulator:
         trace = self._phase_traces[event.benchmark]
         core.load_trace(trace)
         return 0
+
+    def _maybe_end_warmup(self, warmed_up: bool, clock: int) -> tuple[bool, int]:
+        """End warmup once every gating core is through it; returns the
+        updated ``(warmed_up, clock)`` loop state."""
+        if not warmed_up and self._warm_gate_passed(self._warmup):
+            self._end_warmup()
+            warmed_up = True
+            if self.energy.window_start > clock:
+                clock = self.energy.window_start
+        return warmed_up, clock
 
     def _warm_gate_passed(self, warmup: int) -> bool:
         """Whether every gating core finished (or left) its warmup."""
@@ -806,9 +810,11 @@ class CMPSimulator:
         memory_latency = policy_access(core_id, address, False, now)
 
         # Choose the L1 victim (plain LRU over the full set).
+        l1 = self.hierarchy.l1[core_id]
+        valid = l1.valid
         tags = cset.tags
         victim_way = -1
-        if cset.valid_count != cset.ways:
+        if valid[set_index] != cset.ways:
             for candidate in range(cset.ways):
                 if tags[candidate] == NO_TAG:
                     victim_way = candidate
@@ -819,21 +825,18 @@ class CMPSimulator:
 
         # Inlined L1 fill.
         old_tag = tags[victim_way]
-        tag_map = cset.tag_map
         evicted_dirty = 0
         if old_tag != NO_TAG:
             evicted_dirty = cset.dirty[victim_way]
-            if tag_map.get(old_tag) == victim_way:
-                del tag_map[old_tag]
         else:
-            cset.valid_count += 1
-            self.hierarchy.l1[core_id].core_occupancy[core_id] += 1
+            valid[set_index] += 1
+            l1.core_occupancy[core_id] += 1
         tags[victim_way] = tag
-        tag_map[tag] = victim_way
         cset.dirty[victim_way] = 1 if is_write else 0
         cset.owner[victim_way] = core_id
-        cset.stamp[victim_way] = cset.clock
-        cset.clock += 1
+        clock = l1.clock
+        cset.stamp[victim_way] = clock[set_index]
+        clock[set_index] += 1
 
         if evicted_dirty:
             victim_address = (old_tag << self._l1_shift) | set_index
@@ -915,17 +918,19 @@ class CMPSimulator:
         the warming L1 access sequence (callers pass the bound loop
         constants so per-line cost stays flat)."""
         now = core.time
-        cset = core.l1_sets[address & l1_mask]
-        way = cset.tag_map.get(address >> l1_shift, -1)
-        if way >= 0:
-            cset.stamp[way] = cset.clock
-            cset.clock += 1
+        set_index = address & l1_mask
+        tag = address >> l1_shift
+        cset = core.l1_sets[set_index]
+        tags = cset.tags
+        if tag in tags:
+            clock = core.l1_clock
+            cset.stamp[tags.index(tag)] = clock[set_index]
+            clock[set_index] += 1
             l1_hits[core.core_id] += 1
             core.time = now + l1_latency
         else:
             core.time = now + miss(
-                core.core_id, address, False, now,
-                cset, address & l1_mask, address >> l1_shift,
+                core.core_id, address, False, now, cset, set_index, tag
             )
 
     def _warm_core(self, core: CoreState) -> None:

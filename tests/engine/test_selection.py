@@ -6,7 +6,6 @@ import pytest
 import repro.engine as engine_mod
 from repro.engine import (
     AUTO,
-    BATCHED,
     COMPILED,
     PYTHON,
     EngineUnavailableError,
@@ -45,12 +44,9 @@ def test_unknown_engine_is_an_error():
 
 
 def test_explicit_unavailable_engine_raises(monkeypatch):
-    # Simulate a bare machine: the availability probes are cached in
-    # module globals, so pinning them models "no numpy, no compiler".
-    monkeypatch.setattr(engine_mod, "_numpy_available", False)
+    # Simulate a bare machine: the availability probe is cached in a
+    # module global, so pinning it models "no compiler".
     monkeypatch.setattr(engine_mod, "_compiled_available", False)
-    with pytest.raises(EngineUnavailableError):
-        resolve_engine(BATCHED)
     with pytest.raises(EngineUnavailableError):
         resolve_engine(COMPILED)
     # ``auto`` degrades silently instead — that is its contract.

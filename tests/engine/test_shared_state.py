@@ -1,0 +1,174 @@
+"""The compiled engine works on the simulator's own state, not a copy.
+
+The C kernel and the Python tier index the same flat buffers: cache
+lines, per-set clocks and valid counts, the LLC's ``mapped`` lookup
+column, UMON tag directories, UCP migration counters and takeover bit
+vectors.  These tests run corpus scenarios in which cores arrive while
+a takeover (cooperative) or a migration (UCP) is in flight, and check:
+
+* the final Python-visible state after a ``compiled`` run equals the
+  state after a ``python`` run, field by field;
+* arrival warming never silently falls back to the Python warming
+  loop: the only Python warm accesses are takeover-completion bails,
+  each of which completes a donor's transfer.
+"""
+
+import pytest
+
+from repro.engine import COMPILED, PYTHON, available_engines
+from repro.scenarios.corpus import corpus_scenario
+from repro.scenarios.generate import corpus_config
+from repro.scenarios.model import ARRIVE
+from repro.sim.runner import ExperimentRunner
+from repro.sim.simulator import CMPSimulator
+
+pytestmark = pytest.mark.skipif(
+    COMPILED not in available_engines(), reason="no C toolchain"
+)
+
+#: corpus scenarios with arrivals during an active takeover/migration
+#: under both policies (a 2-core and a 4-core machine; storm-4c-s003
+#: also completes a takeover vector while warming an arrival)
+SCENARIOS = ("sparse-2c-s002", "storm-4c-s003")
+POLICIES = ("ucp", "cooperative")
+GOVERNORS = (None, "coordinated")
+
+_runner = ExperimentRunner()
+
+
+def _simulator(name, policy, governor):
+    entry = corpus_scenario(name)
+    config = corpus_config(entry.n_cores)
+    return CMPSimulator.for_scenario(
+        config,
+        entry.scenario,
+        policy,
+        lambda benchmark: _runner.trace_for(benchmark, config),
+        governor=governor,
+    )
+
+
+def _busy(sim) -> bool:
+    policy = sim.policy
+    if hasattr(policy, "engine"):
+        return policy.engine.active
+    return bool(policy._transitions)
+
+
+def _state(sim) -> dict:
+    """Every Python-visible piece of simulator state the kernel shares."""
+
+    def sets(cache):
+        return [
+            {
+                "tags": cset.tags.tolist(),
+                "owner": cset.owner.tolist(),
+                "dirty": cset.dirty.tolist(),
+                "stamp": cset.stamp.tolist(),
+                "clock": cset.clock,
+                "valid": cset.valid_count,
+                "mapped": None if cset.mapped is None else cset.mapped.tolist(),
+            }
+            for cset in cache.sets
+        ]
+
+    policy = sim.policy
+    state = {
+        "llc": sets(sim.cache),
+        "llc_occupancy": list(sim.cache.core_occupancy),
+        "l1": [sets(l1) for l1 in sim.hierarchy.l1],
+        "cores": [
+            (core.time, core.position, core.instructions, core.refs_done,
+             core.window_open, core.window_closed, core.frozen_cycles)
+            for core in sim.cores
+        ],
+        "banks": sim.memory._bank_free_at.tolist(),
+        "atd": [
+            {
+                "stacks": [
+                    atd.stacks[base:base + length].tolist()
+                    for base, length in zip(
+                        range(0, len(atd.stacks), atd.ways), atd.lengths
+                    )
+                ],
+                "hits": atd.position_hits,
+                "misses": atd.misses,
+                "accesses": atd.accesses,
+            }
+            for atd in policy._atds
+        ],
+    }
+    if hasattr(policy, "_transitions"):
+        state["ucp"] = {
+            core: (t.ways_gained, t.ways_done, t.start_cycle,
+                   t.gained_per_set.tolist(), t.complete_sets.tolist())
+            for core, t in policy._transitions.items()
+        }
+        state["targets"] = dict(policy.targets)
+    if hasattr(policy, "engine"):
+        engine = policy.engine
+        state["takeover"] = {
+            "vectors": {
+                donor: (vector.bits.tolist(), vector.set_count)
+                for donor, vector in engine.vectors.items()
+            },
+            "transitions": sorted(engine.transitions.items()),
+            "powered": list(policy.powered),
+        }
+    return state
+
+
+@pytest.mark.parametrize("governor", GOVERNORS, ids=lambda g: g or "none")
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_compiled_run_leaves_the_python_state(name, policy, governor):
+    arrivals_mid_transfer = []
+    states = {}
+    for engine in (PYTHON, COMPILED):
+        sim = _simulator(name, policy, governor)
+        apply_event = sim._apply_event
+
+        def observe(event, when, sim=sim, apply_event=apply_event):
+            if event.kind == ARRIVE and engine == COMPILED:
+                arrivals_mid_transfer.append(_busy(sim))
+            return apply_event(event, when)
+
+        sim._apply_event = observe
+        sim.run(engine)
+        states[engine] = _state(sim)
+    assert any(arrivals_mid_transfer), "no arrival landed mid-transfer"
+    expected, actual = states[PYTHON], states[COMPILED]
+    assert expected.keys() == actual.keys()
+    for field in expected:
+        assert actual[field] == expected[field], field
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_arrival_warming_never_falls_back_to_python(name, policy, monkeypatch):
+    def python_loop(*args):
+        raise AssertionError("warming ran in the Python loop")
+
+    monkeypatch.setattr(CMPSimulator, "_warm_core", python_loop)
+    monkeypatch.setattr(CMPSimulator, "_prewarm", python_loop)
+    sim = _simulator(name, policy, None)
+    warm_access = CMPSimulator._warm_access
+    bails = []
+
+    def completion_bail(*args):
+        # Only a warming line that completes a takeover vector may run
+        # in Python, and it must actually complete one.
+        engine = sim.policy.engine
+        before = engine.generation
+        warm_access(*args)
+        bails.append(engine.generation != before)
+
+    monkeypatch.setattr(
+        CMPSimulator, "_warm_access", staticmethod(completion_bail)
+    )
+    sim.run(COMPILED)
+    assert all(bails)
+    if (name, policy) == ("storm-4c-s003", "cooperative"):
+        assert bails, "the completion bail path was not exercised"
+    if policy == "ucp":
+        assert not bails
