@@ -61,7 +61,6 @@ from repro.partitioning.registry import (
     POLICY_NAMES,
     PolicySpec,
     build_policy,
-    create_policy,
     policy_info,
     register_policy,
     registered_policies,
@@ -145,7 +144,6 @@ __all__ = [
     "core_depart",
     "corpus_names",
     "corpus_scenario",
-    "create_policy",
     "default_store_path",
     "default_vf_table",
     "frequency_series",

@@ -1,6 +1,6 @@
 """Concurrency and store-safety rules.
 
-The result store is shared by racing writers (warm/spawn/ssh pool
+The result store is shared by racing writers (warm/ssh pool
 workers, the serve daemon, concurrent sweeps); its contract is that
 every visible file is either complete (temp-file + ``os.replace``) or
 an O_APPEND whole-line append.  Pool workers additionally inherit

@@ -1,60 +1,27 @@
-"""The ``repro bench --sweep`` orchestration-throughput harness.
+"""The many-small-task threshold sweep used to time orchestration.
 
 Where :mod:`repro.bench.harness` times the simulation *engine* (refs/s
-of one big run), this times the *orchestration layer* (tasks/s of a
-many-small-task sweep) — per-task dispatch, worker start-up, store
-I/O and resume planning, exactly the costs PR 7's engine work exposed
-as the new bottleneck.  Results append to the same per-PR trajectory
-convention in ``BENCH_sweep_throughput.json``.
+of one big run), this workload exercises the *orchestration layer*:
+per-task dispatch, worker start-up, store I/O and resume planning.
+perfbench's ``threshold-grid`` workload runs it end to end and
+compares two trees with an interleaved A/B (see
+``perfbench/README.md``).
 
 The workload is a threshold grid: (group × scheme × takeover
 threshold) on short traces, plus the alone-run dependencies the
 executor schedules implicitly — ~107 distinct task keys at full size,
 each simulating for a few tens of milliseconds.  Per-task set-up
 (trace generation, per-core trace views, runner construction) is
-comparable to simulation time at this scale, so the difference
-between a fresh runner per task and a persistent one dominates the
-spread between pool backends.  Every group's trace set is shared by
-all 25 of its scheme × threshold tasks (the trace cache key has no
-threshold in it), which is exactly the reuse a warm worker banks.
-
-Cases:
-
-``cold-spawn``
-    Empty store, the ``spawn`` pool (one fresh process + fresh runner
-    per task — the historical executor shape).
-``cold-warm``
-    Empty store, the ``warm`` pool (persistent workers, one runner
-    per worker for the whole sweep, batched dispatch).  The headline
-    ratio ``warm_over_spawn`` is this case over ``cold-spawn``.
-``resume-warm``
-    The same sweep again on the now-full store with a fresh executor
-    and store handle: every task is a cache hit, so this times the
-    probe-based planning path (O(index read), no artifact parse).
-    Its wall time is milliseconds and therefore noisy; it is recorded
-    with ``"checked": false`` so ``--check`` never gates on it.
+comparable to simulation time at this scale.  Every group's trace set
+is shared by all 25 of its scheme × threshold tasks (the trace cache
+key has no threshold in it), which is exactly the reuse a warm worker
+banks.
 """
 
 from __future__ import annotations
 
-import platform
-import sys
-import tempfile
-import time
-from pathlib import Path
-from typing import Callable
-
-from repro.bench.harness import _geomean
 from repro.experiment import Experiment
-from repro.orchestration.executor import SweepExecutor, resolve_jobs
-from repro.orchestration.store import ResultStore
 from repro.sim.config import scaled_two_core
-
-#: canonical name of the tracked sweep-throughput artifact
-SWEEP_BENCH_FILENAME = "BENCH_sweep_throughput.json"
-
-#: schema of the JSON payload; bump on incompatible layout changes
-SWEEP_BENCH_SCHEMA = 1
 
 
 def sweep_workload(quick: bool = False) -> list[Experiment]:
@@ -84,115 +51,3 @@ def sweep_workload(quick: bool = False) -> list[Experiment]:
         for group in groups
         for policy in policies
     ]
-
-
-def _time_sweep(
-    specs: list[Experiment],
-    store: ResultStore,
-    pool: str,
-    jobs: int,
-    engine: str | None,
-) -> dict:
-    """One timed prefetch on a fresh executor; returns the case body."""
-    started = time.perf_counter()
-    with SweepExecutor(
-        store, max_workers=jobs, engine=engine, pool=pool
-    ) as executor:
-        computed, cached = executor.prefetch(specs)
-    seconds = time.perf_counter() - started
-    tasks = computed + cached
-    return {
-        "pool": pool,
-        "tasks": tasks,
-        "computed": computed,
-        "cached": cached,
-        "seconds": seconds,
-        "tasks_per_sec": tasks / seconds if seconds else 0.0,
-    }
-
-
-def run_sweep_benchmarks(
-    quick: bool = False,
-    jobs: int | None = None,
-    engine: str | None = None,
-    progress: Callable[[str], None] | None = None,
-) -> dict:
-    """Run the three cases and return the payload.
-
-    Each cold case gets its own scratch store; ``resume-warm`` reuses
-    the warm case's store through a *fresh* handle (no in-memory
-    index or runner cache carried over), so it measures exactly what
-    a restarted process pays.
-    """
-    from repro.engine import resolve_engine
-
-    resolved_jobs = resolve_jobs(jobs)
-    resolved_engine = resolve_engine(engine)
-    specs = sweep_workload(quick=quick)
-    records = []
-    with tempfile.TemporaryDirectory(prefix="repro-bench-sweep-") as scratch:
-        plans = [
-            ("cold-spawn", "spawn", Path(scratch) / "spawn", True),
-            ("cold-warm", "warm", Path(scratch) / "warm", True),
-            ("resume-warm", "warm", Path(scratch) / "warm", False),
-        ]
-        for name, pool, root, checked in plans:
-            record = _time_sweep(
-                specs, ResultStore(root), pool, resolved_jobs, resolved_engine
-            )
-            record["name"] = f"{name}-quick" if quick else name
-            record["checked"] = checked
-            records.append(record)
-            if progress is not None:
-                progress(
-                    f"  {record['name']:<20}{record['tasks_per_sec']:>10,.1f} tasks/s"
-                    f"  ({record['tasks']} tasks, {record['computed']} computed, "
-                    f"{record['seconds']:.2f}s, {pool} pool)"
-                )
-    by_name = {record["name"].removesuffix("-quick"): record for record in records}
-    warm_over_spawn = (
-        by_name["cold-warm"]["tasks_per_sec"]
-        / by_name["cold-spawn"]["tasks_per_sec"]
-    )
-    return {
-        "schema": SWEEP_BENCH_SCHEMA,
-        "kind": "sweep",
-        "engine": resolved_engine,
-        "jobs": resolved_jobs,
-        "warm_over_spawn": warm_over_spawn,
-        "aggregate_tasks_per_sec": _geomean(
-            [record["tasks_per_sec"] for record in records if record["checked"]]
-        ),
-        "cases": records,
-        "python": sys.version.split()[0],
-        "machine": platform.machine(),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
-
-
-def compare_sweep_to_baseline(
-    current: dict, baseline: dict, tolerance: float = 0.20
-) -> list[str]:
-    """Regression report of ``current`` against a committed payload.
-
-    Same contract as :func:`repro.bench.harness.compare_to_baseline`
-    but over tasks/s, and cases recorded with ``"checked": false``
-    (the millisecond-scale resume timing) never gate.
-    """
-    if not 0.0 <= tolerance < 1.0:
-        raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
-    baseline_cases = {case["name"]: case for case in baseline.get("cases", [])}
-    regressions = []
-    for case in current.get("cases", []):
-        reference = baseline_cases.get(case["name"])
-        if reference is None or not case.get("checked", True):
-            continue
-        floor = reference["tasks_per_sec"] * (1.0 - tolerance)
-        if case["tasks_per_sec"] < floor:
-            regressions.append(
-                f"{case['name']}: {case['tasks_per_sec']:,.1f} tasks/s is "
-                f"{1.0 - case['tasks_per_sec'] / reference['tasks_per_sec']:.1%} "
-                f"below the baseline {reference['tasks_per_sec']:,.1f} "
-                f"(tolerance {tolerance:.0%})"
-            )
-    return regressions

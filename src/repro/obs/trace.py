@@ -10,7 +10,7 @@ reconcile them against ``TimelineSample`` boundaries.
 The default recorder is :data:`NULL_RECORDER`, whose every method is a
 no-op and whose ``enabled`` flag lets hot loops hoist the check; golden
 byte-identity relies on this default.  ``$REPRO_TRACE`` set at import time
-swaps in a live recorder, which is how spawn/warm pool workers and ssh
+swaps in a live recorder, which is how warm pool workers and ssh
 remotes inherit tracing from the parent process.
 
 Wall-clock time never becomes run data: ``perf_counter`` measures span

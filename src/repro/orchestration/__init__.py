@@ -9,9 +9,8 @@ ExperimentRunner` into a batch system in four layers:
   :class:`ResultStore` (atomic writes, per-shard append-only index,
   meta-only probes, self-healing on corruption);
 * :mod:`~repro.orchestration.pools` — where tasks run: the
-  :class:`Pool` backends (``warm`` persistent workers, ``spawn``
-  per-task processes, ``ssh`` remote fan-out, ``serial`` inline) plus
-  the wire types they share;
+  :class:`Pool` backends (``warm`` persistent workers, ``ssh``
+  remote fan-out, ``serial`` inline) plus the wire types they share;
 * :mod:`~repro.orchestration.executor` — the :class:`SweepExecutor`
   planning (group × scheme × geometry) tasks against the store and
   sharding them across a pool, and :func:`orchestrated_runner`, the
@@ -33,7 +32,6 @@ from repro.orchestration.pools import (
     PoolResult,
     PoolTask,
     SerialPool,
-    SpawnPool,
     SSHPool,
     SweepTaskError,
     WarmPool,
@@ -55,7 +53,6 @@ __all__ = [
     "ResultStore",
     "SSHPool",
     "SerialPool",
-    "SpawnPool",
     "SweepExecutor",
     "SweepTaskError",
     "WarmPool",

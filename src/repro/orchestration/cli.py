@@ -24,10 +24,7 @@ Eight subcommands drive the whole evaluation through the orchestrator:
 * ``repro bench``    — time the simulation engine on the fixed
   workload matrix, write ``BENCH_sim_throughput.json`` and (with
   ``--check``) fail on throughput regressions against a committed
-  baseline (see ``docs/performance.md``).  ``--sweep`` instead times
-  the orchestration layer — tasks/s of a many-small-task sweep on the
-  warm vs spawn pools plus the cached-resume path — writing
-  ``BENCH_sweep_throughput.json``.
+  baseline (see ``docs/performance.md``).
 * ``repro serve``    — run the sweep-as-a-service daemon: accept spec
   JSON over HTTP, schedule jobs against the store, stream progress,
   and survive restarts via resume-from-store (see
@@ -54,12 +51,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 from typing import Sequence
 
 from repro.analysis.cli import add_check_arguments, cmd_check
 from repro.bench.harness import BENCH_FILENAME
 from repro.experiment import Experiment
 from repro.metrics.speedup import geometric_mean
+from repro.obs.log import progress
 from repro.orchestration.executor import SweepExecutor, resolve_jobs
 from repro.orchestration.store import ResultStore, default_store_path
 from repro.sim.config import SystemConfig, scaled_four_core, scaled_two_core
@@ -107,11 +106,11 @@ def _build_parser() -> argparse.ArgumentParser:
     pooling = argparse.ArgumentParser(add_help=False)
     pooling.add_argument(
         "--pool", default=None, metavar="NAME",
-        choices=("warm", "spawn", "ssh", "serial"),
+        choices=("warm", "ssh", "serial"),
         help="execution pool backend: warm (persistent workers; the "
-             "default), spawn (one process per task), ssh (remote "
-             "fan-out over --hosts) or serial (inline); default: "
-             "$REPRO_POOL, or ssh when hosts are configured",
+             "default), ssh (remote fan-out over --hosts) or serial "
+             "(inline); default: $REPRO_POOL, or ssh when hosts are "
+             "configured",
     )
     pooling.add_argument(
         "--hosts", default=None, metavar="LIST",
@@ -357,19 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "snakeviz); timings include profiler overhead, so the "
              "payload is not written and --check is unavailable",
     )
-    bench.add_argument(
-        "--sweep", action="store_true",
-        help="time the orchestration layer instead of the engine: "
-             "tasks/s of a many-small-task sweep on the warm vs spawn "
-             "pools plus the cached-resume path, written to "
-             "BENCH_sweep_throughput.json (--check compares against a "
-             "committed sweep payload)",
-    )
-    bench.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="--sweep mode: worker processes per pool "
-             "(default: $REPRO_JOBS or CPU count)",
-    )
     bench.set_defaults(handler=_cmd_bench)
 
     serve = commands.add_parser(
@@ -518,26 +504,13 @@ def _store_from(options: argparse.Namespace) -> ResultStore:
     return ResultStore(options.store if options.store else default_store_path())
 
 
-def _progress(line: str) -> None:
-    from repro.obs.log import progress
-
-    progress(line)
-
-
-def _stdout_progress(line: str) -> None:
-    """Progress that belongs on stdout (bench timing lines); honours --quiet."""
-    from repro.obs.log import progress
-
-    progress(line, stream=sys.stdout)
-
-
 def _apply_obs(options: argparse.Namespace) -> None:
     """Honour --quiet/--trace/--metrics before the handler runs.
 
-    The env exports matter as much as the in-process switches: warm and
-    spawn pool workers inherit the parent environment, and the ssh pool
-    reads ``tracing_enabled()`` to decide whether to ask remotes for
-    traces, so setting state here covers every execution tier.
+    The env exports matter as much as the in-process switches: warm pool
+    workers inherit the parent environment, and the ssh pool reads
+    ``tracing_enabled()`` to decide whether to ask remotes for traces,
+    so setting state here covers every execution tier.
     """
     import os
 
@@ -718,7 +691,7 @@ def _executor_from(options: argparse.Namespace, store: ResultStore) -> SweepExec
         return SweepExecutor(
             store,
             resolve_jobs(options.jobs),
-            progress=_progress,
+            progress=progress,
             engine=getattr(options, "engine", None),
             pool=getattr(options, "pool", None),
             hosts=getattr(options, "hosts", None),
@@ -1135,7 +1108,7 @@ def _run_scenario_suite(options: argparse.Namespace) -> int:
             name_filter=options.filter,
             refs_per_core=options.refs_per_core,
             runner=runner,
-            progress=_progress,
+            progress=progress,
         )
     except ValueError as error:
         raise SystemExit(str(error))
@@ -1143,7 +1116,7 @@ def _run_scenario_suite(options: argparse.Namespace) -> int:
         with open(options.report, "w", encoding="utf-8") as handle:
             json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
             handle.write("\n")
-        _progress(f"wrote report to {options.report}")
+        progress(f"wrote report to {options.report}")
     if options.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     elif options.format == "csv":
@@ -1164,8 +1137,6 @@ def _run_scenario_suite(options: argparse.Namespace) -> int:
 
 
 def _cmd_bench(options: argparse.Namespace) -> int:
-    if options.sweep:
-        return _cmd_bench_sweep(options)
     from pathlib import Path
 
     from repro.bench.harness import (
@@ -1192,8 +1163,10 @@ def _cmd_bench(options: argparse.Namespace) -> int:
     except EngineUnavailableError as exc:
         raise SystemExit(str(exc))
     cases = bench_matrix(quick=options.quick)
-    _stdout_progress(f"timing {len(cases)} cases on the {engine} engine, "
-                     f"best of {repeats} runs each:")
+    # Bench timing lines belong on stdout; --quiet still silences them.
+    stdout_progress = partial(progress, stream=sys.stdout)
+    stdout_progress(f"timing {len(cases)} cases on the {engine} engine, "
+                    f"best of {repeats} runs each:")
 
     if options.profile:
         # Profiling answers "where does the time go", not "how fast is
@@ -1212,7 +1185,7 @@ def _cmd_bench(options: argparse.Namespace) -> int:
         profiler.enable()
         try:
             payload = run_benchmarks(
-                cases, repeats=repeats, progress=_stdout_progress, engine=engine
+                cases, repeats=repeats, progress=stdout_progress, engine=engine
             )
         finally:
             profiler.disable()
@@ -1233,7 +1206,7 @@ def _cmd_bench(options: argparse.Namespace) -> int:
         return 0
 
     payload = run_benchmarks(
-        cases, repeats=repeats, progress=_stdout_progress, engine=engine
+        cases, repeats=repeats, progress=stdout_progress, engine=engine
     )
     print(f"aggregate: {payload['aggregate_refs_per_sec']:,.0f} refs/s (geomean)")
 
@@ -1275,61 +1248,6 @@ def _cmd_bench(options: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_sweep(options: argparse.Namespace) -> int:
-    """``repro bench --sweep``: orchestration tasks/s, not engine refs/s."""
-    from pathlib import Path
-
-    from repro.bench.harness import carry_trajectory, load_payload, write_payload
-    from repro.bench.sweep_throughput import (
-        SWEEP_BENCH_FILENAME,
-        compare_sweep_to_baseline,
-        run_sweep_benchmarks,
-    )
-    from repro.engine import EngineUnavailableError
-
-    if options.profile:
-        raise SystemExit("--profile applies to the engine matrix, not --sweep")
-    if not 0.0 <= options.tolerance < 1.0:
-        raise SystemExit(f"--tolerance must be in [0, 1), got {options.tolerance}")
-    size = "quick" if options.quick else "full"
-    print(f"timing the {size} many-small-task sweep (warm vs spawn pools):")
-    try:
-        payload = run_sweep_benchmarks(
-            quick=options.quick,
-            jobs=options.jobs,
-            engine=options.engine,
-            progress=_stdout_progress,
-        )
-    except EngineUnavailableError as error:
-        raise SystemExit(str(error))
-    print(
-        f"warm over spawn: {payload['warm_over_spawn']:.2f}x "
-        f"({payload['jobs']} workers, {payload['engine']} engine)"
-    )
-
-    output = options.output if options.output is not None else SWEEP_BENCH_FILENAME
-    if output != "-":
-        previous = load_payload(output) if Path(output).exists() else None
-        write_payload(carry_trajectory(payload, previous), output)
-        print(f"wrote {output}")
-
-    if options.check:
-        reference = load_payload(options.check)
-        regressions = compare_sweep_to_baseline(
-            payload, reference, options.tolerance
-        )
-        if regressions:
-            print(
-                f"\nsweep-throughput regression vs {options.check}:",
-                file=sys.stderr,
-            )
-            for line in regressions:
-                print(f"  {line}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {options.check} (tolerance {options.tolerance:.0%})")
-    return 0
-
-
 def _cmd_serve(options: argparse.Namespace) -> int:
     """``repro serve``: the HTTP job-queue daemon."""
     from repro.orchestration.serve import SweepServer
@@ -1348,7 +1266,7 @@ def _cmd_serve(options: argparse.Namespace) -> int:
         server.start()
     except (OSError, ValueError) as error:
         raise SystemExit(f"cannot serve: {error}")
-    _progress(
+    progress(
         f"serving sweeps on {server.url} (store {store.root}, "
         f"{server.max_workers} workers, metrics at {server.url}/v1/metrics); "
         f"Ctrl-C to stop"
@@ -1360,7 +1278,7 @@ def _cmd_serve(options: argparse.Namespace) -> int:
         pass
     finally:
         server.close()
-    _progress("stopped")
+    progress("stopped")
     return 0
 
 
@@ -1379,7 +1297,7 @@ def _cmd_trace_view(options: argparse.Namespace) -> int:
         with open(options.output, "w", encoding="utf-8") as handle:
             json.dump(document, handle, sort_keys=True)
             handle.write("\n")
-        _progress(
+        progress(
             f"wrote {len(events)} event(s) to {options.output} "
             f"(load at https://ui.perfetto.dev)"
         )

@@ -13,11 +13,10 @@ serial in-process run — on every backend.
 
 Where tasks run is the pool's business (see
 :mod:`repro.orchestration.pools`): ``warm`` persistent workers by
-default, ``spawn`` per-task processes, ``ssh`` remote fan-out, or
-``serial`` inline.  Warm and ssh pools persist across phases and
-:meth:`SweepExecutor.prefetch` calls — reuse one executor (it is a
-context manager) to amortise worker start-up and per-worker trace
-caches across waves of a large sweep.
+default, ``ssh`` remote fan-out, or ``serial`` inline.  Every pool
+persists across phases and :meth:`SweepExecutor.prefetch` calls —
+reuse one executor (it is a context manager) to amortise worker
+start-up and per-worker trace caches across waves of a large sweep.
 
 Scheduling is two-phase with per-spec dependency gating:
 
@@ -43,11 +42,11 @@ sweep times the same engine a serial run would.
 Third-party policies keep working under sharding: each task carries
 the module that registered its policy class, and the worker imports
 that module first (re-running the ``@register_policy`` decorator in
-the child, which matters under the ``spawn`` start method).  Specs
-whose policy class was registered in ``__main__`` — a script or
-notebook that never packaged the module — cannot be rebuilt in a
-worker at all, so those run inline in the parent instead of in the
-pool.
+the child, which matters under the ``spawn`` start method and on
+remote hosts).  Specs whose policy class was registered in
+``__main__`` — a script or notebook that never packaged the module —
+cannot be rebuilt in a worker at all, so those run inline in the
+parent instead of in the pool.
 
 Determinism: every task's randomness flows from
 ``SystemConfig.seed`` through the trace generator and policies, never
@@ -70,9 +69,7 @@ from repro.orchestration import pools
 from repro.orchestration.pools import PoolTask, SweepTaskError
 from repro.orchestration.store import ResultStore, default_store_path
 from repro.sim.config import SystemConfig
-from repro.sim.runner import ALL_POLICIES, ExperimentRunner
-from repro.sim.stats import RunResult
-from repro.workloads.groups import group_names
+from repro.sim.runner import ExperimentRunner
 
 #: environment variable bounding worker-process count
 JOBS_ENV = "REPRO_JOBS"
@@ -104,15 +101,6 @@ def orchestrated_runner(
     """
     store = ResultStore(store_path if store_path is not None else default_store_path())
     return ExperimentRunner(store=store, max_workers=resolve_jobs(max_workers))
-
-
-def normalize_task(task: "Experiment | tuple") -> Experiment:
-    """Coerce a sweep task — a spec or a legacy ``(group, policy,
-    config)`` tuple — into an :class:`Experiment`."""
-    if isinstance(task, Experiment):
-        return task
-    group, policy, config = task
-    return Experiment(group, policy, config)
 
 
 def _policy_module(experiment: Experiment) -> str:
@@ -147,13 +135,13 @@ class SweepExecutor:
     execution backend every task runs on — workers and inline parent
     runs alike; it is resolved eagerly so an unavailable explicit
     engine fails here, once, instead of in every worker.  ``pool``
-    selects the execution backend (``warm``/``spawn``/``ssh``/
-    ``serial``; default ``$REPRO_POOL`` or ``warm``) and ``hosts``
-    feeds the ssh pool; both are validated eagerly too.
+    selects the execution backend (``warm``/``ssh``/``serial``;
+    default ``$REPRO_POOL`` or ``warm``) and ``hosts`` feeds the ssh
+    pool; both are validated eagerly too.
 
-    Warm/ssh pools are persistent: the executor keeps one instance
-    alive across :meth:`prefetch` calls and closes it in
-    :meth:`close` (or on ``with`` exit).  Exiting the process without
+    Pools are persistent: the executor keeps one instance alive
+    across :meth:`prefetch` calls and closes it in :meth:`close` (or
+    on ``with`` exit).  Exiting the process without
     closing is safe — workers are daemonic — but closing promptly
     releases them.
     """
@@ -197,34 +185,17 @@ class SweepExecutor:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _phase_pool(self, workers: int) -> tuple[pools.Pool, bool]:
-        """The pool to run one phase batch on, plus whether it is
-        ephemeral (spawn rebuilds per phase — that *is* its shape;
-        warm/ssh/serial persist on the executor)."""
-        if self.pool_name == pools.SPAWN:
-            return pools.SpawnPool(self.store, workers, engine=self.engine), True
-        if self._pool is None:
-            self._pool = pools.resolve_pool(
-                self.pool_name,
-                store=self.store,
-                max_workers=self.max_workers,
-                engine=self.engine,
-                hosts=self.hosts,
-            )
-        return self._pool, False
-
     # ------------------------------------------------------------------
     # Task planning
     # ------------------------------------------------------------------
     def _bucket(
-        self, tasks: Iterable["Experiment | tuple"]
+        self, tasks: Iterable[Experiment]
     ) -> tuple[dict[str, Experiment], dict[str, Experiment]]:
         """Distinct (alone, main) specs keyed by task key, dependencies
         included."""
         alone: dict[str, Experiment] = {}
         main: dict[str, Experiment] = {}
-        for task in tasks:
-            experiment = normalize_task(task)
+        for experiment in tasks:
             bucket = alone if experiment.kind == "alone" else main
             bucket.setdefault(experiment.task_key(), experiment)
             for dependency in experiment.alone_dependencies():
@@ -232,7 +203,7 @@ class SweepExecutor:
         return alone, main
 
     def plan(
-        self, tasks: Iterable["Experiment | tuple"]
+        self, tasks: Iterable[Experiment]
     ) -> tuple[list[Experiment], list[Experiment], int]:
         """Split ``tasks`` into pending (alone-phase, main-phase) specs
         plus the total number of distinct task keys involved.
@@ -259,7 +230,7 @@ class SweepExecutor:
         return alone_pending, main_pending, total
 
     def plan_report(
-        self, tasks: Iterable["Experiment | tuple"]
+        self, tasks: Iterable[Experiment]
     ) -> list[tuple[Experiment, bool]]:
         """The full planned task list with per-task store status.
 
@@ -277,7 +248,7 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def prefetch(self, tasks: Iterable["Experiment | tuple"]) -> tuple[int, int]:
+    def prefetch(self, tasks: Iterable[Experiment]) -> tuple[int, int]:
         """Materialise artifacts for ``tasks`` (and their alone deps).
 
         Returns ``(computed, cached)`` task counts, alone runs
@@ -300,23 +271,6 @@ class SweepExecutor:
         finally:
             rec.end(token, cached=total - computed)
         return computed, total - computed
-
-    def sweep(
-        self,
-        config: SystemConfig,
-        policies: tuple[str, ...] = ALL_POLICIES,
-        groups: list[str] | None = None,
-    ) -> dict[str, dict[str, RunResult]]:
-        """Parallel, cache-aware equivalent of ``ExperimentRunner.sweep``."""
-        groups = groups if groups is not None else group_names(config.n_cores)
-        self.prefetch(Experiment.grid(config, groups, list(policies)))
-        return {
-            group: {
-                policy: self.runner.run(Experiment(group, policy, config))
-                for policy in policies
-            }
-            for group in groups
-        }
 
     def prefetch_alone(
         self, config: SystemConfig, benchmarks: Iterable[str]
@@ -363,7 +317,7 @@ class SweepExecutor:
         if (
             self.pool_name == pools.SERIAL
             or not pooled
-            or (self.pool_name in (pools.WARM, pools.SPAWN) and workers <= 1)
+            or (self.pool_name == pools.WARM and workers <= 1)
         ):
             # Inline fallback: alone-then-main order satisfies every
             # dependency by construction.
@@ -374,7 +328,7 @@ class SweepExecutor:
                 self._report(done, total, experiment.label, seconds, pools.SERIAL)
             return
         try:
-            self._run_pooled(alone, main, pooled_alone, pooled_main, workers)
+            self._run_pooled(alone, main, pooled_alone, pooled_main)
         finally:
             # Workers appended to the on-disk index behind our back;
             # the next plan()/probe must see their artifacts.
@@ -386,7 +340,6 @@ class SweepExecutor:
         main: list[Experiment],
         pooled_alone: list[Experiment],
         pooled_main: list[Experiment],
-        workers: int,
     ) -> None:
         total = len(alone) + len(main)
         done = 0
@@ -404,7 +357,15 @@ class SweepExecutor:
                 blocked.append((experiment, deps))
             else:
                 ready_main.append(experiment)
-        pool, ephemeral = self._phase_pool(workers)
+        if self._pool is None:
+            self._pool = pools.resolve_pool(
+                self.pool_name,
+                store=self.store,
+                max_workers=self.max_workers,
+                engine=self.engine,
+                hosts=self.hosts,
+            )
+        pool = self._pool
         metrics_on = metrics_enabled()
         #: task key -> submit instant, for queue-time metrics
         submitted: dict[str, float] = {}
@@ -457,11 +418,7 @@ class SweepExecutor:
                 unblock(result.key)
         except BaseException:
             self.close()
-            if ephemeral:
-                pool.close()
             raise
-        if ephemeral:
-            pool.close()
         for experiment in inline_main:
             seconds = self._run_inline(experiment)
             done += 1

@@ -21,11 +21,6 @@ Backends, in ``auto``-preference order:
     per worker instead of once per task.  Workers pull *batches* of
     task specs over a queue, amortising pickling and dispatch for
     tiny tasks.  The default backend.
-``spawn``
-    The historical one-process-per-task ``ProcessPoolExecutor``
-    shape: a fresh pool per phase, a fresh runner per task.  Kept as
-    the conservative fallback and as the bench baseline the warm
-    pool is measured against.
 ``ssh``
     Fan-out to remote hosts.  Batches of task specs (plus the alone
     artifacts they depend on) ship as one JSON document over a
@@ -61,7 +56,6 @@ import tempfile
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -76,12 +70,11 @@ POOL_ENV = "REPRO_POOL"
 HOSTS_ENV = "REPRO_HOSTS"
 
 WARM = "warm"
-SPAWN = "spawn"
 SSH = "ssh"
 SERIAL = "serial"
 
 #: every backend name, default-preference order first
-POOL_NAMES = (WARM, SPAWN, SSH, SERIAL)
+POOL_NAMES = (WARM, SSH, SERIAL)
 
 #: version of the ssh/serve wire format (request/response documents)
 WIRE_SCHEMA = 1
@@ -119,8 +112,8 @@ class PoolTask:
     label: str
     #: the :meth:`Experiment.to_dict` document
     spec: dict[str, Any]
-    #: module whose import registers the policy class (spawn workers
-    #: inherit nothing)
+    #: module whose import registers the policy class (a fresh or
+    #: remote worker inherits no registrations)
     policy_module: str
     governor_module: str | None = None
     #: task keys of the alone runs this spec reads (the ssh pool
@@ -182,8 +175,8 @@ def run_pool_task(task: PoolTask, runner: ExperimentRunner) -> None:
 
     Importing the registering modules re-runs their
     ``@register_policy``/``@register_governor`` decorators, which a
-    spawned or remote process needs before :meth:`Experiment.from_dict`
-    can rebuild the spec.
+    fresh worker or remote process needs before
+    :meth:`Experiment.from_dict` can rebuild the spec.
     """
     import importlib
 
@@ -285,81 +278,6 @@ class SerialPool(Pool):
             raise RuntimeError("wait_one() with no outstanding tasks")
         self.outstanding -= 1
         return self._completed.popleft()
-
-
-# ----------------------------------------------------------------------
-# spawn — one process per task (the historical shape)
-# ----------------------------------------------------------------------
-def _spawn_task(store_root: str, task_doc: dict, engine: str | None) -> dict:
-    """Top-level worker body (pickles under the spawn start method)."""
-    if engine is not None:
-        # Private worker process: the env write leaks nowhere.
-        os.environ["REPRO_ENGINE"] = engine
-    runner = ExperimentRunner(store=ResultStore(store_root))
-    result = _attempt(PoolTask.from_dict(task_doc), runner)
-    return {
-        "key": result.key,
-        "label": result.label,
-        "seconds": result.seconds,
-        "error": result.error,
-    }
-
-
-class SpawnPool(Pool):
-    """A fresh ``ProcessPoolExecutor`` and a fresh runner per task —
-    the conservative fallback, and the baseline the warm pool's bench
-    case is measured against."""
-
-    name = SPAWN
-
-    def __init__(
-        self,
-        store: ResultStore,
-        max_workers: int,
-        engine: str | None = None,
-    ) -> None:
-        super().__init__(store, engine)
-        self.max_workers = max(1, max_workers)
-        self._executor: ProcessPoolExecutor | None = None
-        self._futures: set = set()
-        self._completed: deque[PoolResult] = deque()
-
-    def start(self) -> None:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-
-    def submit(self, task: PoolTask) -> None:
-        self.start()
-        assert self._executor is not None
-        future = self._executor.submit(
-            _spawn_task, str(self.store.root), task.to_dict(), self.engine
-        )
-        self._futures.add(future)
-        self.outstanding += 1
-
-    def wait_one(self) -> PoolResult:
-        while not self._completed:
-            if not self._futures:
-                raise RuntimeError("wait_one() with no outstanding tasks")
-            done, self._futures = wait(self._futures, return_when=FIRST_COMPLETED)
-            for future in done:
-                record = future.result()  # worker bodies never raise
-                self._completed.append(
-                    PoolResult(
-                        record["key"],
-                        record["label"],
-                        record["seconds"],
-                        record["error"],
-                    )
-                )
-        self.outstanding -= 1
-        return self._completed.popleft()
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
-            self._futures.clear()
 
 
 # ----------------------------------------------------------------------
@@ -469,14 +387,20 @@ class WarmPool(Pool):
                 record = self._results.get(timeout=0.2)
                 break
             except queue_module.Empty:
-                if not any(process.is_alive() for process in self._workers):
+                # Workers exit only on close()'s sentinel, so any death
+                # here is abnormal — and the task it held never reports.
+                dead = next(
+                    (p for p in self._workers if not p.is_alive()), None
+                )
+                if dead is not None:
                     raise SweepTaskError(
                         "?" * 12,
                         "<unknown>",
                         self.name,
-                        "every warm worker died without reporting a result "
-                        "(killed or crashed hard); rerun with --pool spawn "
-                        "to isolate the failing task",
+                        f"warm worker pid {dead.pid} exited with code "
+                        f"{dead.exitcode} while {self.outstanding} task(s) "
+                        "were outstanding (killed or crashed hard); rerun "
+                        "with --pool serial to isolate the failing task",
                     ) from None
         self.outstanding -= 1
         return PoolResult(
@@ -581,7 +505,7 @@ class SSHPool(Pool):
         if not self.hosts:
             raise ValueError("the ssh pool needs at least one host")
         #: ship traces back from remotes when the parent is tracing
-        #: (spawn/warm workers inherit ``$REPRO_TRACE`` via the
+        #: (warm workers inherit ``$REPRO_TRACE`` via the
         #: environment; remotes need it on the wire)
         self.trace = tracing_enabled() if trace is None else trace
         self._transport_factory = transport_factory
@@ -824,8 +748,6 @@ def resolve_pool(
     name, resolved_hosts = resolve_pool_name(name, hosts)
     if name == SERIAL:
         return SerialPool(store, engine=engine)
-    if name == SPAWN:
-        return SpawnPool(store, max_workers, engine=engine)
     if name == WARM:
         return WarmPool(store, max_workers, engine=engine)
     return SSHPool(store, resolved_hosts, engine=engine)

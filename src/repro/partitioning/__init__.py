@@ -22,7 +22,6 @@ from repro.partitioning.registry import (
     PolicySpec,
     RegisteredPolicy,
     build_policy,
-    create_policy,
     policy_info,
     register_policy,
     registered_policies,
@@ -45,7 +44,6 @@ __all__ = [
     "UCPPolicy",
     "UnmanagedPolicy",
     "build_policy",
-    "create_policy",
     "lookahead_partition",
     "policy_info",
     "register_policy",

@@ -39,7 +39,6 @@ the old factory papered over with an import-inside-function.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from importlib import import_module
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
@@ -428,38 +427,3 @@ class _PolicyNames(Mapping):
 #: short name -> display name (matches the paper's figure legends)
 POLICY_NAMES = _PolicyNames()
 
-
-def create_policy(
-    name: str,
-    cache: "SetAssociativeCache",
-    memory: "MainMemory",
-    energy: "EnergyAccounting",
-    stats: "PolicyStats",
-    monitors: "list[UtilityMonitor] | None" = None,
-    threshold: float = 0.05,
-    cpe_profiles: "list[list] | None" = None,
-    seed: int = 12345,
-) -> "BaseSharedCachePolicy":
-    """Deprecated string factory for the five evaluated schemes.
-
-    Kept as a thin shim over the registry: build a
-    :class:`PolicySpec` (or a full :class:`~repro.experiment.
-    Experiment`) instead.
-    """
-    warnings.warn(
-        "create_policy() is deprecated; build a PolicySpec and use "
-        "build_policy(), or run an Experiment through "
-        "ExperimentRunner.run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    info = policy_info(name)
-    fields = info.param_fields()
-    kwargs: dict[str, Any] = {}
-    if "threshold" in fields:
-        kwargs["threshold"] = threshold
-    if "seed" in fields:
-        kwargs["seed"] = seed
-    if info.profile_kwarg is not None:
-        kwargs[info.profile_kwarg] = cpe_profiles
-    return info.cls(cache, memory, energy, stats, monitors, **kwargs)

@@ -13,9 +13,9 @@ Public surface of the package:
 * :class:`~repro.scenarios.timeline.TimelineSample` and the series
   helpers over recorded timelines.
 
-``ExperimentRunner.run_scenario`` executes a scenario (with store
-caching) and ``repro scenario`` drives the presets, spec files and
-the corpus suite from the CLI.
+``ExperimentRunner.run(Experiment.for_scenario(...))`` executes a
+scenario (with store caching) and ``repro scenario`` drives the
+presets, spec files and the corpus suite from the CLI.
 """
 
 from repro.scenarios.corpus import (

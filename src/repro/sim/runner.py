@@ -27,9 +27,8 @@ restarts and can be sharded across worker processes (see
 string-API keys exactly — artifacts written before the spec redesign
 stay resolvable, bit-identically.
 
-The historical string-based entry points (``run_group``,
-``run_scenario``) survive as deprecation shims over specs; ``alone``
-and the ``cached_*`` probes remain as thin documented conveniences.
+:meth:`ExperimentRunner.alone` remains as a thin documented
+convenience over an alone spec.
 
 Traces are generated once per (benchmark, geometry) and shared across
 schemes, so every comparison is paired.
@@ -38,22 +37,19 @@ schemes, so every comparison is paired.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from repro.experiment import Experiment
 from repro.metrics.speedup import weighted_speedup
 from repro.sim.config import SystemConfig
 from repro.sim.simulator import CMPSimulator
 from repro.sim.stats import RunResult
-from repro.workloads.groups import group_names
 from repro.workloads.profiles import profile_for
 from repro.workloads.trace import Trace, generate_trace
 
 if TYPE_CHECKING:
     from repro.orchestration.store import ResultStore
-    from repro.scenarios.model import Scenario
 
 #: the five evaluated schemes, in the paper's legend order
 ALL_POLICIES = ("unmanaged", "fair_share", "cpe", "ucp", "cooperative")
@@ -68,14 +64,6 @@ class AloneResult:
     mpki: float
     #: per-epoch miss curves (for Dynamic CPE's profile)
     curves: tuple[tuple[int, ...], ...]
-
-
-def _deprecated(old: str, replacement: str) -> None:
-    warnings.warn(
-        f"ExperimentRunner.{old}() is deprecated; {replacement}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class ExperimentRunner:
@@ -129,7 +117,7 @@ class ExperimentRunner:
         span and — with a store attached — persists the task's trace
         events as a ``kind="trace"`` artifact under
         :func:`repro.obs.trace.trace_key`, so every execution tier
-        (inline, warm/spawn workers, ssh remotes, serve jobs) ships
+        (inline, warm workers, ssh remotes, serve jobs) ships
         its traces through the same store plumbing as results.
         """
         result = self.cached(experiment)
@@ -190,30 +178,13 @@ class ExperimentRunner:
             return False
         return self.store.probe(experiment.task_key())
 
-    def sweep(
-        self,
-        experiments: "Iterable[Experiment] | SystemConfig",
-        policies: Sequence[str] = ALL_POLICIES,
-        groups: list[str] | None = None,
-    ) -> dict:
+    def sweep(self, experiments: Iterable[Experiment]) -> dict:
         """Run many specs (in parallel if wired), keyed by spec.
 
-        Legacy form: ``sweep(config, policies=..., groups=...)`` runs
-        the (group × scheme) cross-product on one system and returns
-        the historical ``{group: {policy: RunResult}}`` table.
+        :func:`repro.experiment.by_group_policy` folds the result of a
+        group grid into the ``{group: {policy: RunResult}}`` table the
+        figure helpers take.
         """
-        if isinstance(experiments, SystemConfig):
-            config = experiments
-            groups = groups if groups is not None else group_names(config.n_cores)
-            grid = Experiment.grid(config, groups, list(policies))
-            self.prefetch(grid)
-            return {
-                group: {
-                    policy: self.run(Experiment(group, policy, config))
-                    for policy in policies
-                }
-                for group in groups
-            }
         experiments = list(experiments)
         self.prefetch(experiments)
         return {experiment: self.run(experiment) for experiment in experiments}
@@ -351,54 +322,6 @@ class ExperimentRunner:
         """Run ``benchmark`` by itself on the full LLC (cached)."""
         return self.run(Experiment.alone_run(benchmark, system=config))
 
-    def cached_alone(
-        self, benchmark: str, config: SystemConfig
-    ) -> AloneResult | None:
-        """L1/L2 probe of an alone run without simulating."""
-        return self.cached(Experiment.alone_run(benchmark, system=config))
-
-    def cached_group(
-        self, group: str, config: SystemConfig, policy: str
-    ) -> RunResult | None:
-        """L1/L2 probe of a group run without simulating."""
-        return self.cached(Experiment(group, policy, config))
-
-    def cached_scenario(
-        self, scenario: "Scenario", config: SystemConfig, policy: str
-    ) -> RunResult | None:
-        """L1/L2 probe of a scenario run without simulating."""
-        return self.cached(
-            Experiment.for_scenario(scenario, system=config, policy=policy)
-        )
-
-    def run_group(
-        self,
-        group: str,
-        config: SystemConfig,
-        policy: str,
-    ) -> RunResult:
-        """Deprecated: ``run(Experiment(group, policy, config))``."""
-        _deprecated(
-            "run_group", "use run(Experiment(group, policy, system)) instead"
-        )
-        return self.run(Experiment(group, policy, config))
-
-    def run_scenario(
-        self,
-        scenario: "Scenario",
-        config: SystemConfig,
-        policy: str,
-    ) -> RunResult:
-        """Deprecated: ``run(Experiment.for_scenario(...))``."""
-        _deprecated(
-            "run_scenario",
-            "use run(Experiment.for_scenario(scenario, system=system, "
-            "policy=policy)) instead",
-        )
-        return self.run(
-            Experiment.for_scenario(scenario, system=config, policy=policy)
-        )
-
     def weighted_speedup_of(self, run: RunResult, config: SystemConfig) -> float:
         """Equation (1) for a finished group run."""
         alone_ipcs = [self.alone(core.benchmark, config).ipc for core in run.cores]
@@ -407,17 +330,13 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     # Parallel materialisation
     # ------------------------------------------------------------------
-    def prefetch(
-        self, tasks: "Iterable[Experiment | tuple[str, str, SystemConfig]]"
-    ) -> tuple[int, int]:
+    def prefetch(self, tasks: Iterable[Experiment]) -> tuple[int, int]:
         """Materialise specs into the store ahead of reads.
 
-        Accepts :class:`Experiment` specs (legacy ``(group, policy,
-        config)`` tuples are coerced).  With a store and
-        ``max_workers`` > 1 the specs (plus the alone runs they depend
-        on) are sharded across worker processes; otherwise this is a
-        no-op and the tasks run lazily in-process.  Returns
-        ``(computed, cached)`` counts.
+        With a store and ``max_workers`` > 1 the specs (plus the alone
+        runs they depend on) are sharded across worker processes;
+        otherwise this is a no-op and the tasks run lazily in-process.
+        Returns ``(computed, cached)`` counts.
         """
         if not self._parallel():
             return (0, 0)

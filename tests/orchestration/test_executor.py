@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiment import Experiment
+from repro.experiment import Experiment, by_group_policy
 from repro.orchestration.executor import SweepExecutor, orchestrated_runner, resolve_jobs
 from repro.orchestration.serialize import group_task_key
 from repro.orchestration.store import ResultStore
@@ -10,6 +10,10 @@ from repro.sim.runner import ExperimentRunner
 
 GROUPS = ["G2-4", "G2-8"]
 POLICIES = ("fair_share", "cooperative", "cpe")
+
+
+def grid(config):
+    return Experiment.grid(config, GROUPS, POLICIES)
 
 
 @pytest.fixture
@@ -20,26 +24,25 @@ def store(tmp_path):
 class TestParallelMatchesSerial:
     def test_sweep_results_identical(self, store, tiny_two_core):
         serial = ExperimentRunner()
-        expected = serial.normalized_weighted_speedup(
-            serial.sweep(tiny_two_core, POLICIES, GROUPS), tiny_two_core
-        )
+        serial_results = by_group_policy(serial.sweep(grid(tiny_two_core)))
+        expected = serial.normalized_weighted_speedup(serial_results, tiny_two_core)
 
         executor = SweepExecutor(store, max_workers=2)
-        results = executor.sweep(tiny_two_core, POLICIES, GROUPS)
+        executor.prefetch(grid(tiny_two_core))
+        # Every spec is now a cache hit for the executor's runner.
+        results = by_group_policy(executor.runner.sweep(grid(tiny_two_core)))
         actual = executor.runner.normalized_weighted_speedup(results, tiny_two_core)
         assert actual == expected, "parallel sweep must be bit-identical"
 
         energies = executor.runner.normalized_energy(results, "dynamic")
-        reference = serial.normalized_energy(
-            serial.sweep(tiny_two_core, POLICIES, GROUPS), "dynamic"
-        )
+        reference = serial.normalized_energy(serial_results, "dynamic")
         assert energies == reference
 
 
 class TestResume:
     def test_prefetch_reports_computed_then_cached(self, store, tiny_two_core):
         executor = SweepExecutor(store, max_workers=2)
-        tasks = [(g, p, tiny_two_core) for g in GROUPS for p in POLICIES]
+        tasks = grid(tiny_two_core)
         computed, cached = executor.prefetch(tasks)
         assert computed > 0 and cached == 0
         computed_again, cached_again = executor.prefetch(tasks)
@@ -48,7 +51,7 @@ class TestResume:
 
     def test_resumed_sweep_skips_completed_tasks(self, store, tiny_two_core):
         first = SweepExecutor(store, max_workers=2)
-        first.sweep(tiny_two_core, POLICIES, GROUPS)
+        first.prefetch(grid(tiny_two_core))
 
         # Kill one artifact to simulate an interrupted sweep...
         victim = group_task_key(tiny_two_core, "G2-4", "cooperative")
@@ -57,17 +60,15 @@ class TestResume:
         # ...and resume with an executor that cannot run in parallel
         # but must recompute exactly the missing task.
         resumed = SweepExecutor(store, max_workers=2)
-        _alone, main_pending, _total = resumed.plan(
-            [(g, p, tiny_two_core) for g in GROUPS for p in POLICIES]
-        )
+        _alone, main_pending, _total = resumed.plan(grid(tiny_two_core))
         assert main_pending == [Experiment("G2-4", "cooperative", tiny_two_core)]
-        resumed.sweep(tiny_two_core, POLICIES, GROUPS)
+        assert resumed.prefetch(grid(tiny_two_core))[0] == 1
         assert store.has(victim)
 
     def test_pending_alone_tasks_deduplicate(self, store, tiny_two_core):
         executor = SweepExecutor(store, max_workers=1)
         # G2-4 (lbm, povray) and G2-8 (lbm, soplex) share lbm.
-        tasks = [(g, "cooperative", tiny_two_core) for g in GROUPS]
+        tasks = Experiment.grid(tiny_two_core, GROUPS, ["cooperative"])
         alone_pending, _main, _total = executor.plan(tasks)
         names = sorted(e.workload.name for e in alone_pending)
         assert names == ["lbm", "povray", "soplex"]
@@ -76,23 +77,23 @@ class TestResume:
 class TestRunnerIntegration:
     def test_runner_sweep_uses_pool_when_configured(self, store, tiny_two_core):
         parallel = ExperimentRunner(store=store, max_workers=2)
-        results = parallel.sweep(tiny_two_core, POLICIES, GROUPS)
+        results = by_group_policy(parallel.sweep(grid(tiny_two_core)))
 
         serial = ExperimentRunner()
-        expected = serial.sweep(tiny_two_core, POLICIES, GROUPS)
+        expected = by_group_policy(serial.sweep(grid(tiny_two_core)))
         for group in GROUPS:
             for policy in POLICIES:
                 assert results[group][policy].ipcs() == expected[group][policy].ipcs()
 
     def test_prefetch_noop_without_store(self, tiny_two_core):
         runner = ExperimentRunner()
-        assert runner.prefetch([("G2-4", "ucp", tiny_two_core)]) == (0, 0)
+        assert runner.prefetch([Experiment("G2-4", "ucp", tiny_two_core)]) == (0, 0)
         assert runner.prefetch_alone(tiny_two_core, ["lbm"]) == (0, 0)
 
     def test_progress_callback_sees_every_task(self, store, tiny_two_core):
         lines = []
         executor = SweepExecutor(store, max_workers=2, progress=lines.append)
-        executor.prefetch([("G2-4", "fair_share", tiny_two_core)])
+        executor.prefetch([Experiment("G2-4", "fair_share", tiny_two_core)])
         assert any("alone" in line for line in lines)
         assert any("group G2-4 fair_share" in line for line in lines)
 

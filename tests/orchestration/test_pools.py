@@ -1,9 +1,11 @@
 """The pool layer: backend equivalence, the wire protocol, failure
 surfacing, and concurrent writers racing on one store."""
 
+import dataclasses
 import json
 import subprocess
 import sys
+import threading
 from io import BytesIO
 from pathlib import Path
 
@@ -54,11 +56,7 @@ class TestBackendEquivalence:
         assert computed > 0
         expected = {key: reference.get(key) for key in reference.keys()}
 
-        for pool, kwargs in [
-            ("warm", {}),
-            ("spawn", {}),
-            ("ssh", {"hosts": ["local"]}),
-        ]:
+        for pool, kwargs in [("warm", {}), ("ssh", {"hosts": ["local"]})]:
             store, _, _ = _sweep_into(
                 tmp_path / pool, tiny_two_core, pool, **kwargs
             )
@@ -111,8 +109,6 @@ class TestErrorSurfacing:
         assert error.backend == "warm"
 
     def test_executor_raises_sweep_task_error(self, tmp_path, tiny_two_core):
-        import dataclasses
-
         store = ResultStore(tmp_path / "store")
         executor = SweepExecutor(store, max_workers=2, pool="warm")
         # A zero-refs config passes spec validation and fails only
@@ -131,6 +127,43 @@ class TestErrorSurfacing:
         assert caught.value.backend == "warm"
         assert caught.value.error.startswith("ValueError")
         assert len(caught.value.key) == 64
+
+    def test_dead_warm_worker_raises_instead_of_hanging(
+        self, tmp_path, tiny_two_core, monkeypatch
+    ):
+        """A worker that dies mid-task never reports its task; the
+        pool must name the death instead of waiting forever."""
+        (tmp_path / "repro_die_on_import.py").write_text("import os\nos._exit(1)\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        good = PoolTask.from_experiment(
+            Experiment.alone_run("lbm", system=tiny_two_core)
+        )
+        doomed = dataclasses.replace(
+            good, key="d" * 64, label="doomed", policy_module="repro_die_on_import"
+        )
+        pool = WarmPool(ResultStore(tmp_path / "store"), max_workers=2)
+        raised: list[SweepTaskError] = []
+
+        def drain():
+            try:
+                while pool.outstanding:
+                    pool.wait_one()
+            except SweepTaskError as error:
+                raised.append(error)
+
+        pool.start()
+        try:
+            pool.submit_many([doomed, good])
+            drainer = threading.Thread(target=drain, daemon=True)
+            drainer.start()
+            drainer.join(timeout=20)
+            assert not drainer.is_alive(), "wait_one() hung on a dead worker"
+        finally:
+            pool.close()
+        assert len(raised) == 1
+        assert raised[0].backend == "warm"
+        assert "exited with code 1" in str(raised[0])
+        assert "--pool serial" in str(raised[0])
 
 
 class TestRemoteProtocol:
@@ -229,9 +262,9 @@ class TestRemoteProtocol:
 
 class TestSelection:
     def test_explicit_name_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL", "spawn")
-        assert resolve_pool_name("serial") == ("serial", ())
-        assert resolve_pool_name(None)[0] == "spawn"
+        monkeypatch.setenv("REPRO_POOL", "serial")
+        assert resolve_pool_name("warm") == ("warm", ())
+        assert resolve_pool_name(None)[0] == "serial"
 
     def test_hosts_imply_ssh(self, monkeypatch):
         monkeypatch.delenv("REPRO_POOL", raising=False)
@@ -250,13 +283,19 @@ class TestSelection:
         with pytest.raises(ValueError, match="hosts"):
             resolve_pool_name("ssh")
 
-    def test_unknown_name_is_an_error(self):
+    def test_unknown_name_is_an_error(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown pool"):
             resolve_pool_name("fleet")
+        with pytest.raises(ValueError, match="unknown pool 'spawn'") as caught:
+            resolve_pool_name("spawn")
+        assert str(caught.value).endswith("warm, ssh, serial")
+        monkeypatch.setenv("REPRO_POOL", "spawn")
+        with pytest.raises(ValueError, match="unknown pool"):
+            resolve_pool_name(None)
 
     def test_resolve_pool_builds_each_backend(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        for name in ("serial", "spawn", "warm"):
+        for name in ("serial", "warm"):
             assert resolve_pool(name, store=store, max_workers=2).name == name
         ssh = resolve_pool("ssh", store=store, hosts=["local"])
         assert ssh.name == "ssh" and ssh.hosts == ("local",)

@@ -20,7 +20,6 @@ from repro.partitioning.registry import (
     NoParams,
     PolicySpec,
     build_policy,
-    create_policy,
     policy_info,
     register_policy,
     registered_policies,
@@ -272,43 +271,3 @@ class TestBuildPolicy:
             PolicyStats(2),
         )
         assert policy.name == "Fair Share"
-
-
-class TestCreatePolicyShim:
-    def test_create_policy_warns_and_builds(self, tiny_two_core):
-        from repro.cache.set_associative import SetAssociativeCache
-        from repro.cache.memory import MainMemory
-        from repro.energy.accounting import EnergyAccounting
-        from repro.energy.cacti import CactiEnergyModel
-        from repro.partitioning.base import PolicyStats
-
-        cache = SetAssociativeCache(tiny_two_core.l2)
-        with pytest.warns(DeprecationWarning, match="create_policy"):
-            policy = create_policy(
-                "cooperative",
-                cache,
-                MainMemory(),
-                EnergyAccounting(CactiEnergyModel(tiny_two_core.l2, 2)),
-                PolicyStats(2),
-                [],
-                threshold=0.2,
-                seed=7,
-            )
-        assert policy.threshold == 0.2
-
-    def test_create_policy_unknown_name_lists_registered(self, tiny_two_core):
-        from repro.cache.set_associative import SetAssociativeCache
-        from repro.cache.memory import MainMemory
-        from repro.energy.accounting import EnergyAccounting
-        from repro.energy.cacti import CactiEnergyModel
-        from repro.partitioning.base import PolicyStats
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="cooperative"):
-                create_policy(
-                    "nope",
-                    SetAssociativeCache(tiny_two_core.l2),
-                    MainMemory(),
-                    EnergyAccounting(CactiEnergyModel(tiny_two_core.l2, 2)),
-                    PolicyStats(2),
-                )

@@ -225,8 +225,9 @@ def test_run_scenario_caches_and_round_trips(tmp_path, config, static_run):
     scenario = consolidation_scenario(
         BENCHMARKS, [1], _mid_window(static_run), name="store-test"
     )
-    first = cached_runner.run(Experiment.for_scenario(scenario, system=config, policy="cooperative"))
-    assert cached_runner.cached_scenario(scenario, config, "cooperative") is first
+    spec = Experiment.for_scenario(scenario, system=config, policy="cooperative")
+    first = cached_runner.run(spec)
+    assert cached_runner.cached(spec) is first
     # A fresh runner sharing the store reads the identical artifact.
     rereader = ExperimentRunner(store=store)
     reread = rereader.run(Experiment.for_scenario(scenario, system=config, policy="cooperative"))

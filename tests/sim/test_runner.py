@@ -51,12 +51,6 @@ class TestGroupRuns:
         b = runner.run(Experiment("G2-4", "unmanaged", tiny_two_core))
         assert a is b
 
-    def test_run_group_shim_hits_the_same_cache(self, runner, tiny_two_core):
-        a = runner.run(Experiment("G2-4", "unmanaged", tiny_two_core))
-        with pytest.warns(DeprecationWarning):
-            b = runner.run_group("G2-4", tiny_two_core, "unmanaged")
-        assert a is b
-
     def test_weighted_speedup_positive(self, runner, tiny_two_core):
         run = runner.run(Experiment("G2-4", "fair_share", tiny_two_core))
         ws = runner.weighted_speedup_of(run, tiny_two_core)
@@ -91,24 +85,9 @@ class TestSweepNormalisation:
             assert group_row["fair_share"] == pytest.approx(1.0)
             assert group_row["cooperative"] > 0
 
-    def test_legacy_sweep_signature_still_tabulates(self, runner, tiny_two_core):
-        results = runner.sweep(
-            tiny_two_core,
-            policies=("fair_share", "cooperative"),
-            groups=["G2-4", "G2-8"],
-        )
-        ws = runner.normalized_weighted_speedup(results, tiny_two_core)
-        dyn = runner.normalized_energy(results, "dynamic")
-        stat = runner.normalized_energy(results, "static")
-        for table in (ws, dyn, stat):
-            assert set(table) == {"G2-4", "G2-8"}
-            for group_row in table.values():
-                assert group_row["fair_share"] == pytest.approx(1.0)
-                assert group_row["cooperative"] > 0
-
     def test_unknown_energy_kind(self, runner, tiny_two_core):
-        results = runner.sweep(
-            tiny_two_core, policies=("fair_share",), groups=["G2-4"]
+        results = by_group_policy(
+            runner.sweep(Experiment.grid(tiny_two_core, ["G2-4"], ["fair_share"]))
         )
         with pytest.raises(ValueError):
             runner.normalized_energy(results, "thermal")

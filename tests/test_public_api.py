@@ -1,11 +1,8 @@
 """The public API surface stays importable, complete and compatible.
 
-Three layers of guarantees:
+Two layers of guarantees:
 
 * every exported name resolves and the headline symbols behave;
-* the deprecated string-based entry points (``run_group``,
-  ``run_scenario``, ``create_policy``) warn but stay **bit-identical**
-  to the spec path, under the very same store task keys;
 * the committed ``tests/api_surface.json`` snapshot pins the whole
   surface against accidental drift (regenerate deliberately via
   ``python -m repro.bench.api_surface``).
@@ -14,21 +11,11 @@ Three layers of guarantees:
 import json
 from pathlib import Path
 
-import pytest
-
 import repro
-from repro import Experiment, ExperimentRunner, PolicySpec
 from repro.bench.api_surface import compute_surface, diff_surface
 
 #: anchored to this file so the test passes from any working directory
 SURFACE_PATH = Path(__file__).parent / "api_surface.json"
-from repro.orchestration.serialize import (
-    group_task_key,
-    run_result_to_dict,
-    scenario_task_key,
-)
-from repro.orchestration.store import ResultStore
-from repro.scenarios.model import consolidation_scenario
 
 
 class TestPublicAPI:
@@ -69,126 +56,6 @@ class TestPublicAPI:
         )
         assert experiment.kind == "group"
         assert experiment.system.threshold == 0.1
-
-
-class TestDeprecatedShims:
-    """Old call signatures warn, but numbers and keys never move."""
-
-    def test_run_group_shim_bit_identical_and_same_key(
-        self, tmp_path, tiny_two_core
-    ):
-        old_store = ResultStore(tmp_path / "old")
-        new_store = ResultStore(tmp_path / "new")
-        with pytest.warns(DeprecationWarning, match="run_group"):
-            old = ExperimentRunner(store=old_store).run_group(
-                "G2-4", tiny_two_core, "cooperative"
-            )
-        experiment = Experiment("G2-4", "cooperative", tiny_two_core)
-        new = ExperimentRunner(store=new_store).run(experiment)
-        assert run_result_to_dict(old) == run_result_to_dict(new)
-        # Same task key: the artifact the shim persisted is a cache
-        # hit for the spec path (and vice versa), byte-for-byte.
-        key = group_task_key(tiny_two_core, "G2-4", "cooperative")
-        assert experiment.task_key() == key
-        assert old_store.path_for(key).read_bytes() == new_store.path_for(
-            key
-        ).read_bytes()
-
-    def test_run_scenario_shim_bit_identical_and_same_key(
-        self, tmp_path, tiny_two_core
-    ):
-        scenario = consolidation_scenario(("lbm", "povray"), [1], 2_000_000)
-        store = ResultStore(tmp_path / "store")
-        with pytest.warns(DeprecationWarning, match="run_scenario"):
-            old = ExperimentRunner(store=store).run_scenario(
-                scenario, tiny_two_core, "cooperative"
-            )
-        experiment = Experiment.for_scenario(
-            scenario, system=tiny_two_core, policy="cooperative"
-        )
-        assert experiment.task_key() == scenario_task_key(
-            tiny_two_core, scenario, "cooperative"
-        )
-        # The spec path resolves the shim's artifact as a pure cache hit.
-        reread = ExperimentRunner(store=store).run(experiment)
-        assert run_result_to_dict(reread) == run_result_to_dict(old)
-
-    def test_legacy_prefetch_tuples_still_coerce(self, tmp_path, tiny_two_core):
-        runner = ExperimentRunner(
-            store=ResultStore(tmp_path / "store"), max_workers=2
-        )
-        computed, cached = runner.prefetch([("G2-4", "fair_share", tiny_two_core)])
-        assert computed > 0
-        assert runner.cached(
-            Experiment("G2-4", "fair_share", tiny_two_core)
-        ) is not None
-
-    def test_deprecation_warnings_point_at_caller_code(
-        self, tmp_path, tiny_two_core
-    ):
-        """The shims must warn with a stacklevel that attributes the
-        warning to the *calling* line — this file — not to the shim's
-        own ``warnings.warn`` call inside the library, so users can
-        find the call site to migrate."""
-        import warnings
-
-        from repro.cache.memory import MainMemory
-        from repro.cache.set_associative import SetAssociativeCache
-        from repro.energy.accounting import EnergyAccounting
-        from repro.energy.cacti import CactiEnergyModel
-        from repro.partitioning.base import PolicyStats
-
-        runner = ExperimentRunner()
-        scenario = consolidation_scenario(("lbm", "povray"), [1], 2_000_000)
-        shim_calls = {
-            "run_group": lambda: runner.run_group(
-                "G2-4", tiny_two_core, "fair_share"
-            ),
-            "run_scenario": lambda: runner.run_scenario(
-                scenario, tiny_two_core, "fair_share"
-            ),
-            "create_policy": lambda: repro.create_policy(
-                "fair_share",
-                SetAssociativeCache(tiny_two_core.l2),
-                MainMemory(),
-                EnergyAccounting(CactiEnergyModel(tiny_two_core.l2, 2)),
-                PolicyStats(2),
-            ),
-        }
-        for name, call in shim_calls.items():
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                call()
-            deprecations = [
-                warning
-                for warning in caught
-                if issubclass(warning.category, DeprecationWarning)
-                and name in str(warning.message)
-            ]
-            assert deprecations, f"{name} emitted no DeprecationWarning"
-            for warning in deprecations:
-                assert warning.filename == __file__, (
-                    f"{name}'s DeprecationWarning points at "
-                    f"{warning.filename}:{warning.lineno} instead of the "
-                    f"caller ({__file__})"
-                )
-
-    def test_create_policy_string_form_warns(self, tiny_two_core):
-        from repro.cache.memory import MainMemory
-        from repro.cache.set_associative import SetAssociativeCache
-        from repro.energy.accounting import EnergyAccounting
-        from repro.energy.cacti import CactiEnergyModel
-        from repro.partitioning.base import PolicyStats
-
-        with pytest.warns(DeprecationWarning, match="create_policy"):
-            policy = repro.create_policy(
-                "fair_share",
-                SetAssociativeCache(tiny_two_core.l2),
-                MainMemory(),
-                EnergyAccounting(CactiEnergyModel(tiny_two_core.l2, 2)),
-                PolicyStats(2),
-            )
-        assert policy.name == "Fair Share"
 
 
 class TestApiSurfaceSnapshot:
