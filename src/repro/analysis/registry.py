@@ -1,18 +1,18 @@
-"""The rule registry — ``@register_rule`` mirrors the policy and
-governor registries.
+"""The rule registry — ``@register_rule`` on the same
+:class:`~repro.registry.Registry` as the policy and governor registries.
 
 A rule is a callable ``(context: AnalysisContext) -> Iterable[Finding]``
 registered under a stable kebab-case id.  Built-in rules live in
-:mod:`repro.analysis.rules` and register lazily on first lookup, the
-same one-way-import trick the policy registry uses; third-party rules
-just import this module and decorate.
+:mod:`repro.analysis.rules` and register lazily on first lookup;
+third-party rules just import this module and decorate.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from importlib import import_module
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+
+from repro.registry import Registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.engine import AnalysisContext
@@ -62,21 +62,24 @@ class RegisteredRule:
     fixable: bool = False
 
 
-_REGISTRY: dict[str, RegisteredRule] = {}
+class _RuleRegistry(Registry[RegisteredRule]):
+    """Rules list sorted by (category, name), not built-ins first."""
 
-#: module registering the built-in rules on import (lazily, on first
-#: lookup — keeps registry importable without the rule modules)
-_BUILTIN_MODULE = "repro.analysis.rules"
+    def names(self) -> tuple[str, ...]:
+        self.load_builtins()
+        order = {category: index for index, category in enumerate(CATEGORIES)}
+        return tuple(
+            sorted(
+                self._entries,
+                key=lambda name: (order[self._entries[name].category], name),
+            )
+        )
 
-_builtins_loaded = False
+    def _catalog(self) -> list[str]:
+        return list(self.names())
 
 
-def _ensure_builtins() -> None:
-    global _builtins_loaded
-    if not _builtins_loaded:
-        # Flip first: the import below re-enters via register_rule.
-        _builtins_loaded = True
-        import_module(_BUILTIN_MODULE)
+_RULES = _RuleRegistry("rule", "rules", modules=("repro.analysis.rules",))
 
 
 def register_rule(
@@ -104,20 +107,18 @@ def register_rule(
         )
 
     def decorate(check: RuleCheck) -> RuleCheck:
-        if name in _REGISTRY:
-            raise ValueError(
-                f"rule {name!r} is already registered (by "
-                f"{_REGISTRY[name].check.__qualname__}); call "
-                f"unregister_rule({name!r}) first"
-            )
         doc = (check.__doc__ or "").strip().splitlines()
-        _REGISTRY[name] = RegisteredRule(
-            name=name,
-            check=check,
-            category=category,
-            default_severity=default_severity,
-            summary=summary or (doc[0] if doc else name),
-            fixable=fixable,
+        _RULES.add(
+            name,
+            check,
+            RegisteredRule(
+                name=name,
+                check=check,
+                category=category,
+                default_severity=default_severity,
+                summary=summary or (doc[0] if doc else name),
+                fixable=fixable,
+            ),
         )
         return check
 
@@ -126,37 +127,21 @@ def register_rule(
 
 def unregister_rule(name: str) -> None:
     """Remove ``name`` from the registry (tests, reloads)."""
-    if _REGISTRY.pop(name, None) is None:
-        raise ValueError(
-            f"rule {name!r} is not registered; registered rules: "
-            f"{', '.join(sorted(_REGISTRY)) or 'none'}"
-        )
+    _RULES.remove(name)
 
 
 def registered_rules() -> tuple[str, ...]:
     """Ids of every registered rule, sorted by (category, name)."""
-    _ensure_builtins()
-    order = {category: index for index, category in enumerate(CATEGORIES)}
-    return tuple(
-        sorted(_REGISTRY, key=lambda name: (order[_REGISTRY[name].category], name))
-    )
+    return _RULES.names()
 
 
 def rule_info(name: str) -> RegisteredRule:
     """Registry record for ``name`` (raises with the known ids)."""
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown rule {name!r}; registered rules: "
-            f"{', '.join(registered_rules())}"
-        ) from None
+    return _RULES.info(name)
 
 
 def is_registered(name: str) -> bool:
-    _ensure_builtins()
-    return name in _REGISTRY
+    return name in _RULES
 
 
 class _RuleNames:

@@ -1,33 +1,17 @@
-"""Performance measurement for the simulation engine.
+"""Verification tooling for the simulation engine.
 
-Two closely related facilities live here:
-
-* :mod:`repro.bench.harness` — the throughput harness behind
-  ``repro bench``: it times the simulator on a fixed workload matrix,
-  reports references/second, writes ``BENCH_sim_throughput.json``
-  and can fail on regressions against a committed baseline;
 * :mod:`repro.bench.golden` — the golden-equivalence matrix: a fixed
   set of (scheme x cores x geometry) simulations whose bit-exact
   :class:`~repro.sim.stats.RunResult` serialisations are committed as
   fixtures, so any engine change that alters a single counter is
-  caught by the test suite.
+  caught by the test suite;
+* :mod:`repro.bench.differential` — the scenario-corpus invariant
+  suites behind ``repro scenario --suite``;
+* :mod:`repro.bench.api_surface` — the committed public-API snapshot;
+* :mod:`repro.bench.sweep_throughput` — the many-small-task threshold
+  sweep that perfbench's ``threshold-grid`` workload times.
 
-Both use only the public simulation API, so they measure exactly what
-users of :class:`~repro.sim.simulator.CMPSimulator` experience.
+Performance is measured end to end by ``perfbench/`` (cold-store
+figure sweeps, interleaved A/B against another tree; see
+``docs/performance.md``), not here.
 """
-
-from repro.bench.harness import (
-    BENCH_FILENAME,
-    BenchCase,
-    bench_matrix,
-    compare_to_baseline,
-    run_benchmarks,
-)
-
-__all__ = [
-    "BENCH_FILENAME",
-    "BenchCase",
-    "bench_matrix",
-    "compare_to_baseline",
-    "run_benchmarks",
-]

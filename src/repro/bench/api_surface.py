@@ -67,9 +67,14 @@ def _signature_of(function: Any) -> list[dict[str, Any]]:
 
 
 def _public_methods(cls: type) -> dict[str, list[dict[str, Any]]]:
-    """Signatures of a class's public methods (dunders excluded)."""
+    """Signatures of a class's public methods, inherited ones included
+    (dunders and ``object``'s members excluded)."""
+    members: dict[str, Any] = {}
+    for klass in reversed(cls.__mro__):
+        if klass is not object:
+            members.update(vars(klass))
     methods: dict[str, list[dict[str, Any]]] = {}
-    for name, member in sorted(vars(cls).items()):
+    for name, member in sorted(members.items()):
         if name.startswith("_"):
             continue
         if isinstance(member, (classmethod, staticmethod)):
@@ -82,45 +87,27 @@ def _public_methods(cls: type) -> dict[str, list[dict[str, Any]]]:
     return methods
 
 
-def _params_surface(info: Any) -> dict[str, Any]:
-    """Declared-parameter snapshot of one registry entry (shared by
-    the policy and governor registries — they declare params the same
-    way)."""
-    return {
-        field.name: {
-            "type": str(field.type),
-            "default": repr(info.param_defaults().get(field.name)),
+def _class_registry_surface(
+    names: tuple[str, ...], info: Any, *extras: str
+) -> dict[str, Any]:
+    """Snapshot of the policy or governor registry: display names,
+    ``extras`` entry fields and declared parameters."""
+    surface: dict[str, Any] = {}
+    for name in sorted(names):
+        entry = info(name)
+        defaults = entry.param_defaults()
+        surface[name] = {
+            "display_name": entry.display_name,
+            **{extra: getattr(entry, extra) for extra in extras},
+            "params": {
+                field.name: {
+                    "type": str(field.type),
+                    "default": repr(defaults.get(field.name)),
+                }
+                for field in dataclasses.fields(entry.params_type)
+            },
         }
-        for field in dataclasses.fields(info.params_type)
-    }
-
-
-def _registry_surface() -> dict[str, Any]:
-    from repro.partitioning.registry import policy_info, registered_policies
-
-    policies: dict[str, Any] = {}
-    for name in sorted(registered_policies()):
-        info = policy_info(name)
-        policies[name] = {
-            "display_name": info.display_name,
-            "needs_monitors": info.needs_monitors,
-            "profile_kwarg": info.profile_kwarg,
-            "params": _params_surface(info),
-        }
-    return policies
-
-
-def _governor_surface() -> dict[str, Any]:
-    from repro.dvfs.governors import governor_info, registered_governors
-
-    governors: dict[str, Any] = {}
-    for name in sorted(registered_governors()):
-        info = governor_info(name)
-        governors[name] = {
-            "display_name": info.display_name,
-            "params": _params_surface(info),
-        }
-    return governors
+    return surface
 
 
 def _scenarios_surface() -> dict[str, Any]:
@@ -269,9 +256,19 @@ def _obs_surface() -> dict[str, Any]:
 def compute_surface() -> dict[str, Any]:
     """The current public-API surface as a JSON-stable document."""
     import repro
-    from repro.dvfs.governors import GovernorSpec, register_governor
+    from repro.dvfs.governors import (
+        GovernorSpec,
+        governor_info,
+        register_governor,
+        registered_governors,
+    )
     from repro.experiment import Experiment, WorkloadSpec
-    from repro.partitioning.registry import PolicySpec, register_policy
+    from repro.partitioning.registry import (
+        PolicySpec,
+        policy_info,
+        register_policy,
+        registered_policies,
+    )
     from repro.scenarios.timeline import TimelineSample
     from repro.sim.runner import ExperimentRunner
 
@@ -302,8 +299,12 @@ def compute_surface() -> dict[str, Any]:
         "runner": _public_methods(ExperimentRunner),
         "register_policy": _signature_of(register_policy),
         "register_governor": _signature_of(register_governor),
-        "policies": _registry_surface(),
-        "governors": _governor_surface(),
+        "policies": _class_registry_surface(
+            registered_policies(), policy_info, "needs_monitors", "profile_kwarg"
+        ),
+        "governors": _class_registry_surface(
+            registered_governors(), governor_info
+        ),
         "scenarios": _scenarios_surface(),
         "orchestration": _orchestration_surface(),
         "analysis": _analysis_surface(),

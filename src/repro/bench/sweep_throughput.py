@@ -1,8 +1,8 @@
 """The many-small-task threshold sweep used to time orchestration.
 
-Where :mod:`repro.bench.harness` times the simulation *engine* (refs/s
-of one big run), this workload exercises the *orchestration layer*:
-per-task dispatch, worker start-up, store I/O and resume planning.
+Rather than one big simulation, this workload exercises the
+*orchestration layer*: per-task dispatch, worker start-up, store I/O
+and resume planning.
 perfbench's ``threshold-grid`` workload runs it end to end and
 compares two trees with an interleaved A/B (see
 ``perfbench/README.md``).

@@ -1,11 +1,11 @@
-"""Pluggable DVFS governors: a registry mirroring the policy registry.
+"""Pluggable DVFS governors, registered like partitioning policies.
 
 A **governor** decides, once per partitioning epoch, which operating
 point each core runs at next — the DVFS counterpart of a partitioning
 policy's way allocation.  Governors register with the
 :func:`register_governor` decorator and are addressed by a
-:class:`GovernorSpec`, exactly like policies and :class:`~repro.
-partitioning.registry.PolicySpec`::
+:class:`GovernorSpec` — the same :mod:`repro.registry` machinery
+behind policies and :class:`~repro.partitioning.registry.PolicySpec`::
 
     @dataclass(frozen=True)
     class MyGovernorParams:
@@ -44,45 +44,17 @@ Three governors ship built in:
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterator, Mapping
+from typing import Callable
 
-from repro.dvfs.model import GATED_LEVEL, VFTable, default_vf_table
+from repro.dvfs.model import VFTable
+from repro.partitioning.registry import NoParams
+from repro.registry import DisplayNames, Registered, Registry, Spec
 
-# The typed parameter-binding machinery is shared with the policy
-# registry — same eager validation, same int->float coercion — so a
-# governor parameter behaves exactly like a policy parameter.
-from repro.partitioning.registry import NoParams, _bind_params
-
-
-@dataclasses.dataclass(frozen=True)
-class RegisteredGovernor:
-    """One registry entry: the governor class plus declared metadata."""
-
-    name: str
-    cls: type
-    display_name: str
-    params_type: type
-
-    def param_fields(self) -> dict[str, dataclasses.Field]:
-        """Declared parameters, keyed by name."""
-        return {field.name: field for field in dataclasses.fields(self.params_type)}
-
-    def param_defaults(self) -> dict[str, Any]:
-        """Default value of every declared parameter."""
-        defaults: dict[str, Any] = {}
-        for name, field in self.param_fields().items():
-            if field.default is not dataclasses.MISSING:
-                defaults[name] = field.default
-            elif field.default_factory is not dataclasses.MISSING:  # type: ignore[misc]
-                defaults[name] = field.default_factory()  # type: ignore[misc]
-        return defaults
-
-
-_REGISTRY: dict[str, RegisteredGovernor] = {}
-
-#: the built-in governors in documentation order; iteration yields
-#: these first, then third-party governors in registration order
-_BUILTIN_ORDER = ("fixed", "ondemand", "coordinated")
+#: iteration yields the built-ins in documentation order, then
+#: third-party governors in registration order
+_GOVERNORS: Registry[Registered] = Registry(
+    "governor", "governors", builtins=("fixed", "ondemand", "coordinated")
+)
 
 
 def register_governor(
@@ -90,7 +62,7 @@ def register_governor(
     *,
     params: type = NoParams,
     display_name: str | None = None,
-):
+) -> Callable[[type], type]:
     """Class decorator registering a DVFS governor under ``name``.
 
     ``params`` is a dataclass declaring the governor's spec-addressable
@@ -98,149 +70,36 @@ def register_governor(
     attribute.  Registering a name twice raises — call
     :func:`unregister_governor` first (tests, notebook reloads).
     """
-    if not (isinstance(params, type) and dataclasses.is_dataclass(params)):
-        raise TypeError(
-            f"params must be a dataclass type declaring the governor's "
-            f"parameters, got {params!r}"
-        )
-
-    def decorate(cls: type) -> type:
-        if name in _REGISTRY:
-            raise ValueError(
-                f"governor {name!r} is already registered (by "
-                f"{_REGISTRY[name].cls.__qualname__}); call "
-                f"unregister_governor({name!r}) first"
-            )
-        _REGISTRY[name] = RegisteredGovernor(
-            name=name,
-            cls=cls,
-            display_name=display_name or getattr(cls, "name", name),
-            params_type=params,
-        )
-        return cls
-
-    return decorate
+    return _GOVERNORS.class_decorator(
+        name, params, lambda cls: Registered.of(name, cls, params, display_name)
+    )
 
 
 def unregister_governor(name: str) -> None:
     """Remove ``name`` from the governor registry."""
-    if _REGISTRY.pop(name, None) is None:
-        raise ValueError(
-            f"governor {name!r} is not registered; registered governors: "
-            f"{', '.join(sorted(_REGISTRY)) or 'none'}"
-        )
+    _GOVERNORS.remove(name)
 
 
 def registered_governors() -> tuple[str, ...]:
     """Short names of every registered governor (built-ins first)."""
-    builtins = tuple(name for name in _BUILTIN_ORDER if name in _REGISTRY)
-    extras = tuple(name for name in _REGISTRY if name not in _BUILTIN_ORDER)
-    return builtins + extras
+    return _GOVERNORS.names()
 
 
-def governor_info(name: str) -> RegisteredGovernor:
+def governor_info(name: str) -> Registered:
     """Registry entry for ``name``; unknown names fail with the list
     of registered governors."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown governor {name!r}; registered governors: "
-            f"{', '.join(sorted(_REGISTRY))}"
-        ) from None
-
-
-class _GovernorNames(Mapping):
-    """Live short-name -> display-name view of the governor registry."""
-
-    def __getitem__(self, key: str) -> str:
-        info = _REGISTRY.get(key)
-        if info is None:
-            raise KeyError(key)
-        return info.display_name
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(registered_governors())
-
-    def __len__(self) -> int:
-        return len(_REGISTRY)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
+    return _GOVERNORS.info(name)
 
 
 #: short name -> display name of every registered governor
-GOVERNOR_NAMES = _GovernorNames()
+GOVERNOR_NAMES = DisplayNames(_GOVERNORS)
 
 
-# ----------------------------------------------------------------------
-# GovernorSpec
-# ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True, init=False, repr=False)
-class GovernorSpec:
-    """A registered governor plus a validated parameter binding.
+class GovernorSpec(Spec[Registered]):
+    """A registered governor plus a validated parameter binding — the
+    DVFS half of an :class:`~repro.experiment.Experiment`."""
 
-    The DVFS half of an :class:`~repro.experiment.Experiment`; frozen
-    and hashable, with equality over the *bound* parameters (defaults
-    filled in), mirroring :class:`~repro.partitioning.registry.
-    PolicySpec` exactly.
-    """
-
-    name: str
-    #: canonical, sorted (parameter, value) binding — defaults included
-    params: tuple[tuple[str, Any], ...]
-
-    def __init__(self, name: str, **params: Any) -> None:
-        info = governor_info(name)
-        bound = _bind_params(info, params)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "params", tuple(sorted(bound.items())))
-
-    # -- introspection -------------------------------------------------
-    @property
-    def info(self) -> RegisteredGovernor:
-        """The registry entry this spec resolves to."""
-        return governor_info(self.name)
-
-    @property
-    def display_name(self) -> str:
-        """The human-readable governor name."""
-        return self.info.display_name
-
-    def bound_params(self) -> dict[str, Any]:
-        """The complete parameter binding, defaults filled in."""
-        return dict(self.params)
-
-    def non_default_params(self) -> dict[str, Any]:
-        """Parameters bound to something other than their default."""
-        defaults = self.info.param_defaults()
-        return {
-            name: value
-            for name, value in self.params
-            if name not in defaults or defaults[name] != value
-        }
-
-    def with_params(self, **updates: Any) -> "GovernorSpec":
-        """Copy of this spec with ``updates`` merged into the binding."""
-        merged = {**self.non_default_params(), **updates}
-        return GovernorSpec(self.name, **merged)
-
-    # -- serialisation -------------------------------------------------
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-encodable form (non-default parameters only)."""
-        return {"name": self.name, "params": self.non_default_params()}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "GovernorSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        return cls(data["name"], **data.get("params", {}))
-
-    def __repr__(self) -> str:
-        extras = "".join(
-            f", {name}={value!r}"
-            for name, value in sorted(self.non_default_params().items())
-        )
-        return f"GovernorSpec({self.name!r}{extras})"
+    _registry = _GOVERNORS
 
 
 def build_governor(

@@ -95,7 +95,8 @@ class TraceRecorder(NullRecorder):
     enabled = True
 
     #: Cap on retained kernel-span events; compiled runs can execute tens
-    #: of thousands of spans and the totals are what bench --profile needs.
+    #: of thousands of spans and the totals (``summary()``) are what a
+    #: profile or ledger needs.
     KERNEL_EVENT_CAP = 2000
 
     def __init__(self) -> None:
@@ -113,8 +114,9 @@ class TraceRecorder(NullRecorder):
         self._epochs = 0
         self._epoch_wall_us = 0.0
         self._epoch_cycle = 0
-        # Kernel-span totals are cumulative across runs (bench profiles
-        # a whole matrix); per-run deltas come from run_begin baselines.
+        # Kernel-span totals are cumulative across runs (a profiled or
+        # ledgered sweep spans many); per-run deltas come from run_begin
+        # baselines.
         self._kernel_spans = 0
         self._kernel_seconds = 0.0
         self._kernel_refs = 0
@@ -226,7 +228,9 @@ class TraceRecorder(NullRecorder):
             "kernel_seconds": self._kernel_seconds - self._run_kernel_seconds,
             "kernel_refs": self._kernel_refs - self._run_kernel_refs,
         }
-        self.end(self._run_token, epochs=self._epochs, **args)
+        # The run span carries its kernel totals, so a trace holds them
+        # exactly even past KERNEL_EVENT_CAP.
+        self.end(self._run_token, **summary, **args)
         self._run_token = -1
         return summary
 

@@ -1,6 +1,6 @@
 """``repro`` — the command-line front end of the reproduction.
 
-Eight subcommands drive the whole evaluation through the orchestrator:
+Seven subcommands drive the whole evaluation through the orchestrator:
 
 * ``repro sweep``    — run a (group × scheme) cross-product in
   parallel, persisting every result; re-running is a cache-hit no-op.
@@ -21,10 +21,6 @@ Eight subcommands drive the whole evaluation through the orchestrator:
   drives the committed scenario corpus through the differential
   invariant harness — every selected policy × governor combination,
   exiting non-zero on any violation (see ``docs/scenarios.md``).
-* ``repro bench``    — time the simulation engine on the fixed
-  workload matrix, write ``BENCH_sim_throughput.json`` and (with
-  ``--check``) fail on throughput regressions against a committed
-  baseline (see ``docs/performance.md``).
 * ``repro serve``    — run the sweep-as-a-service daemon: accept spec
   JSON over HTTP, schedule jobs against the store, stream progress,
   and survive restarts via resume-from-store (see
@@ -51,11 +47,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from functools import partial
 from typing import Sequence
 
 from repro.analysis.cli import add_check_arguments, cmd_check
-from repro.bench.harness import BENCH_FILENAME
 from repro.experiment import Experiment
 from repro.metrics.speedup import geometric_mean
 from repro.obs.log import progress
@@ -309,54 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "(default: $REPRO_JOBS or CPU count)",
     )
     scenario.set_defaults(handler=_cmd_scenario)
-
-    bench = commands.add_parser(
-        "bench", parents=[obs_flags, quiet_flag],
-        help="measure engine throughput (refs/s) on the fixed workload matrix",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="smoke-sized matrix (two cases, short traces) for CI",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=None, metavar="N",
-        help="timed runs per case, best kept (default: 3, 2 with --quick)",
-    )
-    bench.add_argument(
-        "--output", default=None, metavar="FILE",
-        help=f"where to write the payload (default: ./{BENCH_FILENAME}; "
-             f"'-' skips writing)",
-    )
-    bench.add_argument(
-        "--baseline", default="benchmarks/perf/baseline.json", metavar="FILE",
-        help="pre-overhaul engine payload to report the speedup against "
-             "(default: benchmarks/perf/baseline.json; skipped if missing)",
-    )
-    bench.add_argument(
-        "--check", default=None, metavar="FILE",
-        help="compare against a committed bench payload and exit non-zero "
-             "on any regression beyond --tolerance",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=0.20, metavar="F",
-        help="allowed fractional throughput drop for --check (default 0.20)",
-    )
-    bench.add_argument(
-        "--engine", default=None, metavar="NAME",
-        choices=["auto", "python", "compiled"],
-        help="execution backend to time: auto (default; fastest "
-             "available, also honours $REPRO_ENGINE), python or "
-             "compiled — an explicit request this machine cannot "
-             "satisfy is an error, never a silent fallback",
-    )
-    bench.add_argument(
-        "--profile", default=None, metavar="OUT.prof",
-        help="run the matrix under cProfile and write pstats data to "
-             "OUT.prof (inspect with `python -m pstats OUT.prof` or "
-             "snakeviz); timings include profiler overhead, so the "
-             "payload is not written and --check is unavailable",
-    )
-    bench.set_defaults(handler=_cmd_bench)
 
     serve = commands.add_parser(
         "serve", parents=[common, pooling, quiet_flag],
@@ -1134,118 +1080,6 @@ def _run_scenario_suite(options: argparse.Namespace) -> int:
     else:
         print(render_report(report))
     return 0 if report.ok else 1
-
-
-def _cmd_bench(options: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.bench.harness import (
-        bench_matrix,
-        carry_trajectory,
-        compare_to_baseline,
-        load_payload,
-        run_benchmarks,
-        speedup_over,
-        write_payload,
-    )
-
-    from repro.engine import EngineUnavailableError, resolve_engine
-
-    repeats = options.repeats
-    if repeats is None:
-        repeats = 2 if options.quick else 3
-    if repeats <= 0:
-        raise SystemExit(f"--repeats must be positive, got {repeats}")
-    if not 0.0 <= options.tolerance < 1.0:
-        raise SystemExit(f"--tolerance must be in [0, 1), got {options.tolerance}")
-    try:
-        engine = resolve_engine(options.engine)
-    except EngineUnavailableError as exc:
-        raise SystemExit(str(exc))
-    cases = bench_matrix(quick=options.quick)
-    # Bench timing lines belong on stdout; --quiet still silences them.
-    stdout_progress = partial(progress, stream=sys.stdout)
-    stdout_progress(f"timing {len(cases)} cases on the {engine} engine, "
-                    f"best of {repeats} runs each:")
-
-    if options.profile:
-        # Profiling answers "where does the time go", not "how fast is
-        # it": the instrumented numbers are not comparable to normal
-        # payloads, so nothing is persisted or checked.  The compiled
-        # engine's kernel is opaque to cProfile (one long C call), so a
-        # scratch trace recorder collects kernel span totals alongside
-        # the Python-side profile.
-        import cProfile
-
-        from repro.obs import trace as obs_trace
-
-        scratch = obs_trace.TraceRecorder()
-        previous_recorder = obs_trace.set_recorder(scratch)
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
-            payload = run_benchmarks(
-                cases, repeats=repeats, progress=stdout_progress, engine=engine
-            )
-        finally:
-            profiler.disable()
-            obs_trace.set_recorder(previous_recorder)
-        profiler.dump_stats(options.profile)
-        print(
-            f"aggregate: {payload['aggregate_refs_per_sec']:,.0f} refs/s "
-            f"(geomean; includes profiler overhead)"
-        )
-        spans = scratch.summary()
-        if spans.get("kernel_spans"):
-            print(
-                f"compiled kernel: {spans['kernel_spans']} span(s), "
-                f"{spans['kernel_seconds']:.3f}s inside the kernel, "
-                f"{spans['kernel_refs']:,} refs (invisible to cProfile)"
-            )
-        print(f"wrote profile data to {options.profile}")
-        return 0
-
-    payload = run_benchmarks(
-        cases, repeats=repeats, progress=stdout_progress, engine=engine
-    )
-    print(f"aggregate: {payload['aggregate_refs_per_sec']:,.0f} refs/s (geomean)")
-
-    if options.baseline and Path(options.baseline).exists():
-        baseline = load_payload(options.baseline)
-        speedup = speedup_over(payload, baseline)
-        if speedup is not None:
-            print(
-                f"speedup vs {baseline.get('engine', 'baseline')}: "
-                f"{speedup:.2f}x (geomean over shared cases)"
-            )
-
-    output = options.output if options.output is not None else BENCH_FILENAME
-    if output != "-":
-        previous = load_payload(output) if Path(output).exists() else None
-        write_payload(carry_trajectory(payload, previous), output)
-        print(f"wrote {output}")
-
-    if options.check:
-        reference = load_payload(options.check)
-        reference_names = {case["name"] for case in reference.get("cases", [])}
-        shared = [
-            case for case in payload["cases"] if case["name"] in reference_names
-        ]
-        if not shared:
-            print(
-                f"--check: no cases shared with {options.check}; "
-                f"nothing was verified",
-                file=sys.stderr,
-            )
-            return 1
-        regressions = compare_to_baseline(payload, reference, options.tolerance)
-        if regressions:
-            print(f"\nthroughput regression vs {options.check}:", file=sys.stderr)
-            for line in regressions:
-                print(f"  {line}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {options.check} (tolerance {options.tolerance:.0%})")
-    return 0
 
 
 def _cmd_serve(options: argparse.Namespace) -> int:

@@ -90,6 +90,14 @@ class TestGovernorSpec:
         with pytest.raises(TypeError, match="qos_slowdown"):
             GovernorSpec("coordinated", qos_slowdown="loose")
 
+    def test_parameter_errors_name_the_governor_kind(self):
+        with pytest.raises(ValueError, match="for governor 'coordinated'"):
+            GovernorSpec("coordinated", bogus=1)
+        with pytest.raises(
+            TypeError, match="governor 'coordinated' parameter 'qos_slowdown'"
+        ):
+            GovernorSpec("coordinated", qos_slowdown="loose")
+
     def test_equality_over_bound_params(self):
         assert GovernorSpec("coordinated") == GovernorSpec(
             "coordinated", qos_slowdown=0.10

@@ -110,8 +110,10 @@ class TestRunProtocol:
         rec.kernel_span(0.25, refs=100)
         second = rec.run_end()
         assert first["kernel_spans"] == 1 and first["kernel_refs"] == 100
+        runs = [e for e in rec.events() if e["name"] == "run"]
+        assert [run["args"]["kernel_refs"] for run in runs] == [100, 400]
         assert second["kernel_spans"] == 2 and second["kernel_refs"] == 400
-        # summary() reports the cumulative totals bench --profile needs
+        # summary() reports the cumulative totals perfbench's ledger reads
         total = rec.summary()
         assert total["kernel_spans"] == 3
         assert total["kernel_seconds"] == pytest.approx(1.0)

@@ -423,75 +423,3 @@ class TestClean:
     def test_clean_on_missing_store_is_fine(self, tmp_path, capsys):
         assert main(["clean", "--store", str(tmp_path / "nowhere")]) == 0
         assert "removed 0" in capsys.readouterr().out
-
-
-class TestBench:
-    def test_quick_bench_writes_payload(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(
-            "repro.bench.harness.bench_matrix",
-            lambda quick=False: _tiny_matrix(),
-        )
-        output = tmp_path / "bench.json"
-        code = main(["bench", "--quick", "--repeats", "1",
-                     "--output", str(output), "--baseline", ""])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "refs/s" in out and "aggregate" in out
-        payload = json.loads(output.read_text())
-        assert payload["cases"] and payload["aggregate_refs_per_sec"] > 0
-
-    def test_check_passes_against_own_payload(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(
-            "repro.bench.harness.bench_matrix",
-            lambda quick=False: _tiny_matrix(),
-        )
-        reference = tmp_path / "reference.json"
-        assert main(["bench", "--quick", "--repeats", "1",
-                     "--output", str(reference), "--baseline", ""]) == 0
-        capsys.readouterr()
-        # Tolerance 0.95 shrugs off any machine noise between the runs.
-        code = main(["bench", "--quick", "--repeats", "1", "--output", "-",
-                     "--baseline", "", "--check", str(reference),
-                     "--tolerance", "0.95"])
-        assert code == 0
-        assert "no regression" in capsys.readouterr().out
-
-    def test_check_fails_without_shared_cases(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(
-            "repro.bench.harness.bench_matrix",
-            lambda quick=False: _tiny_matrix(),
-        )
-        reference = tmp_path / "reference.json"
-        reference.write_text(json.dumps({"cases": [
-            {"name": "something-else", "refs_per_sec": 1.0}
-        ]}))
-        code = main(["bench", "--quick", "--repeats", "1", "--output", "-",
-                     "--baseline", "", "--check", str(reference)])
-        assert code == 1
-        assert "no cases shared" in capsys.readouterr().err
-
-    def test_check_fails_on_regression(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(
-            "repro.bench.harness.bench_matrix",
-            lambda quick=False: _tiny_matrix(),
-        )
-        reference = tmp_path / "reference.json"
-        reference.write_text(json.dumps({"cases": [
-            {"name": "tiny", "refs_per_sec": 1e12}  # unreachably fast
-        ]}))
-        code = main(["bench", "--quick", "--repeats", "1", "--output", "-",
-                     "--baseline", "", "--check", str(reference)])
-        assert code == 1
-        assert "regression" in capsys.readouterr().err
-
-    def test_rejects_bad_repeats_and_tolerance(self):
-        with pytest.raises(SystemExit):
-            main(["bench", "--repeats", "0"])
-        with pytest.raises(SystemExit):
-            main(["bench", "--tolerance", "1.5"])
-
-
-def _tiny_matrix():
-    from repro.bench.harness import BenchCase
-
-    return [BenchCase("tiny", 2, "G2-1", "unmanaged", 2_000)]
