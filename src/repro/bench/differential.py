@@ -494,11 +494,9 @@ def check_simulator(subject: str, simulator, run: RunResult) -> list[Violation]:
     # cache arrays (the partition bookkeeping drifted iff these differ).
     cache = simulator.cache
     recount = [0] * config.n_cores
-    for cset in cache.sets:
-        for way in range(cset.ways):
-            owner = cset.owner[way]
-            if cset.tags[way] != -1 and 0 <= owner < config.n_cores:
-                recount[owner] += 1
+    for tag, owner in zip(cache.tags, cache.owner):
+        if tag != -1 and 0 <= owner < config.n_cores:
+            recount[owner] += 1
     incremental = cache.occupancy_by_core(config.n_cores)
     if incremental != recount:
         violations.append(
@@ -834,17 +832,3 @@ def render_report(report: SuiteReport) -> str:
         for violation in report.violations:
             lines.append(f"  {violation}")
     return "\n".join(lines)
-
-
-def main(argv: Sequence[str] | None = None) -> int:  # pragma: no cover
-    """``python -m repro.bench.differential [quick|full]``."""
-    import sys
-
-    suite = (argv or sys.argv[1:] or ["quick"])[0]
-    report = run_suite(suite, progress=print)
-    print(render_report(report))
-    return 0 if report.ok else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -1,14 +1,12 @@
 """Set-associative cache substrate.
 
 This subpackage models the memory system the paper's evaluation runs
-on: cache geometry and address decomposition, individual cache sets
-with true-LRU recency stacks and per-line owner/dirty state, a
-set-associative cache built from those sets, victim-selection
-strategies, a banked DRAM model with writeback/bandwidth accounting,
+on: cache geometry and address decomposition, a set-associative cache
+stored as flat per-line columns (tag, owner, dirty, true-LRU recency
+stamp), victim-selection strategies, a banked DRAM model with writeback/bandwidth accounting,
 and the private-L1 / shared-L2 hierarchy from Table 2 of the paper.
 """
 
-from repro.cache.cache_set import CacheSet
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import CacheHierarchy, HierarchyAccess
 from repro.cache.line import CacheLine
@@ -26,7 +24,6 @@ __all__ = [
     "CacheGeometry",
     "CacheHierarchy",
     "CacheLine",
-    "CacheSet",
     "HierarchyAccess",
     "LRUVictimSelector",
     "MainMemory",

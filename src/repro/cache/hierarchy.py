@@ -88,7 +88,7 @@ class CacheHierarchy:
         if hit:
             l1.touch(set_index, way)
             if is_write:
-                l1.sets[set_index].mark_dirty(way)
+                l1.dirty[set_index * l1.ways + way] = 1
             self.l1_hits[core] += 1
             return HierarchyAccess(latency=self.l1_latency, l1_hit=True, llc_hit=None)
 
@@ -96,7 +96,7 @@ class CacheHierarchy:
         # Fetch the line from the shared LLC (write-allocate).
         outcome = self.llc_policy.access(core, line_address, False, now)
         # Make room in L1, writing back the victim through the LLC.
-        victim_way = l1.sets[set_index].victim()
+        victim_way = l1.victim(set_index)
         result = l1.fill(line_address, core, is_write, victim_way)
         if result.evicted_dirty and result.evicted_tag is not None:
             victim_address = l1.geometry.rebuild_line_address(result.evicted_tag, set_index)

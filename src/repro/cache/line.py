@@ -1,7 +1,7 @@
 """Cache line value object.
 
-The hot simulation paths store line state in parallel arrays inside
-:class:`repro.cache.cache_set.CacheSet` for speed; :class:`CacheLine`
+The hot simulation paths store line state in the flat columns of
+:class:`repro.cache.set_associative.SetAssociativeCache`; :class:`CacheLine`
 is the read-only view handed out at API boundaries (tests, debugging,
 policy introspection).
 """

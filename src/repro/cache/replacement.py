@@ -15,11 +15,11 @@ a fill:
 * random among permitted ways — used for the way-choice ablation the
   paper discusses under "Performance Overheads" (Section 2.5).
 
-All selectors operate on :class:`CacheSet`'s stamp-based recency:
-"least recently used among a subset" is a min-stamp scan over the
-candidate ways, so nothing here allocates per eviction (the old
-implementation built a ``set(ways)`` and walked the whole recency
-stack for every choice).
+All selectors read one set of a
+:class:`~repro.cache.set_associative.SetAssociativeCache`'s flat line
+columns, with its stamp-based recency: "least recently used among a
+subset" is a min-stamp scan over the candidate ways, so nothing here
+allocates per eviction.
 """
 
 from __future__ import annotations
@@ -27,22 +27,29 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 
-from repro.cache.cache_set import NO_TAG, CacheSet
+from repro.cache.set_associative import NO_TAG, SetAssociativeCache
 
 
 class VictimSelector(ABC):
     """Strategy interface: choose the way a new line is filled into."""
 
     @abstractmethod
-    def select(self, cset: CacheSet, core: int, ways: tuple[int, ...]) -> int:
-        """Return the victim way for ``core`` among the ``ways`` subset."""
+    def select(
+        self, cache: SetAssociativeCache, set_index: int, core: int,
+        ways: tuple[int, ...],
+    ) -> int:
+        """Return the victim way of ``set_index`` for ``core`` among the
+        ``ways`` subset."""
 
 
 class LRUVictimSelector(VictimSelector):
     """Evict the least recently used line among the permitted ways."""
 
-    def select(self, cset: CacheSet, core: int, ways: tuple[int, ...]) -> int:
-        return cset.victim(ways)
+    def select(
+        self, cache: SetAssociativeCache, set_index: int, core: int,
+        ways: tuple[int, ...],
+    ) -> int:
+        return cache.victim(set_index, ways)
 
 
 class RandomVictimSelector(VictimSelector):
@@ -54,10 +61,14 @@ class RandomVictimSelector(VictimSelector):
     def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
 
-    def select(self, cset: CacheSet, core: int, ways: tuple[int, ...]) -> int:
-        tags = cset.tags
+    def select(
+        self, cache: SetAssociativeCache, set_index: int, core: int,
+        ways: tuple[int, ...],
+    ) -> int:
+        tags = cache.tags
+        base = set_index * cache.ways
         for way in ways:
-            if tags[way] == NO_TAG:
+            if tags[base + way] == NO_TAG:
                 return way
         return self._rng.choice(list(ways))
 
@@ -94,27 +105,32 @@ class PartitionAwareVictimSelector(VictimSelector):
         self._target_list = [targets.get(core) for core in range(size)]
         self._counts = [0] * size
 
-    def select(self, cset: CacheSet, core: int, ways: tuple[int, ...]) -> int:
-        tags = cset.tags
-        if cset.valid_count != cset.ways:
+    def select(
+        self, cache: SetAssociativeCache, set_index: int, core: int,
+        ways: tuple[int, ...],
+    ) -> int:
+        tags = cache.tags
+        n_ways = cache.ways
+        base = set_index * n_ways
+        if cache.valid[set_index] != n_ways:
             for way in ways:
-                if tags[way] == NO_TAG:
+                if tags[base + way] == NO_TAG:
                     return way
         # One pass over the whole set (occupancy counts all ways, not
         # just the permitted subset) instead of an occupancy() rescan
         # per candidate way.  Owners without an entry in the target
         # table count as over-occupying, exactly like the historical
         # `targets.get(owner) is None` case.
-        owner = cset.owner
-        stamp = cset.stamp
+        owner = cache.owner
+        stamp = cache.stamp
         target_list = self._target_list
         counts = self._counts
         known = len(counts)
         for index in range(known):
             counts[index] = 0
-        for way in range(cset.ways):
-            if tags[way] != NO_TAG:
-                line_owner = owner[way]
+        for line in range(base, base + n_ways):
+            if tags[line] != NO_TAG:
+                line_owner = owner[line]
                 if 0 <= line_owner < known:
                     counts[line_owner] += 1
         target = target_list[core] if core < known else None
@@ -123,14 +139,15 @@ class PartitionAwareVictimSelector(VictimSelector):
             best = -1
             best_stamp = 0
             for way in ways:
-                if tags[way] == NO_TAG:
+                line = base + way
+                if tags[line] == NO_TAG:
                     continue
-                line_owner = owner[way]
+                line_owner = owner[line]
                 if 0 <= line_owner < known:
                     owner_target = target_list[line_owner]
                     if owner_target is not None and counts[line_owner] <= owner_target:
                         continue
-                s = stamp[way]
+                s = stamp[line]
                 if best < 0 or s < best_stamp:
                     best = way
                     best_stamp = s
@@ -140,11 +157,12 @@ class PartitionAwareVictimSelector(VictimSelector):
         best = -1
         best_stamp = 0
         for way in ways:
-            if tags[way] != NO_TAG and owner[way] == core:
-                s = stamp[way]
+            line = base + way
+            if tags[line] != NO_TAG and owner[line] == core:
+                s = stamp[line]
                 if best < 0 or s < best_stamp:
                     best = way
                     best_stamp = s
         if best >= 0:
             return best
-        return cset.victim(ways)
+        return cache.victim(set_index, ways)

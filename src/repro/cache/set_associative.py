@@ -1,24 +1,41 @@
-"""A set-associative cache assembled from :class:`CacheSet` objects.
+"""A set-associative cache stored as flat line columns.
 
 This class provides *mechanism only*: probe a subset of ways, fill a
 line evicting a chosen victim, flush or invalidate lines.  All *policy*
 (which ways may be probed or filled, who the victim is, what happens on
 an epoch boundary) lives in ``repro.partitioning`` and ``repro.core``.
 
-Per-core occupancy is tracked **incrementally**: ``core_occupancy``
-is updated on every install, invalidation and ownership transfer, so
-:meth:`occupancy_by_core` is an O(cores) read instead of the full
-sets x ways scan it used to be.  The simulator's inlined fill paths
-(:mod:`repro.sim.simulator`, :mod:`repro.partitioning.base`) maintain
-the same counters.
+Line state is a handful of flat buffers, one per field, each holding
+``num_sets * ways`` entries with line (s, w) at ``s * ways + w``:
 
-Line state is flat and shared.  Each set's line columns are
-``array``-backed, and the cache itself owns the per-set ``clock`` and
-``valid`` columns, so the Python tiers and the C kernel read and write
-one copy of the state.  :meth:`pointer_table` exposes each column
-family as a table of per-set buffer addresses for the kernel; the
-buffers are allocated once and never resized, so a table stays valid
-for the cache's lifetime.
+* ``tags``/``owner`` are ``array('q')`` columns with a ``-1`` sentinel
+  (:data:`NO_TAG`/``NO_OWNER``);
+* ``dirty`` is an ``array('B')`` of 0/1 flags;
+* recency is a monotonically increasing **stamp** per line plus a
+  per-set ``clock``: a touch is two integer stores and the LRU victim
+  is the minimum stamp among the candidate ways.  Stamps are unique
+  within a set, so the induced order is a strict recency stack;
+* ``mapped`` (a shared LLC only, ``track_copies``) resolves a tag to
+  the way holding its *most recently installed* copy: ``mapped[line]``
+  is the line's tag while the way is the newest copy of it, else
+  :data:`NO_TAG`.  A probe scans it and tests the way against the
+  caller's precomputed membership bitmask (see
+  :meth:`repro.partitioning.base.BaseSharedCachePolicy.access_fast`).
+  The newest copy is, for every simulated probe pattern, the only copy
+  the prober may see (cores have disjoint address spaces, and a stale
+  duplicate can only exist in a way its owner no longer probes).
+  Private L1s never hold duplicates and are probed by scanning ``tags``.
+
+Per set there are two more columns, ``clock`` (the next stamp) and
+``valid`` (valid lines, which lets a fill skip the invalid-way scan
+once the set is full).  Per core, ``core_occupancy`` counts valid lines
+and is updated on every install, invalidation and ownership transfer,
+so :meth:`occupancy_by_core` is an O(cores) read.  The simulator's
+inlined fill paths (:mod:`repro.sim.simulator`,
+:mod:`repro.partitioning.base`) and the C kernel index the same
+buffers in place: they are allocated once and never resized during a
+run, so there is one copy of the state.  A way-wide operation (power
+gating, a CPE flush) is one strided pass over a column.
 """
 
 from __future__ import annotations
@@ -26,8 +43,14 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from repro.cache.cache_set import NO_TAG, NO_WAY, CacheSet
 from repro.cache.geometry import CacheGeometry
+from repro.cache.line import NO_OWNER, CacheLine
+
+#: Sentinel way index meaning "not found".
+NO_WAY = -1
+
+#: Sentinel tag meaning "invalid line" (real tags are non-negative).
+NO_TAG = -1
 
 
 @dataclass(frozen=True)
@@ -61,52 +84,160 @@ class AccessResult:
 
 
 class SetAssociativeCache:
-    """Array of cache sets plus address decomposition helpers."""
+    """Flat line columns plus address decomposition helpers."""
 
-    def __init__(self, geometry: CacheGeometry, track_copies: bool = True) -> None:
+    __slots__ = ("geometry", "ways", "tags", "owner", "dirty", "stamp",
+                 "mapped", "clock", "valid", "core_occupancy")
+
+    def __init__(
+        self,
+        geometry: CacheGeometry,
+        track_copies: bool = True,
+    ) -> None:
         self.geometry = geometry
-        ways = geometry.ways
+        self.ways = ways = geometry.ways
         num_sets = geometry.num_sets
-        #: per-set recency clocks and valid-line counts (one slot per set)
+        lines = num_sets * ways
+        self.tags = array("q", [NO_TAG]) * lines
+        self.owner = array("q", [NO_OWNER]) * lines
+        self.dirty = array("B", bytes(lines))
+        # Every set starts with the recency stack [0, 1, .., w-1] (way 0
+        # most recent); the clock only moves forward, so a set's stamps
+        # stay unique forever.
+        self.stamp = array("q", range(ways, 0, -1)) * num_sets
+        #: ``track_copies`` gives a shared LLC its ``mapped`` column
+        self.mapped = array("q", [NO_TAG]) * lines if track_copies else None
         self.clock = array("q", [ways + 1]) * num_sets
         self.valid = array("q", bytes(8 * num_sets))
-        #: ``track_copies`` gives every set a ``mapped`` lookup column
-        #: (a shared LLC, where stale duplicates can exist); private
-        #: L1s pass False and are probed by scanning ``tags``
-        self.sets = [
-            CacheSet(ways, self.clock, self.valid, index, track_copies)
-            for index in range(num_sets)
-        ]
-        #: valid lines per owning core, maintained incrementally;
-        #: grown on demand (owner ids are small non-negative ints)
-        self.core_occupancy: list[int] = []
-        self._pointer_tables: dict[str, array] = {}
+        #: valid lines per owning core, grown by :meth:`ensure_cores`
+        self.core_occupancy = array("q")
 
-    def pointer_table(self, column: str) -> array:
-        """Per-set buffer addresses of one line column (``tags``,
-        ``stamp``, ``owner``, ``dirty`` or ``mapped``), built on first
-        use and cached: the kernel's view of the sets, with no copy."""
-        table = self._pointer_tables.get(column)
-        if table is None:
-            table = array("q", [
-                getattr(cset, column).buffer_info()[0] for cset in self.sets
-            ])
-            self._pointer_tables[column] = table
-        return table
-
-    def ensure_cores(self, n_cores: int) -> list[int]:
-        """Grow (never shrink) the occupancy counters to ``n_cores``.
-
-        Returns the counter list itself so hot paths can bind it to a
-        local once instead of re-reading the attribute per access.
-        """
+    def ensure_cores(self, n_cores: int) -> array:
+        """Grow (never shrink) the occupancy counters to ``n_cores``."""
         counters = self.core_occupancy
-        while len(counters) < n_cores:
-            counters.append(0)
+        if len(counters) < n_cores:
+            counters.extend(array("q", bytes(8 * (n_cores - len(counters)))))
         return counters
 
     # ------------------------------------------------------------------
-    # Probing
+    # Per-set operations
+    # ------------------------------------------------------------------
+    def find(self, set_index: int, tag: int, ways: tuple[int, ...] | None = None) -> int:
+        """The way of ``set_index`` holding ``tag`` among ``ways`` (all
+        if None), or :data:`NO_WAY`.  Searching a subset models the
+        RAP-restricted probes behind Cooperative Partitioning's
+        dynamic-energy savings."""
+        tags = self.tags
+        base = set_index * self.ways
+        for way in range(self.ways) if ways is None else ways:
+            if tags[base + way] == tag:
+                return way
+        return NO_WAY
+
+    def victim(self, set_index: int, ways: tuple[int, ...] | None = None) -> int:  # repro: hot
+        """LRU victim of ``set_index`` among ``ways`` (all if None).
+
+        Invalid ways are returned first (fill before evict); otherwise
+        the least recently used permitted way is chosen.
+        """
+        tags = self.tags
+        stamp = self.stamp
+        base = set_index * self.ways
+        if ways is None:
+            ways = range(self.ways)
+        if self.valid[set_index] != self.ways:
+            for way in ways:
+                if tags[base + way] == NO_TAG:
+                    return way
+        best = NO_WAY
+        best_stamp = 0
+        for way in ways:
+            s = stamp[base + way]
+            if best < 0 or s < best_stamp:
+                best = way
+                best_stamp = s
+        if best < 0:
+            raise ValueError("victim() called with an empty way set")
+        return best
+
+    def touch(self, set_index: int, way: int) -> None:
+        """Promote a line to MRU."""
+        clock = self.clock
+        self.stamp[set_index * self.ways + way] = clock[set_index]
+        clock[set_index] += 1
+
+    def install(self, set_index: int, way: int, tag: int, owner: int, dirty: bool) -> None:
+        """Fill (set, way) with a new line, make it MRU and keep the
+        valid, ``mapped`` and occupancy columns exact."""
+        line = set_index * self.ways + way
+        self.invalidate(set_index, way)
+        self.valid[set_index] += 1
+        self.tags[line] = tag
+        mapped = self.mapped
+        if mapped is not None:
+            # The new copy supersedes any older one as the tag's home.
+            base = set_index * self.ways
+            for other in range(base, base + self.ways):
+                if mapped[other] == tag:
+                    mapped[other] = NO_TAG
+            mapped[line] = tag
+        self.dirty[line] = 1 if dirty else 0
+        self.owner[line] = owner
+        if owner >= 0:
+            self.ensure_cores(owner + 1)[owner] += 1
+        self.touch(set_index, way)
+
+    def invalidate(self, set_index: int, way: int) -> None:
+        """Drop the line in (set, way)."""
+        line = set_index * self.ways + way
+        old = self.tags[line]
+        if old == NO_TAG:
+            return
+        self.valid[set_index] -= 1
+        mapped = self.mapped
+        if mapped is not None and mapped[line] == old:
+            mapped[line] = NO_TAG
+        owner = self.owner[line]
+        if 0 <= owner < len(self.core_occupancy):
+            self.core_occupancy[owner] -= 1
+        self.tags[line] = NO_TAG
+        self.dirty[line] = 0
+        self.owner[line] = NO_OWNER
+
+    def line(self, set_index: int, way: int) -> CacheLine:
+        """Read-only snapshot of the line in (set, way)."""
+        line = set_index * self.ways + way
+        tag = self.tags[line]
+        valid = tag != NO_TAG
+        return CacheLine(
+            tag=tag if valid else None,
+            valid=valid,
+            dirty=bool(self.dirty[line]),
+            owner=self.owner[line],
+        )
+
+    def lru(self, set_index: int) -> list[int]:
+        """Ways of ``set_index`` ordered most-recently-used first."""
+        base = set_index * self.ways
+        stamps = self.stamp[base:base + self.ways]
+        return sorted(range(self.ways), key=stamps.__getitem__, reverse=True)
+
+    def stack_position(self, set_index: int, way: int) -> int:
+        """Recency position of (set, way); 0 is MRU."""
+        return self.lru(set_index).index(way)
+
+    def occupancy(self, set_index: int, core: int) -> int:
+        """Valid lines of ``set_index`` owned by ``core``."""
+        base = set_index * self.ways
+        tags = self.tags
+        owner = self.owner
+        return sum(
+            1 for line in range(base, base + self.ways)
+            if tags[line] != NO_TAG and owner[line] == core
+        )
+
+    # ------------------------------------------------------------------
+    # Address-level operations
     # ------------------------------------------------------------------
     def probe(
         self, line_address: int, ways: tuple[int, ...] | None = None
@@ -119,17 +250,9 @@ class SetAssociativeCache:
         """
         geometry = self.geometry
         set_index = line_address & geometry.set_mask
-        tag = line_address >> geometry.set_shift
-        way = self.sets[set_index].find(tag, ways)
+        way = self.find(set_index, line_address >> geometry.set_shift, ways)
         return way != NO_WAY, way, set_index
 
-    def touch(self, set_index: int, way: int) -> None:
-        """Promote a hit line to MRU."""
-        self.sets[set_index].touch(way)
-
-    # ------------------------------------------------------------------
-    # Filling
-    # ------------------------------------------------------------------
     def fill(
         self,
         line_address: int,
@@ -145,25 +268,22 @@ class SetAssociativeCache:
         """
         geometry = self.geometry
         set_index = line_address & geometry.set_mask
-        tag = line_address >> geometry.set_shift
-        cset = self.sets[set_index]
-        evicted_tag = cset.tags[victim_way]
+        line = set_index * self.ways + victim_way
+        evicted_tag = self.tags[line]
         evicted = evicted_tag != NO_TAG
-        evicted_dirty = bool(cset.dirty[victim_way]) if evicted else False
-        evicted_owner = cset.owner[victim_way] if evicted else -1
-        counters = self.ensure_cores(max(core, evicted_owner) + 1)
-        if evicted and evicted_owner >= 0:
-            counters[evicted_owner] -= 1
-        counters[core] += 1
-        cset.install(victim_way, tag, core, is_write)
-        return AccessResult(
+        result = AccessResult(
             hit=False,
             way=victim_way,
             set_index=set_index,
             evicted_tag=evicted_tag if evicted else None,
-            evicted_dirty=evicted_dirty,
-            evicted_owner=evicted_owner,
+            evicted_dirty=bool(self.dirty[line]) if evicted else False,
+            evicted_owner=self.owner[line] if evicted else -1,
         )
+        self.install(
+            set_index, victim_way, line_address >> geometry.set_shift, core,
+            is_write,
+        )
+        return result
 
     # ------------------------------------------------------------------
     # Flush / invalidate / ownership
@@ -176,49 +296,63 @@ class SetAssociativeCache:
         line stays valid — cooperative takeover flushes data early but
         keeps it readable until ownership transfers.
         """
-        cset = self.sets[set_index]
-        tag = cset.tags[way]
-        if tag == NO_TAG or not cset.dirty[way]:
+        line = set_index * self.ways + way
+        tag = self.tags[line]
+        if tag == NO_TAG or not self.dirty[line]:
             return None
-        cset.dirty[way] = 0
+        self.dirty[line] = 0
         return self.geometry.rebuild_line_address(tag, set_index)
 
     def invalidate_way(self, way: int) -> list[int]:
-        """Invalidate ``way`` across every set, returning dirty line addresses.
+        """Invalidate ``way`` across every set, returning the dirty line
+        addresses in set order.
 
         Used when a way is power-gated (gated-Vdd is non-state-
-        preserving) and by Dynamic CPE's immediate flush.  The returned
+        preserving) and by CPE's immediate flush.  The returned
         addresses must be written back by the caller *before* the
         invalidation takes effect architecturally; we return them for
         bandwidth/energy accounting.
         """
-        flushed: list[int] = []
-        rebuild = self.geometry.rebuild_line_address
+        ways = self.ways
+        tags = self.tags
+        dirty = self.dirty
+        owner = self.owner
+        mapped = self.mapped
+        valid = self.valid
         counters = self.core_occupancy
         n_known = len(counters)
-        for set_index, cset in enumerate(self.sets):
-            tag = cset.tags[way]
+        shift = self.geometry.set_shift
+        flushed: list[int] = []
+        line = way
+        for set_index, tag in enumerate(tags[way::ways]):
             if tag != NO_TAG:
-                if cset.dirty[way]:
-                    flushed.append(rebuild(tag, set_index))
-                owner = cset.owner[way]
-                if 0 <= owner < n_known:
-                    counters[owner] -= 1
-            cset.invalidate(way)
+                if dirty[line]:
+                    flushed.append((tag << shift) | set_index)
+                line_owner = owner[line]
+                if 0 <= line_owner < n_known:
+                    counters[line_owner] -= 1
+                valid[set_index] -= 1
+                if mapped is not None and mapped[line] == tag:
+                    mapped[line] = NO_TAG
+            line += ways
+        num_sets = len(valid)
+        tags[way::ways] = array("q", [NO_TAG]) * num_sets
+        dirty[way::ways] = array("B", bytes(num_sets))
+        owner[way::ways] = array("q", [NO_OWNER]) * num_sets
         return flushed
 
     def transfer_ownership(self, set_index: int, way: int, owner: int) -> None:
         """Reassign a valid line's owner, keeping the counters exact."""
-        cset = self.sets[set_index]
-        if cset.tags[way] == NO_TAG:
+        line = set_index * self.ways + way
+        if self.tags[line] == NO_TAG:
             return
-        counters = self.ensure_cores(max(owner, cset.owner[way]) + 1)
-        previous = cset.owner[way]
+        previous = self.owner[line]
+        counters = self.ensure_cores(max(owner, previous) + 1)
         if previous >= 0:
             counters[previous] -= 1
         if owner >= 0:
             counters[owner] += 1
-        cset.set_owner(way, owner)
+        self.owner[line] = owner
 
     # ------------------------------------------------------------------
     # Introspection

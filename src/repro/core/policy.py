@@ -119,14 +119,14 @@ class CooperativePartitioningPolicy(BaseSharedCachePolicy):
         existing line in another way" — the donor's line there is dead
         capacity for the recipient.
         """
-        cset = self.cache.sets[set_index]
-        if ways is None:
-            return cset.victim(None)
-        if self.engine.active:
+        cache = self.cache
+        if ways is not None and self.engine.active:
+            owner = cache.owner
+            base = set_index * cache.ways
             for way in self.engine.receiving_ways(core):
-                if cset.owner[way] != core:
+                if owner[base + way] != core:
                     return way
-        return cset.victim(ways)
+        return cache.victim(set_index, ways)
 
     def _pre_access(self, core: int, set_index: int, now: int, hit: bool) -> None:
         # Only reached while transitions are in flight (the base policy

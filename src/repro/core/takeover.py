@@ -25,7 +25,7 @@ from array import array
 from dataclasses import dataclass
 
 from repro.cache.memory import MainMemory
-from repro.cache.set_associative import SetAssociativeCache
+from repro.cache.set_associative import NO_TAG, SetAssociativeCache
 from repro.energy.accounting import EnergyAccounting
 from repro.partitioning.base import PolicyStats
 
@@ -102,6 +102,7 @@ class TakeoverEngine:
         self.energy = energy
         self.stats = stats
         self._num_sets = cache.geometry.num_sets
+        self._line_address = cache.geometry.rebuild_line_address
         #: way -> transition
         self.transitions: dict[int, WayTransition] = {}
         #: donor core -> vector
@@ -191,11 +192,17 @@ class TakeoverEngine:
         return completed
 
     def _flush_ways_in_set(self, ways: tuple[int, ...], set_index: int, now: int) -> None:
+        """Write back the dirty lines of ``ways`` in one set, in way
+        order; the lines stay valid and become clean."""
         cache = self.cache
+        tags = cache.tags
+        dirty = cache.dirty
+        base = set_index * cache.ways
         for way in ways:
-            address = cache.flush_way_in_set(set_index, way)
-            if address is not None:
-                self.memory.writeback(address, now)
+            line = base + way
+            if dirty[line] and tags[line] != NO_TAG:
+                dirty[line] = 0
+                self.memory.writeback(self._line_address(tags[line], set_index), now)
                 self.energy.writeback()
                 self.stats.note_transfer_flush(now)
 
@@ -235,7 +242,8 @@ class TakeoverEngine:
         ways = self._donor_ways.get(donor, ())
         if not ways:
             return []
-        cache = self.cache
+        # Set by set, and in way order within a set: the writeback
+        # order of the lazy protocol had every set been visited.
         for set_index in range(self._num_sets):
             self._flush_ways_in_set(ways, set_index, now)
         self.stats.transitions_forced += len(ways)

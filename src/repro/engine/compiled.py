@@ -11,14 +11,17 @@ equality with ``CMPSimulator._run_python`` on every supported
 configuration; the golden fixtures and ``tests/engine`` pin it.
 
 Shared state.  The simulator's state is a set of flat buffers that the
-Python tier and the kernel both index in place: the line columns
-(``tags``/``stamp``/``owner``/``dirty``), each cache's per-set
-``clock``/``valid`` columns, the LLC's ``mapped`` lookup column, the
+Python tier and the kernel both index in place: each cache's line
+columns (``tags``/``stamp``/``owner``/``dirty``, line (set, way) at
+``set * ways + way``), its per-set ``clock``/``valid`` columns and
+per-core occupancy counters, the LLC's ``mapped`` lookup column, the
 UMON tag directories, the memory banks, UCP's migration counters and
-the takeover bit vectors.  Their pointer tables are built once per run
-(the caches cache their own).  A span therefore copies only O(n_cores)
-scalars each way — per-core execution state and counters, energy and
-memory totals, the policy's per-core way tables — plus:
+the takeover bit vectors.  The context holds their base addresses, set
+once per run (the private L1s through a table of one pointer per
+core).  A span therefore copies only O(n_cores) scalars each way —
+per-core execution state and hit/miss/probe/stall counters (Python
+lists, cheap to bump in the python tier), energy and memory totals,
+the policy's per-core way tables — plus:
 
 * order-sensitive dict side effects (flush timelines, transfer-flush
   buckets, UCP transition durations), which come back through an
@@ -66,7 +69,10 @@ KIND_UCP = 1
 KIND_COOP = 2
 
 _CANARY = 0x5EED1DEA5EED1DEA
-_EVBUF_TRIPLES = 65536
+#: event-buffer capacity; a span bails with ST_EVBUF_FULL (and resumes)
+#: once fewer than the kernel's 2,048-triple per-reference headroom
+#: remain — no measured span came near this many
+_EVBUF_TRIPLES = 4096
 
 _EV_FLUSH_TL = 1
 _EV_TFB = 2
@@ -197,7 +203,7 @@ def policy_kind(policy) -> int | None:
 
 
 class _Marshal:
-    """Per-run kernel context: pointer tables once, O(n_cores) per span."""
+    """Per-run kernel context: buffer addresses once, O(n_cores) per span."""
 
     def __init__(self, sim, lib, kind: int, issue_shift: int) -> None:
         self.sim = sim
@@ -248,23 +254,18 @@ class _Marshal:
         ctx.umon_mask = policy._umon_mask
         ctx.umon_offset = policy._umon_offset
         ctx.umon_shift = (policy._umon_mask + 1).bit_length() - 1 if atds else 0
-        ctx.l1_nsets = l1_geom.num_sets
         ctx.l1_ways = l1_geom.ways
         ctx.l1_mask = sim._l1_mask
         ctx.l1_shift = sim._l1_shift
 
         # ---- shared buffers: pointers only ---------------------------
-        for name in ("tags", "stamp", "owner", "dirty"):
-            table = array("q")
-            for l1 in l1_caches:
-                table.extend(l1.pointer_table(name))
-            setattr(ctx, "l1_" + name, self._hold(table))
-        ctx.l1_clock = self._table([l1.clock for l1 in l1_caches])
-        ctx.l1_valid = self._table([l1.valid for l1 in l1_caches])
-        for name in ("tags", "stamp", "owner", "dirty", "mapped"):
-            setattr(ctx, "llc_" + name, _addr(cache.pointer_table(name)))
-        ctx.llc_clock = _addr(cache.clock)
-        ctx.llc_valid = _addr(cache.valid)
+        for name in ("tags", "stamp", "owner", "dirty", "clock", "valid"):
+            setattr(ctx, "l1_" + name,
+                    self._table([getattr(l1, name) for l1 in l1_caches]))
+            setattr(ctx, "llc_" + name, _addr(getattr(cache, name)))
+        ctx.llc_mapped = _addr(cache.mapped)
+        ctx.l1_occ = self._table([l1.ensure_cores(n) for l1 in l1_caches])
+        ctx.llc_occ = _addr(cache.ensure_cores(n))
         ctx.bank_free_at = _addr(memory._bank_free_at)
         if atds:
             ctx.atd_stack = self._table([atd.stacks for atd in atds])
@@ -275,7 +276,7 @@ class _Marshal:
         # ---- per-core copies (O(n_cores) per span) -------------------
         cols = {}
         for name in (
-            "l1_occ", "probe_mask", "probe_count", "fill_count",
+            "probe_mask", "probe_count", "fill_count",
             "ucp_target", "ucp_counts", "ucp_trans_active",
             "ucp_gained", "ucp_complete", "ucp_ways_gained",
             "ucp_ways_done", "ucp_start_cycle", "coop_donor_count",
@@ -303,12 +304,12 @@ class _Marshal:
             (attr, self._column(name, n)) for attr, name in _CORE_BUFFERS
         ]
         #: per-core counters held in Python lists (identity-stable:
-        #: every reset zeroes them in place)
+        #: every reset zeroes them in place); lists keep the python
+        #: tier's per-access increments cheap, so they are copied
         counters = [
             ("l1_hits", hierarchy.l1_hits),
             ("l1_misses", hierarchy.l1_misses),
             ("l1_writebacks", hierarchy.l1_writebacks),
-            ("llc_occ", cache.core_occupancy),
             ("ways_probed_sum", stats.ways_probed_sum),
             ("probe_events", stats.probe_events),
             ("writeback_accesses", stats.writeback_accesses),
@@ -357,19 +358,15 @@ class _Marshal:
 
         core_get = self._core_get
         core_in = self._core_in
-        l1_occ = cols["l1_occ"]
         warm_len = cols["warm_len"]
-        l1_caches = sim.hierarchy.l1
         for ci, core in enumerate(sim.cores):
             for col, value in zip(core_in, core_get(core)):
                 col[ci] = value
             for attr, col in self._core_buffers:
                 col[ci] = _addr(getattr(core, attr))
             warm_len[ci] = len(core.warm_lines)
-            l1_occ[ci] = l1_caches[ci].core_occupancy[ci]
         for col, source in self._counters:
-            for ci in range(n):
-                col[ci] = source[ci]
+            col[0:n] = array("q", source)
         for owner, attr, field in self._totals:
             setattr(ctx, field, getattr(owner, attr))
         stats = sim.stats
@@ -477,7 +474,6 @@ class _Marshal:
         """Copy the kernel's O(n_cores) scalars back to the Python side."""
         sim = self.sim
         ctx = self.ctx
-        n = self.n
         cols = self._cols
 
         # Ordered side effects first: the flush/bucket dicts must see
@@ -500,16 +496,12 @@ class _Marshal:
                 durations.append(value)
 
         core_out = self._core_out
-        l1_occ = cols["l1_occ"]
-        l1_caches = sim.hierarchy.l1
         for ci, core in enumerate(sim.cores):
             for attr, flag, col in core_out:
                 value = col[ci]
                 setattr(core, attr, bool(value) if flag else value)
-            l1_caches[ci].core_occupancy[ci] = l1_occ[ci]
         for col, source in self._counters:
-            for ci in range(n):
-                source[ci] = col[ci]
+            source[:] = col
         for owner, attr, field in self._totals:
             setattr(owner, attr, getattr(ctx, field))
         events = stats.takeover_events
@@ -553,10 +545,9 @@ def _scalar_ref(sim, core, target, warmup, unfinished, warmed_up, clock,
     else:
         entry = dvfs.entries[core.core_id]
         issue_time = core.time + (gap >> issue_shift) * entry[0] // entry[1]
-    set_index = address & sim._l1_mask
     core.time = issue_time + sim._l1_miss(
         core.core_id, address, core.writes[position], issue_time,
-        core.l1_sets[set_index], set_index, address >> sim._l1_shift,
+        address & sim._l1_mask, address >> sim._l1_shift,
     )
     core.instructions += gap + 1
     position += 1

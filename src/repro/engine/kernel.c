@@ -25,11 +25,12 @@
  * transfer-flush buckets, transition durations) are recorded into an
  * ordered event buffer the Python driver replays on span exit.
  *
- * Cache lines, per-set clocks and valid counts, the LLC's `mapped`
- * lookup column, the UMON tag directories, the memory banks and the
- * UCP/takeover progress arrays are the Python objects' own buffers:
- * the kernel reads and writes them in place through pointer tables
- * built once per run.  Only O(n_cores) scalars are copied per span.
+ * Cache lines, per-set clocks and valid counts, per-core occupancy
+ * counters, the LLC's `mapped` lookup column, the UMON tag
+ * directories, the memory banks and the UCP/takeover progress arrays
+ * are the Python objects' own buffers, read and written in place.  A cache's line
+ * columns are flat: line (set, way) sits at `set * ways + way`.  Only
+ * O(n_cores) scalars are copied per span.
  *
  * repro/engine/compiled.py builds its ctypes mirror of the struct
  * below by reading this declaration, so it must stay one 8-byte field
@@ -88,7 +89,6 @@ typedef struct {
     i64 umon_offset;
     i64 umon_shift;
     i64 last_decision_cycle;  /* -1 = None */
-    i64 l1_nsets;
     i64 l1_ways;
     i64 l1_mask;
     i64 l1_shift;
@@ -119,26 +119,26 @@ typedef struct {
     i64 **trace_addr;
     int8_t **trace_writes;
 
-    /* ---- L1 columns: index [core * l1_nsets + set] ---- */
-    i64 **l1_tags;
+    /* ---- L1 columns: per core -> its L1's column ---- */
+    i64 **l1_tags;      /* [set * l1_ways + way] */
     i64 **l1_stamp;
     i64 **l1_owner;
     uint8_t **l1_dirty;
-    i64 **l1_clock;     /* per core -> [set] */
-    i64 **l1_valid;     /* per core -> [set] */
-    i64 *l1_occ;        /* per core */
+    i64 **l1_clock;     /* [set] */
+    i64 **l1_valid;     /* [set] */
+    i64 **l1_occ;       /* [core]: the L1's occupancy counters */
     i64 *l1_hits;       /* per core */
     i64 *l1_misses;     /* per core */
     i64 *l1_writebacks; /* per core */
 
-    /* ---- LLC columns: index [set] ---- */
-    i64 **llc_tags;
-    i64 **llc_stamp;
-    i64 **llc_owner;
-    uint8_t **llc_dirty;
-    i64 **llc_mapped;  /* [set][way] = tag resolving to way, -1 none */
-    i64 *llc_clock;
-    i64 *llc_valid;
+    /* ---- LLC columns: index [set * llc_ways + way] ---- */
+    i64 *llc_tags;
+    i64 *llc_stamp;
+    i64 *llc_owner;
+    uint8_t *llc_dirty;
+    i64 *llc_mapped;   /* tag resolving to the way, -1 none */
+    i64 *llc_clock;    /* [set] */
+    i64 *llc_valid;    /* [set] */
     i64 *llc_occ;      /* per core */
 
     /* ---- policy fast tables (per core) ---- */
@@ -278,8 +278,8 @@ static void note_transfer_flush(Ctx *c, i64 now)
 /* TakeoverEngine._flush_ways_in_set() */
 static void flush_ways_in_set(Ctx *c, const i64 *ways, i64 n, i64 set, i64 now)
 {
-    i64 *tags = c->llc_tags[set];
-    uint8_t *dirty = c->llc_dirty[set];
+    i64 *tags = c->llc_tags + set * c->llc_ways;
+    uint8_t *dirty = c->llc_dirty + set * c->llc_ways;
     for (i64 k = 0; k < n; k++) {
         i64 way = ways[k];
         i64 tag = tags[way];
@@ -357,12 +357,12 @@ static void atd_record(Ctx *c, i64 core, i64 set, i64 tag)
     c->atd_hits[core][pos]++;
 }
 
-/* CacheSet.victim(ways): fc < 0 means "all ways" */
+/* SetAssociativeCache.victim(set, ways): fc < 0 means "all ways" */
 static i64 set_victim(Ctx *c, i64 set, i64 fc, const i64 *fw)
 {
     i64 W = c->llc_ways;
-    i64 *tags = c->llc_tags[set];
-    i64 *stamp = c->llc_stamp[set];
+    i64 *tags = c->llc_tags + set * W;
+    i64 *stamp = c->llc_stamp + set * W;
     if (fc < 0) {
         if (c->llc_valid[set] != W) {
             for (i64 w = 0; w < W; w++)
@@ -400,7 +400,7 @@ static i64 set_victim(Ctx *c, i64 set, i64 fc, const i64 *fw)
 static i64 ucp_select(Ctx *c, i64 core, i64 set, i64 fc, const i64 *fw)
 {
     i64 W = c->llc_ways;
-    i64 *tags = c->llc_tags[set];
+    i64 *tags = c->llc_tags + set * W;
     i64 n = fc < 0 ? W : fc;
     if (c->llc_valid[set] != W) {
         for (i64 k = 0; k < n; k++) {
@@ -409,8 +409,8 @@ static i64 ucp_select(Ctx *c, i64 core, i64 set, i64 fc, const i64 *fw)
                 return w;
         }
     }
-    i64 *owner = c->llc_owner[set];
-    i64 *stamp = c->llc_stamp[set];
+    i64 *owner = c->llc_owner + set * W;
+    i64 *stamp = c->llc_stamp + set * W;
     i64 known = c->ucp_known;
     i64 *counts = c->ucp_counts;
     for (i64 i = 0; i < known; i++)
@@ -470,7 +470,7 @@ static i64 coop_select(Ctx *c, i64 core, i64 set, i64 fc, const i64 *fw)
     if (c->engine_active) {
         i64 n = c->coop_recv_count[core];
         const i64 *rw = c->coop_recv_ways + core * c->llc_ways;
-        i64 *owner = c->llc_owner[set];
+        i64 *owner = c->llc_owner + set * c->llc_ways;
         for (i64 k = 0; k < n; k++)
             if (owner[rw[k]] != core)
                 return rw[k];
@@ -521,7 +521,8 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     i64 W = c->llc_ways;
     i64 set = addr & c->llc_set_mask;
     i64 tag = addr >> c->llc_set_shift;
-    i64 *mapped = c->llc_mapped[set];
+    i64 line0 = set * W;
+    i64 *mapped = c->llc_mapped + line0;
     i64 pm = c->probe_mask[core];
     i64 np = c->probe_count[core];
     i64 way = -1;
@@ -555,12 +556,14 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     if (c->pre_access_active)
         coop_on_access(c, core, set, hit, now);
 
-    i64 *tags = c->llc_tags[set];
+    i64 *tags = c->llc_tags + line0;
+    uint8_t *dirty = c->llc_dirty + line0;
+    i64 *stamp = c->llc_stamp + line0;
     if (hit) {
         if (!c->pre_access_active || tags[way] == tag) {
-            c->llc_stamp[set][way] = c->llc_clock[set]++;
+            stamp[way] = c->llc_clock[set]++;
             if (is_write) {
-                c->llc_dirty[set][way] = 1;
+                dirty[way] = 1;
                 c->e_data_writes++;
             }
         }
@@ -594,10 +597,9 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     if (victim < 0)
         return -1;
 
-    /* Inline fill (mirrors access_fast / SetAssociativeCache.fill). */
+    /* Inline fill (mirrors access_fast / SetAssociativeCache.install). */
     i64 old_tag = tags[victim];
-    uint8_t *dirty = c->llc_dirty[set];
-    i64 *owner = c->llc_owner[set];
+    i64 *owner = c->llc_owner + line0;
     i64 evicted_dirty = 0;
     i64 evicted_owner = -1;
     if (old_tag != NO_TAG) {
@@ -622,7 +624,7 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     mapped[victim] = tag;
     dirty[victim] = is_write ? 1 : 0;
     owner[victim] = core;
-    c->llc_stamp[set][victim] = c->llc_clock[set]++;
+    stamp[victim] = c->llc_clock[set]++;
     c->llc_occ[core]++;
     c->e_data_writes++;
     if (evicted_dirty) {
@@ -641,11 +643,11 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     return memory_latency;
 }
 
-/* The way of L1 set `sidx` holding `ltag`, or -1 (a private L1 never
- * holds duplicates, so a scan of the tags is the lookup). */
-static i64 l1_find(Ctx *c, i64 sidx, i64 ltag)
+/* The way of `core`'s L1 set `lset` holding `ltag`, or -1 (a private
+ * L1 never holds duplicates, so a scan of the tags is the lookup). */
+static i64 l1_find(Ctx *c, i64 core, i64 lset, i64 ltag)
 {
-    i64 *ltags = c->l1_tags[sidx];
+    i64 *ltags = c->l1_tags[core] + lset * c->l1_ways;
     for (i64 w = 0; w < c->l1_ways; w++)
         if (ltags[w] == ltag)
             return w;
@@ -653,15 +655,16 @@ static i64 l1_find(Ctx *c, i64 sidx, i64 ltag)
 }
 
 /* L1 victim: the first invalid way, else plain LRU over the full set. */
-static i64 l1_victim(Ctx *c, i64 core, i64 sidx, i64 lset)
+static i64 l1_victim(Ctx *c, i64 core, i64 lset)
 {
-    i64 *ltags = c->l1_tags[sidx];
+    i64 line0 = lset * c->l1_ways;
+    i64 *ltags = c->l1_tags[core] + line0;
     if (c->l1_valid[core][lset] != c->l1_ways) {
         for (i64 w = 0; w < c->l1_ways; w++)
             if (ltags[w] == NO_TAG)
                 return w;
     }
-    i64 *st = c->l1_stamp[sidx];
+    i64 *st = c->l1_stamp[core] + line0;
     i64 victim = 0;
     i64 bs = st[0];
     for (i64 w = 1; w < c->l1_ways; w++) {
@@ -679,26 +682,25 @@ static i64 l1_victim(Ctx *c, i64 core, i64 sidx, i64 lset)
 static i64 l1_miss(Ctx *c, i64 core, i64 addr, i64 lset, i64 ltag,
                    i64 is_write, i64 now)
 {
-    i64 sidx = core * c->l1_nsets + lset;
     c->l1_misses[core]++;
     i64 mem_lat = llc_access(c, core, addr, 0, now);
     if (mem_lat < 0)
         return -1;
-    i64 victim = l1_victim(c, core, sidx, lset);
-    i64 *ltags = c->l1_tags[sidx];
-    uint8_t *ldirty = c->l1_dirty[sidx];
-    i64 old_tag = ltags[victim];
+    i64 line = lset * c->l1_ways + l1_victim(c, core, lset);
+    i64 *ltags = c->l1_tags[core];
+    uint8_t *ldirty = c->l1_dirty[core];
+    i64 old_tag = ltags[line];
     i64 evicted_dirty = 0;
     if (old_tag != NO_TAG) {
-        evicted_dirty = ldirty[victim];
+        evicted_dirty = ldirty[line];
     } else {
         c->l1_valid[core][lset]++;
-        c->l1_occ[core]++;
+        c->l1_occ[core][core]++;
     }
-    ltags[victim] = ltag;
-    ldirty[victim] = is_write ? 1 : 0;
-    c->l1_owner[sidx][victim] = core;
-    c->l1_stamp[sidx][victim] = c->l1_clock[core][lset]++;
+    ltags[line] = ltag;
+    ldirty[line] = is_write ? 1 : 0;
+    c->l1_owner[core][line] = core;
+    c->l1_stamp[core][line] = c->l1_clock[core][lset]++;
     if (evicted_dirty) {
         c->l1_writebacks[core]++;
         if (llc_access(c, core, (old_tag << c->l1_shift) | lset, 1, now) < 0)
@@ -721,15 +723,15 @@ static int vec_completes(Ctx *c, i64 donor, i64 s1, i64 s2)
     return c->coop_vec_count[donor] + marks >= c->llc_nsets;
 }
 
-static int coop_would_complete(Ctx *c, i64 core, i64 addr, i64 sidx, i64 lset)
+static int coop_would_complete(Ctx *c, i64 core, i64 addr, i64 lset)
 {
     i64 s1 = addr & c->llc_set_mask;
     /* Would the L1 miss also write back a dirty victim?  The victim
      * choice is deterministic, so compute it read-only. */
     i64 s2 = -1;
-    i64 victim = l1_victim(c, core, sidx, lset);
-    i64 vtag = c->l1_tags[sidx][victim];
-    if (vtag != NO_TAG && c->l1_dirty[sidx][victim])
+    i64 line = lset * c->l1_ways + l1_victim(c, core, lset);
+    i64 vtag = c->l1_tags[core][line];
+    if (vtag != NO_TAG && c->l1_dirty[core][line])
         s2 = ((vtag << c->l1_shift) | lset) & c->llc_set_mask;
 
     if (c->coop_donor_count[core] > 0 && vec_completes(c, core, s1, s2))
@@ -800,17 +802,17 @@ i64 repro_run_span(Ctx *c)
 
         i64 lset = addr & c->l1_mask;
         i64 ltag = addr >> c->l1_shift;
-        i64 sidx = ci * c->l1_nsets + lset;
-        i64 lway = l1_find(c, sidx, ltag);
+        i64 lway = l1_find(c, ci, lset, ltag);
         if (lway >= 0) {
-            c->l1_stamp[sidx][lway] = c->l1_clock[ci][lset]++;
+            i64 line = lset * c->l1_ways + lway;
+            c->l1_stamp[ci][line] = c->l1_clock[ci][lset]++;
             if (is_write)
-                c->l1_dirty[sidx][lway] = 1;
+                c->l1_dirty[ci][line] = 1;
             c->l1_hits[ci]++;
             c->core_time[ci] = issue_time + hit_latency;
         } else {
             if (c->engine_active &&
-                coop_would_complete(c, ci, addr, sidx, lset)) {
+                coop_would_complete(c, ci, addr, lset)) {
                 c->bail_now = now;
                 c->bail_core = ci;
                 return ST_NEED_PYTHON_REF;
@@ -887,10 +889,10 @@ i64 repro_warm_sweep(Ctx *c)
             i64 addr = c->warm_lines[ci][r];
             i64 lset = addr & c->l1_mask;
             i64 ltag = addr >> c->l1_shift;
-            i64 sidx = ci * c->l1_nsets + lset;
-            i64 lway = l1_find(c, sidx, ltag);
+            i64 lway = l1_find(c, ci, lset, ltag);
             if (lway >= 0) {
-                c->l1_stamp[sidx][lway] = c->l1_clock[ci][lset]++;
+                c->l1_stamp[ci][lset * c->l1_ways + lway] =
+                    c->l1_clock[ci][lset]++;
                 c->l1_hits[ci]++;
                 c->core_time[ci] = now +
                     (c->has_dvfs ? c->dvfs_entries[ci * 4 + 2]
@@ -898,7 +900,7 @@ i64 repro_warm_sweep(Ctx *c)
                 continue;
             }
             if (c->engine_active &&
-                coop_would_complete(c, ci, addr, sidx, lset)) {
+                coop_would_complete(c, ci, addr, lset)) {
                 c->warm_round = r;
                 c->warm_core = ci;
                 c->bail_core = ci;

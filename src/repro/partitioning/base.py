@@ -26,10 +26,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.cache.cache_set import NO_TAG
 from repro.cache.hierarchy import LLCOutcome
 from repro.cache.memory import MainMemory
-from repro.cache.set_associative import SetAssociativeCache
+from repro.cache.set_associative import NO_TAG, SetAssociativeCache
 from repro.energy.accounting import EnergyAccounting
 from repro.monitor.umon import UtilityMonitor
 
@@ -170,7 +169,12 @@ class BaseSharedCachePolicy:
         ways = self.geometry.ways
         cls = type(self)
         base = BaseSharedCachePolicy
-        self._sets = cache.sets
+        self._ways = ways
+        self._tags = cache.tags
+        self._stamp = cache.stamp
+        self._dirty = cache.dirty
+        self._owner = cache.owner
+        self._mapped = cache.mapped
         self._clock = cache.clock
         self._valid = cache.valid
         self._set_mask = self.geometry.set_mask
@@ -234,8 +238,7 @@ class BaseSharedCachePolicy:
 
     def _select_victim(self, core: int, set_index: int, ways: tuple[int, ...] | None) -> int:
         """Choose the way a miss by ``core`` fills into."""
-        cset = self.cache.sets[set_index]
-        return cset.victim(ways)
+        return self.cache.victim(set_index, ways)
 
     def _pre_access(self, core: int, set_index: int, now: int, hit: bool) -> None:
         """Called on every access after the probe — takeover hook."""
@@ -349,12 +352,16 @@ class BaseSharedCachePolicy:
             return self._access_hooked(core, line_address, is_write, now)
         set_index = line_address & self._set_mask
         tag = line_address >> self._set_shift
-        cset = self._sets[set_index]
-        mapped = cset.mapped
+        n_ways = self._ways
+        base = set_index * n_ways
+        mapped = self._mapped
         probe_mask, n_probed, fill_ways = self._core_tables[core]
         # ``mapped_way`` is where the tag's newest copy lives, even when
         # this core may not probe that way (then the fill below remaps it).
-        mapped_way = way = mapped.index(tag) if tag in mapped else -1
+        try:
+            mapped_way = way = mapped.index(tag, base, base + n_ways) - base
+        except ValueError:
+            mapped_way = way = -1
         if way >= 0 and not (probe_mask >> way) & 1:
             way = -1
         hit = way >= 0
@@ -383,12 +390,13 @@ class BaseSharedCachePolicy:
             # The takeover hook may have restructured the set (e.g. a
             # power-gating completion invalidated the hit way), so
             # re-check before touching.
-            if not pre_access or cset.tags[way] == tag:
+            line = base + way
+            if not pre_access or self._tags[line] == tag:
                 clock = self._clock
-                cset.stamp[way] = clock[set_index]
+                self._stamp[line] = clock[set_index]
                 clock[set_index] += 1
                 if is_write:
-                    cset.dirty[way] = 1
+                    self._dirty[line] = 1
                     energy.data_writes += 1
             self.last_hit = True
             self.last_probed = n_probed
@@ -409,62 +417,62 @@ class BaseSharedCachePolicy:
             memory.read_stall_cycles += queueing
             memory_latency = queueing + memory.latency
 
-        tags = cset.tags
+        tags = self._tags
         valid = self._valid
+        stamp = self._stamp
         if self._custom_victim:
             victim_way = self._select_victim(core, set_index, fill_ways)
+        elif fill_ways is None:
+            if valid[set_index] != n_ways:
+                # The set has a free way: the first one is the victim.
+                victim_way = tags.index(NO_TAG, base) - base
+            else:
+                stamps = stamp[base:base + n_ways]
+                victim_way = stamps.index(min(stamps))
         else:
             victim_way = -1
-            if fill_ways is None:
-                if valid[set_index] != cset.ways:
-                    for candidate in range(cset.ways):
-                        if tags[candidate] == NO_TAG:
-                            victim_way = candidate
-                            break
+            if valid[set_index] != n_ways:
+                for candidate in fill_ways:
+                    if tags[base + candidate] == NO_TAG:
+                        victim_way = candidate
+                        break
+            if victim_way < 0:
+                best_stamp = 0
+                for candidate in fill_ways:
+                    s = stamp[base + candidate]
+                    if victim_way < 0 or s < best_stamp:
+                        victim_way = candidate
+                        best_stamp = s
                 if victim_way < 0:
-                    stamp = cset.stamp
-                    victim_way = stamp.index(min(stamp))
-            else:
-                if valid[set_index] != cset.ways:
-                    for candidate in fill_ways:
-                        if tags[candidate] == NO_TAG:
-                            victim_way = candidate
-                            break
-                if victim_way < 0:
-                    stamp = cset.stamp
-                    best_stamp = 0
-                    for candidate in fill_ways:
-                        s = stamp[candidate]
-                        if victim_way < 0 or s < best_stamp:
-                            victim_way = candidate
-                            best_stamp = s
-                    if victim_way < 0:
-                        raise ValueError("victim() called with an empty way set")
+                    raise ValueError("victim() called with an empty way set")
 
-        # Inline fill (keep in sync with SetAssociativeCache.fill).
-        old_tag = tags[victim_way]
+        # Inline fill (keep in sync with SetAssociativeCache.install).
+        line = base + victim_way
+        old_tag = tags[line]
         occ = self._occ
+        dirty = self._dirty
+        owner = self._owner
         if old_tag != NO_TAG:
-            evicted_dirty = cset.dirty[victim_way]
-            evicted_owner = cset.owner[victim_way]
-            if mapped[victim_way] == old_tag:
-                mapped[victim_way] = NO_TAG
+            evicted_dirty = dirty[line]
+            evicted_owner = owner[line]
+            if mapped[line] == old_tag:
+                mapped[line] = NO_TAG
             if evicted_owner >= 0:
                 occ[evicted_owner] -= 1
         else:
             evicted_dirty = 0
             evicted_owner = -1
             valid[set_index] += 1
-        tags[victim_way] = tag
+        tags[line] = tag
         if mapped_way >= 0:
             # A stale copy in a way this core no longer probes loses
             # its mapping: the tag now resolves to the new fill.
-            mapped[mapped_way] = NO_TAG
-        mapped[victim_way] = tag
-        cset.dirty[victim_way] = 1 if is_write else 0
-        cset.owner[victim_way] = core
+            mapped[base + mapped_way] = NO_TAG
+        mapped[line] = tag
+        dirty[line] = 1 if is_write else 0
+        owner[line] = core
         clock = self._clock
-        cset.stamp[victim_way] = clock[set_index]
+        stamp[line] = clock[set_index]
         clock[set_index] += 1
         occ[core] += 1
         energy.data_writes += 1
@@ -496,8 +504,8 @@ class BaseSharedCachePolicy:
         tag = line_address >> geometry.set_shift
         probe_ways = self._probe_ways(core)
         n_probed = geometry.ways if probe_ways is None else len(probe_ways)
-        cset = self.cache.sets[set_index]
-        way = cset.find(tag, probe_ways)
+        cache = self.cache
+        way = cache.find(set_index, tag, probe_ways)
         hit = way >= 0
 
         stats = self.stats
@@ -520,10 +528,11 @@ class BaseSharedCachePolicy:
         self._pre_access(core, set_index, now, hit)
 
         if hit:
-            if cset.tags[way] == tag:
-                cset.touch(way)
+            line = set_index * cache.ways + way
+            if cache.tags[line] == tag:
+                cache.touch(set_index, way)
                 if is_write:
-                    cset.mark_dirty(way)
+                    cache.dirty[line] = 1
                     energy.fill()
             self.last_hit = True
             self.last_probed = n_probed

@@ -89,7 +89,7 @@ class UCPPolicy(BaseSharedCachePolicy):
     # ------------------------------------------------------------------
     def _select_victim(self, core: int, set_index: int, ways: tuple[int, ...] | None) -> int:
         return self._selector.select(
-            self._sets[set_index], core, self._all_ways if ways is None else ways
+            self.cache, set_index, core, self._all_ways if ways is None else ways
         )
 
     def _post_fill(self, core: int, set_index: int, way: int, evicted_owner: int,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from array import array
 
+from repro.cache.set_associative import SetAssociativeCache
 from repro.workloads.trace import Trace
 
 #: address-space offset between cores (line-address bits)
@@ -52,9 +53,9 @@ class CoreState:
         "window_open",
         "active",
         "departed",
-        "l1_sets",
-        "l1_clock",
-        "l1_valid",
+        "l1",
+        "l1_tag_rows",
+        "l1_stamp_rows",
     )
 
     def __init__(self, core_id: int, trace: Trace | None) -> None:
@@ -75,12 +76,13 @@ class CoreState:
         self.active = True
         #: whether the core has departed for good
         self.departed = False
-        #: the core's private L1 sets, bound by the simulator so the
-        #: inner loop reaches them in one attribute load
-        self.l1_sets: list | None = None
-        #: the L1's per-set clock and valid-count columns (same binding)
-        self.l1_clock: array | None = None
-        self.l1_valid: array | None = None
+        #: the core's private L1, bound by the simulator so the inner
+        #: loop reaches its line columns without a list lookup
+        self.l1: SetAssociativeCache | None = None
+        #: per-set views of the L1's ``tags`` and ``stamp`` columns
+        #: (same binding): the python tier's probe and LRU scans
+        self.l1_tag_rows: list[memoryview] | None = None
+        self.l1_stamp_rows: list[memoryview] | None = None
         if trace is None:
             # An absent slot (scenario engine): never executes, but
             # keeps CoreResult/RunResult shapes uniform.

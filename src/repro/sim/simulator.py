@@ -57,13 +57,13 @@ order, so they are interchangeable mid-run.
 
 from __future__ import annotations
 
+from array import array
 from heapq import heapify, heapreplace
 from typing import Callable
 
-from repro.cache.cache_set import NO_TAG
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.memory import MainMemory
-from repro.cache.set_associative import SetAssociativeCache
+from repro.cache.set_associative import NO_TAG, SetAssociativeCache
 from repro.dvfs.governors import GovernorSpec
 from repro.dvfs.state import DvfsState
 from repro.energy.accounting import EnergyAccounting
@@ -84,6 +84,14 @@ from repro.workloads.trace import Trace
 
 #: sentinel "no more events" cycle (far beyond any simulated time)
 _NEVER = 1 << 62
+
+
+def _set_rows(column: array, ways: int) -> list[memoryview]:
+    """One view per set of a flat line column, sharing its buffer: the
+    python tier scans a set through its row instead of slicing a new
+    array on every reference."""
+    view = memoryview(column)
+    return [view[base:base + ways] for base in range(0, len(column), ways)]
 
 
 class CMPSimulator:
@@ -197,16 +205,16 @@ class CMPSimulator:
         l1_geometry = self.hierarchy.l1[0].geometry
         self._l1_mask = l1_geometry.set_mask
         self._l1_shift = l1_geometry.set_shift
+        self._l1_ways = l1_geometry.ways
         self._miss_latency = config.l1_latency + config.l2_latency
         self._policy_access = self.policy.access_fast
         self._l1_misses = self.hierarchy.l1_misses
         self._l1_writebacks = self.hierarchy.l1_writebacks
         for core in self.cores:
-            l1 = self.hierarchy.l1[core.core_id]
+            l1 = core.l1 = self.hierarchy.l1[core.core_id]
             l1.ensure_cores(config.n_cores)
-            core.l1_sets = l1.sets
-            core.l1_clock = l1.clock
-            core.l1_valid = l1.valid
+            core.l1_tag_rows = _set_rows(l1.tags, l1.ways)
+            core.l1_stamp_rows = _set_rows(l1.stamp, l1.ways)
         #: an engine's own arrival warming for the current run (see
         #: :meth:`_begin_run`); None = :meth:`_warm_core`
         self._arrival_warm: Callable[[CoreState], None] | None = None
@@ -530,6 +538,7 @@ class CMPSimulator:
 
         l1_mask = self._l1_mask
         l1_shift = self._l1_shift
+        l1_ways = self._l1_ways
         l1_latency = self.hierarchy.l1_latency
         l1_hits = self.hierarchy.l1_hits
         l1_misses = self._l1_misses
@@ -626,16 +635,16 @@ class CMPSimulator:
             # and returns to the scheduler without another frame.
             set_index = address & l1_mask
             tag = address >> l1_shift
-            cset = core.l1_sets[set_index]
-            tags = cset.tags
-            stamp = cset.stamp
-            if tag in tags:
-                way = tags.index(tag)
-                l1_clock = core.l1_clock
-                stamp[way] = l1_clock[set_index]
+            l1 = core.l1
+            tags = l1.tags
+            base = set_index * l1_ways
+            if tag in core.l1_tag_rows[set_index]:
+                line = tags.index(tag, base)
+                l1_clock = l1.clock
+                l1.stamp[line] = l1_clock[set_index]
                 l1_clock[set_index] += 1
                 if is_write:
-                    cset.dirty[way] = 1
+                    l1.dirty[line] = 1
                 l1_hits[core.core_id] += 1
                 core.time = issue_time + hit_latency
             else:
@@ -648,27 +657,24 @@ class CMPSimulator:
                 core_id = core.core_id
                 l1_misses[core_id] += 1
                 memory_latency = policy_access(core_id, address, False, issue_time)
-                valid = core.l1_valid
-                victim_way = -1
-                if valid[set_index] != cset.ways:
-                    for candidate in range(cset.ways):
-                        if tags[candidate] == NO_TAG:
-                            victim_way = candidate
-                            break
-                if victim_way < 0:
-                    victim_way = stamp.index(min(stamp))
-                old_tag = tags[victim_way]
-                evicted_dirty = 0
-                if old_tag != NO_TAG:
-                    evicted_dirty = cset.dirty[victim_way]
-                else:
+                valid = l1.valid
+                stamp = l1.stamp
+                dirty = l1.dirty
+                if valid[set_index] != l1_ways:
+                    # A free way: the first one is the victim.
+                    line = tags.index(NO_TAG, base)
+                    evicted_dirty = 0
                     valid[set_index] += 1
-                    self.hierarchy.l1[core_id].core_occupancy[core_id] += 1
-                tags[victim_way] = tag
-                cset.dirty[victim_way] = 1 if is_write else 0
-                cset.owner[victim_way] = core_id
-                l1_clock = core.l1_clock
-                stamp[victim_way] = l1_clock[set_index]
+                    l1.core_occupancy[core_id] += 1
+                else:
+                    line = stamp.index(min(core.l1_stamp_rows[set_index]), base)
+                    evicted_dirty = dirty[line]
+                old_tag = tags[line]
+                tags[line] = tag
+                dirty[line] = 1 if is_write else 0
+                l1.owner[line] = core_id
+                l1_clock = l1.clock
+                stamp[line] = l1_clock[set_index]
                 l1_clock[set_index] += 1
                 if evicted_dirty:
                     l1_writebacks[core_id] += 1
@@ -793,7 +799,6 @@ class CMPSimulator:
         address: int,
         is_write: int,
         now: int,
-        cset,
         set_index: int,
         tag: int,
     ) -> int:
@@ -801,7 +806,7 @@ class CMPSimulator:
 
         Mirrors :meth:`CacheHierarchy.access`'s miss handling (fetch
         before fill, write the dirty victim through the LLC after) and
-        :meth:`SetAssociativeCache.fill`'s state updates — keep the
+        :meth:`SetAssociativeCache.install`'s state updates — keep the
         three in sync.
         """
         self._l1_misses[core_id] += 1
@@ -811,31 +816,30 @@ class CMPSimulator:
 
         # Choose the L1 victim (plain LRU over the full set).
         l1 = self.hierarchy.l1[core_id]
+        ways = l1.ways
+        base = set_index * ways
+        tags = l1.tags
         valid = l1.valid
-        tags = cset.tags
-        victim_way = -1
-        if valid[set_index] != cset.ways:
-            for candidate in range(cset.ways):
-                if tags[candidate] == NO_TAG:
-                    victim_way = candidate
-                    break
-        if victim_way < 0:
-            stamp = cset.stamp
-            victim_way = stamp.index(min(stamp))
-
-        # Inlined L1 fill.
-        old_tag = tags[victim_way]
-        evicted_dirty = 0
-        if old_tag != NO_TAG:
-            evicted_dirty = cset.dirty[victim_way]
-        else:
+        stamp = l1.stamp
+        dirty = l1.dirty
+        if valid[set_index] != ways:
+            # A free way: the first one is the victim.
+            line = tags.index(NO_TAG, base)
+            evicted_dirty = 0
             valid[set_index] += 1
             l1.core_occupancy[core_id] += 1
-        tags[victim_way] = tag
-        cset.dirty[victim_way] = 1 if is_write else 0
-        cset.owner[victim_way] = core_id
+        else:
+            rows = self.cores[core_id].l1_stamp_rows
+            line = stamp.index(min(rows[set_index]), base)
+            evicted_dirty = dirty[line]
+
+        # Inlined L1 fill.
+        old_tag = tags[line]
+        tags[line] = tag
+        dirty[line] = 1 if is_write else 0
+        l1.owner[line] = core_id
         clock = l1.clock
-        cset.stamp[victim_way] = clock[set_index]
+        stamp[line] = clock[set_index]
         clock[set_index] += 1
 
         if evicted_dirty:
@@ -920,17 +924,16 @@ class CMPSimulator:
         now = core.time
         set_index = address & l1_mask
         tag = address >> l1_shift
-        cset = core.l1_sets[set_index]
-        tags = cset.tags
-        if tag in tags:
-            clock = core.l1_clock
-            cset.stamp[tags.index(tag)] = clock[set_index]
+        if tag in core.l1_tag_rows[set_index]:
+            l1 = core.l1
+            clock = l1.clock
+            l1.stamp[l1.tags.index(tag, set_index * l1.ways)] = clock[set_index]
             clock[set_index] += 1
             l1_hits[core.core_id] += 1
             core.time = now + l1_latency
         else:
             core.time = now + miss(
-                core.core_id, address, False, now, cset, set_index, tag
+                core.core_id, address, False, now, set_index, tag
             )
 
     def _warm_core(self, core: CoreState) -> None:

@@ -1,97 +1,103 @@
-"""Unit and property tests for CacheSet (LRU stack behaviour)."""
+"""Unit and property tests for the cache's per-set operations (LRU
+recency, victim choice, line state) on a one-set geometry."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cache.cache_set import NO_WAY, CacheSet
+from repro.cache.geometry import CacheGeometry
 from repro.cache.line import NO_OWNER
+from repro.cache.set_associative import NO_WAY, SetAssociativeCache
+
+
+def _one_set(ways):
+    return SetAssociativeCache(CacheGeometry(ways * 64, 64, ways))
 
 
 class TestFind:
     def test_empty_set_misses(self):
-        cset = CacheSet(4)
-        assert cset.find(42) == NO_WAY
+        cache = _one_set(4)
+        assert cache.find(0, 42) == NO_WAY
 
     def test_find_after_install(self):
-        cset = CacheSet(4)
-        cset.install(2, tag=42, owner=0, dirty=False)
-        assert cset.find(42) == 2
+        cache = _one_set(4)
+        cache.install(0, 2, tag=42, owner=0, dirty=False)
+        assert cache.find(0, 42) == 2
 
     def test_find_restricted_to_ways(self):
-        cset = CacheSet(4)
-        cset.install(2, tag=42, owner=0, dirty=False)
-        assert cset.find(42, ways=(0, 1)) == NO_WAY
-        assert cset.find(42, ways=(2, 3)) == 2
+        cache = _one_set(4)
+        cache.install(0, 2, tag=42, owner=0, dirty=False)
+        assert cache.find(0, 42, ways=(0, 1)) == NO_WAY
+        assert cache.find(0, 42, ways=(2, 3)) == 2
 
     def test_rejects_zero_ways(self):
         with pytest.raises(ValueError):
-            CacheSet(0)
+            _one_set(0)
 
 
 class TestVictim:
     def test_prefers_invalid_ways(self):
-        cset = CacheSet(4)
-        cset.install(0, tag=1, owner=0, dirty=False)
-        assert cset.victim() in (1, 2, 3)
+        cache = _one_set(4)
+        cache.install(0, 0, tag=1, owner=0, dirty=False)
+        assert cache.victim(0) in (1, 2, 3)
 
     def test_lru_victim_when_full(self):
-        cset = CacheSet(4)
+        cache = _one_set(4)
         for way in range(4):
-            cset.install(way, tag=way, owner=0, dirty=False)
+            cache.install(0, way, tag=way, owner=0, dirty=False)
         # Way 0 was installed first and never touched again.
-        assert cset.victim() == 0
+        assert cache.victim(0) == 0
 
     def test_touch_changes_victim(self):
-        cset = CacheSet(4)
+        cache = _one_set(4)
         for way in range(4):
-            cset.install(way, tag=way, owner=0, dirty=False)
-        cset.touch(0)
-        assert cset.victim() == 1
+            cache.install(0, way, tag=way, owner=0, dirty=False)
+        cache.touch(0, 0)
+        assert cache.victim(0) == 1
 
     def test_victim_respects_way_subset(self):
-        cset = CacheSet(4)
+        cache = _one_set(4)
         for way in range(4):
-            cset.install(way, tag=way, owner=0, dirty=False)
-        assert cset.victim(ways=(2, 3)) == 2
+            cache.install(0, way, tag=way, owner=0, dirty=False)
+        assert cache.victim(0, ways=(2, 3)) == 2
 
     def test_victim_empty_subset_raises(self):
-        cset = CacheSet(2)
-        cset.install(0, tag=1, owner=0, dirty=False)
-        cset.install(1, tag=2, owner=0, dirty=False)
+        cache = _one_set(2)
+        cache.install(0, 0, tag=1, owner=0, dirty=False)
+        cache.install(0, 1, tag=2, owner=0, dirty=False)
         with pytest.raises(ValueError):
-            cset.victim(ways=())
+            cache.victim(0, ways=())
 
 
 class TestLineState:
     def test_install_sets_owner_and_dirty(self):
-        cset = CacheSet(2)
-        cset.install(1, tag=7, owner=3, dirty=True)
-        line = cset.line(1)
+        cache = _one_set(2)
+        cache.install(0, 1, tag=7, owner=3, dirty=True)
+        line = cache.line(0, 1)
         assert line.valid and line.dirty and line.owner == 3 and line.tag == 7
 
     def test_invalidate_clears_state(self):
-        cset = CacheSet(2)
-        cset.install(0, tag=7, owner=1, dirty=True)
-        cset.invalidate(0)
-        line = cset.line(0)
+        cache = _one_set(2)
+        cache.install(0, 0, tag=7, owner=1, dirty=True)
+        cache.invalidate(0, 0)
+        line = cache.line(0, 0)
         assert not line.valid and not line.dirty and line.owner == NO_OWNER
 
     def test_clean_clears_dirty_only(self):
-        cset = CacheSet(2)
-        cset.install(0, tag=7, owner=1, dirty=True)
-        cset.clean(0)
-        line = cset.line(0)
+        cache = _one_set(2)
+        cache.install(0, 0, tag=7, owner=1, dirty=True)
+        assert cache.flush_way_in_set(0, 0) == 7
+        line = cache.line(0, 0)
         assert line.valid and not line.dirty and line.owner == 1
 
     def test_occupancy_counts_only_owner(self):
-        cset = CacheSet(4)
-        cset.install(0, tag=1, owner=0, dirty=False)
-        cset.install(1, tag=2, owner=0, dirty=False)
-        cset.install(2, tag=3, owner=1, dirty=False)
-        assert cset.occupancy(0) == 2
-        assert cset.occupancy(1) == 1
-        assert cset.occupancy(2) == 0
+        cache = _one_set(4)
+        cache.install(0, 0, tag=1, owner=0, dirty=False)
+        cache.install(0, 1, tag=2, owner=0, dirty=False)
+        cache.install(0, 2, tag=3, owner=1, dirty=False)
+        assert cache.occupancy(0, 0) == 2
+        assert cache.occupancy(0, 1) == 1
+        assert cache.occupancy(0, 2) == 0
 
 
 @given(st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=200))
@@ -102,31 +108,33 @@ def test_lru_stack_property(tags):
     in the smaller set must also hit in the larger (Mattson
     inclusion), which is the property UMON's miss curves rely on.
     """
-    small, large = CacheSet(2), CacheSet(4)
+    small, large = _one_set(2), _one_set(4)
     hits_small = hits_large = 0
     for tag in tags:
-        for cset, is_small in ((small, True), (large, False)):
-            way = cset.find(tag)
+        for cache, is_small in ((small, True), (large, False)):
+            way = cache.find(0, tag)
             if way != NO_WAY:
-                cset.touch(way)
+                cache.touch(0, way)
                 if is_small:
                     hits_small += 1
                 else:
                     hits_large += 1
             else:
-                cset.install(cset.victim(), tag, owner=0, dirty=False)
+                cache.install(0, cache.victim(0), tag, owner=0, dirty=False)
     assert hits_large >= hits_small
 
 
 @given(st.lists(st.tuples(st.integers(0, 30), st.booleans()), min_size=1, max_size=150))
 def test_lru_order_is_a_permutation(accesses):
     """The recency stack always remains a permutation of the ways."""
-    cset = CacheSet(4)
+    cache = _one_set(4)
     for tag, dirty in accesses:
-        way = cset.find(tag)
+        way = cache.find(0, tag)
         if way == NO_WAY:
-            way = cset.victim()
-            cset.install(way, tag, owner=0, dirty=dirty)
+            way = cache.victim(0)
+            cache.install(0, way, tag, owner=0, dirty=dirty)
         else:
-            cset.touch(way)
-    assert sorted(cset.lru) == [0, 1, 2, 3]
+            cache.touch(0, way)
+    order = cache.lru(0)
+    assert sorted(order) == [0, 1, 2, 3]
+    assert [cache.stack_position(0, way) for way in order] == [0, 1, 2, 3]

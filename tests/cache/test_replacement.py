@@ -1,47 +1,52 @@
 """Unit tests for victim-selection strategies."""
 
-from repro.cache.cache_set import CacheSet
+from repro.cache.geometry import CacheGeometry
 from repro.cache.replacement import (
     LRUVictimSelector,
     PartitionAwareVictimSelector,
     RandomVictimSelector,
 )
+from repro.cache.set_associative import SetAssociativeCache
 
 ALL_WAYS = (0, 1, 2, 3)
 
 
+def _one_set(ways):
+    return SetAssociativeCache(CacheGeometry(ways * 64, 64, ways))
+
+
 def _full_set(owners):
-    cset = CacheSet(len(owners))
+    cache = _one_set(len(owners))
     for way, owner in enumerate(owners):
-        cset.install(way, tag=way + 100, owner=owner, dirty=False)
-    return cset
+        cache.install(0, way, tag=way + 100, owner=owner, dirty=False)
+    return cache
 
 
 class TestLRUSelector:
     def test_picks_lru_among_allowed(self):
-        cset = _full_set([0, 0, 1, 1])
-        cset.touch(0)
+        cache = _full_set([0, 0, 1, 1])
+        cache.touch(0, 0)
         selector = LRUVictimSelector()
-        assert selector.select(cset, core=0, ways=(0, 1)) == 1
+        assert selector.select(cache, 0, core=0, ways=(0, 1)) == 1
 
 
 class TestRandomSelector:
     def test_prefers_invalid(self):
-        cset = CacheSet(4)
-        cset.install(0, tag=1, owner=0, dirty=False)
+        cache = _one_set(4)
+        cache.install(0, 0, tag=1, owner=0, dirty=False)
         selector = RandomVictimSelector(seed=1)
-        assert selector.select(cset, core=0, ways=ALL_WAYS) != 0
+        assert selector.select(cache, 0, core=0, ways=ALL_WAYS) != 0
 
     def test_only_allowed_ways(self):
-        cset = _full_set([0, 0, 1, 1])
+        cache = _full_set([0, 0, 1, 1])
         selector = RandomVictimSelector(seed=7)
         for _ in range(20):
-            assert selector.select(cset, core=0, ways=(2, 3)) in (2, 3)
+            assert selector.select(cache, 0, core=0, ways=(2, 3)) in (2, 3)
 
     def test_deterministic_with_seed(self):
-        cset = _full_set([0, 0, 1, 1])
-        a = [RandomVictimSelector(seed=3).select(cset, 0, ALL_WAYS) for _ in range(5)]
-        b = [RandomVictimSelector(seed=3).select(cset, 0, ALL_WAYS) for _ in range(5)]
+        cache = _full_set([0, 0, 1, 1])
+        a = [RandomVictimSelector(seed=3).select(cache, 0, 0, ALL_WAYS) for _ in range(5)]
+        b = [RandomVictimSelector(seed=3).select(cache, 0, 0, ALL_WAYS) for _ in range(5)]
         assert a == b
 
 
@@ -49,36 +54,36 @@ class TestPartitionAwareSelector:
     """UCP's replacement-driven capacity migration."""
 
     def test_under_allocated_core_steals_from_over_occupier(self):
-        cset = _full_set([1, 1, 1, 0])  # core 1 holds three ways
+        cache = _full_set([1, 1, 1, 0])  # core 1 holds three ways
         selector = PartitionAwareVictimSelector(4)
         selector.set_targets({0: 2, 1: 2})
-        victim = selector.select(cset, core=0, ways=ALL_WAYS)
-        assert cset.owner[victim] == 1
+        victim = selector.select(cache, 0, core=0, ways=ALL_WAYS)
+        assert cache.owner[victim] == 1
 
     def test_at_target_core_recycles_own_lru(self):
-        cset = _full_set([0, 0, 1, 1])
+        cache = _full_set([0, 0, 1, 1])
         selector = PartitionAwareVictimSelector(4)
         selector.set_targets({0: 2, 1: 2})
-        victim = selector.select(cset, core=0, ways=ALL_WAYS)
-        assert cset.owner[victim] == 0
+        victim = selector.select(cache, 0, core=0, ways=ALL_WAYS)
+        assert cache.owner[victim] == 0
         assert victim == 0  # LRU of core 0's lines
 
     def test_steals_lru_line_of_over_occupier(self):
-        cset = _full_set([1, 1, 1, 0])
-        cset.touch(0)  # way 0 becomes MRU; ways 1, 2 older
+        cache = _full_set([1, 1, 1, 0])
+        cache.touch(0, 0)  # way 0 becomes MRU; ways 1, 2 older
         selector = PartitionAwareVictimSelector(4)
         selector.set_targets({0: 2, 1: 2})
-        assert selector.select(cset, core=0, ways=ALL_WAYS) == 1
+        assert selector.select(cache, 0, core=0, ways=ALL_WAYS) == 1
 
     def test_invalid_way_always_first(self):
-        cset = _full_set([1, 1, 1, 0])
-        cset.invalidate(2)
+        cache = _full_set([1, 1, 1, 0])
+        cache.invalidate(0, 2)
         selector = PartitionAwareVictimSelector(4)
         selector.set_targets({0: 3, 1: 1})
-        assert selector.select(cset, core=0, ways=ALL_WAYS) == 2
+        assert selector.select(cache, 0, core=0, ways=ALL_WAYS) == 2
 
     def test_without_targets_falls_back_to_own_then_lru(self):
-        cset = _full_set([0, 1, 1, 1])
+        cache = _full_set([0, 1, 1, 1])
         selector = PartitionAwareVictimSelector(4)
-        victim = selector.select(cset, core=0, ways=ALL_WAYS)
+        victim = selector.select(cache, 0, core=0, ways=ALL_WAYS)
         assert victim == 0

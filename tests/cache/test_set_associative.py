@@ -13,7 +13,7 @@ class TestProbeAndFill:
         cache = _cache()
         hit, way, set_index = cache.probe(1000)
         assert not hit
-        victim = cache.sets[set_index].victim()
+        victim = cache.victim(set_index)
         cache.fill(1000, core=0, is_write=False, victim_way=victim)
         hit, way, _ = cache.probe(1000)
         assert hit
@@ -80,11 +80,9 @@ class TestFlush:
 def _scan_occupancy(cache, n_cores):
     """Brute-force per-core occupancy (the pre-counter implementation)."""
     counts = [0] * n_cores
-    for cset in cache.sets:
-        for way in range(cset.ways):
-            owner = cset.owner[way]
-            if cset.tags[way] != -1 and 0 <= owner < n_cores:
-                counts[owner] += 1
+    for tag, owner in zip(cache.tags, cache.owner):
+        if tag != -1 and 0 <= owner < n_cores:
+            counts[owner] += 1
     return counts
 
 

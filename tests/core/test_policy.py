@@ -62,7 +62,7 @@ class TestAccessPath:
         policy = _policy()
         policy.access(0, line_address=100, is_write=False, now=0)
         set_index = GEOMETRY.set_index(100)
-        way = policy.cache.sets[set_index].find(GEOMETRY.tag(100))
+        way = policy.cache.find(set_index, GEOMETRY.tag(100))
         assert way in policy._fill_ways(0)
 
     def test_core_cannot_see_other_cores_data(self):

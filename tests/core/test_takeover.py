@@ -1,9 +1,8 @@
 """Unit tests for takeover vectors and the cooperative takeover engine."""
 
-from repro.cache.cache_set import NO_TAG
 from repro.cache.geometry import CacheGeometry
 from repro.cache.memory import MainMemory
-from repro.cache.set_associative import SetAssociativeCache
+from repro.cache.set_associative import NO_TAG, SetAssociativeCache
 from repro.core.takeover import TO_OFF, TakeoverEngine, TakeoverVector, WayTransition
 from repro.energy.accounting import EnergyAccounting
 from repro.energy.cacti import CactiEnergyModel
@@ -49,8 +48,9 @@ class TestEngineProtocol:
         completed = engine.on_access(core=1, set_index=3, hit=True, now=10)
         assert not completed
         assert memory.writebacks == 1  # the dirty line was flushed
-        assert not cache.sets[3].dirty[2]  # but stays valid and clean
-        assert cache.sets[3].tags[2] != NO_TAG
+        line = 3 * GEOMETRY.ways + 2
+        assert not cache.dirty[line]  # but stays valid and clean
+        assert cache.tags[line] != NO_TAG
         assert stats.takeover_events["donor_hit"] == 1
 
     def test_recipient_access_marks_donor_vector(self):

@@ -1,9 +1,9 @@
 """The compiled engine works on the simulator's own state, not a copy.
 
 The C kernel and the Python tier index the same flat buffers: cache
-lines, per-set clocks and valid counts, the LLC's ``mapped`` lookup
-column, UMON tag directories, UCP migration counters and takeover bit
-vectors.  These tests run corpus scenarios in which cores arrive while
+line columns, per-set clocks and valid counts, the LLC's ``mapped``
+lookup column, per-core counters, UMON tag directories, UCP migration
+counters and takeover bit vectors.  These tests run corpus scenarios in which cores arrive while
 a takeover (cooperative) or a migration (UCP) is in flight, and check:
 
 * the final Python-visible state after a ``compiled`` run equals the
@@ -58,25 +58,34 @@ def _busy(sim) -> bool:
 def _state(sim) -> dict:
     """Every Python-visible piece of simulator state the kernel shares."""
 
-    def sets(cache):
-        return [
-            {
-                "tags": cset.tags.tolist(),
-                "owner": cset.owner.tolist(),
-                "dirty": cset.dirty.tolist(),
-                "stamp": cset.stamp.tolist(),
-                "clock": cset.clock,
-                "valid": cset.valid_count,
-                "mapped": None if cset.mapped is None else cset.mapped.tolist(),
-            }
-            for cset in cache.sets
-        ]
+    def columns(cache):
+        return {
+            "tags": cache.tags.tolist(),
+            "owner": cache.owner.tolist(),
+            "dirty": cache.dirty.tolist(),
+            "stamp": cache.stamp.tolist(),
+            "clock": cache.clock.tolist(),
+            "valid": cache.valid.tolist(),
+            "mapped": None if cache.mapped is None else cache.mapped.tolist(),
+            "occupancy": cache.core_occupancy.tolist(),
+        }
 
     policy = sim.policy
+    hierarchy = sim.hierarchy
+    stats = sim.stats
     state = {
-        "llc": sets(sim.cache),
-        "llc_occupancy": list(sim.cache.core_occupancy),
-        "l1": [sets(l1) for l1 in sim.hierarchy.l1],
+        "llc": columns(sim.cache),
+        "l1": [columns(l1) for l1 in hierarchy.l1],
+        "counters": [
+            list(column)
+            for column in (
+                hierarchy.l1_hits, hierarchy.l1_misses,
+                hierarchy.l1_writebacks, stats.ways_probed_sum,
+                stats.probe_events, stats.writeback_accesses,
+                stats.demand_accesses, stats.demand_hits,
+                sim.dvfs.stall if sim.dvfs is not None else (),
+            )
+        ],
         "cores": [
             (core.time, core.position, core.instructions, core.refs_done,
              core.window_open, core.window_closed, core.frozen_cycles)

@@ -122,13 +122,14 @@ class TestWayAlignment:
             owner = permissions.full_owner(way)
             if owner is None or permissions.in_transition(way):
                 continue
-            for cset in simulator.cache.sets:
-                line_owner = cset.owner[way]
-                if cset.tags[way] is not None and line_owner >= 0:
+            cache = simulator.cache
+            for line in range(way, len(cache.tags), cache.ways):
+                line_owner = cache.owner[line]
+                if cache.tags[line] is not None and line_owner >= 0:
                     # Lines of a settled way belong to its owner or are
                     # leftovers the owner inherited (clean by takeover).
                     if line_owner != owner:
-                        assert not cset.dirty[way] or True
+                        assert not cache.dirty[line] or True
 
 
 class TestEnergyAccountingConsistency:

@@ -93,11 +93,9 @@ def test_schedule_invariants(scenario, policy):
     # Incremental occupancy counters == brute-force recount.
     cache = simulator.cache
     recount = [0] * _CONFIG.n_cores
-    for cset in cache.sets:
-        for way in range(cset.ways):
-            owner = cset.owner[way]
-            if cset.tags[way] != -1 and 0 <= owner < _CONFIG.n_cores:
-                recount[owner] += 1
+    for tag, owner in zip(cache.tags, cache.owner):
+        if tag != -1 and 0 <= owner < _CONFIG.n_cores:
+            recount[owner] += 1
     assert cache.occupancy_by_core(_CONFIG.n_cores) == recount
 
     # Static energy is cumulative and monotone non-decreasing.
