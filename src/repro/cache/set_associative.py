@@ -25,6 +25,10 @@ Line state is a handful of flat buffers, one per field, each holding
   the prober may see (cores have disjoint address spaces, and a stale
   duplicate can only exist in a way its owner no longer probes).
   Private L1s never hold duplicates and are probed by scanning ``tags``.
+  The C kernel's branch-free way scans keep the *last* match and are
+  exact only because of these uniqueness properties (and unique
+  stamps); ``tests/engine/test_kernel_invariants.py`` checks them at
+  every epoch boundary on both engines.
 
 Per set there are two more columns, ``clock`` (the next stamp) and
 ``valid`` (valid lines, which lets a fill skip the invalid-way scan

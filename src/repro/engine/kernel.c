@@ -32,6 +32,14 @@
  * columns are flat: line (set, way) sits at `set * ways + way`.  Only
  * O(n_cores) scalars are copied per span.
  *
+ * The per-reference finds and LRU scans over ways are branch-free
+ * selects, not early exits.  A find keeps the *last* match, which is
+ * the only one because each key is unique in its row: `mapped`
+ * resolves a tag to at most one way, a private L1 never holds a tag
+ * twice, and an ATD set is an LRU stack.  An LRU argmin is a strict-<
+ * select, so ties keep the first minimum.
+ * tests/engine/test_kernel_invariants.py checks these invariants.
+ *
  * repro/engine/compiled.py builds its ctypes mirror of the struct
  * below by reading this declaration, so it must stay one 8-byte field
  * (i64 or a pointer) per line; the ABI size check catches a line the
@@ -39,7 +47,6 @@
  */
 
 #include <stdint.h>
-#include <string.h>
 
 typedef int64_t i64;
 
@@ -59,6 +66,7 @@ enum { EV_FLUSH_TL = 1, EV_TFB = 2, EV_TRANS_DUR = 3 };
 #define NO_TAG (-1)
 #define TGT_NONE (-1)
 #define CANARY 0x5EED1DEA5EED1DEALL
+#define HOT static inline __attribute__((always_inline))
 
 typedef struct {
     /* ---- canary / abi ---- */
@@ -338,23 +346,31 @@ static void atd_record(Ctx *c, i64 core, i64 set, i64 tag)
     i64 *counts = c->atd_counts[core];
     counts[1]++;
     i64 pos = -1;
-    for (i64 i = 0; i < len; i++) {
-        if (stack[i] == tag) {
-            pos = i;
-            break;
-        }
-    }
+    for (i64 i = 0; i < len; i++)
+        pos = stack[i] == tag ? i : pos;
     if (pos < 0) {
         counts[0]++;
-        i64 nl = len < W ? len + 1 : W;
-        memmove(stack + 1, stack, (size_t)(nl - 1) * sizeof(i64));
-        stack[0] = tag;
-        *lenp = nl;
-        return;
+        pos = len < W ? len : W - 1;  /* a full stack drops its LRU tag */
+        *lenp = pos + 1;
+    } else {
+        c->atd_hits[core][pos]++;
     }
-    memmove(stack + 1, stack, (size_t)pos * sizeof(i64));
+    for (i64 i = pos; i > 0; i--)
+        stack[i] = stack[i - 1];
     stack[0] = tag;
-    c->atd_hits[core][pos]++;
+}
+
+/* The first way of stamp[0..n) holding the least stamp (LRU). */
+HOT i64 lru_way(const i64 *stamp, i64 n)
+{
+    i64 victim = 0;
+    i64 bs = stamp[0];
+    for (i64 w = 1; w < n; w++) {
+        int lt = stamp[w] < bs;
+        victim = lt ? w : victim;
+        bs = lt ? stamp[w] : bs;
+    }
+    return victim;
 }
 
 /* SetAssociativeCache.victim(set, ways): fc < 0 means "all ways" */
@@ -369,15 +385,7 @@ static i64 set_victim(Ctx *c, i64 set, i64 fc, const i64 *fw)
                 if (tags[w] == NO_TAG)
                     return w;
         }
-        i64 best = 0;
-        i64 bs = stamp[0];
-        for (i64 w = 1; w < W; w++) {
-            if (stamp[w] < bs) {
-                bs = stamp[w];
-                best = w;
-            }
-        }
-        return best;
+        return lru_way(stamp, W);
     }
     if (c->llc_valid[set] != W) {
         for (i64 k = 0; k < fc; k++)
@@ -516,7 +524,7 @@ static void ucp_post_fill(Ctx *c, i64 core, i64 set, i64 evicted_owner,
 
 /* BaseSharedCachePolicy.access_fast(); returns memory latency, or -1
  * on an internal error (no victim way). */
-static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
+HOT i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
 {
     i64 W = c->llc_ways;
     i64 set = addr & c->llc_set_mask;
@@ -526,12 +534,9 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     i64 pm = c->probe_mask[core];
     i64 np = c->probe_count[core];
     i64 way = -1;
-    for (i64 w = 0; w < W; w++) {
-        if (mapped[w] == tag) {
-            way = w;
-            break;
-        }
-    }
+    for (i64 w = 0; w < W; w++)
+        way = mapped[w] == tag ? w : way;
+    i64 mapped_way = way;  /* the tag's newest copy, probed or not */
     if (way >= 0 && !((pm >> way) & 1))
         way = -1;
     int hit = way >= 0;
@@ -614,12 +619,8 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     }
     /* The new copy supersedes an older one left in a way its owner no
      * longer probes: `tag` resolves to `victim` from now on. */
-    for (i64 w = 0; w < W; w++) {
-        if (mapped[w] == tag) {
-            mapped[w] = NO_TAG;
-            break;
-        }
-    }
+    if (mapped_way >= 0)
+        mapped[mapped_way] = NO_TAG;
     tags[victim] = tag;
     mapped[victim] = tag;
     dirty[victim] = is_write ? 1 : 0;
@@ -645,17 +646,17 @@ static i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
 
 /* The way of `core`'s L1 set `lset` holding `ltag`, or -1 (a private
  * L1 never holds duplicates, so a scan of the tags is the lookup). */
-static i64 l1_find(Ctx *c, i64 core, i64 lset, i64 ltag)
+HOT i64 l1_find(Ctx *c, i64 core, i64 lset, i64 ltag)
 {
-    i64 *ltags = c->l1_tags[core] + lset * c->l1_ways;
+    const i64 *ltags = c->l1_tags[core] + lset * c->l1_ways;
+    i64 way = -1;
     for (i64 w = 0; w < c->l1_ways; w++)
-        if (ltags[w] == ltag)
-            return w;
-    return -1;
+        way = ltags[w] == ltag ? w : way;
+    return way;
 }
 
 /* L1 victim: the first invalid way, else plain LRU over the full set. */
-static i64 l1_victim(Ctx *c, i64 core, i64 lset)
+HOT i64 l1_victim(Ctx *c, i64 core, i64 lset)
 {
     i64 line0 = lset * c->l1_ways;
     i64 *ltags = c->l1_tags[core] + line0;
@@ -664,23 +665,14 @@ static i64 l1_victim(Ctx *c, i64 core, i64 lset)
             if (ltags[w] == NO_TAG)
                 return w;
     }
-    i64 *st = c->l1_stamp[core] + line0;
-    i64 victim = 0;
-    i64 bs = st[0];
-    for (i64 w = 1; w < c->l1_ways; w++) {
-        if (st[w] < bs) {
-            bs = st[w];
-            victim = w;
-        }
-    }
-    return victim;
+    return lru_way(c->l1_stamp[core] + line0, c->l1_ways);
 }
 
 /* CMPSimulator._l1_miss(): the LLC fetch, the inline L1 fill and the
  * dirty victim's writeback through the LLC.  Returns the memory
  * latency, or -1 on an internal error. */
-static i64 l1_miss(Ctx *c, i64 core, i64 addr, i64 lset, i64 ltag,
-                   i64 is_write, i64 now)
+HOT i64 l1_miss(Ctx *c, i64 core, i64 addr, i64 lset, i64 ltag,
+                i64 is_write, i64 now)
 {
     c->l1_misses[core]++;
     i64 mem_lat = llc_access(c, core, addr, 0, now);

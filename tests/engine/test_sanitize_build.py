@@ -1,9 +1,13 @@
 """Sanitizer build mode: ``REPRO_CC_SANITIZE`` must reshape both the
 compile command and the kernel cache key, so a sanitized and an
 optimized kernel never collide in the cache.  The base flags key the
-cache the same way."""
+cache the same way, and the kernel compiles without a warning."""
 
 from __future__ import annotations
+
+import subprocess
+
+import pytest
 
 from repro.engine import build
 
@@ -51,3 +55,16 @@ class TestCacheKey:
     def test_fp_contraction_is_off(self):
         # a fused multiply-add would break the trace fill's bit-identity
         assert "-ffp-contract=off" in build.compile_flags()
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    try:
+        compiler = build._find_compiler()
+    except RuntimeError:
+        pytest.skip("no C compiler")
+    cmd = [
+        compiler, *build.compile_flags(), "-Wall", "-Wextra", "-Werror",
+        "-o", str(tmp_path / "kernel.so"), str(build.KERNEL_SOURCE),
+    ]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
