@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
 """Scenario: prototyping a new partitioning policy against the suite.
 
-The library's policy interface (probe ways / fill ways / victim /
-epoch decision) is small enough to drop in research ideas.  This
-example implements *Static Priority Partitioning* — a QoS-style scheme
-that pins 6 of 8 ways to a designated high-priority core — and races
-it against the built-in schemes on a two-application mix.
+The library's policy interface is small enough to drop in research
+ideas: a policy declares each core's probe and fill ways with
+``self._set_core_ways(core, probe, fill)`` (in ``__init__``, or in the
+epoch-boundary ``decide`` to repartition) and may pick its own victim.
+The way restrictions are data, like the paper's per-core RAP/WAP
+registers, so a policy that only restricts ways runs on the C kernel.
+This example implements *Static Priority Partitioning* — a QoS-style
+scheme that pins 6 of 8 ways to a designated high-priority core — and
+races it against the built-in schemes on a two-application mix.
 
 Third-party policies are first-class citizens: the
 ``@register_policy`` decorator plugs the class into the policy
@@ -41,18 +45,13 @@ class StaticPriorityPolicy(BaseSharedCachePolicy):
     def __init__(self, *args, priority_core: int = 0, priority_ways: int = 6, **kwargs):
         super().__init__(*args, **kwargs)
         ways = self.geometry.ways
-        boundary = priority_ways
-        self._partitions = [
-            tuple(range(boundary)) if core == priority_core
-            else tuple(range(boundary, ways))
-            for core in range(self.n_cores)
-        ]
-
-    def _probe_ways(self, core):
-        return self._partitions[core]
-
-    def _fill_ways(self, core):
-        return self._partitions[core]
+        for core in range(self.n_cores):
+            block = (
+                tuple(range(priority_ways)) if core == priority_core
+                else tuple(range(priority_ways, ways))
+            )
+            # Probe and fill the same ways: a way-aligned partition.
+            self._set_core_ways(core, block, block)
 
 
 def main() -> None:

@@ -1,4 +1,4 @@
-"""Victim-selection strategies.
+"""Victim selection.
 
 The schemes compared in the paper differ in *which* line they evict on
 a fill:
@@ -11,69 +11,22 @@ a fill:
 * UCP's partition-aware selection — when a core is over its target
   occupancy the victim comes from its own lines, otherwise from the
   LRU line of an over-occupying core, which is how UCP migrates
-  capacity lazily through the replacement policy (Section 2.5, [20]);
-* random among permitted ways — used for the way-choice ablation the
-  paper discusses under "Performance Overheads" (Section 2.5).
+  capacity lazily through the replacement policy (Section 2.5, [20]).
 
-All selectors read one set of a
-:class:`~repro.cache.set_associative.SetAssociativeCache`'s flat line
-columns, with its stamp-based recency: "least recently used among a
-subset" is a min-stamp scan over the candidate ways, so nothing here
-allocates per eviction.
+The two LRU cases are
+:meth:`~repro.cache.set_associative.SetAssociativeCache.victim`; this
+module holds UCP's selector.  It reads one set of the cache's flat
+line columns, with its stamp-based recency: "least recently used
+among a subset" is a min-stamp scan over the candidate ways, so
+nothing here allocates per eviction.
 """
 
 from __future__ import annotations
 
-import random
-from abc import ABC, abstractmethod
-
 from repro.cache.set_associative import NO_TAG, SetAssociativeCache
 
 
-class VictimSelector(ABC):
-    """Strategy interface: choose the way a new line is filled into."""
-
-    @abstractmethod
-    def select(
-        self, cache: SetAssociativeCache, set_index: int, core: int,
-        ways: tuple[int, ...],
-    ) -> int:
-        """Return the victim way of ``set_index`` for ``core`` among the
-        ``ways`` subset."""
-
-
-class LRUVictimSelector(VictimSelector):
-    """Evict the least recently used line among the permitted ways."""
-
-    def select(
-        self, cache: SetAssociativeCache, set_index: int, core: int,
-        ways: tuple[int, ...],
-    ) -> int:
-        return cache.victim(set_index, ways)
-
-
-class RandomVictimSelector(VictimSelector):
-    """Evict a uniformly random valid line among the permitted ways.
-
-    Invalid ways are still filled first so capacity is never wasted.
-    """
-
-    def __init__(self, seed: int = 0) -> None:
-        self._rng = random.Random(seed)
-
-    def select(
-        self, cache: SetAssociativeCache, set_index: int, core: int,
-        ways: tuple[int, ...],
-    ) -> int:
-        tags = cache.tags
-        base = set_index * cache.ways
-        for way in ways:
-            if tags[base + way] == NO_TAG:
-                return way
-        return self._rng.choice(list(ways))
-
-
-class PartitionAwareVictimSelector(VictimSelector):
+class PartitionAwareVictimSelector:
     """UCP's replacement-driven partition enforcement.
 
     ``targets`` maps each core to its way allocation.  On a miss by

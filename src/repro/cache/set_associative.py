@@ -1,7 +1,7 @@
 """A set-associative cache stored as flat line columns.
 
-This class provides *mechanism only*: probe a subset of ways, fill a
-line evicting a chosen victim, flush or invalidate lines.  All *policy*
+This class provides *mechanism only*: probe a set, fill a line
+evicting a chosen victim, flush or invalidate lines.  All *policy*
 (which ways may be probed or filled, who the victim is, what happens on
 an epoch boundary) lives in ``repro.partitioning`` and ``repro.core``.
 
@@ -126,14 +126,11 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     # Per-set operations
     # ------------------------------------------------------------------
-    def find(self, set_index: int, tag: int, ways: tuple[int, ...] | None = None) -> int:
-        """The way of ``set_index`` holding ``tag`` among ``ways`` (all
-        if None), or :data:`NO_WAY`.  Searching a subset models the
-        RAP-restricted probes behind Cooperative Partitioning's
-        dynamic-energy savings."""
+    def find(self, set_index: int, tag: int) -> int:
+        """The way of ``set_index`` holding ``tag``, or :data:`NO_WAY`."""
         tags = self.tags
         base = set_index * self.ways
-        for way in range(self.ways) if ways is None else ways:
+        for way in range(self.ways):
             if tags[base + way] == tag:
                 return way
         return NO_WAY
@@ -243,10 +240,8 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     # Address-level operations
     # ------------------------------------------------------------------
-    def probe(
-        self, line_address: int, ways: tuple[int, ...] | None = None
-    ) -> tuple[bool, int, int]:
-        """Look up ``line_address`` among ``ways``.
+    def probe(self, line_address: int) -> tuple[bool, int, int]:
+        """Look up ``line_address``.
 
         Returns ``(hit, way, set_index)``; ``way`` is :data:`NO_WAY`
         on a miss.  Does not update recency — callers decide whether a
@@ -254,7 +249,7 @@ class SetAssociativeCache:
         """
         geometry = self.geometry
         set_index = line_address & geometry.set_mask
-        way = self.find(set_index, line_address >> geometry.set_shift, ways)
+        way = self.find(set_index, line_address >> geometry.set_shift)
         return way != NO_WAY, way, set_index
 
     def fill(
@@ -266,9 +261,8 @@ class SetAssociativeCache:
     ) -> AccessResult:
         """Install ``line_address`` into ``victim_way`` of its set.
 
-        The caller has already chosen the victim (via a
-        :class:`~repro.cache.replacement.VictimSelector`), so this just
-        records the eviction and installs the new line.
+        The caller has already chosen the victim (:meth:`victim`), so
+        this just records the eviction and installs the new line.
         """
         geometry = self.geometry
         set_index = line_address & geometry.set_mask

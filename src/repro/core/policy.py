@@ -93,8 +93,6 @@ class CooperativePartitioningPolicy(BaseSharedCachePolicy):
     # ------------------------------------------------------------------
     # Access-path hooks
     # ------------------------------------------------------------------
-    _ways_are_tabled = True
-
     def _refresh_access_tables(self) -> None:
         """Sync the fast probe/fill tables with the RAP/WAP registers."""
         permissions = self.permissions
@@ -104,12 +102,6 @@ class CooperativePartitioningPolicy(BaseSharedCachePolicy):
                 permissions.readable_ways(core),
                 permissions.writable_ways(core),
             )
-
-    def _probe_ways(self, core: int) -> tuple[int, ...]:
-        return self.permissions.readable_ways(core)
-
-    def _fill_ways(self, core: int) -> tuple[int, ...]:
-        return self.permissions.writable_ways(core)
 
     def _select_victim(self, core: int, set_index: int, ways: tuple[int, ...] | None) -> int:
         """LRU among writable ways, preferring a way being received.

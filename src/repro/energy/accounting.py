@@ -49,23 +49,9 @@ class EnergyAccounting:
     # ------------------------------------------------------------------
     # Dynamic events
     # ------------------------------------------------------------------
-    def access(self, ways_probed: int, hit: bool) -> None:
-        """Charge one LLC access that consulted ``ways_probed`` tag ways."""
-        self.tag_probes += ways_probed
-        if hit:
-            self.data_reads += 1
-
-    def fill(self) -> None:
-        """Charge installing a line into the data array."""
-        self.data_writes += 1
-
     def writeback(self, lines: int = 1) -> None:
         """Charge reading ``lines`` dirty lines out for write-back."""
         self.writebacks += lines
-
-    def monitor_update(self) -> None:
-        """Charge one monitoring-hardware update (UMON/takeover bit)."""
-        self.monitor_updates += 1
 
     # ------------------------------------------------------------------
     # Static integration

@@ -33,9 +33,11 @@ A reference (or warming line) whose LLC traffic would complete a
 takeover vector bails out to Python, which runs it through the
 simulator's own miss path and resumes the kernel.
 
-A policy whose access path the kernel does not model — custom hooks
-outside the five built-in schemes — falls back to the pure-Python
-engine, noted once per process and counted in
+Every policy declares its way restrictions as data through
+``_set_core_ways``, so a plugin policy that only restricts ways runs
+in the kernel.  A policy that overrides the victim, pre-access or
+post-fill hooks outside the five built-in schemes falls back to the
+pure-Python engine, noted once per process and counted in
 ``repro_kernel_fallbacks_total``; selection stays an optimisation,
 never a behaviour change.
 """
@@ -161,7 +163,8 @@ def policy_kind(policy) -> int | None:
 
     The kernel transliterates the shared ``access_fast`` skeleton plus
     the UCP and Cooperative Partitioning access hooks.  Any policy
-    whose access path is *data-only* (way tables, no hook overrides)
+    whose access path is *data-only* (way tables set through
+    ``_set_core_ways``, no victim/pre-access/post-fill hook overrides)
     is supported generically; the two hook-bearing schemes are matched
     by exact type so a subclass with different hooks falls back.
     """
@@ -173,8 +176,6 @@ def policy_kind(policy) -> int | None:
         return None
     cls = type(policy)
     if cls.access_fast is not BaseSharedCachePolicy.access_fast:
-        return None
-    if getattr(policy, "_dynamic_ways", True):
         return None
     for atd in policy._atds:
         if type(atd) is not AuxiliaryTagDirectory:

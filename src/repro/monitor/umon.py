@@ -39,17 +39,6 @@ class UtilityMonitor:
         self.demand_misses = 0
 
     # ------------------------------------------------------------------
-    # Hot-path recording
-    # ------------------------------------------------------------------
-    def observe(self, set_index: int, tag: int) -> None:
-        """Record one demand access (call only for sampled sets)."""
-        self.atd.record(set_index, tag)
-
-    def is_sampled(self, set_index: int) -> bool:
-        """Fast sampled-set membership test for the simulator."""
-        return (set_index & self.sampler.mask) == self.sampler.offset
-
-    # ------------------------------------------------------------------
     # Epoch interface
     # ------------------------------------------------------------------
     def miss_curve(self) -> list[int]:

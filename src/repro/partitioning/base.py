@@ -10,14 +10,14 @@ for the scheme-specific parts.
 
 Hot-path design.  :meth:`BaseSharedCachePolicy.access_fast` is the
 allocation-free inner loop: one flat function, no result objects, no
-per-access hook calls.  The way restrictions are *data*, not code —
-per-core tuples plus precomputed way-membership bitmasks
-(``_probe_masks``) that the built-in schemes keep in sync with their
-partitions — so a probe is a scan of the set's ``mapped`` column and
-one mask test.  The historical ``_probe_ways``/``_fill_ways`` hook methods
-remain fully supported: a subclass that overrides them (and does not
-declare ``_ways_are_tabled``) is transparently routed through a
-compatibility path that calls them per access, exactly as before.
+per-access hook calls.  The way restrictions are *data*, not code, as
+the paper's per-core RAP/WAP registers are: every policy declares a
+core's probe and fill ways with :meth:`~BaseSharedCachePolicy._set_core_ways`,
+which stores them in ``_core_tables`` as a way-membership bitmask,
+probe width and fill tuple, so a probe is a scan of the set's
+``mapped`` column and one mask test.  The C kernel reads the same
+table.  Defining the removed ``_probe_ways``/``_fill_ways`` hooks
+raises :class:`TypeError` when the subclass is created.
 :meth:`access` wraps the fast path and still returns an
 :class:`LLCOutcome` for API users; the simulator never allocates one.
 """
@@ -132,21 +132,26 @@ class PolicyStats:
 class BaseSharedCachePolicy:
     """Common probe/fill/writeback skeleton for all shared-LLC schemes.
 
-    Subclasses either maintain the per-core way tables (built-ins, via
-    :meth:`_set_core_ways`) or override the
-    ``_probe_ways``/``_fill_ways``/``_select_victim`` hooks and the
-    epoch-boundary ``decide`` method.  ``None`` for a way restriction
-    means "all ways".
+    Subclasses declare each core's way restrictions with
+    :meth:`_set_core_ways` (in ``__init__``, ``decide`` or a re-target)
+    and may override the ``_select_victim`` hook and the epoch-boundary
+    ``decide`` method.  ``None`` for a way restriction means "all ways".
     """
 
     #: human-readable scheme name (matches the paper's legends)
     name = "base"
     #: whether the simulator should keep UMON monitors updated
     needs_monitors = False
-    #: set True by subclasses whose ``_probe_ways``/``_fill_ways``
-    #: overrides mirror the fast tables (so the hooks are API-only and
-    #: the inner loop may use the tables directly)
-    _ways_are_tabled = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for hook in ("_probe_ways", "_fill_ways"):
+            if hook in vars(cls):
+                raise TypeError(
+                    f"{cls.__name__} defines {hook}, which is no longer "
+                    "called: declare way restrictions with "
+                    "self._set_core_ways(core, probe, fill) instead"
+                )
 
     def __init__(
         self,
@@ -180,14 +185,9 @@ class BaseSharedCachePolicy:
         self._set_mask = self.geometry.set_mask
         self._set_shift = self.geometry.set_shift
         self._occ = cache.ensure_cores(n)
-        #: per-core probe restriction (tuple | None), membership mask
-        #: over ways (-1 = all bits set = every way) and probe width
-        self._probe_lists: list[tuple[int, ...] | None] = [None] * n
-        self._probe_masks: list[int] = [-1] * n
-        self._probe_counts: list[int] = [ways] * n
-        self._fill_lists: list[tuple[int, ...] | None] = [None] * n
-        #: fused (probe_mask, probe_count, fill_ways) per core — one
-        #: index + unpack in the inner loop instead of three lookups
+        #: (probe_mask, probe_count, fill_ways) per core: the probe
+        #: ways as a membership mask (-1 = all bits set = every way)
+        #: and a width, and the fill ways (None = every way)
         self._core_tables: list[tuple[int, int, tuple[int, ...] | None]] = [
             (-1, ways, None)
         ] * n
@@ -198,12 +198,6 @@ class BaseSharedCachePolicy:
         self._writeback_accesses = stats.writeback_accesses
         self._demand_accesses = stats.demand_accesses
         self._demand_hits = stats.demand_hits
-        #: compatibility: subclasses overriding the way hooks without
-        #: declaring them tabled get the hook-calling slow path
-        self._dynamic_ways = not cls._ways_are_tabled and (
-            cls._probe_ways is not base._probe_ways
-            or cls._fill_ways is not base._fill_ways
-        )
         self._custom_victim = cls._select_victim is not base._select_victim
         self._pre_access_active = cls._pre_access is not base._pre_access
         self._post_fill_active = cls._post_fill is not base._post_fill
@@ -228,14 +222,6 @@ class BaseSharedCachePolicy:
     # ------------------------------------------------------------------
     # Hooks for subclasses
     # ------------------------------------------------------------------
-    def _probe_ways(self, core: int) -> tuple[int, ...] | None:
-        """Ways ``core`` must consult on a lookup (None = all)."""
-        return self._probe_lists[core]
-
-    def _fill_ways(self, core: int) -> tuple[int, ...] | None:
-        """Ways ``core`` may fill into (None = all)."""
-        return self._fill_lists[core]
-
     def _select_victim(self, core: int, set_index: int, ways: tuple[int, ...] | None) -> int:
         """Choose the way a miss by ``core`` fills into."""
         return self.cache.victim(set_index, ways)
@@ -308,14 +294,13 @@ class BaseSharedCachePolicy:
         partition override this with their logical allocation.
         """
         ways = self.geometry.ways
-        allocations = []
-        for core in range(self.n_cores):
-            fill = self._fill_ways(core)
-            allocations.append(ways if fill is None else len(fill))
-        return allocations
+        return [
+            ways if fill is None else len(fill)
+            for _mask, _count, fill in self._core_tables
+        ]
 
     # ------------------------------------------------------------------
-    # Fast-table maintenance (built-in schemes)
+    # Way restrictions (the RAP/WAP registers)
     # ------------------------------------------------------------------
     def _set_core_ways(
         self,
@@ -323,21 +308,15 @@ class BaseSharedCachePolicy:
         probe: tuple[int, ...] | None,
         fill: tuple[int, ...] | None,
     ) -> None:
-        """Install ``core``'s way restrictions into the fast tables."""
-        self._probe_lists[core] = probe
+        """Declare the ways ``core`` probes on a lookup and may fill
+        into on a miss (None = every way)."""
         if probe is None:
-            self._probe_masks[core] = -1
-            self._probe_counts[core] = self.geometry.ways
-        else:
-            mask = 0
-            for way in probe:
-                mask |= 1 << way
-            self._probe_masks[core] = mask
-            self._probe_counts[core] = len(probe)
-        self._fill_lists[core] = fill
-        self._core_tables[core] = (
-            self._probe_masks[core], self._probe_counts[core], fill
-        )
+            self._core_tables[core] = (-1, self.geometry.ways, fill)
+            return
+        mask = 0
+        for way in probe:
+            mask |= 1 << way
+        self._core_tables[core] = (mask, len(probe), fill)
 
     # ------------------------------------------------------------------
     # The shared access path
@@ -348,8 +327,6 @@ class BaseSharedCachePolicy:
         Allocation-free: the hit/width outcome is published through
         ``last_hit``/``last_probed`` instead of a result object.
         """
-        if self._dynamic_ways:
-            return self._access_hooked(core, line_address, is_write, now)
         set_index = line_address & self._set_mask
         tag = line_address >> self._set_shift
         n_ways = self._ways
@@ -491,67 +468,6 @@ class BaseSharedCachePolicy:
             self._post_fill(
                 core, set_index, victim_way, evicted_owner, evicted_dirty, now
             )
-        self.last_hit = False
-        self.last_probed = n_probed
-        return memory_latency
-
-    def _access_hooked(self, core: int, line_address: int, is_write: bool, now: int) -> int:
-        """Compatibility access path for subclasses overriding the way
-        hooks: semantics of the original skeleton, hooks called per
-        access."""
-        geometry = self.geometry
-        set_index = line_address & geometry.set_mask
-        tag = line_address >> geometry.set_shift
-        probe_ways = self._probe_ways(core)
-        n_probed = geometry.ways if probe_ways is None else len(probe_ways)
-        cache = self.cache
-        way = cache.find(set_index, tag, probe_ways)
-        hit = way >= 0
-
-        stats = self.stats
-        energy = self.energy
-        energy.access(n_probed, hit)
-        stats.ways_probed_sum[core] += n_probed
-        stats.probe_events[core] += 1
-        if is_write:
-            stats.writeback_accesses[core] += 1
-        else:
-            stats.demand_accesses[core] += 1
-            if hit:
-                stats.demand_hits[core] += 1
-            if self.monitors:
-                monitor = self.monitors[core]
-                if (set_index & monitor.sampler.mask) == monitor.sampler.offset:
-                    monitor.observe(set_index, tag)
-                    energy.monitor_update()
-
-        self._pre_access(core, set_index, now, hit)
-
-        if hit:
-            line = set_index * cache.ways + way
-            if cache.tags[line] == tag:
-                cache.touch(set_index, way)
-                if is_write:
-                    cache.dirty[line] = 1
-                    energy.fill()
-            self.last_hit = True
-            self.last_probed = n_probed
-            return 0
-
-        memory_latency = 0
-        if not is_write:
-            memory_latency = self.memory.read(line_address, now)
-        fill_ways = self._fill_ways(core)
-        victim_way = self._select_victim(core, set_index, fill_ways)
-        result = self.cache.fill(line_address, core, is_write, victim_way)
-        energy.fill()
-        if result.evicted_dirty and result.evicted_tag is not None:
-            victim_address = geometry.rebuild_line_address(result.evicted_tag, set_index)
-            self.memory.writeback(victim_address, now)
-            energy.writeback()
-        self._post_fill(
-            core, set_index, victim_way, result.evicted_owner, result.evicted_dirty, now
-        )
         self.last_hit = False
         self.last_probed = n_probed
         return memory_latency

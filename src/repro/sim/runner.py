@@ -342,8 +342,8 @@ class ExperimentRunner:
             return (0, 0)
         from repro.orchestration.executor import SweepExecutor
 
-        executor = SweepExecutor(self.store, self.max_workers, runner=self)
-        return executor.prefetch(tasks)
+        with SweepExecutor(self.store, self.max_workers, runner=self) as executor:
+            return executor.prefetch(tasks)
 
     def prefetch_alone(
         self, config: SystemConfig, benchmarks: Iterable[str]
@@ -357,8 +357,8 @@ class ExperimentRunner:
             return (0, 0)
         from repro.orchestration.executor import SweepExecutor
 
-        executor = SweepExecutor(self.store, self.max_workers, runner=self)
-        return executor.prefetch_alone(config.alone(), benchmarks)
+        with SweepExecutor(self.store, self.max_workers, runner=self) as executor:
+            return executor.prefetch_alone(config.alone(), benchmarks)
 
     # ------------------------------------------------------------------
     # Normalisation

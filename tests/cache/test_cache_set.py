@@ -24,12 +24,6 @@ class TestFind:
         cache.install(0, 2, tag=42, owner=0, dirty=False)
         assert cache.find(0, 42) == 2
 
-    def test_find_restricted_to_ways(self):
-        cache = _one_set(4)
-        cache.install(0, 2, tag=42, owner=0, dirty=False)
-        assert cache.find(0, 42, ways=(0, 1)) == NO_WAY
-        assert cache.find(0, 42, ways=(2, 3)) == 2
-
     def test_rejects_zero_ways(self):
         with pytest.raises(ValueError):
             _one_set(0)

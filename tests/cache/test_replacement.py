@@ -1,11 +1,8 @@
-"""Unit tests for victim-selection strategies."""
+"""Unit tests for victim selection: LRU among a way subset
+(``SetAssociativeCache.victim``) and UCP's partition-aware selector."""
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.replacement import (
-    LRUVictimSelector,
-    PartitionAwareVictimSelector,
-    RandomVictimSelector,
-)
+from repro.cache.replacement import PartitionAwareVictimSelector
 from repro.cache.set_associative import SetAssociativeCache
 
 ALL_WAYS = (0, 1, 2, 3)
@@ -26,28 +23,7 @@ class TestLRUSelector:
     def test_picks_lru_among_allowed(self):
         cache = _full_set([0, 0, 1, 1])
         cache.touch(0, 0)
-        selector = LRUVictimSelector()
-        assert selector.select(cache, 0, core=0, ways=(0, 1)) == 1
-
-
-class TestRandomSelector:
-    def test_prefers_invalid(self):
-        cache = _one_set(4)
-        cache.install(0, 0, tag=1, owner=0, dirty=False)
-        selector = RandomVictimSelector(seed=1)
-        assert selector.select(cache, 0, core=0, ways=ALL_WAYS) != 0
-
-    def test_only_allowed_ways(self):
-        cache = _full_set([0, 0, 1, 1])
-        selector = RandomVictimSelector(seed=7)
-        for _ in range(20):
-            assert selector.select(cache, 0, core=0, ways=(2, 3)) in (2, 3)
-
-    def test_deterministic_with_seed(self):
-        cache = _full_set([0, 0, 1, 1])
-        a = [RandomVictimSelector(seed=3).select(cache, 0, 0, ALL_WAYS) for _ in range(5)]
-        b = [RandomVictimSelector(seed=3).select(cache, 0, 0, ALL_WAYS) for _ in range(5)]
-        assert a == b
+        assert cache.victim(0, (0, 1)) == 1
 
 
 class TestPartitionAwareSelector:

@@ -18,15 +18,6 @@ class TestProbeAndFill:
         hit, way, _ = cache.probe(1000)
         assert hit
 
-    def test_probe_respects_way_subset(self):
-        cache = _cache()
-        _, _, set_index = cache.probe(1000)
-        cache.fill(1000, core=0, is_write=False, victim_way=2)
-        hit, _, _ = cache.probe(1000, ways=(0, 1))
-        assert not hit
-        hit, way, _ = cache.probe(1000, ways=(2,))
-        assert hit and way == 2
-
     def test_fill_reports_eviction(self):
         cache = _cache()
         geometry = cache.geometry

@@ -34,9 +34,17 @@ class TestInitialState:
         assert policy.allocation_of(0) == 4
         assert policy.allocation_of(1) == 4
         assert policy.active_ways() == 8
-        assert policy._probe_ways(0) == (0, 1, 2, 3)
-        assert policy._probe_ways(1) == (4, 5, 6, 7)
-        policy.permissions.check_invariants()
+        permissions = policy.permissions
+        assert permissions.readable_ways(0) == (0, 1, 2, 3)
+        assert permissions.readable_ways(1) == (4, 5, 6, 7)
+        assert permissions.writable_ways(0) == (0, 1, 2, 3)
+        assert permissions.writable_ways(1) == (4, 5, 6, 7)
+        # The access path reads the registers through _core_tables.
+        assert policy._core_tables == [
+            (0b00001111, 4, (0, 1, 2, 3)),
+            (0b11110000, 4, (4, 5, 6, 7)),
+        ]
+        permissions.check_invariants()
 
     def test_rejects_indivisible_ways(self):
         cache = SetAssociativeCache(CacheGeometry(4 * 1024, 64, 8))
@@ -63,7 +71,9 @@ class TestAccessPath:
         policy.access(0, line_address=100, is_write=False, now=0)
         set_index = GEOMETRY.set_index(100)
         way = policy.cache.find(set_index, GEOMETRY.tag(100))
-        assert way in policy._fill_ways(0)
+        writable = policy.permissions.writable_ways(0)
+        assert way in writable
+        assert policy._core_tables[0][2] == writable
 
     def test_core_cannot_see_other_cores_data(self):
         policy = _policy()

@@ -64,9 +64,9 @@ class TestAccounting:
 
     def test_dynamic_accumulates_events(self):
         energy = self._accounting()
-        energy.access(4, hit=True)
-        energy.access(8, hit=False)
-        energy.fill()
+        energy.tag_probes += 4 + 8  # a 4-way hit and an 8-way miss
+        energy.data_reads += 1
+        energy.data_writes += 1
         energy.writeback()
         model = energy.model
         expected = (
@@ -109,7 +109,8 @@ class TestAccounting:
 
     def test_reset_window_discards_history(self):
         energy = self._accounting()
-        energy.access(8, hit=True)
+        energy.tag_probes += 8
+        energy.data_reads += 1
         energy.set_active_ways(4, 500)
         energy.reset_window(1000)
         energy.finalize(2000)
@@ -120,7 +121,7 @@ class TestAccounting:
     def test_overheads_can_be_disabled(self):
         model = CactiEnergyModel(TWO_CORE_LLC, 2)
         energy = EnergyAccounting(model, charge_overheads=False)
-        energy.monitor_update()
+        energy.monitor_updates += 1
         energy.finalize(1000)
         assert energy.dynamic_nj == 0
         assert energy.static_nj == pytest.approx(
@@ -137,7 +138,8 @@ class TestAccounting:
 def test_energy_is_nonnegative_and_additive(events, way_changes):
     energy = EnergyAccounting(CactiEnergyModel(TWO_CORE_LLC, 2))
     for ways, hit in events:
-        energy.access(min(ways, 8), hit)
+        energy.tag_probes += min(ways, 8)
+        energy.data_reads += hit
     now = 0
     for active in way_changes:
         now += 100

@@ -43,8 +43,8 @@ class TestMissCurve:
         monitor = UtilityMonitor(4, SetSampler(16, 1))
         # Two tags alternating in one set: hits land at position 1.
         for _ in range(10):
-            monitor.observe(0, 1)
-            monitor.observe(0, 2)
+            monitor.atd.record(0, 1)
+            monitor.atd.record(0, 2)
         curve = monitor.miss_curve()
         assert curve[0] == 20  # no cache, everything misses
         assert curve[1] == 20 - 0  # one way: alternating tags never hit
@@ -53,15 +53,15 @@ class TestMissCurve:
 
     def test_sampling_scales_estimates(self):
         monitor = UtilityMonitor(4, SetSampler(16, 4))
-        monitor.observe(0, 1)
-        monitor.observe(0, 1)
+        monitor.atd.record(0, 1)
+        monitor.atd.record(0, 1)
         curve = monitor.miss_curve()
         assert curve[0] == 8  # 2 accesses x scale 4
 
     def test_end_epoch_decays(self):
         monitor = UtilityMonitor(4, SetSampler(16, 1), decay=0.5)
         for _ in range(8):
-            monitor.observe(0, 1)
+            monitor.atd.record(0, 1)
         monitor.end_epoch()
         assert monitor.atd.accesses == 4
 
@@ -70,7 +70,7 @@ class TestMissCurve:
 def test_miss_curve_is_monotone_non_increasing(accesses):
     monitor = UtilityMonitor(8, SetSampler(4, 1))
     for set_index, tag in accesses:
-        monitor.observe(set_index, tag)
+        monitor.atd.record(set_index, tag)
     curve = monitor.miss_curve()
     assert len(curve) == 9
     for a, b in zip(curve, curve[1:]):

@@ -1,5 +1,7 @@
 """The sweep executor: parallel == serial, resume skips, planning."""
 
+import multiprocessing
+
 import pytest
 
 from repro.experiment import Experiment, by_group_policy
@@ -84,6 +86,16 @@ class TestRunnerIntegration:
         for group in GROUPS:
             for policy in POLICIES:
                 assert results[group][policy].ipcs() == expected[group][policy].ipcs()
+
+    def test_runner_sweeps_release_their_workers(
+        self, store, tiny_two_core, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_POOL", raising=False)
+        before = set(multiprocessing.active_children())
+        runner = orchestrated_runner(store.root, max_workers=2)
+        for policy in ("fair_share", "cpe"):
+            runner.sweep(Experiment.grid(tiny_two_core, GROUPS, [policy]))
+        assert set(multiprocessing.active_children()) - before == set()
 
     def test_prefetch_noop_without_store(self, tiny_two_core):
         runner = ExperimentRunner()

@@ -42,17 +42,12 @@ class _PinPolicy(BaseSharedCachePolicy):
     def __init__(self, *args, pinned_core=0, pinned_ways=6, label="pin", **kwargs):
         super().__init__(*args, **kwargs)
         ways = self.geometry.ways
-        self._partitions = [
-            tuple(range(pinned_ways)) if core == pinned_core
-            else tuple(range(pinned_ways, ways))
-            for core in range(self.n_cores)
-        ]
-
-    def _probe_ways(self, core):
-        return self._partitions[core]
-
-    def _fill_ways(self, core):
-        return self._partitions[core]
+        for core in range(self.n_cores):
+            block = (
+                tuple(range(pinned_ways)) if core == pinned_core
+                else tuple(range(pinned_ways, ways))
+            )
+            self._set_core_ways(core, block, block)
 
 
 @pytest.fixture
