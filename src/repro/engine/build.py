@@ -151,6 +151,8 @@ def load_kernel() -> ctypes.CDLL:
             ptr, i64, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, f64, f64, i64,
             ptr, ptr, ptr,
         ]
+        lib.repro_shift.restype = None
+        lib.repro_shift.argtypes = [ptr, i64, i64, ptr]
         lib.repro_mt_words.restype = None
         lib.repro_mt_words.argtypes = [ptr, i64, ptr]
         _kernel = lib

@@ -1021,3 +1021,10 @@ i64 repro_trace_fill(uint32_t *mt, i64 n_refs,
     }
     return ST_DONE;
 }
+
+/* A trace column moved into a core's address region (Trace.for_core). */
+void repro_shift(const i64 *src, i64 n, i64 offset, i64 *dst)
+{
+    for (i64 i = 0; i < n; i++)
+        dst[i] = src[i] + offset;
+}

@@ -1043,10 +1043,10 @@ def _run_scenario_suite(options: argparse.Namespace) -> int:
             f"{len(entries) * len(policies) * len(governors)} runs"
         )
         return 0
-    runner = ExperimentRunner(
-        store=_store_from(options), max_workers=resolve_jobs(options.jobs)
-    )
     try:
+        runner = ExperimentRunner(
+            store=_store_from(options), max_workers=resolve_jobs(options.jobs)
+        )
         report = run_suite(
             options.suite,
             policies=policies,

@@ -76,7 +76,11 @@ JOBS_ENV = "REPRO_JOBS"
 
 
 def resolve_jobs(max_workers: int | None = None) -> int:
-    """Worker count: explicit argument, else ``$REPRO_JOBS``, else cores."""
+    """Worker count: explicit argument, else ``$REPRO_JOBS``, else cores.
+
+    Raises :class:`ValueError` naming ``$REPRO_JOBS`` when it is set
+    but not an integer; the CLI turns that into a clean exit.
+    """
     if max_workers is not None and max_workers > 0:
         return max_workers
     env = os.environ.get(JOBS_ENV)
@@ -84,7 +88,7 @@ def resolve_jobs(max_workers: int | None = None) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise SystemExit(f"${JOBS_ENV} must be an integer, got {env!r}")
+            raise ValueError(f"${JOBS_ENV} must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 

@@ -12,15 +12,19 @@ Address-space layout (line addresses):
 * each ring ``k`` lives at ``(k + 1) << RING_REGION_BITS``;
 * the hot (L1-resident) region lives at 0;
 * the streaming component walks upward from ``STREAM_BASE``;
-* the simulator offsets whole traces per core, keeping the
-  multiprogrammed address spaces disjoint.
+* the simulator offsets whole traces per core
+  (:meth:`Trace.for_core`), keeping the multiprogrammed address spaces
+  disjoint.
 
 Generation is one loop over references, written twice: the C kernel's
 ``repro_trace_fill`` (steps CPython's Mersenne Twister itself) and
 :func:`_fill_columns_python`, its line-for-line reference and the
 fallback when no C compiler is available.  Both consume the same
 ``random.Random`` words in the same order, so the traces are
-byte-identical whichever one runs.
+byte-identical whichever one runs.  The per-core shift is the same
+pair: the kernel's ``repro_shift`` or a scalar loop.  Fill and shift
+pick between kernel and loop in one place, :func:`_kernel`, which
+counts every fallback.
 """
 
 from __future__ import annotations
@@ -36,11 +40,6 @@ from repro.cache.geometry import CacheGeometry
 from repro.engine.build import ST_DONE, load_kernel
 from repro.workloads.profiles import BenchmarkProfile, Phase
 from repro.workloads.seeding import stable_rng
-
-try:  # per-core address shifts vectorize with numpy but must not require it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
 
 #: bits reserved for one ring's address region
 RING_REGION_BITS = 24
@@ -89,33 +88,57 @@ class Trace:
         """``(line_addresses, warm_lines)`` shifted into a core's region.
 
         The simulator keeps multiprogrammed address spaces disjoint by
-        offsetting whole traces per core slot.  The shifted columns
-        are cached per offset: the arrays are read-only to every
-        consumer (the interpreter indexes them, the kernels read them
-        through buffer pointers), so one copy serves every run that
-        places this trace in the same slot — which makes re-running a
-        cached trace, e.g. across a threshold sweep in a persistent
-        worker, skip the whole-trace rebuild it used to pay.
+        offsetting whole traces per core slot.  The kernel's
+        ``repro_shift`` adds the offset into a pre-sized ``array('q')``;
+        without a kernel a scalar loop does, counted as a
+        ``workloads.trace_gen`` fallback.  Both give the same bytes.
+        The shifted columns are cached per offset: the arrays are
+        read-only to every consumer (the interpreter indexes them, the
+        kernels read them through buffer pointers), so one copy serves
+        every run that places this trace in the same slot — which makes
+        re-running a cached trace, e.g. across a threshold sweep in a
+        persistent worker, skip the whole-trace rebuild.
         """
         views = self._offset_views.get(offset)
         if views is None:
+            kernel = _kernel()
             views = (
-                _shifted(self.line_addresses, offset),
-                _shifted(self.warm_lines, offset),
+                _shifted(kernel, self.line_addresses, offset),
+                _shifted(kernel, self.warm_lines, offset),
             )
             self._offset_views[offset] = views
         return views
 
 
-def _shifted(values: "array[int]", offset: int) -> "array[int]":
-    """A copy of ``values`` with ``offset`` added to every element."""
-    if _np is not None and len(values):
-        out = array("q")
-        out.frombytes(
-            (_np.frombuffer(values, dtype=_np.int64) + offset).tobytes()
+def _kernel() -> ctypes.CDLL | None:
+    """The C kernel, or ``None`` when it cannot be built or loaded.
+
+    Trace fill and the per-core shift both choose between the kernel
+    and their scalar loop here, so a fallback in either is counted in
+    ``repro_kernel_fallbacks_total`` and never silent.
+    """
+    try:
+        return load_kernel()
+    except Exception as exc:  # noqa: BLE001 - any build/load failure
+        from repro.obs.log import note_fallback  # lazy: repro.obs imports us
+
+        reason = str(exc).partition("\n")[0] or type(exc).__name__
+        note_fallback(
+            "workloads.trace_gen",
+            f"repro: C kernel unavailable ({reason}); generating traces in Python",
         )
-        return out
-    return array("q", (value + offset for value in values))
+        return None
+
+
+def _shifted(
+    kernel: ctypes.CDLL | None, values: "array[int]", offset: int
+) -> "array[int]":
+    """A copy of ``values`` with ``offset`` added to every element."""
+    if kernel is None:
+        return array("q", (value + offset for value in values))
+    out = array("q", [0]) * len(values)
+    kernel.repro_shift(_addr(values), len(values), offset, _addr(out))
+    return out
 
 
 def _spread_addresses(base: int, lines: int, num_sets: int) -> list[int]:
@@ -177,19 +200,8 @@ def generate_trace(
     # cyclically instead of drawn from uniformly.
     tables = [hot_addresses, *ring_addresses, []]
     cyclic = [False, *(ring.pattern == "cyclic" for ring in profile.rings), False]
-    try:
-        kernel = load_kernel()
-    except Exception as exc:  # noqa: BLE001 - any build/load failure
-        from repro.obs.log import note_fallback  # lazy: repro.obs imports us
-
-        reason = str(exc).partition("\n")[0] or type(exc).__name__
-        note_fallback(
-            "workloads.trace_gen",
-            f"repro: C kernel unavailable ({reason}); generating traces in Python",
-        )
-        fill = _fill_columns_python
-    else:
-        fill = partial(_fill_columns_c, kernel)
+    kernel = _kernel()
+    fill = _fill_columns_python if kernel is None else partial(_fill_columns_c, kernel)
     # crc32, not hash(): str hashing is salted per process, and trace
     # identity must hold across the sweep executor's worker processes
     # (and across sessions sharing one result store).

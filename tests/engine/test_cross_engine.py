@@ -6,8 +6,8 @@ corpus schedules with governors.  Every engine available on this
 machine must reproduce the pure-Python reference RunResult
 bit-for-bit — per-core counters, energy integrals, flush timelines,
 V/f trajectories and the full per-epoch timeline included.  A machine
-without numpy or a C toolchain simply has fewer engines to compare
-(and the suite still proves the python fallback runs the corpus).
+without a C toolchain simply has fewer engines to compare (and the
+suite still proves the python fallback runs the corpus).
 """
 
 import pytest

@@ -36,8 +36,13 @@ def test_trace_fallback_counts_and_notes_once(
 
     monkeypatch.setattr(trace_module, "load_kernel", unavailable)
     for seed in range(3):
-        trace_module.generate_trace(profile_for("mcf"), small_geometry, 64, 50, seed)
+        trace = trace_module.generate_trace(
+            profile_for("mcf"), small_geometry, 64, 50, seed
+        )
     assert _fallbacks() == {"workloads.trace_gen": 3.0}
+    trace.for_core(1 << 40)  # the per-core shift falls back too
+    trace.for_core(1 << 40)  # cached: no second count
+    assert _fallbacks() == {"workloads.trace_gen": 4.0}
     notes = capsys.readouterr().err.splitlines()
     assert notes == ["repro: C kernel unavailable (no compiler); generating traces in Python"]
 

@@ -423,3 +423,23 @@ class TestClean:
     def test_clean_on_missing_store_is_fine(self, tmp_path, capsys):
         assert main(["clean", "--store", str(tmp_path / "nowhere")]) == 0
         assert "removed 0" in capsys.readouterr().out
+
+
+class TestJobsEnvironment:
+    """A non-integer ``$REPRO_JOBS`` is a clean CLI error on every
+    subcommand that sizes a pool, never a traceback."""
+
+    MESSAGE = "$REPRO_JOBS must be an integer, got 'auto'"
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--cores", "2", "--groups", "1", "--refs-per-core", "3000"],
+        ["scenario", "--suite", "quick", "--filter", "sparse-2c"],
+        ["serve", "--port", "0"],
+    ])
+    def test_exits_with_the_message(
+        self, monkeypatch, store_arguments, command
+    ):
+        monkeypatch.setenv("REPRO_JOBS", "auto")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, *store_arguments])
+        assert self.MESSAGE in str(exit_info.value.code)

@@ -120,7 +120,7 @@ class TestKnobs:
 
     def test_resolve_jobs_rejects_garbage_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "auto")
-        with pytest.raises(SystemExit):
+        with pytest.raises(ValueError, match=r"\$REPRO_JOBS must be an integer"):
             resolve_jobs(None)
 
     def test_orchestrated_runner_wiring(self, tmp_path):

@@ -82,6 +82,16 @@ class TestGeneration:
         assert len(trace.warm_lines) == expected
         assert len(set(trace.warm_lines)) == len(trace.warm_lines)
 
+    def test_for_core_caches_each_offset(self):
+        trace = generate_trace(profile_for("mcf"), LLC, 64, 1_000, seed=3)
+        first = trace.for_core(1 << 40)
+        again = trace.for_core(1 << 40)
+        assert again[0] is first[0] and again[1] is first[1]
+        other = trace.for_core(2 << 40)
+        assert other[0] is not first[0] and other[1] is not first[1]
+        assert list(first[0]) == [a + (1 << 40) for a in trace.line_addresses]
+        assert list(first[1]) == [a + (1 << 40) for a in trace.warm_lines]
+
     def test_phases_change_mixture(self):
         profile = profile_for("astar")
         trace = generate_trace(profile, LLC, 64, 120_000, seed=3)

@@ -7,6 +7,9 @@ kernel cannot load.  The two must emit identical traces from the same
 several seeds, the edge cases that exercise unusual draws (phase
 wrap-around, single-line regions, ``randrange(1)``), and the raw
 MT19937 word stream across the 624-word regeneration boundary.
+``Trace.for_core`` shifts with the kernel's ``repro_shift`` or the
+same scalar fallback, so every comparison also covers the shifted
+columns for each four-core slot, and empty columns shift to empty ones.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import pytest
 from repro.engine import build, compiled_available
 from repro.obs import log
 from repro.sim.config import scaled_four_core, scaled_two_core
+from repro.sim.cpu import CORE_ADDRESS_SPACE_BITS
 from repro.workloads import trace as trace_module
 from repro.workloads.profiles import (
     BENCHMARK_PROFILES,
@@ -38,18 +42,24 @@ GEOMETRIES = {
     "4core": scaled_four_core(),
 }
 SEEDS = (0, 1, 2012)
+#: every core slot's offset on the four-core machine
+OFFSETS = [(core_id + 1) << CORE_ADDRESS_SPACE_BITS for core_id in range(4)]
 
 
 def _columns(trace) -> tuple[bytes, ...]:
+    """The trace's columns, then its shifted columns for every slot."""
+    shifted = [column for offset in OFFSETS for column in trace.for_core(offset)]
     return tuple(
         column.tobytes()
-        for column in (trace.gaps, trace.line_addresses, trace.writes, trace.warm_lines)
+        for column in (
+            trace.gaps, trace.line_addresses, trace.writes, trace.warm_lines, *shifted
+        )
     )
 
 
-def _both(monkeypatch, profile, geometry, l1_lines, n_refs, seed):
-    """``(C trace, Python trace)`` columns for one generator input."""
-    c_trace = trace_module.generate_trace(profile, geometry, l1_lines, n_refs, seed)
+def _in_both(monkeypatch, make):
+    """``(C, Python)`` columns of the trace ``make()`` returns."""
+    c_columns = _columns(make())
 
     def unavailable():
         raise RuntimeError("kernel disabled for the reference run")
@@ -57,10 +67,16 @@ def _both(monkeypatch, profile, geometry, l1_lines, n_refs, seed):
     with monkeypatch.context() as patch:
         patch.setattr(trace_module, "load_kernel", unavailable)
         patch.setattr(log, "note_fallback", lambda layer, line: None)
-        py_trace = trace_module.generate_trace(
-            profile, geometry, l1_lines, n_refs, seed
-        )
-    return _columns(c_trace), _columns(py_trace)
+        py_columns = _columns(make())
+    return c_columns, py_columns
+
+
+def _both(monkeypatch, profile, geometry, l1_lines, n_refs, seed):
+    """``(C trace, Python trace)`` columns for one generator input."""
+    return _in_both(
+        monkeypatch,
+        lambda: trace_module.generate_trace(profile, geometry, l1_lines, n_refs, seed),
+    )
 
 
 @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
@@ -126,6 +142,15 @@ class TestEdgeCases:
             )
             assert c_cols == py_cols
             assert len(c_cols[1]) == 8
+
+    def test_empty_columns_shift_to_empty_columns(self, monkeypatch):
+        def empty():
+            return trace_module.Trace(
+                "empty", array("q"), array("q"), array("b"), array("q")
+            )
+
+        c_cols, py_cols = _in_both(monkeypatch, empty)
+        assert c_cols == py_cols == (b"",) * len(c_cols)
 
     @pytest.mark.parametrize("pattern", ["cyclic", "uniform"])
     def test_single_line_ring(self, monkeypatch, pattern):
