@@ -45,6 +45,7 @@ list of these documents through the store-backed executor.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -433,8 +434,13 @@ class Experiment:
         task keys exactly, so pre-redesign artifacts stay resolvable.
         Non-default policy parameters (third-party knobs, a pinned
         cooperative seed) and a DVFS governor extend the digest
-        document and open a fresh key space.
+        document and open a fresh key space.  The spec is frozen, so
+        the digest is computed once per instance.
         """
+        return self._task_key
+
+    @functools.cached_property
+    def _task_key(self) -> str:
         from repro.orchestration import serialize
 
         assert isinstance(self.policy, PolicySpec) and self.system is not None

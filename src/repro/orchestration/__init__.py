@@ -8,13 +8,14 @@ ExperimentRunner` into a batch system in four layers:
 * :mod:`~repro.orchestration.store` — the on-disk
   :class:`ResultStore` (atomic writes, per-shard append-only index,
   meta-only probes, self-healing on corruption);
-* :mod:`~repro.orchestration.pools` — where tasks run: the
-  :class:`Pool` backends (``warm`` persistent workers, ``ssh``
-  remote fan-out, ``serial`` inline) plus the wire types they share;
+* :mod:`~repro.orchestration.pools` — where tasks run: the two
+  :class:`Pool` classes (``warm`` persistent workers, ``ssh`` remote
+  fan-out) plus the wire types they share;
 * :mod:`~repro.orchestration.executor` — the :class:`SweepExecutor`
   planning (group × scheme × geometry) tasks against the store and
-  sharding them across a pool, and :func:`orchestrated_runner`, the
-  one-liner that wires a runner to both.
+  sharding them across a pool, or running them inline for the
+  ``serial`` backend, and :func:`orchestrated_runner`, the one-liner
+  that wires a runner to both.
 
 :mod:`~repro.orchestration.serve` runs it as a service — the
 ``repro serve`` HTTP job queue (see ``docs/distributed.md``) — and
@@ -31,7 +32,6 @@ from repro.orchestration.pools import (
     Pool,
     PoolResult,
     PoolTask,
-    SerialPool,
     SSHPool,
     SweepTaskError,
     WarmPool,
@@ -52,7 +52,6 @@ __all__ = [
     "PoolTask",
     "ResultStore",
     "SSHPool",
-    "SerialPool",
     "SweepExecutor",
     "SweepTaskError",
     "WarmPool",

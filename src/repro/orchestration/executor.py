@@ -13,7 +13,8 @@ serial in-process run — on every backend.
 
 Where tasks run is the pool's business (see
 :mod:`repro.orchestration.pools`): ``warm`` persistent workers by
-default, ``ssh`` remote fan-out, or ``serial`` inline.  Every pool
+default or ``ssh`` remote fan-out; ``serial`` has no pool, and the
+executor runs its tasks inline.  Every pool
 persists across phases and :meth:`SweepExecutor.prefetch` calls —
 reuse one executor (it is a context manager) to amortise worker
 start-up and per-worker trace caches across waves of a large sweep.
@@ -35,9 +36,10 @@ whether each key is present via :meth:`ResultStore.probe` — one index
 lookup plus one ``stat``, no payload parse — so a fully-cached resume
 costs O(index read) regardless of artifact size or count.
 
-An ``engine`` pin (``SweepExecutor(engine=...)``) propagates the
-parent's resolved execution backend to every worker, so a sharded
-sweep times the same engine a serial run would.
+An ``engine`` pin (``SweepExecutor(engine=...)``, or the pin of the
+``runner`` it is given) is passed as a value to the parent's runner
+and to every worker's, so a sharded sweep times the same engine a
+serial run would, and no process's ``$REPRO_ENGINE`` is written.
 
 Third-party policies keep working under sharding: each task carries
 the module that registered its policy class, and the worker imports
@@ -59,9 +61,10 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from typing import Callable, Iterable
 
-from repro.experiment import Experiment
+from repro.experiment import ALONE, Experiment
 from repro.obs import builtin as obs_metrics
 from repro.obs.metrics import metrics_enabled
 from repro.obs.trace import recorder as obs_recorder
@@ -107,26 +110,13 @@ def orchestrated_runner(
     return ExperimentRunner(store=store, max_workers=resolve_jobs(max_workers))
 
 
-def _policy_module(experiment: Experiment) -> str:
-    """The module whose import registers this spec's policy class."""
-    return experiment.policy.info.cls.__module__
-
-
-def _governor_module(experiment: Experiment) -> str | None:
-    """The module registering this spec's governor class (None when
-    the spec carries no governor)."""
-    if experiment.governor is None:
-        return None
-    return experiment.governor.info.cls.__module__
-
-
 def _pool_safe(experiment: Experiment) -> bool:
     """Whether a worker process can rebuild this spec's policy and
     governor classes (``__main__`` registrations exist only in the
     parent)."""
-    return (
-        _policy_module(experiment) != "__main__"
-        and _governor_module(experiment) != "__main__"
+    specs = (experiment.policy, experiment.governor)
+    return all(
+        spec is None or spec.info.cls.__module__ != "__main__" for spec in specs
     )
 
 
@@ -138,7 +128,11 @@ class SweepExecutor:
     CLI points it at stderr.  ``engine`` (optional) pins the
     execution backend every task runs on — workers and inline parent
     runs alike; it is resolved eagerly so an unavailable explicit
-    engine fails here, once, instead of in every worker.  ``pool``
+    engine fails here, once, instead of in every worker.  A given
+    ``runner`` carries its own pin (:attr:`ExperimentRunner.engine`),
+    which the executor adopts; an ``engine`` that disagrees with it
+    is a :class:`ValueError`, since inline and pooled tasks would
+    then run on different engines.  ``pool``
     selects the execution backend (``warm``/``ssh``/``serial``;
     default ``$REPRO_POOL`` or ``warm``) and ``hosts`` feeds the ssh
     pool; both are validated eagerly too.
@@ -162,14 +156,26 @@ class SweepExecutor:
     ) -> None:
         from repro.engine import resolve_engine
 
+        pinned = None if engine is None else resolve_engine(engine)
+        if runner is None:
+            runner = ExperimentRunner(store=store, engine=pinned)
+        else:
+            own = None if runner.engine is None else resolve_engine(runner.engine)
+            if engine is not None and pinned != own:
+                raise ValueError(
+                    f"engine={engine!r} disagrees with the runner's engine "
+                    f"{runner.engine!r}; pin the engine on the runner alone"
+                )
+            pinned = own
         self.store = store
         self.max_workers = resolve_jobs(max_workers)
-        #: assembles final results; shares the same store, so every
-        #: artifact a worker persists is a cache hit here
-        self.runner = runner if runner is not None else ExperimentRunner(store=store)
+        #: runs inline tasks and assembles final results; shares the
+        #: same store, so every artifact a worker persists is a cache
+        #: hit here
+        self.runner = runner
         self.progress = progress
         #: resolved backend name, or None to let each run pick its own
-        self.engine = None if engine is None else resolve_engine(engine)
+        self.engine = pinned
         #: resolved pool backend + host list (fails fast on bad input)
         self.pool_name, self.hosts = pools.resolve_pool_name(pool, hosts)
         self._pool: pools.Pool | None = None
@@ -305,63 +311,34 @@ class SweepExecutor:
         every task persists under its key and assembly reads the same
         artifacts a serial run produces.
 
-        Specs whose policy class lives in ``__main__`` cannot be
-        rebuilt by a worker and run inline in the parent: inline
-        alone specs first (they may unblock pooled main specs),
-        inline main specs after the pool drains (by which point every
-        alone dependency exists in the store).
+        A spec runs inline in the parent when the pool is ``serial``,
+        when the warm pool would get at most one worker, or when its
+        policy or governor class lives in ``__main__`` (a worker
+        cannot rebuild it).  Inline alone specs run first (they may
+        unblock pooled main specs), inline main specs after the pool
+        drains (by which point every alone dependency exists in the
+        store).  The pool is built only when something is pooled.
         """
-        total = len(alone) + len(main)
-        if not total:
-            return
-        pooled_alone = [e for e in alone if _pool_safe(e)]
-        pooled_main = [e for e in main if _pool_safe(e)]
-        pooled = len(pooled_alone) + len(pooled_main)
-        workers = min(self.max_workers, pooled)
-        if (
-            self.pool_name == pools.SERIAL
-            or not pooled
-            or (self.pool_name == pools.WARM and workers <= 1)
+        pooled = {e.task_key() for e in (*alone, *main) if _pool_safe(e)}
+        if self.pool_name == pools.SERIAL or (
+            self.pool_name == pools.WARM and min(self.max_workers, len(pooled)) <= 1
         ):
-            # Inline fallback: alone-then-main order satisfies every
-            # dependency by construction.
-            done = 0
-            for experiment in (*alone, *main):
-                seconds = self._run_inline(experiment)
-                done += 1
-                self._report(done, total, experiment.label, seconds, pools.SERIAL)
-            return
-        try:
-            self._run_pooled(alone, main, pooled_alone, pooled_main)
-        finally:
-            # Workers appended to the on-disk index behind our back;
-            # the next plan()/probe must see their artifacts.
-            self.store.refresh()
-
-    def _run_pooled(
-        self,
-        alone: list[Experiment],
-        main: list[Experiment],
-        pooled_alone: list[Experiment],
-        pooled_main: list[Experiment],
-    ) -> None:
-        total = len(alone) + len(main)
-        done = 0
+            pooled = set()
         pending_alone = {e.task_key() for e in alone}
-        inline_alone = [e for e in alone if not _pool_safe(e)]
-        inline_main = [e for e in main if not _pool_safe(e)]
-        #: pool-safe main specs gated on alone deps still pending
+        #: pooled main specs gated on alone deps still pending
         blocked: list[tuple[Experiment, set[str]]] = []
-        ready_main: list[Experiment] = []
-        for experiment in pooled_main:
+        ready = [e for e in alone if e.task_key() in pooled]
+        for experiment in main:
+            if experiment.task_key() not in pooled:
+                continue
             deps = {
                 d.task_key() for d in experiment.alone_dependencies()
             } & pending_alone
             if deps:
                 blocked.append((experiment, deps))
             else:
-                ready_main.append(experiment)
-        if self._pool is None:
+                ready.append(experiment)
+        if pooled and self._pool is None:
             self._pool = pools.resolve_pool(
                 self.pool_name,
                 store=self.store,
@@ -369,112 +346,88 @@ class SweepExecutor:
                 engine=self.engine,
                 hosts=self.hosts,
             )
-        pool = self._pool
+        pool = self._pool if pooled else None
         metrics_on = metrics_enabled()
         #: task key -> submit instant, for queue-time metrics
         submitted: dict[str, float] = {}
 
-        def note_submit(keys: Iterable[str]) -> None:
-            if not metrics_on:
+        def submit(experiments: list[Experiment]) -> None:
+            if not experiments:
                 return
-            now = time.perf_counter()
-            for key in keys:
-                submitted[key] = now
-            obs_metrics.POOL_OUTSTANDING.set(pool.outstanding)
-
-        def unblock(key: str) -> None:
-            still: list[tuple[Experiment, set[str]]] = []
-            for experiment, deps in blocked:
-                deps.discard(key)
-                if deps:
-                    still.append((experiment, deps))
-                else:
-                    task = PoolTask.from_experiment(experiment)
-                    pool.submit(task)
-                    note_submit((task.key,))
-            blocked[:] = still
-
-        try:
-            pool.start()
-            batch = [
-                PoolTask.from_experiment(e)
-                for e in (*pooled_alone, *ready_main)
-            ]
+            batch = [PoolTask.from_experiment(e) for e in experiments]
             pool.submit_many(batch)
-            note_submit(task.key for task in batch)
-            for experiment in inline_alone:
-                seconds = self._run_inline(experiment)
-                done += 1
-                self._report(done, total, experiment.label, seconds, pools.SERIAL)
-                unblock(experiment.task_key())
-            while pool.outstanding:
-                result = pool.wait_one()
+            if metrics_on:
+                now = time.perf_counter()
+                submitted.update((task.key, now) for task in batch)
+                obs_metrics.POOL_OUTSTANDING.set(pool.outstanding)
+
+        total = len(alone) + len(main)
+        #: alone specs first, so an inline main spec is never next while
+        #: an inline alone spec is still waiting
+        inline = deque(e for e in (*alone, *main) if e.task_key() not in pooled)
+        try:
+            if pool is not None:
+                pool.start()
+                submit(ready)
+            for done in range(1, total + 1):
+                if pool is not None and pool.outstanding and (
+                    not inline or inline[0].kind != ALONE
+                ):
+                    result = pool.wait_one()
+                else:
+                    result = self._run_inline(inline.popleft())
+                backend = pools.SERIAL if result.key not in pooled else pool.name
                 if metrics_on:
                     self._observe_completion(
-                        result, pool, submitted.pop(result.key, None)
+                        backend, result.seconds, result.error, pool,
+                        submitted.pop(result.key, None),
                     )
                 if result.error is not None:
                     raise SweepTaskError(
-                        result.key, result.label, pool.name, result.error
+                        result.key, result.label, backend, result.error
                     )
-                done += 1
-                self._report(done, total, result.label, result.seconds, pool.name)
-                unblock(result.key)
+                self._report(done, total, result.label, result.seconds, backend)
+                for _experiment, deps in blocked:
+                    deps.discard(result.key)
+                submit([e for e, deps in blocked if not deps])
+                blocked = [(e, deps) for e, deps in blocked if deps]
         except BaseException:
             self.close()
             raise
-        for experiment in inline_main:
-            seconds = self._run_inline(experiment)
-            done += 1
-            self._report(done, total, experiment.label, seconds, pools.SERIAL)
+        finally:
+            if pool is not None:
+                # Workers appended to the on-disk index behind our
+                # back; the next plan()/probe must see their artifacts.
+                self.store.refresh()
 
     @staticmethod
     def _observe_completion(
-        result: pools.PoolResult,
-        pool: pools.Pool,
+        backend: str,
+        seconds: float,
+        error: str | None,
+        pool: pools.Pool | None,
         queued_at: float | None,
     ) -> None:
-        """Fold one collected pool task into the metric registry."""
-        backend = pool.name
-        outcome = "ok" if result.error is None else "error"
+        """Fold one completed task into the metric registry."""
+        outcome = "ok" if error is None else "error"
         obs_metrics.TASKS_COMPLETED.inc(backend=backend, outcome=outcome)
-        obs_metrics.TASK_WALL_SECONDS.observe(result.seconds, backend=backend)
+        obs_metrics.TASK_WALL_SECONDS.observe(seconds, backend=backend)
         if queued_at is not None:
-            wait = time.perf_counter() - queued_at - result.seconds
+            wait = time.perf_counter() - queued_at - seconds
             obs_metrics.TASK_QUEUE_SECONDS.observe(
                 max(0.0, wait), backend=backend
             )
-        obs_metrics.POOL_OUTSTANDING.set(pool.outstanding)
+        if pool is not None:
+            obs_metrics.POOL_OUTSTANDING.set(pool.outstanding)
 
-    def _run_inline(self, experiment: Experiment) -> float:
-        """Run one spec in the parent, honouring the pinned engine;
-        returns the wall time."""
+    def _run_inline(self, experiment: Experiment) -> pools.PoolResult:
+        """Run one spec in the parent on the runner (which carries the
+        engine pin); an exception propagates unchanged."""
         start = time.perf_counter()
-        if self.engine is None:
-            self.runner.run(experiment)
-            return self._inline_seconds(start)
-        previous = os.environ.get("REPRO_ENGINE")
-        os.environ["REPRO_ENGINE"] = self.engine
-        try:
-            self.runner.run(experiment)
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_ENGINE", None)
-            else:
-                os.environ["REPRO_ENGINE"] = previous
-        return self._inline_seconds(start)
-
-    @staticmethod
-    def _inline_seconds(start: float) -> float:
-        seconds = time.perf_counter() - start
-        if metrics_enabled():
-            obs_metrics.TASK_WALL_SECONDS.observe(
-                seconds, backend=pools.SERIAL
-            )
-            obs_metrics.TASKS_COMPLETED.inc(
-                backend=pools.SERIAL, outcome="ok"
-            )
-        return seconds
+        self.runner.run(experiment)
+        return pools.PoolResult(
+            experiment.task_key(), experiment.label, time.perf_counter() - start
+        )
 
     def _report(
         self, done: int, total: int, label: str, seconds: float, backend: str

@@ -2,15 +2,15 @@
 
 :class:`~repro.orchestration.executor.SweepExecutor` plans *what* to
 run and in which dependency order; a :class:`Pool` decides *where*.
-Every backend honours the same contract — tasks arrive as
+Both backends honour the same contract — tasks arrive as
 JSON-serialisable :class:`PoolTask` specs, results are persisted into
 the shared :class:`~repro.orchestration.store.ResultStore` under the
 task key, and :meth:`Pool.wait_one` hands back one
 :class:`PoolResult` (label, wall time, error) per completed task —
-so results are bit-identical across backends and the executor's
-scheduling logic never changes.
+so results are bit-identical across backends and to the executor's
+inline runs, and the executor's scheduling logic never changes.
 
-Backends, in ``auto``-preference order:
+Two pool classes, in ``auto``-preference order:
 
 ``warm``
     Long-lived worker processes.  Each worker imports :mod:`repro`
@@ -30,9 +30,15 @@ Backends, in ``auto``-preference order:
     which the local side syncs into the shared store.  The special
     host name ``local`` substitutes a subprocess for the ssh hop
     (single-machine fan-out, CI, tests).
-``serial``
-    Everything inline in the calling process — the semantic baseline
-    the parallel backends are tested against.
+
+The third backend name, ``serial``, has no pool class: the
+:class:`~repro.orchestration.executor.SweepExecutor` runs those tasks
+inline in the calling process.  It is the semantic baseline the pools
+are tested against.
+
+Every worker — warm process or remote host — builds its
+:class:`~repro.sim.runner.ExperimentRunner` with the pool's engine
+pin, so no backend writes ``$REPRO_ENGINE``.
 
 Selection: an explicit ``pool=``/``--pool`` wins, else ``$REPRO_POOL``,
 else ``ssh`` when hosts are given (``--hosts``/``$REPRO_HOSTS``) and
@@ -55,8 +61,7 @@ import sys
 import tempfile
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -210,8 +215,8 @@ class Pool:
 
     def __init__(self, store: ResultStore, engine: str | None = None) -> None:
         self.store = store
-        #: resolved engine pin propagated to every worker (None lets
-        #: each worker resolve ``$REPRO_ENGINE``/auto itself)
+        #: resolved engine pin every worker's runner is built with
+        #: (None lets each run resolve ``$REPRO_ENGINE``/auto itself)
         self.engine = engine
         self.outstanding = 0
 
@@ -246,41 +251,6 @@ class Pool:
 
 
 # ----------------------------------------------------------------------
-# serial — the in-process baseline
-# ----------------------------------------------------------------------
-class SerialPool(Pool):
-    """Runs every task inline at submit time.  The semantic baseline:
-    every other backend must reproduce its artifacts bit-identically."""
-
-    name = SERIAL
-
-    def __init__(self, store: ResultStore, engine: str | None = None) -> None:
-        super().__init__(store, engine)
-        self._runner = ExperimentRunner(store=store)
-        self._completed: deque[PoolResult] = deque()
-
-    def submit(self, task: PoolTask) -> None:
-        previous = os.environ.get("REPRO_ENGINE")
-        if self.engine is not None:
-            os.environ["REPRO_ENGINE"] = self.engine
-        try:
-            self._completed.append(_attempt(task, self._runner))
-        finally:
-            if self.engine is not None:
-                if previous is None:
-                    os.environ.pop("REPRO_ENGINE", None)
-                else:
-                    os.environ["REPRO_ENGINE"] = previous
-        self.outstanding += 1
-
-    def wait_one(self) -> PoolResult:
-        if not self._completed:
-            raise RuntimeError("wait_one() with no outstanding tasks")
-        self.outstanding -= 1
-        return self._completed.popleft()
-
-
-# ----------------------------------------------------------------------
 # warm — persistent workers, batched dispatch
 # ----------------------------------------------------------------------
 def _warm_worker(
@@ -291,8 +261,6 @@ def _warm_worker(
 ) -> None:
     """Long-lived worker body: one import, one engine resolution, one
     runner — then batches of tasks until the ``None`` sentinel."""
-    if engine is not None:
-        os.environ["REPRO_ENGINE"] = engine
     try:
         # Resolve (and for the compiled engine, build + load the C
         # kernel) exactly once per worker, not once per task.
@@ -301,21 +269,13 @@ def _warm_worker(
         resolve_engine(engine)
     except Exception:
         pass  # per-task attempts will surface the real error
-    runner = ExperimentRunner(store=ResultStore(store_root))
+    runner = ExperimentRunner(store=ResultStore(store_root), engine=engine)
     while True:
         batch = tasks.get()
         if batch is None:
             return
         for task_doc in batch:
-            result = _attempt(PoolTask.from_dict(task_doc), runner)
-            results.put(
-                {
-                    "key": result.key,
-                    "label": result.label,
-                    "seconds": result.seconds,
-                    "error": result.error,
-                }
-            )
+            results.put(asdict(_attempt(PoolTask.from_dict(task_doc), runner)))
 
 
 class WarmPool(Pool):
@@ -403,9 +363,7 @@ class WarmPool(Pool):
                         "with --pool serial to isolate the failing task",
                     ) from None
         self.outstanding -= 1
-        return PoolResult(
-            record["key"], record["label"], record["seconds"], record["error"]
-        )
+        return PoolResult(**record)
 
     def close(self) -> None:
         if not self._workers:
@@ -551,13 +509,9 @@ class SSHPool(Pool):
                 self._ingest(response)
                 records = response["results"]
             except Exception as exc:  # noqa: BLE001 — feeders must survive
+                error = f"host {host}: {type(exc).__name__}: {exc}"
                 records = [
-                    {
-                        "key": task.key,
-                        "label": task.label,
-                        "seconds": 0.0,
-                        "error": f"host {host}: {type(exc).__name__}: {exc}",
-                    }
+                    asdict(PoolResult(task.key, task.label, 0.0, error))
                     for task in batch
                 ]
             for record in records:
@@ -610,9 +564,7 @@ class SSHPool(Pool):
             raise RuntimeError("wait_one() with no outstanding tasks")
         record = self._done.get()
         self.outstanding -= 1
-        return PoolResult(
-            record["key"], record["label"], record["seconds"], record["error"]
-        )
+        return PoolResult(**record)
 
     def close(self) -> None:
         if not self._threads:
@@ -643,9 +595,6 @@ def remote_main(stdin: Any = None, stdout: Any = None) -> int:
             f"wire schema {request.get('schema')!r} != {WIRE_SCHEMA}; "
             "local and remote repro versions disagree"
         )
-    engine = request.get("engine")
-    if engine is not None:
-        os.environ["REPRO_ENGINE"] = engine
     traced = bool(request.get("trace"))
     if traced:
         from repro.obs.trace import enable_tracing
@@ -661,18 +610,11 @@ def remote_main(stdin: Any = None, stdout: Any = None) -> int:
         ]
         if rows:
             store.put_many(rows)
-        runner = ExperimentRunner(store=store)
+        runner = ExperimentRunner(store=store, engine=request.get("engine"))
         for task_doc in request.get("tasks", ()):
             task = PoolTask.from_dict(task_doc)
             result = _attempt(task, runner)
-            results.append(
-                {
-                    "key": result.key,
-                    "label": result.label,
-                    "seconds": result.seconds,
-                    "error": result.error,
-                }
-            )
+            results.append(asdict(result))
             if result.error is None:
                 computed.append(task.key)
         if traced:
@@ -744,10 +686,17 @@ def resolve_pool(
     engine: str | None = None,
     hosts: "Iterable[str] | str | None" = None,
 ) -> Pool:
-    """Build (but do not start) the selected pool backend."""
+    """Build (but do not start) the selected pool backend.
+
+    ``serial`` has no pool: the executor runs those tasks inline, so
+    asking for it here is a :class:`ValueError`.
+    """
     name, resolved_hosts = resolve_pool_name(name, hosts)
     if name == SERIAL:
-        return SerialPool(store, engine=engine)
+        raise ValueError(
+            "the serial backend has no pool; SweepExecutor runs its "
+            "tasks inline"
+        )
     if name == WARM:
         return WarmPool(store, max_workers, engine=engine)
     return SSHPool(store, resolved_hosts, engine=engine)

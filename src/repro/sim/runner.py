@@ -72,18 +72,24 @@ class ExperimentRunner:
     ``store`` attaches an on-disk L2 cache of results; ``max_workers``
     > 1 additionally fans :meth:`sweep` and :meth:`prefetch` out
     across worker processes (a store is required for that — workers
-    hand results back through it).
+    hand results back through it).  ``engine`` pins the execution
+    backend of every simulation this runner performs (see
+    :meth:`CMPSimulator.run`); None lets each run resolve
+    ``$REPRO_ENGINE``/auto itself.  Sweeps fanned out from this
+    runner pin their workers to the same engine.
     """
 
     def __init__(
         self,
         store: "ResultStore | None" = None,
         max_workers: int | None = None,
+        engine: str | None = None,
     ) -> None:
         self._traces: dict[tuple, Trace] = {}
         self._results: dict[Experiment, RunResult | AloneResult] = {}
         self.store = store
         self.max_workers = max_workers
+        self.engine = engine
 
     def _parallel(self) -> bool:
         return self.store is not None and (self.max_workers or 0) > 1
@@ -199,7 +205,7 @@ class ExperimentRunner:
         simulator = CMPSimulator(
             config, [trace], experiment.policy, collect_curves=True
         )
-        run = simulator.run()
+        run = simulator.run(self.engine)
         core = run.cores[0]
         return AloneResult(
             benchmark=benchmark,
@@ -242,7 +248,7 @@ class ExperimentRunner:
             cpe_profiles=profiles,
             governor=experiment.governor,
         )
-        return simulator.run()
+        return simulator.run(self.engine)
 
     def _simulate_scenario(self, experiment: Experiment) -> RunResult:
         config = experiment.system
@@ -261,7 +267,7 @@ class ExperimentRunner:
             collect_timeline=True,
             governor=experiment.governor,
         )
-        return simulator.run()
+        return simulator.run(self.engine)
 
     # ------------------------------------------------------------------
     # Store plumbing
@@ -334,8 +340,9 @@ class ExperimentRunner:
         """Materialise specs into the store ahead of reads.
 
         With a store and ``max_workers`` > 1 the specs (plus the alone
-        runs they depend on) are sharded across worker processes;
-        otherwise this is a no-op and the tasks run lazily in-process.
+        runs they depend on) are sharded across worker processes,
+        pinned to this runner's engine; otherwise this is a no-op and
+        the tasks run lazily in-process.
         Returns ``(computed, cached)`` counts.
         """
         if not self._parallel():

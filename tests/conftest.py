@@ -7,10 +7,35 @@ whole suite stays fast; the benchmark harness is where full-scale
 
 from __future__ import annotations
 
+import json
+from io import BytesIO
+
 import pytest
 
 from repro.cache.geometry import CacheGeometry
+from repro.orchestration.pools import remote_main
 from repro.sim.config import SystemConfig
+
+
+class StubTransport:
+    """An ssh-pool transport that runs the remote protocol in-process,
+    capturing each request document."""
+
+    def __init__(self) -> None:
+        self.requests: list[dict] = []
+
+    def run(self, request: bytes) -> bytes:
+        self.requests.append(json.loads(request))
+        out = BytesIO()
+        remote_main(BytesIO(request), out)
+        return out.getvalue()
+
+
+@pytest.fixture
+def stub_transport() -> StubTransport:
+    """A fresh :class:`StubTransport` (share it across hosts with
+    ``transport_factory=lambda host: stub_transport``)."""
+    return StubTransport()
 
 
 @pytest.fixture

@@ -2,29 +2,13 @@
 asks remotes to record, and their per-task trace artifacts ride home
 in the reply's artifact list."""
 
-import json
-from io import BytesIO
-
 import pytest
 
 from repro.experiment import Experiment
 from repro.obs.trace import enable_tracing, trace_key
-from repro.orchestration.pools import PoolTask, SSHPool, remote_main
+from repro.orchestration.pools import PoolTask, SSHPool
 from repro.orchestration.store import ResultStore
 from repro.sim.runner import ExperimentRunner
-
-
-class StubTransport:
-    """Runs the remote protocol in-process, capturing the request."""
-
-    def __init__(self):
-        self.requests = []
-
-    def run(self, request: bytes) -> bytes:
-        self.requests.append(json.loads(request))
-        out = BytesIO()
-        remote_main(BytesIO(request), out)
-        return out.getvalue()
 
 
 def _prime_dependencies(store, spec):
@@ -34,8 +18,7 @@ def _prime_dependencies(store, spec):
     store.refresh()
 
 
-def _run_one(store, spec, **pool_kwargs):
-    transport = StubTransport()
+def _run_one(store, spec, transport, **pool_kwargs):
     pool = SSHPool(
         store,
         hosts=["stub"],
@@ -52,24 +35,24 @@ def _run_one(store, spec, **pool_kwargs):
 
 class TestWireTrace:
     def test_untraced_request_keeps_historical_shape(
-        self, tmp_path, tiny_two_core
+        self, tmp_path, tiny_two_core, stub_transport
     ):
         store = ResultStore(tmp_path / "store")
         spec = Experiment("G2-4", "ucp", tiny_two_core)
         _prime_dependencies(store, spec)
-        transport = _run_one(store, spec)
+        transport = _run_one(store, spec, stub_transport)
         (request,) = transport.requests
         assert "trace" not in request  # optional key, absent when off
         assert not store.has(trace_key(spec.task_key()))
 
     def test_tracing_parent_gets_remote_trace_artifacts(
-        self, tmp_path, tiny_two_core
+        self, tmp_path, tiny_two_core, stub_transport
     ):
         enable_tracing()
         store = ResultStore(tmp_path / "store")
         spec = Experiment("G2-4", "ucp", tiny_two_core)
         _prime_dependencies(store, spec)
-        transport = _run_one(store, spec)
+        transport = _run_one(store, spec, stub_transport)
         (request,) = transport.requests
         assert request["trace"] is True
         # the remote's trace artifact synced into the local store
@@ -83,12 +66,12 @@ class TestWireTrace:
         assert store.has(spec.task_key())
 
     def test_explicit_trace_flag_overrides_global_state(
-        self, tmp_path, tiny_two_core
+        self, tmp_path, tiny_two_core, stub_transport
     ):
         store = ResultStore(tmp_path / "store")
         spec = Experiment("G2-4", "ucp", tiny_two_core)
         _prime_dependencies(store, spec)
-        transport = _run_one(store, spec, trace=True)
+        transport = _run_one(store, spec, stub_transport, trace=True)
         (request,) = transport.requests
         assert request["trace"] is True
         assert store.has(trace_key(spec.task_key()))

@@ -4,10 +4,13 @@ import multiprocessing
 
 import pytest
 
+from repro.engine import COMPILED, PYTHON, compiled_available
 from repro.experiment import Experiment, by_group_policy
 from repro.orchestration.executor import SweepExecutor, orchestrated_runner, resolve_jobs
 from repro.orchestration.serialize import group_task_key
 from repro.orchestration.store import ResultStore
+from repro.partitioning.registry import register_policy, unregister_policy
+from repro.partitioning.ucp import UCPPolicy
 from repro.sim.runner import ExperimentRunner
 
 GROUPS = ["G2-4", "G2-8"]
@@ -97,6 +100,20 @@ class TestRunnerIntegration:
             runner.sweep(Experiment.grid(tiny_two_core, GROUPS, [policy]))
         assert set(multiprocessing.active_children()) - before == set()
 
+    def test_executor_takes_the_runner_pin(self, store, tiny_two_core):
+        pinned = ExperimentRunner(store=store, engine=PYTHON)
+        assert SweepExecutor(store, runner=pinned).engine == PYTHON
+        assert SweepExecutor(store, runner=pinned, engine=PYTHON).engine == PYTHON
+        assert SweepExecutor(store, engine=PYTHON).runner.engine == PYTHON
+        # an explicit engine that disagrees would split inline and
+        # pooled tasks across two engines
+        unpinned = ExperimentRunner(store=store)
+        with pytest.raises(ValueError, match="disagrees with the runner"):
+            SweepExecutor(store, runner=unpinned, engine=PYTHON)
+        if compiled_available():
+            with pytest.raises(ValueError, match="disagrees with the runner"):
+                SweepExecutor(store, runner=pinned, engine=COMPILED)
+
     def test_prefetch_noop_without_store(self, tiny_two_core):
         runner = ExperimentRunner()
         assert runner.prefetch([Experiment("G2-4", "ucp", tiny_two_core)]) == (0, 0)
@@ -108,6 +125,40 @@ class TestRunnerIntegration:
         executor.prefetch([Experiment("G2-4", "fair_share", tiny_two_core)])
         assert any("alone" in line for line in lines)
         assert any("group G2-4 fair_share" in line for line in lines)
+
+
+class TestInlineSpecs:
+    def test_main_module_policy_runs_inline_after_the_pool(
+        self, store, tiny_two_core
+    ):
+        """A worker cannot rebuild a class registered in ``__main__``,
+        so its specs run in the parent once the pool has drained."""
+
+        class MainUCP(UCPPolicy):
+            pass
+
+        MainUCP.__module__ = "__main__"
+        register_policy("main_ucp")(MainUCP)
+        lines: list[str] = []
+        try:
+            specs = [
+                Experiment(group, policy, tiny_two_core)
+                for group in GROUPS
+                for policy in ("ucp", "main_ucp")
+            ]
+            with SweepExecutor(
+                store, max_workers=2, pool="warm", progress=lines.append
+            ) as executor:
+                assert executor.prefetch(specs) == (7, 0)
+            results = executor.runner.sweep(specs)
+        finally:
+            unregister_policy("main_ucp")
+        inline = [line for line in lines if line.endswith(", serial)")]
+        assert lines[-2:] == inline
+        assert all("main_ucp" in line for line in inline)
+        assert all(line.endswith(", warm)") for line in lines[:-2])
+        for ucp, main_ucp in zip(specs[::2], specs[1::2]):
+            assert results[ucp].ipcs() == results[main_ucp].ipcs()
 
 
 class TestKnobs:

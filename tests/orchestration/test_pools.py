@@ -2,7 +2,9 @@
 surfacing, and concurrent writers racing on one store."""
 
 import dataclasses
+import functools
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -12,7 +14,10 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.engine import COMPILED, PYTHON, compiled_available
 from repro.experiment import Experiment
+from repro.obs.trace import TraceRecorder, set_recorder, trace_key
+from repro.orchestration import pools
 from repro.orchestration.executor import SweepExecutor
 from repro.orchestration.pools import (
     WIRE_SCHEMA,
@@ -62,6 +67,76 @@ class TestBackendEquivalence:
             )
             actual = {key: store.get(key) for key in store.keys()}
             assert actual == expected, f"{pool} artifacts diverge from serial"
+
+
+class TestEnginePin:
+    """The engine pin reaches every backend as a value: each runner is
+    built with it, and no process's ``$REPRO_ENGINE`` is written."""
+
+    @pytest.mark.parametrize("engine", [PYTHON, COMPILED])
+    @pytest.mark.parametrize("pool", ["serial", "warm", "ssh"])
+    def test_every_task_runs_the_pinned_engine(
+        self, pool, engine, tmp_path, tiny_two_core, monkeypatch, stub_transport
+    ):
+        if engine == COMPILED and not compiled_available():
+            pytest.skip("the compiled engine needs a C toolchain")
+        if compiled_available():
+            # a pin that gets lost would fall back to the other engine
+            other = PYTHON if engine == COMPILED else COMPILED
+            monkeypatch.setenv("REPRO_ENGINE", other)
+        else:
+            monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        monkeypatch.setattr(
+            pools,
+            "SSHPool",
+            functools.partial(
+                SSHPool, transport_factory=lambda host: stub_transport
+            ),
+        )
+        spec = Experiment("G2-4", "ucp", tiny_two_core)
+        store = ResultStore(tmp_path / "store")
+        previous = set_recorder(TraceRecorder())
+        try:
+            with SweepExecutor(
+                store,
+                max_workers=2,
+                engine=engine,
+                pool=pool,
+                hosts=["stub"] if pool == "ssh" else None,
+            ) as executor:
+                assert executor.prefetch([spec]) == (3, 0)
+        finally:
+            set_recorder(previous)
+        store.refresh()
+        keys = [d.task_key() for d in spec.alone_dependencies()]
+        keys.append(spec.task_key())
+        spans = {}
+        for key in keys:
+            payload = store.get(trace_key(key))
+            assert payload is not None, f"no trace artifact for {key[:12]}"
+            spans[key] = sum(
+                event["name"] == "kernel_span" for event in payload["events"]
+            )
+        if engine == PYTHON:
+            assert set(spans.values()) == {0}
+        else:
+            assert min(spans.values()) >= 1
+
+    def test_remote_main_leaves_the_environment_alone(
+        self, tmp_path, tiny_two_core, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_ENGINE", "auto")
+        task = PoolTask.from_experiment(
+            Experiment.alone_run("lbm", system=tiny_two_core)
+        )
+        request = json.dumps(
+            {"schema": WIRE_SCHEMA, "engine": PYTHON, "tasks": [task.to_dict()]}
+        ).encode("utf-8")
+        out = BytesIO()
+        assert remote_main(BytesIO(request), out) == 0
+        assert [r["error"] for r in json.loads(out.getvalue())["results"]] == [None]
+        assert os.environ.get("REPRO_ENGINE") == "auto"
 
 
 class TestPoolTask:
@@ -218,17 +293,12 @@ class TestRemoteProtocol:
         with pytest.raises(SystemExit):
             remote_main(BytesIO(request.encode("utf-8")), BytesIO())
 
-    def test_ssh_pool_over_stub_transport(self, tmp_path, tiny_two_core):
+    def test_ssh_pool_over_stub_transport(
+        self, tmp_path, tiny_two_core, stub_transport
+    ):
         """The full SSHPool machinery — feeder threads, batching,
         dependency shipping, artifact sync — with the transport
         replaced by an in-process stub running the remote protocol."""
-
-        class StubTransport:
-            def run(self, request: bytes) -> bytes:
-                out = BytesIO()
-                remote_main(BytesIO(request), out)
-                return out.getvalue()
-
         store = ResultStore(tmp_path / "store")
         runner = ExperimentRunner(store=store)
         specs = [Experiment(g, "ucp", tiny_two_core) for g in GROUPS]
@@ -240,7 +310,7 @@ class TestRemoteProtocol:
         pool = SSHPool(
             store,
             hosts=["stub-a", "stub-b"],
-            transport_factory=lambda host: StubTransport(),
+            transport_factory=lambda host: stub_transport,
         )
         with pool:
             submitted = pool.submit_many(
@@ -295,10 +365,12 @@ class TestSelection:
 
     def test_resolve_pool_builds_each_backend(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        for name in ("serial", "warm"):
-            assert resolve_pool(name, store=store, max_workers=2).name == name
+        assert resolve_pool("warm", store=store, max_workers=2).name == "warm"
         ssh = resolve_pool("ssh", store=store, hosts=["local"])
         assert ssh.name == "ssh" and ssh.hosts == ("local",)
+        # serial has no pool: the executor runs its tasks inline
+        with pytest.raises(ValueError, match="inline"):
+            resolve_pool("serial", store=store)
 
 
 class TestConcurrentWriters:

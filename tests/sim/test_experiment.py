@@ -19,6 +19,7 @@ from repro.experiment import (
     config_from_dict,
     config_to_dict,
 )
+from repro.orchestration import serialize
 from repro.orchestration.serialize import (
     alone_task_key,
     group_task_key,
@@ -159,6 +160,45 @@ class TestTaskKeys:
         )
         default = Experiment("G2-4", "cooperative", tiny_two_core)
         assert pinned.task_key() != default.task_key()
+
+    def test_key_is_computed_once_per_spec(self, tiny_two_core, monkeypatch):
+        calls = []
+        digest = serialize.task_key
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return digest(*args, **kwargs)
+
+        monkeypatch.setattr(serialize, "task_key", counting)
+        experiment = Experiment("G2-4", "cooperative", tiny_two_core)
+        first = experiment.task_key()
+        assert calls == ["group"]
+        assert experiment.task_key() == first
+        assert calls == ["group"], "a second call re-entered serialize.task_key"
+
+    def test_copies_get_their_own_key(self, tiny_two_core):
+        experiment = Experiment("G2-4", "cooperative", tiny_two_core)
+        experiment.task_key()
+        for copy, fresh in [
+            (
+                experiment.with_policy("ucp"),
+                Experiment("G2-4", "ucp", tiny_two_core),
+            ),
+            (
+                experiment.with_threshold(0.1),
+                Experiment(
+                    "G2-4", "cooperative", tiny_two_core.with_threshold(0.1)
+                ),
+            ),
+            (
+                experiment.with_governor("coordinated"),
+                Experiment(
+                    "G2-4", "cooperative", tiny_two_core, governor="coordinated"
+                ),
+            ),
+        ]:
+            assert copy.task_key() != experiment.task_key()
+            assert copy.task_key() == fresh.task_key()
 
 
 class TestSerialisation:
