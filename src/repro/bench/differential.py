@@ -618,6 +618,46 @@ def suite_config(
     return dataclasses.replace(config, epoch_cycles=DEFAULT_SUITE_EPOCH)
 
 
+def suite_experiments(
+    suite: str = "quick",
+    *,
+    policies: Sequence[str] | None = None,
+    governors: Sequence[GovernorSpec | str | None] | None = None,
+    name_filter: str | None = None,
+    refs_per_core: int | None = None,
+    corpus: Mapping[str, CorpusEntry] | None = None,
+) -> dict[tuple[str, str, str], Experiment]:
+    """The suite's spec grid, keyed ``(scenario, policy, governor label)``.
+
+    Every selected corpus scenario under every (policy × governor)
+    combination on its :func:`suite_config` machine — exactly the runs
+    :func:`run_suite` checks, so a caller can materialise them first.
+    """
+    entries = suite_entries(suite, corpus=corpus, name_filter=name_filter)
+    policies = tuple(policies) if policies is not None else suite_policies(suite)
+    governor_specs: dict[str, GovernorSpec | None] = {}
+    for governor in (
+        governors if governors is not None else suite_governors(suite)
+    ):
+        spec = (
+            governor_from_label(governor)
+            if governor is None or isinstance(governor, str)
+            else governor
+        )
+        governor_specs[governor_label(spec)] = spec
+    return {
+        (entry.name, policy, label): Experiment.for_scenario(
+            entry.scenario,
+            system=suite_config(entry, refs_per_core),
+            policy=policy,
+            governor=spec,
+        )
+        for entry in entries
+        for policy in policies
+        for label, spec in governor_specs.items()
+    }
+
+
 # ----------------------------------------------------------------------
 # The suite runner
 # ----------------------------------------------------------------------
@@ -671,34 +711,20 @@ def run_suite(
     the per-run and cross-run checks, and re-simulates ``deep`` combos
     live for the checks that need simulator state (occupancy recount).
     """
+    if corpus is None:
+        corpus = load_corpus()
+    experiments = suite_experiments(
+        suite, policies=policies, governors=governors,
+        name_filter=name_filter, refs_per_core=refs_per_core, corpus=corpus,
+    )
     entries = suite_entries(suite, corpus=corpus, name_filter=name_filter)
     policies = tuple(policies) if policies is not None else suite_policies(suite)
-    governor_specs: dict[str, GovernorSpec | None] = {}
-    for governor in (
-        governors if governors is not None else suite_governors(suite)
-    ):
-        spec = (
-            governor_from_label(governor)
-            if governor is None or isinstance(governor, str)
-            else governor
-        )
-        governor_specs[governor_label(spec)] = spec
+    governor_specs = {
+        label: experiment.governor
+        for (_, _, label), experiment in experiments.items()
+    }
     if runner is None:
         runner = ExperimentRunner()
-
-    experiments: dict[tuple[str, str, str], Experiment] = {}
-    for entry in entries:
-        config = suite_config(entry, refs_per_core)
-        for policy in policies:
-            for label, spec in governor_specs.items():
-                experiments[(entry.name, policy, label)] = (
-                    Experiment.for_scenario(
-                        entry.scenario,
-                        system=config,
-                        policy=policy,
-                        governor=spec,
-                    )
-                )
 
     say = progress or (lambda message: None)
     say(

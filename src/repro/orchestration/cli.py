@@ -31,6 +31,12 @@ Seven subcommands drive the whole evaluation through the orchestrator:
   suppressions, the committed ``analysis/baseline.json``; see
   ``docs/static-analysis.md``).
 
+``sweep``, ``alone`` and ``scenario`` share one run path: each builds
+its :class:`~repro.experiment.Experiment` specs and runs them through
+one session owning the store, the sweep executor and the ``--trace``
+merge of worker spans, so ``--jobs`` fans out scenario presets and
+suites just as it fans out sweeps.
+
 Every run-shaped command accepts ``--cores``, ``--refs-per-core``,
 ``--groups``, ``--policies`` and ``--threshold`` to select the slice
 of the evaluation, ``--governor``/``--governor-param`` to run it
@@ -47,10 +53,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.analysis.cli import add_check_arguments, cmd_check
-from repro.experiment import Experiment
+from repro.experiment import Experiment, by_group_policy
 from repro.metrics.speedup import geometric_mean
 from repro.obs.log import progress
 from repro.orchestration.executor import SweepExecutor, resolve_jobs
@@ -70,12 +76,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     options = parser.parse_args(argv)
     _apply_obs(options)
     try:
-        code = options.handler(options)
+        return options.handler(options)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
-    _finish_obs(options)
-    return code
 
 
 # ----------------------------------------------------------------------
@@ -128,6 +132,24 @@ def _build_parser() -> argparse.ArgumentParser:
              "via $REPRO_METRICS",
     )
 
+    jobs_flag = argparse.ArgumentParser(add_help=False)
+    jobs_flag.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help="worker processes for a sweep, an alone profile, a scenario "
+             "preset or suite, or each serve job (default: $REPRO_JOBS or "
+             "CPU count)",
+    )
+
+    engine_flag = argparse.ArgumentParser(add_help=False)
+    engine_flag.add_argument(
+        "--engine", default=None, metavar="NAME",
+        choices=("auto", "python", "compiled"),
+        help="execution backend every task (workers included) runs on; a "
+             "serve submission may pin its own (default: $REPRO_ENGINE, "
+             "then auto); every backend is bit-identical, this only "
+             "changes speed",
+    )
+
     quiet_flag = argparse.ArgumentParser(add_help=False)
     quiet_flag.add_argument(
         "--quiet", action="store_true",
@@ -174,19 +196,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sweep = commands.add_parser(
-        "sweep", parents=[common, selection, pooling, obs_flags, quiet_flag],
+        "sweep",
+        parents=[common, selection, pooling, jobs_flag, engine_flag, obs_flags,
+                 quiet_flag],
         help="run a group x scheme sweep in parallel and print the figure tables",
-    )
-    sweep.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: $REPRO_JOBS or CPU count)",
-    )
-    sweep.add_argument(
-        "--engine", default=None, metavar="NAME",
-        choices=("auto", "python", "compiled"),
-        help="execution backend every task (workers included) runs on "
-             "(default: $REPRO_ENGINE, then auto); every backend is "
-             "bit-identical, this only changes speed",
     )
     sweep.add_argument(
         "--metric", choices=(*_METRICS, "all"), default="speedup",
@@ -205,27 +218,18 @@ def _build_parser() -> argparse.ArgumentParser:
              "included) with per-task store hit/miss status and exit "
              "without simulating anything",
     )
-    sweep.set_defaults(handler=_cmd_sweep)
+    sweep.set_defaults(handler=_run_command, run=_sweep)
 
     alone = commands.add_parser(
-        "alone", parents=[common, selection, pooling, quiet_flag],
+        "alone",
+        parents=[common, selection, pooling, jobs_flag, engine_flag, quiet_flag],
         help="profile benchmarks in isolation (Table 3's MPKI classification)",
     )
     alone.add_argument(
         "benchmarks", nargs="*", metavar="BENCHMARK",
         help="benchmarks to profile (default: all 19)",
     )
-    alone.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: $REPRO_JOBS or CPU count)",
-    )
-    alone.add_argument(
-        "--engine", default=None, metavar="NAME",
-        choices=("auto", "python", "compiled"),
-        help="execution backend every task (workers included) runs on "
-             "(default: $REPRO_ENGINE, then auto)",
-    )
-    alone.set_defaults(handler=_cmd_alone)
+    alone.set_defaults(handler=_run_command, run=_alone)
 
     report = commands.add_parser(
         "report", parents=[common, selection],
@@ -239,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report.set_defaults(handler=_cmd_report)
 
     scenario = commands.add_parser(
-        "scenario", parents=[common, selection, obs_flags, quiet_flag],
+        "scenario", parents=[common, selection, jobs_flag, obs_flags, quiet_flag],
         help="run a time-varying schedule (arrivals/departures/phases) "
              "and print its timeline",
     )
@@ -297,15 +301,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="suite mode: also write the JSON report to FILE (the CI "
              "artifact shape)",
     )
-    scenario.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="suite mode: worker processes for the run fan-out "
-             "(default: $REPRO_JOBS or CPU count)",
-    )
-    scenario.set_defaults(handler=_cmd_scenario)
+    scenario.set_defaults(handler=_run_command, run=_scenario)
 
     serve = commands.add_parser(
-        "serve", parents=[common, pooling, quiet_flag],
+        "serve", parents=[common, pooling, jobs_flag, engine_flag, quiet_flag],
         help="run the sweep-as-a-service daemon (HTTP job queue over the store)",
     )
     serve.add_argument(
@@ -315,16 +314,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=8321, metavar="PORT",
         help="port to bind; 0 picks an ephemeral port (default: 8321)",
-    )
-    serve.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes per job (default: $REPRO_JOBS or CPU count)",
-    )
-    serve.add_argument(
-        "--engine", default=None, metavar="NAME",
-        choices=("auto", "python", "compiled"),
-        help="execution backend jobs run on unless their submission "
-             "pins one (default: $REPRO_ENGINE, then auto)",
     )
     serve.set_defaults(handler=_cmd_serve)
 
@@ -473,13 +462,13 @@ def _apply_obs(options: argparse.Namespace) -> None:
         obs.enable_metrics()
 
 
-def _finish_obs(options: argparse.Namespace) -> None:
-    """Write --trace/--metrics output after the handler returns.
+def _finish_obs(options: argparse.Namespace, session: "_Session") -> None:
+    """Write --trace/--metrics output after a run command returns.
 
-    Handlers that fan work out to pool workers stash their store and
-    planned experiments on the namespace (``_trace_store`` /
-    ``_trace_tasks``) so worker-side trace artifacts get merged in;
-    parent-process events are always included.
+    The trace holds the parent's own events plus the trace artifacts
+    workers persisted for every spec the session ran (alone
+    dependencies included; a cached task simulated nothing and has
+    none).
     """
     import os
 
@@ -487,20 +476,24 @@ def _finish_obs(options: argparse.Namespace) -> None:
 
     trace_path = getattr(options, "trace", None)
     if trace_path:
+        from repro.obs.trace import trace_key, write_trace_file
+
         events = list(obs.recorder().events())
-        store = getattr(options, "_trace_store", None)
-        tasks = getattr(options, "_trace_tasks", None)
-        if store is not None and tasks:
-            # Worker artifacts repeat the parent's own inline spans when
-            # tasks ran serially; the pid filter drops those duplicates.
-            pid = os.getpid()
+        keys = dict.fromkeys(
+            spec.task_key()
+            for experiment in session.specs
+            for spec in (experiment, *experiment.alone_dependencies())
+        )
+        # Worker artifacts repeat the parent's own inline spans when
+        # tasks ran serially; the pid filter drops those duplicates.
+        pid = os.getpid()
+        for key in keys:
+            payload = session.store.get(trace_key(key)) or {}
             events.extend(
                 event
-                for event in _collect_task_traces(store, tasks)
+                for event in payload.get("events", ())
                 if event.get("pid") != pid
             )
-        from repro.obs.trace import write_trace_file
-
         count = write_trace_file(events, trace_path)
         obs.progress(f"wrote {count} trace event(s) to {trace_path}")
     metrics_path = getattr(options, "metrics", None)
@@ -512,28 +505,6 @@ def _finish_obs(options: argparse.Namespace) -> None:
             with open(metrics_path, "w", encoding="utf-8") as handle:
                 handle.write(text)
             obs.progress(f"wrote metrics to {metrics_path}")
-
-
-def _collect_task_traces(store: ResultStore, experiments: Sequence) -> list[dict]:
-    """Trace events persisted by workers for ``experiments`` (deps included).
-
-    Cached tasks never simulate, so their trace artifacts may be absent;
-    those are skipped silently.
-    """
-    from repro.obs.trace import trace_key
-
-    events: list[dict] = []
-    seen: set[str] = set()
-    for experiment in experiments:
-        for spec in (experiment, *experiment.alone_dependencies()):
-            key = spec.task_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            payload = store.get(trace_key(key))
-            if payload:
-                events.extend(payload.get("events", ()))
-    return events
 
 
 # ----------------------------------------------------------------------
@@ -625,74 +596,71 @@ def _render_tables(
 
 
 # ----------------------------------------------------------------------
-# Subcommands
+# The run path: specs -> session -> render
 # ----------------------------------------------------------------------
-def _executor_from(options: argparse.Namespace, store: ResultStore) -> SweepExecutor:
-    """Build the sweep executor, mapping an unavailable ``--engine``
-    request or a bad ``--pool``/``--hosts`` selection to a clean CLI
-    error instead of a traceback."""
-    from repro.engine import EngineUnavailableError
+class _Session:
+    """The store, executor and specs of one simulating command.
 
-    try:
-        return SweepExecutor(
-            store,
-            resolve_jobs(options.jobs),
-            progress=progress,
-            engine=getattr(options, "engine", None),
-            pool=getattr(options, "pool", None),
-            hosts=getattr(options, "hosts", None),
-        )
-    except (EngineUnavailableError, ValueError) as error:
-        raise SystemExit(str(error))
+    The engine pin and ``--jobs``/``--pool``/``--hosts`` resolve here,
+    once; an unavailable engine or a bad pool selection exits cleanly.
+    Every :meth:`run` prefetches, so :attr:`runner` reads are hits.
+    """
 
+    def __init__(self, options: argparse.Namespace) -> None:
+        from repro.engine import EngineUnavailableError
 
-def _cmd_sweep(options: argparse.Namespace) -> int:
-    if options.spec:
-        return _cmd_sweep_spec(options)
-    config = _config_from(options)
-    groups = _groups_from(options)
-    policies = _policies_from(options)
-    governor = _governor_from(options)
-    store = _store_from(options)
-    executor = _executor_from(options, store)
-    started = time.perf_counter()
-    experiments = Experiment.grid(config, groups, policies, governor=governor)
-    if options.dry_run:
-        return _render_dry_run(executor, experiments, store)
-    # _finish_obs merges worker-side trace artifacts for these tasks.
-    options._trace_store, options._trace_tasks = store, experiments
-    computed, cached = executor.prefetch(experiments)
-    executor.close()  # workers are done; assembly is cache hits
-    # Assemble directly through the runner: the prefetch above already
-    # materialised every artifact, so re-running each spec is a pure
-    # cache hit.
-    results = {
-        group: {
-            policy: executor.runner.run(
-                Experiment(group, policy, config, governor=governor)
+        self.store = _store_from(options)
+        try:
+            self.executor = SweepExecutor(
+                self.store,
+                resolve_jobs(options.jobs),
+                progress=progress,
+                engine=getattr(options, "engine", None),
+                pool=getattr(options, "pool", None),
+                hosts=getattr(options, "hosts", None),
             )
-            for policy in policies
-        }
-        for group in groups
-    }
-    elapsed = time.perf_counter() - started
-    metrics = _METRICS if options.metric == "all" else (options.metric,)
-    _render_tables(executor.runner, results, config, policies, metrics)
-    print(
-        f"\n{len(experiments)} group runs over {len(groups)} groups x "
-        f"{len(policies)} schemes; {computed} tasks computed, {cached} "
-        f"cached in {store.root} (alone-run dependencies included; "
-        f"{elapsed:.1f}s, {executor.max_workers} workers, "
-        f"{executor.pool_name} pool)"
-    )
-    return 0
+        except (EngineUnavailableError, ValueError) as error:
+            raise SystemExit(str(error))
+        self.runner = self.executor.runner
+        #: every spec run so far; _finish_obs merges their worker traces
+        self.specs: list[Experiment] = []
+        self.computed = self.cached = 0
+        self.started = time.perf_counter()
+
+    def run(self, specs: Iterable[Experiment]) -> None:
+        """Materialise ``specs`` (and their alone dependencies)."""
+        specs = list(specs)
+        self.specs.extend(specs)
+        computed, cached = self.executor.prefetch(specs)
+        self.computed += computed
+        self.cached += cached
+
+    def tally(self, note: str = "") -> str:
+        """The summary tail: task counts, store, elapsed time, pool."""
+        elapsed = time.perf_counter() - self.started
+        return (
+            f"{self.computed} tasks computed, {self.cached} cached in "
+            f"{self.store.root} ({note}{elapsed:.1f}s, "
+            f"{self.executor.max_workers} workers, "
+            f"{self.executor.pool_name} pool)"
+        )
 
 
-def _render_dry_run(
-    executor: SweepExecutor, experiments: list, store: ResultStore
-) -> int:
+def _run_command(options: argparse.Namespace) -> int:
+    """``sweep``, ``alone`` and ``scenario``: build the subcommand's
+    specs, run them through one :class:`_Session`, render."""
+    session = _Session(options)
+    try:
+        code = options.run(options, session)
+    finally:
+        session.executor.close()
+    _finish_obs(options, session)
+    return code
+
+
+def _render_dry_run(session: _Session, experiments: list) -> int:
     """``repro sweep --dry-run``: the planned task list, no simulation."""
-    plan = executor.plan_report(experiments)
+    plan = session.executor.plan_report(experiments)
     print(f"{'status':<8}{'kind':<10}{'experiment':<44}{'key':<14}")
     for experiment, cached in plan:
         status = "hit" if cached else "miss"
@@ -703,14 +671,46 @@ def _render_dry_run(
     missing = sum(1 for _, cached in plan if not cached)
     print(
         f"\n{len(plan)} task(s) planned (alone-run dependencies "
-        f"included); {len(plan) - missing} cached in {store.root}, "
+        f"included); {len(plan) - missing} cached in {session.store.root}, "
         f"{missing} would be computed — dry run, nothing executed"
     )
     return 0
 
 
-def _cmd_sweep_spec(options: argparse.Namespace) -> int:
-    """``repro sweep --spec FILE``: run serialised Experiment specs."""
+# ----------------------------------------------------------------------
+# Subcommands
+# ----------------------------------------------------------------------
+def _sweep(options: argparse.Namespace, session: _Session) -> int:
+    """``repro sweep``: the group x scheme grid, or ``--spec FILE``."""
+    if options.spec:
+        experiments = _spec_experiments(options)
+    else:
+        config = _config_from(options)
+        groups = _groups_from(options)
+        policies = _policies_from(options)
+        governor = _governor_from(options)
+        experiments = Experiment.grid(config, groups, policies, governor=governor)
+    if options.dry_run:
+        return _render_dry_run(session, experiments)
+    session.run(experiments)
+    runner = session.runner
+    if options.spec:
+        _print_spec_rows(runner, experiments)
+        print(f"\n{len(experiments)} spec(s); {session.tally()}")
+        return 0
+    results = by_group_policy({spec: runner.run(spec) for spec in experiments})
+    metrics = _METRICS if options.metric == "all" else (options.metric,)
+    _render_tables(runner, results, config, policies, metrics)
+    print(
+        f"\n{len(experiments)} group runs over {len(groups)} groups x "
+        f"{len(policies)} schemes; "
+        f"{session.tally('alone-run dependencies included; ')}"
+    )
+    return 0
+
+
+def _spec_experiments(options: argparse.Namespace) -> list[Experiment]:
+    """The Experiment list of ``repro sweep --spec FILE``."""
     import json
 
     if _governor_from(options) is not None:
@@ -727,20 +727,16 @@ def _cmd_sweep_spec(options: argparse.Namespace) -> int:
             f"(got {type(documents).__name__})"
         )
     try:
-        experiments = [Experiment.from_dict(document) for document in documents]
+        return [Experiment.from_dict(document) for document in documents]
     except (KeyError, TypeError, ValueError) as error:
         raise SystemExit(f"bad experiment spec in {options.spec}: {error}")
-    store = _store_from(options)
-    executor = _executor_from(options, store)
-    if options.dry_run:
-        return _render_dry_run(executor, experiments, store)
-    options._trace_store, options._trace_tasks = store, experiments
-    started = time.perf_counter()
-    computed, cached = executor.prefetch(experiments)
-    executor.close()  # workers are done; assembly is cache hits
+
+
+def _print_spec_rows(runner: ExperimentRunner, experiments: list) -> None:
+    """One summary row per ``--spec`` experiment."""
     print(f"{'kind':<10}{'experiment':<38}{'key':<14}{'headline':<40}")
     for experiment in experiments:
-        result = executor.runner.run(experiment)
+        result = runner.run(experiment)
         if isinstance(result, AloneResult):
             headline = f"ipc={result.ipc:.3f} mpki={result.mpki:.2f}"
         else:
@@ -753,16 +749,10 @@ def _cmd_sweep_spec(options: argparse.Namespace) -> int:
             f"{experiment.kind:<10}{experiment.label:<38}"
             f"{experiment.task_key()[:12]:<14}{headline:<40}"
         )
-    elapsed = time.perf_counter() - started
-    print(
-        f"\n{len(experiments)} spec(s); {computed} tasks computed, "
-        f"{cached} cached in {store.root} ({elapsed:.1f}s, "
-        f"{executor.max_workers} workers, {executor.pool_name} pool)"
-    )
-    return 0
 
 
-def _cmd_alone(options: argparse.Namespace) -> int:
+def _alone(options: argparse.Namespace, session: _Session) -> int:
+    """``repro alone``: profile benchmarks, one row per argument."""
     if _governor_from(options) is not None:
         raise SystemExit(
             "alone runs always profile at the nominal frequency (no "
@@ -777,14 +767,12 @@ def _cmd_alone(options: argparse.Namespace) -> int:
             f"unknown benchmark(s) {', '.join(unknown)}; valid: "
             f"{', '.join(sorted(BENCHMARK_PROFILES))}"
         )
-    store = _store_from(options)
-    executor = _executor_from(options, store)
-    results = executor.alone_many(config, names)
-    executor.close()
+    specs = [Experiment.alone_run(name, system=config) for name in names]
+    session.run(specs)
     print(f"\n=== alone runs on {config.l2.describe()} ===")
     print(f"{'benchmark':<12}{'paper MPKI':>12}{'measured':>12}{'IPC':>8}{'class':>9}")
-    for name in names:
-        result = results[name]
+    for name, spec in zip(names, specs):
+        result = session.runner.run(spec)
         profile = BENCHMARK_PROFILES[name]
         print(
             f"{name:<12}{profile.mpki:>12.2f}{result.mpki:>12.2f}"
@@ -798,54 +786,46 @@ def _cmd_report(options: argparse.Namespace) -> int:
     groups = _groups_from(options)
     policies = _policies_from(options)
     governor = _governor_from(options)
+    experiments = Experiment.grid(config, groups, policies, governor=governor)
     store = _store_from(options)
-    # Validate with get(), not has(): a corrupt artifact exists on disk
-    # but reads as a miss, and report must refuse rather than silently
-    # fall back to simulating it.
-    missing: list[str] = []
-    for group in groups:
-        for policy in policies:
-            experiment = Experiment(group, policy, config, governor=governor)
-            if store.get(experiment.task_key()) is None:
-                missing.append(f"{group}/{policy}")
-        for benchmark in group_benchmarks(group):
-            alone = Experiment.alone_run(benchmark, system=config)
-            if store.get(alone.task_key()) is None:
-                missing.append(f"alone/{benchmark}")
+    runner = ExperimentRunner(store=store)
+    # cached(), not probe(): a corrupt artifact exists on disk but reads
+    # as a miss, so report refuses instead of simulating it.  A hit stays
+    # in the runner's memory, so rendering parses no artifact twice.
+    missing = sorted({
+        f"{spec.workload.name}/{spec.policy_name}"
+        if spec.kind == "group"
+        else f"alone/{spec.workload.name}"
+        for experiment in experiments
+        for spec in (experiment, *experiment.alone_dependencies())
+        if runner.cached(spec) is None
+    })
     if missing:
-        shown = ", ".join(sorted(set(missing))[:10])
+        shown = ", ".join(missing[:10])
         print(
-            f"{len(set(missing))} result(s) missing from {store.root} "
-            f"({shown}{', ...' if len(set(missing)) > 10 else ''}); "
+            f"{len(missing)} result(s) missing from {store.root} "
+            f"({shown}{', ...' if len(missing) > 10 else ''}); "
             f"run the matching `repro sweep` first",
             file=sys.stderr,
         )
         return 1
-    runner = ExperimentRunner(store=store)
-    results = {
-        group: {
-            policy: runner.run(
-                Experiment(group, policy, config, governor=governor)
-            )
-            for policy in policies
-        }
-        for group in groups
-    }
+    results = by_group_policy({spec: runner.run(spec) for spec in experiments})
     _render_tables(runner, results, config, policies, _METRICS, options.format)
     return 0
 
 
-def _cmd_scenario(options: argparse.Namespace) -> int:
+def _scenario(options: argparse.Namespace, session: _Session) -> int:
+    """``repro scenario``: a preset or ``--spec`` schedule under each
+    selected scheme, against its static baseline."""
     import json
 
     if options.suite:
-        return _run_scenario_suite(options)
+        return _scenario_suite(options, session)
     from repro.orchestration.serialize import scenario_from_dict, scenario_to_dict
     from repro.scenarios.model import (
         Scenario,
         arrival_scenario,
         consolidation_scenario,
-        core_arrive,
         phased_scenario,
     )
     from repro.scenarios.timeline import render_timeline
@@ -860,7 +840,14 @@ def _cmd_scenario(options: argparse.Namespace) -> int:
             f"group {group} has {len(benchmarks)} applications but "
             f"--cores is {config.n_cores}"
         )
-    runner = ExperimentRunner(store=_store_from(options))
+
+    def under_each_policy(schedule: Scenario) -> dict[str, Experiment]:
+        return {
+            policy: Experiment.for_scenario(
+                schedule, system=config, policy=policy, governor=governor
+            )
+            for policy in policies
+        }
 
     if options.spec:
         with open(options.spec, "r", encoding="utf-8") as handle:
@@ -868,15 +855,9 @@ def _cmd_scenario(options: argparse.Namespace) -> int:
         scenario.validate(config.n_cores)
         # The comparison baseline must run the spec's own workload mix:
         # each slot's arrival benchmark, present from cycle 0.
-        static = Scenario(
+        static = Scenario.static(
+            scenario.arrival_benchmarks(config.n_cores),
             name=f"static-{scenario.name}",
-            events=tuple(
-                core_arrive(core, benchmark, 0)
-                for core, benchmark in enumerate(
-                    scenario.arrival_benchmarks(config.n_cores)
-                )
-                if benchmark
-            ),
         )
     else:
         static = Scenario.static(benchmarks, name=f"static-{group}")
@@ -884,14 +865,12 @@ def _cmd_scenario(options: argparse.Namespace) -> int:
             raise SystemExit(
                 f"--at-fraction must be in [0, 1], got {options.at_fraction}"
             )
-        # Calibrate the preset's event cycle from the static baseline's
-        # measured window (the baseline is cached, so this is cheap on
-        # re-runs and doubles as the comparison point below).
-        probe = runner.run(
-            Experiment.for_scenario(
-                static, system=config, policy=policies[0], governor=governor
-            )
-        )
+    baselines = under_each_policy(static)
+    session.run(baselines.values())
+    if not options.spec:
+        # Calibrate the preset's event cycle from the first scheme's
+        # static baseline: its measured window places the event.
+        probe = session.runner.run(baselines[policies[0]])
         window_start = probe.end_cycle - probe.window_cycles
         event_cycle = window_start + int(
             probe.window_cycles * options.at_fraction
@@ -910,6 +889,8 @@ def _cmd_scenario(options: argparse.Namespace) -> int:
             scenario = phased_scenario(
                 benchmarks, 0, ["lbm"], [event_cycle], name=f"phases-{group}"
             )
+    runs = under_each_policy(scenario)
+    session.run(runs.values())
 
     document: dict = {
         "scenario": scenario_to_dict(scenario),
@@ -920,16 +901,8 @@ def _cmd_scenario(options: argparse.Namespace) -> int:
         "runs": {},
     }
     for policy in policies:
-        run = runner.run(
-            Experiment.for_scenario(
-                scenario, system=config, policy=policy, governor=governor
-            )
-        )
-        baseline = runner.run(
-            Experiment.for_scenario(
-                static, system=config, policy=policy, governor=governor
-            )
-        )
+        run = session.runner.run(runs[policy])
+        baseline = session.runner.run(baselines[policy])
         takeovers = sum(run.policy_stats.takeover_events.values())
         summary = {
             "static_energy_nj": run.static_energy_nj,
@@ -989,7 +962,7 @@ def _cmd_scenario(options: argparse.Namespace) -> int:
     return 0
 
 
-def _run_scenario_suite(options: argparse.Namespace) -> int:
+def _scenario_suite(options: argparse.Namespace, session: _Session) -> int:
     """``repro scenario --suite``: the corpus differential harness."""
     import json
 
@@ -997,6 +970,7 @@ def _run_scenario_suite(options: argparse.Namespace) -> int:
         render_report,
         run_suite,
         suite_entries,
+        suite_experiments,
         suite_governors,
         suite_policies,
     )
@@ -1043,18 +1017,14 @@ def _run_scenario_suite(options: argparse.Namespace) -> int:
             f"{len(entries) * len(policies) * len(governors)} runs"
         )
         return 0
+    selection: dict[str, Any] = dict(
+        policies=policies, governors=governors,
+        name_filter=options.filter, refs_per_core=options.refs_per_core,
+    )
     try:
-        runner = ExperimentRunner(
-            store=_store_from(options), max_workers=resolve_jobs(options.jobs)
-        )
+        session.run(suite_experiments(options.suite, **selection).values())
         report = run_suite(
-            options.suite,
-            policies=policies,
-            governors=governors,
-            name_filter=options.filter,
-            refs_per_core=options.refs_per_core,
-            runner=runner,
-            progress=progress,
+            options.suite, runner=session.runner, progress=progress, **selection
         )
     except ValueError as error:
         raise SystemExit(str(error))

@@ -71,7 +71,6 @@ from repro.obs.trace import recorder as obs_recorder
 from repro.orchestration import pools
 from repro.orchestration.pools import PoolTask, SweepTaskError
 from repro.orchestration.store import ResultStore, default_store_path
-from repro.sim.config import SystemConfig
 from repro.sim.runner import ExperimentRunner
 
 #: environment variable bounding worker-process count
@@ -281,21 +280,6 @@ class SweepExecutor:
         finally:
             rec.end(token, cached=total - computed)
         return computed, total - computed
-
-    def prefetch_alone(
-        self, config: SystemConfig, benchmarks: Iterable[str]
-    ) -> tuple[int, int]:
-        """Materialise alone runs for ``benchmarks``; ``(computed, cached)``."""
-        return self.prefetch(
-            Experiment.alone_run(benchmark, system=config)
-            for benchmark in dict.fromkeys(benchmarks)
-        )
-
-    def alone_many(self, config: SystemConfig, benchmarks: Iterable[str]) -> dict:
-        """Alone runs for ``benchmarks`` in parallel, keyed by name."""
-        benchmarks = list(dict.fromkeys(benchmarks))
-        self.prefetch_alone(config, benchmarks)
-        return {b: self.runner.alone(b, config) for b in benchmarks}
 
     # ------------------------------------------------------------------
     def _run_phases(

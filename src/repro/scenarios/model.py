@@ -189,13 +189,17 @@ class Scenario:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def static(cls, benchmarks: Sequence[str], name: str = "static") -> "Scenario":
-        """The degenerate scenario: all cores arrive at 0, nothing else."""
+    def static(
+        cls, benchmarks: Sequence[str | None], name: str = "static"
+    ) -> "Scenario":
+        """The degenerate scenario: all cores arrive at 0, nothing else
+        (a None slot stays empty)."""
         return cls(
             name=name,
             events=tuple(
                 core_arrive(core, benchmark, 0)
                 for core, benchmark in enumerate(benchmarks)
+                if benchmark
             ),
         )
 

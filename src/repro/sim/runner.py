@@ -352,21 +352,6 @@ class ExperimentRunner:
         with SweepExecutor(self.store, self.max_workers, runner=self) as executor:
             return executor.prefetch(tasks)
 
-    def prefetch_alone(
-        self, config: SystemConfig, benchmarks: Iterable[str]
-    ) -> tuple[int, int]:
-        """Materialise alone runs for ``benchmarks`` into the store.
-
-        The parallel counterpart of calling :meth:`alone` in a loop;
-        a no-op without a store and ``max_workers`` > 1.
-        """
-        if not self._parallel():
-            return (0, 0)
-        from repro.orchestration.executor import SweepExecutor
-
-        with SweepExecutor(self.store, self.max_workers, runner=self) as executor:
-            return executor.prefetch_alone(config.alone(), benchmarks)
-
     # ------------------------------------------------------------------
     # Normalisation
     # ------------------------------------------------------------------

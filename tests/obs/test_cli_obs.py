@@ -57,6 +57,21 @@ class TestTraceFlag:
         document = json.loads(out.read_text())
         assert {e["name"] for e in document["traceEvents"]} >= {"sweep", "run"}
 
+    def test_pooled_suite_merges_worker_task_spans(self, tmp_path):
+        trace = tmp_path / "suite.trace.jsonl"
+        code = main([
+            "scenario", "--suite", "quick", "--filter", "sparse-2c",
+            "--policies", "unmanaged,cooperative",
+            "--governors", "none,coordinated",
+            "--refs-per-core", "4000", "--jobs", "2", "--trace", str(trace),
+        ])
+        assert code == 0
+        events = [
+            json.loads(line) for line in trace.read_text().splitlines()
+        ]
+        # one task span per (policy, governor) run, recorded in workers
+        assert sum(1 for event in events if event.get("cat") == "task") == 4
+
     def test_trace_view_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")

@@ -1,6 +1,7 @@
 """The ``repro`` CLI: sweep / alone / report / clean end to end."""
 
 import json
+import re
 
 import pytest
 
@@ -304,6 +305,21 @@ class TestScenario:
                      "--store", str(tmp_path / "store")])
         assert code == 0
         assert "from-spec" in capsys.readouterr().out
+
+    def test_pooled_preset_reports_progress_and_matches_inline(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("repro.obs.log._quiet", False)
+        args = ["scenario", "--cores", "2", "--refs-per-core", "8000",
+                "--group", "G2-8", "--policies", "cooperative,ucp",
+                "--format", "json"]
+        code = main([*args, "--jobs", "2", "--store", str(tmp_path / "pooled")])
+        assert code == 0
+        pooled = capsys.readouterr()
+        assert re.search(r"^\[\d+/\d+\] .* warm\)$", pooled.err, re.M)
+        code = main([*args, "--jobs", "1", "--store", str(tmp_path / "inline")])
+        assert code == 0
+        assert pooled.out == capsys.readouterr().out
 
     def test_rejects_bad_fraction_and_group(self, store_arguments):
         with pytest.raises(SystemExit):

@@ -117,7 +117,6 @@ class TestRunnerIntegration:
     def test_prefetch_noop_without_store(self, tiny_two_core):
         runner = ExperimentRunner()
         assert runner.prefetch([Experiment("G2-4", "ucp", tiny_two_core)]) == (0, 0)
-        assert runner.prefetch_alone(tiny_two_core, ["lbm"]) == (0, 0)
 
     def test_progress_callback_sees_every_task(self, store, tiny_two_core):
         lines = []

@@ -22,6 +22,12 @@ def test_static_scenario_shape():
     assert scenario.benchmarks_used() == ("lbm", "soplex")
 
 
+def test_static_scenario_leaves_a_none_slot_empty():
+    scenario = Scenario.static(["lbm", None, "soplex"])
+    assert scenario.arrival_benchmarks(3) == ["lbm", None, "soplex"]
+    assert [event.core for event in scenario.events] == [0, 2]
+
+
 def test_events_sort_by_time():
     scenario = Scenario(
         name="x",
