@@ -282,12 +282,14 @@ class Experiment:
 
     @classmethod
     def alone_run(cls, benchmark: str, *, system: SystemConfig) -> "Experiment":
-        """``benchmark`` profiled by itself on the full LLC."""
-        return cls(
-            workload=WorkloadSpec.benchmark(benchmark),
-            policy="unmanaged",
-            system=system,
-        )
+        """``benchmark`` profiled by itself on the full LLC.
+
+        Specs are interned: every call for one benchmark on one
+        profiling config (by :func:`~repro.orchestration.serialize.
+        config_token`, so ``0`` and ``0.0`` stay apart) returns the
+        same frozen instance, whose task key is then derived once.
+        """
+        return _alone_specs(cls, (benchmark,), system)[0]
 
     @classmethod
     def for_scenario(
@@ -403,11 +405,19 @@ class Experiment:
         (weighted speedup needs IPC_alone for all of them); scenario
         runs only feed profile-driven policies (Dynamic CPE) their
         arrival benchmarks' curves; alone runs have no dependencies.
+
+        Computed once per spec; the elements are the interned
+        :meth:`alone_run` instances, so their task keys are derived
+        once per sweep.  Each call returns a fresh list.
         """
+        return list(self._alone_dependencies)
+
+    @functools.cached_property
+    def _alone_dependencies(self) -> tuple["Experiment", ...]:
         assert self.system is not None
         kind = self.kind
         if kind == ALONE:
-            return []
+            return ()
         if kind == GROUP:
             names: Iterable[str] = self.workload.benchmarks
         elif self.policy.info.profile_kwarg is not None:
@@ -417,11 +427,8 @@ class Experiment:
                 if name is not None
             ]
         else:
-            return []
-        return [
-            Experiment.alone_run(name, system=self.system)
-            for name in dict.fromkeys(names)
-        ]
+            return ()
+        return _alone_specs(Experiment, dict.fromkeys(names), self.system)
 
     # ------------------------------------------------------------------
     # Store identity
@@ -435,7 +442,11 @@ class Experiment:
         Non-default policy parameters (third-party knobs, a pinned
         cooperative seed) and a DVFS governor extend the digest
         document and open a fresh key space.  The spec is frozen, so
-        the digest is computed once per instance.
+        the digest is computed once per instance, and the config's
+        canonical encoding once per process (cached by its type-exact
+        :func:`~repro.orchestration.serialize.config_token`, since
+        ``threshold=0`` and ``0.0`` are equal values with different
+        keys).
         """
         return self._task_key
 
@@ -556,6 +567,32 @@ class Experiment:
             scenario=scenario_from_dict(scenario) if scenario else None,
             governor=GovernorSpec.from_dict(governor) if governor else None,
         )
+
+
+def _alone_specs(
+    cls: type[Experiment], benchmarks: Iterable[str], system: SystemConfig
+) -> tuple[Experiment, ...]:
+    """The interned alone specs of ``benchmarks`` on ``system``'s
+    profiling config (derived and tokenised once for all of them)."""
+    from repro.orchestration.serialize import config_token
+
+    alone = system.alone()
+    token = config_token(alone)
+    return tuple(_interned_alone(cls, name, token, alone) for name in benchmarks)
+
+
+@functools.lru_cache(maxsize=1024)
+def _interned_alone(
+    cls: type[Experiment],
+    benchmark: str,
+    _token: tuple[type, str],
+    system: SystemConfig,
+) -> Experiment:
+    # ``_token`` only keys the cache: equal configs of other types
+    # (``umon_decay=1`` vs ``1.0``) must not share a spec or its key.
+    return cls(
+        workload=WorkloadSpec.benchmark(benchmark), policy="unmanaged", system=system
+    )
 
 
 # ----------------------------------------------------------------------

@@ -223,6 +223,12 @@ class SweepExecutor:
         A corrupt artifact that survives the size check surfaces at
         assembly time instead, where the store heals it and the
         runner recomputes inline.
+
+        Each distinct task's key is derived once: specs memoise their
+        keys and alone dependencies, and the dependencies are interned
+        specs shared across the sweep, so the later scheduling and
+        :meth:`PoolTask.from_experiment` packing re-derive nothing.
+        Warm workers fork after planning and inherit these caches.
         """
         alone, main = self._bucket(tasks)
         total = len(alone) + len(main)

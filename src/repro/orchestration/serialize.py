@@ -29,6 +29,7 @@ these same keys directly from a spec, bit-for-bit.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from collections import defaultdict
@@ -58,6 +59,33 @@ def config_fingerprint(config: SystemConfig) -> dict[str, Any]:
     return dataclasses.asdict(config)
 
 
+def config_token(config: SystemConfig) -> tuple[type, str]:
+    """A hashable stand-in for ``config`` that two configs share only
+    if they encode to the same canonical JSON.
+
+    Equality is not enough: ``threshold=0`` and ``threshold=0.0`` (or
+    ``0.0`` and ``-0.0``) compare and hash equal but encode to
+    different keys, so a cache keyed by value alone would hand a
+    config whichever key its first equal sibling got, and keys would
+    depend on the order a process met them.  The dataclass ``repr``
+    spells out every field with its type (``0``, ``0.0``, ``False``),
+    geometries and their derived fields included, which is exactly
+    what :func:`config_fingerprint` encodes.
+    """
+    return (type(config), repr(config))
+
+
+#: ``json.dumps(value, sort_keys=True, separators=(",", ":"))``, with
+#: the encoder built once rather than per call
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+@functools.lru_cache(maxsize=256)
+def _config_text(_token: tuple[type, str], config: SystemConfig) -> str:
+    # ``_token`` keys the cache; ``config`` alone would merge 0 and 0.0.
+    return _canonical(config_fingerprint(config))
+
+
 def task_key(kind: str, config: SystemConfig, **params: Any) -> str:
     """Stable content address for one simulation task.
 
@@ -66,17 +94,21 @@ def task_key(kind: str, config: SystemConfig, **params: Any) -> str:
     policy=...``).  The digest covers the schema version, the library
     version and every config field, so any change that could alter
     the result changes the key.
+
+    The digested text is the canonical encoding of ``{"schema",
+    "version", "kind", "config", "params"}`` (sorted keys, no
+    whitespace), assembled from its parts so each distinct config —
+    by :func:`config_token`, never by value alone — is encoded once
+    per process.
     """
     from repro import __version__  # late: repro/__init__ imports the sim stack
 
-    document = {
-        "schema": SCHEMA_VERSION,
-        "version": __version__,
-        "kind": kind,
-        "config": config_fingerprint(config),
-        "params": params,
-    }
-    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    blob = (
+        f'{{"config":{_config_text(config_token(config), config)}'
+        f',"kind":{_canonical(kind)},"params":{_canonical(params)}'
+        f',"schema":{_canonical(SCHEMA_VERSION)}'
+        f',"version":{_canonical(__version__)}}}'
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 

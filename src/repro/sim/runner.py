@@ -18,7 +18,8 @@ missing ones out across worker processes (when a store and
 
 Caching is two-level.  The in-process dictionary is the L1: hits
 return the very same objects, so repeated reads within a session are
-free.  When a :class:`~repro.orchestration.store.ResultStore` is
+free.  Like the store, it is keyed by task key, not by spec value
+(equal specs can carry different keys, ``threshold=0`` vs ``0.0``).  When a :class:`~repro.orchestration.store.ResultStore` is
 attached it acts as the L2: results are looked up on disk before
 simulating and written through after, so sweeps survive process
 restarts and can be sharded across worker processes (see
@@ -86,7 +87,9 @@ class ExperimentRunner:
         engine: str | None = None,
     ) -> None:
         self._traces: dict[tuple, Trace] = {}
-        self._results: dict[Experiment, RunResult | AloneResult] = {}
+        #: the L1, keyed like the store: equal specs can carry different
+        #: task keys (``threshold=0`` vs ``0.0``), so never by spec value
+        self._results: dict[str, RunResult | AloneResult] = {}
         self.store = store
         self.max_workers = max_workers
         self.engine = engine
@@ -151,7 +154,7 @@ class ExperimentRunner:
         if rec.enabled:
             rec.end(token)
             self._trace_to_store(experiment, rec.events_since(mark))
-        self._results[experiment] = result
+        self._results[experiment.task_key()] = result
         return result
 
     def cached(self, experiment: Experiment) -> RunResult | AloneResult | None:
@@ -161,11 +164,12 @@ class ExperimentRunner:
         that probe and then read (the sweep executor's planning pass)
         parse each artifact once.
         """
-        result = self._results.get(experiment)
+        key = experiment.task_key()
+        result = self._results.get(key)
         if result is None:
             result = self._from_store(experiment)
             if result is not None:
-                self._results[experiment] = result
+                self._results[key] = result
         return result
 
     def probe(self, experiment: Experiment) -> bool:
@@ -178,11 +182,12 @@ class ExperimentRunner:
         sweep executor's planning pass uses, so resuming a fully
         cached sweep never deserialises an artifact.
         """
-        if experiment in self._results:
+        key = experiment.task_key()
+        if key in self._results:
             return True
         if self.store is None:
             return False
-        return self.store.probe(experiment.task_key())
+        return self.store.probe(key)
 
     def sweep(self, experiments: Iterable[Experiment]) -> dict:
         """Run many specs (in parallel if wired), keyed by spec.

@@ -4,9 +4,12 @@ import multiprocessing
 
 import pytest
 
+from repro import experiment as experiment_module
 from repro.engine import COMPILED, PYTHON, compiled_available
 from repro.experiment import Experiment, by_group_policy
+from repro.orchestration import serialize
 from repro.orchestration.executor import SweepExecutor, orchestrated_runner, resolve_jobs
+from repro.orchestration.pools import PoolTask
 from repro.orchestration.serialize import group_task_key
 from repro.orchestration.store import ResultStore
 from repro.partitioning.registry import register_policy, unregister_policy
@@ -77,6 +80,43 @@ class TestResume:
         alone_pending, _main, _total = executor.plan(tasks)
         names = sorted(e.workload.name for e in alone_pending)
         assert names == ["lbm", "povray", "soplex"]
+
+
+class TestPlanningCost:
+    def test_each_config_and_task_key_is_derived_once(
+        self, store, tiny_two_core, tiny_four_core, monkeypatch
+    ):
+        # A figs-shaped sweep: a 2-core and a 4-core grid whose groups
+        # share alone dependencies, planned then packed for the pool.
+        serialize._config_text.cache_clear()
+        experiment_module._interned_alone.cache_clear()
+        encoded, keyed = [], []
+        fingerprint, digest = serialize.config_fingerprint, serialize.task_key
+
+        def counting_fingerprint(config):
+            encoded.append(config)
+            return fingerprint(config)
+
+        def counting_digest(*args, **kwargs):
+            keyed.append(args[0])
+            return digest(*args, **kwargs)
+
+        monkeypatch.setattr(serialize, "config_fingerprint", counting_fingerprint)
+        monkeypatch.setattr(serialize, "task_key", counting_digest)
+        tasks = grid(tiny_two_core) + Experiment.grid(
+            tiny_four_core, ["G4-1", "G4-2"], POLICIES
+        )
+        executor = SweepExecutor(store, max_workers=2)
+        alone, main, total = executor.plan(tasks)
+        assert len(alone) + len(main) == total
+        distinct_configs = {
+            tiny_two_core, tiny_four_core, tiny_two_core.alone(), tiny_four_core.alone()
+        }
+        assert len(encoded) == len(distinct_configs) == 4
+        assert len(keyed) == total
+        packed = [PoolTask.from_experiment(e) for e in (*alone, *main)]
+        assert {task.key for task in packed} == {e.task_key() for e in (*alone, *main)}
+        assert (len(encoded), len(keyed)) == (4, total), "packing re-derived keys"
 
 
 class TestRunnerIntegration:

@@ -8,6 +8,7 @@ The spec's load-bearing guarantees:
 * serialisation round-trips losslessly.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -199,6 +200,38 @@ class TestTaskKeys:
         ]:
             assert copy.task_key() != experiment.task_key()
             assert copy.task_key() == fresh.task_key()
+
+
+class TestAloneInterning:
+    def test_one_instance_per_benchmark_and_profiling_config(self, tiny_two_core):
+        spec = Experiment.alone_run("lbm", system=tiny_two_core)
+        # Thresholds fold away in the profiling config, so a threshold
+        # sweep shares one alone spec per benchmark.
+        assert Experiment.alone_run("lbm", system=tiny_two_core.with_threshold(0.2)) is spec
+        assert Experiment.alone_run("mcf", system=tiny_two_core) is not spec
+
+    def test_equal_configs_of_other_types_stay_apart(self, tiny_two_core):
+        exact = dataclasses.replace(tiny_two_core, umon_decay=1.0)
+        loose = dataclasses.replace(tiny_two_core, umon_decay=1)
+        assert exact == loose
+        a = Experiment.alone_run("lbm", system=loose)
+        b = Experiment.alone_run("lbm", system=exact)
+        assert a == b and a is not b
+        assert a.task_key() == alone_task_key(loose, "lbm")
+        assert b.task_key() == alone_task_key(exact, "lbm")
+        assert a.task_key() != b.task_key()
+
+    def test_dependencies_are_memoised_interned_lists(self, tiny_two_core):
+        spec = Experiment("G2-4", "cpe", tiny_two_core)
+        first = spec.alone_dependencies()
+        assert isinstance(first, list)
+        first.clear()  # the caller owns the list, not the memo
+        second = spec.alone_dependencies()
+        assert [d.workload.name for d in second] == list(spec.benchmarks)
+        assert all(
+            dependency is Experiment.alone_run(dependency.workload.name, system=tiny_two_core)
+            for dependency in second
+        )
 
 
 class TestSerialisation:

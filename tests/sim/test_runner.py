@@ -71,6 +71,25 @@ class TestGroupRuns:
         )
         assert via_spec is via_config  # the very same cached object
 
+    def test_memory_cache_agrees_with_the_store(self, tmp_path, tiny_two_core):
+        # ``threshold=0`` and ``0.0`` make equal, equally-hashed specs
+        # with different task keys; the in-memory cache must not
+        # answer for a key the store has never seen.
+        from repro.orchestration.store import ResultStore
+
+        store = ResultStore(tmp_path / "store")
+        runner = ExperimentRunner(store=store)
+        loose = Experiment("G2-4", "cooperative", tiny_two_core.with_threshold(0))
+        exact = Experiment("G2-4", "cooperative", tiny_two_core.with_threshold(0.0))
+        assert loose == exact and hash(loose) == hash(exact)
+        assert loose.task_key() != exact.task_key()
+        first = runner.run(loose)
+        assert runner.probe(exact) is store.probe(exact.task_key()) is False
+        assert runner.cached(exact) is None
+        second = runner.run(exact)
+        assert store.probe(exact.task_key())
+        assert second.ipcs() == first.ipcs()
+
 
 class TestSweepNormalisation:
     def test_spec_sweep_keyed_by_experiment(self, runner, tiny_two_core):
