@@ -6,8 +6,8 @@ ExperimentRunner` into a batch system in four layers:
 * :mod:`~repro.orchestration.serialize` — lossless JSON round-trips
   for run artifacts and stable content-addressed task keys;
 * :mod:`~repro.orchestration.store` — the on-disk
-  :class:`ResultStore` (atomic writes, per-shard append-only index,
-  meta-only probes, self-healing on corruption);
+  :class:`ResultStore` (one flat directory of atomically written
+  artifacts, self-healing on corruption);
 * :mod:`~repro.orchestration.pools` — where tasks run: the two
   :class:`Pool` classes (``warm`` persistent workers, ``ssh`` remote
   fan-out) plus the wire types they share;

@@ -789,9 +789,9 @@ def _cmd_report(options: argparse.Namespace) -> int:
     experiments = Experiment.grid(config, groups, policies, governor=governor)
     store = _store_from(options)
     runner = ExperimentRunner(store=store)
-    # cached(), not probe(): a corrupt artifact exists on disk but reads
-    # as a miss, so report refuses instead of simulating it.  A hit stays
-    # in the runner's memory, so rendering parses no artifact twice.
+    # A corrupt artifact reads as a miss, so report refuses instead of
+    # simulating it.  A hit stays in the runner's memory, so rendering
+    # parses no artifact twice.
     missing = sorted({
         f"{spec.workload.name}/{spec.policy_name}"
         if spec.kind == "group"

@@ -31,10 +31,11 @@ Scheduling is two-phase with per-spec dependency gating:
    completed (no global barrier between the phases), so main work
    overlaps the tail of the slowest alone runs.
 
-Planning is probe-based: :meth:`SweepExecutor.plan` asks the store
-whether each key is present via :meth:`ResultStore.probe` — one index
-lookup plus one ``stat``, no payload parse — so a fully-cached resume
-costs O(index read) regardless of artifact size or count.
+Planning reads the store: :meth:`SweepExecutor.plan` asks the runner
+for each key (:meth:`ExperimentRunner.probe`), which parses a cached
+artifact once and keeps the result in memory for assembly, and takes a
+damaged artifact for a miss, so it is recomputed on the pool with the
+rest of the pending work.
 
 An ``engine`` pin (``SweepExecutor(engine=...)``, or the pin of the
 ``runner`` it is given) is passed as a value to the parent's runner
@@ -217,12 +218,10 @@ class SweepExecutor:
         """Split ``tasks`` into pending (alone-phase, main-phase) specs
         plus the total number of distinct task keys involved.
 
-        Presence is decided by :meth:`ExperimentRunner.probe` — an
-        index lookup and a ``stat`` per key, no payload parse — so
-        planning a fully-cached thousand-task sweep is O(index read).
-        A corrupt artifact that survives the size check surfaces at
-        assembly time instead, where the store heals it and the
-        runner recomputes inline.
+        Presence is decided by :meth:`ExperimentRunner.probe`, which
+        reads each cached artifact once and keeps the result in the
+        runner's memory, so assembly parses nothing again.  A damaged
+        artifact reads as a miss and is planned as pending.
 
         Each distinct task's key is derived once: specs memoise their
         keys and alone dependencies, and the dependencies are interned
@@ -251,8 +250,7 @@ class SweepExecutor:
 
         Returns ``(experiment, cached)`` pairs in execution order —
         alone-phase dependencies first, then the main specs — without
-        running anything or parsing any artifact.  ``repro sweep
-        --dry-run`` renders this; on a warm store it is near-instant.
+        running anything.  ``repro sweep --dry-run`` renders this.
         """
         alone, main = self._bucket(tasks)
         return [
@@ -268,7 +266,8 @@ class SweepExecutor:
 
         Returns ``(computed, cached)`` task counts, alone runs
         included.  Safe to call with everything already cached — a
-        resumed sweep costs one index probe per task.
+        resumed sweep reads each artifact once, and assembly then
+        reads it from memory.
         """
         alone_pending, main_pending, total = self.plan(tasks)
         computed = len(alone_pending) + len(main_pending)
@@ -384,11 +383,6 @@ class SweepExecutor:
         except BaseException:
             self.close()
             raise
-        finally:
-            if pool is not None:
-                # Workers appended to the on-disk index behind our
-                # back; the next plan()/probe must see their artifacts.
-                self.store.refresh()
 
     @staticmethod
     def _observe_completion(

@@ -1,8 +1,8 @@
 """Content-addressed on-disk store for simulation artifacts.
 
-Layout: ``<root>/<key[:2]>/<key>.json``, one artifact per task key
-(see :func:`repro.orchestration.serialize.task_key`).  Every file is
-a small JSON envelope::
+Layout: ``<root>/<key>.json``, one artifact per task key (see
+:func:`repro.orchestration.serialize.task_key`), all in one flat
+directory.  Every file is a small JSON envelope::
 
     {"schema": 1, "kind": "group", "key": "...", "meta": {...},
      "payload": {...}}
@@ -11,39 +11,35 @@ a small JSON envelope::
 geometry) so the store can be inspected with ``jq`` or ``repro
 report``; ``payload`` is the serialised result.
 
-Each shard additionally carries an **append-only index**
-(``<root>/<shard>/.index.jsonl``): one compact JSON line per
-artifact write recording ``{"key", "size", "kind", "meta"}``.  The
-index is what makes the store cheap at sweep scale — :meth:`probe`
-answers "is this key present and plausibly valid?" with one index
-lookup plus one ``stat`` (no payload parse), so a fully-cached resume
-of a thousand-task sweep costs O(index read) instead of O(artifacts
-parsed).  The index is advisory, never authoritative: the artifact
-files are the truth, every reader keeps a brute-force fallback for
-unindexed artifacts (and repairs the index when it takes it), and a
-deleted or corrupt index only costs speed, not correctness.
+The artifact files are the store's only state.  There is no index
+beside them to drift out of step: whether a key is present is
+answered by reading its artifact (:meth:`ResultStore.probe`), so a
+damaged artifact is a miss wherever it is looked at.
 
 Durability rules:
 
-* writes are atomic (temp file + ``os.replace``), so a killed sweep
-  never leaves a half-written artifact behind — concurrent workers
-  that race on the same deterministic task simply replace each
-  other's identical bytes;
-* index appends are single ``write`` calls on an ``O_APPEND``
-  descriptor, so lines from many concurrent writer processes
-  interleave whole, never torn; duplicate lines for one key are fine
-  (last wins) and malformed lines are skipped, so racing writers
-  always converge;
+* writes are atomic (temp file + ``os.replace``), so a killed writer
+  never leaves a half-written artifact behind, only a dotted
+  ``.<key>.json.<pid>.tmp`` file that no reader takes for an artifact
+  and :meth:`ResultStore.clean` removes; concurrent workers that race
+  on the same deterministic task simply replace each other's identical
+  bytes;
 * reads treat *any* malformed artifact (truncated JSON, wrong schema,
   missing payload) as a cache miss and delete the file, so a
   corrupted store heals itself on the next run instead of crashing
   every subsequent invocation.
+
+A store in the older sharded layout (two-hex-character ``<root>/<xx>/``
+directories, each with an index file) is not read: its artifacts are
+recomputed, not migrated, and :meth:`ResultStore.clean` removes the
+old directories.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Iterable, Iterator
@@ -55,8 +51,8 @@ from repro.orchestration.serialize import SCHEMA_VERSION
 #: environment variable overriding the default store location
 STORE_ENV = "REPRO_STORE"
 
-#: per-shard index filename (dotted: never mistaken for an artifact)
-INDEX_FILENAME = ".index.jsonl"
+#: a shard directory of the older sharded layout
+_LEGACY_SHARD = re.compile(r"[0-9a-f]{2}")
 
 
 def default_store_path() -> Path:
@@ -64,25 +60,29 @@ def default_store_path() -> Path:
     return Path(os.environ.get(STORE_ENV) or Path(".repro") / "store")
 
 
+def _is_artifact(name: str) -> bool:
+    """Whether a directory entry is an artifact (temp files are dotted)."""
+    return name.endswith(".json") and not name.startswith(".")
+
+
+def _names(directory: Path) -> list[str]:
+    """The entry names of ``directory``, or none when it does not exist."""
+    try:
+        return os.listdir(directory)
+    except OSError:
+        return []
+
+
 class ResultStore:
     """A directory of content-addressed, schema-versioned artifacts."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        #: lazily-loaded {key: {"size", "kind", "meta"}} view of the
-        #: on-disk shard indexes; dropped by :meth:`refresh`
-        self._index: dict[str, dict[str, Any]] | None = None
 
     # ------------------------------------------------------------------
     def path_for(self, key: str) -> Path:
         """Where the artifact for ``key`` lives (whether or not it exists)."""
-        return self.root / key[:2] / f"{key}.json"
-
-    def has(self, key: str) -> bool:
-        """Whether a (possibly invalid) artifact exists for ``key``."""
-        return self.path_for(key).exists()
-
-    __contains__ = has
+        return self.root / f"{key}.json"
 
     def get(self, key: str) -> dict[str, Any] | None:
         """The stored payload for ``key``, or None on miss/corruption.
@@ -121,47 +121,19 @@ class ResultStore:
             return None
 
     def probe(self, key: str) -> bool:
-        """Whether ``key`` holds a plausibly-valid artifact — **without
-        parsing the payload**.
+        """Whether ``key`` holds a valid artifact.
 
-        The fast path is one index lookup plus one ``stat``: an
-        indexed artifact whose on-disk byte size matches the size
-        recorded at write time is taken as valid (truncation and
-        overwrite corruption change the size; the write itself was
-        atomic).  Unindexed artifacts fall back to a full
-        :meth:`get_envelope` parse once and are folded into the index,
-        so repeated probes of a pre-index store converge to the fast
-        path.
+        A full read (:meth:`get_envelope`): the artifact is the only
+        record of itself, so a damaged one heals into a miss here as
+        on every other read.
         """
         if not metrics_enabled():
-            return self._probe(key)
+            return self.get_envelope(key) is not None
         start = perf_counter()
         try:
-            return self._probe(key)
+            return self.get_envelope(key) is not None
         finally:
             obs_metrics.STORE_PROBE_SECONDS.observe(perf_counter() - start)
-
-    def _probe(self, key: str) -> bool:
-        path = self.path_for(key)
-        entry = self._load_index().get(key)
-        if entry is not None:
-            try:
-                return os.path.getsize(path) == entry["size"]
-            except OSError:
-                return False
-        envelope = self.get_envelope(key)
-        if envelope is None:
-            return False
-        # Brute-force fallback took the slow path; repair the index so
-        # the next probe (any process) is O(1).
-        try:
-            size = os.path.getsize(path)
-        except OSError:
-            return False
-        self._remember(
-            key, size, envelope.get("kind", ""), envelope.get("meta") or {}
-        )
-        return True
 
     # ------------------------------------------------------------------
     def put(
@@ -181,11 +153,9 @@ class ResultStore:
         """Atomically persist a batch of ``(key, payload, kind, meta)``
         artifacts; returns their paths.
 
-        Each artifact write is individually atomic (temp + rename, as
-        :meth:`put`), but the index appends are batched into one
-        ``write`` per shard, so a thousand-artifact flush costs a
-        thousand renames and a handful of index appends instead of a
-        thousand of each.
+        The root directory is made once per batch; each artifact is
+        written to a sibling temp file and renamed into place, so a
+        reader sees either the whole artifact or none.
         """
         if not metrics_enabled():
             return self._put_many(artifacts)
@@ -201,11 +171,10 @@ class ResultStore:
         self,
         artifacts: Iterable[tuple[str, dict[str, Any], str, dict[str, Any] | None]],
     ) -> list[Path]:
+        self.root.mkdir(parents=True, exist_ok=True)
         paths: list[Path] = []
-        lines_by_shard: dict[Path, list[bytes]] = {}
         for key, payload, kind, meta in artifacts:
             path = self.path_for(key)
-            path.parent.mkdir(parents=True, exist_ok=True)
             envelope = {
                 "schema": SCHEMA_VERSION,
                 "kind": kind,
@@ -221,171 +190,14 @@ class ResultStore:
                 handle.write(blob)
             os.replace(temporary, path)
             paths.append(path)
-            line = self._index_line(key, len(blob), kind, meta or {})
-            lines_by_shard.setdefault(path.parent, []).append(line)
-            if self._index is not None:
-                self._index[key] = {
-                    "size": len(blob), "kind": kind, "meta": meta or {},
-                }
-        for shard, lines in lines_by_shard.items():
-            self._append_index(shard / INDEX_FILENAME, b"".join(lines))
         return paths
 
     # ------------------------------------------------------------------
-    # Index plumbing
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _index_line(
-        key: str, size: int, kind: str, meta: dict[str, Any]
-    ) -> bytes:
-        record = {"key": key, "size": size, "kind": kind, "meta": meta}
-        line = json.dumps(record, separators=(",", ":"), sort_keys=True)
-        return (line + "\n").encode("utf-8")
-
-    @staticmethod
-    def _append_index(path: Path, blob: bytes) -> None:
-        """Append ``blob`` with plain O_APPEND writes.
-
-        Concurrent appenders interleave at write() granularity, so
-        whole lines land intact; a torn line (partial write on a
-        crashed process) is skipped by the reader and repaired by the
-        next probe of its key.
-        """
-        try:
-            descriptor = os.open(
-                path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
-            )
-        except OSError:
-            return  # index is advisory: failing to append costs speed only
-        try:
-            while blob:
-                written = os.write(descriptor, blob)
-                blob = blob[written:]
-        finally:
-            os.close(descriptor)
-
-    def _load_index(self) -> dict[str, dict[str, Any]]:
-        """The merged shard indexes ({key: entry}), loaded lazily.
-
-        Malformed lines are skipped; duplicate keys keep the last
-        line (rewrites append a fresh entry).  Load order is
-        shard-sorted then file order, which :meth:`keys` relies on
-        for a stable stream.
-        """
-        if self._index is not None:
-            return self._index
-        index: dict[str, dict[str, Any]] = {}
-        if self.root.is_dir():
-            for shard in sorted(self._shards()):
-                try:
-                    with open(shard / INDEX_FILENAME, "rb") as handle:
-                        raw_lines = handle.read().splitlines()
-                except OSError:
-                    continue
-                for raw in raw_lines:
-                    try:
-                        record = json.loads(raw)
-                        index[record["key"]] = {
-                            "size": record["size"],
-                            "kind": record.get("kind", ""),
-                            "meta": record.get("meta") or {},
-                        }
-                    except (json.JSONDecodeError, KeyError, TypeError):
-                        continue  # torn or legacy line: fall back per key
-        self._index = index
-        return index
-
-    def _remember(
-        self, key: str, size: int, kind: str, meta: dict[str, Any]
-    ) -> None:
-        """Fold one artifact into the in-memory and on-disk index."""
-        if self._index is not None:
-            self._index[key] = {"size": size, "kind": kind, "meta": meta}
-        shard = self.path_for(key).parent
-        if shard.is_dir():
-            self._append_index(
-                shard / INDEX_FILENAME, self._index_line(key, size, kind, meta)
-            )
-
-    def refresh(self) -> None:
-        """Drop the in-memory index view.
-
-        Call after another process may have written artifacts (a
-        worker pool, a remote sync): the next :meth:`probe` reloads
-        the shard indexes from disk and sees their appends.
-        """
-        self._index = None
-
-    def reindex(self) -> int:
-        """Rebuild every shard index from the artifacts on disk.
-
-        Parses every envelope once (the one deliberately O(artifacts)
-        operation), rewrites each ``.index.jsonl`` atomically and
-        returns the number of indexed artifacts.  Heals indexes that
-        drifted (deleted artifacts, torn lines, pre-index stores).
-        """
-        self._index = None
-        indexed = 0
-        for shard in self._shards():
-            lines: list[bytes] = []
-            for name in sorted(os.listdir(shard)):
-                if not name.endswith(".json") or name.startswith("."):
-                    continue
-                key = name[: -len(".json")]
-                envelope = self.get_envelope(key)
-                if envelope is None:
-                    continue
-                size = os.path.getsize(shard / name)
-                lines.append(
-                    self._index_line(
-                        key, size, envelope.get("kind", ""),
-                        envelope.get("meta") or {},
-                    )
-                )
-                indexed += 1
-            temporary = shard / f"{INDEX_FILENAME}.{os.getpid()}.tmp"
-            temporary.write_bytes(b"".join(lines))
-            os.replace(temporary, shard / INDEX_FILENAME)
-        return indexed
-
-    def _shards(self) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        return [
-            entry
-            for entry in self.root.iterdir()
-            if entry.is_dir() and not entry.name.startswith(".")
-        ]
-
-    # ------------------------------------------------------------------
     def keys(self) -> Iterator[str]:
-        """Keys of every artifact currently on disk.
-
-        Streams from the shard indexes (skipping entries whose file
-        has since been deleted), then brute-force scans each shard
-        directory for artifacts the index missed — so the common path
-        never materialises a global sorted listing, and an absent or
-        stale index only changes the order, never the set.
-        """
-        if not self.root.is_dir():
-            return
-        on_disk: dict[str, set[str]] = {}
-        for shard in sorted(self._shards()):
-            stems = {
-                name[: -len(".json")]
-                for name in os.listdir(shard)
-                if name.endswith(".json") and not name.startswith(".")
-            }
-            if stems:
-                on_disk[shard.name] = stems
-        yielded: set[str] = set()
-        for key in self._load_index():
-            if key in on_disk.get(key[:2], ()) and key not in yielded:
-                yielded.add(key)
-                yield key
-        for shard_name in sorted(on_disk):
-            for key in sorted(on_disk[shard_name] - yielded):
-                yield key
+        """Keys of every artifact on disk, sorted."""
+        return iter(sorted(
+            name[: -len(".json")] for name in _names(self.root) if _is_artifact(name)
+        ))
 
     def count(self) -> int:
         """Number of artifacts on disk."""
@@ -394,27 +206,30 @@ class ResultStore:
     def clean(self) -> int:
         """Delete every artifact; returns how many were removed.
 
-        Also sweeps up ``.tmp`` leftovers of writes that were killed
-        between dump and rename, plus the shard indexes (they describe
-        nothing once the artifacts are gone).
+        Also sweeps up the ``.tmp`` leftovers of writers killed
+        between dump and rename, and the shard directories of the
+        older sharded layout with everything the store wrote into
+        them (their artifacts count as removed).  Files the store did
+        not write are left in place.
         """
         removed = 0
-        self._index = None
-        if not self.root.is_dir():
-            return removed
-        for path in self.root.glob("*/*.json"):
-            self._discard(path)
-            removed += 1
-        for orphan in self.root.glob("*/.*.tmp"):
-            self._discard(orphan)
-        for index in self.root.glob(f"*/{INDEX_FILENAME}"):
-            self._discard(index)
-        for shard in self.root.iterdir():
-            if shard.is_dir():
+        for name in _names(self.root):
+            path = self.root / name
+            if _is_artifact(name):
+                self._discard(path)
+                removed += 1
+            elif name.startswith(".") and name.endswith(".tmp"):
+                self._discard(path)
+            elif _LEGACY_SHARD.fullmatch(name) and path.is_dir():
+                for entry in _names(path):
+                    if _is_artifact(entry):
+                        removed += 1
+                    if _is_artifact(entry) or entry.startswith("."):
+                        self._discard(path / entry)
                 try:
-                    shard.rmdir()
+                    path.rmdir()
                 except OSError:
-                    pass  # stray non-artifact files: leave the shard
+                    pass  # stray non-store files: leave the directory
         return removed
 
     @staticmethod

@@ -173,21 +173,14 @@ class ExperimentRunner:
         return result
 
     def probe(self, experiment: Experiment) -> bool:
-        """Whether this spec's result is already available — without
-        parsing it.
+        """Whether this spec's result is already available.
 
-        An in-memory hit answers immediately; otherwise the store's
-        index is consulted (:meth:`ResultStore.probe`: one index
-        lookup plus one ``stat``, no payload read).  This is what the
-        sweep executor's planning pass uses, so resuming a fully
-        cached sweep never deserialises an artifact.
+        This is :meth:`cached`: a store hit is parsed once and kept in
+        memory, so the sweep executor's planning pass (which probes)
+        leaves assembly nothing to read, and a damaged artifact is a
+        miss here, where the sweep can still recompute it.
         """
-        key = experiment.task_key()
-        if key in self._results:
-            return True
-        if self.store is None:
-            return False
-        return self.store.probe(key)
+        return self.cached(experiment) is not None
 
     def sweep(self, experiments: Iterable[Experiment]) -> dict:
         """Run many specs (in parallel if wired), keyed by spec.

@@ -80,5 +80,5 @@ def test_sweep_fails_the_task_and_writes_no_artifact(
         # surfaces; a pooled worker would wrap it in a SweepTaskError
         with pytest.raises(RuntimeError, match=f"status {failing_status}\\b"):
             sweep.prefetch([task])
-    assert not store.has(task.task_key())
+    assert not store.probe(task.task_key())
     assert list(store.keys()) == []

@@ -15,7 +15,6 @@ def _prime_dependencies(store, spec):
     runner = ExperimentRunner(store=store)
     for dependency in spec.alone_dependencies():
         runner.run(dependency)
-    store.refresh()
 
 
 def _run_one(store, spec, transport, **pool_kwargs):
@@ -29,7 +28,6 @@ def _run_one(store, spec, transport, **pool_kwargs):
         pool.submit(PoolTask.from_experiment(spec))
         result = pool.wait_one()
     assert result.error is None
-    store.refresh()
     return transport
 
 
@@ -43,7 +41,7 @@ class TestWireTrace:
         transport = _run_one(store, spec, stub_transport)
         (request,) = transport.requests
         assert "trace" not in request  # optional key, absent when off
-        assert not store.has(trace_key(spec.task_key()))
+        assert not store.probe(trace_key(spec.task_key()))
 
     def test_tracing_parent_gets_remote_trace_artifacts(
         self, tmp_path, tiny_two_core, stub_transport
@@ -63,7 +61,7 @@ class TestWireTrace:
         names = {event["name"] for event in payload["events"]}
         assert "run" in names
         # and the result artifact itself arrived as usual
-        assert store.has(spec.task_key())
+        assert store.probe(spec.task_key())
 
     def test_explicit_trace_flag_overrides_global_state(
         self, tmp_path, tiny_two_core, stub_transport
@@ -74,4 +72,4 @@ class TestWireTrace:
         transport = _run_one(store, spec, stub_transport, trace=True)
         (request,) = transport.requests
         assert request["trace"] is True
-        assert store.has(trace_key(spec.task_key()))
+        assert store.probe(trace_key(spec.task_key()))

@@ -221,7 +221,7 @@ class TestReport:
         store_arguments = ["--store", str(tmp_path / "store")]
         main(["sweep", "--cores", "2", "--groups", "1", *FAST, *store_arguments])
         capsys.readouterr()
-        victim = next((tmp_path / "store").glob("*/*.json"))
+        victim = next((tmp_path / "store").glob("*.json"))
         victim.write_text("{corrupt")
         code = main(["report", "--groups", "1", "--refs-per-core", "3000",
                      *store_arguments])

@@ -1,5 +1,6 @@
 """The sweep executor: parallel == serial, resume skips, planning."""
 
+import functools
 import multiprocessing
 
 import pytest
@@ -9,7 +10,8 @@ from repro.engine import COMPILED, PYTHON, compiled_available
 from repro.experiment import Experiment, by_group_policy
 from repro.orchestration import serialize
 from repro.orchestration.executor import SweepExecutor, orchestrated_runner, resolve_jobs
-from repro.orchestration.pools import PoolTask
+from repro.orchestration import pools
+from repro.orchestration.pools import PoolTask, SSHPool
 from repro.orchestration.serialize import group_task_key
 from repro.orchestration.store import ResultStore
 from repro.partitioning.registry import register_policy, unregister_policy
@@ -71,7 +73,48 @@ class TestResume:
         _alone, main_pending, _total = resumed.plan(grid(tiny_two_core))
         assert main_pending == [Experiment("G2-4", "cooperative", tiny_two_core)]
         assert resumed.prefetch(grid(tiny_two_core))[0] == 1
-        assert store.has(victim)
+        assert store.probe(victim)
+
+    def test_damaged_artifact_of_unchanged_size_reruns_on_the_pool(
+        self, store, tiny_two_core, stub_transport, monkeypatch
+    ):
+        """Damage that keeps an artifact's byte size is a miss at
+        planning, so the resume recomputes it on the pool and counts
+        it, instead of taking it for cached and recomputing it inline
+        at assembly."""
+        specs = [
+            Experiment("G2-4", policy, tiny_two_core)
+            for policy in ("cooperative", "ucp")
+        ]
+        with SweepExecutor(store, max_workers=1, pool="serial") as seeder:
+            assert seeder.prefetch(specs) == (4, 0)
+        victim = next(iter(store.keys()))
+        path = store.path_for(victim)
+        path.write_bytes(b"x" * path.stat().st_size)
+
+        monkeypatch.setattr(
+            pools,
+            "SSHPool",
+            functools.partial(SSHPool, transport_factory=lambda host: stub_transport),
+        )
+        lines = []
+        with SweepExecutor(
+            store, max_workers=2, pool="ssh", hosts=["stub"], progress=lines.append
+        ) as resumed:
+            assert resumed.prefetch(specs) == (1, 3)
+            (request,) = stub_transport.requests
+            assert [task["key"] for task in request["tasks"]] == [victim]
+            assert len(lines) == 1 and "ssh" in lines[0]
+
+            import repro.sim.runner as runner_module
+
+            def explode(*args, **kwargs):
+                raise AssertionError("recomputed at assembly")
+
+            monkeypatch.setattr(runner_module, "CMPSimulator", explode)
+            for spec in specs:
+                resumed.runner.run(spec)
+        assert store.probe(victim)
 
     def test_pending_alone_tasks_deduplicate(self, store, tiny_two_core):
         executor = SweepExecutor(store, max_workers=1)

@@ -47,7 +47,6 @@ def _sweep_into(root, config, pool, **kwargs):
     store = ResultStore(root)
     with SweepExecutor(store, max_workers=2, pool=pool, **kwargs) as executor:
         computed, cached = executor.prefetch(_specs(config))
-    store.refresh()
     return store, computed, cached
 
 
@@ -108,7 +107,6 @@ class TestEnginePin:
                 assert executor.prefetch([spec]) == (3, 0)
         finally:
             set_recorder(previous)
-        store.refresh()
         keys = [d.task_key() for d in spec.alone_dependencies()]
         keys.append(spec.task_key())
         spans = {}
@@ -203,6 +201,38 @@ class TestErrorSurfacing:
         assert caught.value.error.startswith("ValueError")
         assert len(caught.value.key) == 64
 
+    @pytest.mark.parametrize("ending", ["eof", "half-response", "broken-pipe"])
+    def test_dropped_ssh_transport_names_the_task(
+        self, ending, tmp_path, tiny_two_core, stub_transport, monkeypatch
+    ):
+        """An ssh transport that ends mid-task — EOF, half a reply, a
+        broken pipe — fails the sweep with a SweepTaskError naming the
+        task, and nothing reaches the local store."""
+
+        class DroppedTransport:
+            def run(self, request: bytes) -> bytes:
+                if ending == "broken-pipe":
+                    raise BrokenPipeError(32, "Broken pipe")
+                reply = stub_transport.run(request)  # the remote did the work
+                return b"" if ending == "eof" else reply[: len(reply) // 2]
+
+        monkeypatch.setattr(
+            pools,
+            "SSHPool",
+            functools.partial(SSHPool, transport_factory=lambda host: DroppedTransport()),
+        )
+        spec = Experiment.alone_run("lbm", system=tiny_two_core)
+        store = ResultStore(tmp_path / "store")
+        with SweepExecutor(store, max_workers=2, pool="ssh", hosts=["stub"]) as executor:
+            with pytest.raises(SweepTaskError) as caught:
+                executor.prefetch([spec])
+        error = caught.value
+        assert (error.key, error.label, error.backend) == (
+            spec.task_key(), spec.label, "ssh"
+        )
+        assert spec.label in str(error) and "host stub" in error.error
+        assert not store.root.exists() or os.listdir(store.root) == []
+
     def test_dead_warm_worker_raises_instead_of_hanging(
         self, tmp_path, tiny_two_core, monkeypatch
     ):
@@ -261,7 +291,6 @@ class TestRemoteProtocol:
         experiment = Experiment("G2-4", "ucp", tiny_two_core)
         for dependency in experiment.alone_dependencies():
             runner.run(dependency)
-        store.refresh()
         artifacts = [
             store.get_envelope(key)
             for key in [d.task_key() for d in experiment.alone_dependencies()]
@@ -305,7 +334,6 @@ class TestRemoteProtocol:
         for spec in specs:
             for dependency in spec.alone_dependencies():
                 runner.run(dependency)
-        store.refresh()
 
         pool = SSHPool(
             store,
@@ -319,9 +347,8 @@ class TestRemoteProtocol:
             results = [pool.wait_one() for _ in range(submitted)]
         assert [r.error for r in results] == [None] * len(specs)
         # artifacts were synced back into the local store
-        store.refresh()
         for spec in specs:
-            assert store.has(spec.task_key())
+            assert store.probe(spec.task_key())
 
     def test_transport_selection(self):
         assert isinstance(transport_for("local"), LocalTransport)
@@ -375,9 +402,9 @@ class TestSelection:
 
 class TestConcurrentWriters:
     def test_racing_processes_converge(self, tmp_path):
-        """Several processes hammering ``put_many`` on one store (and
-        deliberately on one shard, so their index appends interleave)
-        must leave every artifact readable and every key probeable."""
+        """Several processes hammering ``put_many`` on one store must
+        leave every artifact readable, every key probeable and no temp
+        file behind."""
         root = tmp_path / "store"
         src = str(Path(repro.__file__).resolve().parent.parent)
         script = (
@@ -410,6 +437,4 @@ class TestConcurrentWriters:
                 key = f"ab{worker:02d}{i:060d}"
                 assert store.probe(key), key
                 assert store.get(key) == {"worker": worker, "i": i}
-        # a rebuilt index agrees with the appended one
-        assert store.reindex() == 120
-        assert set(store.keys()) == keys
+        assert sorted(os.listdir(root)) == sorted(f"{key}.json" for key in keys)

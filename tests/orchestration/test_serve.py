@@ -76,7 +76,6 @@ class TestRoundTrip:
 
             # ...and matches what a direct runner computes
             direct = ExperimentRunner().run(spec)
-            store.refresh()
             fetched = ExperimentRunner(store=store).run(spec)
             assert fetched.ipcs() == direct.ipcs()
 
@@ -160,7 +159,6 @@ class TestRestartRecovery:
         record["state"] = "running"
         dead._persist(record)
 
-        store.refresh()
         with _server(store) as server:
             finished = _wait_done(server.url, record["id"])
         assert finished["state"] == DONE

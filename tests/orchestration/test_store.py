@@ -30,6 +30,12 @@ def store(tmp_path):
     return ResultStore(tmp_path / "store")
 
 
+def _bump_schema(blob: bytes) -> bytes:
+    envelope = json.loads(blob)
+    envelope["schema"] = SCHEMA_VERSION + 1
+    return json.dumps(envelope).encode("utf-8")
+
+
 class TestTaskKeys:
     def test_key_is_hex_sha256(self, tiny_two_core):
         key = task_key("group", tiny_two_core, group="G2-4", policy="ucp")
@@ -116,22 +122,25 @@ class TestSerialisation:
 
 
 class TestResultStore:
-    def test_round_trip_persistence(self, store):
+    def test_round_trip_persistence(self, store, tmp_path):
         store.put("ab" * 32, {"x": 1.5, "y": [1, 2]}, kind="group")
         assert store.get("ab" * 32) == {"x": 1.5, "y": [1, 2]}
-        assert store.has("ab" * 32)
+        assert store.probe("ab" * 32)
         assert store.count() == 1
+        # one flat directory: the artifact is the store's only file
+        assert store.path_for("ab" * 32) == tmp_path / "store" / f"{'ab' * 32}.json"
+        assert os.listdir(tmp_path / "store") == [f"{'ab' * 32}.json"]
 
     def test_missing_key(self, store):
         assert store.get("cd" * 32) is None
-        assert not store.has("cd" * 32)
+        assert not store.probe("cd" * 32)
 
     def test_corrupted_artifact_recovers(self, store):
         key = "ef" * 32
         store.put(key, {"x": 1}, kind="group")
         store.path_for(key).write_text("{truncated")
         assert store.get(key) is None
-        assert not store.has(key), "corrupt artifact must be discarded"
+        assert not store.path_for(key).exists(), "corrupt artifact must be discarded"
 
     def test_wrong_schema_treated_as_miss(self, store):
         key = "12" * 32
@@ -155,47 +164,35 @@ class TestResultStore:
         assert str(default_store_path()).endswith("store")
 
 
-class TestIndexAndProbe:
-    """The per-shard append-only index: meta-only probes, repair,
-    streaming keys."""
+class TestProbe:
+    """``probe`` reads the artifact: every kind of damage is a miss,
+    and the damaged file is discarded so the key can be recomputed."""
 
-    @staticmethod
-    def _forbid_payload_reads(store):
-        def boom(key):
-            raise AssertionError(f"payload parse for {key} on the fast path")
-
-        store.get_envelope = boom
-
-    def test_probe_fast_path_skips_payload_parse(self, store, tmp_path):
-        store.put("ab" * 32, {"x": 1}, kind="group")
-        fresh = ResultStore(tmp_path / "store")  # no in-memory state
-        self._forbid_payload_reads(fresh)
-        assert fresh.probe("ab" * 32)
-        # (an absent key is allowed to take the brute-force fallback —
-        # only present artifacts must answer from the index)
-        assert not ResultStore(tmp_path / "store").probe("cd" * 32)
-
-    def test_probe_detects_truncation(self, store, tmp_path):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            pytest.param(lambda blob: blob[:-20], id="truncation"),
+            # the damage a byte-size check cannot see
+            pytest.param(lambda blob: b"x" * len(blob), id="garbage-same-size"),
+            pytest.param(_bump_schema, id="wrong-schema"),
+        ],
+    )
+    def test_damaged_artifact_is_a_discarded_miss(self, store, damage):
         key = "ab" * 32
         store.put(key, {"x": list(range(100))}, kind="group")
         path = store.path_for(key)
-        path.write_bytes(path.read_bytes()[:-20])
-        fresh = ResultStore(tmp_path / "store")
-        assert not fresh.probe(key), "size mismatch must fail the probe"
+        path.write_bytes(damage(path.read_bytes()))
+        assert not store.probe(key)
+        assert not path.exists(), "a damaged artifact must be discarded"
+        assert store.count() == 0
 
-    def test_probe_repairs_a_missing_index(self, store, tmp_path):
-        key = "ab" * 32
-        store.put(key, {"x": 1}, kind="group")
-        for index in (tmp_path / "store").glob("*/.index.jsonl"):
-            index.unlink()
-        # first probe takes the brute-force fallback (full parse)...
-        fallback = ResultStore(tmp_path / "store")
-        assert fallback.probe(key)
-        # ...and repairs the on-disk index, so a later process probes
-        # without ever touching the payload again
-        repaired = ResultStore(tmp_path / "store")
-        self._forbid_payload_reads(repaired)
-        assert repaired.probe(key)
+    def test_missing_artifact_is_absent_everywhere(self, store):
+        store.put("ab" * 32, {"x": 1}, kind="group")
+        store.put("cd" * 32, {"x": 2}, kind="group")
+        store.path_for("ab" * 32).unlink()
+        assert not store.probe("ab" * 32)
+        assert list(store.keys()) == ["cd" * 32]
+        assert store.count() == 1
 
     def test_put_many_batch(self, store, tmp_path):
         rows = [
@@ -203,45 +200,28 @@ class TestIndexAndProbe:
             for i in range(6)
         ]
         paths = store.put_many(rows)
+        assert paths == [store.path_for(key) for key, *_ in rows]
         assert [p.exists() for p in paths] == [True] * 6
         fresh = ResultStore(tmp_path / "store")
-        self._forbid_payload_reads(fresh)
         for key, _payload, _kind, _meta in rows:
             assert fresh.probe(key)
+        assert fresh.get_envelope(rows[3][0])["meta"] == {"label": "t3"}
         assert store.get(rows[3][0]) == {"i": 3}
 
-    def test_keys_stream_matches_fallback_scan(self, store, tmp_path):
-        expected = set()
-        for i in range(8):
-            key = f"{i:02d}" + "9a" * 31
+    def test_keys_lists_every_artifact_sorted(self, store):
+        expected = [f"{i:02d}" + "9a" * 31 for i in range(8)]
+        for i, key in enumerate(reversed(expected)):
             store.put(key, {"i": i}, kind="alone")
-            expected.add(key)
-        assert set(store.keys()) == expected
-        # deleting every index must not change the key set, only speed
-        for index in (tmp_path / "store").glob("*/.index.jsonl"):
-            index.unlink()
-        assert set(ResultStore(tmp_path / "store").keys()) == expected
+        (store.root / ".stray.tmp").write_bytes(b"{}")
+        assert list(store.keys()) == expected
+        assert list(ResultStore(store.root).keys()) == expected
 
-    def test_keys_skips_stale_index_entries(self, store, tmp_path):
-        store.put("ab" * 32, {"x": 1}, kind="group")
-        store.put("cd" * 32, {"x": 2}, kind="group")
-        store.path_for("ab" * 32).unlink()  # index line is now stale
-        fresh = ResultStore(tmp_path / "store")
-        assert set(fresh.keys()) == {"cd" * 32}
-        assert fresh.count() == 1
-
-    def test_reindex_recovers_from_garbage(self, store, tmp_path):
-        store.put("ab" * 32, {"x": 1}, kind="group")
-        index = store.path_for("ab" * 32).parent / ".index.jsonl"
-        index.write_bytes(b'{"torn line\n' + index.read_bytes() + b"garbage\n")
-        fresh = ResultStore(tmp_path / "store")
-        assert fresh.probe("ab" * 32), "torn lines must be skipped"
-        assert fresh.reindex() == 1
-        assert set(fresh.keys()) == {"ab" * 32}
-
-    def test_fully_cached_resume_costs_index_only(self, store, tiny_two_core):
-        """The acceptance path: planning a warm sweep must not parse a
-        single artifact payload — probes answer from the index."""
+    def test_fully_cached_resume_parses_each_artifact_once(
+        self, store, tiny_two_core, monkeypatch
+    ):
+        """Planning a warm sweep reads each artifact once and keeps it,
+        so planning plus assembly read each artifact exactly once (what
+        assembly alone needs) and simulate nothing."""
         from repro.orchestration.executor import SweepExecutor
 
         specs = [
@@ -252,13 +232,109 @@ class TestIndexAndProbe:
             computed, _ = seeder.prefetch(specs)
         assert computed > 0
 
+        import repro.sim.runner as runner_module
+
+        def explode(*args, **kwargs):
+            raise AssertionError("simulated on a warm store")
+
+        monkeypatch.setattr(runner_module, "CMPSimulator", explode)
         resumed_store = ResultStore(store.root)
-        TestIndexAndProbe._forbid_payload_reads(resumed_store)
+        reads = []
+        get_envelope = resumed_store.get_envelope
+
+        def counting_get_envelope(key):
+            reads.append(key)
+            return get_envelope(key)
+
+        resumed_store.get_envelope = counting_get_envelope
         with SweepExecutor(resumed_store, max_workers=1) as resumed:
             alone_pending, main_pending, total = resumed.plan(specs)
             assert (alone_pending, main_pending) == ([], [])
             assert total == 4  # two group tasks + two alone dependencies
             assert resumed.prefetch(specs) == (0, total)
+            runner = resumed.runner
+            for spec, run in runner.sweep(specs).items():
+                runner.weighted_speedup_of(run, tiny_two_core)
+        every_key = {spec.task_key() for spec in specs} | {
+            dependency.task_key()
+            for spec in specs
+            for dependency in spec.alone_dependencies()
+        }
+        assert sorted(reads) == sorted(every_key)
+
+
+class TestFailurePaths:
+    def test_writer_killed_before_its_rename_leaves_only_a_temp_file(
+        self, store
+    ):
+        """A writer killed between its temp write and its rename leaves
+        ``.<key>.json.<pid>.tmp``: never read as the artifact, not a
+        key, and removed by ``clean``."""
+        key = "ab" * 32
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        script = (
+            "import os, sys\n"
+            "from repro.orchestration.store import ResultStore\n"
+            "os.replace = lambda *args: os._exit(9)  # killed mid-put\n"
+            "ResultStore(sys.argv[1]).put(sys.argv[2], {'x': 1}, 'group')\n"
+        )
+        writer = subprocess.run(
+            [sys.executable, "-c", script, str(store.root), key],
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert writer.returncode == 9
+        (leftover,) = os.listdir(store.root)
+        assert leftover.startswith(f".{key}.json.") and leftover.endswith(".tmp")
+        assert store.get(key) is None and not store.probe(key)
+        assert list(store.keys()) == [] and store.count() == 0
+        assert os.listdir(store.root) == [leftover], "a read deleted the temp file"
+        store.put("cd" * 32, {"x": 2}, kind="group")
+        assert store.clean() == 1
+        assert os.listdir(store.root) == []
+
+
+class TestLegacyLayout:
+    def test_sharded_store_is_recomputed_and_cleaned(
+        self, tmp_path, tiny_two_core, capsys
+    ):
+        """A store in the older layout (``<root>/<key[:2]>/<key>.json``
+        plus a per-shard index) is not read: its artifacts are
+        recomputed, and ``repro clean`` removes all of it."""
+        from repro.orchestration.cli import main
+
+        spec = Experiment.alone_run("lbm", system=tiny_two_core)
+        key = spec.task_key()
+        seeded = ResultStore(tmp_path / "seed")
+        expected = ExperimentRunner(store=seeded).run(spec)
+        blob = seeded.path_for(key).read_bytes()
+
+        root = tmp_path / "store"
+        shard = root / key[:2]
+        shard.mkdir(parents=True)
+        (shard / f"{key}.json").write_bytes(blob)
+        index_line = {"key": key, "size": len(blob), "kind": "alone", "meta": {}}
+        (shard / ".index.jsonl").write_text(json.dumps(index_line) + "\n")
+        (shard / f".{key}.json.4242.tmp").write_bytes(blob[:10])
+        other = root / "cd"
+        other.mkdir()
+        (other / f"{'cd' * 32}.json").write_bytes(blob)
+
+        store = ResultStore(root)
+        assert store.count() == 0 and list(store.keys()) == []
+        assert not store.probe(key)
+
+        simulated = []
+        runner = ExperimentRunner(store=store)
+        simulate = runner._simulate_alone
+        runner._simulate_alone = lambda e: simulated.append(e) or simulate(e)
+        assert runner.run(spec) == expected
+        assert simulated == [spec], "a sharded artifact was read"
+        assert list(store.keys()) == [key]
+
+        capsys.readouterr()
+        assert main(["clean", "--store", str(root)]) == 0
+        assert capsys.readouterr().out.startswith("removed 3 artifact(s)")
+        assert os.listdir(root) == []
 
 
 class TestStoreBackedRunner:
