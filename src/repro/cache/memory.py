@@ -19,9 +19,12 @@ class MainMemory:
 
     A demand read completes after ``latency`` cycles plus any queueing
     delay on its bank; the bank stays busy for ``bank_busy`` cycles.
-    Writebacks (flushes) are fire-and-forget from the core's point of
-    view but still occupy the bank, so heavy flushing delays demand
-    fetches — the performance cost of Dynamic CPE's immediate flushes.
+    Demand reads are charged where LLC misses happen, inline in
+    :meth:`~repro.partitioning.base.BaseSharedCachePolicy.access_fast`
+    (and the C kernel), against :attr:`_bank_free_at`.  Writebacks
+    (flushes) are fire-and-forget from the core's point of view but
+    still occupy the bank, so heavy flushing delays demand fetches —
+    the performance cost of Dynamic CPE's immediate flushes.
     """
 
     def __init__(
@@ -51,19 +54,6 @@ class MainMemory:
 
     def _bank_of(self, line_address: int) -> int:
         return (line_address >> self._bank_shift) % self.n_banks
-
-    # ------------------------------------------------------------------
-    # Demand fetches
-    # ------------------------------------------------------------------
-    def read(self, line_address: int, now: int) -> int:
-        """Fetch a line; returns total latency including bank queueing."""
-        bank = self._bank_of(line_address)
-        start = max(now, self._bank_free_at[bank])
-        self._bank_free_at[bank] = start + self.bank_busy
-        queueing = start - now
-        self.reads += 1
-        self.read_stall_cycles += queueing
-        return queueing + self.latency
 
     # ------------------------------------------------------------------
     # Writebacks / flushes

@@ -70,8 +70,8 @@ class PartitionAwareVictimSelector:
                 if tags[base + way] == NO_TAG:
                     return way
         # One pass over the whole set (occupancy counts all ways, not
-        # just the permitted subset) instead of an occupancy() rescan
-        # per candidate way.  Owners without an entry in the target
+        # just the permitted subset) instead of a per-owner rescan per
+        # candidate way.  Owners without an entry in the target
         # table count as over-occupying, exactly like the historical
         # `targets.get(owner) is None` case.
         owner = cache.owner

@@ -1,9 +1,17 @@
 """A set-associative cache stored as flat line columns.
 
-This class provides *mechanism only*: probe a set, fill a line
-evicting a chosen victim, flush or invalidate lines.  All *policy*
-(which ways may be probed or filled, who the victim is, what happens on
-an epoch boundary) lives in ``repro.partitioning`` and ``repro.core``.
+This class is *state plus mechanism*: the line columns, and the few
+per-set and way-wide operations on them (find a tag, pick an LRU
+victim, touch, install, invalidate, flush a way).  It does not run
+accesses.  The access path reads and writes the columns in place in
+its four copies: :meth:`repro.sim.simulator.CMPSimulator._l1_miss`,
+the inline copy of it in ``CMPSimulator._run_python``,
+:meth:`repro.partitioning.base.BaseSharedCachePolicy.access_fast` and
+``engine/kernel.c``.  Tests seed exact cache states with
+:meth:`~SetAssociativeCache.install`, :meth:`~SetAssociativeCache.find`
+and :meth:`~SetAssociativeCache.victim`.  All *policy* (which ways may
+be probed or filled, who the victim is, what happens on an epoch
+boundary) lives in ``repro.partitioning`` and ``repro.core``.
 
 Line state is a handful of flat buffers, one per field, each holding
 ``num_sets * ways`` entries with line (s, w) at ``s * ways + w``:
@@ -33,22 +41,18 @@ Line state is a handful of flat buffers, one per field, each holding
 Per set there are two more columns, ``clock`` (the next stamp) and
 ``valid`` (valid lines, which lets a fill skip the invalid-way scan
 once the set is full).  Per core, ``core_occupancy`` counts valid lines
-and is updated on every install, invalidation and ownership transfer,
-so :meth:`occupancy_by_core` is an O(cores) read.  The simulator's
-inlined fill paths (:mod:`repro.sim.simulator`,
-:mod:`repro.partitioning.base`) and the C kernel index the same
-buffers in place: they are allocated once and never resized during a
-run, so there is one copy of the state.  A way-wide operation (power
+and is updated on every install and invalidation, so
+:meth:`occupancy_by_core` is an O(cores) read.  The access path's
+copies index the same buffers in place: they are allocated once and
+never resized during a run, so there is one copy of the state.  A way-wide operation (power
 gating, a CPE flush) is one strided pass over a column.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.line import NO_OWNER, CacheLine
 
 #: Sentinel way index meaning "not found".
 NO_WAY = -1
@@ -56,35 +60,10 @@ NO_WAY = -1
 #: Sentinel tag meaning "invalid line" (real tags are non-negative).
 NO_TAG = -1
 
-
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of a cache probe-and-fill operation.
-
-    Attributes
-    ----------
-    hit:
-        Whether the probe found the line among the searched ways.
-    way:
-        The way that now holds the line (the hit way, or the fill way).
-    set_index:
-        Set the line maps to.
-    evicted_tag:
-        Tag of the line displaced by a fill, or ``None`` for hits or
-        fills into invalid ways.
-    evicted_dirty:
-        Whether the displaced line needed a writeback.
-    evicted_owner:
-        Owner core of the displaced line (meaningful when a writeback
-        must be attributed, e.g. UCP flush accounting in Figure 16).
-    """
-
-    hit: bool
-    way: int
-    set_index: int
-    evicted_tag: int | None = None
-    evicted_dirty: bool = False
-    evicted_owner: int = -1
+#: Owner value meaning "no core owns this line".  The paper tracks the
+#: owner with "an extra two bits added to each tag entry to distinguish
+#: data belonging to each core" (Section 2.5).
+NO_OWNER = -1
 
 
 class SetAssociativeCache:
@@ -205,86 +184,8 @@ class SetAssociativeCache:
         self.dirty[line] = 0
         self.owner[line] = NO_OWNER
 
-    def line(self, set_index: int, way: int) -> CacheLine:
-        """Read-only snapshot of the line in (set, way)."""
-        line = set_index * self.ways + way
-        tag = self.tags[line]
-        valid = tag != NO_TAG
-        return CacheLine(
-            tag=tag if valid else None,
-            valid=valid,
-            dirty=bool(self.dirty[line]),
-            owner=self.owner[line],
-        )
-
-    def lru(self, set_index: int) -> list[int]:
-        """Ways of ``set_index`` ordered most-recently-used first."""
-        base = set_index * self.ways
-        stamps = self.stamp[base:base + self.ways]
-        return sorted(range(self.ways), key=stamps.__getitem__, reverse=True)
-
-    def stack_position(self, set_index: int, way: int) -> int:
-        """Recency position of (set, way); 0 is MRU."""
-        return self.lru(set_index).index(way)
-
-    def occupancy(self, set_index: int, core: int) -> int:
-        """Valid lines of ``set_index`` owned by ``core``."""
-        base = set_index * self.ways
-        tags = self.tags
-        owner = self.owner
-        return sum(
-            1 for line in range(base, base + self.ways)
-            if tags[line] != NO_TAG and owner[line] == core
-        )
-
     # ------------------------------------------------------------------
-    # Address-level operations
-    # ------------------------------------------------------------------
-    def probe(self, line_address: int) -> tuple[bool, int, int]:
-        """Look up ``line_address``.
-
-        Returns ``(hit, way, set_index)``; ``way`` is :data:`NO_WAY`
-        on a miss.  Does not update recency — callers decide whether a
-        probe counts as a use (:meth:`touch`).
-        """
-        geometry = self.geometry
-        set_index = line_address & geometry.set_mask
-        way = self.find(set_index, line_address >> geometry.set_shift)
-        return way != NO_WAY, way, set_index
-
-    def fill(
-        self,
-        line_address: int,
-        core: int,
-        is_write: bool,
-        victim_way: int,
-    ) -> AccessResult:
-        """Install ``line_address`` into ``victim_way`` of its set.
-
-        The caller has already chosen the victim (:meth:`victim`), so
-        this just records the eviction and installs the new line.
-        """
-        geometry = self.geometry
-        set_index = line_address & geometry.set_mask
-        line = set_index * self.ways + victim_way
-        evicted_tag = self.tags[line]
-        evicted = evicted_tag != NO_TAG
-        result = AccessResult(
-            hit=False,
-            way=victim_way,
-            set_index=set_index,
-            evicted_tag=evicted_tag if evicted else None,
-            evicted_dirty=bool(self.dirty[line]) if evicted else False,
-            evicted_owner=self.owner[line] if evicted else -1,
-        )
-        self.install(
-            set_index, victim_way, line_address >> geometry.set_shift, core,
-            is_write,
-        )
-        return result
-
-    # ------------------------------------------------------------------
-    # Flush / invalidate / ownership
+    # Flush / invalidate
     # ------------------------------------------------------------------
     def flush_way_in_set(self, set_index: int, way: int) -> int | None:
         """Write back the line in (set, way) if dirty.
@@ -338,19 +239,6 @@ class SetAssociativeCache:
         dirty[way::ways] = array("B", bytes(num_sets))
         owner[way::ways] = array("q", [NO_OWNER]) * num_sets
         return flushed
-
-    def transfer_ownership(self, set_index: int, way: int, owner: int) -> None:
-        """Reassign a valid line's owner, keeping the counters exact."""
-        line = set_index * self.ways + way
-        if self.tags[line] == NO_TAG:
-            return
-        previous = self.owner[line]
-        counters = self.ensure_cores(max(owner, previous) + 1)
-        if previous >= 0:
-            counters[previous] -= 1
-        if owner >= 0:
-            counters[owner] += 1
-        self.owner[line] = owner
 
     # ------------------------------------------------------------------
     # Introspection

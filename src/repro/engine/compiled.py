@@ -211,7 +211,6 @@ class _Marshal:
         self.kind = kind
         config = sim.config
         policy = sim.policy
-        hierarchy = sim.hierarchy
         cache = sim.cache
         stats = sim.stats
         memory = sim.memory
@@ -219,7 +218,7 @@ class _Marshal:
         self.n = n
         geometry = policy.geometry
         self.W = W = geometry.ways
-        l1_caches = hierarchy.l1
+        l1_caches = sim.l1
         l1_geom = l1_caches[0].geometry
         #: arrays whose addresses the context holds, kept alive per run
         self._keep: list[array] = []
@@ -235,7 +234,7 @@ class _Marshal:
         # ---- constants -----------------------------------------------
         ctx.n_cores = n
         ctx.issue_shift = issue_shift
-        ctx.l1_latency = hierarchy.l1_latency
+        ctx.l1_latency = sim.l1_latency
         ctx.miss_latency = sim._miss_latency
         ctx.l2_latency = config.l2_latency
         ctx.llc_set_mask = geometry.set_mask
@@ -308,9 +307,9 @@ class _Marshal:
         #: every reset zeroes them in place); lists keep the python
         #: tier's per-access increments cheap, so they are copied
         counters = [
-            ("l1_hits", hierarchy.l1_hits),
-            ("l1_misses", hierarchy.l1_misses),
-            ("l1_writebacks", hierarchy.l1_writebacks),
+            ("l1_hits", sim.l1_hits),
+            ("l1_misses", sim.l1_misses),
+            ("l1_writebacks", sim.l1_writebacks),
             ("ways_probed_sum", stats.ways_probed_sum),
             ("probe_events", stats.probe_events),
             ("writeback_accesses", stats.writeback_accesses),
@@ -610,7 +609,7 @@ def run_compiled(sim):
                 sim._warm_access(
                     core, core.warm_lines[ctx.warm_round], sim._l1_mask,
                     sim._l1_shift, sim._l1_hit_cost(core.core_id),
-                    sim.hierarchy.l1_hits, sim._l1_miss,
+                    sim.l1_hits, sim._l1_miss,
                 )
                 ctx.warm_core += 1
             elif status != ST_EVBUF_FULL:

@@ -25,9 +25,9 @@ Durability rules:
   on the same deterministic task simply replace each other's identical
   bytes;
 * reads treat *any* malformed artifact (truncated JSON, wrong schema,
-  missing payload) as a cache miss and delete the file, so a
-  corrupted store heals itself on the next run instead of crashing
-  every subsequent invocation.
+  missing payload, or a payload its reader cannot decode) as a cache
+  miss and delete the file, so a corrupted store heals itself on the
+  next run instead of crashing every subsequent invocation.
 
 A store in the older sharded layout (two-hex-character ``<root>/<xx>/``
 directories, each with an index file) is not read: its artifacts are
@@ -42,7 +42,7 @@ import os
 import re
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.obs import builtin as obs_metrics
 from repro.obs.metrics import metrics_enabled
@@ -101,6 +101,21 @@ class ResultStore:
         Same healing contract as :meth:`get`: malformed artifacts are
         discarded, transient I/O trouble is a plain miss.
         """
+        return self._read(key)
+
+    def _read(
+        self, key: str, decode: Callable[[dict[str, Any]], Any] | None = None
+    ) -> Any:
+        """The envelope for ``key`` — or, given ``decode``, the value
+        ``decode(payload)`` — or None on miss/corruption.
+
+        ``decode`` runs inside the healing ``try``: a payload it
+        rejects (``KeyError``/``TypeError``/``ValueError``, e.g. a
+        valid envelope around ``"payload": {}``) is discarded like a
+        malformed envelope, so a result reader
+        (:meth:`repro.sim.runner.ExperimentRunner.cached`) sees a miss
+        and recomputes instead of raising on every later read.
+        """
         path = self.path_for(key)
         try:
             with open(path, "rb") as handle:
@@ -108,8 +123,8 @@ class ResultStore:
             envelope = json.loads(raw)
             if envelope["schema"] != SCHEMA_VERSION:
                 raise ValueError(f"schema {envelope['schema']} != {SCHEMA_VERSION}")
-            envelope["payload"]  # malformed without one
-            return envelope
+            payload = envelope["payload"]  # malformed without one
+            return envelope if decode is None else decode(payload)
         except FileNotFoundError:
             return None
         except OSError:

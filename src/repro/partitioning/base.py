@@ -18,15 +18,15 @@ probe width and fill tuple, so a probe is a scan of the set's
 ``mapped`` column and one mask test.  The C kernel reads the same
 table.  Defining the removed ``_probe_ways``/``_fill_ways`` hooks
 raises :class:`TypeError` when the subclass is created.
-:meth:`access` wraps the fast path and still returns an
-:class:`LLCOutcome` for API users; the simulator never allocates one.
+:meth:`~BaseSharedCachePolicy.access_fast` is the only LLC access
+method; the simulator's L1 miss paths and the C kernel's ``llc_access``
+call or mirror it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from repro.cache.hierarchy import LLCOutcome
 from repro.cache.memory import MainMemory
 from repro.cache.set_associative import NO_TAG, SetAssociativeCache
 from repro.energy.accounting import EnergyAccounting
@@ -210,10 +210,6 @@ class BaseSharedCachePolicy:
             self._umon_mask = -1  # (x & -1) == x never equals offset -1
             self._umon_offset = -1
             self._atds = []
-        #: outcome scratch published by the last ``access_fast`` call
-        #: (read by the :meth:`access`/hierarchy API wrappers)
-        self.last_hit = False
-        self.last_probed = 0
         #: per-slot activity mask maintained by the scenario engine via
         #: :meth:`on_core_active`/:meth:`on_core_idle`; static runs
         #: never change it
@@ -324,8 +320,10 @@ class BaseSharedCachePolicy:
     def access_fast(self, core: int, line_address: int, is_write: bool, now: int) -> int:
         """One LLC access; returns the memory latency it incurred.
 
-        Allocation-free: the hit/width outcome is published through
-        ``last_hit``/``last_probed`` instead of a result object.
+        Allocation-free: the outcome lands only in the counters it
+        charges (for a demand read, :class:`PolicyStats`'s
+        ``demand_hits``; for every access, ``ways_probed_sum`` and the
+        energy counters), not in a result object.
         """
         set_index = line_address & self._set_mask
         tag = line_address >> self._set_shift
@@ -375,8 +373,6 @@ class BaseSharedCachePolicy:
                 if is_write:
                     self._dirty[line] = 1
                     energy.data_writes += 1
-            self.last_hit = True
-            self.last_probed = n_probed
             return 0
 
         # Miss path: fetch (demand only), choose victim, fill, write back.
@@ -423,7 +419,8 @@ class BaseSharedCachePolicy:
                 if victim_way < 0:
                     raise ValueError("victim() called with an empty way set")
 
-        # Inline fill (keep in sync with SetAssociativeCache.install).
+        # Inline fill: the state updates of SetAssociativeCache.install,
+        # which kernel.c's llc_access repeats — keep the two in sync.
         line = base + victim_way
         old_tag = tags[line]
         occ = self._occ
@@ -468,23 +465,7 @@ class BaseSharedCachePolicy:
             self._post_fill(
                 core, set_index, victim_way, evicted_owner, evicted_dirty, now
             )
-        self.last_hit = False
-        self.last_probed = n_probed
         return memory_latency
-
-    def access(self, core: int, line_address: int, is_write: bool, now: int) -> LLCOutcome:
-        """One LLC access: probe, account energy, fill on miss.
-
-        API wrapper over :meth:`access_fast`; the simulator's inner
-        loop calls the fast path directly and never allocates the
-        :class:`LLCOutcome`.
-        """
-        memory_latency = self.access_fast(core, line_address, is_write, now)
-        return LLCOutcome(
-            hit=self.last_hit,
-            ways_probed=self.last_probed,
-            memory_latency=memory_latency,
-        )
 
     # ------------------------------------------------------------------
     # Epoch plumbing shared by all policies

@@ -4,7 +4,9 @@ The paper simulates a 4-wide out-of-order core; for LLC-partitioning
 studies what matters is how instruction throughput responds to LLC
 hit/miss latency, so we use the standard trace-driven proxy: non-
 memory instructions retire at the issue width, memory references pay
-the hierarchy latency and block (misses are not overlapped — this
+the L1/LLC/DRAM latency the simulator's access path returns
+(:meth:`repro.sim.simulator.CMPSimulator._l1_miss` and its inline and
+C copies) and block (misses are not overlapped — this
 exaggerates memory sensitivity uniformly across schemes, preserving
 every normalised comparison; see README.md, "Scaling fidelity").
 

@@ -277,12 +277,14 @@ class ExperimentRunner:
             return None
         from repro.orchestration import serialize
 
-        payload = self.store.get(experiment.task_key())
-        if payload is None:
-            return None
-        if experiment.kind == "alone":
-            return serialize.alone_result_from_dict(payload)
-        return serialize.run_result_from_dict(payload)
+        # Decoding inside the store's read makes an undecodable payload
+        # a discarded miss, like any other damaged artifact.
+        return self.store._read(
+            experiment.task_key(),
+            serialize.alone_result_from_dict
+            if experiment.kind == "alone"
+            else serialize.run_result_from_dict,
+        )
 
     def _to_store(
         self, experiment: Experiment, result: RunResult | AloneResult

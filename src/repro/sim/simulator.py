@@ -49,10 +49,20 @@ when the schedule is dynamic, since membership changes mid-run); the
 L1 lookup is inlined (a scan of the set's ``tags`` column plus a stamp
 store on a hit — the overwhelmingly common case never enters another
 frame); L1 misses take one call into :meth:`_l1_miss`, which drives
-the LLC policy's ``access_fast`` and performs the L1 fill inline.  The same
-state is reachable through :meth:`CacheHierarchy.access` for tests
-and API users — both paths mutate identical structures in the same
-order, so they are interchangeable mid-run.
+the LLC policy's ``access_fast`` and performs the L1 fill inline.
+
+One access path, four copies.  The private-L1 / shared-L2 access of
+Table 2 runs in exactly these places, which must stay in step:
+:meth:`_l1_miss` (prewarm, arrival warming and the C tier's
+boundary-straddling references), its inline copy in
+:meth:`_run_python`, the LLC side in
+:meth:`~repro.partitioning.base.BaseSharedCachePolicy.access_fast`,
+and ``engine/kernel.c``.  The golden and cross-engine suites pin them
+against each other.  The L1s themselves (``l1``) and their counters
+(``l1_hits``/``l1_misses``/``l1_writebacks``) belong to the simulator.
+Instruction fetches are assumed to hit the L1 instruction cache: the
+traces are data-reference traces, and every evaluated quantity is
+LLC-derived.
 """
 
 from __future__ import annotations
@@ -61,7 +71,6 @@ from array import array
 from heapq import heapify, heapreplace
 from typing import Callable
 
-from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.memory import MainMemory
 from repro.cache.set_associative import NO_TAG, SetAssociativeCache
 from repro.dvfs.governors import GovernorSpec
@@ -191,27 +200,27 @@ class CMPSimulator:
             config=config,
             profiles=cpe_profiles,
         )
-        self.hierarchy = CacheHierarchy(
-            config.n_cores,
-            config.l1,
-            config.l1_latency,
-            config.l2_latency,
-            self.policy,
-        )
+        # Private write-back, write-allocate, plain-LRU L1 data caches
+        # (Table 2).  The counter lists are zeroed in place at the end
+        # of warmup, so the inner loops' references to them stay valid
+        # for the whole run.
+        n = config.n_cores
+        self.l1 = [
+            SetAssociativeCache(config.l1, track_copies=False) for _ in range(n)
+        ]
+        self.l1_latency = config.l1_latency
+        self.l1_hits = [0] * n
+        self.l1_misses = [0] * n
+        self.l1_writebacks = [0] * n
         self.epoch_curves: list[list[int]] = []
-        # Inner-loop constants and per-core L1 bindings.  The counter
-        # lists are zeroed in place at the end of warmup, so these
-        # references stay valid for the whole run.
-        l1_geometry = self.hierarchy.l1[0].geometry
-        self._l1_mask = l1_geometry.set_mask
-        self._l1_shift = l1_geometry.set_shift
-        self._l1_ways = l1_geometry.ways
+        # Inner-loop constants and per-core L1 bindings.
+        self._l1_mask = config.l1.set_mask
+        self._l1_shift = config.l1.set_shift
+        self._l1_ways = config.l1.ways
         self._miss_latency = config.l1_latency + config.l2_latency
         self._policy_access = self.policy.access_fast
-        self._l1_misses = self.hierarchy.l1_misses
-        self._l1_writebacks = self.hierarchy.l1_writebacks
         for core in self.cores:
-            l1 = core.l1 = self.hierarchy.l1[core.core_id]
+            l1 = core.l1 = self.l1[core.core_id]
             l1.ensure_cores(config.n_cores)
             core.l1_tag_rows = _set_rows(l1.tags, l1.ways)
             core.l1_stamp_rows = _set_rows(l1.stamp, l1.ways)
@@ -539,10 +548,10 @@ class CMPSimulator:
         l1_mask = self._l1_mask
         l1_shift = self._l1_shift
         l1_ways = self._l1_ways
-        l1_latency = self.hierarchy.l1_latency
-        l1_hits = self.hierarchy.l1_hits
-        l1_misses = self._l1_misses
-        l1_writebacks = self._l1_writebacks
+        l1_latency = self.l1_latency
+        l1_hits = self.l1_hits
+        l1_misses = self.l1_misses
+        l1_writebacks = self.l1_writebacks
         policy_access = self._policy_access
         miss_latency = self._miss_latency
         # DVFS bindings: with a governor, core-clock work is scaled by
@@ -650,10 +659,11 @@ class CMPSimulator:
             else:
                 # Inlined L1 miss path — a verbatim copy of _l1_miss
                 # (worth one frame per miss at this call frequency).
-                # Any edit must be applied to BOTH copies; the golden
-                # suite (tests/golden/) catches divergence, since
-                # _prewarm drives _l1_miss and this loop drives the
-                # inline copy within the same pinned runs.
+                # Any edit must be applied to both, and to kernel.c's
+                # l1_miss; the golden suite (tests/golden/) catches
+                # divergence, since _prewarm drives _l1_miss and this
+                # loop drives the inline copy within the same pinned
+                # runs.
                 core_id = core.core_id
                 l1_misses[core_id] += 1
                 memory_latency = policy_access(core_id, address, False, issue_time)
@@ -804,18 +814,17 @@ class CMPSimulator:
     ) -> int:
         """L1 miss path: LLC fetch, inlined L1 fill, victim writeback.
 
-        Mirrors :meth:`CacheHierarchy.access`'s miss handling (fetch
-        before fill, write the dirty victim through the LLC after) and
-        :meth:`SetAssociativeCache.install`'s state updates — keep the
-        three in sync.
+        Fetch before fill, then write the dirty victim through the LLC.
+        The inline copy in :meth:`_run_python` and ``engine/kernel.c``'s
+        ``l1_miss`` repeat this sequence — keep the three in sync.
         """
-        self._l1_misses[core_id] += 1
+        self.l1_misses[core_id] += 1
         policy_access = self._policy_access
         # Fetch the line from the shared LLC (write-allocate).
         memory_latency = policy_access(core_id, address, False, now)
 
         # Choose the L1 victim (plain LRU over the full set).
-        l1 = self.hierarchy.l1[core_id]
+        l1 = self.l1[core_id]
         ways = l1.ways
         base = set_index * ways
         tags = l1.tags
@@ -844,7 +853,7 @@ class CMPSimulator:
 
         if evicted_dirty:
             victim_address = (old_tag << self._l1_shift) | set_index
-            self._l1_writebacks[core_id] += 1
+            self.l1_writebacks[core_id] += 1
             policy_access(core_id, victim_address, True, now)
         dvfs = self.dvfs
         if dvfs is None:
@@ -858,7 +867,7 @@ class CMPSimulator:
         """Pre-touch each core's resident working set (cache warming).
 
         Mirrors the paper's explicit warmup after fast-forward: every
-        ring/hot line is accessed once through the real hierarchy,
+        ring/hot line is accessed once through the real access path,
         interleaved across cores, before the measured window.  The
         traffic ages normally and everything it touches is discarded
         by the warmup statistics reset.  Only cores present at cycle 0
@@ -872,7 +881,7 @@ class CMPSimulator:
         """
         l1_mask = self._l1_mask
         l1_shift = self._l1_shift
-        l1_hits = self.hierarchy.l1_hits
+        l1_hits = self.l1_hits
         miss = self._l1_miss
         warm_one = self._warm_access
         # [core, cursor, lines, length, hit_cost] per core with warming
@@ -905,7 +914,7 @@ class CMPSimulator:
         """The L1 hit latency of ``core_id`` at its current operating
         point (the nominal latency without a governor)."""
         if self.dvfs is None:
-            return self.hierarchy.l1_latency
+            return self.l1_latency
         return self.dvfs.entries[core_id][2]
 
     @staticmethod
@@ -949,7 +958,7 @@ class CMPSimulator:
         l1_mask = self._l1_mask
         l1_shift = self._l1_shift
         hit_cost = self._l1_hit_cost(core.core_id)
-        l1_hits = self.hierarchy.l1_hits
+        l1_hits = self.l1_hits
         miss = self._l1_miss
         for address in core.warm_lines:
             warm_one(core, address, l1_mask, l1_shift, hit_cost, l1_hits, miss)
@@ -1015,11 +1024,10 @@ class CMPSimulator:
             self.dvfs.reset_window(now, self.cores)
         # Zero the L1 counters in place: the run loop holds direct
         # references to these lists.
-        hierarchy = self.hierarchy
         for core_id in range(self.config.n_cores):
-            hierarchy.l1_hits[core_id] = 0
-            hierarchy.l1_misses[core_id] = 0
-            hierarchy.l1_writebacks[core_id] = 0
+            self.l1_hits[core_id] = 0
+            self.l1_misses[core_id] = 0
+            self.l1_writebacks[core_id] = 0
         self._measuring = True
         if self._timeline is not None:
             self._record_sample(now)

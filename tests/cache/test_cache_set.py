@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
-from repro.cache.line import NO_OWNER
-from repro.cache.set_associative import NO_WAY, SetAssociativeCache
+from repro.cache.set_associative import NO_OWNER, NO_TAG, NO_WAY, SetAssociativeCache
 
 
 def _one_set(ways):
@@ -63,35 +62,29 @@ class TestVictim:
             cache.victim(0, ways=())
 
 
+def _line(cache, set_index, way):
+    """``(tag, dirty, owner)`` of (set, way), read from the columns."""
+    line = set_index * cache.ways + way
+    return cache.tags[line], cache.dirty[line], cache.owner[line]
+
+
 class TestLineState:
     def test_install_sets_owner_and_dirty(self):
         cache = _one_set(2)
         cache.install(0, 1, tag=7, owner=3, dirty=True)
-        line = cache.line(0, 1)
-        assert line.valid and line.dirty and line.owner == 3 and line.tag == 7
+        assert _line(cache, 0, 1) == (7, 1, 3)
 
     def test_invalidate_clears_state(self):
         cache = _one_set(2)
         cache.install(0, 0, tag=7, owner=1, dirty=True)
         cache.invalidate(0, 0)
-        line = cache.line(0, 0)
-        assert not line.valid and not line.dirty and line.owner == NO_OWNER
+        assert _line(cache, 0, 0) == (NO_TAG, 0, NO_OWNER)
 
     def test_clean_clears_dirty_only(self):
         cache = _one_set(2)
         cache.install(0, 0, tag=7, owner=1, dirty=True)
         assert cache.flush_way_in_set(0, 0) == 7
-        line = cache.line(0, 0)
-        assert line.valid and not line.dirty and line.owner == 1
-
-    def test_occupancy_counts_only_owner(self):
-        cache = _one_set(4)
-        cache.install(0, 0, tag=1, owner=0, dirty=False)
-        cache.install(0, 1, tag=2, owner=0, dirty=False)
-        cache.install(0, 2, tag=3, owner=1, dirty=False)
-        assert cache.occupancy(0, 0) == 2
-        assert cache.occupancy(0, 1) == 1
-        assert cache.occupancy(0, 2) == 0
+        assert _line(cache, 0, 0) == (7, 0, 1)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=200))
@@ -119,8 +112,9 @@ def test_lru_stack_property(tags):
 
 
 @given(st.lists(st.tuples(st.integers(0, 30), st.booleans()), min_size=1, max_size=150))
-def test_lru_order_is_a_permutation(accesses):
-    """The recency stack always remains a permutation of the ways."""
+def test_recency_stamps_stay_a_strict_stack(accesses):
+    """A set's stamps stay unique, the way just used holds the newest
+    one, and the victim of a full set holds the oldest."""
     cache = _one_set(4)
     for tag, dirty in accesses:
         way = cache.find(0, tag)
@@ -129,6 +123,8 @@ def test_lru_order_is_a_permutation(accesses):
             cache.install(0, way, tag, owner=0, dirty=dirty)
         else:
             cache.touch(0, way)
-    order = cache.lru(0)
-    assert sorted(order) == [0, 1, 2, 3]
-    assert [cache.stack_position(0, way) for way in order] == [0, 1, 2, 3]
+        stamps = cache.stamp.tolist()
+        assert len(set(stamps)) == 4
+        assert stamps[way] == max(stamps)
+        if cache.valid[0] == 4:
+            assert stamps[cache.victim(0)] == min(stamps)

@@ -1,32 +1,70 @@
-"""Unit tests for the banked DRAM model."""
+"""Unit tests for the banked DRAM model.
+
+Demand reads are charged inline by the LLC's miss path, so the read
+cases drive ``BaseSharedCachePolicy.access_fast`` with misses on an
+empty unmanaged cache, the way the simulator does.
+"""
 
 import pytest
 
+from repro.cache.geometry import CacheGeometry
 from repro.cache.memory import MainMemory
+from repro.cache.set_associative import SetAssociativeCache
+from repro.energy.accounting import EnergyAccounting
+from repro.energy.cacti import CactiEnergyModel
+from repro.partitioning.base import PolicyStats
+from repro.partitioning.unmanaged import UnmanagedPolicy
+
+LLC = CacheGeometry(4 * 1024, 64, 8)  # 8 sets
+
+
+def _llc(memory):
+    """An empty unmanaged LLC in front of ``memory``."""
+    return UnmanagedPolicy(
+        SetAssociativeCache(LLC), memory,
+        EnergyAccounting(CactiEnergyModel(LLC, 1)), PolicyStats(1),
+    )
+
+
+def _read(llc, line_address, now):
+    """One LLC demand read (a miss: every line here is read once);
+    returns its memory latency."""
+    return llc.access_fast(0, line_address, False, now)
 
 
 class TestReads:
     def test_uncontended_read_latency(self):
         memory = MainMemory(latency=400, n_banks=8, bank_busy=40)
-        assert memory.read(0, now=0) == 400
+        assert _read(_llc(memory), 0, now=0) == 400
         assert memory.reads == 1
 
     def test_same_bank_contention(self):
         memory = MainMemory(latency=400, n_banks=8, bank_busy=40)
-        memory.read(0, now=0)
+        llc = _llc(memory)
+        _read(llc, 0, now=0)
         # Same bank (same address modulo banks) immediately after.
-        assert memory.read(8, now=0) == 440
+        assert _read(llc, 8, now=0) == 440
         assert memory.read_stall_cycles == 40
 
     def test_different_banks_no_contention(self):
         memory = MainMemory(latency=400, n_banks=8, bank_busy=40)
-        memory.read(0, now=0)
-        assert memory.read(1, now=0) == 400
+        llc = _llc(memory)
+        _read(llc, 0, now=0)
+        assert _read(llc, 1, now=0) == 400
 
     def test_bank_frees_over_time(self):
         memory = MainMemory(latency=400, n_banks=8, bank_busy=40)
-        memory.read(0, now=0)
-        assert memory.read(8, now=100) == 400
+        llc = _llc(memory)
+        _read(llc, 0, now=0)
+        assert _read(llc, 8, now=100) == 400
+
+    def test_llc_hit_never_reaches_memory(self):
+        memory = MainMemory(latency=400, n_banks=8, bank_busy=40)
+        llc = _llc(memory)
+        _read(llc, 0, now=0)
+        assert _read(llc, 0, now=0) == 0
+        assert memory.reads == 1
+        assert memory.read_stall_cycles == 0
 
     def test_rejects_zero_banks(self):
         with pytest.raises(ValueError):
@@ -38,7 +76,8 @@ class TestWritebacks:
         memory = MainMemory(latency=400, n_banks=8, bank_busy=40)
         memory.writeback(0, now=0)
         assert memory.writebacks == 1
-        assert memory.read(8, now=0) == 440  # delayed by the writeback
+        # delayed by the writeback
+        assert _read(_llc(memory), 8, now=0) == 440
 
     def test_burst_drain_time(self):
         memory = MainMemory(latency=400, n_banks=2, bank_busy=40)
@@ -63,7 +102,7 @@ class TestFlushTimeline:
 
     def test_reset_statistics(self):
         memory = MainMemory()
-        memory.read(0, 0)
+        _read(_llc(memory), 0, 0)
         memory.writeback(1, 0)
         memory.reset_statistics()
         assert memory.reads == 0

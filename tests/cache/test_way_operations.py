@@ -1,12 +1,11 @@
 """Property tests: the strided way-wide operations against a naive model.
 
-``invalidate_way``, ``flush_way_in_set``, ``transfer_ownership`` and
+``invalidate_way``, ``flush_way_in_set`` and
 ``TakeoverEngine.force_complete`` walk the flat line columns with a
 stride of ``ways``.  Each is checked here against a per-line reference
 written out longhand: a dict per (set, way), visited set by set.  The
-cache is first driven through a random sequence of fills (reads and
-writes, several owners, forced ways so stale ``mapped`` copies occur)
-and ownership transfers.
+cache is first driven through a random sequence of installs (clean and
+dirty, several owners, forced ways so stale ``mapped`` copies occur).
 """
 
 from hypothesis import given
@@ -25,34 +24,21 @@ SETS = GEOMETRY.num_sets
 WAYS = GEOMETRY.ways
 CORES = 3
 
-_fill = st.tuples(
-    st.just("fill"),
+_install = st.tuples(
     st.integers(0, SETS - 1),
-    st.integers(0, 5),  # few tags per set: re-fills create duplicates
+    st.integers(0, WAYS - 1),
+    st.integers(0, 5),  # few tags per set: re-installs create duplicates
     st.integers(0, CORES - 1),
     st.booleans(),
-    st.integers(0, WAYS - 1),
 )
-_transfer = st.tuples(
-    st.just("transfer"),
-    st.integers(0, SETS - 1),
-    st.integers(0, WAYS - 1),
-    st.integers(0, CORES - 1),
-)
-_operations = st.lists(st.one_of(_fill, _transfer), max_size=80)
+_operations = st.lists(_install, max_size=80)
 
 
 def _driven(operations, track_copies=True):
     cache = SetAssociativeCache(GEOMETRY, track_copies=track_copies)
     cache.ensure_cores(CORES)
-    for op in operations:
-        if op[0] == "fill":
-            _, set_index, tag, core, is_write, way = op
-            address = GEOMETRY.rebuild_line_address(tag, set_index)
-            cache.fill(address, core, is_write, way)
-        else:
-            _, set_index, way, owner = op
-            cache.transfer_ownership(set_index, way, owner)
+    for set_index, way, tag, core, dirty in operations:
+        cache.install(set_index, way, tag, core, dirty)
     return cache
 
 
@@ -127,21 +113,6 @@ def test_flush_way_in_set_matches_the_per_line_model(operations, set_index, way)
     model = _model(cache)
     expected = _naive_flush(model, set_index, way)
     assert cache.flush_way_in_set(set_index, way) == expected
-    _check(cache, model)
-
-
-@given(
-    _operations, st.integers(0, SETS - 1), st.integers(0, WAYS - 1),
-    st.integers(0, CORES - 1),
-)
-def test_transfer_ownership_matches_the_per_line_model(
-    operations, set_index, way, owner
-):
-    cache = _driven(operations)
-    model = _model(cache)
-    if model[set_index, way]["tag"] != NO_TAG:
-        model[set_index, way]["owner"] = owner
-    cache.transfer_ownership(set_index, way, owner)
     _check(cache, model)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from io import BytesIO
+from typing import NamedTuple
 
 import pytest
 
@@ -36,6 +37,37 @@ def stub_transport() -> StubTransport:
     """A fresh :class:`StubTransport` (share it across hosts with
     ``transport_factory=lambda host: stub_transport``)."""
     return StubTransport()
+
+
+class LLCRead(NamedTuple):
+    """What one demand read did at the shared cache."""
+
+    hit: bool
+    ways_probed: int
+    memory_latency: int
+
+
+def _llc_read(policy, core: int, line_address: int, now: int) -> LLCRead:
+    """One demand read through ``policy.access_fast``, the LLC access
+    the simulator runs.  ``access_fast`` returns only the memory
+    latency; the hit and the probe width are read back from the
+    deltas of the policy's ``PolicyStats`` counters."""
+    stats = policy.stats
+    hits = stats.demand_hits[core]
+    probed = stats.ways_probed_sum[core]
+    latency = policy.access_fast(core, line_address, False, now)
+    return LLCRead(
+        hit=stats.demand_hits[core] > hits,
+        ways_probed=stats.ways_probed_sum[core] - probed,
+        memory_latency=latency,
+    )
+
+
+@pytest.fixture
+def llc_read():
+    """``llc_read(policy, core, line_address, now) -> LLCRead``: one
+    demand read through ``access_fast`` with its outcome."""
+    return _llc_read
 
 
 @pytest.fixture

@@ -60,27 +60,27 @@ class TestInitialState:
 
 
 class TestAccessPath:
-    def test_probes_restricted_to_owned_ways(self):
+    def test_probes_restricted_to_owned_ways(self, llc_read):
         policy = _policy()
-        outcome = policy.access(0, line_address=100, is_write=False, now=0)
+        outcome = llc_read(policy, 0, line_address=100, now=0)
         assert not outcome.hit
         assert outcome.ways_probed == 4
 
     def test_miss_fills_into_owned_way(self):
         policy = _policy()
-        policy.access(0, line_address=100, is_write=False, now=0)
+        policy.access_fast(0, line_address=100, is_write=False, now=0)
         set_index = GEOMETRY.set_index(100)
         way = policy.cache.find(set_index, GEOMETRY.tag(100))
         writable = policy.permissions.writable_ways(0)
         assert way in writable
         assert policy._core_tables[0][2] == writable
 
-    def test_core_cannot_see_other_cores_data(self):
+    def test_core_cannot_see_other_cores_data(self, llc_read):
         policy = _policy()
-        policy.access(0, line_address=100, is_write=False, now=0)
+        llc_read(policy, 0, line_address=100, now=0)
         # Core 1 probing the same line misses: the line sits in core
         # 0's ways, which core 1 has no read permission for.
-        outcome = policy.access(1, line_address=100, is_write=False, now=1)
+        outcome = llc_read(policy, 1, line_address=100, now=1)
         assert not outcome.hit
 
 
@@ -139,7 +139,7 @@ class TestDecision:
         # Recipient touches every set (misses): transition completes.
         for set_index in range(GEOMETRY.num_sets):
             address = GEOMETRY.rebuild_line_address(50 + set_index, set_index)
-            policy.access(0, address, False, now=2000 + set_index)
+            policy.access_fast(0, address, False, now=2000 + set_index)
         for way in donating:
             assert not policy.permissions.can_read(way, 1)
         assert policy.stats.transitions_completed >= len(donating)

@@ -41,8 +41,7 @@ class TestEngineProtocol:
     def test_donor_access_flushes_and_marks(self):
         engine, cache, memory, stats = _engine()
         # Core 1 owns way 2 with dirty data in set 3.
-        address = GEOMETRY.rebuild_line_address(9, 3)
-        cache.fill(address, core=1, is_write=True, victim_way=2)
+        cache.install(3, 2, 9, owner=1, dirty=True)
         engine.begin([WayTransition(way=2, donor=1, recipient=0, start_cycle=0)])
 
         completed = engine.on_access(core=1, set_index=3, hit=True, now=10)
@@ -100,8 +99,7 @@ class TestEngineProtocol:
     def test_force_complete_flushes_everything(self):
         engine, cache, memory, stats = _engine()
         for set_index in range(GEOMETRY.num_sets):
-            address = GEOMETRY.rebuild_line_address(7, set_index)
-            cache.fill(address, core=1, is_write=True, victim_way=3)
+            cache.install(set_index, 3, 7, owner=1, dirty=True)
         engine.begin([WayTransition(way=3, donor=1, recipient=0, start_cycle=0)])
         moves = engine.force_complete(1, now=100)
         assert [m.way for m in moves] == [3]

@@ -62,7 +62,7 @@ def _repeats(name, column, ways, skip_invalid=True) -> list[str]:
 def invariant_violations(sim) -> list[str]:
     """Every row of ``sim``'s caches and tag directories whose keys repeat."""
     found = []
-    for core, l1 in enumerate(sim.hierarchy.l1):
+    for core, l1 in enumerate(sim.l1):
         found += _repeats(f"L1[{core}] tags", l1.tags, l1.ways)
         found += _repeats(f"L1[{core}] stamps", l1.stamp, l1.ways, False)
     llc = sim.cache
@@ -129,7 +129,7 @@ def test_golden_grid_case_keeps_rows_unique(engine, checks, monkeypatch):
 
 
 def _plant_l1_tag(sim):
-    tags = sim.hierarchy.l1[1].tags
+    tags = sim.l1[1].tags
     tags[0] = tags[1] = 42
 
 

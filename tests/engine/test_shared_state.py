@@ -71,16 +71,15 @@ def _state(sim) -> dict:
         }
 
     policy = sim.policy
-    hierarchy = sim.hierarchy
     stats = sim.stats
     state = {
         "llc": columns(sim.cache),
-        "l1": [columns(l1) for l1 in hierarchy.l1],
+        "l1": [columns(l1) for l1 in sim.l1],
         "counters": [
             list(column)
             for column in (
-                hierarchy.l1_hits, hierarchy.l1_misses,
-                hierarchy.l1_writebacks, stats.ways_probed_sum,
+                sim.l1_hits, sim.l1_misses,
+                sim.l1_writebacks, stats.ways_probed_sum,
                 stats.probe_events, stats.writeback_accesses,
                 stats.demand_accesses, stats.demand_hits,
                 sim.dvfs.stall if sim.dvfs is not None else (),

@@ -57,8 +57,8 @@ class TestConflictingDecisions:
         policy.permissions.check_invariants()
         # The system still runs accesses normally afterwards.
         for address in range(64):
-            policy.access(0, address, False, 3_000 + address)
-            policy.access(1, 1_000 + address, True, 3_000 + address)
+            policy.access_fast(0, address, False, 3_000 + address)
+            policy.access_fast(1, 1_000 + address, True, 3_000 + address)
         policy.permissions.check_invariants()
 
     def test_repeated_oscillation_never_corrupts_state(self):
@@ -113,7 +113,7 @@ class TestDegenerateInputs:
             cache, memory, energy, stats, monitors
         )
         for address in range(32):
-            policy.access(address % 2, address, address % 3 == 0, address)
+            policy.access_fast(address % 2, address, address % 3 == 0, address)
         policy.epoch(1_000)
         policy.permissions.check_invariants()
 

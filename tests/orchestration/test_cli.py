@@ -216,13 +216,22 @@ class TestReport:
         out = capsys.readouterr().out
         assert "weighted speedup" in out and "static" in out
 
-    def test_report_refuses_corrupt_artifact(self, tmp_path, capsys):
-        """A corrupt file must read as missing, never trigger simulation."""
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda envelope: "{corrupt",
+            lambda envelope: json.dumps({**json.loads(envelope), "payload": {}}),
+        ],
+        ids=["torn-json", "undecodable-payload"],
+    )
+    def test_report_refuses_corrupt_artifact(self, tmp_path, capsys, damage):
+        """A corrupt file must read as missing, never trigger simulation
+        or a traceback."""
         store_arguments = ["--store", str(tmp_path / "store")]
         main(["sweep", "--cores", "2", "--groups", "1", *FAST, *store_arguments])
         capsys.readouterr()
         victim = next((tmp_path / "store").glob("*.json"))
-        victim.write_text("{corrupt")
+        victim.write_text(damage(victim.read_text()))
         code = main(["report", "--groups", "1", "--refs-per-core", "3000",
                      *store_arguments])
         assert code == 1

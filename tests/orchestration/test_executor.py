@@ -1,6 +1,7 @@
 """The sweep executor: parallel == serial, resume skips, planning."""
 
 import functools
+import json
 import multiprocessing
 
 import pytest
@@ -115,6 +116,34 @@ class TestResume:
             for spec in specs:
                 resumed.runner.run(spec)
         assert store.probe(victim)
+
+    def test_undecodable_payloads_are_recomputed(self, store, tiny_two_core):
+        """An artifact whose envelope is valid but whose payload does
+        not decode (``"payload": {}``) is a discarded miss: a resume
+        with one alone and one group artifact rewritten this way
+        recomputes exactly those two, to the same results."""
+        specs = [
+            Experiment("G2-4", policy, tiny_two_core)
+            for policy in ("cooperative", "ucp")
+        ]
+        with SweepExecutor(store, max_workers=1, pool="serial") as seeder:
+            assert seeder.prefetch(specs) == (4, 0)
+        expected = [store.get(spec.task_key()) for spec in specs]
+        group = specs[0]
+        alone = group.alone_dependencies()[0]
+        for spec in (group, alone):
+            path = store.path_for(spec.task_key())
+            envelope = json.loads(path.read_bytes())
+            envelope["payload"] = {}
+            path.write_text(json.dumps(envelope))
+
+        with SweepExecutor(store, max_workers=1, pool="serial") as resumed:
+            alone_pending, main_pending, total = resumed.plan(specs)
+            assert (alone_pending, main_pending, total) == ([alone], [group], 4)
+            assert resumed.prefetch(specs) == (2, 2)
+            for spec in specs:
+                resumed.runner.run(spec)
+        assert [store.get(spec.task_key()) for spec in specs] == expected
 
     def test_pending_alone_tasks_deduplicate(self, store, tiny_two_core):
         executor = SweepExecutor(store, max_workers=1)

@@ -240,13 +240,13 @@ class TestProbe:
         monkeypatch.setattr(runner_module, "CMPSimulator", explode)
         resumed_store = ResultStore(store.root)
         reads = []
-        get_envelope = resumed_store.get_envelope
+        read = resumed_store._read
 
-        def counting_get_envelope(key):
+        def counting_read(key, decode=None):
             reads.append(key)
-            return get_envelope(key)
+            return read(key, decode)
 
-        resumed_store.get_envelope = counting_get_envelope
+        resumed_store._read = counting_read
         with SweepExecutor(resumed_store, max_workers=1) as resumed:
             alone_pending, main_pending, total = resumed.plan(specs)
             assert (alone_pending, main_pending) == ([], [])

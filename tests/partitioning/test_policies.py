@@ -4,7 +4,7 @@ import pytest
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.memory import MainMemory
-from repro.cache.set_associative import SetAssociativeCache
+from repro.cache.set_associative import NO_WAY, SetAssociativeCache
 from repro.energy.accounting import EnergyAccounting
 from repro.energy.cacti import CactiEnergyModel
 from repro.monitor.sampling import SetSampler
@@ -28,16 +28,45 @@ def _parts(n_cores=2):
 
 
 class TestUnmanaged:
-    def test_probes_all_ways(self):
+    def test_probes_all_ways(self, llc_read):
         policy = UnmanagedPolicy(*_parts())
-        outcome = policy.access(0, 100, False, 0)
+        outcome = llc_read(policy, 0, 100, 0)
         assert outcome.ways_probed == 8
 
-    def test_cores_share_everything(self):
+    def test_cores_share_everything(self, llc_read):
         policy = UnmanagedPolicy(*_parts())
-        policy.access(0, 100, False, 0)
-        outcome = policy.access(1, 100, False, 1)
+        llc_read(policy, 0, 100, 0)
+        outcome = llc_read(policy, 1, 100, 1)
         assert outcome.hit  # core 1 sees core 0's line
+
+
+class TestSharedAccessPath:
+    """The fill half of ``access_fast``: a miss into a full set evicts
+    the LRU line and writes it back only if it is dirty."""
+
+    def _full_set(self, dirty):
+        policy = UnmanagedPolicy(*_parts())
+        for way in range(8):
+            policy.cache.install(0, way, 100 + way, owner=0, dirty=dirty)
+        return policy
+
+    def test_dirty_victim_is_written_back(self, llc_read):
+        policy = self._full_set(dirty=True)
+        outcome = llc_read(policy, 1, GEOMETRY.rebuild_line_address(200, 0), 10)
+        assert not outcome.hit
+        assert policy.cache.find(0, 100) == NO_WAY  # way 0 was the LRU line
+        assert policy.cache.find(0, 200) == 0
+        assert policy.memory.writebacks == 1
+        assert policy.energy.writebacks == 1
+        assert policy.cache.occupancy_by_core(2) == [7, 1]
+
+    def test_clean_victim_is_dropped_silently(self, llc_read):
+        policy = self._full_set(dirty=False)
+        llc_read(policy, 1, GEOMETRY.rebuild_line_address(200, 0), 10)
+        assert policy.cache.find(0, 200) == 0
+        assert policy.memory.writebacks == 0
+        assert policy.energy.writebacks == 0
+        assert policy.cache.occupancy_by_core(2) == [7, 1]
 
 
 class TestFairShare:
@@ -46,15 +75,15 @@ class TestFairShare:
         assert policy.partition_of(0) == (0, 1, 2, 3)
         assert policy.partition_of(1) == (4, 5, 6, 7)
 
-    def test_probes_only_own_partition(self):
+    def test_probes_only_own_partition(self, llc_read):
         policy = FairSharePolicy(*_parts())
-        outcome = policy.access(0, 100, False, 0)
+        outcome = llc_read(policy, 0, 100, 0)
         assert outcome.ways_probed == 4
 
-    def test_cores_isolated(self):
+    def test_cores_isolated(self, llc_read):
         policy = FairSharePolicy(*_parts())
-        policy.access(0, 100, False, 0)
-        outcome = policy.access(1, 100, False, 1)
+        llc_read(policy, 0, 100, 0)
+        outcome = llc_read(policy, 1, 100, 1)
         assert not outcome.hit
 
     def test_indivisible_ways_rejected(self):
@@ -71,9 +100,9 @@ class TestUCP:
         ]
         return UCPPolicy(cache, memory, energy, stats, monitors)
 
-    def test_probes_all_ways(self):
+    def test_probes_all_ways(self, llc_read):
         policy = self._policy()
-        assert policy.access(0, 100, False, 0).ways_probed == 8
+        assert llc_read(policy, 0, 100, 0).ways_probed == 8
 
     def test_repartition_tracks_transitions(self):
         policy = self._policy()
@@ -93,8 +122,7 @@ class TestUCP:
         # Fill the whole cache with core 1's lines first.
         for set_index in range(GEOMETRY.num_sets):
             for way in range(8):
-                address = GEOMETRY.rebuild_line_address(100 + way, set_index)
-                policy.cache.fill(address, core=1, is_write=False, victim_way=way)
+                policy.cache.install(set_index, way, 100 + way, owner=1, dirty=False)
         policy.decide(1000)
         gained = policy.targets[0] - 4
         assert gained > 0
@@ -104,7 +132,7 @@ class TestUCP:
                 address = GEOMETRY.rebuild_line_address(
                     200 + round_index, set_index
                 )
-                policy.access(0, address, False, 2000 + set_index)
+                policy.access_fast(0, address, False, 2000 + set_index)
         assert policy.stats.transitions_completed >= 1
 
     def test_no_repartition_when_allocation_stable(self):
@@ -130,17 +158,17 @@ class TestDynamicCPE:
         with pytest.raises(RuntimeError):
             policy.decide(0)
 
-    def test_way_aligned_probes(self):
+    def test_way_aligned_probes(self, llc_read):
         curve = [1000, 500, 250, 100, 100, 100, 100, 100, 100]
         policy = self._policy([list(curve), list(curve)])
-        assert policy.access(0, 100, False, 0).ways_probed == 4
+        assert llc_read(policy, 0, 100, 0).ways_probed == 4
 
     def test_repartition_flushes_reassigned_ways(self):
         strong = [10_000, 4_000, 2_000, 500, 400, 350, 320, 310, 305]
         weak = [1_000, 950, 940, 935, 930, 928, 927, 926, 925]
         policy = self._policy([strong, weak])
         # Dirty a line of core 1's in a way core 0 will take over.
-        policy.access(1, 100, True, 0)
+        policy.access_fast(1, 100, True, 0)
         policy.decide(1000)
         assert policy.allocation_of(0) > policy.allocation_of(1)
         assert policy.pending_stall >= 0
