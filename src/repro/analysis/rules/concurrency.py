@@ -1,7 +1,7 @@
 """Concurrency and store-safety rules.
 
 The result store is shared by racing writers (warm/ssh pool
-workers, the serve daemon, concurrent sweeps); its contract is that
+workers, concurrent sweeps); its contract is that
 every visible file is either complete (temp-file + ``os.replace``) or
 an O_APPEND whole-line append.  Pool workers additionally inherit
 module state at fork/import time, so module-level mutable handles are
@@ -18,12 +18,11 @@ from repro.analysis.registry import Finding, register_rule
 from repro.analysis.rules.common import import_aliases, resolve_call
 
 #: the concurrent-writer surface: modules whose files are read and
-#: written by racing pool workers, serve schedulers and sweeps (the
+#: written by racing pool workers and sweeps (the
 #: CLI's user-facing report files are single-writer and exempt)
 _STORE_MODULES = frozenset(
     {
         "repro.orchestration.store",
-        "repro.orchestration.serve",
         "repro.orchestration.pools",
         "repro.orchestration.executor",
     }

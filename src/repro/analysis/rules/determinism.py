@@ -50,7 +50,7 @@ _WALL_CLOCK_FNS = frozenset(
 )
 
 #: the one module allowed to read the wall clock (everything else
-#: takes an injectable clock; see repro.orchestration.clock)
+#: calls its wall_now; see repro.orchestration.clock)
 _WALL_CLOCK_ALLOWLIST = frozenset({"repro.orchestration.clock"})
 
 
@@ -164,10 +164,10 @@ def check_salted_hash(context: AnalysisContext) -> Iterator[Finding]:
 )
 def check_wall_clock(context: AnalysisContext) -> Iterator[Finding]:
     """``time.time()`` and friends embed the run's wall time into
-    whatever they touch; every timestamp must come through the
-    injectable clock (``repro.orchestration.clock``) so tests and
-    replays control it.  Monotonic span timers (``perf_counter``)
-    are fine."""
+    whatever they touch; every timestamp must come through
+    ``repro.orchestration.clock.wall_now``, the one call site that
+    keeps wall time out of results.  Monotonic span timers
+    (``perf_counter``) are fine."""
     if context.module in _WALL_CLOCK_ALLOWLIST:
         return
     aliases = import_aliases(context.tree)
@@ -181,9 +181,9 @@ def check_wall_clock(context: AnalysisContext) -> Iterator[Finding]:
                 path=context.relpath,
                 line=node.lineno,
                 message=(
-                    f"{dotted}() reads the wall clock; inject a clock "
-                    f"from repro.orchestration.clock instead (the only "
-                    f"allowlisted call site)"
+                    f"{dotted}() reads the wall clock; call "
+                    f"repro.orchestration.clock.wall_now instead (the "
+                    f"only allowlisted call site)"
                 ),
             )
 

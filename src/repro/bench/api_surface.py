@@ -38,7 +38,8 @@ SURFACE_PATH = Path("tests") / "api_surface.json"
 #: TimelineSample field list; 3: added the scenario generator, the
 #: committed-corpus name grid and the differential-suite entry points;
 #: 4: added the orchestration layer — pool backends, the wire types,
-#: the result store, the sweep executor and the serve daemon;
+#: the result store, the sweep executor and the (since removed)
+#: serve daemon;
 #: 5: added the static-analysis layer — the rule registry with
 #: categories/severities/fixability and the ``repro check`` entry
 #: points;
@@ -146,7 +147,7 @@ def _scenarios_surface() -> dict[str, Any]:
 
 
 def _orchestration_surface() -> dict[str, Any]:
-    """The pool layer, store, executor and serve-daemon entry points."""
+    """The pool layer, store and executor entry points."""
     import repro.orchestration as orchestration
     from repro.orchestration.executor import SweepExecutor
     from repro.orchestration.pools import (
@@ -159,7 +160,6 @@ def _orchestration_surface() -> dict[str, Any]:
         resolve_pool,
         resolve_pool_name,
     )
-    from repro.orchestration.serve import SweepServer
     from repro.orchestration.store import ResultStore
 
     return {
@@ -175,7 +175,6 @@ def _orchestration_surface() -> dict[str, Any]:
         },
         "store": _public_methods(ResultStore),
         "executor": _public_methods(SweepExecutor),
-        "server": _public_methods(SweepServer),
         "resolve_pool": _signature_of(resolve_pool),
         "resolve_pool_name": _signature_of(resolve_pool_name),
         "remote_main": _signature_of(remote_main),

@@ -8,7 +8,7 @@ model with writeback/bandwidth accounting.
 
 It holds state, not the access path.  The private-L1 / shared-L2
 access of Table 2 runs in :class:`repro.sim.simulator.CMPSimulator`
-(``_l1_miss`` and its inline copy in ``_run_python``), in
+(``_l1_miss``), in
 :meth:`repro.partitioning.base.BaseSharedCachePolicy.access_fast`
 and in the C kernel, all of which index these columns in place.
 """

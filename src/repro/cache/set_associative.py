@@ -4,8 +4,7 @@ This class is *state plus mechanism*: the line columns, and the few
 per-set and way-wide operations on them (find a tag, pick an LRU
 victim, touch, install, invalidate, flush a way).  It does not run
 accesses.  The access path reads and writes the columns in place in
-its four copies: :meth:`repro.sim.simulator.CMPSimulator._l1_miss`,
-the inline copy of it in ``CMPSimulator._run_python``,
+its three copies: :meth:`repro.sim.simulator.CMPSimulator._l1_miss`,
 :meth:`repro.partitioning.base.BaseSharedCachePolicy.access_fast` and
 ``engine/kernel.c``.  Tests seed exact cache states with
 :meth:`~SetAssociativeCache.install`, :meth:`~SetAssociativeCache.find`

@@ -101,13 +101,3 @@ TASKS_COMPLETED = counter(
     help="Sweep tasks collected from a pool, by backend and outcome.",
 )
 
-# -- serve -------------------------------------------------------------
-
-SERVE_JOBS = counter(
-    "repro_serve_jobs_total",
-    help="Serve jobs, by lifecycle state reached.",
-)
-SERVE_JOBS_ACTIVE = gauge(
-    "repro_serve_jobs_active",
-    help="Serve jobs currently running.",
-)

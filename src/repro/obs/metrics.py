@@ -12,9 +12,15 @@ a handful of attribute loads and one branch per call site: ``inc`` /
 (or ``$REPRO_METRICS`` was set when this module was imported, which is how
 pool workers inherit the setting from the parent process).
 
+Pool workers record into their own process's registry.  After each task
+a worker drains its counters and histograms with :func:`take_samples` and
+ships the document home with the task's result; the parent adds it into
+its registry with :func:`merge_samples`, so a ``--metrics`` dump reads the
+same on every pool.  Gauges are levels, not deltas, and are not shipped.
+
 Scrape output is deterministic: metric names, label sets, and histogram
 buckets all render in sorted order, both for the Prometheus text format
-served by ``repro serve`` at ``/v1/metrics`` and for :func:`snapshot`.
+that ``--metrics`` writes and for :func:`snapshot`.
 """
 
 from __future__ import annotations
@@ -231,6 +237,18 @@ class Counter(Metric):
     def reset(self) -> None:
         self._values.clear()
 
+    def take(self) -> list:
+        """Every series as a ``[labels, value]`` row, zeroing them."""
+        rows = [[key, value] for key, value in sorted(self._values.items())]
+        self._values.clear()
+        return rows
+
+    def merge(self, rows: list) -> None:
+        """Add rows from :meth:`take` (possibly another process's)."""
+        for labels, value in rows:
+            key = _row_key(labels)
+            self._values[key] = self._values.get(key, 0.0) + value
+
 
 class Gauge(Metric):
     kind = "gauge"
@@ -311,6 +329,25 @@ class Histogram(Metric):
         self._counts.clear()
         self._sums.clear()
 
+    def take(self) -> list:
+        """Every series as a ``[labels, bucket counts, sum]`` row,
+        zeroing them."""
+        rows = [
+            [key, self._counts[key], self._sums[key]]
+            for key in sorted(self._counts)
+        ]
+        self.reset()
+        return rows
+
+    def merge(self, rows: list) -> None:
+        """Add rows from :meth:`take` (possibly another process's)."""
+        for labels, counts, total in rows:
+            key = _row_key(labels)
+            mine = self._counts.setdefault(key, [0] * len(counts))
+            for index, count in enumerate(counts):
+                mine[index] += count
+            self._sums[key] = self._sums.get(key, 0.0) + total
+
 
 def counter(name: str, help: str = "", unit: str = "") -> Counter:
     instrument = Counter(name)
@@ -339,6 +376,29 @@ def histogram(
         name, kind="histogram", help=help, unit=unit, instrument=instrument
     )(instrument.collect)
     return instrument
+
+
+def _row_key(labels: Iterable) -> LabelItems:
+    """A shipped row's labels (JSON turns the pairs into lists)."""
+    return tuple((key, value) for key, value in labels)
+
+
+def take_samples() -> dict[str, list]:
+    """Drain every counter and histogram into a JSON-able document,
+    keyed by metric name; series with no samples are left out."""
+    document: dict[str, list] = {}
+    for spec in registered_metrics():
+        if isinstance(spec.instrument, (Counter, Histogram)):
+            rows = spec.instrument.take()
+            if rows:
+                document[spec.name] = rows
+    return document
+
+
+def merge_samples(document: dict[str, list]) -> None:
+    """Add a :func:`take_samples` document into this registry."""
+    for name, rows in document.items():
+        metric_info(name).instrument.merge(rows)
 
 
 def reset_metrics() -> None:

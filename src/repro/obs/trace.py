@@ -88,8 +88,8 @@ class TraceRecorder(NullRecorder):
     """In-memory recorder of Chrome trace events.
 
     Thread-safe enough for the repo's use: appends and token allocation
-    hold a lock so pool feeder threads and the serve worker can interleave
-    with the main thread.
+    hold a lock so the ssh pool's feeder threads can interleave with the
+    main thread.
     """
 
     enabled = True

@@ -1,4 +1,4 @@
-"""Sweep orchestration: durable results, pluggable pools, a daemon, CLI.
+"""Sweep orchestration: durable results, pluggable pools, CLI.
 
 This package turns the in-process :class:`~repro.sim.runner.
 ExperimentRunner` into a batch system in four layers:
@@ -17,8 +17,6 @@ ExperimentRunner` into a batch system in four layers:
   ``serial`` backend, and :func:`orchestrated_runner`, the one-liner
   that wires a runner to both.
 
-:mod:`~repro.orchestration.serve` runs it as a service — the
-``repro serve`` HTTP job queue (see ``docs/distributed.md``) — and
 :mod:`~repro.orchestration.cli` exposes all of it as the ``repro``
 console script (``python -m repro`` from a source checkout).
 """

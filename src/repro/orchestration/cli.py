@@ -21,10 +21,8 @@ Seven subcommands drive the whole evaluation through the orchestrator:
   drives the committed scenario corpus through the differential
   invariant harness — every selected policy × governor combination,
   exiting non-zero on any violation (see ``docs/scenarios.md``).
-* ``repro serve``    — run the sweep-as-a-service daemon: accept spec
-  JSON over HTTP, schedule jobs against the store, stream progress,
-  and survive restarts via resume-from-store (see
-  ``docs/distributed.md``).
+* ``repro trace``    — inspect trace files: ``repro trace view``
+  converts one into a Perfetto-loadable Chrome trace.
 * ``repro clean``    — drop the store.
 * ``repro check``    — run the project-invariant static analysis
   (determinism/hot-path/concurrency rules, ``# repro: noqa[...]``
@@ -72,7 +70,7 @@ _METRICS = ("speedup", "dynamic", "static")
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for the ``repro`` console script; returns exit code."""
-    parser = _build_parser()
+    parser = build_parser()
     options = parser.parse_args(argv)
     _apply_obs(options)
     try:
@@ -85,7 +83,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
-def _build_parser() -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce the Cooperative Partitioning (HPCA 2012) evaluation.",
@@ -135,19 +133,17 @@ def _build_parser() -> argparse.ArgumentParser:
     jobs_flag = argparse.ArgumentParser(add_help=False)
     jobs_flag.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for a sweep, an alone profile, a scenario "
-             "preset or suite, or each serve job (default: $REPRO_JOBS or "
-             "CPU count)",
+        help="worker processes for a sweep, an alone profile, or a "
+             "scenario preset or suite (default: $REPRO_JOBS or CPU count)",
     )
 
     engine_flag = argparse.ArgumentParser(add_help=False)
     engine_flag.add_argument(
         "--engine", default=None, metavar="NAME",
         choices=("auto", "python", "compiled"),
-        help="execution backend every task (workers included) runs on; a "
-             "serve submission may pin its own (default: $REPRO_ENGINE, "
-             "then auto); every backend is bit-identical, this only "
-             "changes speed",
+        help="execution backend every task (workers included) runs on "
+             "(default: $REPRO_ENGINE, then auto); every backend is "
+             "bit-identical, this only changes speed",
     )
 
     quiet_flag = argparse.ArgumentParser(add_help=False)
@@ -302,20 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "artifact shape)",
     )
     scenario.set_defaults(handler=_run_command, run=_scenario)
-
-    serve = commands.add_parser(
-        "serve", parents=[common, pooling, jobs_flag, engine_flag, quiet_flag],
-        help="run the sweep-as-a-service daemon (HTTP job queue over the store)",
-    )
-    serve.add_argument(
-        "--host", default="127.0.0.1", metavar="ADDR",
-        help="address to bind (default: 127.0.0.1)",
-    )
-    serve.add_argument(
-        "--port", type=int, default=8321, metavar="PORT",
-        help="port to bind; 0 picks an ephemeral port (default: 8321)",
-    )
-    serve.set_defaults(handler=_cmd_serve)
 
     trace = commands.add_parser(
         "trace",
@@ -1050,40 +1032,6 @@ def _scenario_suite(options: argparse.Namespace, session: _Session) -> int:
     else:
         print(render_report(report))
     return 0 if report.ok else 1
-
-
-def _cmd_serve(options: argparse.Namespace) -> int:
-    """``repro serve``: the HTTP job-queue daemon."""
-    from repro.orchestration.serve import SweepServer
-
-    store = _store_from(options)
-    try:
-        server = SweepServer(
-            store,
-            host=options.host,
-            port=options.port,
-            max_workers=resolve_jobs(options.jobs),
-            engine=options.engine,
-            pool=options.pool,
-            hosts=options.hosts,
-        )
-        server.start()
-    except (OSError, ValueError) as error:
-        raise SystemExit(f"cannot serve: {error}")
-    progress(
-        f"serving sweeps on {server.url} (store {store.root}, "
-        f"{server.max_workers} workers, metrics at {server.url}/v1/metrics); "
-        f"Ctrl-C to stop"
-    )
-    try:
-        while True:
-            time.sleep(1)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.close()
-    progress("stopped")
-    return 0
 
 
 def _cmd_trace_view(options: argparse.Namespace) -> int:

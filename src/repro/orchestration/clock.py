@@ -1,13 +1,10 @@
 """The one blessed wall-clock call site.
 
-Everything in the project that needs a timestamp — the serve daemon's
-job records are today's only consumer — takes an injectable
-``Clock`` (any ``() -> float`` callable) defaulting to
-:func:`wall_now`.  That keeps wall time out of results and task keys
-by construction, lets tests drive time deterministically instead of
-sleeping, and gives the ``wall-clock`` static-analysis rule a single
-allowlisted module: ``time.time()`` anywhere else in ``src/`` fails
-``repro check``.
+Wall time never becomes data: it stays out of results and task keys,
+and the trace recorder's metadata event (:mod:`repro.obs.trace`) is
+its only consumer.  Keeping the read in one function gives the
+``wall-clock`` static-analysis rule a single allowlisted module:
+``time.time()`` anywhere else in ``src/`` fails ``repro check``.
 
 Monotonic *span* timers (``time.perf_counter``) are a different
 animal — they measure durations, never become data, and stay legal
@@ -17,10 +14,6 @@ everywhere.
 from __future__ import annotations
 
 import time
-from typing import Callable
-
-#: a clock is any zero-argument callable returning seconds-since-epoch
-Clock = Callable[[], float]
 
 
 def wall_now() -> float:

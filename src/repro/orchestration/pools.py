@@ -47,6 +47,11 @@ else ``ssh`` when hosts are given (``--hosts``/``$REPRO_HOSTS``) and
 Failure surfacing: a task that raises in a worker never kills the
 pool silently — the worker catches it, and the executor re-raises it
 as a :class:`SweepTaskError` naming the task label, key and backend.
+
+Metrics: when the parent collects them, every worker ships the counter
+and histogram samples each task recorded inside that task's result
+record, and :meth:`Pool.wait_one` adds them into the parent's registry
+(see :mod:`repro.obs.metrics`).
 """
 
 from __future__ import annotations
@@ -66,6 +71,13 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro.experiment import Experiment
+from repro.obs.metrics import (
+    enable_metrics,
+    merge_samples,
+    metrics_enabled,
+    reset_metrics,
+    take_samples,
+)
 from repro.orchestration.store import ResultStore
 from repro.sim.runner import ExperimentRunner
 
@@ -81,7 +93,7 @@ SERIAL = "serial"
 #: every backend name, default-preference order first
 POOL_NAMES = (WARM, SSH, SERIAL)
 
-#: version of the ssh/serve wire format (request/response documents)
+#: version of the ssh wire format (request/response documents)
 WIRE_SCHEMA = 1
 
 
@@ -202,6 +214,26 @@ def _attempt(task: PoolTask, runner: ExperimentRunner) -> PoolResult:
     return PoolResult(task.key, task.label, time.perf_counter() - start, error)
 
 
+def _result_record(task: PoolTask, runner: ExperimentRunner, metrics: bool) -> dict:
+    """Run one task in a worker and build the record it sends home:
+    the :class:`PoolResult` fields, plus — with metrics on — the
+    samples this task recorded (taking them zeroes the worker's
+    counters, so the next record carries only its own)."""
+    record = asdict(_attempt(task, runner))
+    if metrics:
+        record["metrics"] = take_samples()
+    return record
+
+
+def _collect(record: dict) -> PoolResult:
+    """The :class:`PoolResult` of one worker record, after adding any
+    metric samples it carries into this process's registry."""
+    samples = record.pop("metrics", None)
+    if samples:
+        merge_samples(samples)
+    return PoolResult(**record)
+
+
 # ----------------------------------------------------------------------
 # The Pool contract
 # ----------------------------------------------------------------------
@@ -256,11 +288,16 @@ class Pool:
 def _warm_worker(
     store_root: str,
     engine: str | None,
+    metrics: bool,
     tasks: "multiprocessing.Queue",
     results: "multiprocessing.Queue",
 ) -> None:
     """Long-lived worker body: one import, one engine resolution, one
     runner — then batches of tasks until the ``None`` sentinel."""
+    if metrics:
+        enable_metrics()
+        # a forked worker starts with a copy of the parent's samples
+        reset_metrics()
     try:
         # Resolve (and for the compiled engine, build + load the C
         # kernel) exactly once per worker, not once per task.
@@ -275,7 +312,9 @@ def _warm_worker(
         if batch is None:
             return
         for task_doc in batch:
-            results.put(asdict(_attempt(PoolTask.from_dict(task_doc), runner)))
+            results.put(
+                _result_record(PoolTask.from_dict(task_doc), runner, metrics)
+            )
 
 
 class WarmPool(Pool):
@@ -302,6 +341,9 @@ class WarmPool(Pool):
     ) -> None:
         super().__init__(store, engine)
         self.max_workers = max(1, max_workers)
+        #: workers ship their metric samples home when the parent
+        #: collects metrics
+        self.metrics = metrics_enabled()
         self._workers: list[multiprocessing.Process] = []
         self._tasks: multiprocessing.Queue | None = None
         self._results: multiprocessing.Queue | None = None
@@ -315,7 +357,10 @@ class WarmPool(Pool):
         for _ in range(self.max_workers):
             process = context.Process(
                 target=_warm_worker,
-                args=(str(self.store.root), self.engine, self._tasks, self._results),
+                args=(
+                    str(self.store.root), self.engine, self.metrics,
+                    self._tasks, self._results,
+                ),
                 daemon=True,  # never outlive the parent
             )
             process.start()
@@ -363,7 +408,7 @@ class WarmPool(Pool):
                         "with --pool serial to isolate the failing task",
                     ) from None
         self.outstanding -= 1
-        return PoolResult(**record)
+        return _collect(record)
 
     def close(self) -> None:
         if not self._workers:
@@ -466,6 +511,9 @@ class SSHPool(Pool):
         #: (warm workers inherit ``$REPRO_TRACE`` via the
         #: environment; remotes need it on the wire)
         self.trace = tracing_enabled() if trace is None else trace
+        #: ask remotes for their metric samples when the parent
+        #: collects metrics
+        self.metrics = metrics_enabled()
         self._transport_factory = transport_factory
         self._inbox: queue_module.Queue = queue_module.Queue()
         self._done: queue_module.Queue = queue_module.Queue()
@@ -477,7 +525,7 @@ class SSHPool(Pool):
             return
         for host in self.hosts:
             thread = threading.Thread(
-                target=self._serve_host,
+                target=self._feed_host,
                 args=(self._transport_factory(host), host),
                 daemon=True,
             )
@@ -489,7 +537,7 @@ class SSHPool(Pool):
         self._inbox.put(task)
         self.outstanding += 1
 
-    def _serve_host(self, transport: Any, host: str) -> None:
+    def _feed_host(self, transport: Any, host: str) -> None:
         while True:
             first = self._inbox.get()
             if first is None:
@@ -537,10 +585,12 @@ class SSHPool(Pool):
             "tasks": [task.to_dict() for task in batch],
             "artifacts": artifacts,
         }
+        # Optional keys: requests without tracing or metrics keep the
+        # exact historical byte layout, so WIRE_SCHEMA stays at 1.
         if self.trace:
-            # Optional key: requests without tracing keep the exact
-            # historical byte layout, so WIRE_SCHEMA stays at 1.
             request["trace"] = True
+        if self.metrics:
+            request["metrics"] = True
         return json.dumps(
             request, separators=(",", ":"), sort_keys=True
         ).encode("utf-8")
@@ -564,7 +614,7 @@ class SSHPool(Pool):
             raise RuntimeError("wait_one() with no outstanding tasks")
         record = self._done.get()
         self.outstanding -= 1
-        return PoolResult(**record)
+        return _collect(record)
 
     def close(self) -> None:
         if not self._threads:
@@ -600,6 +650,9 @@ def remote_main(stdin: Any = None, stdout: Any = None) -> int:
         from repro.obs.trace import enable_tracing
 
         enable_tracing()
+    metrics = bool(request.get("metrics"))
+    if metrics:
+        enable_metrics()
     results: list[dict] = []
     computed: list[str] = []
     with tempfile.TemporaryDirectory(prefix="repro-remote-") as scratch:
@@ -613,9 +666,9 @@ def remote_main(stdin: Any = None, stdout: Any = None) -> int:
         runner = ExperimentRunner(store=store, engine=request.get("engine"))
         for task_doc in request.get("tasks", ()):
             task = PoolTask.from_dict(task_doc)
-            result = _attempt(task, runner)
-            results.append(asdict(result))
-            if result.error is None:
+            record = _result_record(task, runner, metrics)
+            results.append(record)
+            if record["error"] is None:
                 computed.append(task.key)
         if traced:
             # Trace artifacts ride home inside the same envelope list

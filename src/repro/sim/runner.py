@@ -126,8 +126,8 @@ class ExperimentRunner:
         span and — with a store attached — persists the task's trace
         events as a ``kind="trace"`` artifact under
         :func:`repro.obs.trace.trace_key`, so every execution tier
-        (inline, warm workers, ssh remotes, serve jobs) ships
-        its traces through the same store plumbing as results.
+        (inline, warm workers, ssh remotes) ships its traces through
+        the same store plumbing as results.
         """
         result = self.cached(experiment)
         if result is not None:

@@ -51,11 +51,10 @@ store on a hit — the overwhelmingly common case never enters another
 frame); L1 misses take one call into :meth:`_l1_miss`, which drives
 the LLC policy's ``access_fast`` and performs the L1 fill inline.
 
-One access path, four copies.  The private-L1 / shared-L2 access of
+One access path, three copies.  The private-L1 / shared-L2 access of
 Table 2 runs in exactly these places, which must stay in step:
-:meth:`_l1_miss` (prewarm, arrival warming and the C tier's
-boundary-straddling references), its inline copy in
-:meth:`_run_python`, the LLC side in
+:meth:`_l1_miss` (every python-tier miss, prewarm, arrival warming and
+the C tier's boundary-straddling references), the LLC side in
 :meth:`~repro.partitioning.base.BaseSharedCachePolicy.access_fast`,
 and ``engine/kernel.c``.  The golden and cross-engine suites pin them
 against each other.  The L1s themselves (``l1``) and their counters
@@ -550,18 +549,13 @@ class CMPSimulator:
         l1_ways = self._l1_ways
         l1_latency = self.l1_latency
         l1_hits = self.l1_hits
-        l1_misses = self.l1_misses
-        l1_writebacks = self.l1_writebacks
-        policy_access = self._policy_access
-        miss_latency = self._miss_latency
-        # DVFS bindings: with a governor, core-clock work is scaled by
-        # the per-core timing rows and LLC+memory stall is accumulated
-        # for the governors' slowdown model.  Without one these stay
-        # None and every expression below is the historical arithmetic.
+        l1_miss = self._l1_miss
+        # DVFS binding: with a governor, core-clock work is scaled by
+        # the per-core timing rows (the miss path accumulates the
+        # LLC+memory stall).  Without one this stays None and every
+        # expression below is the historical arithmetic.
         dvfs = self.dvfs
         dvfs_entries = dvfs.entries if dvfs is not None else None
-        dvfs_stall = dvfs.stall if dvfs is not None else None
-        l2_latency = self.config.l2_latency
 
         events = self._pending_events
         event_index = 0
@@ -630,25 +624,20 @@ class CMPSimulator:
             if dvfs_entries is None:
                 issue_time = now + (gap >> issue_shift)
                 hit_latency = l1_latency
-                miss_base = miss_latency
             else:
                 # Core-clock work stretches by num/den; the LLC keeps
-                # its own clock (the l2 term inside miss_base and the
-                # memory latency below are nominal cycles).
+                # its own clock (_l1_miss charges nominal cycles).
                 entry = dvfs_entries[core.core_id]
                 issue_time = now + (gap >> issue_shift) * entry[0] // entry[1]
                 hit_latency = entry[2]
-                miss_base = entry[3]
 
             # Inlined L1 lookup — the hit path touches three integers
             # and returns to the scheduler without another frame.
             set_index = address & l1_mask
             tag = address >> l1_shift
-            l1 = core.l1
-            tags = l1.tags
-            base = set_index * l1_ways
             if tag in core.l1_tag_rows[set_index]:
-                line = tags.index(tag, base)
+                l1 = core.l1
+                line = l1.tags.index(tag, set_index * l1_ways)
                 l1_clock = l1.clock
                 l1.stamp[line] = l1_clock[set_index]
                 l1_clock[set_index] += 1
@@ -657,43 +646,9 @@ class CMPSimulator:
                 l1_hits[core.core_id] += 1
                 core.time = issue_time + hit_latency
             else:
-                # Inlined L1 miss path — a verbatim copy of _l1_miss
-                # (worth one frame per miss at this call frequency).
-                # Any edit must be applied to both, and to kernel.c's
-                # l1_miss; the golden suite (tests/golden/) catches
-                # divergence, since _prewarm drives _l1_miss and this
-                # loop drives the inline copy within the same pinned
-                # runs.
-                core_id = core.core_id
-                l1_misses[core_id] += 1
-                memory_latency = policy_access(core_id, address, False, issue_time)
-                valid = l1.valid
-                stamp = l1.stamp
-                dirty = l1.dirty
-                if valid[set_index] != l1_ways:
-                    # A free way: the first one is the victim.
-                    line = tags.index(NO_TAG, base)
-                    evicted_dirty = 0
-                    valid[set_index] += 1
-                    l1.core_occupancy[core_id] += 1
-                else:
-                    line = stamp.index(min(core.l1_stamp_rows[set_index]), base)
-                    evicted_dirty = dirty[line]
-                old_tag = tags[line]
-                tags[line] = tag
-                dirty[line] = 1 if is_write else 0
-                l1.owner[line] = core_id
-                l1_clock = l1.clock
-                stamp[line] = l1_clock[set_index]
-                l1_clock[set_index] += 1
-                if evicted_dirty:
-                    l1_writebacks[core_id] += 1
-                    policy_access(
-                        core_id, (old_tag << l1_shift) | set_index, True, issue_time
-                    )
-                core.time = issue_time + miss_base + memory_latency
-                if dvfs_stall is not None:
-                    dvfs_stall[core_id] += l2_latency + memory_latency
+                core.time = issue_time + l1_miss(
+                    core.core_id, address, is_write, issue_time, set_index, tag
+                )
             core.instructions += gap + 1
             position += 1
             core.position = 0 if position == core.length else position
@@ -815,8 +770,8 @@ class CMPSimulator:
         """L1 miss path: LLC fetch, inlined L1 fill, victim writeback.
 
         Fetch before fill, then write the dirty victim through the LLC.
-        The inline copy in :meth:`_run_python` and ``engine/kernel.c``'s
-        ``l1_miss`` repeat this sequence — keep the three in sync.
+        ``engine/kernel.c``'s ``l1_miss`` repeats this sequence — keep
+        the two in sync.
         """
         self.l1_misses[core_id] += 1
         policy_access = self._policy_access

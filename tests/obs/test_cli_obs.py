@@ -1,10 +1,13 @@
 """The observability CLI surface: --trace/--metrics/--quiet flags,
 the merged trace file, and ``repro trace view``."""
 
+import functools
 import json
 
 import pytest
 
+from repro.obs.metrics import reset_metrics
+from repro.orchestration import pools
 from repro.orchestration.cli import main
 
 
@@ -79,7 +82,53 @@ class TestTraceFlag:
             main(["trace", "view", str(bad)])
 
 
+#: how each pool is selected; ``stub`` is the in-process ssh transport
+POOL_ARGUMENTS = {
+    "serial": ["--pool", "serial"],
+    "warm": ["--pool", "warm", "--jobs", "2"],
+    "ssh": ["--pool", "ssh", "--hosts", "stub"],
+}
+
+
+def _engine_lines(text):
+    """The dump's run and epoch counter series."""
+    return sorted(
+        line for line in text.splitlines()
+        if line.startswith(("repro_engine_runs_total", "repro_engine_epochs_total"))
+    )
+
+
 class TestMetricsFlag:
+    @pytest.mark.parametrize("pool", sorted(POOL_ARGUMENTS))
+    def test_every_pool_dumps_the_serial_engine_samples(
+        self, pool, tmp_path, stub_transport, monkeypatch
+    ):
+        """Pooled tasks run in other processes; the samples they
+        record must still reach the parent's dump."""
+        monkeypatch.setattr(
+            pools,
+            "SSHPool",
+            functools.partial(
+                pools.SSHPool, transport_factory=lambda host: stub_transport
+            ),
+        )
+        dumps = {}
+        for name in dict.fromkeys(("serial", pool)):
+            reset_metrics()
+            metrics = tmp_path / f"{name}.prom"
+            assert main([
+                "sweep", "--groups", "1", "--policies", "ucp",
+                "--refs-per-core", "10000", "--quiet",
+                "--store", str(tmp_path / name), "--metrics", str(metrics),
+                *POOL_ARGUMENTS[name],
+            ]) == 0
+            dumps[name] = _engine_lines(metrics.read_text())
+        assert dumps[pool] == dumps["serial"]
+        assert 'repro_engine_runs_total{policy="UCP"} 1' in dumps[pool]
+        assert any(
+            line.startswith("repro_engine_epochs_total ") for line in dumps[pool]
+        )
+
     def test_sweep_writes_prometheus_text(self, tmp_path):
         metrics = tmp_path / "metrics.prom"
         assert _sweep("--metrics", str(metrics)) == 0

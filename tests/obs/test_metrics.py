@@ -14,6 +14,7 @@ from repro.obs.metrics import (
     enable_metrics,
     gauge,
     histogram,
+    merge_samples,
     metric_info,
     metrics_enabled,
     register_metric,
@@ -21,6 +22,7 @@ from repro.obs.metrics import (
     render_prometheus,
     reset_metrics,
     snapshot,
+    take_samples,
     unregister_metric,
 )
 
@@ -61,7 +63,7 @@ class TestRegistry:
             "repro_engine_runs_total",
             "repro_engine_epochs_total",
             "repro_tasks_completed_total",
-            "repro_serve_jobs_total",
+            "repro_kernel_fallbacks_total",
             "repro_store_probe_seconds",
         ):
             assert name in METRIC_NAMES, name
@@ -131,6 +133,31 @@ class TestInstruments:
         builtin.ENGINE_EPOCHS.inc(10)
         reset_metrics()
         assert list(builtin.ENGINE_EPOCHS.collect()) == []
+
+    def test_taken_samples_merge_back_through_json(self):
+        """A worker's take_samples document, shipped as JSON and merged
+        into a parent holding its own samples, adds to them; taking
+        zeroes counters and histograms but leaves gauges alone."""
+        enable_metrics()
+        builtin.ENGINE_RUNS.inc(2, policy="ucp")
+        builtin.TASK_WALL_SECONDS.observe(0.25, backend="warm")
+        builtin.POOL_OUTSTANDING.set(3)
+        shipped = json.loads(json.dumps(take_samples()))
+        assert sorted(shipped) == [
+            "repro_engine_runs_total", "repro_task_wall_seconds",
+        ]
+        assert list(builtin.ENGINE_RUNS.collect()) == []
+        assert list(builtin.TASK_WALL_SECONDS.collect()) == []
+        assert [s.value for s in builtin.POOL_OUTSTANDING.collect()] == [3.0]
+
+        builtin.ENGINE_RUNS.inc(policy="ucp")
+        builtin.TASK_WALL_SECONDS.observe(2.0, backend="warm")
+        merge_samples(shipped)
+        text = render_prometheus()
+        assert 'repro_engine_runs_total{policy="ucp"} 3' in text
+        assert 'repro_task_wall_seconds_count{backend="warm"} 2' in text
+        assert 'repro_task_wall_seconds_sum{backend="warm"} 2.25' in text
+        assert 'repro_task_wall_seconds_bucket{backend="warm",le="0.5"} 1' in text
 
     def test_enable_disable_roundtrip(self):
         enable_metrics()

@@ -1,10 +1,13 @@
-"""Trace shipping over the ssh pool wire protocol: a tracing parent
-asks remotes to record, and their per-task trace artifacts ride home
-in the reply's artifact list."""
+"""Trace and metric shipping over the ssh pool wire protocol: a
+tracing parent asks remotes to record, and their per-task trace
+artifacts ride home in the reply's artifact list; a parent collecting
+metrics gets each task's samples inside its result record."""
 
 import pytest
 
 from repro.experiment import Experiment
+from repro.obs.builtin import ENGINE_RUNS
+from repro.obs.metrics import enable_metrics
 from repro.obs.trace import enable_tracing, trace_key
 from repro.orchestration.pools import PoolTask, SSHPool
 from repro.orchestration.store import ResultStore
@@ -40,7 +43,8 @@ class TestWireTrace:
         _prime_dependencies(store, spec)
         transport = _run_one(store, spec, stub_transport)
         (request,) = transport.requests
-        assert "trace" not in request  # optional key, absent when off
+        # optional trace/metrics keys, absent when off
+        assert sorted(request) == ["artifacts", "engine", "schema", "tasks"]
         assert not store.probe(trace_key(spec.task_key()))
 
     def test_tracing_parent_gets_remote_trace_artifacts(
@@ -62,6 +66,20 @@ class TestWireTrace:
         assert "run" in names
         # and the result artifact itself arrived as usual
         assert store.probe(spec.task_key())
+
+    def test_metrics_parent_gets_remote_samples(
+        self, tmp_path, tiny_two_core, stub_transport
+    ):
+        store = ResultStore(tmp_path / "store")
+        spec = Experiment("G2-4", "ucp", tiny_two_core)
+        _prime_dependencies(store, spec)
+        enable_metrics()
+        transport = _run_one(store, spec, stub_transport)
+        (request,) = transport.requests
+        assert request["metrics"] is True
+        # the remote's run, recorded in its registry, counted here
+        samples = [(s.labels, s.value) for s in ENGINE_RUNS.collect()]
+        assert samples == [((("policy", "UCP"),), 1.0)]
 
     def test_explicit_trace_flag_overrides_global_state(
         self, tmp_path, tiny_two_core, stub_transport

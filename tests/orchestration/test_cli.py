@@ -459,7 +459,6 @@ class TestJobsEnvironment:
     @pytest.mark.parametrize("command", [
         ["sweep", "--cores", "2", "--groups", "1", "--refs-per-core", "3000"],
         ["scenario", "--suite", "quick", "--filter", "sparse-2c"],
-        ["serve", "--port", "0"],
     ])
     def test_exits_with_the_message(
         self, monkeypatch, store_arguments, command
