@@ -55,8 +55,8 @@ class TakeoverVector:
         return True
 
     def reset(self) -> None:
-        """Clear all bits (start of a transition period)."""
-        self.bits = array("B", bytes(self.num_sets))
+        """Clear all bits in place (start of a transition period)."""
+        self.bits[:] = array("B", bytes(self.num_sets))
         self.set_count = 0
 
     @property
@@ -111,8 +111,9 @@ class TakeoverEngine:
         self._donor_ways: dict[int, tuple[int, ...]] = {}
         #: recipient core -> {donor: tuple of ways moving donor->recipient}
         self._recipient_sources: dict[int, dict[int, tuple[int, ...]]] = {}
-        #: bumped whenever the donor/recipient indexes change, so the
-        #: compiled engine repacks its way tables only then
+        #: bumped whenever the donor/recipient indexes (and with them
+        #: the set of donor vectors) change, so the compiled engine
+        #: repacks its way tables and vector pointers only then
         self.generation = 0
 
     # ------------------------------------------------------------------

@@ -24,6 +24,7 @@ historical arithmetic bit-for-bit.
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING
 
 from repro.dvfs.governors import (
@@ -76,7 +77,7 @@ class DvfsState:
         ]
         #: nominal-domain LLC + memory stall cycles, accumulated by the
         #: miss paths; monotone within a run
-        self.stall: list[int] = [0] * config.n_cores
+        self.stall = array("q", [0]) * config.n_cores
         # Energy-interval snapshots (advanced at every boundary).
         self._e_stamp = 0
         self._e_instr = [0] * config.n_cores

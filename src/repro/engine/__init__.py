@@ -4,7 +4,10 @@ One simulation, two interchangeable backends:
 
 ``python``
     The reference scalar loop in ``sim/simulator.py`` — pure Python,
-    no dependencies, the historical bit-exact engine.
+    no dependencies: the oracle every other engine is pinned against,
+    and the fallback for a policy the kernel does not model (counted
+    in ``repro_kernel_fallbacks_total``).  It runs on no figure path;
+    its speed is reported, not gated.
 ``compiled``
     A C kernel (:mod:`repro.engine.compiled`) that transliterates the
     scalar inner loop — scheduler, L1, the LLC fast path, the bank

@@ -15,13 +15,17 @@ Python tier and the kernel both index in place: each cache's line
 columns (``tags``/``stamp``/``owner``/``dirty``, line (set, way) at
 ``set * ways + way``), its per-set ``clock``/``valid`` columns and
 per-core occupancy counters, the LLC's ``mapped`` lookup column, the
-UMON tag directories, the memory banks, UCP's migration counters and
-the takeover bit vectors.  The context holds their base addresses, set
-once per run (the private L1s through a table of one pointer per
-core).  A span therefore copies only O(n_cores) scalars each way —
-per-core execution state and hit/miss/probe/stall counters (Python
-lists, cheap to bump in the python tier), energy and memory totals,
-the policy's per-core way tables — plus:
+UMON tag directories, the memory banks, UCP's migration counters, the
+takeover bit vectors, every core's execution state
+(:class:`~repro.sim.cpu.CoreColumns`, including the buffer addresses
+of its reference stream) and the per-core hit/miss/probe/stall
+counters.  The context holds their base addresses, set once per run
+(the private L1s through a table of one pointer per core).  A span
+therefore copies no per-core state.  Around each span the Python side
+writes the boundary scalars, adds the span's increments of the energy,
+memory and statistics totals (scalar fields of the context) to its own
+totals, repacks the policy's per-core way tables and the DVFS timing
+rows only when their values changed, and moves:
 
 * order-sensitive dict side effects (flush timelines, transfer-flush
   buckets, UCP transition durations), which come back through an
@@ -48,7 +52,6 @@ import ctypes
 import re
 from array import array
 from functools import cache
-from operator import attrgetter
 from time import perf_counter
 
 from repro.engine.build import (
@@ -96,33 +99,10 @@ def _ctx_type() -> type[ctypes.Structure]:
     return type("Ctx", (ctypes.Structure,), {"_fields_": fields})
 
 
-#: CoreState attribute -> context column, copied both ways per span
-#: (``active`` and ``length`` only change between spans: in only)
-_CORE_STATE = (
-    ("time", "core_time"),
-    ("position", "core_position"),
-    ("instructions", "core_instructions"),
-    ("refs_done", "core_refs_done"),
-    ("window_open", "core_window_open"),
-    ("window_closed", "core_window_closed"),
-    ("instr_base", "core_instr_base"),
-    ("cycle_base", "core_cycle_base"),
-    ("frozen_instructions", "core_frozen_instr"),
-    ("frozen_cycles", "core_frozen_cycles"),
-)
-_CORE_FLAGS = frozenset({"window_open", "window_closed"})
-_CORE_IN = (("active", "core_active"), ("length", "core_length"))
-#: CoreState buffers the kernel reads through per-core pointers (a
-#: phase change rebinds them, so they are re-pointed per span)
-_CORE_BUFFERS = (
-    ("gaps", "trace_gaps"),
-    ("addresses", "trace_addr"),
-    ("writes", "trace_writes"),
-    ("warm_lines", "warm_lines"),
-)
-
-#: simulator component, attribute -> context field: the scalar totals
-#: the kernel advances, copied both ways per span
+#: simulator component, attribute -> context field: totals the kernel
+#: only ever increments, so the context carries one span's increments
+#: (``leave`` adds them to the Python totals and zeroes them, and no
+#: total is copied in)
 _TOTALS = (
     ("energy", "tag_probes", "e_tag_probes"),
     ("energy", "data_reads", "e_data_reads"),
@@ -150,7 +130,7 @@ def _addr(arr: array) -> int:
 
 
 def _qzeros(n: int) -> array:
-    return array("q", bytes(8 * max(1, n)))
+    return array("q", [0]) * max(1, n)
 
 
 def _put(col: array, base: int, values) -> None:
@@ -204,7 +184,9 @@ def policy_kind(policy) -> int | None:
 
 
 class _Marshal:
-    """Per-run kernel context: buffer addresses once, O(n_cores) per span."""
+    """Per-run kernel context over the simulator's own buffers: a span
+    passes only the boundary scalars, the totals' increments and the
+    tables Python changed."""
 
     def __init__(self, sim, lib, kind: int, issue_shift: int) -> None:
         self.sim = sim
@@ -272,8 +254,24 @@ class _Marshal:
             ctx.atd_len = self._table([atd.lengths for atd in atds])
             ctx.atd_hits = self._table([atd.hits for atd in atds])
             ctx.atd_counts = self._table([atd.counts for atd in atds])
+        # Per-core state and counters: each reset zeroes these columns
+        # in place and a phase change rewrites a core's trace pointers,
+        # so the addresses hold for the whole run.
+        columns = sim.core_columns
+        for name in type(columns).__slots__:
+            setattr(ctx, name, _addr(getattr(columns, name)))
+        ctx.l1_hits = _addr(sim.l1_hits)
+        ctx.l1_misses = _addr(sim.l1_misses)
+        ctx.l1_writebacks = _addr(sim.l1_writebacks)
+        for name in (
+            "ways_probed_sum", "probe_events", "writeback_accesses",
+            "demand_accesses", "demand_hits",
+        ):
+            setattr(ctx, name, _addr(getattr(stats, name)))
+        if sim.dvfs is not None:
+            ctx.dvfs_stall = _addr(sim.dvfs.stall)
 
-        # ---- per-core copies (O(n_cores) per span) -------------------
+        # ---- packed copies of Python-held tables ---------------------
         cols = {}
         for name in (
             "probe_mask", "probe_count", "fill_count",
@@ -281,7 +279,7 @@ class _Marshal:
             "ucp_gained", "ucp_complete", "ucp_ways_gained",
             "ucp_ways_done", "ucp_start_cycle", "coop_donor_count",
             "coop_rs_count", "coop_recv_count", "coop_vec_bits",
-            "coop_vec_count", "warm_len",
+            "coop_vec_count",
         ):
             cols[name] = self._column(name, n)
         for name, size in (
@@ -293,38 +291,14 @@ class _Marshal:
             cols[name] = self._column(name, size)
         ctx.evbuf_cap = _EVBUF_TRIPLES
         self._cols = cols
-        fields = _CORE_STATE + _CORE_IN
-        self._core_get = attrgetter(*(attr for attr, _ in fields))
-        self._core_in = [self._column(name, n) for _, name in fields]
-        self._core_out = [
-            (attr, attr in _CORE_FLAGS, col)
-            for (attr, _), col in zip(_CORE_STATE, self._core_in)
-        ]
-        self._core_buffers = [
-            (attr, self._column(name, n)) for attr, name in _CORE_BUFFERS
-        ]
-        #: per-core counters held in Python lists (identity-stable:
-        #: every reset zeroes them in place); lists keep the python
-        #: tier's per-access increments cheap, so they are copied
-        counters = [
-            ("l1_hits", sim.l1_hits),
-            ("l1_misses", sim.l1_misses),
-            ("l1_writebacks", sim.l1_writebacks),
-            ("ways_probed_sum", stats.ways_probed_sum),
-            ("probe_events", stats.probe_events),
-            ("writeback_accesses", stats.writeback_accesses),
-            ("demand_accesses", stats.demand_accesses),
-            ("demand_hits", stats.demand_hits),
-        ]
-        if sim.dvfs is not None:
-            counters.append(("dvfs_stall", sim.dvfs.stall))
-        self._counters = [
-            (self._column(name, n), source) for name, source in counters
-        ]
         self._totals = [
             (getattr(sim, owner), attr, field) for owner, attr, field in _TOTALS
         ]
-        self._packed_tables: list[tuple | None] = [None] * n
+        #: the policy tables and DVFS timing rows last packed
+        self._packed_tables: list | None = None
+        self._packed_entries: list | None = None
+        self._ucp_targets: list | None = None
+        self._packed_ucp: list = [None] * n
         self._coop_generation = -1
         self._span_ucp: list[int] = []
         self._span_donors: list[int] = []
@@ -344,46 +318,24 @@ class _Marshal:
 
     # ------------------------------------------------------------------
     def enter(self, boundary: int, unfinished: int, warmed_up: bool) -> None:
-        """Copy the O(n_cores) Python-held scalars into the context."""
+        """Write the boundary scalars; repack the tables Python changed."""
         sim = self.sim
         ctx = self.ctx
-        n = self.n
         cols = self._cols
         ctx.boundary = boundary
         ctx.unfinished = unfinished
         ctx.warmed_up = 1 if warmed_up else 0
         ctx.evbuf_len = 0
-        ctx.bail_now = 0
-        ctx.bail_core = -1
-
-        core_get = self._core_get
-        core_in = self._core_in
-        warm_len = cols["warm_len"]
-        for ci, core in enumerate(sim.cores):
-            for col, value in zip(core_in, core_get(core)):
-                col[ci] = value
-            for attr, col in self._core_buffers:
-                col[ci] = _addr(getattr(core, attr))
-            warm_len[ci] = len(core.warm_lines)
-        for col, source in self._counters:
-            col[0:n] = array("q", source)
-        for owner, attr, field in self._totals:
-            setattr(ctx, field, getattr(owner, attr))
-        stats = sim.stats
-        events = stats.takeover_events
-        for key, field in _TAKEOVER_EVENTS:
-            setattr(ctx, field, events[key])
-        ldc = stats.last_decision_cycle
+        ldc = sim.stats.last_decision_cycle
         ctx.last_decision_cycle = -1 if ldc is None else ldc
 
-        # Policy fast tables (a core's entry is repacked only when the
-        # policy replaced it) and hook flags.
+        # Policy fast tables and DVFS timing rows, repacked only when
+        # their values changed since the last span, and hook flags.
         policy = sim.policy
-        packed = self._packed_tables
-        for ci, table in enumerate(policy._core_tables):
-            if table is not packed[ci]:
-                packed[ci] = table
-                mask, count, fill = table
+        tables = policy._core_tables
+        if tables != self._packed_tables:
+            self._packed_tables = list(tables)
+            for ci, (mask, count, fill) in enumerate(tables):
                 cols["probe_mask"][ci] = mask
                 cols["probe_count"][ci] = count
                 cols["fill_count"][ci] = -1 if fill is None else len(fill)
@@ -394,66 +346,67 @@ class _Marshal:
         ctx.post_fill_active = 1 if policy._post_fill_active else 0
 
         dvfs = sim.dvfs
-        if dvfs is not None:
-            entries = cols["dvfs_entries"]
-            for ci in range(n):
-                _put(entries, ci * 4, dvfs.entries[ci])
+        if dvfs is not None and dvfs.entries != self._packed_entries:
+            self._packed_entries = rows = list(dvfs.entries)
+            for ci, row in enumerate(rows):
+                _put(cols["dvfs_entries"], ci * 4, row)
 
         if self.kind == KIND_UCP:
             self._ucp_in()
         elif self.kind == KIND_COOP:
             self._coop_in()
-        else:
-            ctx.engine_active = 0
 
     def _ucp_in(self) -> None:
+        """UCP's targets (repacked when they change) and its in-flight
+        migrations (buffers packed once per migration, progress per
+        span)."""
         cols = self._cols
         policy = self.sim.policy
         selector = policy._selector
-        known = len(selector._counts)
-        self.ctx.ucp_known = known
-        self.ctx.engine_active = 0
-        tgt = cols["ucp_target"]
-        for ci, value in enumerate(selector._target_list[:known]):
-            tgt[ci] = -1 if value is None else value
+        targets = selector._target_list[:len(selector._counts)]
+        if targets != self._ucp_targets:
+            self._ucp_targets = targets
+            self.ctx.ucp_known = len(targets)
+            column = cols["ucp_target"]
+            for ci, value in enumerate(targets):
+                column[ci] = -1 if value is None else value
         transitions = policy._transitions
         self._span_ucp = sorted(transitions)
+        active = cols["ucp_trans_active"]
+        packed = self._packed_ucp
         for ci in range(self.n):
             transition = transitions.get(ci)
-            cols["ucp_trans_active"][ci] = transition is not None
-            if transition is not None:
+            active[ci] = transition is not None
+            if transition is None:
+                continue
+            if transition is not packed[ci]:
+                packed[ci] = transition
                 cols["ucp_gained"][ci] = _addr(transition.gained_per_set)
                 cols["ucp_complete"][ci] = _addr(transition.complete_sets)
                 cols["ucp_ways_gained"][ci] = transition.ways_gained
-                cols["ucp_ways_done"][ci] = transition.ways_done
                 cols["ucp_start_cycle"][ci] = transition.start_cycle
+            cols["ucp_ways_done"][ci] = transition.ways_done
 
     def _coop_in(self) -> None:
         engine = self.sim.policy.engine
-        cols = self._cols
         self.ctx.engine_active = 1 if engine.active else 0
         if engine.generation != self._coop_generation:
             self._coop_generation = engine.generation
             self._pack_coop_tables(engine)
         vectors = engine.vectors
-        vec_bits = cols["coop_vec_bits"]
-        vec_count = cols["coop_vec_count"]
-        self._span_donors = donors = []
-        for ci in range(self.n):
-            vector = vectors.get(ci)
-            if vector is None:
-                vec_bits[ci] = 0
-                continue
-            vec_bits[ci] = _addr(vector.bits)
-            vec_count[ci] = vector.set_count
-            donors.append(ci)
+        vec_count = self._cols["coop_vec_count"]
+        for ci in self._span_donors:
+            vec_count[ci] = vectors[ci].set_count
 
     def _pack_coop_tables(self, engine) -> None:
-        """Flatten the donor/recipient way indexes (changed since the
-        last span: a takeover began or completed)."""
+        """Flatten the donor/recipient way indexes and point at the
+        donors' bit vectors (changed since the last span: a takeover
+        began or completed)."""
         n = self.n
         W = self.W
         cols = self._cols
+        vectors = engine.vectors
+        self._span_donors = sorted(vectors)
         for ci in range(n):
             ways = engine.ways_of_donor(ci)
             cols["coop_donor_count"][ci] = len(ways)
@@ -468,45 +421,47 @@ class _Marshal:
             receiving = engine.receiving_ways(ci)
             cols["coop_recv_count"][ci] = len(receiving)
             _put(cols["coop_recv_ways"], ci * W, receiving)
+            vector = vectors.get(ci)
+            bits = 0 if vector is None else _addr(vector.bits)
+            cols["coop_vec_bits"][ci] = bits
 
     # ------------------------------------------------------------------
     def leave(self) -> None:
-        """Copy the kernel's O(n_cores) scalars back to the Python side."""
+        """Replay the event buffer; add the span's increments to the totals."""
         sim = self.sim
         ctx = self.ctx
         cols = self._cols
+        stats = sim.stats
 
         # Ordered side effects first: the flush/bucket dicts must see
         # keys in chronological order across the whole run.
-        memory = sim.memory
-        stats = sim.stats
-        evbuf = cols["evbuf"]
-        timeline = memory.flush_timeline
-        buckets = stats.transfer_flush_buckets
-        durations = stats.transition_durations
-        for e in range(ctx.evbuf_len):
-            base = e * 3
-            kind = evbuf[base]
-            value = evbuf[base + 1]
-            if kind == _EV_FLUSH_TL:
-                timeline[value] += evbuf[base + 2]
-            elif kind == _EV_TFB:
-                buckets[value] += evbuf[base + 2]
-            else:
-                durations.append(value)
+        n_events = ctx.evbuf_len
+        if n_events:
+            evbuf = cols["evbuf"]
+            timeline = sim.memory.flush_timeline
+            buckets = stats.transfer_flush_buckets
+            durations = stats.transition_durations
+            for base in range(0, 3 * n_events, 3):
+                kind = evbuf[base]
+                value = evbuf[base + 1]
+                if kind == _EV_FLUSH_TL:
+                    timeline[value] += evbuf[base + 2]
+                elif kind == _EV_TFB:
+                    buckets[value] += evbuf[base + 2]
+                else:
+                    durations.append(value)
 
-        core_out = self._core_out
-        for ci, core in enumerate(sim.cores):
-            for attr, flag, col in core_out:
-                value = col[ci]
-                setattr(core, attr, bool(value) if flag else value)
-        for col, source in self._counters:
-            source[:] = col
         for owner, attr, field in self._totals:
-            setattr(owner, attr, getattr(ctx, field))
+            delta = getattr(ctx, field)
+            if delta:
+                setattr(owner, attr, getattr(owner, attr) + delta)
+                setattr(ctx, field, 0)
         events = stats.takeover_events
         for key, field in _TAKEOVER_EVENTS:
-            events[key] = getattr(ctx, field)
+            delta = getattr(ctx, field)
+            if delta:
+                events[key] += delta
+                setattr(ctx, field, 0)
 
         policy = sim.policy
         if self.kind == KIND_UCP:
@@ -637,18 +592,19 @@ def run_compiled(sim):
     # Span timing runs when either sink wants it; each sink is then
     # fed independently (metrics without tracing and vice versa).
     measure_spans = trace_spans or observe_spans
+    refs_done = sim.core_columns.core_refs_done
 
     while unfinished:
         boundary = next_epoch if next_epoch < next_event else next_event
         if measure_spans:
-            refs_before = sum(c.refs_done for c in sim.cores)
+            refs_before = sum(refs_done)
             span_start = perf_counter()
         marshal.enter(boundary, unfinished, warmed_up)
         status = run_span(ctx_ptr)
         marshal.leave()
         if measure_spans:
             seconds = perf_counter() - span_start
-            refs = sum(c.refs_done for c in sim.cores) - refs_before
+            refs = sum(refs_done) - refs_before
             if trace_spans:
                 rec.kernel_span(seconds, refs=refs, boundary=boundary)
             if observe_spans:

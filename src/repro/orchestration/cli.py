@@ -58,6 +58,7 @@ from repro.experiment import Experiment, by_group_policy
 from repro.metrics.speedup import geometric_mean
 from repro.obs.log import progress
 from repro.orchestration.executor import SweepExecutor, resolve_jobs
+from repro.orchestration.pools import SERIAL
 from repro.orchestration.store import ResultStore, default_store_path
 from repro.sim.config import SystemConfig, scaled_four_core, scaled_two_core
 from repro.sim.runner import ALL_POLICIES, AloneResult, ExperimentRunner
@@ -620,11 +621,13 @@ class _Session:
     def tally(self, note: str = "") -> str:
         """The summary tail: task counts, store, elapsed time, pool."""
         elapsed = time.perf_counter() - self.started
+        executor = self.executor
+        # The serial pool runs every task inline, whatever --jobs says.
+        workers = 1 if executor.pool_name == SERIAL else executor.max_workers
         return (
             f"{self.computed} tasks computed, {self.cached} cached in "
             f"{self.store.root} ({note}{elapsed:.1f}s, "
-            f"{self.executor.max_workers} workers, "
-            f"{self.executor.pool_name} pool)"
+            f"{workers} workers, {executor.pool_name} pool)"
         )
 
 

@@ -71,6 +71,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro.experiment import Experiment
+from repro.obs import builtin as obs_metrics
 from repro.obs.metrics import (
     enable_metrics,
     merge_samples,
@@ -95,6 +96,15 @@ POOL_NAMES = (WARM, SSH, SERIAL)
 
 #: version of the ssh wire format (request/response documents)
 WIRE_SCHEMA = 1
+
+#: metrics of a remote request's private scratch store, never shipped
+#: home: the parent counts its own store's writes when it ingests the
+#: returned artifacts
+_SCRATCH_STORE_METRICS = (
+    obs_metrics.STORE_PROBE_SECONDS.name,
+    obs_metrics.STORE_PUT_SECONDS.name,
+    obs_metrics.STORE_ARTIFACTS_WRITTEN.name,
+)
 
 
 class SweepTaskError(RuntimeError):
@@ -667,6 +677,9 @@ def remote_main(stdin: Any = None, stdout: Any = None) -> int:
         for task_doc in request.get("tasks", ()):
             task = PoolTask.from_dict(task_doc)
             record = _result_record(task, runner, metrics)
+            if metrics:
+                for name in _SCRATCH_STORE_METRICS:
+                    record["metrics"].pop(name, None)
             results.append(record)
             if record["error"] is None:
                 computed.append(task.key)

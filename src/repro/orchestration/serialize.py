@@ -32,6 +32,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+from array import array
 from collections import defaultdict
 from typing import TYPE_CHECKING, Any
 
@@ -203,11 +204,11 @@ def policy_stats_to_dict(stats: PolicyStats) -> dict[str, Any]:
 def policy_stats_from_dict(data: dict[str, Any]) -> PolicyStats:
     """Rebuild a :class:`PolicyStats` from :func:`policy_stats_to_dict`."""
     stats = PolicyStats(data["n_cores"], data["flush_bucket_cycles"])
-    stats.demand_accesses = list(data["demand_accesses"])
-    stats.demand_hits = list(data["demand_hits"])
-    stats.writeback_accesses = list(data["writeback_accesses"])
-    stats.ways_probed_sum = list(data["ways_probed_sum"])
-    stats.probe_events = list(data["probe_events"])
+    stats.demand_accesses = array("q", data["demand_accesses"])
+    stats.demand_hits = array("q", data["demand_hits"])
+    stats.writeback_accesses = array("q", data["writeback_accesses"])
+    stats.ways_probed_sum = array("q", data["ways_probed_sum"])
+    stats.probe_events = array("q", data["probe_events"])
     stats.decisions = data["decisions"]
     stats.repartitions = data["repartitions"]
     stats.last_decision_cycle = data["last_decision_cycle"]

@@ -25,6 +25,7 @@ call or mirror it.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 
 from repro.cache.memory import MainMemory
@@ -44,11 +45,12 @@ class PolicyStats:
     def __init__(self, n_cores: int, flush_bucket_cycles: int = 250_000) -> None:
         self.n_cores = n_cores
         self.flush_bucket_cycles = flush_bucket_cycles
-        self.demand_accesses = [0] * n_cores
-        self.demand_hits = [0] * n_cores
-        self.writeback_accesses = [0] * n_cores
-        self.ways_probed_sum = [0] * n_cores
-        self.probe_events = [0] * n_cores
+        #: per-core counters, int64 columns the C kernel advances in place
+        self.demand_accesses = array("q", [0]) * n_cores
+        self.demand_hits = array("q", [0]) * n_cores
+        self.writeback_accesses = array("q", [0]) * n_cores
+        self.ways_probed_sum = array("q", [0]) * n_cores
+        self.probe_events = array("q", [0]) * n_cores
         self.decisions = 0
         self.repartitions = 0
         self.last_decision_cycle: int | None = None
@@ -74,15 +76,15 @@ class PolicyStats:
         """Zero every counter (end of warmup) without replacing self.
 
         Policies hold a reference to this object — and the hot access
-        path binds the per-core counter *lists* once — so both the
-        object and its list fields are zeroed in place.
+        path and the kernel context bind the per-core counter columns
+        once — so both the object and its columns are zeroed in place.
         """
-        n = self.n_cores
-        self.demand_accesses[:] = [0] * n
-        self.demand_hits[:] = [0] * n
-        self.writeback_accesses[:] = [0] * n
-        self.ways_probed_sum[:] = [0] * n
-        self.probe_events[:] = [0] * n
+        zeros = array("q", [0]) * self.n_cores
+        self.demand_accesses[:] = zeros
+        self.demand_hits[:] = zeros
+        self.writeback_accesses[:] = zeros
+        self.ways_probed_sum[:] = zeros
+        self.probe_events[:] = zeros
         self.decisions = 0
         self.repartitions = 0
         self.last_decision_cycle = None
@@ -191,7 +193,7 @@ class BaseSharedCachePolicy:
         self._core_tables: list[tuple[int, int, tuple[int, ...] | None]] = [
             (-1, ways, None)
         ] * n
-        # The per-core counter lists are zeroed in place by
+        # The per-core counter columns are zeroed in place by
         # PolicyStats.reset_counters, so binding them here is safe.
         self._ways_probed_sum = stats.ways_probed_sum
         self._probe_events = stats.probe_events

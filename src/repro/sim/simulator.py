@@ -42,14 +42,24 @@ Without a governor the DVFS state is never allocated and the loop
 executes the historical arithmetic bit-for-bit (pinned by the golden
 suite).
 
-Hot-path notes.  ``run`` is written for throughput and is
-allocation-free per reference: the next core comes from a two-way
-compare (2 cores), a plain read (1 core) or a heap (3+; always a heap
-when the schedule is dynamic, since membership changes mid-run); the
-L1 lookup is inlined (a scan of the set's ``tags`` column plus a stamp
-store on a hit — the overwhelmingly common case never enters another
-frame); L1 misses take one call into :meth:`_l1_miss`, which drives
-the LLC policy's ``access_fast`` and performs the L1 fill inline.
+Shared state.  Each core's execution state lives in
+:class:`~repro.sim.cpu.CoreColumns` (``core_columns``), one int64
+column per :class:`~repro.sim.cpu.CoreState` field, and the per-core
+counters (``l1_hits``/``l1_misses``/``l1_writebacks``, the
+:class:`~repro.partitioning.base.PolicyStats` counters, the DVFS stall
+accumulators) are ``array('q')`` columns that every reset zeroes in
+place.  The compiled engine's kernel context points at these columns,
+so C spans and the Python boundary code share one copy.
+
+Hot-path notes.  :meth:`_run_python` is allocation-free per
+reference and indexes the per-core columns by core id: the next core
+comes from a two-way compare (2 cores), a plain read (1 core) or a
+heap (3+; always a heap when the schedule is dynamic, since membership
+changes mid-run); the L1 lookup is inlined (a scan of the set's
+``tags`` column plus a stamp store on a hit — the overwhelmingly
+common case never enters another frame); L1 misses take one call into
+:meth:`_l1_miss`, which drives the LLC policy's ``access_fast`` and
+performs the L1 fill inline.
 
 One access path, three copies.  The private-L1 / shared-L2 access of
 Table 2 runs in exactly these places, which must stay in step:
@@ -86,7 +96,7 @@ from repro.partitioning.registry import PolicySpec, build_policy
 from repro.scenarios.model import ARRIVE, DEPART, PHASE, Scenario, ScenarioEvent
 from repro.scenarios.timeline import TimelineSample
 from repro.sim.config import SystemConfig
-from repro.sim.cpu import CoreState
+from repro.sim.cpu import CoreColumns, CoreState
 from repro.sim.stats import CoreResult, RunResult
 from repro.workloads.trace import Trace
 
@@ -133,7 +143,13 @@ class CMPSimulator:
         ]
         self._check_traces(traces, phase_traces or {}, scenario)
         self._phase_traces = phase_traces or {}
-        self.cores = [CoreState(i, trace) for i, trace in enumerate(traces)]
+        #: every core's execution state, one int64 column per field
+        #: (the compiled kernel reads and advances these in place)
+        self.core_columns = CoreColumns(config.n_cores)
+        self.cores = [
+            CoreState(i, trace, self.core_columns)
+            for i, trace in enumerate(traces)
+        ]
         for core, arrival in zip(self.cores, self._arrival_events):
             core.active = arrival is not None and arrival.at_cycle == 0
         self._pending_events = scenario.dynamic_events()
@@ -200,17 +216,17 @@ class CMPSimulator:
             profiles=cpe_profiles,
         )
         # Private write-back, write-allocate, plain-LRU L1 data caches
-        # (Table 2).  The counter lists are zeroed in place at the end
-        # of warmup, so the inner loops' references to them stay valid
-        # for the whole run.
+        # (Table 2).  The per-core counter columns are zeroed in place
+        # at the end of warmup, so the inner loops' (and the kernel's)
+        # references to them stay valid for the whole run.
         n = config.n_cores
         self.l1 = [
             SetAssociativeCache(config.l1, track_copies=False) for _ in range(n)
         ]
         self.l1_latency = config.l1_latency
-        self.l1_hits = [0] * n
-        self.l1_misses = [0] * n
-        self.l1_writebacks = [0] * n
+        self.l1_hits = array("q", [0]) * n
+        self.l1_misses = array("q", [0]) * n
+        self.l1_writebacks = array("q", [0]) * n
         self.epoch_curves: list[list[int]] = []
         # Inner-loop constants and per-core L1 bindings.
         self._l1_mask = config.l1.set_mask
@@ -536,7 +552,12 @@ class CMPSimulator:
 
     # ------------------------------------------------------------------
     def _run_python(self) -> RunResult:  # repro: hot
-        """The reference scalar loop (pinned by the golden suite)."""
+        """The reference engine: the scalar loop every other engine must
+        match bit for bit (the golden and cross-engine suites pin it),
+        and the fallback for a policy the C kernel does not model,
+        counted in ``repro_kernel_fallbacks_total``.  It runs on no
+        figure path, so it is written to be read; its speed is
+        reported, not gated."""
         config = self.config
         cores = self.cores
         issue_shift = max(0, config.issue_width.bit_length() - 1)
@@ -544,6 +565,16 @@ class CMPSimulator:
             target, warmup, warmed_up, unfinished, next_epoch, initial,
         ) = self._begin_run()
 
+        # Per-core state is indexed by core id straight from its
+        # columns (a column index costs what a slot read does).
+        columns = self.core_columns
+        times = columns.core_time
+        positions = columns.core_position
+        lengths = columns.core_length
+        instructions = columns.core_instructions
+        refs_done = columns.core_refs_done
+        window_open = columns.core_window_open
+        window_closed = columns.core_window_closed
         l1_mask = self._l1_mask
         l1_shift = self._l1_shift
         l1_ways = self._l1_ways
@@ -568,38 +599,37 @@ class CMPSimulator:
         # land inside the prewarm era).
         clock = 0
 
-        # Scheduler: two-way compare for the common 2-core geometry, a
-        # heap keyed on (time, core_id) for 3+ cores (same tie-break
-        # as min() over the core list: earliest time, lowest id).  A
-        # dynamic schedule always uses the heap — membership changes
-        # whenever a core arrives or departs.
-        core_a = core_b = None
+        # Scheduler: two-way compare of core ids ``a``/``b`` for the
+        # common 2-core geometry, a heap keyed on (time, core_id) for
+        # 3+ cores (same tie-break as min() over the core list:
+        # earliest time, lowest id).  A dynamic schedule always uses
+        # the heap — membership changes whenever a core arrives or
+        # departs.  ``-1`` marks an unused compare slot.
+        a = b = -1
         heap = None
         if events:
             heap = [(core.time, core.core_id) for core in initial]
             heapify(heap)
         else:
             n_scheduled = len(initial)
-            core_a = initial[0] if n_scheduled else None
-            core_b = initial[1] if n_scheduled == 2 else None
+            a = initial[0].core_id if n_scheduled else -1
+            b = initial[1].core_id if n_scheduled == 2 else -1
             if n_scheduled > 2:
                 heap = [(core.time, core.core_id) for core in initial]
                 heapify(heap)
 
         while unfinished:
-            if core_b is not None:
-                core = core_a if core_a.time <= core_b.time else core_b
-                now = core.time
+            if b >= 0:
+                cid = a if times[a] <= times[b] else b
+                now = times[cid]
             elif heap is None:
-                core = core_a
-                now = core.time
+                cid = a
+                now = times[cid]
             elif heap:
-                now, core_id = heap[0]
-                core = cores[core_id]
+                now, cid = heap[0]
             else:
                 # No core is executing; jump to the next boundary (an
                 # epoch or the arrival that will repopulate the heap).
-                core = None
                 now = next_event if next_event < next_epoch else next_epoch
 
             if now >= next_epoch or now >= next_event:
@@ -617,7 +647,8 @@ class CMPSimulator:
                     heapify(heap)
                 continue
 
-            position = core.position
+            core = cores[cid]
+            position = positions[cid]
             gap = core.gaps[position]
             address = core.addresses[position]
             is_write = core.writes[position]
@@ -627,7 +658,7 @@ class CMPSimulator:
             else:
                 # Core-clock work stretches by num/den; the LLC keeps
                 # its own clock (_l1_miss charges nominal cycles).
-                entry = dvfs_entries[core.core_id]
+                entry = dvfs_entries[cid]
                 issue_time = now + (gap >> issue_shift) * entry[0] // entry[1]
                 hit_latency = entry[2]
 
@@ -643,27 +674,29 @@ class CMPSimulator:
                 l1_clock[set_index] += 1
                 if is_write:
                     l1.dirty[line] = 1
-                l1_hits[core.core_id] += 1
-                core.time = issue_time + hit_latency
+                l1_hits[cid] += 1
+                time = issue_time + hit_latency
             else:
-                core.time = issue_time + l1_miss(
-                    core.core_id, address, is_write, issue_time, set_index, tag
+                time = issue_time + l1_miss(
+                    cid, address, is_write, issue_time, set_index, tag
                 )
-            core.instructions += gap + 1
+            times[cid] = time
+            instructions[cid] += gap + 1
             position += 1
-            core.position = 0 if position == core.length else position
-            core.refs_done += 1
+            positions[cid] = 0 if position == lengths[cid] else position
+            done = refs_done[cid] + 1
+            refs_done[cid] = done
             if heap is not None:
-                heapreplace(heap, (core.time, core.core_id))
+                heapreplace(heap, (time, cid))
 
-            if core.refs_done == warmup and not core.window_open:
+            if done == warmup and not window_open[cid]:
                 # Each core's IPC window opens at its own warmup point
                 # so every scheme measures exactly the same
                 # (target - warmup) references per core; the global
                 # statistics reset once the last gating core gets there.
                 core.start_measurement()
                 warmed_up, clock = self._maybe_end_warmup(warmed_up, clock)
-            if core.refs_done == target and not core.window_closed:
+            if done == target and not window_closed[cid]:
                 core.freeze()
                 unfinished -= 1
 
@@ -879,13 +912,15 @@ class CMPSimulator:
         l1_mask: int,
         l1_shift: int,
         l1_latency: int,
-        l1_hits: list[int],
+        l1_hits: array,
         miss,
     ) -> None:
         """One warm touch of ``address`` — the single shared copy of
         the warming L1 access sequence (callers pass the bound loop
         constants so per-line cost stays flat)."""
-        now = core.time
+        core_id = core.core_id
+        times = core.columns.core_time
+        now = times[core_id]
         set_index = address & l1_mask
         tag = address >> l1_shift
         if tag in core.l1_tag_rows[set_index]:
@@ -893,11 +928,11 @@ class CMPSimulator:
             clock = l1.clock
             l1.stamp[l1.tags.index(tag, set_index * l1.ways)] = clock[set_index]
             clock[set_index] += 1
-            l1_hits[core.core_id] += 1
-            core.time = now + l1_latency
+            l1_hits[core_id] += 1
+            times[core_id] = now + l1_latency
         else:
-            core.time = now + miss(
-                core.core_id, address, False, now, set_index, tag
+            times[core_id] = now + miss(
+                core_id, address, False, now, set_index, tag
             )
 
     def _warm_core(self, core: CoreState) -> None:
@@ -977,12 +1012,12 @@ class CMPSimulator:
         self.energy.reset_window(now)
         if self.dvfs is not None:
             self.dvfs.reset_window(now, self.cores)
-        # Zero the L1 counters in place: the run loop holds direct
-        # references to these lists.
-        for core_id in range(self.config.n_cores):
-            self.l1_hits[core_id] = 0
-            self.l1_misses[core_id] = 0
-            self.l1_writebacks[core_id] = 0
+        # Zero the L1 counters in place: the run loops and the kernel
+        # context hold direct references to these columns.
+        zeros = array("q", [0]) * self.config.n_cores
+        self.l1_hits[:] = zeros
+        self.l1_misses[:] = zeros
+        self.l1_writebacks[:] = zeros
         self._measuring = True
         if self._timeline is not None:
             self._record_sample(now)

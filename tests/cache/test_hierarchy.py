@@ -100,7 +100,7 @@ class TestL1Behaviour:
         sim, llc = _simulator()
         _read(sim, 0, 100)
         _read(sim, 1, 100)
-        assert sim.l1_misses == [1, 1]  # no sharing between L1s
+        assert sim.l1_misses.tolist() == [1, 1]  # no sharing between L1s
 
 
 class TestWritebackPath:

@@ -91,10 +91,13 @@ POOL_ARGUMENTS = {
 
 
 def _engine_lines(text):
-    """The dump's run and epoch counter series."""
+    """The dump's run, epoch and store-write counter series."""
     return sorted(
         line for line in text.splitlines()
-        if line.startswith(("repro_engine_runs_total", "repro_engine_epochs_total"))
+        if line.startswith((
+            "repro_engine_runs_total", "repro_engine_epochs_total",
+            "repro_store_artifacts_written_total",
+        ))
     )
 
 
@@ -104,7 +107,8 @@ class TestMetricsFlag:
         self, pool, tmp_path, stub_transport, monkeypatch
     ):
         """Pooled tasks run in other processes; the samples they
-        record must still reach the parent's dump."""
+        record must still reach the parent's dump, and only writes to
+        the shared store count as store writes."""
         monkeypatch.setattr(
             pools,
             "SSHPool",
@@ -127,6 +131,10 @@ class TestMetricsFlag:
         assert 'repro_engine_runs_total{policy="UCP"} 1' in dumps[pool]
         assert any(
             line.startswith("repro_engine_epochs_total ") for line in dumps[pool]
+        )
+        assert any(
+            line.startswith("repro_store_artifacts_written_total ")
+            for line in dumps[pool]
         )
 
     def test_sweep_writes_prometheus_text(self, tmp_path):

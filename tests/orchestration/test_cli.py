@@ -61,6 +61,18 @@ class TestSweep:
         assert code == 0
         assert "normalised to ucp" in capsys.readouterr().out
 
+    def test_serial_pool_names_one_worker_whatever_jobs_says(
+        self, store_arguments, capsys
+    ):
+        # The serial pool runs every task inline: no worker is started.
+        code = main([
+            "sweep", "--cores", "2", "--groups", "1", "--policies", "ucp",
+            "--refs-per-core", "3000", "--jobs", "3", "--pool", "serial",
+            *store_arguments,
+        ])
+        assert code == 0
+        assert "1 workers, serial pool)" in capsys.readouterr().out
+
     def test_unknown_policy_rejected(self, store_arguments):
         with pytest.raises(SystemExit):
             main(["sweep", "--policies", "lru", *FAST, *store_arguments])

@@ -115,6 +115,6 @@ class TestPolicyStats:
         stats.demand_accesses[1] = 5
         stats.takeover_events["donor_hit"] = 2
         stats.reset_counters()
-        assert stats.demand_accesses == [0, 0, 0]
+        assert stats.demand_accesses.tolist() == [0, 0, 0]
         assert stats.takeover_events["donor_hit"] == 0
         assert stats.n_cores == 3
