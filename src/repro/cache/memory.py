@@ -42,7 +42,7 @@ class MainMemory:
         self._bank_shift = line_address_bank_shift
         #: cycle each bank frees up; an ``array('q')`` the C kernel
         #: shares in place
-        self._bank_free_at = array("q", bytes(8 * n_banks))
+        self._bank_free_at = array("q", [0]) * n_banks
         # Statistics.
         self.reads = 0
         self.writebacks = 0

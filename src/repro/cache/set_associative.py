@@ -43,8 +43,15 @@ once the set is full).  Per core, ``core_occupancy`` counts valid lines
 and is updated on every install and invalidation, so
 :meth:`occupancy_by_core` is an O(cores) read.  The access path's
 copies index the same buffers in place: they are allocated once and
-never resized during a run, so there is one copy of the state.  A way-wide operation (power
-gating, a CPE flush) is one strided pass over a column.
+never resized during a run, so there is one copy of the state.  Each
+is allocated at its exact size (``array(code, [fill]) * n``), with no
+slack past its end, so a sanitized kernel's overflow hits a redzone.
+
+The way-wide sweeps, :meth:`~SetAssociativeCache.invalidate_way` (power
+gating, a CPE flush) and :meth:`~SetAssociativeCache.flush_ways` (a
+forced takeover completion), visit every set.  The Python loops here
+are the reference; a compiled run binds the C kernel's copies of them
+(``kernel_sweeps``) for its LLC.
 """
 
 from __future__ import annotations
@@ -69,7 +76,8 @@ class SetAssociativeCache:
     """Flat line columns plus address decomposition helpers."""
 
     __slots__ = ("geometry", "ways", "tags", "owner", "dirty", "stamp",
-                 "mapped", "clock", "valid", "core_occupancy")
+                 "mapped", "clock", "valid", "core_occupancy",
+                 "kernel_sweeps")
 
     def __init__(
         self,
@@ -82,7 +90,7 @@ class SetAssociativeCache:
         lines = num_sets * ways
         self.tags = array("q", [NO_TAG]) * lines
         self.owner = array("q", [NO_OWNER]) * lines
-        self.dirty = array("B", bytes(lines))
+        self.dirty = array("B", [0]) * lines
         # Every set starts with the recency stack [0, 1, .., w-1] (way 0
         # most recent); the clock only moves forward, so a set's stamps
         # stay unique forever.
@@ -90,15 +98,24 @@ class SetAssociativeCache:
         #: ``track_copies`` gives a shared LLC its ``mapped`` column
         self.mapped = array("q", [NO_TAG]) * lines if track_copies else None
         self.clock = array("q", [ways + 1]) * num_sets
-        self.valid = array("q", bytes(8 * num_sets))
+        self.valid = array("q", [0]) * num_sets
         #: valid lines per owning core, grown by :meth:`ensure_cores`
         self.core_occupancy = array("q")
+        #: the C kernel's :meth:`invalidate_way`/:meth:`flush_ways`,
+        #: bound by a compiled run (``repro.engine.compiled.KernelSweeps``)
+        self.kernel_sweeps = None
 
     def ensure_cores(self, n_cores: int) -> array:
-        """Grow (never shrink) the occupancy counters to ``n_cores``."""
+        """Grow (never shrink) the occupancy counters to ``n_cores``.
+
+        Growing replaces the column with an exact-size copy, so an
+        owner of the buffer (a policy, the kernel context) asks for
+        every core it will count before it keeps the column.
+        """
         counters = self.core_occupancy
         if len(counters) < n_cores:
-            counters.extend(array("q", bytes(8 * (n_cores - len(counters)))))
+            counters = counters + array("q", [0]) * (n_cores - len(counters))
+            self.core_occupancy = counters
         return counters
 
     # ------------------------------------------------------------------
@@ -211,6 +228,8 @@ class SetAssociativeCache:
         invalidation takes effect architecturally; we return them for
         bandwidth/energy accounting.
         """
+        if self.kernel_sweeps is not None:
+            return self.kernel_sweeps.invalidate_way(way)
         ways = self.ways
         tags = self.tags
         dirty = self.dirty
@@ -237,6 +256,30 @@ class SetAssociativeCache:
         tags[way::ways] = array("q", [NO_TAG]) * num_sets
         dirty[way::ways] = array("B", bytes(num_sets))
         owner[way::ways] = array("q", [NO_OWNER]) * num_sets
+        return flushed
+
+    def flush_ways(self, ways: tuple[int, ...]) -> list[int]:
+        """Write back every dirty line of ``ways``, returning the line
+        addresses set by set and in ``ways`` order within a set.
+
+        The lines stay valid and become clean: a forced takeover
+        completion scrubs a donor's ways in the order the lazy protocol
+        would have, had it visited every set.
+        """
+        if self.kernel_sweeps is not None:
+            return self.kernel_sweeps.flush_ways(ways)
+        width = self.ways
+        tags = self.tags
+        dirty = self.dirty
+        shift = self.geometry.set_shift
+        flushed: list[int] = []
+        for set_index in range(len(self.valid)):
+            base = set_index * width
+            for way in ways:
+                line = base + way
+                if dirty[line] and tags[line] != NO_TAG:
+                    dirty[line] = 0
+                    flushed.append((tags[line] << shift) | set_index)
         return flushed
 
     # ------------------------------------------------------------------

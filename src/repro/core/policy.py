@@ -152,11 +152,7 @@ class CooperativePartitioningPolicy(BaseSharedCachePolicy):
                 # lines.  Any line re-dirtied by a late donor write is
                 # flushed here.
                 self.permissions.revoke_all(move.way)
-                flushed = self.cache.invalidate_way(move.way)
-                for address in flushed:
-                    self.memory.writeback(address, now)
-                    self.energy.writeback()
-                    self.stats.note_transfer_flush(now)
+                self.engine.write_back(self.cache.invalidate_way(move.way), now)
                 self.powered[move.way] = False
                 power_changed = True
         self._sync_access_state(power_changed, now)
@@ -321,10 +317,7 @@ class CooperativePartitioningPolicy(BaseSharedCachePolicy):
         for way in released:
             self.permissions.revoke_all(way)
             self.logical_owner[way] = OFF
-            for address in self.cache.invalidate_way(way):
-                self.memory.writeback(address, now)
-                self.energy.writeback()
-                self.stats.note_transfer_flush(now)
+            self.engine.write_back(self.cache.invalidate_way(way), now)
             self.powered[way] = False
         self._sync_access_state(bool(released), now)
 

@@ -36,14 +36,15 @@ TO_OFF = -1
 class TakeoverVector:
     """One bit per cache set; complete when every bit is set.
 
-    ``bits`` is an ``array('B')`` the C kernel marks in place.
+    ``bits`` is an exact-size ``array('B')`` the C kernel marks in
+    place.
     """
 
     __slots__ = ("num_sets", "bits", "set_count")
 
     def __init__(self, num_sets: int) -> None:
         self.num_sets = num_sets
-        self.bits = array("B", bytes(num_sets))
+        self.bits = array("B", [0]) * num_sets
         self.set_count = 0
 
     def mark(self, set_index: int) -> bool:
@@ -56,7 +57,7 @@ class TakeoverVector:
 
     def reset(self) -> None:
         """Clear all bits in place (start of a transition period)."""
-        self.bits[:] = array("B", bytes(self.num_sets))
+        self.bits[:] = array("B", [0]) * self.num_sets
         self.set_count = 0
 
     @property
@@ -243,12 +244,21 @@ class TakeoverEngine:
         ways = self._donor_ways.get(donor, ())
         if not ways:
             return []
-        # Set by set, and in way order within a set: the writeback
-        # order of the lazy protocol had every set been visited.
-        for set_index in range(self._num_sets):
-            self._flush_ways_in_set(ways, set_index, now)
+        self.write_back(self.cache.flush_ways(ways), now)
         self.stats.transitions_forced += len(ways)
         return self.pop_donor(donor)
+
+    def write_back(self, addresses: list[int], now: int) -> None:
+        """Write back lines a takeover or a gated way flushed: the
+        memory banks, the write-back energy and the transfer-flush
+        statistics."""
+        if not addresses:
+            return
+        writeback = self.memory.writeback
+        for address in addresses:
+            writeback(address, now)
+        self.energy.writeback(len(addresses))
+        self.stats.note_transfer_flush(now, len(addresses))
 
     @property
     def active(self) -> bool:

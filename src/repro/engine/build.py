@@ -151,6 +151,12 @@ def load_kernel() -> ctypes.CDLL:
             ptr, i64, i64, ptr, ptr, i64, ptr, ptr, ptr, ptr, f64, f64, i64,
             ptr, ptr, ptr,
         ]
+        lib.repro_invalidate_way.restype = i64
+        lib.repro_invalidate_way.argtypes = [
+            ptr, ptr, ptr, ptr, ptr, ptr, i64, i64, i64, i64, i64, ptr,
+        ]
+        lib.repro_flush_ways.restype = i64
+        lib.repro_flush_ways.argtypes = [ptr, ptr, i64, i64, i64, ptr, i64, ptr]
         lib.repro_shift.restype = None
         lib.repro_shift.argtypes = [ptr, i64, i64, ptr]
         lib.repro_mt_words.restype = None

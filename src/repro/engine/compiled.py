@@ -37,6 +37,11 @@ A reference (or warming line) whose LLC traffic would complete a
 takeover vector bails out to Python, which runs it through the
 simulator's own miss path and resumes the kernel.
 
+The boundary's two sweeps over every LLC set, gating a way
+(``invalidate_way``) and a forced takeover completion's flush
+(``flush_ways``), run in the kernel too: the context binds
+:class:`KernelSweeps` into the LLC for the run.
+
 Every policy declares its way restrictions as data through
 ``_set_core_ways``, so a plugin policy that only restricts ways runs
 in the kernel.  A policy that overrides the victim, pre-access or
@@ -183,6 +188,61 @@ def policy_kind(policy) -> int | None:
     return KIND_TABLED
 
 
+class KernelSweeps:
+    """The kernel's way-wide sweeps over one cache's line columns.
+
+    Bound as a cache's ``kernel_sweeps``, it replaces the Python loops
+    of :meth:`~repro.cache.set_associative.SetAssociativeCache.invalidate_way`
+    and :meth:`~repro.cache.set_associative.SetAssociativeCache.flush_ways`
+    with the same results.  It keeps the columns, not the cache, and is
+    built after the cache's ``ensure_cores`` for every core it counts.
+    Each call allocates its output buffer at the size the sweep can
+    fill (a buffer kept per run raised the pool's peak RSS ~0.5 MB).
+    """
+
+    __slots__ = ("_invalidate", "_flush", "_keep", "_columns", "_shape")
+
+    def __init__(self, lib, cache) -> None:
+        self._invalidate = lib.repro_invalidate_way
+        self._flush = lib.repro_flush_ways
+        geometry = cache.geometry
+        counters = cache.core_occupancy
+        mapped = cache.mapped
+        #: the columns the addresses below point into, kept alive
+        self._keep = (cache.tags, cache.dirty, cache.owner, mapped,
+                      cache.valid, counters)
+        self._columns = (
+            _addr(cache.tags), _addr(cache.dirty), _addr(cache.owner),
+            None if mapped is None else _addr(mapped), _addr(cache.valid),
+            _addr(counters), len(counters),
+        )
+        self._shape = (geometry.num_sets, geometry.ways, geometry.set_shift)
+
+    def _check(self, ways) -> None:
+        """The kernel indexes lines by way: refuse one outside the set."""
+        width = self._shape[1]
+        for way in ways:
+            if not 0 <= way < width:
+                raise IndexError(f"way {way} outside 0..{width - 1}")
+
+    def invalidate_way(self, way: int) -> list[int]:
+        """``repro_invalidate_way``: see ``SetAssociativeCache.invalidate_way``."""
+        self._check((way,))
+        out = array("q", [0]) * self._shape[0]
+        count = self._invalidate(*self._columns, *self._shape, way, _addr(out))
+        return out[:count].tolist()
+
+    def flush_ways(self, ways: tuple[int, ...]) -> list[int]:
+        """``repro_flush_ways``: see ``SetAssociativeCache.flush_ways``."""
+        self._check(ways)
+        tags, dirty = self._columns[:2]
+        selected = array("q", ways)
+        out = array("q", [0]) * (self._shape[0] * len(selected))
+        count = self._flush(tags, dirty, *self._shape, _addr(selected),
+                            len(selected), _addr(out))
+        return out[:count].tolist()
+
+
 class _Marshal:
     """Per-run kernel context over the simulator's own buffers: a span
     passes only the boundary scalars, the totals' increments and the
@@ -248,6 +308,7 @@ class _Marshal:
         ctx.llc_mapped = _addr(cache.mapped)
         ctx.l1_occ = self._table([l1.ensure_cores(n) for l1 in l1_caches])
         ctx.llc_occ = _addr(cache.ensure_cores(n))
+        cache.kernel_sweeps = KernelSweeps(lib, cache)
         ctx.bank_free_at = _addr(memory._bank_free_at)
         if atds:
             ctx.atd_stack = self._table([atd.stacks for atd in atds])

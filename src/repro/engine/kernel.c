@@ -25,6 +25,11 @@
  * transfer-flush buckets, transition durations) are recorded into an
  * ordered event buffer the Python driver replays on span exit.
  *
+ * Two boundary-side sweeps over every LLC set run here too, called by
+ * Python between spans: `repro_invalidate_way` (gating a way, CPE's
+ * flush) and `repro_flush_ways` (a forced takeover completion).  They
+ * return the flushed line addresses; Python writes them back.
+ *
  * Cache lines, per-set clocks and valid counts, per-core occupancy
  * counters, the LLC's `mapped` lookup column, the UMON tag
  * directories, the memory banks and the UCP/takeover progress arrays
@@ -64,6 +69,7 @@ enum { POL_TABLED = 0, POL_UCP = 1, POL_COOP = 2 };
 enum { EV_FLUSH_TL = 1, EV_TFB = 2, EV_TRANS_DUR = 3 };
 
 #define NO_TAG (-1)
+#define NO_OWNER (-1)
 #define TGT_NONE (-1)
 #define CANARY 0x5EED1DEA5EED1DEALL
 #define HOT static inline __attribute__((always_inline))
@@ -908,6 +914,59 @@ i64 repro_warm_sweep(Ctx *c)
         c->warm_core = 0;
     }
     return ST_DONE;
+}
+
+/* ------------------------------------------------------------------ */
+/* Way-wide sweeps over one cache's line columns, line for line
+ * SetAssociativeCache.invalidate_way() and .flush_ways().  Each writes
+ * the flushed line addresses to `out` in the order Python returns them
+ * and returns how many it wrote: at most `nsets` per way swept, which
+ * is the size of `out`. */
+
+/* invalidate_way(): drop `way` in every set; set order */
+i64 repro_invalidate_way(i64 *tags, uint8_t *dirty, i64 *owner, i64 *mapped,
+                         i64 *valid, i64 *occ, i64 n_occ, i64 nsets,
+                         i64 ways, i64 set_shift, i64 way, i64 *out)
+{
+    i64 n = 0;
+    for (i64 set = 0; set < nsets; set++) {
+        i64 line = set * ways + way;
+        i64 tag = tags[line];
+        if (tag != NO_TAG) {
+            if (dirty[line])
+                out[n++] = (tag << set_shift) | set;
+            i64 o = owner[line];
+            if (o >= 0 && o < n_occ)
+                occ[o]--;
+            valid[set]--;
+            if (mapped && mapped[line] == tag)
+                mapped[line] = NO_TAG;
+        }
+        tags[line] = NO_TAG;
+        dirty[line] = 0;
+        owner[line] = NO_OWNER;
+    }
+    return n;
+}
+
+/* flush_ways(): write back the dirty lines of `sel` (n_sel ways), set
+ * by set and in `sel` order within a set; the lines stay valid */
+i64 repro_flush_ways(const i64 *tags, uint8_t *dirty, i64 nsets, i64 ways,
+                     i64 set_shift, const i64 *sel, i64 n_sel, i64 *out)
+{
+    i64 n = 0;
+    for (i64 set = 0; set < nsets; set++) {
+        const i64 *t = tags + set * ways;
+        uint8_t *d = dirty + set * ways;
+        for (i64 k = 0; k < n_sel; k++) {
+            i64 way = sel[k];
+            if (d[way] && t[way] != NO_TAG) {
+                d[way] = 0;
+                out[n++] = (t[way] << set_shift) | set;
+            }
+        }
+    }
+    return n;
 }
 
 /* ------------------------------------------------------------------ */

@@ -33,9 +33,9 @@ class AuxiliaryTagDirectory:
         self.ways = ways
         #: real set index -> row of this directory's stacks
         self._slots = {s: slot for slot, s in enumerate(sampled_set_indices)}
-        self.stacks = array("q", bytes(8 * ways * len(self._slots)))
-        self.lengths = array("q", bytes(8 * len(self._slots)))
-        self.hits = array("q", bytes(8 * ways))
+        self.stacks = array("q", [0]) * (ways * len(self._slots))
+        self.lengths = array("q", [0]) * len(self._slots)
+        self.hits = array("q", [0]) * ways
         self.counts = array("q", [0, 0])
 
     @property
@@ -111,8 +111,7 @@ class AuxiliaryTagDirectory:
         if not 0.0 <= factor < 1.0:
             raise ValueError(f"decay factor must be in [0, 1), got {factor}")
         hits = self.hits
-        for position in range(self.ways):
-            hits[position] = int(hits[position] * factor)
+        hits[:] = array("q", [int(value * factor) for value in hits])
         counts = self.counts
         counts[_MISSES] = int(counts[_MISSES] * factor)
         counts[_ACCESSES] = int(counts[_ACCESSES] * factor)

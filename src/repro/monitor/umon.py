@@ -8,6 +8,8 @@ counters, scaled back up by the sampling factor.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from repro.monitor.atd import AuxiliaryTagDirectory
 from repro.monitor.sampling import SetSampler
 
@@ -50,13 +52,9 @@ class UtilityMonitor:
         """
         scale = self.sampler.scale_factor
         total = self.atd.accesses * scale
-        curve = [total]
-        position_hits = self.atd.hits
-        hits = 0
-        for way in range(self.ways):
-            hits += position_hits[way]
-            curve.append(total - hits * scale)
-        return curve
+        return [
+            total - hits * scale for hits in accumulate(self.atd.hits, initial=0)
+        ]
 
     def end_epoch(self) -> None:
         """Age the counters for the next epoch."""

@@ -145,8 +145,7 @@ class DynamicCPEPolicy(BaseSharedCachePolicy):
             # cache is unusable while the ways are scrubbed: charge the
             # drain time as a stall the simulator applies to all cores.
             self.energy.writeback(len(flushed))
-            for _ in flushed:
-                self.stats.note_transfer_flush(now)
+            self.stats.note_transfer_flush(now, len(flushed))
             self.pending_stall += self.memory.writeback_burst(flushed, now)
 
         self.assignment = new_assignment

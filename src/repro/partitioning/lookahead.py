@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+_NEG_INF = float("-inf")
+
 
 @dataclass(frozen=True)
 class AllocationResult:
@@ -60,19 +62,22 @@ def _max_marginal_utility(
     Implements ``get_max_mu``/``get_mu_value`` from Algorithm 1:
     examines every extension ``alloc + j`` (1 <= j <= balance) and
     returns ``(max_mu, blocks_req)`` where ``blocks_req`` is the
-    smallest extension that achieves ``max_mu``.
+    smallest extension that achieves ``max_mu``, or ``(0.0, 0)`` when
+    no extension fits.
     """
-    max_mu = float("-inf")
-    blocks_req = 1
+    limit = len(curve) - 1 - alloc
+    if balance < limit:
+        limit = balance
+    if limit < 1:
+        return 0.0, 0
     base_misses = curve[alloc]
-    limit = min(balance, len(curve) - 1 - alloc)
-    for j in range(1, limit + 1):
+    max_mu = float(base_misses - curve[alloc + 1])
+    blocks_req = 1
+    for j in range(2, limit + 1):
         mu = (base_misses - curve[alloc + j]) / j
         if mu > max_mu:
             max_mu = mu
             blocks_req = j
-    if max_mu == float("-inf"):
-        return 0.0, 0
     return max_mu, blocks_req
 
 
@@ -114,13 +119,16 @@ def lookahead_partition(
     balance = total_ways - n_cores * min_ways
     rounds: list[tuple[int, int, float]] = []
     mu_peak: float | None = None
+    # each core's (mu, blocks) bid at its allocation and the balance
+    bids = [
+        _max_marginal_utility(curve, min_ways, balance) for curve in miss_curves
+    ]
 
     while balance > 0:
         winner = -1
-        winner_mu = float("-inf")
+        winner_mu = _NEG_INF
         winner_blocks = 0
-        for core in range(n_cores):
-            mu, blocks = _max_marginal_utility(miss_curves[core], allocations[core], balance)
+        for core, (mu, blocks) in enumerate(bids):
             if blocks == 0:
                 continue
             # Ties go to the core with the smaller allocation so that
@@ -141,6 +149,13 @@ def lookahead_partition(
         allocations[winner] += winner_blocks
         balance -= winner_blocks
         rounds.append((winner, winner_blocks, winner_mu))
+        # A loser's bid stands while its blocks fit the new balance:
+        # its smallest argmax over the old range lies in the new one.
+        for core, (_, blocks) in enumerate(bids):
+            if core == winner or blocks > balance:
+                bids[core] = _max_marginal_utility(
+                    miss_curves[core], allocations[core], balance
+                )
 
     return AllocationResult(
         allocations=allocations,

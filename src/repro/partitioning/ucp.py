@@ -44,8 +44,8 @@ class _Transition:
     def __post_init__(self) -> None:
         # ``array('q')`` rather than lists so engines can view the
         # migration counters zero-copy; index semantics are identical.
-        self.gained_per_set = array("q", bytes(8 * self.num_sets))
-        self.complete_sets = array("q", bytes(8 * self.ways_gained))
+        self.gained_per_set = array("q", [0]) * self.num_sets
+        self.complete_sets = array("q", [0]) * self.ways_gained
 
     def record_gain(self, set_index: int) -> bool:
         """Record a block gained in ``set_index``; True if a way completed."""

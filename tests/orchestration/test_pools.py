@@ -422,7 +422,7 @@ class TestConcurrentWriters:
         workers = [
             subprocess.Popen(
                 [sys.executable, "-c", script, str(root), str(index)],
-                env={"PYTHONPATH": src},
+                env={**os.environ, "PYTHONPATH": src},
             )
             for index in range(4)
         ]

@@ -1,7 +1,7 @@
 """Unit and property tests for the threshold-extended lookahead."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.partitioning.lookahead import lookahead_partition
@@ -127,3 +127,92 @@ def test_rounds_are_consistent_with_allocations(data):
     for core, blocks, _ in result.rounds:
         from_rounds[core] += blocks
     assert from_rounds == result.allocations
+
+
+# ----------------------------------------------------------------------
+# The kept bids against the loop that re-bids every core every round
+# ----------------------------------------------------------------------
+def _reference_marginal_utility(curve, alloc, balance):
+    max_mu = float("-inf")
+    blocks_req = 1
+    base_misses = curve[alloc]
+    limit = min(balance, len(curve) - 1 - alloc)
+    for j in range(1, limit + 1):
+        mu = (base_misses - curve[alloc + j]) / j
+        if mu > max_mu:
+            max_mu = mu
+            blocks_req = j
+    if max_mu == float("-inf"):
+        return 0.0, 0
+    return max_mu, blocks_req
+
+
+def _reference_lookahead(miss_curves, total_ways, threshold, min_ways):
+    """Algorithm 1 as first written: every core re-bids every round."""
+    n_cores = len(miss_curves)
+    allocations = [min_ways] * n_cores
+    balance = total_ways - n_cores * min_ways
+    rounds = []
+    mu_peak = None
+    while balance > 0:
+        winner = -1
+        winner_mu = float("-inf")
+        winner_blocks = 0
+        for core in range(n_cores):
+            mu, blocks = _reference_marginal_utility(
+                miss_curves[core], allocations[core], balance
+            )
+            if blocks == 0:
+                continue
+            if mu > winner_mu or (
+                mu == winner_mu and winner >= 0
+                and allocations[core] < allocations[winner]
+            ):
+                winner, winner_mu, winner_blocks = core, mu, blocks
+        if winner < 0:
+            break
+        if mu_peak is None:
+            mu_peak = winner_mu
+        if threshold > 0:
+            if winner_mu <= 0 or winner_mu < threshold * mu_peak:
+                break
+        allocations[winner] += winner_blocks
+        balance -= winner_blocks
+        rounds.append((winner, winner_blocks, winner_mu))
+    return allocations, balance, rounds
+
+
+@st.composite
+def _lookahead_inputs(draw):
+    """Curves of any length from ``min_ways + 1`` (they cover the
+    floor) to ``total_ways + 1``, from a few values so equal utilities
+    (ties) are common; some cores share a curve; the curves may rise
+    as well as fall."""
+    total_ways = draw(st.sampled_from([2, 4, 8, 16]))
+    n_cores = draw(st.integers(1, min(4, total_ways)))
+    min_ways = draw(st.integers(0, total_ways // n_cores))
+    curves = []
+    for _ in range(n_cores):
+        if curves and draw(st.booleans()):
+            curves.append(list(draw(st.sampled_from(curves))))
+            continue
+        length = draw(st.integers(min_ways + 1, total_ways + 1))
+        steps = draw(st.lists(st.sampled_from([0, 0, 1, 2, 4, 8, -1]),
+                              min_size=length - 1, max_size=length - 1))
+        curve = [draw(st.sampled_from([0, 8, 64]))]
+        for step in steps:
+            curve.append(curve[-1] - step)
+        curves.append(curve)
+    threshold = draw(st.sampled_from([0.0, 0.05, 0.25, 0.5, 1.0, 1.5]))
+    return curves, total_ways, threshold, min_ways
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_lookahead_inputs())
+def test_kept_bids_match_rebidding_every_round(inputs):
+    curves, total_ways, threshold, min_ways = inputs
+    expected = _reference_lookahead(curves, total_ways, threshold, min_ways)
+    result = lookahead_partition(
+        curves, total_ways, threshold=threshold, min_ways=min_ways
+    )
+    assert (result.allocations, result.unallocated, result.rounds) == expected
