@@ -203,21 +203,6 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     # Flush / invalidate
     # ------------------------------------------------------------------
-    def flush_way_in_set(self, set_index: int, way: int) -> int | None:
-        """Write back the line in (set, way) if dirty.
-
-        Returns the flushed line address (for memory-bandwidth
-        accounting) or ``None`` if the line was clean or invalid.  The
-        line stays valid — cooperative takeover flushes data early but
-        keeps it readable until ownership transfers.
-        """
-        line = set_index * self.ways + way
-        tag = self.tags[line]
-        if tag == NO_TAG or not self.dirty[line]:
-            return None
-        self.dirty[line] = 0
-        return self.geometry.rebuild_line_address(tag, set_index)
-
     def invalidate_way(self, way: int) -> list[int]:
         """Invalidate ``way`` across every set, returning the dirty line
         addresses in set order.
@@ -290,7 +275,3 @@ class SetAssociativeCache:
         counters = self.core_occupancy
         return [counters[core] if core < len(counters) else 0
                 for core in range(n_cores)]
-
-    def valid_line_count(self) -> int:
-        """Number of valid lines in the cache."""
-        return sum(self.valid)

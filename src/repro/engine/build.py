@@ -157,8 +157,6 @@ def load_kernel() -> ctypes.CDLL:
         ]
         lib.repro_flush_ways.restype = i64
         lib.repro_flush_ways.argtypes = [ptr, ptr, i64, i64, i64, ptr, i64, ptr]
-        lib.repro_shift.restype = None
-        lib.repro_shift.argtypes = [ptr, i64, i64, ptr]
         lib.repro_mt_words.restype = None
         lib.repro_mt_words.argtypes = [ptr, i64, ptr]
         _kernel = lib

@@ -71,6 +71,7 @@ from repro.engine.build import (
 from repro.obs.log import note_fallback
 from repro.obs.metrics import metrics_enabled
 from repro.obs.trace import recorder as obs_recorder
+from repro.sim.cpu import CORE_ADDRESS_SPACE_BITS
 
 _NEVER = 1 << 62
 
@@ -99,7 +100,7 @@ def _ctx_type() -> type[ctypes.Structure]:
     """
     source = KERNEL_SOURCE.read_text()
     body = source[source.index("typedef struct {"):source.index("} Ctx;")]
-    names = re.findall(r"^\s*(?:i64|u?int8_t)\s*\**\s*(\w+);", body, re.M)
+    names = re.findall(r"^\s*(?:i64|u?int(?:8|32)_t)\s*\**\s*(\w+);", body, re.M)
     fields = [(name, ctypes.c_int64) for name in names]
     return type("Ctx", (ctypes.Structure,), {"_fields_": fields})
 
@@ -299,6 +300,7 @@ class _Marshal:
         ctx.l1_ways = l1_geom.ways
         ctx.l1_mask = sim._l1_mask
         ctx.l1_shift = sim._l1_shift
+        ctx.core_space_bits = CORE_ADDRESS_SPACE_BITS
 
         # ---- shared buffers: pointers only ---------------------------
         for name in ("tags", "stamp", "owner", "dirty", "clock", "valid"):
@@ -554,7 +556,7 @@ def _scalar_ref(sim, core, target, warmup, unfinished, warmed_up, clock,
     """
     position = core.position
     gap = core.gaps[position]
-    address = core.addresses[position]
+    address = core.addresses[position] + core.offset
     dvfs = sim.dvfs
     if dvfs is None:
         issue_time = core.time + (gap >> issue_shift)
@@ -623,8 +625,8 @@ def run_compiled(sim):
             if status == ST_NEED_PYTHON_REF:
                 core = sim.cores[ctx.bail_core]
                 sim._warm_access(
-                    core, core.warm_lines[ctx.warm_round], sim._l1_mask,
-                    sim._l1_shift, sim._l1_hit_cost(core.core_id),
+                    core, core.warm_lines[ctx.warm_round] + core.offset,
+                    sim._l1_mask, sim._l1_shift, sim._l1_hit_cost(core.core_id),
                     sim.l1_hits, sim._l1_miss,
                 )
                 ctx.warm_core += 1

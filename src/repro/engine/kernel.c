@@ -35,7 +35,9 @@
  * directories, the memory banks and the UCP/takeover progress arrays
  * are the Python objects' own buffers, read and written in place.  A cache's line
  * columns are flat: line (set, way) sits at `set * ways + way`.  Only
- * O(n_cores) scalars are copied per span.
+ * O(n_cores) scalars are copied per span.  The traces are read in
+ * place too, one copy per benchmark whichever cores run it: each line
+ * read gets its core's address-space offset (`core_addr`).
  *
  * The per-reference finds and LRU scans over ways are branch-free
  * selects, not early exits.  A find keeps the *last* match, which is
@@ -106,6 +108,7 @@ typedef struct {
     i64 l1_ways;
     i64 l1_mask;
     i64 l1_shift;
+    i64 core_space_bits;  /* core i's lines sit at (i + 1) << this */
 
     /* ---- loop state (in/out) ---- */
     i64 warmed_up;
@@ -128,8 +131,8 @@ typedef struct {
     i64 *core_frozen_instr;
     i64 *core_frozen_cycles;
 
-    /* ---- traces (zero-copy, refreshed per span) ---- */
-    i64 **trace_gaps;
+    /* ---- traces (zero-copy; one copy per benchmark, see core_addr) ---- */
+    int32_t **trace_gaps;
     i64 **trace_addr;
     int8_t **trace_writes;
 
@@ -742,6 +745,12 @@ static int coop_would_complete(Ctx *c, i64 core, i64 addr, i64 lset)
     return 0;
 }
 
+/* A trace line as core ci addresses it: CoreState.offset. */
+HOT i64 core_addr(const Ctx *c, i64 ci, i64 line)
+{
+    return line + ((ci + 1) << c->core_space_bits);
+}
+
 /* ------------------------------------------------------------------ */
 i64 repro_abi_size(void)
 {
@@ -784,7 +793,7 @@ i64 repro_run_span(Ctx *c)
 
         i64 pos = c->core_position[ci];
         i64 gap = c->trace_gaps[ci][pos];
-        i64 addr = c->trace_addr[ci][pos];
+        i64 addr = core_addr(c, ci, c->trace_addr[ci][pos]);
         i64 is_write = c->trace_writes[ci][pos];
         i64 issue_time, hit_latency, miss_base;
         if (!c->has_dvfs) {
@@ -884,7 +893,7 @@ i64 repro_warm_sweep(Ctx *c)
                 return ST_EVBUF_FULL;
             }
             i64 now = c->core_time[ci];
-            i64 addr = c->warm_lines[ci][r];
+            i64 addr = core_addr(c, ci, c->warm_lines[ci][r]);
             i64 lset = addr & c->l1_mask;
             i64 ltag = addr >> c->l1_shift;
             i64 lway = l1_find(c, ci, lset, ltag);
@@ -1024,7 +1033,7 @@ i64 repro_trace_fill(uint32_t *mt, i64 n_refs,
                      i64 n_cat, const i64 *lines, const i64 *cyclic,
                      const i64 *offsets, const i64 *tables,
                      double mean_gap, double write_ratio, i64 stream_base,
-                     i64 *gaps, i64 *addresses, int8_t *writes)
+                     int32_t *gaps, i64 *addresses, int8_t *writes)
 {
     if (n_cat < 2 || n_cat > 64 || n_phases < 1 || mt[MT_N] > MT_N)
         return ST_ERROR;
@@ -1074,16 +1083,9 @@ i64 repro_trace_fill(uint32_t *mt, i64 n_refs,
             while (r >= lines[best]);
             address = tables[offsets[best] + r];
         }
-        gaps[i] = (i64)(mt_random(mt) * 2.0 * mean_gap + 0.5);
+        gaps[i] = (int32_t)(mt_random(mt) * 2.0 * mean_gap + 0.5);
         addresses[i] = address;
         writes[i] = mt_random(mt) < write_ratio;
     }
     return ST_DONE;
-}
-
-/* A trace column moved into a core's address region (Trace.for_core). */
-void repro_shift(const i64 *src, i64 n, i64 offset, i64 *dst)
-{
-    for (i64 i = 0; i < n; i++)
-        dst[i] = src[i] + offset;
 }

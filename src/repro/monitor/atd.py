@@ -115,7 +115,3 @@ class AuxiliaryTagDirectory:
         counts = self.counts
         counts[_MISSES] = int(counts[_MISSES] * factor)
         counts[_ACCESSES] = int(counts[_ACCESSES] * factor)
-
-    def hits_for_ways(self, ways: int) -> int:
-        """Hits this core would see with ``ways`` ways (stack property)."""
-        return sum(self.hits[:ways])

@@ -15,10 +15,14 @@ paper keeps finished applications executing "to keep contending for
 cache resources" — but its performance counters freeze at the target
 reference count.
 
-The reference stream is held in ``array``-backed columns (``gaps``,
-``addresses``, ``writes``) shared with or derived from the
-:class:`~repro.workloads.trace.Trace`, so the simulator's inner loop
-indexes flat machine-word arrays instead of lists of boxed objects.
+The reference stream is the :class:`~repro.workloads.trace.Trace`'s
+own ``array``-backed columns (``gaps``, ``addresses``, ``writes``,
+``warm_lines``), so the simulator's inner loop indexes flat
+machine-word arrays instead of lists of boxed objects.  Cores that run
+the same benchmark share one copy of its trace: each application's
+private address space is the core's ``offset``, added wherever an
+address is read (the python loop, the warming paths and the C
+kernel), never stored.
 
 Every scalar of a core's execution state lives in a per-simulator
 :class:`CoreColumns` column at index ``core_id``, next to the buffer
@@ -85,6 +89,7 @@ class CoreState:
     __slots__ = (
         "core_id",
         "columns",
+        "offset",
         "benchmark",
         "gaps",
         "addresses",
@@ -117,6 +122,9 @@ class CoreState:
     ) -> None:
         self.core_id = core_id
         self.columns = columns
+        #: added to every trace line this core reads, keeping the
+        #: multiprogrammed address spaces disjoint
+        self.offset = (core_id + 1) << CORE_ADDRESS_SPACE_BITS
         self.active = True
         #: whether the core has departed for good
         self.departed = False
@@ -131,7 +139,7 @@ class CoreState:
             # An absent slot (scenario engine): never executes, but
             # keeps CoreResult/RunResult shapes uniform.
             self.benchmark = "(absent)"
-            self._bind(array("q"), array("q"), array("b"), array("q"))
+            self._bind(array("i"), array("q"), array("b"), array("q"))
             self.active = False
         else:
             self.load_trace(trace)
@@ -139,13 +147,12 @@ class CoreState:
     def load_trace(self, trace: Trace) -> None:
         """Bind (or rebind, on a phase change) the reference stream.
 
-        Applies the core's private address-space offset and restarts
-        the stream at position 0; execution counters keep running.
+        Binds the trace's own columns (readers add :attr:`offset`) and
+        restarts the stream at position 0; execution counters keep
+        running.
         """
-        offset = (self.core_id + 1) << CORE_ADDRESS_SPACE_BITS
         self.benchmark = trace.name
-        addresses, warm_lines = trace.for_core(offset)
-        self._bind(trace.gaps, addresses, trace.writes, warm_lines)
+        self._bind(trace.gaps, trace.line_addresses, trace.writes, trace.warm_lines)
         self.position = 0
 
     def _bind(

@@ -242,16 +242,6 @@ class CMPSimulator:
         #: an engine's own arrival warming for the current run (see
         #: :meth:`_begin_run`); None = :meth:`_warm_core`
         self._arrival_warm: Callable[[CoreState], None] | None = None
-        # Slots not present at cycle 0 (late arrivals and never-arriving
-        # slots) start idle: the policy releases their share before the
-        # run begins — under cooperative partitioning their ways are
-        # gated from the first cycle.
-        if self._scenario_dynamic:
-            for core in self.cores:
-                if not core.active:
-                    self.policy.on_core_idle(core.core_id, 0)
-                    if self.dvfs is not None:
-                        self.dvfs.gate_core(core.core_id)
 
     @staticmethod
     def _check_traces(
@@ -348,7 +338,8 @@ class CMPSimulator:
         prewarm: Callable[[], None] | None = None,
         warm_core: Callable[[CoreState], None] | None = None,
     ) -> tuple[int, int, bool, int, int, list[CoreState]]:
-        """Shared run prologue: warmup windows, prewarm, first epoch.
+        """Shared run prologue: idle slots, warmup windows, prewarm,
+        first epoch.
 
         Returns ``(target, warmup, warmed_up, unfinished, next_epoch,
         initial)``.  Every engine starts a run through here so the
@@ -360,6 +351,17 @@ class CMPSimulator:
         self._arrival_warm = warm_core
         config = self.config
         cores = self.cores
+        # Slots not present at cycle 0 (late arrivals and never-arriving
+        # slots) start idle: the policy releases their share before any
+        # warming traffic — under cooperative partitioning their ways
+        # are gated from the first cycle.  This runs here, not at
+        # construction, so a compiled run gates them with the kernel
+        # sweeps it has already bound.
+        for core in cores:
+            if not core.active:
+                self.policy.on_core_idle(core.core_id, 0)
+                if self.dvfs is not None:
+                    self.dvfs.gate_core(core.core_id)
         target = config.refs_per_core
         warmup = min(config.warmup_refs, max(0, target - 1))
         self._warmup = warmup
@@ -650,7 +652,7 @@ class CMPSimulator:
             core = cores[cid]
             position = positions[cid]
             gap = core.gaps[position]
-            address = core.addresses[position]
+            address = core.addresses[position] + core.offset
             is_write = core.writes[position]
             if dvfs_entries is None:
                 issue_time = now + (gap >> issue_shift)
@@ -887,8 +889,9 @@ class CMPSimulator:
             drained = False
             for entry in active:
                 cursor = entry[1]
+                core = entry[0]
                 warm_one(
-                    entry[0], entry[2][cursor],
+                    core, entry[2][cursor] + core.offset,
                     l1_mask, l1_shift, entry[4], l1_hits, miss,
                 )
                 cursor += 1
@@ -950,8 +953,11 @@ class CMPSimulator:
         hit_cost = self._l1_hit_cost(core.core_id)
         l1_hits = self.l1_hits
         miss = self._l1_miss
-        for address in core.warm_lines:
-            warm_one(core, address, l1_mask, l1_shift, hit_cost, l1_hits, miss)
+        offset = core.offset
+        for line in core.warm_lines:
+            warm_one(
+                core, line + offset, l1_mask, l1_shift, hit_cost, l1_hits, miss
+            )
 
     def _run_epoch(self, now: int) -> bool:
         """Partitioning decision at a global epoch boundary.

@@ -12,19 +12,17 @@ Address-space layout (line addresses):
 * each ring ``k`` lives at ``(k + 1) << RING_REGION_BITS``;
 * the hot (L1-resident) region lives at 0;
 * the streaming component walks upward from ``STREAM_BASE``;
-* the simulator offsets whole traces per core
-  (:meth:`Trace.for_core`), keeping the multiprogrammed address spaces
-  disjoint.
+* each core adds its own offset (``CoreState.offset``) to every line
+  it reads, keeping the multiprogrammed address spaces disjoint, so
+  every core that runs a benchmark reads the same copy of its trace.
 
 Generation is one loop over references, written twice: the C kernel's
 ``repro_trace_fill`` (steps CPython's Mersenne Twister itself) and
 :func:`_fill_columns_python`, its line-for-line reference and the
 fallback when no C compiler is available.  Both consume the same
 ``random.Random`` words in the same order, so the traces are
-byte-identical whichever one runs.  The per-core shift is the same
-pair: the kernel's ``repro_shift`` or a scalar loop.  Fill and shift
-pick between kernel and loop in one place, :func:`_kernel`, which
-counts every fallback.
+byte-identical whichever one runs.  :func:`_kernel` picks between
+them and counts every fallback.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from __future__ import annotations
 import ctypes
 import random
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain
 
@@ -59,10 +57,12 @@ class Trace:
     phase after fast-forward, so short traces are not dominated by
     compulsory misses the paper's 1B-instruction runs amortise away.
 
-    The three parallel columns are ``array``-backed (``'q'`` for gaps
-    and addresses, ``'b'`` 0/1 flags for writes) so a 100k-reference
-    trace is three flat buffers, not 300k boxed Python objects; the
-    simulator indexes them directly in its inner loop.
+    The three parallel columns are ``array``-backed (``'i'`` int32 for
+    gaps, ``'q'`` for addresses, ``'b'`` 0/1 flags for writes) so a
+    100k-reference trace is three flat buffers, not 300k boxed Python
+    objects; the simulator indexes them directly in its inner loop.
+    The columns are read-only to every consumer, so all the cores that
+    run this trace, in any run, share them.
     """
 
     name: str
@@ -70,11 +70,6 @@ class Trace:
     line_addresses: "array[int]"
     writes: "array[int]"
     warm_lines: "array[int]"
-    #: per-offset views built by :meth:`for_core`; never compared or
-    #: shown — it is a cache, not part of the trace's identity
-    _offset_views: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __len__(self) -> int:
         return len(self.line_addresses)
@@ -84,38 +79,13 @@ class Trace:
         """Total instructions represented by the trace."""
         return sum(self.gaps) + len(self.gaps)
 
-    def for_core(self, offset: int) -> "tuple[array[int], array[int]]":
-        """``(line_addresses, warm_lines)`` shifted into a core's region.
-
-        The simulator keeps multiprogrammed address spaces disjoint by
-        offsetting whole traces per core slot.  The kernel's
-        ``repro_shift`` adds the offset into a pre-sized ``array('q')``;
-        without a kernel a scalar loop does, counted as a
-        ``workloads.trace_gen`` fallback.  Both give the same bytes.
-        The shifted columns are cached per offset: the arrays are
-        read-only to every consumer (the interpreter indexes them, the
-        kernels read them through buffer pointers), so one copy serves
-        every run that places this trace in the same slot — which makes
-        re-running a cached trace, e.g. across a threshold sweep in a
-        persistent worker, skip the whole-trace rebuild.
-        """
-        views = self._offset_views.get(offset)
-        if views is None:
-            kernel = _kernel()
-            views = (
-                _shifted(kernel, self.line_addresses, offset),
-                _shifted(kernel, self.warm_lines, offset),
-            )
-            self._offset_views[offset] = views
-        return views
-
 
 def _kernel() -> ctypes.CDLL | None:
     """The C kernel, or ``None`` when it cannot be built or loaded.
 
-    Trace fill and the per-core shift both choose between the kernel
-    and their scalar loop here, so a fallback in either is counted in
-    ``repro_kernel_fallbacks_total`` and never silent.
+    Trace fill chooses between the kernel and its scalar loop here, so
+    a fallback is counted in ``repro_kernel_fallbacks_total`` and never
+    silent.
     """
     try:
         return load_kernel()
@@ -128,17 +98,6 @@ def _kernel() -> ctypes.CDLL | None:
             f"repro: C kernel unavailable ({reason}); generating traces in Python",
         )
         return None
-
-
-def _shifted(
-    kernel: ctypes.CDLL | None, values: "array[int]", offset: int
-) -> "array[int]":
-    """A copy of ``values`` with ``offset`` added to every element."""
-    if kernel is None:
-        return array("q", (value + offset for value in values))
-    out = array("q", [0]) * len(values)
-    kernel.repro_shift(_addr(values), len(values), offset, _addr(out))
-    return out
 
 
 def _spread_addresses(base: int, lines: int, num_sets: int) -> list[int]:
@@ -185,6 +144,12 @@ def generate_trace(
     """
     if n_refs <= 0:
         raise ValueError(f"n_refs must be positive, got {n_refs}")
+    mean_gap = 1000.0 / profile.apki - 1.0
+    if 2 * mean_gap + 1 >= 1 << 31:  # the largest gap must fit in int32
+        raise ValueError(
+            f"{profile.name}: APKI {profile.apki} gives gaps too long for "
+            f"a 32-bit gap column"
+        )
     num_sets = llc_geometry.num_sets
     hot_addresses = _spread_addresses(0, max(1, l1_lines // 2), num_sets)
     ring_addresses = [
@@ -210,7 +175,7 @@ def generate_trace(
         _phase_tables(profile),
         tables,
         cyclic,
-        1000.0 / profile.apki - 1.0,  # mean gap
+        mean_gap,
         profile.write_ratio,
         n_refs,
     )
@@ -294,7 +259,7 @@ def _fill_columns_python(
         addresses.append(address)
         writes.append(choose() < write_ratio)
 
-    return array("q", gaps), array("q", addresses), array("b", writes)
+    return array("i", gaps), array("q", addresses), array("b", writes)
 
 
 def _fill_columns_c(
@@ -315,7 +280,7 @@ def _fill_columns_c(
     flags = array("q", cyclic)
     offsets = array("q", accumulate(lines[:-1], initial=0))
     flat = array("q", chain.from_iterable(tables))
-    gaps = array("q", [0]) * n_refs
+    gaps = array("i", [0]) * n_refs
     addresses = array("q", [0]) * n_refs
     writes = array("b", [0]) * n_refs
     status = kernel.repro_trace_fill(

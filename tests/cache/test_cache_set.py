@@ -83,7 +83,7 @@ class TestLineState:
     def test_clean_clears_dirty_only(self):
         cache = _one_set(2)
         cache.install(0, 0, tag=7, owner=1, dirty=True)
-        assert cache.flush_way_in_set(0, 0) == 7
+        assert cache.flush_ways((0,)) == [7]
         assert _line(cache, 0, 0) == (7, 0, 1)
 
 

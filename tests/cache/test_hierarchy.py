@@ -40,7 +40,7 @@ def _simulator(n_cores=2):
         l2_latency=L2_LATENCY,
     )
     traces = [
-        Trace(f"t{core}", array("q", [0]), array("q", [0]), array("b", [0]),
+        Trace(f"t{core}", array("i", [0]), array("q", [0]), array("b", [0]),
               array("q"))
         for core in range(n_cores)
     ]

@@ -45,17 +45,15 @@ class TestFlush:
         cache = _cache()
         set_index = cache.geometry.set_index(1000)
         _install(cache, 1000, core=0, dirty=True, way=1)
-        address = cache.flush_way_in_set(set_index, 1)
-        assert address == 1000
+        assert cache.flush_ways((1,)) == [1000]
         # Line stays valid but clean.
         assert cache.find(set_index, cache.geometry.tag(1000)) == 1
-        assert cache.flush_way_in_set(set_index, 1) is None
+        assert cache.flush_ways((1,)) == []
 
     def test_flush_clean_line_returns_none(self):
         cache = _cache()
-        set_index = cache.geometry.set_index(1000)
         _install(cache, 1000, core=0, dirty=False, way=1)
-        assert cache.flush_way_in_set(set_index, 1) is None
+        assert cache.flush_ways((1,)) == []
 
     def test_invalidate_way_returns_dirty_addresses(self):
         cache = _cache()
@@ -67,7 +65,7 @@ class TestFlush:
                 dirty_addresses.append(address)
         flushed = cache.invalidate_way(2)
         assert sorted(flushed) == sorted(dirty_addresses)
-        assert cache.valid_line_count() == 0
+        assert sum(cache.valid) == 0
 
 
 def _scan_occupancy(cache, n_cores):
@@ -86,7 +84,7 @@ class TestOccupancy:
         _install(cache, 1, core=0, dirty=False, way=0)
         _install(cache, 2, core=1, dirty=False, way=1)
         assert cache.occupancy_by_core(2) == [2, 1]
-        assert cache.valid_line_count() == 3
+        assert sum(cache.valid) == 3
 
     def test_eviction_moves_the_count_between_cores(self):
         cache = _cache()

@@ -1,6 +1,6 @@
 """Property tests: the strided way-wide operations against a naive model.
 
-``invalidate_way``, ``flush_way_in_set`` and
+``invalidate_way``, ``flush_ways`` and
 ``TakeoverEngine.force_complete`` walk the flat line columns with a
 stride of ``ways``.  Each is checked here against a per-line reference
 written out longhand: a dict per (set, way), visited set by set.  The
@@ -107,12 +107,16 @@ def test_invalidate_way_matches_the_per_line_model(operations, way, track_copies
     _check(cache, model)
 
 
-@given(_operations, st.integers(0, SETS - 1), st.integers(0, WAYS - 1))
-def test_flush_way_in_set_matches_the_per_line_model(operations, set_index, way):
+@given(_operations, st.integers(0, WAYS - 1))
+def test_flush_ways_matches_the_per_line_model(operations, way):
     cache = _driven(operations)
     model = _model(cache)
-    expected = _naive_flush(model, set_index, way)
-    assert cache.flush_way_in_set(set_index, way) == expected
+    expected = [
+        address
+        for set_index in range(SETS)
+        if (address := _naive_flush(model, set_index, way)) is not None
+    ]
+    assert cache.flush_ways((way,)) == expected
     _check(cache, model)
 
 

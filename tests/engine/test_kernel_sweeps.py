@@ -9,10 +9,9 @@ loops stay the reference.  These tests check:
 * on random cache states (2 and 4 cores; empty, full and mixed-dirty;
   with and without the ``mapped`` column), a sequence of sweeps returns
   the same addresses and leaves every column as the Python loops do;
-* a compiled run sends every sweep after its kernel context exists to
-  the kernel, and a python-engine run never calls one.  (A scenario
-  core idle from cycle 0 has its ways gated while the simulator is
-  built, before any engine runs: those sweeps stay in Python.)
+* a compiled run sends every sweep to the kernel, including the
+  gating of slots idle from cycle 0 (done when the run begins, after
+  the kernel context exists), and a python-engine run never calls one.
 """
 
 import random
@@ -171,11 +170,8 @@ def test_a_compiled_run_sweeps_in_the_kernel(case, sweep_calls):
     sweep_calls["cache"].clear()
     compiled = _run(*case, COMPILED)
     assert compiled == python
-    bound = [bound for _, bound in sweep_calls["cache"]]
-    assert bound == sorted(bound)  # Python only before the context exists
-    assert sweep_calls["kernel"] == [
-        name for name, bound in sweep_calls["cache"] if bound
-    ]
+    assert all(bound for _, bound in sweep_calls["cache"])
+    assert sweep_calls["kernel"] == [name for name, _ in sweep_calls["cache"]]
     expected = {"invalidate_way", "flush_ways"} if case[1] == "cooperative" \
         else {"invalidate_way"}
     assert set(sweep_calls["kernel"]) == expected
@@ -187,3 +183,16 @@ def test_a_python_run_never_calls_a_kernel_sweep(case, sweep_calls):
     assert sweep_calls["cache"]
     assert not any(bound for _, bound in sweep_calls["cache"])
     assert sweep_calls["kernel"] == []
+
+
+def test_slots_idle_from_cycle_0_are_gated_in_the_kernel(sweep_calls):
+    name = "sparse-4c-s000"
+    scenario = corpus_scenario(name).scenario
+    idle = [slot for slot in range(4) if scenario.arrival_of(slot) is None
+            or scenario.arrival_of(slot).at_cycle > 0]
+    assert idle == [1, 2, 3]
+    _run(name, "cooperative", COMPILED)
+    calls = sweep_calls["cache"]
+    # gating the idle slots' ways is the run's first sweep
+    assert calls[0] == ("invalidate_way", True)
+    assert ("invalidate_way", False) not in calls

@@ -58,18 +58,19 @@ class TestDecay:
 
 @given(st.lists(st.integers(0, 12), min_size=1, max_size=300))
 def test_mattson_inclusion(tags):
-    """hits_for_ways is monotonically non-decreasing in ways —
-    the stack property every UMON miss curve rests on."""
+    """Hits with the first ``ways`` stack positions are monotonically
+    non-decreasing in ways — the stack property every UMON miss curve
+    rests on."""
     atd = AuxiliaryTagDirectory(8, [0])
     for tag in tags:
         atd.record(0, tag)
     previous = 0
     for ways in range(1, 9):
-        hits = atd.hits_for_ways(ways)
+        hits = sum(atd.hits[:ways])
         assert hits >= previous
         previous = hits
     assert atd.accesses == len(tags)
-    assert atd.hits_for_ways(8) + atd.misses == atd.accesses
+    assert sum(atd.hits) + atd.misses == atd.accesses
 
 
 @given(st.lists(st.integers(0, 30), min_size=1, max_size=300))
@@ -89,4 +90,4 @@ def test_atd_matches_fully_associative_lru_simulation(tags):
             stack.remove(tag)
         stack.insert(0, tag)
         del stack[ways:]
-    assert atd.hits_for_ways(ways) == expected_hits
+    assert sum(atd.hits[:ways]) == expected_hits

@@ -4,7 +4,7 @@ Every process pays its imports before its first task, and a sweep
 starts several processes, so a third-party import on the start-up
 path (numpy used to be one) costs each of them.  A bare interpreter
 records ``sys.modules``, then imports ``repro`` and the CLI and
-generates and shifts a trace; every module that appears must be in
+generates a trace; every module that appears must be in
 the standard library or under ``repro.``.
 """
 
@@ -26,8 +26,7 @@ import repro.orchestration.cli
 from repro.sim.config import scaled_two_core
 from repro.workloads import generate_trace, profile_for
 config = scaled_two_core()
-trace = generate_trace(profile_for("mcf"), config.l2, config.l1.total_lines, 2000)
-trace.for_core(1 << 40)
+generate_trace(profile_for("mcf"), config.l2, config.l1.total_lines, 2000)
 main = sys.modules["__main__"]  # multiprocessing aliases it as __mp_main__
 print(json.dumps(sorted(
     name for name in set(sys.modules) - before if sys.modules[name] is not main

@@ -1,10 +1,13 @@
 """Unit and property tests for synthetic trace generation."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
+from repro.workloads import trace as trace_module
 from repro.workloads.profiles import BENCHMARK_PROFILES, profile_for
 from repro.workloads.trace import STREAM_BASE, _spread_addresses, generate_trace
 
@@ -82,15 +85,20 @@ class TestGeneration:
         assert len(trace.warm_lines) == expected
         assert len(set(trace.warm_lines)) == len(trace.warm_lines)
 
-    def test_for_core_caches_each_offset(self):
+    def test_rejects_gaps_beyond_32_bits_before_filling(self, monkeypatch):
+        profile = replace(profile_for("mcf"), apki=1e-7)  # mean gap ~1e10
+
+        def no_fill():
+            raise AssertionError("the fill ran")
+
+        monkeypatch.setattr(trace_module, "_kernel", no_fill)
+        with pytest.raises(ValueError, match=r"mcf: APKI 1e-07 "):
+            generate_trace(profile, LLC, 64, 1_000)
+
+    def test_gaps_are_32_bit(self):
         trace = generate_trace(profile_for("mcf"), LLC, 64, 1_000, seed=3)
-        first = trace.for_core(1 << 40)
-        again = trace.for_core(1 << 40)
-        assert again[0] is first[0] and again[1] is first[1]
-        other = trace.for_core(2 << 40)
-        assert other[0] is not first[0] and other[1] is not first[1]
-        assert list(first[0]) == [a + (1 << 40) for a in trace.line_addresses]
-        assert list(first[1]) == [a + (1 << 40) for a in trace.warm_lines]
+        assert trace.gaps.typecode == "i"
+        assert trace.gaps.itemsize == 4
 
     def test_phases_change_mixture(self):
         profile = profile_for("astar")

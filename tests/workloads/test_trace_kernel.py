@@ -6,23 +6,21 @@ kernel cannot load.  The two must emit identical traces from the same
 ``random.Random`` state: every profile on both machine geometries and
 several seeds, the edge cases that exercise unusual draws (phase
 wrap-around, single-line regions, ``randrange(1)``), and the raw
-MT19937 word stream across the 624-word regeneration boundary.
-``Trace.for_core`` shifts with the kernel's ``repro_shift`` or the
-same scalar fallback, so every comparison also covers the shifted
-columns for each four-core slot, and empty columns shift to empty ones.
+MT19937 word stream across the 624-word regeneration boundary.  Both
+fills write the gaps as 32-bit ``'i'`` items.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
+from dataclasses import replace
 
 import pytest
 
 from repro.engine import build, compiled_available
 from repro.obs import log
 from repro.sim.config import scaled_four_core, scaled_two_core
-from repro.sim.cpu import CORE_ADDRESS_SPACE_BITS
 from repro.workloads import trace as trace_module
 from repro.workloads.profiles import (
     BENCHMARK_PROFILES,
@@ -42,17 +40,15 @@ GEOMETRIES = {
     "4core": scaled_four_core(),
 }
 SEEDS = (0, 1, 2012)
-#: every core slot's offset on the four-core machine
-OFFSETS = [(core_id + 1) << CORE_ADDRESS_SPACE_BITS for core_id in range(4)]
 
 
 def _columns(trace) -> tuple[bytes, ...]:
-    """The trace's columns, then its shifted columns for every slot."""
-    shifted = [column for offset in OFFSETS for column in trace.for_core(offset)]
+    """The trace's columns."""
+    assert trace.gaps.typecode == "i"
     return tuple(
         column.tobytes()
         for column in (
-            trace.gaps, trace.line_addresses, trace.writes, trace.warm_lines, *shifted
+            trace.gaps, trace.line_addresses, trace.writes, trace.warm_lines
         )
     )
 
@@ -141,16 +137,15 @@ class TestEdgeCases:
                 monkeypatch, profile_for("mcf"), LLC, 64, 1, seed
             )
             assert c_cols == py_cols
-            assert len(c_cols[1]) == 8
+            assert (len(c_cols[0]), len(c_cols[1])) == (4, 8)
 
-    def test_empty_columns_shift_to_empty_columns(self, monkeypatch):
-        def empty():
-            return trace_module.Trace(
-                "empty", array("q"), array("q"), array("b"), array("q")
-            )
-
-        c_cols, py_cols = _in_both(monkeypatch, empty)
-        assert c_cols == py_cols == (b"",) * len(c_cols)
+    def test_longest_gaps_fit_32_bits(self, monkeypatch):
+        # mean gap ~1e9: the widest gaps the guard lets through
+        profile = replace(_profile((Ring(1.0, "cyclic", 0.2),)), apki=1e-6)
+        c_cols, py_cols = _both(monkeypatch, profile, LLC, 64, 2_000, 4)
+        assert c_cols == py_cols
+        gaps = array("i", c_cols[0])
+        assert max(gaps) > 1 << 30
 
     @pytest.mark.parametrize("pattern", ["cyclic", "uniform"])
     def test_single_line_ring(self, monkeypatch, pattern):
