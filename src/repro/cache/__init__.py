@@ -8,9 +8,9 @@ model with writeback/bandwidth accounting.
 
 It holds state, not the access path.  The private-L1 / shared-L2
 access of Table 2 runs in :class:`repro.sim.simulator.CMPSimulator`
-(``_l1_miss``), in
+(``_l1_access``, through the cache's own per-set operations), in
 :meth:`repro.partitioning.base.BaseSharedCachePolicy.access_fast`
-and in the C kernel, all of which index these columns in place.
+and in the C kernel, the last two indexing these columns in place.
 """
 
 from repro.cache.geometry import CacheGeometry

@@ -3,14 +3,17 @@
 This class is *state plus mechanism*: the line columns, and the few
 per-set and way-wide operations on them (find a tag, pick an LRU
 victim, touch, install, invalidate, flush a way).  It does not run
-accesses.  The access path reads and writes the columns in place in
-its three copies: :meth:`repro.sim.simulator.CMPSimulator._l1_miss`,
-:meth:`repro.partitioning.base.BaseSharedCachePolicy.access_fast` and
-``engine/kernel.c``.  Tests seed exact cache states with
-:meth:`~SetAssociativeCache.install`, :meth:`~SetAssociativeCache.find`
-and :meth:`~SetAssociativeCache.victim`.  All *policy* (which ways may
-be probed or filled, who the victim is, what happens on an epoch
-boundary) lives in ``repro.partitioning`` and ``repro.core``.
+accesses.  The python engine's private-L1 access
+(:meth:`repro.sim.simulator.CMPSimulator._l1_access` and ``_l1_miss``)
+goes through :meth:`~SetAssociativeCache.find`,
+:meth:`~SetAssociativeCache.touch`, :meth:`~SetAssociativeCache.victim`
+and :meth:`~SetAssociativeCache.install`; the LLC access
+(:meth:`repro.partitioning.base.BaseSharedCachePolicy.access_fast`)
+and ``engine/kernel.c`` read and write the columns in place.  Tests
+seed exact cache states with the same methods.  All *policy*
+(which ways may be probed or filled, who the victim is, what happens
+on an epoch boundary) lives in ``repro.partitioning`` and
+``repro.core``.
 
 Line state is a handful of flat buffers, one per field, each holding
 ``num_sets * ways`` entries with line (s, w) at ``s * ways + w``:
@@ -123,12 +126,11 @@ class SetAssociativeCache:
     # ------------------------------------------------------------------
     def find(self, set_index: int, tag: int) -> int:
         """The way of ``set_index`` holding ``tag``, or :data:`NO_WAY`."""
-        tags = self.tags
+        # One C-level scan of the set's tags: most L1 probes on this
+        # corpus miss, where ``tags.index`` would raise.
         base = set_index * self.ways
-        for way in range(self.ways):
-            if tags[base + way] == tag:
-                return way
-        return NO_WAY
+        row = self.tags[base:base + self.ways]
+        return row.index(tag) if tag in row else NO_WAY
 
     def victim(self, set_index: int, ways: tuple[int, ...] | None = None) -> int:  # repro: hot
         """LRU victim of ``set_index`` among ``ways`` (all if None).

@@ -42,19 +42,9 @@ class WayPermissionFile:
     # ------------------------------------------------------------------
     # Register mutation
     # ------------------------------------------------------------------
-    def grant_read(self, way: int, core: int) -> None:
-        """Set RAP[way][core]."""
-        self.rap[way] |= 1 << core
-        self._invalidate()
-
     def revoke_read(self, way: int, core: int) -> None:
         """Clear RAP[way][core]."""
         self.rap[way] &= ~(1 << core)
-        self._invalidate()
-
-    def grant_write(self, way: int, core: int) -> None:
-        """Set WAP[way][core]."""
-        self.wap[way] |= 1 << core
         self._invalidate()
 
     def revoke_write(self, way: int, core: int) -> None:
@@ -82,14 +72,6 @@ class WayPermissionFile:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def can_read(self, way: int, core: int) -> bool:
-        """Whether ``core`` may probe ``way``."""
-        return bool(self.rap[way] >> core & 1)
-
-    def can_write(self, way: int, core: int) -> bool:
-        """Whether ``core`` may fill into ``way``."""
-        return bool(self.wap[way] >> core & 1)
-
     def readable_ways(self, core: int) -> tuple[int, ...]:
         """Ways ``core`` must consult on a probe (cached)."""
         cached = self._readable_cache.get(core)
@@ -107,31 +89,6 @@ class WayPermissionFile:
             cached = tuple(w for w in range(self.n_ways) if self.wap[w] & bit)
             self._writable_cache[core] = cached
         return cached
-
-    def readers(self, way: int) -> list[int]:
-        """Cores with read permission on ``way``."""
-        mask = self.rap[way]
-        return [c for c in range(self.n_cores) if mask >> c & 1]
-
-    def writers(self, way: int) -> list[int]:
-        """Cores with write permission on ``way``."""
-        mask = self.wap[way]
-        return [c for c in range(self.n_cores) if mask >> c & 1]
-
-    def full_owner(self, way: int) -> int | None:
-        """The single core with RAP and WAP set, or None."""
-        both = self.rap[way] & self.wap[way]
-        if both == 0:
-            return None
-        return both.bit_length() - 1
-
-    def is_off(self, way: int) -> bool:
-        """True when no core has any access — the way can be gated."""
-        return self.rap[way] == 0 and self.wap[way] == 0
-
-    def in_transition(self, way: int) -> bool:
-        """True while a donor retains read-only access during takeover."""
-        return bool(self.rap[way] & ~self.wap[way]) and self.wap[way] != 0
 
     # ------------------------------------------------------------------
     # Invariant checking (used by tests and debug assertions)

@@ -143,11 +143,6 @@ class EnergyAccounting:
         return total
 
     @property
-    def active_ways_now(self) -> int:
-        """Ways currently drawing leakage power."""
-        return self._active_ways
-
-    @property
     def last_event_cycle(self) -> int:
         """Cycle of the most recent way on/off event (or window reset).
 
@@ -161,11 +156,6 @@ class EnergyAccounting:
     def core_energy_nj(self) -> float:
         """Total core-side energy (0.0 for runs without a governor)."""
         return self.core_dynamic_nj + self.core_static_nj
-
-    @property
-    def total_nj(self) -> float:
-        """LLC dynamic + LLC static + core energy."""
-        return self.dynamic_nj + self.static_nj + self.core_energy_nj
 
     @property
     def window_start(self) -> int:

@@ -35,7 +35,8 @@ rows only when their values changed, and moves:
 
 A reference (or warming line) whose LLC traffic would complete a
 takeover vector bails out to Python, which runs it through the
-simulator's own miss path and resumes the kernel.
+simulator's own reference step (``CMPSimulator._step``, or
+``_warm_line`` for a warming line) and resumes the kernel.
 
 The boundary's two sweeps over every LLC set, gating a way
 (``invalidate_way``) and a forced takeover completion's flush
@@ -544,51 +545,13 @@ class _Marshal:
 
 
 # ----------------------------------------------------------------------
-def _scalar_ref(sim, core, target, warmup, unfinished, warmed_up, clock,
-                issue_shift):
-    """Execute exactly one reference — an L1 miss — in Python.
-
-    The kernel bails out on an L1 miss whose LLC traffic would complete
-    a takeover vector: the completion restructures the policy (RAP
-    withdrawal, power gating) mid-reference, so the reference runs
-    through the simulator's own miss path (:meth:`CMPSimulator._l1_miss`)
-    and the per-reference bookkeeping of ``CMPSimulator._run_python``.
-    """
-    position = core.position
-    gap = core.gaps[position]
-    address = core.addresses[position] + core.offset
-    dvfs = sim.dvfs
-    if dvfs is None:
-        issue_time = core.time + (gap >> issue_shift)
-    else:
-        entry = dvfs.entries[core.core_id]
-        issue_time = core.time + (gap >> issue_shift) * entry[0] // entry[1]
-    core.time = issue_time + sim._l1_miss(
-        core.core_id, address, core.writes[position], issue_time,
-        address & sim._l1_mask, address >> sim._l1_shift,
-    )
-    core.instructions += gap + 1
-    position += 1
-    core.position = 0 if position == core.length else position
-    core.refs_done += 1
-
-    if core.refs_done == warmup and not core.window_open:
-        core.start_measurement()
-        warmed_up, clock = sim._maybe_end_warmup(warmed_up, clock)
-    if core.refs_done == target and not core.window_closed:
-        core.freeze()
-        unfinished -= 1
-    return unfinished, warmed_up, clock
-
-
-# ----------------------------------------------------------------------
 def run_compiled(sim):
     """Run ``sim`` on the C kernel; bit-identical to the Python loop.
 
     Falls back to the pure-Python engine when the policy's access path
-    is not one the kernel models (the scalar loop is the fastest
-    portable tier on this corpus's short L1 hit runs); the fallback is
-    counted in ``repro_kernel_fallbacks_total`` and noted once.
+    is not one the kernel models, since that engine runs any policy;
+    the fallback is counted in ``repro_kernel_fallbacks_total`` and
+    noted once.
     """
     kind = policy_kind(sim.policy)
     if kind is None:
@@ -600,9 +563,7 @@ def run_compiled(sim):
         return sim._run_python()
 
     lib = load_kernel()
-    config = sim.config
-    issue_shift = max(0, config.issue_width.bit_length() - 1)
-    marshal = _Marshal(sim, lib, kind, issue_shift)
+    marshal = _Marshal(sim, lib, kind, sim._issue_shift)
     ctx = marshal.ctx
     ctx_ptr = ctypes.addressof(ctx)
     run_span = lib.repro_run_span
@@ -611,7 +572,7 @@ def run_compiled(sim):
     def warm(only: int) -> None:
         # The C replica of _prewarm (only = -1) and of _warm_core for
         # one arriving core.  A line that would complete a takeover
-        # vector is warmed by the Python access path, then the sweep
+        # vector is warmed by CMPSimulator._warm_line, then the sweep
         # resumes from the next core of the same round.
         ctx.warm_only = only
         ctx.warm_round = 0
@@ -623,12 +584,7 @@ def run_compiled(sim):
             if status == ST_DONE:
                 return
             if status == ST_NEED_PYTHON_REF:
-                core = sim.cores[ctx.bail_core]
-                sim._warm_access(
-                    core, core.warm_lines[ctx.warm_round] + core.offset,
-                    sim._l1_mask, sim._l1_shift, sim._l1_hit_cost(core.core_id),
-                    sim.l1_hits, sim._l1_miss,
-                )
+                sim._warm_line(sim.cores[ctx.bail_core], ctx.warm_round)
                 ctx.warm_core += 1
             elif status != ST_EVBUF_FULL:
                 raise RuntimeError(
@@ -687,10 +643,9 @@ def run_compiled(sim):
         elif status == ST_WARMUP_GATE:
             warmed_up, clock = sim._maybe_end_warmup(warmed_up, clock)
         elif status == ST_NEED_PYTHON_REF:
-            core = sim.cores[ctx.bail_core]
-            unfinished, warmed_up, clock = _scalar_ref(
-                sim, core, target, warmup, unfinished, warmed_up, clock,
-                issue_shift,
+            unfinished, warmed_up, clock = sim._step(
+                sim.cores[ctx.bail_core], target, warmup, unfinished,
+                warmed_up, clock,
             )
         elif status != ST_EVBUF_FULL:  # ST_ERROR or an unknown status
             raise RuntimeError(

@@ -5,8 +5,8 @@ studies what matters is how instruction throughput responds to LLC
 hit/miss latency, so we use the standard trace-driven proxy: non-
 memory instructions retire at the issue width, memory references pay
 the L1/LLC/DRAM latency the simulator's access path returns
-(:meth:`repro.sim.simulator.CMPSimulator._l1_miss` and its inline and
-C copies) and block (misses are not overlapped — this
+(:meth:`repro.sim.simulator.CMPSimulator._l1_access` and its C copy)
+and block (misses are not overlapped — this
 exaggerates memory sensitivity uniformly across schemes, preserving
 every normalised comparison; see README.md, "Scaling fidelity").
 
@@ -21,7 +21,7 @@ own ``array``-backed columns (``gaps``, ``addresses``, ``writes``,
 machine-word arrays instead of lists of boxed objects.  Cores that run
 the same benchmark share one copy of its trace: each application's
 private address space is the core's ``offset``, added wherever an
-address is read (the python loop, the warming paths and the C
+address is read (the reference step, the warming step and the C
 kernel), never stored.
 
 Every scalar of a core's execution state lives in a per-simulator
@@ -97,8 +97,6 @@ class CoreState:
         "warm_lines",
         "departed",
         "l1",
-        "l1_tag_rows",
-        "l1_stamp_rows",
     )
 
     time = _field("core_time")
@@ -128,13 +126,8 @@ class CoreState:
         self.active = True
         #: whether the core has departed for good
         self.departed = False
-        #: the core's private L1, bound by the simulator so the inner
-        #: loop reaches its line columns without a list lookup
+        #: the core's private L1, bound by the simulator
         self.l1: SetAssociativeCache | None = None
-        #: per-set views of the L1's ``tags`` and ``stamp`` columns
-        #: (same binding): the python tier's probe and LRU scans
-        self.l1_tag_rows: list[memoryview] | None = None
-        self.l1_stamp_rows: list[memoryview] | None = None
         if trace is None:
             # An absent slot (scenario engine): never executes, but
             # keeps CoreResult/RunResult shapes uniform.

@@ -51,24 +51,24 @@ accumulators) are ``array('q')`` columns that every reset zeroes in
 place.  The compiled engine's kernel context points at these columns,
 so C spans and the Python boundary code share one copy.
 
-Hot-path notes.  :meth:`_run_python` is allocation-free per
-reference and indexes the per-core columns by core id: the next core
-comes from a two-way compare (2 cores), a plain read (1 core) or a
-heap (3+; always a heap when the schedule is dynamic, since membership
-changes mid-run); the L1 lookup is inlined (a scan of the set's
-``tags`` column plus a stamp store on a hit — the overwhelmingly
-common case never enters another frame); L1 misses take one call into
-:meth:`_l1_miss`, which drives the LLC policy's ``access_fast`` and
-performs the L1 fill inline.
+The reference step.  :meth:`_step` is the one Python copy of the
+per-reference sequence: the issue time (stretched by the core's DVFS
+row when there is one), the private-L1 access, the instruction count,
+the position wrap and the window checks.  :meth:`_run_python` calls it
+for every reference, picking the next core from a ``(time, core_id)``
+heap; the compiled engine calls it when the kernel hands a reference
+back.  Cache warming goes through :meth:`_warm_line`, one warm read.
 
-One access path, three copies.  The private-L1 / shared-L2 access of
-Table 2 runs in exactly these places, which must stay in step:
-:meth:`_l1_miss` (every python-tier miss, prewarm, arrival warming and
-the C tier's boundary-straddling references), the LLC side in
-:meth:`~repro.partitioning.base.BaseSharedCachePolicy.access_fast`,
-and ``engine/kernel.c``.  The golden and cross-engine suites pin them
-against each other.  The L1s themselves (``l1``) and their counters
-(``l1_hits``/``l1_misses``/``l1_writebacks``) belong to the simulator.
+One access path, two copies.  The private-L1 / shared-L2 access of
+Table 2 runs in Python as :meth:`_l1_access` (the L1 lookup, through
+the cache's own ``find``/``touch``) and :meth:`_l1_miss` (the LLC
+fetch, ``victim`` and ``install``, the dirty victim's write-back),
+with the LLC side in
+:meth:`~repro.partitioning.base.BaseSharedCachePolicy.access_fast`;
+``engine/kernel.c`` is the other copy.  The golden and cross-engine
+suites pin the two against each other.  The L1s themselves (``l1``)
+and their counters (``l1_hits``/``l1_misses``/``l1_writebacks``)
+belong to the simulator.
 Instruction fetches are assumed to hit the L1 instruction cache: the
 traces are data-reference traces, and every evaluated quantity is
 LLC-derived.
@@ -81,7 +81,7 @@ from heapq import heapify, heapreplace
 from typing import Callable
 
 from repro.cache.memory import MainMemory
-from repro.cache.set_associative import NO_TAG, SetAssociativeCache
+from repro.cache.set_associative import SetAssociativeCache
 from repro.dvfs.governors import GovernorSpec
 from repro.dvfs.state import DvfsState
 from repro.energy.accounting import EnergyAccounting
@@ -102,14 +102,6 @@ from repro.workloads.trace import Trace
 
 #: sentinel "no more events" cycle (far beyond any simulated time)
 _NEVER = 1 << 62
-
-
-def _set_rows(column: array, ways: int) -> list[memoryview]:
-    """One view per set of a flat line column, sharing its buffer: the
-    python tier scans a set through its row instead of slicing a new
-    array on every reference."""
-    view = memoryview(column)
-    return [view[base:base + ways] for base in range(0, len(column), ways)]
 
 
 class CMPSimulator:
@@ -228,17 +220,15 @@ class CMPSimulator:
         self.l1_misses = array("q", [0]) * n
         self.l1_writebacks = array("q", [0]) * n
         self.epoch_curves: list[list[int]] = []
-        # Inner-loop constants and per-core L1 bindings.
+        # Access-path constants and per-core L1 bindings.
+        self._issue_shift = max(0, config.issue_width.bit_length() - 1)
         self._l1_mask = config.l1.set_mask
         self._l1_shift = config.l1.set_shift
-        self._l1_ways = config.l1.ways
         self._miss_latency = config.l1_latency + config.l2_latency
         self._policy_access = self.policy.access_fast
         for core in self.cores:
-            l1 = core.l1 = self.l1[core.core_id]
-            l1.ensure_cores(config.n_cores)
-            core.l1_tag_rows = _set_rows(l1.tags, l1.ways)
-            core.l1_stamp_rows = _set_rows(l1.stamp, l1.ways)
+            core.l1 = self.l1[core.core_id]
+            core.l1.ensure_cores(config.n_cores)
         #: an engine's own arrival warming for the current run (see
         #: :meth:`_begin_run`); None = :meth:`_warm_core`
         self._arrival_warm: Callable[[CoreState], None] | None = None
@@ -553,43 +543,17 @@ class CMPSimulator:
             obs_metrics.POWER_GATE_DROPS.inc(gate_drops)
 
     # ------------------------------------------------------------------
-    def _run_python(self) -> RunResult:  # repro: hot
+    def _run_python(self) -> RunResult:
         """The reference engine: the scalar loop every other engine must
         match bit for bit (the golden and cross-engine suites pin it),
         and the fallback for a policy the C kernel does not model,
         counted in ``repro_kernel_fallbacks_total``.  It runs on no
         figure path, so it is written to be read; its speed is
         reported, not gated."""
-        config = self.config
         cores = self.cores
-        issue_shift = max(0, config.issue_width.bit_length() - 1)
         (
             target, warmup, warmed_up, unfinished, next_epoch, initial,
         ) = self._begin_run()
-
-        # Per-core state is indexed by core id straight from its
-        # columns (a column index costs what a slot read does).
-        columns = self.core_columns
-        times = columns.core_time
-        positions = columns.core_position
-        lengths = columns.core_length
-        instructions = columns.core_instructions
-        refs_done = columns.core_refs_done
-        window_open = columns.core_window_open
-        window_closed = columns.core_window_closed
-        l1_mask = self._l1_mask
-        l1_shift = self._l1_shift
-        l1_ways = self._l1_ways
-        l1_latency = self.l1_latency
-        l1_hits = self.l1_hits
-        l1_miss = self._l1_miss
-        # DVFS binding: with a governor, core-clock work is scaled by
-        # the per-core timing rows (the miss path accumulates the
-        # LLC+memory stall).  Without one this stays None and every
-        # expression below is the historical arithmetic.
-        dvfs = self.dvfs
-        dvfs_entries = dvfs.entries if dvfs is not None else None
-
         events = self._pending_events
         event_index = 0
         next_event = events[0].at_cycle if events else _NEVER
@@ -601,33 +565,14 @@ class CMPSimulator:
         # land inside the prewarm era).
         clock = 0
 
-        # Scheduler: two-way compare of core ids ``a``/``b`` for the
-        # common 2-core geometry, a heap keyed on (time, core_id) for
-        # 3+ cores (same tie-break as min() over the core list:
-        # earliest time, lowest id).  A dynamic schedule always uses
-        # the heap — membership changes whenever a core arrives or
-        # departs.  ``-1`` marks an unused compare slot.
-        a = b = -1
-        heap = None
-        if events:
-            heap = [(core.time, core.core_id) for core in initial]
-            heapify(heap)
-        else:
-            n_scheduled = len(initial)
-            a = initial[0].core_id if n_scheduled else -1
-            b = initial[1].core_id if n_scheduled == 2 else -1
-            if n_scheduled > 2:
-                heap = [(core.time, core.core_id) for core in initial]
-                heapify(heap)
-
+        # Scheduler: a heap of the executing cores keyed on (time,
+        # core_id), so the next core is the earliest, ties going to the
+        # lowest id.
+        times = self.core_columns.core_time
+        heap = [(core.time, core.core_id) for core in initial]
+        heapify(heap)
         while unfinished:
-            if b >= 0:
-                cid = a if times[a] <= times[b] else b
-                now = times[cid]
-            elif heap is None:
-                cid = a
-                now = times[cid]
-            elif heap:
+            if heap:
                 now, cid = heap[0]
             else:
                 # No core is executing; jump to the next boundary (an
@@ -642,67 +587,76 @@ class CMPSimulator:
                     now, clock, next_epoch, next_event, event_index,
                     unfinished, warmed_up,
                 )
-                if rekey and heap is not None:
+                if rekey:
                     # The boundary stalled cores or changed scheduler
                     # membership; re-key the heap.
                     heap = [(c.time, c.core_id) for c in cores if c.active]
                     heapify(heap)
                 continue
 
-            core = cores[cid]
-            position = positions[cid]
-            gap = core.gaps[position]
-            address = core.addresses[position] + core.offset
-            is_write = core.writes[position]
-            if dvfs_entries is None:
-                issue_time = now + (gap >> issue_shift)
-                hit_latency = l1_latency
-            else:
-                # Core-clock work stretches by num/den; the LLC keeps
-                # its own clock (_l1_miss charges nominal cycles).
-                entry = dvfs_entries[cid]
-                issue_time = now + (gap >> issue_shift) * entry[0] // entry[1]
-                hit_latency = entry[2]
-
-            # Inlined L1 lookup — the hit path touches three integers
-            # and returns to the scheduler without another frame.
-            set_index = address & l1_mask
-            tag = address >> l1_shift
-            if tag in core.l1_tag_rows[set_index]:
-                l1 = core.l1
-                line = l1.tags.index(tag, set_index * l1_ways)
-                l1_clock = l1.clock
-                l1.stamp[line] = l1_clock[set_index]
-                l1_clock[set_index] += 1
-                if is_write:
-                    l1.dirty[line] = 1
-                l1_hits[cid] += 1
-                time = issue_time + hit_latency
-            else:
-                time = issue_time + l1_miss(
-                    cid, address, is_write, issue_time, set_index, tag
-                )
-            times[cid] = time
-            instructions[cid] += gap + 1
-            position += 1
-            positions[cid] = 0 if position == lengths[cid] else position
-            done = refs_done[cid] + 1
-            refs_done[cid] = done
-            if heap is not None:
-                heapreplace(heap, (time, cid))
-
-            if done == warmup and not window_open[cid]:
-                # Each core's IPC window opens at its own warmup point
-                # so every scheme measures exactly the same
-                # (target - warmup) references per core; the global
-                # statistics reset once the last gating core gets there.
-                core.start_measurement()
-                warmed_up, clock = self._maybe_end_warmup(warmed_up, clock)
-            if done == target and not window_closed[cid]:
-                core.freeze()
-                unfinished -= 1
+            unfinished, warmed_up, clock = self._step(
+                cores[cid], target, warmup, unfinished, warmed_up, clock
+            )
+            heapreplace(heap, (times[cid], cid))
 
         return self._finish_run(clock, event_index)
+
+    def _step(
+        self,
+        core: CoreState,
+        target: int,
+        warmup: int,
+        unfinished: int,
+        warmed_up: bool,
+        clock: int,
+    ) -> tuple[int, bool, int]:
+        """Execute ``core``'s next reference; returns the updated
+        ``(unfinished, warmed_up, clock)`` loop state.
+
+        The only Python copy of the per-reference sequence: the
+        python engine runs every reference through it, and the
+        compiled engine the ones its kernel hands back.
+        """
+        # The core's scalars are read from its columns, as kernel.c
+        # reads them (a CoreState property costs several column reads).
+        core_id = core.core_id
+        columns = self.core_columns
+        position = columns.core_position[core_id]
+        gap = core.gaps[position]
+        now = columns.core_time[core_id]
+        dvfs = self.dvfs
+        if dvfs is None:
+            issue_time = now + (gap >> self._issue_shift)
+        else:
+            # Core-clock work stretches by num/den; the LLC keeps its
+            # own clock (_l1_miss charges nominal cycles).
+            entry = dvfs.entries[core_id]
+            issue_time = now + (gap >> self._issue_shift) * entry[0] // entry[1]
+        columns.core_time[core_id] = issue_time + self._l1_access(
+            core_id,
+            core.addresses[position] + core.offset,
+            core.writes[position],
+            issue_time,
+        )
+        columns.core_instructions[core_id] += gap + 1
+        position += 1
+        columns.core_position[core_id] = (
+            0 if position == columns.core_length[core_id] else position
+        )
+        done = columns.core_refs_done[core_id] + 1
+        columns.core_refs_done[core_id] = done
+
+        if done == warmup and not columns.core_window_open[core_id]:
+            # Each core's IPC window opens at its own warmup point so
+            # every scheme measures exactly the same (target - warmup)
+            # references per core; the global statistics reset once
+            # the last gating core gets there.
+            core.start_measurement()
+            warmed_up, clock = self._maybe_end_warmup(warmed_up, clock)
+        if done == target and not columns.core_window_closed[core_id]:
+            core.freeze()
+            unfinished -= 1
+        return unfinished, warmed_up, clock
 
     # ------------------------------------------------------------------
     def _apply_event(self, event: ScenarioEvent, when: int) -> int:
@@ -792,7 +746,25 @@ class CMPSimulator:
         )
 
     # ------------------------------------------------------------------
-    # repro: hot
+    def _l1_access(
+        self, core_id: int, address: int, is_write: int, now: int
+    ) -> int:
+        """One access to ``core_id``'s private L1 (write-back,
+        write-allocate, LRU) issued at ``now``; returns its latency."""
+        l1 = self.l1[core_id]
+        set_index = address & self._l1_mask
+        tag = address >> self._l1_shift
+        way = l1.find(set_index, tag)
+        if way < 0:
+            return self._l1_miss(core_id, address, is_write, now, set_index, tag)
+        l1.touch(set_index, way)
+        if is_write:
+            l1.dirty[set_index * l1.ways + way] = 1
+        self.l1_hits[core_id] += 1
+        # The hit costs the core's scaled L1 latency under a governor.
+        dvfs = self.dvfs
+        return self.l1_latency if dvfs is None else dvfs.entries[core_id][2]
+
     def _l1_miss(
         self,
         core_id: int,
@@ -802,7 +774,7 @@ class CMPSimulator:
         set_index: int,
         tag: int,
     ) -> int:
-        """L1 miss path: LLC fetch, inlined L1 fill, victim writeback.
+        """L1 miss path: LLC fetch, L1 fill, victim write-back.
 
         Fetch before fill, then write the dirty victim through the LLC.
         ``engine/kernel.c``'s ``l1_miss`` repeats this sequence — keep
@@ -813,33 +785,13 @@ class CMPSimulator:
         # Fetch the line from the shared LLC (write-allocate).
         memory_latency = policy_access(core_id, address, False, now)
 
-        # Choose the L1 victim (plain LRU over the full set).
+        # Replace the L1 victim: the first free way, else plain LRU.
         l1 = self.l1[core_id]
-        ways = l1.ways
-        base = set_index * ways
-        tags = l1.tags
-        valid = l1.valid
-        stamp = l1.stamp
-        dirty = l1.dirty
-        if valid[set_index] != ways:
-            # A free way: the first one is the victim.
-            line = tags.index(NO_TAG, base)
-            evicted_dirty = 0
-            valid[set_index] += 1
-            l1.core_occupancy[core_id] += 1
-        else:
-            rows = self.cores[core_id].l1_stamp_rows
-            line = stamp.index(min(rows[set_index]), base)
-            evicted_dirty = dirty[line]
-
-        # Inlined L1 fill.
-        old_tag = tags[line]
-        tags[line] = tag
-        dirty[line] = 1 if is_write else 0
-        l1.owner[line] = core_id
-        clock = l1.clock
-        stamp[line] = clock[set_index]
-        clock[set_index] += 1
+        way = l1.victim(set_index)
+        line = set_index * l1.ways + way
+        old_tag = l1.tags[line]
+        evicted_dirty = l1.dirty[line]
+        l1.install(set_index, way, tag, core_id, is_write)
 
         if evicted_dirty:
             victim_address = (old_tag << self._l1_shift) | set_index
@@ -858,85 +810,19 @@ class CMPSimulator:
 
         Mirrors the paper's explicit warmup after fast-forward: every
         ring/hot line is accessed once through the real access path,
-        interleaved across cores, before the measured window.  The
-        traffic ages normally and everything it touches is discarded
-        by the warmup statistics reset.  Only cores present at cycle 0
-        warm here; a late arrival warms at its arrival cycle
+        interleaved across cores (round ``i`` warms line ``i`` of each
+        core, in core order), before the measured window.  The traffic
+        ages normally and everything it touches is discarded by the
+        warmup statistics reset.  Only cores present at cycle 0 warm
+        here; a late arrival warms at its arrival cycle
         (:meth:`_warm_core`).
-
-        Cores advance through per-core cursors and drained cores drop
-        out of the sweep list, so each round only visits cores that
-        still have lines to warm (the previous implementation rescanned
-        every core per warmed line).
         """
-        l1_mask = self._l1_mask
-        l1_shift = self._l1_shift
-        l1_hits = self.l1_hits
-        miss = self._l1_miss
-        warm_one = self._warm_access
-        # [core, cursor, lines, length, hit_cost] per core with warming
-        # to do (the hit cost is the core's scaled L1 latency when the
-        # run carries a governor).
-        active = [
-            [
-                core, 0, core.warm_lines, len(core.warm_lines),
-                self._l1_hit_cost(core.core_id),
-            ]
-            for core in self.cores
-            if core.active and len(core.warm_lines)
-        ]
-        while active:
-            drained = False
-            for entry in active:
-                cursor = entry[1]
-                core = entry[0]
-                warm_one(
-                    core, entry[2][cursor] + core.offset,
-                    l1_mask, l1_shift, entry[4], l1_hits, miss,
-                )
-                cursor += 1
-                entry[1] = cursor
-                if cursor == entry[3]:
-                    drained = True
-            if drained:
-                active = [entry for entry in active if entry[1] < entry[3]]
-
-    def _l1_hit_cost(self, core_id: int) -> int:
-        """The L1 hit latency of ``core_id`` at its current operating
-        point (the nominal latency without a governor)."""
-        if self.dvfs is None:
-            return self.l1_latency
-        return self.dvfs.entries[core_id][2]
-
-    @staticmethod
-    def _warm_access(
-        core: CoreState,
-        address: int,
-        l1_mask: int,
-        l1_shift: int,
-        l1_latency: int,
-        l1_hits: array,
-        miss,
-    ) -> None:
-        """One warm touch of ``address`` — the single shared copy of
-        the warming L1 access sequence (callers pass the bound loop
-        constants so per-line cost stays flat)."""
-        core_id = core.core_id
-        times = core.columns.core_time
-        now = times[core_id]
-        set_index = address & l1_mask
-        tag = address >> l1_shift
-        if tag in core.l1_tag_rows[set_index]:
-            l1 = core.l1
-            clock = l1.clock
-            l1.stamp[l1.tags.index(tag, set_index * l1.ways)] = clock[set_index]
-            clock[set_index] += 1
-            l1_hits[core_id] += 1
-            times[core_id] = now + l1_latency
-        else:
-            times[core_id] = now + miss(
-                core_id, address, False, now, set_index, tag
-            )
+        warming = [core for core in self.cores if core.active]
+        rounds = max((len(core.warm_lines) for core in warming), default=0)
+        for index in range(rounds):
+            for core in warming:
+                if index < len(core.warm_lines):
+                    self._warm_line(core, index)
 
     def _warm_core(self, core: CoreState) -> None:
         """Warm one late-arriving core's resident working set.
@@ -947,17 +833,16 @@ class CMPSimulator:
         set in), so they are charged to the measured window like any
         other post-warmup work.
         """
-        warm_one = self._warm_access
-        l1_mask = self._l1_mask
-        l1_shift = self._l1_shift
-        hit_cost = self._l1_hit_cost(core.core_id)
-        l1_hits = self.l1_hits
-        miss = self._l1_miss
-        offset = core.offset
-        for line in core.warm_lines:
-            warm_one(
-                core, line + offset, l1_mask, l1_shift, hit_cost, l1_hits, miss
-            )
+        for index in range(len(core.warm_lines)):
+            self._warm_line(core, index)
+
+    def _warm_line(self, core: CoreState, index: int) -> None:
+        """One warm read of ``core``'s warming line ``index`` at the
+        core's own time."""
+        now = core.time
+        core.time = now + self._l1_access(
+            core.core_id, core.warm_lines[index] + core.offset, False, now
+        )
 
     def _run_epoch(self, now: int) -> bool:
         """Partitioning decision at a global epoch boundary.

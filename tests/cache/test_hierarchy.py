@@ -1,6 +1,6 @@
 """Unit tests for the private-L1 → shared-LLC access path.
 
-They drive the simulator's own L1 path — ``CMPSimulator._warm_access``
+They drive the simulator's own L1 path — ``CMPSimulator._l1_access``
 (the L1 probe) and ``CMPSimulator._l1_miss`` (fetch, fill, dirty-victim
 writeback) — on a tiny two-core machine whose LLC policy is replaced by
 a stub that records every access and scripts its outcome.
@@ -51,13 +51,7 @@ def _simulator(n_cores=2):
 
 def _read(sim, core_id, address):
     """One L1 read by ``core_id``; returns its latency."""
-    core = sim.cores[core_id]
-    before = core.time
-    sim._warm_access(
-        core, address, sim._l1_mask, sim._l1_shift, sim.l1_latency,
-        sim.l1_hits, sim._l1_miss,
-    )
-    return core.time - before
+    return sim._l1_access(core_id, address, False, sim.cores[core_id].time)
 
 
 def _write_miss(sim, core_id, address):

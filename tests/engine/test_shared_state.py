@@ -10,7 +10,10 @@ a takeover (cooperative) or a migration (UCP) is in flight, and check:
   state after a ``python`` run, field by field;
 * arrival warming never silently falls back to the Python warming
   loop: the only Python warm accesses are takeover-completion bails,
-  each of which completes a donor's transfer.
+  each of which completes a donor's transfer;
+* every Python reference runs through ``CMPSimulator._step``: each one
+  a compiled run hands back completes a takeover, and a python run
+  steps exactly as many references as its cores count.
 """
 
 import pytest
@@ -160,23 +163,57 @@ def test_arrival_warming_never_falls_back_to_python(name, policy, monkeypatch):
     monkeypatch.setattr(CMPSimulator, "_warm_core", python_loop)
     monkeypatch.setattr(CMPSimulator, "_prewarm", python_loop)
     sim = _simulator(name, policy, None)
-    warm_access = CMPSimulator._warm_access
+    warm_line = CMPSimulator._warm_line
     bails = []
 
-    def completion_bail(*args):
+    def completion_bail(self, core, index):
         # Only a warming line that completes a takeover vector may run
         # in Python, and it must actually complete one.
         engine = sim.policy.engine
         before = engine.generation
-        warm_access(*args)
+        warm_line(self, core, index)
         bails.append(engine.generation != before)
 
-    monkeypatch.setattr(
-        CMPSimulator, "_warm_access", staticmethod(completion_bail)
-    )
+    monkeypatch.setattr(CMPSimulator, "_warm_line", completion_bail)
     sim.run(COMPILED)
     assert all(bails)
     if (name, policy) == ("storm-4c-s003", "cooperative"):
         assert bails, "the completion bail path was not exercised"
     if policy == "ucp":
         assert not bails
+
+
+@pytest.mark.parametrize("governor", GOVERNORS, ids=lambda g: g or "none")
+def test_reference_bails_run_through_the_reference_step(governor, monkeypatch):
+    # sparse-4c-s004 (cooperative) is a scenario whose kernel hands a
+    # reference back: its LLC traffic completes a takeover vector.
+    sim = _simulator("sparse-4c-s004", "cooperative", governor)
+    step = CMPSimulator._step
+    completions = []
+
+    def completion_step(self, *args):
+        # Every reference the kernel hands back completes a takeover.
+        engine = self.policy.engine
+        before = engine.generation
+        result = step(self, *args)
+        completions.append(engine.generation != before)
+        return result
+
+    monkeypatch.setattr(CMPSimulator, "_step", completion_step)
+    sim.run(COMPILED)
+    assert completions, "the kernel handed no reference back"
+    assert all(completions)
+
+
+def test_every_python_reference_runs_through_the_reference_step(monkeypatch):
+    sim = _simulator("sparse-4c-s004", "cooperative", None)
+    step = CMPSimulator._step
+    calls = []
+
+    def counted_step(self, *args):
+        calls.append(None)
+        return step(self, *args)
+
+    monkeypatch.setattr(CMPSimulator, "_step", counted_step)
+    sim.run(PYTHON)
+    assert len(calls) == sum(sim.core_columns.core_refs_done) > 0

@@ -119,9 +119,10 @@ class TestWayAlignment:
         permissions = policy.permissions
         permissions.check_invariants()
         for way in range(two_core.l2.ways):
-            owner = permissions.full_owner(way)
-            if owner is None or permissions.in_transition(way):
-                continue
+            rap, wap = permissions.rap[way], permissions.wap[way]
+            if not rap & wap or rap & ~wap:
+                continue  # unowned, or in a takeover transition
+            owner = (rap & wap).bit_length() - 1
             cache = simulator.cache
             for line in range(way, len(cache.tags), cache.ways):
                 line_owner = cache.owner[line]
