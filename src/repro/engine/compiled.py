@@ -58,7 +58,6 @@ import ctypes
 import re
 from array import array
 from functools import cache
-from time import perf_counter
 
 from repro.engine.build import (
     KERNEL_SOURCE,
@@ -69,9 +68,9 @@ from repro.engine.build import (
     ST_WARMUP_GATE,
     load_kernel,
 )
+from repro.obs import builtin as obs_metrics
 from repro.obs.log import note_fallback
-from repro.obs.metrics import metrics_enabled
-from repro.obs.trace import recorder as obs_recorder
+from repro.obs.trace import timed
 from repro.sim.cpu import CORE_ADDRESS_SPACE_BITS
 
 _NEVER = 1 << 62
@@ -89,6 +88,9 @@ _EVBUF_TRIPLES = 4096
 _EV_FLUSH_TL = 1
 _EV_TFB = 2
 _EV_TRANS_DUR = 3
+
+#: the kernel span's count arg and the histogram it feeds
+_SPAN_COUNTS = {"refs": obs_metrics.KERNEL_SPAN_REFS}
 
 
 @cache
@@ -603,32 +605,19 @@ def run_compiled(sim):
     event_index = 0
     next_event = events[0].at_cycle if events else _NEVER
     clock = 0
-    rec = obs_recorder()
-    trace_spans = rec.enabled
-    observe_spans = metrics_enabled()
-    if observe_spans:
-        from repro.obs import builtin as obs_metrics
-    # Span timing runs when either sink wants it; each sink is then
-    # fed independently (metrics without tracing and vice versa).
-    measure_spans = trace_spans or observe_spans
     refs_done = sim.core_columns.core_refs_done
 
     while unfinished:
         boundary = next_epoch if next_epoch < next_event else next_event
-        if measure_spans:
-            refs_before = sum(refs_done)
-            span_start = perf_counter()
-        marshal.enter(boundary, unfinished, warmed_up)
-        status = run_span(ctx_ptr)
-        marshal.leave()
-        if measure_spans:
-            seconds = perf_counter() - span_start
-            refs = sum(refs_done) - refs_before
-            if trace_spans:
-                rec.kernel_span(seconds, refs=refs, boundary=boundary)
-            if observe_spans:
-                obs_metrics.KERNEL_SPAN_SECONDS.observe(seconds)
-                obs_metrics.KERNEL_SPAN_REFS.observe(refs)
+        refs_before = sum(refs_done)
+        with timed(
+            "kernel_span", obs_metrics.KERNEL_SPAN_SECONDS, cat="kernel",
+            counts=_SPAN_COUNTS, boundary=boundary,
+        ) as span:
+            marshal.enter(boundary, unfinished, warmed_up)
+            status = run_span(ctx_ptr)
+            marshal.leave()
+            span["refs"] = sum(refs_done) - refs_before
         unfinished = ctx.unfinished
         if status == ST_DONE:
             break

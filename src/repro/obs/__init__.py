@@ -5,7 +5,9 @@ Three small modules, all off by default and all zero-overhead when off:
 - :mod:`repro.obs.metrics` — counters/gauges/histograms behind a
   ``register_metric`` decorator (``$REPRO_METRICS`` / ``--metrics``).
 - :mod:`repro.obs.trace` — sweep → task → run → epoch spans exported as
-  JSONL or Chrome trace-event JSON (``$REPRO_TRACE`` / ``--trace``).
+  JSONL or Chrome trace-event JSON (``$REPRO_TRACE`` / ``--trace``), and
+  :func:`timed`, the one timing primitive, which feeds both a span and
+  the site's metrics from one pair of clock reads.
 - :mod:`repro.obs.log` — the single progress-line helper honouring
   ``--quiet`` / ``$REPRO_QUIET``.
 
@@ -34,6 +36,7 @@ from repro.obs.trace import (
     enable_tracing,
     recorder,
     set_recorder,
+    timed,
     trace_key,
     tracing_enabled,
 )
@@ -61,6 +64,7 @@ __all__ = [
     "set_quiet",
     "set_recorder",
     "snapshot",
+    "timed",
     "trace_key",
     "tracing_enabled",
 ]

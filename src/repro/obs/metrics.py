@@ -1,6 +1,7 @@
 """Metrics registry: counters, gauges, and histograms behind one decorator.
 
-Mirrors the policy/governor/rule registries: metrics are declared once via
+The catalogue is a :class:`repro.registry.Registry`, like the policy,
+governor and rule registries: metrics are declared once via
 :func:`register_metric` (or the :func:`counter` / :func:`gauge` /
 :func:`histogram` convenience constructors, which register through the same
 path), duplicate names raise, and the built-in catalogue in
@@ -27,7 +28,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
+
+from repro.registry import Registry
 
 METRICS_ENV = "REPRO_METRICS"
 
@@ -91,23 +94,11 @@ class RegisteredMetric:
     instrument: "Metric | None" = field(default=None, compare=False)
 
 
-_REGISTRY: dict[str, RegisteredMetric] = {}
-
-_BUILTIN_MODULE = "repro.obs.builtin"
-_builtins_loaded = False
-
-
-def _ensure_builtins() -> None:
-    """Import the built-in metric catalogue exactly once.
-
-    The flag flips before the import so a metric module that consults the
-    registry while registering does not recurse.
-    """
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
-    __import__(_BUILTIN_MODULE)
+_REGISTRY: Registry[RegisteredMetric] = Registry(
+    "metric", "metrics", modules=("repro.obs.builtin",)
+)
+#: Live, set-like view of registered metric names (``in``, ``len``).
+METRIC_NAMES = _REGISTRY
 
 
 def register_metric(
@@ -133,20 +124,10 @@ def register_metric(
         raise ValueError(f"invalid metric name {name!r}")
 
     def decorate(source: MetricSource) -> MetricSource:
-        if name in _REGISTRY:
-            existing = _REGISTRY[name].source
-            raise ValueError(
-                f"metric {name!r} already registered by "
-                f"{getattr(existing, '__qualname__', existing)!r}"
-            )
-        _REGISTRY[name] = RegisteredMetric(
-            name=name,
-            kind=kind,
-            help=help,
-            unit=unit,
-            source=source,
+        _REGISTRY.add(name, source, RegisteredMetric(
+            name=name, kind=kind, help=help, unit=unit, source=source,
             instrument=instrument,
-        )
+        ))
         return source
 
     return decorate
@@ -154,44 +135,16 @@ def register_metric(
 
 def unregister_metric(name: str) -> None:
     """Remove a registered metric (tests use this to clean up)."""
-    _ensure_builtins()
-    _REGISTRY.pop(name, None)
+    _REGISTRY.remove(name)
 
 
 def metric_info(name: str) -> RegisteredMetric:
-    _ensure_builtins()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown metric {name!r}") from None
+    return _REGISTRY.info(name)
 
 
 def registered_metrics() -> list[RegisteredMetric]:
     """All metrics, sorted by name for deterministic output."""
-    _ensure_builtins()
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
-
-
-class _MetricNames:
-    """Live, set-like view of registered metric names."""
-
-    def __iter__(self) -> Iterator[str]:
-        _ensure_builtins()
-        return iter(sorted(_REGISTRY))
-
-    def __contains__(self, name: object) -> bool:
-        _ensure_builtins()
-        return name in _REGISTRY
-
-    def __len__(self) -> int:
-        _ensure_builtins()
-        return len(_REGISTRY)
-
-    def __repr__(self) -> str:
-        return f"MetricNames({sorted(_REGISTRY)!r})"
-
-
-METRIC_NAMES = _MetricNames()
+    return [_REGISTRY.info(name) for name in sorted(_REGISTRY.names())]
 
 
 def _label_key(labels: dict[str, str]) -> LabelItems:
@@ -261,12 +214,6 @@ class Gauge(Metric):
         if not _enabled:
             return
         self._values[_label_key(labels)] = float(value)
-
-    def add(self, amount: float, **labels: str) -> None:
-        if not _enabled:
-            return
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
 
     def collect(self) -> Iterable[Sample]:
         for key in sorted(self._values):
@@ -403,8 +350,7 @@ def merge_samples(document: dict[str, list]) -> None:
 
 def reset_metrics() -> None:
     """Zero every instrument-backed metric (scrape state, not the registry)."""
-    _ensure_builtins()
-    for spec in _REGISTRY.values():
+    for spec in registered_metrics():
         if spec.instrument is not None:
             spec.instrument.reset()
 

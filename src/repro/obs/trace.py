@@ -1,11 +1,13 @@
-"""Hierarchical trace recorder: sweep → task → run → epoch spans.
+"""Hierarchical trace recorder: sweep → task → run → epoch spans, and
+:func:`timed`, the one timing primitive every instrumented layer uses.
 
 Spans are stored as Chrome trace-event dicts (``ph: "X"`` complete events
-with microsecond ``ts``/``dur`` relative to the recorder's start, plus
-``ph: "i"`` instants), so the JSONL export converts to a Perfetto-loadable
-file by wrapping the list in ``{"traceEvents": [...]}``.  Engine spans also
-carry the deterministic sim clock (cycle ranges) in ``args`` so tests can
-reconcile them against ``TimelineSample`` boundaries.
+with microsecond ``ts``/``dur`` relative to the recorder's start, after
+one ``ph: "i"`` metadata instant), so the JSONL export converts to a
+Perfetto-loadable file by wrapping the list in ``{"traceEvents": [...]}``.
+Engine spans also carry the deterministic sim clock (cycle ranges) in
+``args`` so tests can reconcile them against ``TimelineSample``
+boundaries.
 
 The default recorder is :data:`NULL_RECORDER`, whose every method is a
 no-op and whose ``enabled`` flag lets hot loops hoist the check; golden
@@ -26,8 +28,10 @@ import json
 import os
 import threading
 import time
-from typing import Any, Iterable, TextIO
+from dataclasses import dataclass
+from typing import Any, Iterable, Mapping, TextIO
 
+from repro.obs.metrics import Counter, Histogram, metrics_enabled
 from repro.orchestration.clock import wall_now
 
 TRACE_ENV = "REPRO_TRACE"
@@ -54,9 +58,6 @@ class NullRecorder:
         return -1
 
     def end(self, token: int, **args: Any) -> None:
-        pass
-
-    def instant(self, name: str, cat: str = "task", **args: Any) -> None:
         pass
 
     def run_begin(self, **args: Any) -> None:
@@ -102,7 +103,7 @@ class TraceRecorder(NullRecorder):
     def __init__(self) -> None:
         self._origin = time.perf_counter()
         self._events: list[dict] = []
-        self._open: dict[int, dict] = {}
+        self._open: dict[int, tuple[str, str, float, dict]] = {}
         self._tokens = itertools.count(1)
         self._lock = threading.Lock()
         # Events stamp os.getpid() at append time, not this snapshot:
@@ -112,7 +113,7 @@ class TraceRecorder(NullRecorder):
         # Run-scoped state (one engine run at a time per process/thread).
         self._run_token = -1
         self._epochs = 0
-        self._epoch_wall_us = 0.0
+        self._epoch_start = self._origin
         self._epoch_cycle = 0
         # Kernel-span totals are cumulative across runs (a profiled or
         # ledgered sweep spans many); per-run deltas come from run_begin
@@ -137,53 +138,44 @@ class TraceRecorder(NullRecorder):
 
     # -- primitives ----------------------------------------------------
 
-    def _now_us(self) -> float:
-        return (time.perf_counter() - self._origin) * 1e6
+    def _complete(
+        self, name: str, cat: str, start: float, end: float, args: dict
+    ) -> None:
+        """Append one complete event timed by two ``perf_counter``
+        readings.  A kernel span also feeds the kernel totals; past
+        :attr:`KERNEL_EVENT_CAP` it feeds only them."""
+        if cat == "kernel":
+            self._kernel_spans += 1
+            self._kernel_seconds += end - start
+            self._kernel_refs += int(args.get("refs", 0))
+            if self._kernel_spans > self.KERNEL_EVENT_CAP:
+                return
+        event = {
+            "name": name,
+            "ph": "X",
+            "ts": (start - self._origin) * 1e6,
+            "dur": (end - start) * 1e6,
+            "pid": os.getpid(),
+            "tid": threading.get_ident(),
+            "cat": cat,
+            "args": args,
+        }
+        with self._lock:
+            self._events.append(event)
 
     def begin(self, name: str, cat: str = "task", **args: Any) -> int:
         with self._lock:
             token = next(self._tokens)
-            self._open[token] = {
-                "name": name,
-                "cat": cat,
-                "ts": self._now_us(),
-                "tid": threading.get_ident(),
-                "args": dict(args),
-            }
+            self._open[token] = (name, cat, time.perf_counter(), args)
         return token
 
     def end(self, token: int, **args: Any) -> None:
         with self._lock:
             started = self._open.pop(token, None)
-            if started is None:
-                return
-            now = self._now_us()
-            started["args"].update(args)
-            self._events.append(
-                {
-                    "name": started["name"],
-                    "ph": "X",
-                    "ts": started["ts"],
-                    "dur": now - started["ts"],
-                    "pid": os.getpid(),
-                    "tid": started["tid"],
-                    "cat": started["cat"],
-                    "args": started["args"],
-                }
-            )
-
-    def instant(self, name: str, cat: str = "task", **args: Any) -> None:
-        with self._lock:
-            self._events.append(
-                {
-                    "name": name,
-                    "ph": "i",
-                    "ts": self._now_us(),
-                    "pid": os.getpid(),
-                    "tid": threading.get_ident(),
-                    "cat": cat,
-                    "args": dict(args),
-                }
+        if started is not None:
+            name, cat, start, opened = started
+            self._complete(
+                name, cat, start, time.perf_counter(), {**opened, **args}
             )
 
     # -- engine-run protocol -------------------------------------------
@@ -191,7 +183,7 @@ class TraceRecorder(NullRecorder):
     def run_begin(self, **args: Any) -> None:
         self._run_token = self.begin("run", cat="engine", **args)
         self._epochs = 0
-        self._epoch_wall_us = self._now_us()
+        self._epoch_start = time.perf_counter()
         self._epoch_cycle = 0
         self._run_kernel_spans = self._kernel_spans
         self._run_kernel_seconds = self._kernel_seconds
@@ -199,25 +191,12 @@ class TraceRecorder(NullRecorder):
 
     def epoch(self, cycle: int, **args: Any) -> None:
         """Record one epoch span covering (last boundary, ``cycle``]."""
-        now = self._now_us()
-        with self._lock:
-            self._events.append(
-                {
-                    "name": "epoch",
-                    "ph": "X",
-                    "ts": self._epoch_wall_us,
-                    "dur": now - self._epoch_wall_us,
-                    "pid": os.getpid(),
-                    "tid": threading.get_ident(),
-                    "cat": "engine",
-                    "args": {
-                        "cycle_start": self._epoch_cycle,
-                        "cycle_end": cycle,
-                        **args,
-                    },
-                }
-            )
-        self._epoch_wall_us = now
+        now = time.perf_counter()
+        self._complete(
+            "epoch", "engine", self._epoch_start, now,
+            {"cycle_start": self._epoch_cycle, "cycle_end": cycle, **args},
+        )
+        self._epoch_start = now
         self._epoch_cycle = cycle
         self._epochs += 1
 
@@ -235,24 +214,9 @@ class TraceRecorder(NullRecorder):
         return summary
 
     def kernel_span(self, seconds: float, **args: Any) -> None:
-        now = self._now_us()
-        self._kernel_spans += 1
-        self._kernel_seconds += seconds
-        self._kernel_refs += int(args.get("refs", 0))
-        if self._kernel_spans <= self.KERNEL_EVENT_CAP:
-            with self._lock:
-                self._events.append(
-                    {
-                        "name": "kernel_span",
-                        "ph": "X",
-                        "ts": now - seconds * 1e6,
-                        "dur": seconds * 1e6,
-                        "pid": os.getpid(),
-                        "tid": threading.get_ident(),
-                        "cat": "kernel",
-                        "args": dict(args),
-                    }
-                )
+        """Record a kernel span of ``seconds`` that ends now."""
+        end = time.perf_counter()
+        self._complete("kernel_span", "kernel", end - seconds, end, args)
 
     # -- export --------------------------------------------------------
 
@@ -311,6 +275,86 @@ def enable_tracing() -> NullRecorder:
 def disable_tracing() -> None:
     global _recorder
     _recorder = NULL_RECORDER
+
+
+# -- the timing primitive ---------------------------------------------
+
+
+@dataclass(slots=True)
+class _Timed:
+    """A timed site with a sink on: one clock read at each end."""
+
+    name: str
+    cat: str
+    args: dict[str, Any]
+    rec: TraceRecorder | None
+    seconds: Histogram | None
+    counts: Mapping[str, Counter | Histogram] | None
+    start: float = 0.0
+
+    def __enter__(self) -> dict[str, Any]:
+        self.start = time.perf_counter()
+        return self.args
+
+    def __exit__(self, *exc: object) -> None:
+        end = time.perf_counter()
+        if self.rec is not None:
+            self.rec._complete(self.name, self.cat, self.start, end, self.args)
+        if self.seconds is not None:
+            self.seconds.observe(end - self.start)
+        for arg, metric in (self.counts or {}).items():
+            value = self.args.get(arg)
+            if value is not None:
+                if isinstance(metric, Counter):
+                    metric.inc(value)
+                else:
+                    metric.observe(value)
+
+
+class _Untimed:
+    """A timed site with both sinks off: no clock read, nothing fed."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> dict[str, Any]:
+        return {}
+
+    def __exit__(self, *exc: object) -> None:
+        pass
+
+
+_UNTIMED = _Untimed()
+
+
+def timed(
+    name: str,
+    seconds: Histogram | None = None,
+    *,
+    cat: str = "task",
+    counts: Mapping[str, Counter | Histogram] | None = None,
+    **args: Any,
+) -> _Timed | _Untimed:
+    """Time one layer: the only timing code an instrumented site has.
+
+    ``with timed("store.put", STORE_PUT_SECONDS, cat="store",
+    counts={"artifacts": STORE_ARTIFACTS_WRITTEN}) as span:`` runs the
+    body, then, with tracing on, records one complete ``cat`` event
+    named ``name`` whose args are ``args`` plus whatever the body set
+    on ``span``; with metrics on, it observes the body's seconds in
+    ``seconds`` and feeds each ``counts`` metric the span arg of its
+    key (a counter is incremented by it, a histogram observes it).
+    Both happen even if the body raises.  With both sinks off, or only
+    metrics on and no metric given, it reads no clock and feeds
+    nothing; ``span`` is then a throwaway dict.
+    """
+    rec = _recorder
+    metered = metrics_enabled() and (seconds is not None or bool(counts))
+    if not (rec.enabled or metered):
+        return _UNTIMED
+    return _Timed(
+        name, cat, args, rec if isinstance(rec, TraceRecorder) else None,
+        seconds if metered else None, counts if metered else None,
+    )
 
 
 # -- file formats ------------------------------------------------------

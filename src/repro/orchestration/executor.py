@@ -68,7 +68,7 @@ from typing import Callable, Iterable
 from repro.experiment import ALONE, Experiment
 from repro.obs import builtin as obs_metrics
 from repro.obs.metrics import metrics_enabled
-from repro.obs.trace import recorder as obs_recorder
+from repro.obs.trace import timed
 from repro.orchestration import pools
 from repro.orchestration.pools import PoolTask, SweepTaskError
 from repro.orchestration.store import ResultStore, default_store_path
@@ -271,19 +271,11 @@ class SweepExecutor:
         """
         alone_pending, main_pending, total = self.plan(tasks)
         computed = len(alone_pending) + len(main_pending)
-        rec = obs_recorder()
-        token = (
-            rec.begin(
-                "sweep", cat="sweep", tasks=total, pending=computed,
-                backend=self.pool_name,
-            )
-            if rec.enabled
-            else -1
-        )
-        try:
+        with timed(
+            "sweep", cat="sweep", tasks=total, pending=computed,
+            backend=self.pool_name, cached=total - computed,
+        ):
             self._run_phases(alone_pending, main_pending)
-        finally:
-            rec.end(token, cached=total - computed)
         return computed, total - computed
 
     # ------------------------------------------------------------------

@@ -41,11 +41,10 @@ import json
 import os
 import re
 from pathlib import Path
-from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.obs import builtin as obs_metrics
-from repro.obs.metrics import metrics_enabled
+from repro.obs.trace import timed
 from repro.orchestration.serialize import SCHEMA_VERSION
 
 #: environment variable overriding the default store location
@@ -142,13 +141,8 @@ class ResultStore:
         record of itself, so a damaged one heals into a miss here as
         on every other read.
         """
-        if not metrics_enabled():
+        with timed("store.probe", obs_metrics.STORE_PROBE_SECONDS, cat="store"):
             return self.get_envelope(key) is not None
-        start = perf_counter()
-        try:
-            return self.get_envelope(key) is not None
-        finally:
-            obs_metrics.STORE_PROBE_SECONDS.observe(perf_counter() - start)
 
     # ------------------------------------------------------------------
     def put(
@@ -172,39 +166,30 @@ class ResultStore:
         written to a sibling temp file and renamed into place, so a
         reader sees either the whole artifact or none.
         """
-        if not metrics_enabled():
-            return self._put_many(artifacts)
-        start = perf_counter()
-        try:
-            paths = self._put_many(artifacts)
-        finally:
-            obs_metrics.STORE_PUT_SECONDS.observe(perf_counter() - start)
-        obs_metrics.STORE_ARTIFACTS_WRITTEN.inc(len(paths))
-        return paths
-
-    def _put_many(
-        self,
-        artifacts: Iterable[tuple[str, dict[str, Any], str, dict[str, Any] | None]],
-    ) -> list[Path]:
-        self.root.mkdir(parents=True, exist_ok=True)
-        paths: list[Path] = []
-        for key, payload, kind, meta in artifacts:
-            path = self.path_for(key)
-            envelope = {
-                "schema": SCHEMA_VERSION,
-                "kind": kind,
-                "key": key,
-                "meta": meta or {},
-                "payload": payload,
-            }
-            blob = json.dumps(
-                envelope, separators=(",", ":"), sort_keys=True
-            ).encode("utf-8")
-            temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            with open(temporary, "wb") as handle:
-                handle.write(blob)
-            os.replace(temporary, path)
-            paths.append(path)
+        with timed(
+            "store.put", obs_metrics.STORE_PUT_SECONDS, cat="store",
+            counts={"artifacts": obs_metrics.STORE_ARTIFACTS_WRITTEN},
+        ) as span:
+            self.root.mkdir(parents=True, exist_ok=True)
+            paths: list[Path] = []
+            for key, payload, kind, meta in artifacts:
+                path = self.path_for(key)
+                envelope = {
+                    "schema": SCHEMA_VERSION,
+                    "kind": kind,
+                    "key": key,
+                    "meta": meta or {},
+                    "payload": payload,
+                }
+                blob = json.dumps(
+                    envelope, separators=(",", ":"), sort_keys=True
+                ).encode("utf-8")
+                temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+                with open(temporary, "wb") as handle:
+                    handle.write(blob)
+                os.replace(temporary, path)
+                paths.append(path)
+            span["artifacts"] = len(paths)
         return paths
 
     # ------------------------------------------------------------------

@@ -132,28 +132,20 @@ class ExperimentRunner:
         result = self.cached(experiment)
         if result is not None:
             return result
-        from repro.obs.trace import recorder as obs_recorder
+        from repro.obs.trace import recorder, timed
 
-        rec = obs_recorder()
-        if rec.enabled:
-            mark = rec.mark()
-            token = rec.begin(
-                experiment.label,
-                cat="task",
-                kind=experiment.kind,
-                key=experiment.task_key(),
-            )
+        rec = recorder()
+        mark = rec.mark()
         kind = experiment.kind
-        if kind == "alone":
-            result = self._simulate_alone(experiment)
-        elif kind == "group":
-            result = self._simulate_group(experiment)
-        else:
-            result = self._simulate_scenario(experiment)
-        self._to_store(experiment, result)
-        if rec.enabled:
-            rec.end(token)
-            self._trace_to_store(experiment, rec.events_since(mark))
+        with timed(experiment.label, kind=kind, key=experiment.task_key()):
+            if kind == "alone":
+                result = self._simulate_alone(experiment)
+            elif kind == "group":
+                result = self._simulate_group(experiment)
+            else:
+                result = self._simulate_scenario(experiment)
+            self._to_store(experiment, result)
+        self._trace_to_store(experiment, rec.events_since(mark))
         self._results[experiment.task_key()] = result
         return result
 

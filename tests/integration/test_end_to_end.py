@@ -110,27 +110,43 @@ class TestWayAlignment:
     """CP's defining property: a core never hits on another's way."""
 
     def test_final_cache_state_is_way_aligned(self, two_core, runner):
+        from repro.engine import available_engines
         from repro.sim.simulator import CMPSimulator
 
         traces = [runner.trace_for(b, two_core) for b in ("lbm", "bzip2")]
-        simulator = CMPSimulator(two_core, traces, "cooperative")
-        simulator.run()
-        policy = simulator.policy
-        permissions = policy.permissions
-        permissions.check_invariants()
-        for way in range(two_core.l2.ways):
-            rap, wap = permissions.rap[way], permissions.wap[way]
-            if not rap & wap or rap & ~wap:
-                continue  # unowned, or in a takeover transition
-            owner = (rap & wap).bit_length() - 1
+        for engine in available_engines():
+            simulator = CMPSimulator(two_core, traces, "cooperative")
+            simulator.run(engine)
+            policy = simulator.policy
+            permissions = policy.permissions
+            permissions.check_invariants()
+            in_flight = {
+                way
+                for donor in range(two_core.n_cores)
+                for way in policy.engine.ways_of_donor(donor)
+            }
+            # Only a way in flight from a donor has two readers.
+            for way in range(two_core.l2.ways):
+                if bin(permissions.rap[way]).count("1") > 1:
+                    assert way in in_flight, (engine, way)
+            # Outside the in-flight set, a line another core installed
+            # is one its new owner inherited: its installer has lost
+            # read access to the way, so it can no longer hit on it.
+            # (The line need not be clean: a late donor write-hit
+            # re-dirties it, and eviction writes it back.)
             cache = simulator.cache
-            for line in range(way, len(cache.tags), cache.ways):
-                line_owner = cache.owner[line]
-                if cache.tags[line] is not None and line_owner >= 0:
-                    # Lines of a settled way belong to its owner or are
-                    # leftovers the owner inherited (clean by takeover).
-                    if line_owner != owner:
-                        assert not cache.dirty[line] or True
+            foreign = 0
+            for way in set(range(two_core.l2.ways)) - in_flight:
+                owner = (permissions.rap[way] & permissions.wap[way]).bit_length() - 1
+                for line in range(way, len(cache.tags), cache.ways):
+                    installer = cache.owner[line]
+                    if cache.tags[line] < 0 or installer < 0 or installer == owner:
+                        continue
+                    foreign += 1
+                    assert way not in permissions.readable_ways(installer), (
+                        engine, way, line,
+                    )
+            assert foreign, f"{engine}: no way changed hands"
 
 
 class TestEnergyAccountingConsistency:

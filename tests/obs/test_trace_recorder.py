@@ -28,7 +28,6 @@ class TestNullRecorder:
         assert null.enabled is False
         token = null.begin("task")
         null.end(token)
-        null.instant("x")
         null.run_begin()
         null.epoch(100)
         assert null.run_end() == {}
@@ -59,17 +58,10 @@ class TestSpans:
         rec.end(12345)
         assert len(rec.events()) == before
 
-    def test_instant(self):
-        rec = TraceRecorder()
-        rec.instant("ping", cat="meta", n=1)
-        (event,) = [e for e in rec.events() if e["name"] == "ping"]
-        assert event["ph"] == "i"
-        assert event["args"] == {"n": 1}
-
     def test_mark_and_events_since(self):
         rec = TraceRecorder()
         mark = rec.mark()
-        rec.instant("after")
+        rec.end(rec.begin("after"))
         fresh = rec.events_since(mark)
         assert [e["name"] for e in fresh] == ["after"]
         # returned events are copies: mutation cannot corrupt the log
@@ -155,7 +147,7 @@ class TestGlobals:
 class TestFileFormats:
     def test_jsonl_roundtrip(self, tmp_path):
         rec = TraceRecorder()
-        rec.instant("one")
+        rec.end(rec.begin("one"))
         path = tmp_path / "trace.jsonl"
         with open(path, "w", encoding="utf-8") as handle:
             count = write_jsonl(rec.events(), handle)
@@ -164,7 +156,7 @@ class TestFileFormats:
 
     def test_write_trace_file_chrome_for_json_suffix(self, tmp_path):
         rec = TraceRecorder()
-        rec.instant("one")
+        rec.end(rec.begin("one"))
         path = tmp_path / "trace.json"
         write_trace_file(rec.events(), str(path))
         document = json.loads(path.read_text())
