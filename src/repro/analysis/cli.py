@@ -14,7 +14,6 @@ shrink honestly.
 from __future__ import annotations
 
 import argparse
-import json
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,6 +30,7 @@ from repro.analysis.registry import (
     registered_rules,
     rule_info,
 )
+from repro.render import json_text
 
 #: severities that gate (info never does)
 _GATING = ("warning", "error")
@@ -153,7 +153,7 @@ def _format_json(
             for e in stale
         ],
     }
-    print(json.dumps(document, indent=2, sort_keys=True))
+    print(json_text(document), end="")
 
 
 def run_check(

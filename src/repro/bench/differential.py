@@ -30,11 +30,11 @@ the CI smoke, ``full`` is the pre-tentpole regression net.
 from __future__ import annotations
 
 import dataclasses
-import json
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.dvfs.governors import GovernorSpec
 from repro.experiment import Experiment
+from repro.render import Column, table
 from repro.scenarios.corpus import CorpusEntry, load_corpus
 from repro.scenarios.generate import CORPUS_SHAPES
 from repro.sim.config import SystemConfig, scaled_four_core, scaled_two_core
@@ -828,29 +828,30 @@ def run_suite(
 # ----------------------------------------------------------------------
 # Rendering
 # ----------------------------------------------------------------------
+#: the suite table: its columns and the report-row field each one shows
+_REPORT_COLUMNS = (
+    Column("scenario", "<22"), Column("policy", "<12"), Column("governor", "<12"),
+    Column("end cycle", ">10"), Column("total nJ", ">12", ".1f"),
+    Column("static nW", ">10", ".3f"), Column("min ways", ">8"),
+    Column("bad", ">4"),
+)
+_REPORT_FIELDS = (
+    "scenario", "policy", "governor", "end_cycle", "total_energy_nj",
+    "static_power_nw", "min_powered_ways", "violations",
+)
+
+
 def render_report(report: SuiteReport) -> str:
     """The suite summary as a fixed-width table + verdict line."""
-    header = (
-        f"{'scenario':<22} {'policy':<12} {'governor':<12} "
-        f"{'end cycle':>10} {'total nJ':>12} {'static nW':>10} "
-        f"{'min ways':>8} {'bad':>4}"
-    )
-    lines = [header, "-" * len(header)]
-    for row in report.rows:
-        lines.append(
-            f"{row['scenario']:<22} {row['policy']:<12} "
-            f"{row['governor']:<12} {row['end_cycle']:>10} "
-            f"{row['total_energy_nj']:>12.1f} "
-            f"{row['static_power_nw']:>10.3f} "
-            f"{row['min_powered_ways']:>8} {row['violations']:>4}"
-        )
+    rows = ([row[field] for field in _REPORT_FIELDS] for row in report.rows)
     counts = report.counts
-    lines.append("")
-    lines.append(
+    lines = [
+        table(_REPORT_COLUMNS, rows, sep=" ", rule=True),
+        "",
         f"suite={report.suite} scenarios={counts['scenarios']} "
         f"runs={counts['runs']} per-run={counts['per_run_checks']} "
-        f"cross={counts['cross_run_checks']} live={counts['live_checks']}"
-    )
+        f"cross={counts['cross_run_checks']} live={counts['live_checks']}",
+    ]
     if report.ok:
         lines.append("OK: zero invariant violations")
     else:

@@ -65,9 +65,9 @@ POWER_GATE_DROPS = counter(
 
 # -- result store ------------------------------------------------------
 
-STORE_PROBE_SECONDS = histogram(
-    "repro_store_probe_seconds",
-    help="Latency of ResultStore.probe calls.",
+STORE_GET_SECONDS = histogram(
+    "repro_store_get_seconds",
+    help="Latency of ResultStore artifact reads.",
     unit="seconds",
 )
 STORE_PUT_SECONDS = histogram(

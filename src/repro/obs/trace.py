@@ -69,9 +69,6 @@ class NullRecorder:
     def run_end(self, **args: Any) -> dict:
         return {}
 
-    def kernel_span(self, seconds: float, **args: Any) -> None:
-        pass
-
     def mark(self) -> int:
         return 0
 
@@ -212,11 +209,6 @@ class TraceRecorder(NullRecorder):
         self.end(self._run_token, **summary, **args)
         self._run_token = -1
         return summary
-
-    def kernel_span(self, seconds: float, **args: Any) -> None:
-        """Record a kernel span of ``seconds`` that ends now."""
-        end = time.perf_counter()
-        self._complete("kernel_span", "kernel", end - seconds, end, args)
 
     # -- export --------------------------------------------------------
 

@@ -49,24 +49,40 @@ the pool backends).  Installed as a console script by ``setup.py``;
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 import time
 from typing import Any, Iterable, Sequence
 
+from repro import obs
 from repro.analysis.cli import add_check_arguments, cmd_check
+from repro.dvfs.governors import GovernorSpec, registered_governors
+from repro.engine import EngineUnavailableError
 from repro.experiment import Experiment, by_group_policy
 from repro.metrics.speedup import geometric_mean
 from repro.obs.log import progress
+from repro.obs.trace import read_events, to_chrome_trace, trace_key, write_trace_file
 from repro.orchestration.executor import SweepExecutor, resolve_jobs
 from repro.orchestration.pools import SERIAL
+from repro.orchestration.serialize import scenario_from_dict, scenario_to_dict
 from repro.orchestration.store import ResultStore, default_store_path
+from repro.render import Column, csv_text, json_text, table
+from repro.scenarios.model import (
+    Scenario, arrival_scenario, consolidation_scenario, phased_scenario,
+)
+from repro.scenarios.timeline import render_timeline
 from repro.sim.config import SystemConfig, scaled_four_core, scaled_two_core
 from repro.sim.runner import ALL_POLICIES, AloneResult, ExperimentRunner
 from repro.workloads.groups import group_benchmarks, group_names
 from repro.workloads.profiles import BENCHMARK_PROFILES, classify_mpki
 
-#: the three normalised tables the figures are built from
-_METRICS = ("speedup", "dynamic", "static")
+#: the three normalised tables the figures are built from, by title
+_METRICS = {
+    "speedup": "weighted speedup",
+    "dynamic": "dynamic energy per kilo-instruction",
+    "static": "static leakage power",
+}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -351,6 +367,11 @@ def _config_from(options: argparse.Namespace) -> SystemConfig:
     return config
 
 
+def _names(spec: str) -> tuple[str, ...]:
+    """The names of a comma-separated list option, blanks dropped."""
+    return tuple(token.strip() for token in spec.split(",") if token.strip())
+
+
 def _groups_from(options: argparse.Namespace) -> list[str]:
     names = group_names(options.cores)
     spec = options.groups
@@ -359,14 +380,14 @@ def _groups_from(options: argparse.Namespace) -> list[str]:
     try:
         count = int(spec)
     except ValueError:
-        chosen = [token.strip() for token in spec.split(",") if token.strip()]
+        chosen = _names(spec)
         unknown = [g for g in chosen if g not in names]
         if unknown:
             raise SystemExit(
                 f"unknown group(s) {', '.join(unknown)} for --cores "
                 f"{options.cores}; valid: {', '.join(names)}"
             )
-        return chosen
+        return list(chosen)
     if count <= 0:
         raise SystemExit(f"--groups must name groups or a positive count, got {count}")
     return names[:count]
@@ -376,7 +397,7 @@ def _policies_from(options: argparse.Namespace) -> tuple[str, ...]:
     spec = options.policies
     if not spec:
         return ALL_POLICIES
-    chosen = tuple(token.strip() for token in spec.split(",") if token.strip())
+    chosen = _names(spec)
     unknown = [p for p in chosen if p not in ALL_POLICIES]
     if unknown:
         raise SystemExit(
@@ -389,10 +410,6 @@ def _policies_from(options: argparse.Namespace) -> tuple[str, ...]:
 def _governor_from(options: argparse.Namespace):
     """Build the selected :class:`GovernorSpec` (None when no
     ``--governor`` was given)."""
-    import json
-
-    from repro.dvfs.governors import GovernorSpec, registered_governors
-
     raw_params = options.governor_param or []
     if options.governor is None:
         if raw_params:
@@ -430,10 +447,6 @@ def _apply_obs(options: argparse.Namespace) -> None:
     ``tracing_enabled()`` to decide whether to ask remotes for traces,
     so setting state here covers every execution tier.
     """
-    import os
-
-    from repro import obs
-
     if getattr(options, "quiet", False):
         obs.set_quiet(True)
         os.environ[obs.QUIET_ENV] = "1"
@@ -453,14 +466,8 @@ def _finish_obs(options: argparse.Namespace, session: "_Session") -> None:
     dependencies included; a cached task simulated nothing and has
     none).
     """
-    import os
-
-    from repro import obs
-
     trace_path = getattr(options, "trace", None)
     if trace_path:
-        from repro.obs.trace import trace_key, write_trace_file
-
         events = list(obs.recorder().events())
         keys = dict.fromkeys(
             spec.task_key()
@@ -491,91 +498,74 @@ def _finish_obs(options: argparse.Namespace, session: "_Session") -> None:
 
 
 # ----------------------------------------------------------------------
-# Table rendering
+# The figure tables
 # ----------------------------------------------------------------------
-def _print_table(
-    title: str,
-    rows: dict[str, dict[str, float]],
-    policies: Sequence[str],
-    average: dict[str, float],
-) -> None:
-    print(f"\n=== {title} ===")
-    print(f"{'group':<8}" + "".join(f"{p:>14}" for p in policies))
-    for group, row in rows.items():
-        print(f"{group:<8}" + "".join(f"{row[p]:>14.3f}" for p in policies))
-    print(f"{'AVG':<8}" + "".join(f"{average[p]:>14.3f}" for p in policies))
+def _grid(
+    options: argparse.Namespace,
+) -> tuple[SystemConfig, list[str], tuple[str, ...], list[Experiment]]:
+    """The selected (group x scheme) grid of ``sweep`` and ``report``:
+    its config, groups, schemes and :class:`Experiment` specs."""
+    config = _config_from(options)
+    groups = _groups_from(options)
+    policies = _policies_from(options)
+    governor = _governor_from(options)
+    experiments = Experiment.grid(config, groups, policies, governor=governor)
+    return config, groups, policies, experiments
 
 
-def _metric_tables(
+def _print_figures(
     runner: ExperimentRunner,
-    results: dict,
+    experiments: list[Experiment],
     config: SystemConfig,
     policies: Sequence[str],
-    metrics: Sequence[str],
-) -> dict[str, dict]:
-    """Normalised (metric -> {title, groups, average}) figure data."""
+    metrics: Iterable[str],
+    output_format: str = "table",
+) -> None:
+    """Print a run grid's normalised figure tables as human tables,
+    one JSON document or flat metric,group,policy,value CSV rows."""
+    results = by_group_policy({spec: runner.run(spec) for spec in experiments})
     baseline = "fair_share" if "fair_share" in policies else policies[0]
-    titles = {
-        "speedup": f"weighted speedup (normalised to {baseline})",
-        "dynamic": f"dynamic energy per kilo-instruction (normalised to {baseline})",
-        "static": f"static leakage power (normalised to {baseline})",
-    }
     tables: dict[str, dict] = {}
+    rows: dict[str, list] = {}
     for metric in metrics:
         if metric == "speedup":
-            table = runner.normalized_weighted_speedup(results, config, baseline)
+            groups = runner.normalized_weighted_speedup(results, config, baseline)
         else:
-            table = runner.normalized_energy(results, metric, baseline)
+            groups = runner.normalized_energy(results, metric, baseline)
         average = {
-            policy: geometric_mean([table[group][policy] for group in table])
+            policy: geometric_mean([groups[group][policy] for group in groups])
             for policy in policies
         }
         tables[metric] = {
-            "title": f"{config.n_cores}-core {titles[metric]}",
+            "title": f"{config.n_cores}-core {_METRICS[metric]} "
+                     f"(normalised to {baseline})",
             "baseline": baseline,
-            "groups": table,
+            "groups": groups,
             "average": average,
         }
-    return tables
-
-
-def _render_tables(
-    runner: ExperimentRunner,
-    results: dict,
-    config: SystemConfig,
-    policies: Sequence[str],
-    metrics: Sequence[str],
-    output_format: str = "table",
-) -> None:
-    """Render the figure tables as human tables, JSON or CSV."""
-    tables = _metric_tables(runner, results, config, policies, metrics)
+        rows[metric] = [*groups.items(), ("AVG", average)]
     if output_format == "json":
-        import json
-
-        print(
-            json.dumps(
-                {
-                    "n_cores": config.n_cores,
-                    "refs_per_core": config.refs_per_core,
-                    "policies": list(policies),
-                    "metrics": tables,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        sys.stdout.write(json_text({
+            "n_cores": config.n_cores,
+            "refs_per_core": config.refs_per_core,
+            "policies": list(policies),
+            "metrics": tables,
+        }))
         return
     if output_format == "csv":
-        print("metric,group,policy,value")
-        for metric, data in tables.items():
-            for group, row in data["groups"].items():
-                for policy in policies:
-                    print(f"{metric},{group},{policy},{row[policy]!r}")
-            for policy in policies:
-                print(f"{metric},AVG,{policy},{data['average'][policy]!r}")
+        print(csv_text(("metric", "group", "policy", "value"), (
+            (metric, group, policy, row[policy])
+            for metric in rows
+            for group, row in rows[metric]
+            for policy in policies
+        )))
         return
-    for data in tables.values():
-        _print_table(data["title"], data["groups"], policies, data["average"])
+    columns = [Column("group", "<8"), *(Column(p, ">14", ".3f") for p in policies)]
+    for metric, data in tables.items():
+        print(f"\n=== {data['title']} ===")
+        print(table(columns, [
+            (group, *(row[p] for p in policies)) for group, row in rows[metric]
+        ]))
 
 
 # ----------------------------------------------------------------------
@@ -590,8 +580,6 @@ class _Session:
     """
 
     def __init__(self, options: argparse.Namespace) -> None:
-        from repro.engine import EngineUnavailableError
-
         self.store = _store_from(options)
         try:
             self.executor = SweepExecutor(
@@ -646,13 +634,13 @@ def _run_command(options: argparse.Namespace) -> int:
 def _render_dry_run(session: _Session, experiments: list) -> int:
     """``repro sweep --dry-run``: the planned task list, no simulation."""
     plan = session.executor.plan_report(experiments)
-    print(f"{'status':<8}{'kind':<10}{'experiment':<44}{'key':<14}")
-    for experiment, cached in plan:
-        status = "hit" if cached else "miss"
-        print(
-            f"{status:<8}{experiment.kind:<10}{experiment.label:<44}"
-            f"{experiment.task_key()[:12]:<14}"
-        )
+    columns = (Column("status", "<8"), Column("kind", "<10"),
+               Column("experiment", "<44"), Column("key", "<14"))
+    print(table(columns, [
+        ("hit" if cached else "miss", experiment.kind, experiment.label,
+         experiment.task_key()[:12])
+        for experiment, cached in plan
+    ]))
     missing = sum(1 for _, cached in plan if not cached)
     print(
         f"\n{len(plan)} task(s) planned (alone-run dependencies "
@@ -670,22 +658,16 @@ def _sweep(options: argparse.Namespace, session: _Session) -> int:
     if options.spec:
         experiments = _spec_experiments(options)
     else:
-        config = _config_from(options)
-        groups = _groups_from(options)
-        policies = _policies_from(options)
-        governor = _governor_from(options)
-        experiments = Experiment.grid(config, groups, policies, governor=governor)
+        config, groups, policies, experiments = _grid(options)
     if options.dry_run:
         return _render_dry_run(session, experiments)
     session.run(experiments)
-    runner = session.runner
     if options.spec:
-        _print_spec_rows(runner, experiments)
+        _print_spec_rows(session.runner, experiments)
         print(f"\n{len(experiments)} spec(s); {session.tally()}")
         return 0
-    results = by_group_policy({spec: runner.run(spec) for spec in experiments})
-    metrics = _METRICS if options.metric == "all" else (options.metric,)
-    _render_tables(runner, results, config, policies, metrics)
+    metrics = tuple(_METRICS) if options.metric == "all" else (options.metric,)
+    _print_figures(session.runner, experiments, config, policies, metrics)
     print(
         f"\n{len(experiments)} group runs over {len(groups)} groups x "
         f"{len(policies)} schemes; "
@@ -696,8 +678,6 @@ def _sweep(options: argparse.Namespace, session: _Session) -> int:
 
 def _spec_experiments(options: argparse.Namespace) -> list[Experiment]:
     """The Experiment list of ``repro sweep --spec FILE``."""
-    import json
-
     if _governor_from(options) is not None:
         raise SystemExit(
             "--governor cannot be combined with --spec: each spec "
@@ -719,7 +699,7 @@ def _spec_experiments(options: argparse.Namespace) -> list[Experiment]:
 
 def _print_spec_rows(runner: ExperimentRunner, experiments: list) -> None:
     """One summary row per ``--spec`` experiment."""
-    print(f"{'kind':<10}{'experiment':<38}{'key':<14}{'headline':<40}")
+    rows = []
     for experiment in experiments:
         result = runner.run(experiment)
         if isinstance(result, AloneResult):
@@ -730,10 +710,12 @@ def _print_spec_rows(runner: ExperimentRunner, experiments: list) -> None:
                 f"static={result.static_energy_nj:,.0f}nJ "
                 f"ways={result.average_active_ways:.1f}"
             )
-        print(
-            f"{experiment.kind:<10}{experiment.label:<38}"
-            f"{experiment.task_key()[:12]:<14}{headline:<40}"
+        rows.append(
+            (experiment.kind, experiment.label, experiment.task_key()[:12], headline)
         )
+    columns = (Column("kind", "<10"), Column("experiment", "<38"),
+               Column("key", "<14"), Column("headline", "<40"))
+    print(table(columns, rows))
 
 
 def _alone(options: argparse.Namespace, session: _Session) -> int:
@@ -754,24 +736,21 @@ def _alone(options: argparse.Namespace, session: _Session) -> int:
         )
     specs = [Experiment.alone_run(name, system=config) for name in names]
     session.run(specs)
+    results = [session.runner.run(spec) for spec in specs]
+    columns = (Column("benchmark", "<12"), Column("paper MPKI", ">12", ".2f"),
+               Column("measured", ">12", ".2f"), Column("IPC", ">8", ".3f"),
+               Column("class", ">9"))
     print(f"\n=== alone runs on {config.l2.describe()} ===")
-    print(f"{'benchmark':<12}{'paper MPKI':>12}{'measured':>12}{'IPC':>8}{'class':>9}")
-    for name, spec in zip(names, specs):
-        result = session.runner.run(spec)
-        profile = BENCHMARK_PROFILES[name]
-        print(
-            f"{name:<12}{profile.mpki:>12.2f}{result.mpki:>12.2f}"
-            f"{result.ipc:>8.3f}{classify_mpki(result.mpki).value:>9}"
-        )
+    print(table(columns, [
+        (name, BENCHMARK_PROFILES[name].mpki, result.mpki, result.ipc,
+         classify_mpki(result.mpki).value)
+        for name, result in zip(names, results)
+    ]))
     return 0
 
 
 def _cmd_report(options: argparse.Namespace) -> int:
-    config = _config_from(options)
-    groups = _groups_from(options)
-    policies = _policies_from(options)
-    governor = _governor_from(options)
-    experiments = Experiment.grid(config, groups, policies, governor=governor)
+    config, _, policies, experiments = _grid(options)
     store = _store_from(options)
     runner = ExperimentRunner(store=store)
     # A corrupt artifact reads as a miss, so report refuses instead of
@@ -794,27 +773,15 @@ def _cmd_report(options: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    results = by_group_policy({spec: runner.run(spec) for spec in experiments})
-    _render_tables(runner, results, config, policies, _METRICS, options.format)
+    _print_figures(runner, experiments, config, policies, _METRICS, options.format)
     return 0
 
 
 def _scenario(options: argparse.Namespace, session: _Session) -> int:
     """``repro scenario``: a preset or ``--spec`` schedule under each
     selected scheme, against its static baseline."""
-    import json
-
     if options.suite:
         return _scenario_suite(options, session)
-    from repro.orchestration.serialize import scenario_from_dict, scenario_to_dict
-    from repro.scenarios.model import (
-        Scenario,
-        arrival_scenario,
-        consolidation_scenario,
-        phased_scenario,
-    )
-    from repro.scenarios.timeline import render_timeline
-
     config = _config_from(options)
     policies = _policies_from(options)
     governor = _governor_from(options)
@@ -928,29 +895,23 @@ def _scenario(options: argparse.Namespace, session: _Session) -> int:
                 f"{summary['transfer_flushes']} transfer flushes"
             )
     if options.format == "json":
-        print(json.dumps(document, indent=2, sort_keys=True))
+        sys.stdout.write(json_text(document))
     elif options.format == "csv":
-        print(
-            "policy,cycle,active_cores,allocations,powered_ways,"
-            "static_energy_nj,dynamic_energy_nj,events"
-        )
-        for policy, data in document["runs"].items():
-            for sample in data["timeline"]:
-                active = "+".join(str(c) for c in sample["active_cores"])
-                allocations = "+".join(str(a) for a in sample["allocations"])
-                events = "+".join(sample["events"])
-                print(
-                    f"{policy},{sample['cycle']},{active},{allocations},"
-                    f"{sample['powered_ways']},{sample['static_energy_nj']!r},"
-                    f"{sample['dynamic_energy_nj']!r},{events}"
-                )
+        header = ("policy", "cycle", "active_cores", "allocations", "powered_ways",
+                  "static_energy_nj", "dynamic_energy_nj", "events")
+        print(csv_text(header, (
+            (policy, sample["cycle"], "+".join(map(str, sample["active_cores"])),
+             "+".join(map(str, sample["allocations"])), sample["powered_ways"],
+             sample["static_energy_nj"], sample["dynamic_energy_nj"],
+             "+".join(sample["events"]))
+            for policy, data in document["runs"].items()
+            for sample in data["timeline"]
+        )))
     return 0
 
 
 def _scenario_suite(options: argparse.Namespace, session: _Session) -> int:
     """``repro scenario --suite``: the corpus differential harness."""
-    import json
-
     from repro.bench.differential import (
         render_report,
         run_suite,
@@ -978,11 +939,7 @@ def _scenario_suite(options: argparse.Namespace, session: _Session) -> int:
         else suite_policies(options.suite)
     )
     governors = (
-        tuple(
-            token.strip()
-            for token in options.governors.split(",")
-            if token.strip()
-        )
+        _names(options.governors)
         if options.governors
         else suite_governors(options.suite)
     )
@@ -1015,23 +972,15 @@ def _scenario_suite(options: argparse.Namespace, session: _Session) -> int:
         raise SystemExit(str(error))
     if options.report:
         with open(options.report, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(json_text(report.to_dict()))
         progress(f"wrote report to {options.report}")
     if options.format == "json":
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        sys.stdout.write(json_text(report.to_dict()))
     elif options.format == "csv":
-        print(
-            "scenario,shape,n_cores,policy,governor,end_cycle,"
-            "total_energy_nj,static_power_nw,min_powered_ways,violations"
-        )
-        for row in report.rows:
-            print(
-                f"{row['scenario']},{row['shape']},{row['n_cores']},"
-                f"{row['policy']},{row['governor']},{row['end_cycle']},"
-                f"{row['total_energy_nj']!r},{row['static_power_nw']!r},"
-                f"{row['min_powered_ways']},{row['violations']}"
-            )
+        fields = ("scenario", "shape", "n_cores", "policy", "governor", "end_cycle",
+                  "total_energy_nj", "static_power_nw", "min_powered_ways",
+                  "violations")
+        print(csv_text(fields, ([row[f] for f in fields] for row in report.rows)))
     else:
         print(render_report(report))
     return 0 if report.ok else 1
@@ -1039,10 +988,6 @@ def _scenario_suite(options: argparse.Namespace, session: _Session) -> int:
 
 def _cmd_trace_view(options: argparse.Namespace) -> int:
     """``repro trace view``: emit a Perfetto-loadable Chrome trace."""
-    import json
-
-    from repro.obs.trace import read_events, to_chrome_trace
-
     try:
         events = read_events(options.file)
     except (OSError, ValueError, json.JSONDecodeError) as error:
@@ -1057,8 +1002,7 @@ def _cmd_trace_view(options: argparse.Namespace) -> int:
             f"(load at https://ui.perfetto.dev)"
         )
     else:
-        json.dump(document, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json_text(document))
     return 0
 
 

@@ -101,7 +101,7 @@ WIRE_SCHEMA = 1
 #: home: the parent counts its own store's writes when it ingests the
 #: returned artifacts
 _SCRATCH_STORE_METRICS = (
-    obs_metrics.STORE_PROBE_SECONDS.name,
+    obs_metrics.STORE_GET_SECONDS.name,
     obs_metrics.STORE_PUT_SECONDS.name,
     obs_metrics.STORE_ARTIFACTS_WRITTEN.name,
 )

@@ -114,25 +114,29 @@ class ResultStore:
         malformed envelope, so a result reader
         (:meth:`repro.sim.runner.ExperimentRunner.cached`) sees a miss
         and recomputes instead of raising on every later read.
+
+        Every read comes through here, so each is one ``store.get``
+        span and one ``repro_store_get_seconds`` sample.
         """
         path = self.path_for(key)
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-            envelope = json.loads(raw)
-            if envelope["schema"] != SCHEMA_VERSION:
-                raise ValueError(f"schema {envelope['schema']} != {SCHEMA_VERSION}")
-            payload = envelope["payload"]  # malformed without one
-            return envelope if decode is None else decode(payload)
-        except FileNotFoundError:
-            return None
-        except OSError:
-            # Transient I/O trouble (EMFILE, NFS hiccups) is a miss,
-            # not corruption — keep the artifact for the next read.
-            return None
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            self._discard(path)
-            return None
+        with timed("store.get", obs_metrics.STORE_GET_SECONDS, cat="store"):
+            try:
+                with open(path, "rb") as handle:
+                    raw = handle.read()
+                envelope = json.loads(raw)
+                if envelope["schema"] != SCHEMA_VERSION:
+                    raise ValueError(f"schema {envelope['schema']} != {SCHEMA_VERSION}")
+                payload = envelope["payload"]  # malformed without one
+                return envelope if decode is None else decode(payload)
+            except FileNotFoundError:
+                return None
+            except OSError:
+                # Transient I/O trouble (EMFILE, NFS hiccups) is a miss,
+                # not corruption — keep the artifact for the next read.
+                return None
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                self._discard(path)
+                return None
 
     def probe(self, key: str) -> bool:
         """Whether ``key`` holds a valid artifact.
@@ -141,8 +145,7 @@ class ResultStore:
         record of itself, so a damaged one heals into a miss here as
         on every other read.
         """
-        with timed("store.probe", obs_metrics.STORE_PROBE_SECONDS, cat="store"):
-            return self.get_envelope(key) is not None
+        return self.get_envelope(key) is not None
 
     # ------------------------------------------------------------------
     def put(

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from repro.render import Column, table
+
 
 @dataclass(frozen=True)
 class TimelineSample:
@@ -153,23 +155,25 @@ def render_timeline(timeline: Sequence[TimelineSample], ways: int) -> str:
     DVFS governor (any sample with a recorded frequency series).
     """
     with_dvfs = any(sample.frequencies_mhz for sample in timeline)
-    header = (
-        f"{'cycle':>12} {'active':<14} {'allocs':<20} "
-        f"{'powered':>8} {'static nJ':>12}"
-    )
+    columns = [
+        Column("cycle", ">12"), Column("active", "<14"), Column("allocs", "<20"),
+        Column("powered", ">8"), Column("static nJ", ">12", ".1f"),
+    ]
     if with_dvfs:
-        header += f" {'MHz':<20} {'core nJ':>12}"
-    lines = [header + "  events"]
+        columns += [Column("MHz", "<20"), Column("core nJ", ">12", ".1f")]
+    # the events stand two spaces off the numbers, not one
+    columns.append(Column(" events"))
+    rows: list[list[Any]] = []
     for sample in timeline:
-        active = ",".join(str(c) for c in sample.active_cores) or "-"
-        allocations = "/".join(str(a) for a in sample.allocations)
-        events = " ".join(sample.events)
-        line = (
-            f"{sample.cycle:>12} {active:<14} {allocations:<20} "
-            f"{sample.powered_ways:>5}/{ways:<2} {sample.static_energy_nj:>12.1f}"
-        )
+        row = [
+            sample.cycle,
+            ",".join(map(str, sample.active_cores)) or "-",
+            "/".join(map(str, sample.allocations)),
+            f"{sample.powered_ways:>5}/{ways:<2}",
+            sample.static_energy_nj,
+        ]
         if with_dvfs:
-            mhz = "/".join(str(f) for f in sample.frequencies_mhz) or "-"
-            line += f" {mhz:<20} {sample.core_energy_nj:>12.1f}"
-        lines.append(line + f"  {events}")
-    return "\n".join(lines)
+            mhz = "/".join(map(str, sample.frequencies_mhz)) or "-"
+            row += [mhz, sample.core_energy_nj]
+        rows.append([*row, " " + " ".join(sample.events)])
+    return table(columns, rows, sep=" ")

@@ -24,26 +24,31 @@ from repro.bench.golden import (
     dvfs_golden_matrix,
     run_dvfs_golden_case,
 )
+from repro.engine import available_engines
 from repro.sim.runner import ExperimentRunner
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-_RUNNER = ExperimentRunner()
+#: one runner per engine: the runner caches results by task key, and
+#: the key does not name the engine, so a shared runner would hand one
+#: engine's result to the other
+_RUNNERS = {engine: ExperimentRunner(engine=engine) for engine in available_engines()}
 
 
 def _case_id(case) -> str:
     return case.name
 
 
+@pytest.mark.parametrize("engine", available_engines())
 @pytest.mark.parametrize("case", dvfs_golden_matrix(), ids=_case_id)
-def test_dvfs_run_matches_fixture(case):
+def test_dvfs_run_matches_fixture(case, engine):
     fixture_path = FIXTURES / case.filename
     assert fixture_path.exists(), (
         f"missing DVFS fixture {fixture_path}; regenerate with "
         f"`python -m repro.bench.golden tests/golden/fixtures`"
     )
     expected = json.loads(fixture_path.read_text())
-    actual = case_payload(case, run_dvfs_golden_case(case, _RUNNER))
+    actual = case_payload(case, run_dvfs_golden_case(case, _RUNNERS[engine]))
     mismatches = diff_payloads(expected, actual)
     assert not mismatches, (
         f"{case.name}: DVFS engine output drifted in "

@@ -27,28 +27,32 @@ from repro.bench.golden import (
     golden_matrix,
     run_golden_case,
 )
+from repro.engine import available_engines
 from repro.sim.runner import ExperimentRunner
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-#: one shared runner so traces and CPE profiling runs are computed
-#: once for the whole matrix
-_RUNNER = ExperimentRunner()
+#: one runner per engine, shared across the matrix so traces and CPE
+#: profiling runs are computed once per engine.  The runner caches
+#: results by task key, and the key does not name the engine, so a
+#: shared runner would hand one engine's result to the other.
+_RUNNERS = {engine: ExperimentRunner(engine=engine) for engine in available_engines()}
 
 
 def _case_id(case) -> str:
     return case.name
 
 
+@pytest.mark.parametrize("engine", available_engines())
 @pytest.mark.parametrize("case", golden_matrix(), ids=_case_id)
-def test_engine_reproduces_seed_results(case):
+def test_engine_reproduces_seed_results(case, engine):
     fixture_path = FIXTURES / case.filename
     assert fixture_path.exists(), (
         f"missing golden fixture {fixture_path}; regenerate with "
         f"`python -m repro.bench.golden tests/golden/fixtures`"
     )
     expected = json.loads(fixture_path.read_text())
-    actual = case_payload(case, run_golden_case(case, _RUNNER))
+    actual = case_payload(case, run_golden_case(case, _RUNNERS[engine]))
     mismatches = diff_payloads(expected, actual)
     assert not mismatches, (
         f"{case.name}: engine output drifted from the seed engine in "

@@ -64,7 +64,7 @@ class TestRegistry:
             "repro_engine_epochs_total",
             "repro_tasks_completed_total",
             "repro_kernel_fallbacks_total",
-            "repro_store_probe_seconds",
+            "repro_store_get_seconds",
         ):
             assert name in METRIC_NAMES, name
 

@@ -53,6 +53,20 @@ def _counted_puts(monkeypatch):
     return seen
 
 
+def _counted_reads(monkeypatch):
+    """Wrap ResultStore._read, which every read path goes through, to
+    count the reads."""
+    read = ResultStore._read
+    seen = {"reads": 0}
+
+    def counting(self, key, decode=None):
+        seen["reads"] += 1
+        return read(self, key, decode)
+
+    monkeypatch.setattr(ResultStore, "_read", counting)
+    return seen
+
+
 def _sample(text, name):
     (value,) = re.findall(rf"^{name} (\S+)$", text, re.M)
     return float(value)
@@ -73,26 +87,40 @@ class TestTimed:
         self, tmp_path, tiny_two_core, monkeypatch
     ):
         seen = _counted_puts(monkeypatch)
+        reads = _counted_reads(monkeypatch)
         enable_metrics()
         _sweep(tmp_path / "store", tiny_two_core, groups=("G2-4", "G2-8"))
         text = render_prometheus()
         assert seen["batches"] > 0
         assert _sample(text, "repro_store_put_seconds_count") == seen["batches"]
         assert _sample(text, "repro_store_artifacts_written_total") == seen["artifacts"]
-        ResultStore(tmp_path / "store").probe("0" * 64)
-        assert _sample(render_prometheus(), "repro_store_probe_seconds_count") == 1
+        # one sample per read, whichever path asked for it
+        assert reads["reads"] > 0
+        assert _sample(text, "repro_store_get_seconds_count") == reads["reads"]
+        before = reads["reads"]
+        store = ResultStore(tmp_path / "store")
+        store.probe("0" * 64)
+        store.get("0" * 64)
+        store.get_envelope("0" * 64)
+        assert reads["reads"] == before + 3
+        text = render_prometheus()
+        assert _sample(text, "repro_store_get_seconds_count") == reads["reads"]
 
     def test_traced_store_spans_carry_their_artifacts(
         self, tmp_path, tiny_two_core, monkeypatch
     ):
         seen = _counted_puts(monkeypatch)
+        reads = _counted_reads(monkeypatch)
         rec = TraceRecorder()
         set_recorder(rec)
         _sweep(tmp_path / "store", tiny_two_core)
         ResultStore(tmp_path / "store").probe("0" * 64)
         store = [e for e in rec.events() if e["cat"] == "store"]
         puts = [e for e in store if e["name"] == "store.put"]
-        assert [e["name"] for e in store if e not in puts] == ["store.probe"]
+        gets = [e for e in store if e not in puts]
+        # one store.get span per read: the sweep's planning reads and the probe
+        assert {e["name"] for e in gets} == {"store.get"}
+        assert len(gets) == reads["reads"] > 1
         assert all(e["ph"] == "X" and e["dur"] >= 0 for e in store)
         # three results plus one trace artifact per computed task
         assert len(puts) == seen["batches"] == 6

@@ -2,9 +2,11 @@
 kernel-span accounting, and the JSONL/Chrome file formats."""
 
 import json
+import types
 
 import pytest
 
+from repro.obs import trace as trace_module
 from repro.obs.trace import (
     NULL_RECORDER,
     NullRecorder,
@@ -14,6 +16,7 @@ from repro.obs.trace import (
     read_events,
     recorder,
     set_recorder,
+    timed,
     to_chrome_trace,
     trace_key,
     tracing_enabled,
@@ -31,7 +34,6 @@ class TestNullRecorder:
         null.run_begin()
         null.epoch(100)
         assert null.run_end() == {}
-        null.kernel_span(0.5)
         assert null.events() == []
         assert null.events_since(null.mark()) == []
         assert null.summary() == {}
@@ -75,6 +77,22 @@ class TestSpans:
         assert start["args"]["wall_time"] > 0
 
 
+def _kernel_spans(monkeypatch):
+    """A kernel span the way the compiled engine times one: a
+    ``timed("kernel_span", cat="kernel", ...)`` block, here over a
+    clock that advances by exactly the span's seconds."""
+    clock = {"now": 0.0}
+    monkeypatch.setattr(
+        trace_module, "time", types.SimpleNamespace(perf_counter=lambda: clock["now"])
+    )
+
+    def span(seconds, **args):
+        with timed("kernel_span", cat="kernel", **args):
+            clock["now"] += seconds
+
+    return span
+
+
 class TestRunProtocol:
     def test_epoch_spans_chain_cycles(self):
         rec = TraceRecorder()
@@ -92,14 +110,16 @@ class TestRunProtocol:
         assert run["args"]["epochs"] == 2
         assert run["args"]["end_cycle"] == 61_000
 
-    def test_kernel_totals_accumulate_across_runs(self):
+    def test_kernel_totals_accumulate_across_runs(self, monkeypatch):
+        span = _kernel_spans(monkeypatch)
         rec = TraceRecorder()
+        set_recorder(rec)
         rec.run_begin()
-        rec.kernel_span(0.25, refs=100)
+        span(0.25, refs=100)
         first = rec.run_end()
         rec.run_begin()
-        rec.kernel_span(0.5, refs=300)
-        rec.kernel_span(0.25, refs=100)
+        span(0.5, refs=300)
+        span(0.25, refs=100)
         second = rec.run_end()
         assert first["kernel_spans"] == 1 and first["kernel_refs"] == 100
         runs = [e for e in rec.events() if e["name"] == "run"]
@@ -111,11 +131,13 @@ class TestRunProtocol:
         assert total["kernel_seconds"] == pytest.approx(1.0)
         assert total["kernel_refs"] == 500
 
-    def test_kernel_event_cap_bounds_the_log(self):
+    def test_kernel_event_cap_bounds_the_log(self, monkeypatch):
+        span = _kernel_spans(monkeypatch)
         rec = TraceRecorder()
+        set_recorder(rec)
         rec.run_begin()
         for _ in range(TraceRecorder.KERNEL_EVENT_CAP + 50):
-            rec.kernel_span(0.001, refs=1)
+            span(0.001, refs=1)
         events = [e for e in rec.events() if e["name"] == "kernel_span"]
         assert len(events) == TraceRecorder.KERNEL_EVENT_CAP
         # totals still count every span past the cap

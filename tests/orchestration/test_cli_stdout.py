@@ -63,7 +63,10 @@ CASES = [
     ("suite_list", ["scenario", "--suite", "quick", "--list"], False),
     ("suite_table", SUITE, False),
     ("suite_csv", [*SUITE, "--format", "csv"], False),
+    ("suite_json", [*SUITE, "--format", "json"], False),
     ("clean", ["clean"], False),
+    ("scenario_governed_table", [*SCENARIO, "--policies", "cooperative",
+                                 "--governor", "coordinated"], False),
 ]
 
 
