@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from repro.analysis.registry import Finding
+from repro.render import json_text
 
 #: baseline file layout version
 BASELINE_SCHEMA = 1
@@ -157,7 +158,5 @@ def write_baseline(
     records.sort(key=lambda r: (r["path"], r["rule"], r["fingerprint"]))
     document = {"schema": BASELINE_SCHEMA, "findings": records}
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    path.write_text(json_text(document), encoding="utf-8")
     return len(records)

@@ -30,6 +30,8 @@ import json
 from pathlib import Path
 from typing import Any
 
+from repro.render import json_text
+
 #: default snapshot location, relative to the repository root
 SURFACE_PATH = Path("tests") / "api_surface.json"
 
@@ -313,7 +315,7 @@ def compute_surface() -> dict[str, Any]:
 
 def render_surface() -> str:
     """The snapshot file contents for the current surface."""
-    return json.dumps(compute_surface(), indent=2, sort_keys=True) + "\n"
+    return json_text(compute_surface())
 
 
 def diff_surface(committed: dict[str, Any], current: dict[str, Any]) -> list[str]:

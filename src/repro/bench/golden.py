@@ -22,7 +22,6 @@ Regenerate (only when a *deliberate* model change invalidates them)::
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,6 +29,7 @@ from repro.cache.geometry import CacheGeometry
 from repro.dvfs.governors import GovernorSpec
 from repro.experiment import Experiment
 from repro.orchestration.serialize import run_result_to_dict
+from repro.render import json_text
 from repro.scenarios.model import (
     Scenario,
     arrival_scenario,
@@ -374,10 +374,7 @@ def write_fixtures(directory: str | Path, progress=print) -> list[Path]:
         for case in matrix():
             result = run_case(case, runner)
             path = directory / case.filename
-            path.write_text(
-                json.dumps(case_payload(case, result), indent=2, sort_keys=True)
-                + "\n"
-            )
+            path.write_text(json_text(case_payload(case, result)))
             written.append(path)
             if progress is not None:
                 progress(f"wrote {path}")

@@ -39,13 +39,16 @@
  * place too, one copy per benchmark whichever cores run it: each line
  * read gets its core's address-space offset (`core_addr`).
  *
- * The per-reference finds and LRU scans over ways are branch-free
- * selects, not early exits.  A find keeps the *last* match, which is
- * the only one because each key is unique in its row: `mapped`
- * resolves a tag to at most one way, a private L1 never holds a tag
- * twice, and an ATD set is an LRU stack.  An LRU argmin is a strict-<
- * select, so ties keep the first minimum.
- * tests/engine/test_kernel_invariants.py checks these invariants.
+ * The per-reference finds (the LLC `mapped` probe, the L1 probe, the
+ * ATD stack search) stop at their first match, as the Python engine's
+ * do.  An LRU argmin is a branch-free strict-< select, so ties keep
+ * the first minimum.  The per-reference helpers take the LLC and L1
+ * way counts as parameters, and `repro_run_span` instantiates its loop
+ * for the shipped geometries (8 or 16 LLC ways over 4 L1 ways) with
+ * constant counts; any other geometry runs the same body with the
+ * context's counts (tests/engine/test_cross_engine.py runs two).
+ * tests/engine/test_kernel_invariants.py checks that each key is unique
+ * in its row, which the LRU order and the upkeep of `mapped` assume.
  *
  * repro/engine/compiled.py builds its ctypes mirror of the struct
  * below by reading this declaration, so it must stay one 8-byte field
@@ -75,6 +78,7 @@ enum { EV_FLUSH_TL = 1, EV_TFB = 2, EV_TRANS_DUR = 3 };
 #define TGT_NONE (-1)
 #define CANARY 0x5EED1DEA5EED1DEALL
 #define HOT static inline __attribute__((always_inline))
+#define NOINLINE static __attribute__((noinline))
 
 typedef struct {
     /* ---- canary / abi ---- */
@@ -345,19 +349,18 @@ static void coop_on_access(Ctx *c, i64 core, i64 set, int hit, i64 now)
 }
 
 /* AuxiliaryTagDirectory.record() */
-static void atd_record(Ctx *c, i64 core, i64 set, i64 tag)
+HOT void atd_record(Ctx *c, i64 core, i64 set, i64 tag, const i64 W)
 {
-    i64 W = c->llc_ways;
     i64 slot = set >> c->umon_shift;
     i64 *stack = c->atd_stack[core] + slot * W;
     i64 *lenp = c->atd_len[core] + slot;
     i64 len = *lenp;
     i64 *counts = c->atd_counts[core];
     counts[1]++;
-    i64 pos = -1;
-    for (i64 i = 0; i < len; i++)
-        pos = stack[i] == tag ? i : pos;
-    if (pos < 0) {
+    i64 pos = 0;
+    while (pos < len && stack[pos] != tag)
+        pos++;
+    if (pos == len) {
         counts[0]++;
         pos = len < W ? len : W - 1;  /* a full stack drops its LRU tag */
         *lenp = pos + 1;
@@ -533,9 +536,9 @@ static void ucp_post_fill(Ctx *c, i64 core, i64 set, i64 evicted_owner,
 
 /* BaseSharedCachePolicy.access_fast(); returns memory latency, or -1
  * on an internal error (no victim way). */
-HOT i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
+HOT i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now,
+                   const i64 W)
 {
-    i64 W = c->llc_ways;
     i64 set = addr & c->llc_set_mask;
     i64 tag = addr >> c->llc_set_shift;
     i64 line0 = set * W;
@@ -543,8 +546,12 @@ HOT i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
     i64 pm = c->probe_mask[core];
     i64 np = c->probe_count[core];
     i64 way = -1;
-    for (i64 w = 0; w < W; w++)
-        way = mapped[w] == tag ? w : way;
+    for (i64 w = 0; w < W; w++) {
+        if (mapped[w] == tag) {
+            way = w;
+            break;
+        }
+    }
     i64 mapped_way = way;  /* the tag's newest copy, probed or not */
     if (way >= 0 && !((pm >> way) & 1))
         way = -1;
@@ -562,7 +569,7 @@ HOT i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
         if (hit)
             c->demand_hits[core]++;
         if (c->has_monitors && (set & c->umon_mask) == c->umon_offset) {
-            atd_record(c, core, set, tag);
+            atd_record(c, core, set, tag, W);
             c->e_monitor_updates++;
         }
     }
@@ -655,39 +662,39 @@ HOT i64 llc_access(Ctx *c, i64 core, i64 addr, int is_write, i64 now)
 
 /* The way of `core`'s L1 set `lset` holding `ltag`, or -1 (a private
  * L1 never holds duplicates, so a scan of the tags is the lookup). */
-HOT i64 l1_find(Ctx *c, i64 core, i64 lset, i64 ltag)
+HOT i64 l1_find(Ctx *c, i64 core, i64 lset, i64 ltag, const i64 LW)
 {
-    const i64 *ltags = c->l1_tags[core] + lset * c->l1_ways;
-    i64 way = -1;
-    for (i64 w = 0; w < c->l1_ways; w++)
-        way = ltags[w] == ltag ? w : way;
-    return way;
+    const i64 *ltags = c->l1_tags[core] + lset * LW;
+    for (i64 w = 0; w < LW; w++)
+        if (ltags[w] == ltag)
+            return w;
+    return -1;
 }
 
 /* L1 victim: the first invalid way, else plain LRU over the full set. */
-HOT i64 l1_victim(Ctx *c, i64 core, i64 lset)
+HOT i64 l1_victim(Ctx *c, i64 core, i64 lset, const i64 LW)
 {
-    i64 line0 = lset * c->l1_ways;
+    i64 line0 = lset * LW;
     i64 *ltags = c->l1_tags[core] + line0;
-    if (c->l1_valid[core][lset] != c->l1_ways) {
-        for (i64 w = 0; w < c->l1_ways; w++)
+    if (c->l1_valid[core][lset] != LW) {
+        for (i64 w = 0; w < LW; w++)
             if (ltags[w] == NO_TAG)
                 return w;
     }
-    return lru_way(c->l1_stamp[core] + line0, c->l1_ways);
+    return lru_way(c->l1_stamp[core] + line0, LW);
 }
 
 /* CMPSimulator._l1_miss(): the LLC fetch, the inline L1 fill and the
  * dirty victim's writeback through the LLC.  Returns the memory
  * latency, or -1 on an internal error. */
 HOT i64 l1_miss(Ctx *c, i64 core, i64 addr, i64 lset, i64 ltag,
-                i64 is_write, i64 now)
+                i64 is_write, i64 now, const i64 W, const i64 LW)
 {
     c->l1_misses[core]++;
-    i64 mem_lat = llc_access(c, core, addr, 0, now);
+    i64 mem_lat = llc_access(c, core, addr, 0, now, W);
     if (mem_lat < 0)
         return -1;
-    i64 line = lset * c->l1_ways + l1_victim(c, core, lset);
+    i64 line = lset * LW + l1_victim(c, core, lset, LW);
     i64 *ltags = c->l1_tags[core];
     uint8_t *ldirty = c->l1_dirty[core];
     i64 old_tag = ltags[line];
@@ -704,7 +711,7 @@ HOT i64 l1_miss(Ctx *c, i64 core, i64 addr, i64 lset, i64 ltag,
     c->l1_stamp[core][line] = c->l1_clock[core][lset]++;
     if (evicted_dirty) {
         c->l1_writebacks[core]++;
-        if (llc_access(c, core, (old_tag << c->l1_shift) | lset, 1, now) < 0)
+        if (llc_access(c, core, (old_tag << c->l1_shift) | lset, 1, now, W) < 0)
             return -1;
     }
     if (c->has_dvfs)
@@ -730,7 +737,7 @@ static int coop_would_complete(Ctx *c, i64 core, i64 addr, i64 lset)
     /* Would the L1 miss also write back a dirty victim?  The victim
      * choice is deterministic, so compute it read-only. */
     i64 s2 = -1;
-    i64 line = lset * c->l1_ways + l1_victim(c, core, lset);
+    i64 line = lset * c->l1_ways + l1_victim(c, core, lset, c->l1_ways);
     i64 vtag = c->l1_tags[core][line];
     if (vtag != NO_TAG && c->l1_dirty[core][line])
         s2 = ((vtag << c->l1_shift) | lset) & c->llc_set_mask;
@@ -757,10 +764,10 @@ i64 repro_abi_size(void)
     return (i64)sizeof(Ctx);
 }
 
-i64 repro_run_span(Ctx *c)
+/* The span loop for W LLC ways over LW L1 ways; repro_run_span
+ * instantiates it per geometry. */
+HOT i64 run_span(Ctx *c, const i64 W, const i64 LW)
 {
-    if (c->canary != CANARY)
-        return ST_ERROR;
     i64 n = c->n_cores;
     for (;;) {
         /* Worst-case events for one reference: every in-flight way of
@@ -809,9 +816,9 @@ i64 repro_run_span(Ctx *c)
 
         i64 lset = addr & c->l1_mask;
         i64 ltag = addr >> c->l1_shift;
-        i64 lway = l1_find(c, ci, lset, ltag);
+        i64 lway = l1_find(c, ci, lset, ltag, LW);
         if (lway >= 0) {
-            i64 line = lset * c->l1_ways + lway;
+            i64 line = lset * LW + lway;
             c->l1_stamp[ci][line] = c->l1_clock[ci][lset]++;
             if (is_write)
                 c->l1_dirty[ci][line] = 1;
@@ -825,7 +832,7 @@ i64 repro_run_span(Ctx *c)
                 return ST_NEED_PYTHON_REF;
             }
             i64 mem_lat = l1_miss(c, ci, addr, lset, ltag, is_write,
-                                  issue_time);
+                                  issue_time, W, LW);
             if (mem_lat < 0)
                 return ST_ERROR;
             c->core_time[ci] = issue_time + miss_base + mem_lat;
@@ -858,6 +865,28 @@ i64 repro_run_span(Ctx *c)
                 return ST_DONE;
         }
     }
+}
+
+/* Every shipped config has 4-way L1s over an 8- or 16-way LLC; those
+ * run with constant way counts, any other geometry with the context's.
+ * Each instance is a function of its own: inlined side by side into
+ * one, the 16-way instance ran slower than the generic loop. */
+NOINLINE i64 run_span_8_4(Ctx *c) { return run_span(c, 8, 4); }
+NOINLINE i64 run_span_16_4(Ctx *c) { return run_span(c, 16, 4); }
+NOINLINE i64 run_span_any(Ctx *c)
+{
+    return run_span(c, c->llc_ways, c->l1_ways);
+}
+
+i64 repro_run_span(Ctx *c)
+{
+    if (c->canary != CANARY)
+        return ST_ERROR;
+    if (c->l1_ways == 4 && c->llc_ways == 8)
+        return run_span_8_4(c);
+    if (c->l1_ways == 4 && c->llc_ways == 16)
+        return run_span_16_4(c);
+    return run_span_any(c);
 }
 
 /* CMPSimulator._prewarm() (warm_only = -1) and _warm_core() (warm_only
@@ -896,7 +925,7 @@ i64 repro_warm_sweep(Ctx *c)
             i64 addr = core_addr(c, ci, c->warm_lines[ci][r]);
             i64 lset = addr & c->l1_mask;
             i64 ltag = addr >> c->l1_shift;
-            i64 lway = l1_find(c, ci, lset, ltag);
+            i64 lway = l1_find(c, ci, lset, ltag, c->l1_ways);
             if (lway >= 0) {
                 c->l1_stamp[ci][lset * c->l1_ways + lway] =
                     c->l1_clock[ci][lset]++;
@@ -913,7 +942,8 @@ i64 repro_warm_sweep(Ctx *c)
                 c->bail_core = ci;
                 return ST_NEED_PYTHON_REF;
             }
-            i64 mem_lat = l1_miss(c, ci, addr, lset, ltag, 0, now);
+            i64 mem_lat = l1_miss(c, ci, addr, lset, ltag, 0, now,
+                                  c->llc_ways, c->l1_ways);
             if (mem_lat < 0)
                 return ST_ERROR;
             c->core_time[ci] = now + mem_lat +

@@ -51,10 +51,10 @@ feeds every result through the differential invariant harness
 from __future__ import annotations
 
 import dataclasses
-import json
 from pathlib import Path
 from typing import Any, Sequence
 
+from repro.render import json_text
 from repro.scenarios.model import (
     Scenario,
     ScenarioEvent,
@@ -423,7 +423,7 @@ def scenario_spec(
 
 def render_spec(spec: dict[str, Any]) -> str:
     """Canonical byte representation of a corpus spec file."""
-    return json.dumps(spec, indent=2, sort_keys=True) + "\n"
+    return json_text(spec)
 
 
 def pinned_corpus_names() -> list[str]:

@@ -1,8 +1,9 @@
-"""The row invariants the C kernel's branch-free scans rely on.
+"""The row invariants both engines' cache state keeps.
 
-``kernel.c`` finds a key in a row of ways with a select that keeps the
-*last* match, where the Python engine's loops keep the first.  The two
-agree only because every key is unique in its row:
+``kernel.c`` and the Python engine both find a key in a row of ways by
+its first match, so they agree by construction.  Every key is still
+unique in its row, and the LRU order and the upkeep of the LLC's
+``mapped`` column assume it:
 
 * a private L1 set holds each valid tag at most once;
 * a shared-LLC set's ``mapped`` column resolves a tag to at most one way;
