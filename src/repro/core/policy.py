@@ -29,7 +29,7 @@ from repro.core.permissions import WayPermissionFile
 from repro.core.takeover import TO_OFF, TakeoverEngine, WayTransition
 from repro.core.transfer import OFF, InsufficientSettledWays, plan_transfers
 from repro.partitioning.base import BaseSharedCachePolicy
-from repro.partitioning.lookahead import AllocationResult, lookahead_partition
+from repro.partitioning.lookahead import AllocationResult
 from repro.partitioning.registry import register_policy
 
 #: the paper's default takeover threshold (Section 5.1 justifies 0.05)
@@ -201,12 +201,7 @@ class CooperativePartitioningPolicy(BaseSharedCachePolicy):
         if not active:
             self.stats.note_decision(now, repartitioned=False)
             return
-        curves = self.miss_curves()
-        result = lookahead_partition(
-            [curves[core] for core in active],
-            self.geometry.ways,
-            threshold=self.threshold,
-        )
+        result = self.lookahead(active, self.threshold)
         allocations = [0] * self.n_cores
         for index, core in enumerate(active):
             allocations[core] = result.allocations[index]

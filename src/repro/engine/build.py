@@ -157,6 +157,12 @@ def load_kernel() -> ctypes.CDLL:
         ]
         lib.repro_flush_ways.restype = i64
         lib.repro_flush_ways.argtypes = [ptr, ptr, i64, i64, i64, ptr, i64, ptr]
+        lib.repro_umon_readout.restype = None
+        lib.repro_umon_readout.argtypes = [ptr, ptr, ptr, ptr, i64, i64, ptr, i64]
+        lib.repro_lookahead.restype = i64
+        lib.repro_lookahead.argtypes = [
+            ptr, ptr, ptr, i64, i64, f64, i64, ptr, ptr, ptr, ptr,
+        ]
         lib.repro_mt_words.restype = None
         lib.repro_mt_words.argtypes = [ptr, i64, ptr]
         _kernel = lib

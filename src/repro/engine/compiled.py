@@ -41,7 +41,9 @@ simulator's own reference step (``CMPSimulator._step``, or
 The boundary's two sweeps over every LLC set, gating a way
 (``invalidate_way``) and a forced takeover completion's flush
 (``flush_ways``), run in the kernel too: the context binds
-:class:`KernelSweeps` into the LLC for the run.
+:class:`KernelSweeps` into the LLC for the run.  So do a partitioning
+epoch's monitor read-out, counter ageing and lookahead: the context
+binds :class:`KernelEpoch` on the policy.
 
 Every policy declares its way restrictions as data through
 ``_set_core_ways``, so a plugin policy that only restricts ways runs
@@ -68,9 +70,11 @@ from repro.engine.build import (
     ST_WARMUP_GATE,
     load_kernel,
 )
+from repro.monitor.umon import UtilityMonitor
 from repro.obs import builtin as obs_metrics
 from repro.obs.log import note_fallback
 from repro.obs.trace import timed
+from repro.partitioning.lookahead import AllocationResult, check_lookahead
 from repro.sim.cpu import CORE_ADDRESS_SPACE_BITS
 
 _NEVER = 1 << 62
@@ -247,6 +251,127 @@ class KernelSweeps:
         return out[:count].tolist()
 
 
+class KernelLookahead:
+    """``repro_lookahead`` over fixed rows of a curve buffer: the curves
+    ``curves[starts[k]:starts[k] + lens[k]]``.
+
+    Called with a threshold, it returns what :func:`lookahead_partition`
+    returns for those curves and raises the same ``ValueError`` cases.
+    The output buffers are sized once: the allocations, then each
+    round's core, ways and utility (a round awards at least one way,
+    so there are at most as many rounds as ways beyond the floors).
+    """
+
+    __slots__ = ("outputs", "_lookahead", "_keep", "_shape", "_head", "_tail")
+
+    def __init__(self, lib, curves: array, starts: array, lens: array,
+                 total_ways: int, min_ways: int = 1) -> None:
+        self._lookahead = lib.repro_lookahead
+        n = len(starts)
+        balance = total_ways - n * min_ways
+        self.outputs = (_qzeros(n), _qzeros(balance), _qzeros(balance),
+                        array("d", [0.0]) * max(1, balance))
+        #: the buffers the addresses below point into, kept alive
+        self._keep = (curves, starts, lens)
+        self._shape = (n, total_ways, min_ways)
+        self._head = (_addr(curves), _addr(starts), _addr(lens), n, total_ways)
+        self._tail = (min_ways, *map(_addr, self.outputs))
+
+    def __call__(self, threshold: float) -> AllocationResult:
+        n, total_ways, min_ways = self._shape
+        check_lookahead(n, total_ways, threshold, min_ways)
+        if min_ways < 0:
+            raise ValueError(f"min_ways must be non-negative, got {min_ways}")
+        rounds = self._lookahead(*self._head, threshold, *self._tail)
+        allocations, cores, blocks, mus = self.outputs
+        return AllocationResult(
+            allocations=allocations.tolist(),
+            unallocated=total_ways - sum(allocations),
+            rounds=list(zip(cores[:rounds].tolist(), blocks[:rounds].tolist(),
+                            mus[:rounds].tolist())),
+        )
+
+
+class KernelEpoch:
+    """The kernel's epoch read-out and lookahead over a policy's monitors.
+
+    Bound as the policy's ``kernel_epoch`` for a compiled run, it
+    replaces the Python of :meth:`UtilityMonitor.miss_curve
+    <repro.monitor.umon.UtilityMonitor.miss_curve>`,
+    :meth:`~repro.monitor.umon.UtilityMonitor.end_epoch` and
+    :func:`lookahead_partition` with the same results.  :meth:`read`
+    writes every monitor's curve into ``curves`` (one row of
+    ``ways + 1`` per core), which the lookahead reads in place, and
+    :meth:`age` ages the counters the kernel span records into.
+    """
+
+    __slots__ = ("_readout", "_lib", "_keep", "_tables", "_ways", "_rows",
+                 "curves")
+
+    def __init__(self, lib, monitors) -> None:
+        self._readout = lib.repro_umon_readout
+        self._lib = lib
+        atds = [monitor.atd for monitor in monitors]
+        self._ways = ways = atds[0].ways
+        hits = array("q", [_addr(atd.hits) for atd in atds])
+        counts = array("q", [_addr(atd.counts) for atd in atds])
+        scales = array("q", [monitor.sampler.scale_factor for monitor in monitors])
+        factors = array("d", [monitor.decay_factor for monitor in monitors])
+        self.curves = array("q", [0]) * (len(atds) * (ways + 1))
+        #: the buffers the addresses below point into, kept alive
+        self._keep = (hits, counts, scales, factors, atds)
+        self._tables = (_addr(hits), _addr(counts), _addr(scales),
+                        _addr(factors), len(atds), ways)
+        #: (cores, total ways) -> the lookahead over those cores' rows
+        self._rows: dict[tuple, KernelLookahead] = {}
+
+    @classmethod
+    def bind(cls, lib, policy) -> None:
+        """Bind to ``policy`` when its monitors are plain
+        ``UtilityMonitor`` objects of one width, each with a decay
+        factor ``AuxiliaryTagDirectory.decay`` accepts (the Python path
+        raises for any other)."""
+        monitors = policy.monitors
+        if monitors and all(
+            type(monitor) is UtilityMonitor
+            and monitor.atd.ways == monitors[0].atd.ways
+            and 0.0 <= monitor.decay_factor < 1.0 for monitor in monitors
+        ):
+            policy.kernel_epoch = cls(lib, monitors)
+
+    def read(self) -> None:
+        """Write every monitor's miss curve into ``curves``."""
+        self._readout(*self._tables, _addr(self.curves), 0)
+
+    def age(self) -> None:
+        """Age every monitor's counters, as ``end_epoch`` does."""
+        self._readout(*self._tables, None, 1)
+
+    def miss_curves(self) -> list[list[int]]:
+        """Every monitor's current miss curve."""
+        self.read()
+        width = self._ways + 1
+        curves = self.curves
+        return [curves[base:base + width].tolist()
+                for base in range(0, len(curves), width)]
+
+    def lookahead(
+        self, cores: list[int], total_ways: int, threshold: float
+    ) -> AllocationResult:
+        """:func:`lookahead_partition` over ``cores``' current curves."""
+        self.read()
+        key = (tuple(cores), total_ways)
+        rows = self._rows.get(key)
+        if rows is None:
+            width = self._ways + 1
+            rows = self._rows[key] = KernelLookahead(
+                self._lib, self.curves,
+                array("q", [core * width for core in cores]),
+                array("q", [width]) * len(cores), total_ways,
+            )
+        return rows(threshold)
+
+
 class _Marshal:
     """Per-run kernel context over the simulator's own buffers: a span
     passes only the boundary scalars, the totals' increments and the
@@ -314,6 +439,7 @@ class _Marshal:
         ctx.l1_occ = self._table([l1.ensure_cores(n) for l1 in l1_caches])
         ctx.llc_occ = _addr(cache.ensure_cores(n))
         cache.kernel_sweeps = KernelSweeps(lib, cache)
+        KernelEpoch.bind(lib, policy)
         ctx.bank_free_at = _addr(memory._bank_free_at)
         if atds:
             ctx.atd_stack = self._table([atd.stacks for atd in atds])

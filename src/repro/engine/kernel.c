@@ -28,7 +28,11 @@
  * Two boundary-side sweeps over every LLC set run here too, called by
  * Python between spans: `repro_invalidate_way` (gating a way, CPE's
  * flush) and `repro_flush_ways` (a forced takeover completion).  They
- * return the flushed line addresses; Python writes them back.
+ * return the flushed line addresses; Python writes them back.  So do
+ * two steps of a partitioning epoch: `repro_umon_readout` writes every
+ * monitor's miss curve into one buffer, or ages its counters, and
+ * `repro_lookahead` runs the threshold lookahead over rows of that
+ * buffer.
  *
  * Cache lines, per-set clocks and valid counts, per-core occupancy
  * counters, the LLC's `mapped` lookup column, the UMON tag
@@ -1006,6 +1010,126 @@ i64 repro_flush_ways(const i64 *tags, uint8_t *dirty, i64 nsets, i64 ways,
         }
     }
     return n;
+}
+
+/* ------------------------------------------------------------------ */
+/* A partitioning epoch's monitor read-out and lookahead, called by
+ * Python between spans (repro.engine.compiled.KernelEpoch).  Counters
+ * and curves stay far below 2^53, so every i64 below converts to a
+ * double exactly, as CPython converts them. */
+
+/* UtilityMonitor.miss_curve() and .end_epoch() for `n` monitors:
+ * `hits[k]` is monitor k's `ways` stack-position counters, `counts[k]`
+ * its [misses, accesses].  With `curves`, row k (`ways + 1` entries)
+ * gets the curve, scaled by `scale[k]`; with `age`, every counter then
+ * becomes int(value * factor[k]): one rounded product, truncated. */
+void repro_umon_readout(i64 *const *hits, i64 *const *counts,
+                        const i64 *scale, const double *factor, i64 n,
+                        i64 ways, i64 *curves, i64 age)
+{
+    for (i64 k = 0; k < n; k++) {
+        i64 *h = hits[k];
+        i64 *t = counts[k];
+        if (curves) {
+            i64 s = scale[k];
+            i64 *row = curves + k * (ways + 1);
+            i64 misses = t[1] * s;
+            row[0] = misses;
+            for (i64 w = 0; w < ways; w++) {
+                misses -= h[w] * s;
+                row[w + 1] = misses;
+            }
+        }
+        if (age) {
+            double f = factor[k];
+            for (i64 w = 0; w < ways; w++)
+                h[w] = (i64)((double)h[w] * f);
+            t[0] = (i64)((double)t[0] * f);
+            t[1] = (i64)((double)t[1] * f);
+        }
+    }
+}
+
+/* _max_marginal_utility(): the best (curve[alloc] - curve[alloc + j])
+ * / j over 1 <= j <= min(balance, len - 1 - alloc), at its smallest
+ * j; blocks 0 (and mu 0.0) when no extension fits.  Inlined: as a
+ * static function of its own GCC places it ahead of the span loops,
+ * which moves their code and changed span time by ~2%. */
+HOT void max_mu(const i64 *curve, i64 len, i64 alloc, i64 balance,
+                   double *mu, i64 *blocks)
+{
+    i64 limit = len - 1 - alloc;
+    if (balance < limit)
+        limit = balance;
+    *mu = 0.0;
+    *blocks = 0;
+    if (limit < 1)
+        return;
+    i64 base = curve[alloc];
+    *mu = (double)(base - curve[alloc + 1]);
+    *blocks = 1;
+    for (i64 j = 2; j <= limit; j++) {
+        double m = (double)(base - curve[alloc + j]) / (double)j;
+        if (m > *mu) {
+            *mu = m;
+            *blocks = j;
+        }
+    }
+}
+
+/* lookahead_partition()'s loop over `n` curves: curve k is the `lens[k]`
+ * entries from `curves + starts[k]`.  The same bids, tie-break (the
+ * smaller allocation), threshold test and kept bids.  Writes each
+ * core's ways to `alloc` and round r's winner, ways and utility to
+ * `r_core[r]`, `r_blocks[r]` and `r_mu[r]` (each round awards at least
+ * one way, so there are at most total_ways - n * min_ways); returns
+ * the number of rounds.  The caller has checked the arguments as
+ * lookahead_partition() does. */
+i64 repro_lookahead(const i64 *curves, const i64 *starts, const i64 *lens,
+                    i64 n, i64 total_ways, double threshold, i64 min_ways,
+                    i64 *alloc, i64 *r_core, i64 *r_blocks, double *r_mu)
+{
+    double bid_mu[n];
+    i64 bid_blocks[n];
+    i64 balance = total_ways - n * min_ways;
+    for (i64 k = 0; k < n; k++) {
+        alloc[k] = min_ways;
+        max_mu(curves + starts[k], lens[k], min_ways, balance,
+               &bid_mu[k], &bid_blocks[k]);
+    }
+    i64 rounds = 0;
+    double peak = 0.0;
+    while (balance > 0) {
+        i64 winner = -1;
+        for (i64 k = 0; k < n; k++) {
+            if (bid_blocks[k] == 0)
+                continue;
+            if (winner < 0 || bid_mu[k] > bid_mu[winner] ||
+                (bid_mu[k] == bid_mu[winner] && alloc[k] < alloc[winner]))
+                winner = k;
+        }
+        if (winner < 0)
+            break;
+        double mu = bid_mu[winner];
+        i64 blocks = bid_blocks[winner];
+        if (rounds == 0)
+            peak = mu;
+        if (threshold > 0 && (mu <= 0 || mu < threshold * peak))
+            break;
+        alloc[winner] += blocks;
+        balance -= blocks;
+        r_core[rounds] = winner;
+        r_blocks[rounds] = blocks;
+        r_mu[rounds] = mu;
+        rounds++;
+        /* a loser's bid stands while its blocks fit the new balance */
+        for (i64 k = 0; k < n; k++) {
+            if (k == winner || bid_blocks[k] > balance)
+                max_mu(curves + starts[k], lens[k], alloc[k], balance,
+                       &bid_mu[k], &bid_blocks[k]);
+        }
+    }
+    return rounds;
 }
 
 /* ------------------------------------------------------------------ */

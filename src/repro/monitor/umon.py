@@ -35,10 +35,6 @@ class UtilityMonitor:
         self.sampler = sampler
         self.decay_factor = decay
         self.atd = AuxiliaryTagDirectory(ways, sampler.sampled_sets())
-        #: demand accesses observed this epoch (all sets, unscaled)
-        self.demand_accesses = 0
-        #: demand misses observed this epoch in the real cache
-        self.demand_misses = 0
 
     # ------------------------------------------------------------------
     # Epoch interface
@@ -59,5 +55,3 @@ class UtilityMonitor:
     def end_epoch(self) -> None:
         """Age the counters for the next epoch."""
         self.atd.decay(self.decay_factor)
-        self.demand_accesses = 0
-        self.demand_misses = 0

@@ -32,6 +32,7 @@ from repro.cache.memory import MainMemory
 from repro.cache.set_associative import NO_TAG, SetAssociativeCache
 from repro.energy.accounting import EnergyAccounting
 from repro.monitor.umon import UtilityMonitor
+from repro.partitioning.lookahead import AllocationResult, lookahead_partition
 
 
 class PolicyStats:
@@ -212,6 +213,10 @@ class BaseSharedCachePolicy:
             self._umon_mask = -1  # (x & -1) == x never equals offset -1
             self._umon_offset = -1
             self._atds = []
+        #: the kernel's monitor read-out and lookahead
+        #: (:class:`repro.engine.compiled.KernelEpoch`), bound for a
+        #: compiled run; None runs the Python monitors and lookahead
+        self.kernel_epoch = None
         #: per-slot activity mask maintained by the scenario engine via
         #: :meth:`on_core_active`/:meth:`on_core_idle`; static runs
         #: never change it
@@ -475,9 +480,24 @@ class BaseSharedCachePolicy:
     def epoch(self, now: int) -> None:
         """Run a partitioning decision and age the monitors."""
         self.decide(now)
+        if self.kernel_epoch is not None:
+            self.kernel_epoch.age()
+            return
         for monitor in self.monitors:
             monitor.end_epoch()
 
     def miss_curves(self) -> list[list[int]]:
         """Current per-core miss curves from the monitors."""
+        if self.kernel_epoch is not None:
+            return self.kernel_epoch.miss_curves()
         return [monitor.miss_curve() for monitor in self.monitors]
+
+    def lookahead(self, cores: list[int], threshold: float) -> AllocationResult:
+        """:func:`lookahead_partition` of every way over ``cores``'
+        current miss curves."""
+        if self.kernel_epoch is not None:
+            return self.kernel_epoch.lookahead(cores, self._ways, threshold)
+        curves = self.miss_curves()
+        return lookahead_partition(
+            [curves[core] for core in cores], self._ways, threshold=threshold
+        )

@@ -81,6 +81,21 @@ def _max_marginal_utility(
     return max_mu, blocks_req
 
 
+def check_lookahead(
+    n_cores: int, total_ways: int, threshold: float, min_ways: int
+) -> None:
+    """Raise the ``ValueError`` :func:`lookahead_partition` raises for
+    these arguments, if any (the kernel's lookahead checks the same)."""
+    if n_cores == 0:
+        raise ValueError("need at least one core")
+    if total_ways < n_cores * min_ways:
+        raise ValueError(
+            f"{total_ways} ways cannot give {n_cores} cores {min_ways} each"
+        )
+    if threshold < 0:
+        raise ValueError(f"threshold must be non-negative, got {threshold}")
+
+
 # repro: hot
 def lookahead_partition(
     miss_curves: list[list[int]],
@@ -106,14 +121,7 @@ def lookahead_partition(
         core with zero ways could never cache anything).
     """
     n_cores = len(miss_curves)
-    if n_cores == 0:
-        raise ValueError("need at least one core")
-    if total_ways < n_cores * min_ways:
-        raise ValueError(
-            f"{total_ways} ways cannot give {n_cores} cores {min_ways} each"
-        )
-    if threshold < 0:
-        raise ValueError(f"threshold must be non-negative, got {threshold}")
+    check_lookahead(n_cores, total_ways, threshold, min_ways)
 
     allocations = [min_ways] * n_cores
     balance = total_ways - n_cores * min_ways

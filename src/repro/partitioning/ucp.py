@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 from repro.cache.replacement import PartitionAwareVictimSelector
 from repro.partitioning.base import BaseSharedCachePolicy
-from repro.partitioning.lookahead import lookahead_partition
 from repro.partitioning.registry import register_policy
 
 
@@ -166,10 +165,7 @@ class UCPPolicy(BaseSharedCachePolicy):
         if not active:
             self.stats.note_decision(now, repartitioned=False)
             return
-        curves = self.miss_curves()
-        result = lookahead_partition(
-            [curves[core] for core in active], self.geometry.ways, threshold=0.0
-        )
+        result = self.lookahead(active, threshold=0.0)
         new_targets = {core: 0 for core in range(self.n_cores)}
         for index, core in enumerate(active):
             new_targets[core] = result.allocations[index]

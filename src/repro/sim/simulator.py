@@ -844,6 +844,13 @@ class CMPSimulator:
             core.core_id, core.warm_lines[index] + core.offset, False, now
         )
 
+    def _first_curve(self) -> list[int]:
+        """Core 0's miss curve, read by the kernel when one is bound."""
+        kernel = self.policy.kernel_epoch
+        if kernel is None:
+            return self.monitors[0].miss_curve()
+        return kernel.miss_curves()[0]
+
     def _run_epoch(self, now: int) -> bool:
         """Partitioning decision at a global epoch boundary.
 
@@ -851,7 +858,7 @@ class CMPSimulator:
         scheduler knows its cached orderings are stale).
         """
         if self.collect_curves and self.monitors:
-            self.epoch_curves.append(self.monitors[0].miss_curve())
+            self.epoch_curves.append(self._first_curve())
         if self.dvfs is not None:
             # Close the interval at the levels it actually ran at,
             # *before* the governor moves anything.
@@ -917,7 +924,7 @@ class CMPSimulator:
         if self.collect_curves and self.monitors:
             # Guarantee at least one curve even for sub-epoch runs, and
             # capture the tail epoch's behaviour.
-            self.epoch_curves.append(self.monitors[0].miss_curve())
+            self.epoch_curves.append(self._first_curve())
         if self._timeline is not None and self._measuring:
             self._record_sample(end_cycle)
         stats = self.stats

@@ -16,7 +16,10 @@ from repro.cache.geometry import CacheGeometry
 from repro.cache.memory import MainMemory
 from repro.cache.set_associative import SetAssociativeCache
 from repro.core.takeover import TakeoverVector
+from repro.engine import COMPILED, available_engines
 from repro.monitor.atd import AuxiliaryTagDirectory
+from repro.monitor.sampling import SetSampler
+from repro.monitor.umon import UtilityMonitor
 from repro.partitioning.ucp import _Transition
 
 GEOMETRY = CacheGeometry(256 * 16 * 64, 64, 16)  # 256 sets x 16 ways
@@ -62,7 +65,30 @@ def _other_buffers():
     }
 
 
-_BUFFERS = {**_cache_buffers(), **_other_buffers()}
+def _kernel_epoch_buffers():
+    """The curve buffer of the kernel's epoch read-out and the
+    lookahead's outputs (both bind kernel entry points)."""
+    if COMPILED not in available_engines():
+        return {}
+    from repro.engine.build import load_kernel
+    from repro.engine.compiled import KernelEpoch, KernelLookahead
+
+    lib = load_kernel()
+    monitors = [UtilityMonitor(16, SetSampler(256, 32)) for _ in range(4)]
+    curves = KernelEpoch(lib, monitors).curves
+    allocations, cores, blocks, mus = KernelLookahead(
+        lib, curves, array("q", [0, 17, 34, 51]), array("q", [17]) * 4, 16
+    ).outputs
+    return {
+        "epoch.curves": curves,
+        "lookahead.allocations": allocations,
+        "lookahead.cores": cores,
+        "lookahead.blocks": blocks,
+        "lookahead.mus": mus,
+    }
+
+
+_BUFFERS = {**_cache_buffers(), **_other_buffers(), **_kernel_epoch_buffers()}
 
 
 @pytest.mark.parametrize("name", sorted(_BUFFERS))

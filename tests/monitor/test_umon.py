@@ -1,7 +1,7 @@
 """Unit and property tests for the utility monitor and set sampler."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.monitor.sampling import SetSampler
@@ -76,3 +76,65 @@ def test_miss_curve_is_monotone_non_increasing(accesses):
     for a, b in zip(curve, curve[1:]):
         assert a >= b
     assert curve[0] == len(accesses)
+
+
+# ----------------------------------------------------------------------
+# The kernel's read-out and ageing against miss_curve() and end_epoch()
+# ----------------------------------------------------------------------
+def _kernel_or_skip():
+    from repro.engine import COMPILED, available_engines
+
+    if COMPILED not in available_engines():
+        pytest.skip("no C toolchain")
+    from repro.engine.build import load_kernel
+
+    return load_kernel()
+
+
+def _monitors(counters, ways, interval, decay):
+    """One monitor per ``(hits, misses, accesses)`` triple."""
+    monitors = []
+    for hits, misses, accesses in counters:
+        monitor = UtilityMonitor(ways, SetSampler(64, interval), decay=decay)
+        monitor.atd.position_hits = hits
+        monitor.atd.misses = misses
+        monitor.atd.accesses = accesses
+        monitors.append(monitor)
+    return monitors
+
+
+def _counters(monitor):
+    return monitor.atd.position_hits, monitor.atd.misses, monitor.atd.accesses
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    ways=st.sampled_from([1, 4, 8, 16]),
+    n_cores=st.integers(1, 4),
+    interval=st.sampled_from([1, 8, 32]),
+    decay=st.sampled_from([0.0, 0.5, 0.3]),
+)
+def test_kernel_readout_matches_miss_curve_then_end_epoch(
+    data, ways, n_cores, interval, decay
+):
+    from repro.engine.compiled import KernelEpoch
+
+    lib = _kernel_or_skip()
+    value = st.integers(0, 2**40) | st.integers(0, 9)
+    counters = [
+        (data.draw(st.lists(value, min_size=ways, max_size=ways)),
+         data.draw(value), data.draw(value))
+        for _ in range(n_cores)
+    ]
+    reference = _monitors(counters, ways, interval, decay)
+    monitors = _monitors(counters, ways, interval, decay)
+    kernel = KernelEpoch(lib, monitors)
+    for _ in range(3):  # read, age, and again from the aged counters
+        assert kernel.miss_curves() == [m.miss_curve() for m in reference]
+        kernel.age()
+        for monitor in reference:
+            monitor.end_epoch()
+        assert [_counters(m) for m in monitors] == [
+            _counters(m) for m in reference
+        ]

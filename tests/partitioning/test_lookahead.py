@@ -1,10 +1,54 @@
-"""Unit and property tests for the threshold-extended lookahead."""
+"""Unit and property tests for the threshold-extended lookahead.
+
+The Python :func:`lookahead_partition` is the reference.  The kernel's
+copy (``repro_lookahead``, which a compiled run's UCP and Cooperative
+decisions call) must give the same result on every input, and at
+T = 0 on diminishing-returns curves both must reach the optimum that
+:func:`optimal_allocation`, an exhaustive DP, finds.
+"""
+
+import itertools
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import COMPILED, available_engines
 from repro.partitioning.lookahead import lookahead_partition
+
+requires_kernel = pytest.mark.skipif(
+    COMPILED not in available_engines(), reason="no C toolchain"
+)
+
+
+def _kernel_lookahead(curves, total_ways, threshold=0.0, min_ways=1):
+    """The kernel's lookahead over ``curves`` packed end to end."""
+    from repro.engine.build import load_kernel
+    from repro.engine.compiled import KernelLookahead
+
+    starts = list(itertools.accumulate((len(c) for c in curves), initial=0))
+    lookahead = KernelLookahead(
+        load_kernel(), array("q", [v for curve in curves for v in curve]),
+        array("q", starts[:-1]), array("q", [len(c) for c in curves]),
+        total_ways, min_ways,
+    )
+    return lookahead(threshold)
+
+
+def _exact(result):
+    """A result with each utility as its bits, so -0.0 != 0.0."""
+    return (result.allocations, result.unallocated,
+            [(core, blocks, mu.hex()) for core, blocks, mu in result.rounds])
+
+
+def _lookaheads():
+    """The implementations under test: Python, and the kernel's when
+    it loads."""
+    engines = [lookahead_partition]
+    if COMPILED in available_engines():
+        engines.append(_kernel_lookahead)
+    return engines
 
 
 def _curve(*deltas, base=10_000):
@@ -216,3 +260,102 @@ def test_kept_bids_match_rebidding_every_round(inputs):
         curves, total_ways, threshold=threshold, min_ways=min_ways
     )
     assert (result.allocations, result.unallocated, result.rounds) == expected
+
+
+@requires_kernel
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_lookahead_inputs())
+def test_the_kernel_lookahead_matches_the_python_one(inputs):
+    curves, total_ways, threshold, min_ways = inputs
+    expected = lookahead_partition(
+        curves, total_ways, threshold=threshold, min_ways=min_ways
+    )
+    result = _kernel_lookahead(curves, total_ways, threshold, min_ways)
+    assert _exact(result) == _exact(expected)
+
+
+@requires_kernel
+@pytest.mark.parametrize("args", [
+    ([], 8, 0.0, 1),
+    ([_curve(1), _curve(1)], 1, 0.0, 1),
+    ([_curve(1, 1)], 2, -0.1, 1),
+    ([_curve(1, 1), _curve(1, 1)], 4, 0.0, 3),
+], ids=["no-cores", "too-few-ways", "negative-threshold", "floor-too-high"])
+def test_the_kernel_lookahead_refuses_what_the_python_one_refuses(args):
+    with pytest.raises(ValueError) as python:
+        lookahead_partition(*args)
+    with pytest.raises(ValueError) as kernel:
+        _kernel_lookahead(*args)
+    assert str(kernel.value) == str(python.value)
+
+
+# ----------------------------------------------------------------------
+# The exhaustive optimum
+# ----------------------------------------------------------------------
+def optimal_allocation(curves, ways, min_ways):
+    """An allocation of exactly ``ways`` ways, at least ``min_ways`` and
+    at most ``len(curve) - 1`` per core, with the fewest total
+    estimated misses; None when no allocation fits.
+
+    A DP over the cores, O(cores x ways^2): ``best[used]`` holds the
+    fewest misses of the cores so far between them holding ``used``
+    ways, with the allocation that reaches it.
+    """
+    best = {0: (0, [])}
+    for curve in curves:
+        reached = {}
+        for used, (misses, allocation) in best.items():
+            for ways_here in range(min_ways, min(len(curve), ways - used + 1)):
+                total = misses + curve[ways_here]
+                key = used + ways_here
+                if key not in reached or total < reached[key][0]:
+                    reached[key] = (total, allocation + [ways_here])
+        best = reached
+    return best[ways][1] if ways in best else None
+
+
+def _misses(curves, allocations):
+    return sum(curve[ways] for curve, ways in zip(curves, allocations))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_lookahead_inputs())
+def test_the_optimum_is_the_brute_force_minimum(inputs):
+    curves, total_ways, _, min_ways = inputs
+    fits = [
+        allocation
+        for allocation in itertools.product(*(range(len(c)) for c in curves))
+        if sum(allocation) == total_ways and min(allocation) >= min_ways
+    ]
+    optimum = optimal_allocation(curves, total_ways, min_ways)
+    if not fits:
+        assert optimum is None
+        return
+    assert sum(optimum) == total_ways and min(optimum) >= min_ways
+    assert _misses(curves, optimum) == min(_misses(curves, a) for a in fits)
+
+
+@st.composite
+def _diminishing_inputs(draw):
+    """Full-length curves whose per-way miss reductions never grow
+    (plateaus included), so each extra way is worth at most the last."""
+    total_ways = draw(st.sampled_from([2, 4, 8, 16]))
+    n_cores = draw(st.integers(1, min(4, total_ways)))
+    min_ways = draw(st.integers(0, total_ways // n_cores))
+    curves = []
+    for _ in range(n_cores):
+        deltas = sorted(draw(st.lists(st.integers(0, 1000), min_size=total_ways,
+                                      max_size=total_ways)), reverse=True)
+        curves.append(_curve(*deltas, base=draw(st.integers(16_000, 20_000))))
+    return curves, total_ways, min_ways
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_diminishing_inputs())
+def test_the_lookahead_at_t0_is_optimal_on_diminishing_returns(inputs):
+    curves, total_ways, min_ways = inputs
+    optimum = optimal_allocation(curves, total_ways, min_ways)
+    for lookahead in _lookaheads():
+        result = lookahead(curves, total_ways, 0.0, min_ways)
+        assert result.unallocated == 0
+        assert _misses(curves, result.allocations) == _misses(curves, optimum)
