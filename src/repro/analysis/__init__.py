@@ -4,10 +4,10 @@ the golden/differential suites.
 Everything this reproduction promises — bit-identical results across
 engines, pools and sessions — rests on code-level invariants
 (deterministic seeding, no wall-clock or process-salted values in
-keys, atomic store writes, allocation-free hot loops).  The dynamic
-suites catch violations hours after they are written, and only when a
-fixture happens to exercise them; this package catches them at lint
-time with rules a generic linter cannot express.
+keys, atomic store writes).  The dynamic suites catch violations
+hours after they are written, and only when a fixture happens to
+exercise them; this package catches them at lint time with rules a
+generic linter cannot express.
 
 The pieces mirror the policy/governor registries the rest of the
 project uses:
@@ -17,23 +17,14 @@ project uses:
   :func:`rule_info`, :data:`RULE_NAMES`.
 * :mod:`repro.analysis.engine` — per-file AST pass, ``# repro:
   noqa[rule-id]`` / ``# repro: noqa-file[rule-id]`` suppression,
-  ``# repro: hot`` function annotation, ``--fix`` application.
-* :mod:`repro.analysis.baseline` — the committed
-  ``analysis/baseline.json`` of grandfathered findings (each entry
-  carries a justification), fingerprinted to survive line drift.
+  ``--fix`` application.
 * :mod:`repro.analysis.rules` — the built-in rule set: determinism,
-  hot-path hygiene, concurrency/store safety, suppression hygiene.
+  concurrency/store safety, suppression hygiene.
 
 ``repro check`` (:mod:`repro.analysis.cli`) is the front end; see
 ``docs/static-analysis.md`` for the rule catalog and etiquette.
 """
 
-from repro.analysis.baseline import (
-    Baseline,
-    finding_fingerprint,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.engine import (
     AnalysisContext,
     apply_fixes,
@@ -54,7 +45,6 @@ from repro.analysis.registry import (
 
 __all__ = [
     "AnalysisContext",
-    "Baseline",
     "CATEGORIES",
     "Finding",
     "RegisteredRule",
@@ -63,11 +53,8 @@ __all__ = [
     "check_file",
     "check_paths",
     "discover_files",
-    "finding_fingerprint",
-    "load_baseline",
     "register_rule",
     "registered_rules",
     "rule_info",
     "unregister_rule",
-    "write_baseline",
 ]

@@ -2,9 +2,8 @@
 
 One :class:`AnalysisContext` is built per Python file and handed to
 every selected rule.  It pre-computes everything the rules share —
-the AST, the source lines, the ``# repro: noqa[...]`` suppression
-maps, and the spans of functions marked ``# repro: hot`` — so a rule
-is a pure function over the context.
+the AST, the source lines and the ``# repro: noqa[...]`` suppression
+maps — so a rule is a pure function over the context.
 
 Suppression grammar (checked by the ``unknown-suppression`` rule):
 
@@ -13,11 +12,6 @@ Suppression grammar (checked by the ``unknown-suppression`` rule):
   reports, i.e. the first line of a multi-line statement).
 * ``# repro: noqa-file[rule-a]`` — suppress for the whole file, from
   any line (conventionally the module docstring's vicinity).
-
-Hot annotation: a ``# repro: hot`` comment on a ``def`` line (or the
-line directly above it, above any decorators) marks that function as
-an audited hot path; the ``hot-*`` rules run only inside such
-functions.
 """
 
 from __future__ import annotations
@@ -36,10 +30,9 @@ from repro.analysis.registry import (
     rule_info,
 )
 
-#: suppression / annotation comment grammar
+#: suppression comment grammar
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa\[([^\]]*)\]")
 _NOQA_FILE_RE = re.compile(r"#\s*repro:\s*noqa-file\[([^\]]*)\]")
-_HOT_RE = re.compile(r"#\s*repro:\s*hot\b")
 
 
 def _split_ids(raw: str) -> tuple[str, ...]:
@@ -63,13 +56,11 @@ class AnalysisContext:
         self.source = source
         self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=str(path))
-        comments = self._comments(source)
         (
             self.line_suppressions,
             self.file_suppressions,
             self.suppression_mentions,
-        ) = self._parse_suppressions(comments)
-        self.hot_spans = self._hot_spans(self.tree, comments)
+        ) = self._parse_suppressions(self._comments(source))
 
     # ------------------------------------------------------------------
     # Identity
@@ -96,7 +87,7 @@ class AnalysisContext:
         return ".".join(parts)
 
     # ------------------------------------------------------------------
-    # Suppressions and annotations
+    # Suppressions
     # ------------------------------------------------------------------
     @staticmethod
     def _comments(source: str) -> list[tuple[int, str]]:
@@ -134,43 +125,6 @@ class AnalysisContext:
                 per_line[number] = frozenset(ids)
                 mentions.extend((number, rule) for rule in ids)
         return per_line, frozenset(whole_file), mentions
-
-    @staticmethod
-    def _hot_spans(
-        tree: ast.Module, comments: Sequence[tuple[int, str]]
-    ) -> list[tuple[int, int, str]]:
-        """(first_line, last_line, name) of every hot-marked function."""
-        hot_lines = {
-            number for number, text in comments if _HOT_RE.search(text)
-        }
-        spans: list[tuple[int, int, str]] = []
-        if not hot_lines:
-            return spans
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            first = node.lineno  # the def line (decorators excluded)
-            above = (node.decorator_list[0].lineno if node.decorator_list
-                     else first) - 1
-            if first in hot_lines or above in hot_lines:
-                spans.append((first, node.end_lineno or first, node.name))
-        return spans
-
-    def in_hot_function(self, node: ast.AST) -> bool:
-        line = getattr(node, "lineno", None)
-        if line is None:
-            return False
-        return any(first <= line <= last for first, last, _ in self.hot_spans)
-
-    def hot_functions(self) -> list[ast.AST]:
-        """The hot-marked function nodes, in source order."""
-        starts = {first for first, _, _ in self.hot_spans}
-        return [
-            node
-            for node in ast.walk(self.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and node.lineno in starts
-        ]
 
     def suppressed(self, finding: Finding) -> bool:
         if finding.rule in self.file_suppressions:

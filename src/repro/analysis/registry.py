@@ -18,12 +18,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.engine import AnalysisContext
 
 #: severity ladder, weakest first.  ``info`` never gates; ``warning``
-#: and ``error`` fail ``repro check`` unless suppressed or baselined.
+#: and ``error`` fail ``repro check`` unless suppressed.
 SEVERITIES = ("info", "warning", "error")
 
 #: rule families (the registry rejects anything else so the catalog
 #: stays organised)
-CATEGORIES = ("determinism", "hot-path", "concurrency", "meta")
+CATEGORIES = ("determinism", "concurrency", "meta")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -2,7 +2,6 @@
 
 The modules group by category — :mod:`determinism` (seeding,
 wall-clock, salted hashes, iteration order, serialization),
-:mod:`hotpath` (the ``# repro: hot`` hygiene family),
 :mod:`concurrency` (store write atomicity, fork-shared state) and
 :mod:`meta` (suppression hygiene).  The registry imports this module
 lazily on first lookup; third-party rules import
@@ -12,6 +11,5 @@ lazily on first lookup; third-party rules import
 from repro.analysis.rules import (  # noqa: F401  (import = register)
     concurrency,
     determinism,
-    hotpath,
     meta,
 )

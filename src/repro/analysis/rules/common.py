@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Optional
 
 
 def import_aliases(tree: ast.Module) -> dict[str, str]:
@@ -48,31 +48,6 @@ def resolve_call(func: ast.expr, aliases: dict[str, str]) -> Optional[str]:
         return None
     parts.append(base)
     return ".".join(reversed(parts))
-
-
-def attribute_chain(node: ast.expr) -> Optional[str]:
-    """Source text of a pure ``name.attr[.attr…]`` load chain."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name) or not parts:
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
-def iter_loops(function: ast.AST) -> Iterator[ast.For | ast.While]:
-    """Every loop inside ``function``, nested ones included."""
-    for node in ast.walk(function):
-        if isinstance(node, (ast.For, ast.While)):
-            yield node
-
-
-def loop_body_nodes(loop: ast.For | ast.While) -> Iterator[ast.AST]:
-    """Walk the statements executed per iteration (else-clause too)."""
-    for statement in [*loop.body, *loop.orelse]:
-        yield from ast.walk(statement)
 
 
 def is_set_expression(node: ast.expr, aliases: dict[str, str]) -> bool:

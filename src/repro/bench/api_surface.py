@@ -186,7 +186,6 @@ def _orchestration_surface() -> dict[str, Any]:
 def _analysis_surface() -> dict[str, Any]:
     """The rule registry and the ``repro check`` entry points."""
     from repro.analysis import check_file, check_paths, register_rule
-    from repro.analysis.baseline import BASELINE_SCHEMA
     from repro.analysis.cli import run_check
     from repro.analysis.registry import (
         CATEGORIES,
@@ -206,7 +205,6 @@ def _analysis_surface() -> dict[str, Any]:
     return {
         "categories": list(CATEGORIES),
         "severities": list(SEVERITIES),
-        "baseline_schema": BASELINE_SCHEMA,
         "rules": rules,
         "register_rule": _signature_of(register_rule),
         "check_file": _signature_of(check_file),

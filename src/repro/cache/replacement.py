@@ -3,7 +3,7 @@
 The schemes compared in the paper differ in *which* line they evict on
 a fill:
 
-* plain LRU over all ways — the Unmanaged baseline;
+* plain LRU over all ways — the Unmanaged scheme;
 * LRU restricted to the core's permitted ways — Fair Share and the
   way-aligned schemes (Cooperative Partitioning probes/fills only ways
   the RAP/WAP registers allow, so the restriction is supplied by the

@@ -132,7 +132,7 @@ class SetAssociativeCache:
         row = self.tags[base:base + self.ways]
         return row.index(tag) if tag in row else NO_WAY
 
-    def victim(self, set_index: int, ways: tuple[int, ...] | None = None) -> int:  # repro: hot
+    def victim(self, set_index: int, ways: tuple[int, ...] | None = None) -> int:
         """LRU victim of ``set_index`` among ``ways`` (all if None).
 
         Invalid ways are returned first (fill before evict); otherwise

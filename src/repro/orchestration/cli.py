@@ -25,9 +25,8 @@ Seven subcommands drive the whole evaluation through the orchestrator:
   converts one into a Perfetto-loadable Chrome trace.
 * ``repro clean``    — drop the store.
 * ``repro check``    — run the project-invariant static analysis
-  (determinism/hot-path/concurrency rules, ``# repro: noqa[...]``
-  suppressions, the committed ``analysis/baseline.json``; see
-  ``docs/static-analysis.md``).
+  (determinism/concurrency/meta rules, ``# repro: noqa[...]``
+  suppressions; see ``docs/static-analysis.md``).
 
 ``sweep``, ``alone`` and ``scenario`` share one run path: each builds
 its :class:`~repro.experiment.Experiment` specs and runs them through

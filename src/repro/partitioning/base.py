@@ -172,7 +172,7 @@ class BaseSharedCachePolicy:
         self.n_cores = stats.n_cores
         self.geometry = cache.geometry
 
-        # --- hot-path state -------------------------------------------
+        # --- cache, stats and monitor state bound for access_fast -----
         n = self.n_cores
         ways = self.geometry.ways
         cls = type(self)

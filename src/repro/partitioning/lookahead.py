@@ -53,7 +53,6 @@ class AllocationResult:
     rounds: list[tuple[int, int, float]] = field(default_factory=list)
 
 
-# repro: hot
 def _max_marginal_utility(
     curve: list[int], alloc: int, balance: int
 ) -> tuple[float, int]:
@@ -96,7 +95,6 @@ def check_lookahead(
         raise ValueError(f"threshold must be non-negative, got {threshold}")
 
 
-# repro: hot
 def lookahead_partition(
     miss_curves: list[list[int]],
     total_ways: int,

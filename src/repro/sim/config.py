@@ -50,6 +50,14 @@ class SystemConfig:
     flush_bucket_cycles: int = 250_000
     seed: int = 2012
 
+    def __post_init__(self) -> None:
+        # An epoch of 0 cycles fires epochs back to back and never ends
+        # the run; a flush bucket of 0 cycles divides by zero.
+        for name in ("epoch_cycles", "flush_bucket_cycles"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+
     def with_threshold(self, threshold: float) -> "SystemConfig":
         """Copy of this config with a different takeover threshold."""
         return replace(self, threshold=threshold)

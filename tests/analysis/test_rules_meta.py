@@ -64,16 +64,3 @@ class TestBarePrint:
             path="src/repro/orchestration/report.py",
         )
         assert findings == []
-
-    def test_clean_tree_has_no_baseline_debt(self):
-        """The rule landed clean: no bare-print entries in the
-        committed baseline."""
-        import json
-        from pathlib import Path
-
-        baseline = Path("analysis/baseline.json")
-        if not baseline.exists():
-            return
-        entries = json.loads(baseline.read_text())
-        text = json.dumps(entries)
-        assert "bare-print" not in text

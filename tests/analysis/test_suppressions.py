@@ -1,5 +1,5 @@
-"""Suppression grammar: line/file noqa, hot-marker placement, the
-``unknown-suppression`` hygiene rule, and parse-error reporting."""
+"""Suppression grammar: line/file noqa, the ``unknown-suppression``
+hygiene rule, and parse-error reporting."""
 
 from __future__ import annotations
 
@@ -28,6 +28,19 @@ class TestLineSuppression:
             rules=["wall-clock", "json-sort-keys"],
         )
         assert findings == []
+
+    def test_noqa_inside_string_is_inert(self, check_source):
+        # Only comment tokens suppress; the directive quoted in a string
+        # literal on the finding's own line is plain text.
+        findings = check_source(
+            """
+            import time
+
+            stamp = (time.time(), "# repro: noqa[wall-clock]")
+            """,
+            rules=["wall-clock"],
+        )
+        assert [f.line for f in findings] == [3]
 
     def test_noqa_for_a_different_rule_does_not_silence(self, check_source):
         findings = check_source(
@@ -71,37 +84,6 @@ class TestFileSuppression:
         assert len(findings) == 1
 
 
-class TestHotMarkerPlacement:
-    def test_marker_above_decorators(self, check_source):
-        findings = check_source(
-            """
-            # repro: hot
-            @wraps
-            def scan(rows):
-                total = 0
-                for row in rows:
-                    total += len([v for v in row])
-                return total
-            """,
-            rules=["hot-loop-alloc"],
-        )
-        assert len(findings) == 1
-
-    def test_marker_inside_string_is_inert(self, check_source):
-        findings = check_source(
-            '''
-            def scan(rows):
-                """Not hot; the marker below is just text: # repro: hot"""
-                total = 0
-                for row in rows:
-                    total += len([v for v in row])
-                return total
-            ''',
-            rules=["hot-loop-alloc"],
-        )
-        assert findings == []
-
-
 class TestUnknownSuppression:
     def test_flags_typo(self, check_source):
         findings = check_source(
@@ -135,3 +117,43 @@ class TestParseError:
         )
         assert [f.rule for f in findings] == ["parse-error"]
         assert findings[0].severity == "error"
+
+
+class TestGrammarVariants:
+    def test_noqa_without_spaces(self, check_source):
+        findings = check_source(
+            """
+            import time
+
+            stamp = time.time()  #repro:noqa[wall-clock]
+            """,
+            rules=["wall-clock"],
+        )
+        assert findings == []
+
+    def test_noqa_covers_only_its_own_physical_line(self, check_source):
+        findings = check_source(
+            """
+            import time
+
+            stamp = max(  # repro: noqa[wall-clock]
+                time.time(),
+                0.0,
+            )
+            """,
+            rules=["wall-clock"],
+        )
+        # the finding reports the call's own line, not the statement's
+        assert [f.line for f in findings] == [4]
+
+    def test_unknown_suppression_flags_file_level_typo(self, check_source):
+        findings = check_source(
+            """
+            # repro: noqa-file[salted-hsh]
+            value = 1
+            """,
+            rules=["unknown-suppression"],
+        )
+        assert [(f.rule, f.line) for f in findings] == [
+            ("unknown-suppression", 1),
+        ]

@@ -1,5 +1,9 @@
 """Unit tests for system configurations (Table 2)."""
 
+import dataclasses
+
+import pytest
+
 from repro.sim.config import (
     SystemConfig,
     paper_four_core,
@@ -58,3 +62,20 @@ class TestDerivedConfigs:
         rows = dict(paper_two_core().describe())
         assert "Shared L2" in rows
         assert "2MB" in rows["Shared L2"]
+
+
+class TestValidation:
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_epoch_cycles_must_be_positive(self, value):
+        with pytest.raises(ValueError, match="epoch_cycles"):
+            dataclasses.replace(scaled_two_core(), epoch_cycles=value)
+
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_flush_bucket_cycles_must_be_positive(self, value):
+        with pytest.raises(ValueError, match="flush_bucket_cycles"):
+            dataclasses.replace(scaled_two_core(), flush_bucket_cycles=value)
+
+    @pytest.mark.parametrize("field", ["epoch_cycles", "flush_bucket_cycles"])
+    def test_one_cycle_is_accepted(self, field):
+        config = dataclasses.replace(scaled_two_core(), **{field: 1})
+        assert getattr(config, field) == 1
