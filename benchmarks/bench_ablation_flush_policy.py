@@ -7,8 +7,11 @@ reassigned ways at once.  Comparing the two on the phase-heavy
 workloads isolates the cost of immediate flushing.
 """
 
+from conftest import print_table
+
 from repro import Experiment
 from repro.metrics.speedup import geometric_mean
+from repro.render import Column
 
 PHASE_HEAVY = ("G2-4", "G2-6", "G2-7", "G2-12", "G2-13")
 
@@ -35,13 +38,12 @@ def test_ablation_lazy_vs_immediate_flush(benchmark, runner, two_core_config, tw
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print("\n=== Ablation: lazy takeover (CP) vs immediate flush (CPE) ===")
-    print(f"{'group':<8}{'CP WS':>9}{'CPE WS':>9}{'CP flushes':>12}{'CPE flushes':>13}")
-    for group, row in rows.items():
-        print(
-            f"{group:<8}{row['cp_ws']:>9.3f}{row['cpe_ws']:>9.3f}"
-            f"{row['cp_flushes']:>12}{row['cpe_flushes']:>13}"
-        )
+    print_table(
+        "Ablation: lazy takeover (CP) vs immediate flush (CPE)",
+        [Column("group", "<8"), Column("CP WS", ">9", ".3f"), Column("CPE WS", ">9", ".3f"),
+         Column("CP flushes", ">12"), Column("CPE flushes", ">13")],
+        [(group, *row.values()) for group, row in rows.items()],
+    )
     cp_mean = geometric_mean([max(rows[g]["cp_ws"], 1e-9) for g in rows])
     cpe_mean = geometric_mean([max(rows[g]["cpe_ws"], 1e-9) for g in rows])
     print(f"mean WS: CP={cp_mean:.3f} CPE={cpe_mean:.3f}")

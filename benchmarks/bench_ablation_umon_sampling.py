@@ -8,7 +8,10 @@ Cooperative Partitioning with sampling intervals 1 (every set), 4 and
 
 from dataclasses import replace
 
+from conftest import print_table
+
 from repro import Experiment
+from repro.render import Column
 
 INTERVALS = (1, 4, 16)
 GROUPS = ("G2-2", "G2-6", "G2-8")
@@ -41,10 +44,12 @@ def test_ablation_umon_sampling_interval(benchmark, runner, two_core_config, two
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print("\n=== Ablation: UMON sampling interval ===")
-    print(f"{'interval':>9}{'mean WS':>10}{'mean ways probed':>18}")
-    for interval, (ws, probes) in rows.items():
-        print(f"{interval:>9}{ws:>10.3f}{probes:>18.2f}")
+    print_table(
+        "Ablation: UMON sampling interval",
+        [Column("interval", ">9"), Column("mean WS", ">10", ".3f"),
+         Column("mean ways probed", ">18", ".2f")],
+        [(interval, ws, probes) for interval, (ws, probes) in rows.items()],
+    )
     full_ws = rows[1][0]
     sampled_ws = rows[16][0]
     # Sparse sampling tracks full monitoring within a few percent.

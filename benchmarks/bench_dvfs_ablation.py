@@ -22,7 +22,10 @@ measurement-noise margin — while complying at least as well as the
 DVFS-only arm.
 """
 
+from conftest import print_table
+
 from repro import Experiment, GovernorSpec
+from repro.render import Column
 
 #: the per-core slowdown budget both DVFS arms run under
 QOS_BUDGET = 0.10
@@ -71,17 +74,17 @@ def test_dvfs_ablation_coordinated_wins(benchmark, runner, two_core_config):
     NOISE = 1.005
     aggregate = {arm: 0.0 for arm in next(iter(table.values()))}
     for group, arms in table.items():
-        print(f"\n=== {group}: ablation at QoS budget {QOS_BUDGET:.0%} ===")
-        print(
-            f"{'arm':<20}{'total nJ':>14}{'core nJ':>14}{'LLC nJ':>12}"
-            f"{'DVFS slowdown':>15}"
+        print_table(
+            f"{group}: ablation at QoS budget {QOS_BUDGET:.0%}",
+            [Column("arm", "<20"), Column("total nJ", ">14", ",.0f"),
+             Column("core nJ", ">14", ",.0f"), Column("LLC nJ", ">12", ",.0f"),
+             Column("DVFS slowdown", ">15", ".3f")],
+            [
+                (arm, run.total_energy_nj, run.core_energy_nj,
+                 run.dynamic_energy_nj + run.static_energy_nj, worst)
+                for arm, (run, worst) in arms.items()
+            ],
         )
-        for arm, (run, worst) in arms.items():
-            llc = run.dynamic_energy_nj + run.static_energy_nj
-            print(
-                f"{arm:<20}{run.total_energy_nj:>14,.0f}"
-                f"{run.core_energy_nj:>14,.0f}{llc:>12,.0f}{worst:>15.3f}"
-            )
 
         for arm, (run, _) in arms.items():
             aggregate[arm] += run.total_energy_nj

@@ -9,7 +9,10 @@ must respect its QoS contract — which the open-loop fixed ladder by
 construction cannot promise.
 """
 
+from conftest import print_table
+
 from repro import Experiment, GovernorSpec, default_vf_table
+from repro.render import Column
 
 GROUP = "G2-8"
 
@@ -39,18 +42,22 @@ def test_dvfs_governor_comparison(benchmark, runner, two_core_config):
 
     runs = benchmark.pedantic(sweep, rounds=1, iterations=1)
     nominal = runs[f"fixed-{table.nominal.freq_mhz}"]
-    print(f"\n=== {GROUP}: governors over cooperative partitioning ===")
-    print(f"{'governor':<16}{'total nJ':>14}{'core nJ':>14}{'worst slowdown':>16}")
-    slowdowns = {}
-    for label, run in runs.items():
-        slowdowns[label] = max(
+    slowdowns = {
+        label: max(
             governed.cycles / reference.cycles
             for governed, reference in zip(run.cores, nominal.cores)
         )
-        print(
-            f"{label:<16}{run.total_energy_nj:>14,.0f}"
-            f"{run.core_energy_nj:>14,.0f}{slowdowns[label]:>16.3f}"
-        )
+        for label, run in runs.items()
+    }
+    print_table(
+        f"{GROUP}: governors over cooperative partitioning",
+        [Column("governor", "<16"), Column("total nJ", ">14", ",.0f"),
+         Column("core nJ", ">14", ",.0f"), Column("worst slowdown", ">16", ".3f")],
+        [
+            (label, run.total_energy_nj, run.core_energy_nj, slowdowns[label])
+            for label, run in runs.items()
+        ],
+    )
 
     slowest = runs[f"fixed-{table.points[-1].freq_mhz}"]
     # The fixed ladder brackets the space: nominal spends the most,

@@ -11,7 +11,10 @@ same policy at the nominal frequency stays within budget, plus a
 small tolerance for the governor's analytic model).
 """
 
+from conftest import print_table
+
 from repro import Experiment, GovernorSpec
+from repro.render import Column
 
 #: the slowdown budgets swept, tightest first
 QOS_BUDGETS = (0.0, 0.02, 0.05, 0.10, 0.20, 0.40)
@@ -48,17 +51,17 @@ def test_dvfs_qos_energy_curve(benchmark, runner, two_core_config):
         return rows
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print(f"\n=== {GROUP}: energy vs QoS budget (coordinated over cooperative) ===")
-    print(
-        f"{'budget':>8}{'total nJ':>14}{'core nJ':>14}{'LLC nJ':>12}"
-        f"{'worst slowdown':>16}"
+    print_table(
+        f"{GROUP}: energy vs QoS budget (coordinated over cooperative)",
+        [Column("budget", ">8", ".2f"), Column("total nJ", ">14", ",.0f"),
+         Column("core nJ", ">14", ",.0f"), Column("LLC nJ", ">12", ",.0f"),
+         Column("worst slowdown", ">16", ".3f")],
+        [
+            (budget, run.total_energy_nj, run.core_energy_nj,
+             run.dynamic_energy_nj + run.static_energy_nj, worst)
+            for budget, run, worst in rows
+        ],
     )
-    for budget, run, worst in rows:
-        llc = run.dynamic_energy_nj + run.static_energy_nj
-        print(
-            f"{budget:>8.2f}{run.total_energy_nj:>14,.0f}"
-            f"{run.core_energy_nj:>14,.0f}{llc:>12,.0f}{worst:>16.3f}"
-        )
 
     # Loosening the QoS budget never costs energy...
     totals = [run.total_energy_nj for _, run, _ in rows]

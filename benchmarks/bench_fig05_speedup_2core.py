@@ -10,26 +10,15 @@ our synthetic traces compress the absolute speedups, so the check is
 on the CP:UCP ratio rather than the absolute level).
 """
 
-from conftest import print_series, sweep_grid
+from conftest import scheme_figure
 
-from repro.metrics.speedup import geometric_mean
 from repro.sim.runner import ALL_POLICIES
 
 
 def test_fig05_weighted_speedup_two_core(benchmark, runner, two_core_config, two_core_groups):
-    def sweep():
-        results = sweep_grid(runner, two_core_config, two_core_groups)
-        return runner.normalized_weighted_speedup(results, two_core_config)
-
-    table = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    average = {
-        policy: geometric_mean([table[g][policy] for g in two_core_groups])
-        for policy in ALL_POLICIES
-    }
-    print_series(
-        "Figure 5: weighted speedup (two-core, normalised to Fair Share)",
-        table, ALL_POLICIES, average,
-    )
+    average = scheme_figure(
+        benchmark, runner, two_core_config, two_core_groups, "speedup", "Figure 5"
+    ).average
     assert average["fair_share"] == 1.0
     # CP within a few percent of UCP, as in the paper.
     assert average["cooperative"] > average["ucp"] - 0.08

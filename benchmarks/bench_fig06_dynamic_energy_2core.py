@@ -7,26 +7,14 @@ way-aligned probes average 2.9 ways and land at ~68% (Dynamic CPE at
 those orderings.
 """
 
-from conftest import print_series, sweep_grid
-
-from repro.metrics.speedup import geometric_mean
-from repro.sim.runner import ALL_POLICIES
+from conftest import scheme_figure
 
 
 def test_fig06_dynamic_energy_two_core(benchmark, runner, two_core_config, two_core_groups):
-    def sweep():
-        results = sweep_grid(runner, two_core_config, two_core_groups)
-        return runner.normalized_energy(results, "dynamic")
-
-    table = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    average = {
-        policy: geometric_mean([table[g][policy] for g in two_core_groups])
-        for policy in ALL_POLICIES
-    }
-    print_series(
-        "Figure 6: dynamic energy (two-core, normalised to Fair Share)",
-        table, ALL_POLICIES, average,
+    figure = scheme_figure(
+        benchmark, runner, two_core_config, two_core_groups, "dynamic", "Figure 6"
     )
+    table, average = figure.groups, figure.average
     # Unmanaged/UCP ~ 2x Fair Share (all 8 ways probed vs 4).
     assert 1.6 < average["unmanaged"] < 2.2
     assert 1.6 < average["ucp"] < 2.2

@@ -7,26 +7,14 @@ average with up to 48% savings (G2-2) and zero savings where the
 cache is fully used (G2-6/7/12).
 """
 
-from conftest import print_series, sweep_grid
-
-from repro.metrics.speedup import geometric_mean
-from repro.sim.runner import ALL_POLICIES
+from conftest import scheme_figure
 
 
 def test_fig07_static_energy_two_core(benchmark, runner, two_core_config, two_core_groups):
-    def sweep():
-        results = sweep_grid(runner, two_core_config, two_core_groups)
-        return runner.normalized_energy(results, "static")
-
-    table = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    average = {
-        policy: geometric_mean([table[g][policy] for g in two_core_groups])
-        for policy in ALL_POLICIES
-    }
-    print_series(
-        "Figure 7: static energy (two-core, normalised to Fair Share)",
-        table, ALL_POLICIES, average,
+    figure = scheme_figure(
+        benchmark, runner, two_core_config, two_core_groups, "static", "Figure 7"
     )
+    table, average = figure.groups, figure.average
     # Non-gating schemes stay at 1.0 (within overhead noise).
     for policy in ("unmanaged", "ucp"):
         assert 0.98 < average[policy] < 1.02

@@ -6,26 +6,13 @@ applications ("Dynamic CPE is not scalable across a large number of
 cores"), while UCP and Cooperative Partitioning stay close together.
 """
 
-from conftest import print_series, sweep_grid
-
-from repro.metrics.speedup import geometric_mean
-from repro.sim.runner import ALL_POLICIES
+from conftest import scheme_figure
 
 
 def test_fig08_weighted_speedup_four_core(benchmark, runner, four_core_config, four_core_groups):
-    def sweep():
-        results = sweep_grid(runner, four_core_config, four_core_groups)
-        return runner.normalized_weighted_speedup(results, four_core_config)
-
-    table = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    average = {
-        policy: geometric_mean([table[g][policy] for g in four_core_groups])
-        for policy in ALL_POLICIES
-    }
-    print_series(
-        "Figure 8: weighted speedup (four-core, normalised to Fair Share)",
-        table, ALL_POLICIES, average,
-    )
+    average = scheme_figure(
+        benchmark, runner, four_core_config, four_core_groups, "speedup", "Figure 8"
+    ).average
     assert average["fair_share"] == 1.0
     assert average["cooperative"] > average["ucp"] - 0.08
     assert average["cooperative"] >= average["cpe"] - 0.05

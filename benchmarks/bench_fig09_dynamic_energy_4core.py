@@ -4,26 +4,14 @@ Paper: Unmanaged/UCP at ~4x Fair Share (16 ways probed vs 4), CP at
 69% (3.2 ways probed on average vs 4), CPE at 82%.
 """
 
-from conftest import print_series, sweep_grid
-
-from repro.metrics.speedup import geometric_mean
-from repro.sim.runner import ALL_POLICIES
+from conftest import scheme_figure
 
 
 def test_fig09_dynamic_energy_four_core(benchmark, runner, four_core_config, four_core_groups):
-    def sweep():
-        results = sweep_grid(runner, four_core_config, four_core_groups)
-        return runner.normalized_energy(results, "dynamic")
-
-    table = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    average = {
-        policy: geometric_mean([table[g][policy] for g in four_core_groups])
-        for policy in ALL_POLICIES
-    }
-    print_series(
-        "Figure 9: dynamic energy (four-core, normalised to Fair Share)",
-        table, ALL_POLICIES, average,
+    figure = scheme_figure(
+        benchmark, runner, four_core_config, four_core_groups, "dynamic", "Figure 9"
     )
+    table, average = figure.groups, figure.average
     # All-way probers land near 4x the Fair Share probe width.
     assert 3.0 < average["unmanaged"] < 4.3
     assert 3.0 < average["ucp"] < 4.3

@@ -5,26 +5,14 @@ whose applications need few ways (G4-3/8/11) and no savings in the
 five groups that use the whole cache.
 """
 
-from conftest import print_series, sweep_grid
-
-from repro.metrics.speedup import geometric_mean
-from repro.sim.runner import ALL_POLICIES
+from conftest import scheme_figure
 
 
 def test_fig10_static_energy_four_core(benchmark, runner, four_core_config, four_core_groups):
-    def sweep():
-        results = sweep_grid(runner, four_core_config, four_core_groups)
-        return runner.normalized_energy(results, "static")
-
-    table = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    average = {
-        policy: geometric_mean([table[g][policy] for g in four_core_groups])
-        for policy in ALL_POLICIES
-    }
-    print_series(
-        "Figure 10: static energy (four-core, normalised to Fair Share)",
-        table, ALL_POLICIES, average,
+    figure = scheme_figure(
+        benchmark, runner, four_core_config, four_core_groups, "static", "Figure 10"
     )
+    table, average = figure.groups, figure.average
     for policy in ("unmanaged", "ucp"):
         assert 0.98 < average[policy] < 1.02
     assert average["cooperative"] < 0.98

@@ -6,42 +6,15 @@ T=0 run.  The paper finds no loss up to T=0.05 and growing losses
 beyond, which justifies its default of 0.05.
 """
 
-from repro import Experiment, PolicySpec
-
-THRESHOLDS = (0.0, 0.01, 0.05, 0.10, 0.20)
+from conftest import threshold_figure
 
 
 def test_fig11_threshold_vs_performance(benchmark, runner, two_core_config, two_core_groups):
-    def sweep():
-        grid = {
-            (group, threshold): Experiment(
-                group,
-                PolicySpec("cooperative", threshold=threshold),
-                two_core_config,
-            )
-            for group in two_core_groups
-            for threshold in THRESHOLDS
-        }
-        results = runner.sweep(grid.values())
-        table = {}
-        for group in two_core_groups:
-            row = {}
-            for threshold in THRESHOLDS:
-                experiment = grid[(group, threshold)]
-                run = results[experiment]
-                row[threshold] = runner.weighted_speedup_of(run, experiment.system)
-            table[group] = {t: row[t] / row[0.0] for t in THRESHOLDS}
-        return table
-
-    table = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print("\n=== Figure 11: weighted speedup vs takeover threshold (norm. to T=0) ===")
-    print(f"{'group':<8}" + "".join(f"{'T=' + str(t):>10}" for t in THRESHOLDS))
-    for group, row in table.items():
-        print(f"{group:<8}" + "".join(f"{row[t]:>10.3f}" for t in THRESHOLDS))
-    averages = {
-        t: sum(table[g][t] for g in table) / len(table) for t in THRESHOLDS
-    }
-    print(f"{'AVG':<8}" + "".join(f"{averages[t]:>10.3f}" for t in THRESHOLDS))
+    averages = threshold_figure(
+        benchmark, runner, two_core_config, two_core_groups,
+        lambda spec, run: runner.weighted_speedup_of(run, spec.system),
+        "Figure 11: weighted speedup vs takeover threshold (norm. to T=0)",
+    )
     # Small thresholds cost (almost) nothing.
     assert averages[0.01] > 0.95
     assert averages[0.05] > 0.93

@@ -5,42 +5,15 @@ shrinking the probe width: dynamic energy falls monotonically-ish as
 T grows (normalised to T=0, so lower is better).
 """
 
-from repro import Experiment, PolicySpec
-
-THRESHOLDS = (0.0, 0.01, 0.05, 0.10, 0.20)
+from conftest import threshold_figure
 
 
 def test_fig12_threshold_vs_dynamic_energy(benchmark, runner, two_core_config, two_core_groups):
-    def sweep():
-        grid = {
-            (group, threshold): Experiment(
-                group,
-                PolicySpec("cooperative", threshold=threshold),
-                two_core_config,
-            )
-            for group in two_core_groups
-            for threshold in THRESHOLDS
-        }
-        results = runner.sweep(grid.values())
-        table = {}
-        for group in two_core_groups:
-            row = {}
-            for threshold in THRESHOLDS:
-                experiment = grid[(group, threshold)]
-                run = results[experiment]
-                row[threshold] = run.dynamic_energy_per_kiloinstruction
-            table[group] = {t: row[t] / row[0.0] for t in THRESHOLDS}
-        return table
-
-    table = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print("\n=== Figure 12: dynamic energy vs takeover threshold (norm. to T=0) ===")
-    print(f"{'group':<8}" + "".join(f"{'T=' + str(t):>10}" for t in THRESHOLDS))
-    for group, row in table.items():
-        print(f"{group:<8}" + "".join(f"{row[t]:>10.3f}" for t in THRESHOLDS))
-    averages = {
-        t: sum(table[g][t] for g in table) / len(table) for t in THRESHOLDS
-    }
-    print(f"{'AVG':<8}" + "".join(f"{averages[t]:>10.3f}" for t in THRESHOLDS))
+    averages = threshold_figure(
+        benchmark, runner, two_core_config, two_core_groups,
+        lambda spec, run: run.dynamic_energy_per_kiloinstruction,
+        "Figure 12: dynamic energy vs takeover threshold (norm. to T=0)",
+    )
     # The paper's default threshold saves dynamic energy vs T=0.
     assert averages[0.05] < 1.0
     assert averages[0.20] <= averages[0.01] + 0.05

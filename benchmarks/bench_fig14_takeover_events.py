@@ -7,7 +7,10 @@ takeover bits set.  This benchmark aggregates the event mix across
 every two-core group that actually repartitions.
 """
 
+from conftest import print_table
+
 from repro import Experiment
+from repro.render import Column
 
 
 def test_fig14_takeover_event_mix(benchmark, runner, two_core_config, two_core_groups):
@@ -26,13 +29,13 @@ def test_fig14_takeover_event_mix(benchmark, runner, two_core_config, two_core_g
 
     table = benchmark.pedantic(sweep, rounds=1, iterations=1)
     kinds = ("recipient_miss", "recipient_hit", "donor_miss", "donor_hit")
-    print("\n=== Figure 14: takeover-bit event mix (fractions) ===")
-    print(f"{'group':<8}" + "".join(f"{k:>16}" for k in kinds))
-    for group, row in table.items():
-        print(f"{group:<8}" + "".join(f"{row[k]:>16.3f}" for k in kinds))
     assert table, "no group repartitioned — takeover never exercised"
     totals = {k: sum(row[k] for row in table.values()) / len(table) for k in kinds}
-    print(f"{'AVG':<8}" + "".join(f"{totals[k]:>16.3f}" for k in kinds))
+    print_table(
+        "Figure 14: takeover-bit event mix (fractions)",
+        [Column("group", "<8"), *(Column(k, ">16", ".3f") for k in kinds)],
+        [(group, *(row[k] for k in kinds)) for group, row in [*table.items(), ("AVG", totals)]],
+    )
     combined = totals["donor_hit"] + totals["recipient_miss"]
     print(f"donor hits + recipient misses = {combined:.2f} (paper: ~2/3)")
     # The paper's dominant pair carries the majority of events.

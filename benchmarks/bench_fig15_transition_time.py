@@ -7,8 +7,11 @@ moves when the recipient misses (the paper measures 10M vs 58M cycles
 geometry; the benchmark checks the *ratio*.
 """
 
+from conftest import print_table
+
 from repro import Experiment
 from repro.metrics.speedup import geometric_mean
+from repro.render import Column
 
 
 def test_fig15_way_transition_time(benchmark, runner, two_core_config, two_core_groups):
@@ -32,15 +35,16 @@ def test_fig15_way_transition_time(benchmark, runner, two_core_config, two_core_
         return table
 
     table = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print("\n=== Figure 15: cycles to transfer a way ===")
-    print(f"{'group':<8}{'Cooperative':>14}{'UCP (>=)':>14}{'UCP/CP':>9}{'pending':>9}")
-    ratios = []
-    for group, (cp_cycles, ucp_cycles, pending) in table.items():
-        ratio = ucp_cycles / cp_cycles
-        ratios.append(ratio)
-        print(f"{group:<8}{cp_cycles:>14.0f}{ucp_cycles:>14.0f}{ratio:>9.2f}{pending:>9}")
+    rows = [(group, cp, ucp, ucp / cp, pending) for group, (cp, ucp, pending) in table.items()]
+    print_table(
+        "Figure 15: cycles to transfer a way",
+        [Column("group", "<8"), Column("Cooperative", ">14", ".0f"),
+         Column("UCP (>=)", ">14", ".0f"), Column("UCP/CP", ">9", ".2f"),
+         Column("pending", ">9")],
+        rows,
+    )
     assert table, "no group produced transitions under both schemes"
-    mean_ratio = geometric_mean(ratios)
+    mean_ratio = geometric_mean([ratio for _, _, _, ratio, _ in rows])
     print(f"geometric-mean speed advantage of cooperative takeover: >= {mean_ratio:.1f}x "
           f"(paper: ~5.8x; UCP times are lower bounds)")
     # Cooperative takeover is decisively faster.

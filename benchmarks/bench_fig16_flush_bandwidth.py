@@ -8,8 +8,8 @@ donor keeps re-dirtying blocks that have not migrated yet; paper:
 total flushed lines.
 """
 
-
 from repro import Experiment
+from repro.render import Column, table
 
 
 def test_fig16_flush_bandwidth_timeline(benchmark, runner, two_core_config, two_core_groups):
@@ -42,9 +42,11 @@ def test_fig16_flush_bandwidth_timeline(benchmark, runner, two_core_config, two_
     bucket_cycles = two_core_config.flush_bucket_cycles
     print("\n=== Figure 16: lines flushed per bucket after a decision ===")
     print(f"(bucket = {bucket_cycles} cycles; summed over {contributing} groups)")
-    print(f"{'bucket':>7}{'Cooperative':>14}{'UCP':>10}")
-    for bucket in range(horizon):
-        print(f"{bucket:>7}{series['cooperative'][bucket]:>14.1f}{series['ucp'][bucket]:>10.1f}")
+    print(table(
+        [Column("bucket", ">7"), Column("Cooperative", ">14", ".1f"),
+         Column("UCP", ">10", ".1f")],
+        zip(range(horizon), series["cooperative"], series["ucp"]),
+    ))
     print(f"total transfer flushes: CP={totals['cooperative']} UCP={totals['ucp']}")
     assert contributing, "no repartitions happened anywhere"
     cp = series["cooperative"]

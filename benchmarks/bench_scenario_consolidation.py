@@ -8,7 +8,10 @@ own no-departure baseline and the cooperative powered-ways timeline —
 the shape Figures 14-16 reason about.
 """
 
+from conftest import print_table
+
 from repro import Experiment
+from repro.render import Column
 from repro.scenarios import Scenario, consolidation_scenario, render_timeline
 from repro.sim.runner import ALL_POLICIES
 
@@ -42,18 +45,17 @@ def test_scenario_consolidation_static_energy(benchmark, runner, four_core_confi
         return table
 
     table = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print("\n=== consolidation: integrated static energy vs no departure ===")
-    print(
-        f"{'scheme':<14}{'static nJ':>12}{'baseline':>12}{'ratio':>8}"
-        f"{'min powered':>13}"
+    print_table(
+        "consolidation: integrated static energy vs no departure",
+        [Column("scheme", "<14"), Column("static nJ", ">12", ",.0f"),
+         Column("baseline", ">12", ",.0f"), Column("ratio", ">8", ".2f"),
+         Column("min powered", ">13")],
+        [
+            (policy, run.static_energy_nj, baseline.static_energy_nj,
+             run.static_energy_nj / baseline.static_energy_nj, run.min_powered_ways())
+            for policy, (run, baseline) in table.items()
+        ],
     )
-    for policy, (run, baseline) in table.items():
-        ratio = run.static_energy_nj / baseline.static_energy_nj
-        print(
-            f"{policy:<14}{run.static_energy_nj:>12,.0f}"
-            f"{baseline.static_energy_nj:>12,.0f}{ratio:>8.2f}"
-            f"{run.min_powered_ways():>13}"
-        )
     cooperative, cooperative_baseline = table["cooperative"]
     print("\ncooperative timeline:")
     print(render_timeline(cooperative.timeline, config.l2.ways))

@@ -7,7 +7,10 @@ assumes 2048 sets; the Table 2 geometries (2 MB and 4 MB, 64 B lines,
 geometry-faithful ones.
 """
 
+from conftest import print_table
+
 from repro.energy.cacti import OverheadBits
+from repro.render import Column
 from repro.sim.config import paper_four_core, paper_two_core
 
 
@@ -21,13 +24,17 @@ def _table_rows():
 
 def test_table1_hardware_overheads(benchmark):
     rows = benchmark.pedantic(_table_rows, rounds=1, iterations=1)
-    print("\n=== Table 1: hardware overheads (bits) ===")
-    print(f"{'Hardware':<22}{'Two Core':>12}{'Four Core':>12}")
     two, four = rows[0][1], rows[1][1]
-    print(f"{'Takeover Bit Vectors':<22}{two.takeover_bits:>12}{four.takeover_bits:>12}")
-    print(f"{'RAP':<22}{two.rap_bits:>12}{four.rap_bits:>12}")
-    print(f"{'WAP':<22}{two.wap_bits:>12}{four.wap_bits:>12}")
-    print(f"{'Total':<22}{two.total:>12}{four.total:>12}")
+    print_table(
+        "Table 1: hardware overheads (bits)",
+        [Column("Hardware", "<22"), Column("Two Core", ">12"), Column("Four Core", ">12")],
+        [
+            ("Takeover Bit Vectors", two.takeover_bits, four.takeover_bits),
+            ("RAP", two.rap_bits, four.rap_bits),
+            ("WAP", two.wap_bits, four.wap_bits),
+            ("Total", two.total, four.total),
+        ],
+    )
     # Structure checks: RAP/WAP match the paper exactly; the takeover
     # vectors scale as sets x cores.
     assert two.rap_bits == 16 and two.wap_bits == 16

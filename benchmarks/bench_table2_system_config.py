@@ -5,6 +5,9 @@ variants the other benchmarks run on) so a reader can compare them
 against the paper's Table 2 directly.
 """
 
+from conftest import print_table
+
+from repro.render import Column
 from repro.sim.config import (
     paper_four_core,
     paper_two_core,
@@ -25,9 +28,9 @@ def _describe_all():
 def test_table2_system_configuration(benchmark):
     tables = benchmark.pedantic(_describe_all, rounds=1, iterations=1)
     for label, rows in tables.items():
-        print(f"\n=== Table 2 ({label}) ===")
-        for parameter, value in rows:
-            print(f"{parameter:<22}{value}")
+        print_table(
+            f"Table 2 ({label})", [Column("Parameter", "<22"), Column("Configuration")], rows
+        )
     paper = dict(tables["paper two-core"])
     assert "2MB" in paper["Shared L2"]
     assert "8-way" in paper["Shared L2"]

@@ -5,7 +5,10 @@ misses per kilo-instruction, and checks that each lands in the
 High / Medium / Low class the paper reports.
 """
 
+from conftest import print_table
+
 from repro import Experiment
+from repro.render import Column
 from repro.workloads.profiles import BENCHMARK_PROFILES, classify_mpki
 
 
@@ -21,16 +24,18 @@ def test_table3_mpki_classification(benchmark, runner, two_core_config):
         }
 
     measured = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print("\n=== Table 3: MPKI classification ===")
-    print(f"{'benchmark':<12}{'paper MPKI':>12}{'measured':>12}{'class':>9}{'ok':>5}")
-    mismatches = []
-    for name, mpki in measured.items():
-        profile = BENCHMARK_PROFILES[name]
-        ok = classify_mpki(mpki) == profile.mpki_class
-        if not ok:
-            mismatches.append(name)
-        print(
-            f"{name:<12}{profile.mpki:>12.2f}{mpki:>12.2f}"
-            f"{profile.mpki_class.value:>9}{'OK' if ok else 'BAD':>5}"
-        )
+    profiles = {name: BENCHMARK_PROFILES[name] for name in measured}
+    mismatches = [
+        name for name, mpki in measured.items() if classify_mpki(mpki) != profiles[name].mpki_class
+    ]
+    print_table(
+        "Table 3: MPKI classification",
+        [Column("benchmark", "<12"), Column("paper MPKI", ">12", ".2f"),
+         Column("measured", ">12", ".2f"), Column("class", ">9"), Column("ok", ">5")],
+        [
+            (name, profiles[name].mpki, mpki, profiles[name].mpki_class.value,
+             "BAD" if name in mismatches else "OK")
+            for name, mpki in measured.items()
+        ],
+    )
     assert not mismatches, f"class mismatches: {mismatches}"

@@ -5,6 +5,9 @@ construction rules (every two-application group contains a High-MPKI
 program; every four-application group also contains a Medium one).
 """
 
+from conftest import print_table
+
+from repro.render import Column
 from repro.workloads.groups import FOUR_CORE_GROUPS, TWO_CORE_GROUPS
 from repro.workloads.profiles import BENCHMARK_PROFILES, MPKIClass
 
@@ -15,11 +18,11 @@ def _build():
 
 def test_table4_workload_groups(benchmark):
     two, four = benchmark.pedantic(_build, rounds=1, iterations=1)
-    print("\n=== Table 4: workload groupings ===")
-    for name, members in two.items():
-        print(f"{name:<7}{', '.join(members)}")
-    for name, members in four.items():
-        print(f"{name:<7}{', '.join(members)}")
+    print_table(
+        "Table 4: workload groupings",
+        [Column("Group", "<7"), Column("Applications")],
+        [(name, ", ".join(members)) for name, members in [*two.items(), *four.items()]],
+    )
     for name, members in two.items():
         classes = {BENCHMARK_PROFILES[b].mpki_class for b in members}
         assert MPKIClass.HIGH in classes, name

@@ -12,7 +12,8 @@ figure can be pre-computed from the CLI and merely rendered here.
 Environment knobs:
 
 * ``REPRO_BENCH_REFS`` — references per core for two-core sweeps
-  (default 60000; the four-core sweeps use 5/6 of it).
+  (default ``FIGURE_REFS_PER_CORE``; when set, the four-core sweeps
+  use 5/6 of it).
 * ``REPRO_BENCH_GROUPS`` — comma-separated subset of groups (e.g.
   ``G2-1,G2-8``) for quick runs; default is all fourteen.
 * ``REPRO_STORE`` — result-store directory (default ``.repro/store``).
@@ -25,21 +26,18 @@ import os
 
 import pytest
 
-from repro.experiment import Experiment, by_group_policy
+from repro import Experiment, PolicySpec
+from repro.metrics.figures import FigureTable, figure_tables
 from repro.orchestration import orchestrated_runner
-from repro.sim.config import scaled_four_core, scaled_two_core
+from repro.render import Column, table
+from repro.sim.config import FIGURE_REFS_PER_CORE, scaled_four_core, scaled_two_core
 from repro.sim.runner import ALL_POLICIES
 from repro.workloads.groups import group_names
 
-BENCH_REFS = int(os.environ.get("REPRO_BENCH_REFS", "60000"))
+_BENCH_REFS = os.environ.get("REPRO_BENCH_REFS")
 
-
-def sweep_grid(runner, config, groups, policies=ALL_POLICIES):
-    """Run the (group × policy) spec grid — in parallel through the
-    store — and pivot the results into the figures' nested
-    ``{group: {policy: RunResult}}`` table shape."""
-    results = runner.sweep(Experiment.grid(config, groups, list(policies)))
-    return by_group_policy(results)
+#: the takeover thresholds Figs. 11–13 sweep
+THRESHOLDS = (0.0, 0.01, 0.05, 0.10, 0.20)
 
 
 def _selected_groups(n_cores: int) -> list[str]:
@@ -58,12 +56,14 @@ def runner():
 
 @pytest.fixture(scope="session")
 def two_core_config():
-    return scaled_two_core(refs_per_core=BENCH_REFS)
+    refs = int(_BENCH_REFS) if _BENCH_REFS else FIGURE_REFS_PER_CORE[2]
+    return scaled_two_core(refs_per_core=refs)
 
 
 @pytest.fixture(scope="session")
 def four_core_config():
-    return scaled_four_core(refs_per_core=BENCH_REFS * 5 // 6)
+    refs = int(_BENCH_REFS) * 5 // 6 if _BENCH_REFS else FIGURE_REFS_PER_CORE[4]
+    return scaled_four_core(refs_per_core=refs)
 
 
 @pytest.fixture(scope="session")
@@ -76,11 +76,55 @@ def four_core_groups():
     return _selected_groups(4)
 
 
-def print_series(title: str, rows: dict[str, dict[str, float]], policies, average):
-    """Render one figure's data as the paper's bar-chart rows."""
+def print_table(title: str, columns, rows) -> None:
+    """Print one titled table through :func:`repro.render.table`."""
     print(f"\n=== {title} ===")
-    header = f"{'group':<8}" + "".join(f"{p:>14}" for p in policies)
-    print(header)
-    for group, row in rows.items():
-        print(f"{group:<8}" + "".join(f"{row[p]:>14.3f}" for p in policies))
-    print(f"{'AVG':<8}" + "".join(f"{average[p]:>14.3f}" for p in policies))
+    print(table(columns, rows))
+
+
+def scheme_figure(benchmark, runner, config, groups, metric: str, figure: str) -> FigureTable:
+    """Sweep the (group × scheme) grid under ``benchmark``, then print
+    and return its ``metric`` table, normalised to Fair Share."""
+    def sweep():
+        results = runner.sweep(Experiment.grid(config, groups, list(ALL_POLICIES)))
+        return figure_tables(runner, results, config, ALL_POLICIES, (metric,))[metric]
+
+    normalised = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    print(f"\n=== {figure}: {normalised.title} ===")
+    print(normalised.render())
+    return normalised
+
+
+def threshold_figure(benchmark, runner, config, groups, value, title: str) -> dict:
+    """Sweep Cooperative Partitioning over :data:`THRESHOLDS` under
+    ``benchmark``, normalise each group's ``value(spec, run)`` to its
+    T=0 run, print the table with its arithmetic-mean AVG row and
+    return that row, by threshold."""
+    def sweep():
+        grid = {
+            (group, threshold): Experiment(
+                group, PolicySpec("cooperative", threshold=threshold), config
+            )
+            for group in groups
+            for threshold in THRESHOLDS
+        }
+        results = runner.sweep(grid.values())
+        normalised = {}
+        for group in groups:
+            row = {t: value(grid[group, t], results[grid[group, t]]) for t in THRESHOLDS}
+            normalised[group] = {t: row[t] / row[0.0] for t in THRESHOLDS}
+        return normalised
+
+    normalised = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    average = {
+        t: sum(normalised[g][t] for g in normalised) / len(normalised) for t in THRESHOLDS
+    }
+    print_table(
+        title,
+        [Column("group", "<8"), *(Column(f"T={t}", ">10", ".3f") for t in THRESHOLDS)],
+        [
+            (group, *(row[t] for t in THRESHOLDS))
+            for group, row in [*normalised.items(), ("AVG", average)]
+        ],
+    )
+    return average

@@ -328,14 +328,11 @@ class KernelEpoch:
     @classmethod
     def bind(cls, lib, policy) -> None:
         """Bind to ``policy`` when its monitors are plain
-        ``UtilityMonitor`` objects of one width, each with a decay
-        factor ``AuxiliaryTagDirectory.decay`` accepts (the Python path
-        raises for any other)."""
+        ``UtilityMonitor`` objects of one width."""
         monitors = policy.monitors
         if monitors and all(
             type(monitor) is UtilityMonitor
-            and monitor.atd.ways == monitors[0].atd.ways
-            and 0.0 <= monitor.decay_factor < 1.0 for monitor in monitors
+            and monitor.atd.ways == monitors[0].atd.ways for monitor in monitors
         ):
             policy.kernel_epoch = cls(lib, monitors)
 

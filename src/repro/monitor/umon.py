@@ -31,6 +31,8 @@ class UtilityMonitor:
     """
 
     def __init__(self, ways: int, sampler: SetSampler, decay: float = 0.5) -> None:
+        if not 0.0 <= decay < 1.0:
+            raise ValueError(f"decay must be in [0, 1), got {decay!r}")
         self.ways = ways
         self.sampler = sampler
         self.decay_factor = decay

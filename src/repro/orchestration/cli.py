@@ -52,14 +52,15 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from typing import Any, Iterable, Sequence
 
 from repro import obs
 from repro.analysis.cli import add_check_arguments, cmd_check
 from repro.dvfs.governors import GovernorSpec, registered_governors
 from repro.engine import EngineUnavailableError
-from repro.experiment import Experiment, by_group_policy
-from repro.metrics.speedup import geometric_mean
+from repro.experiment import Experiment
+from repro.metrics.figures import METRICS, figure_tables
 from repro.obs.log import progress
 from repro.obs.trace import read_events, to_chrome_trace, trace_key, write_trace_file
 from repro.orchestration.executor import SweepExecutor, resolve_jobs
@@ -71,17 +72,12 @@ from repro.scenarios.model import (
     Scenario, arrival_scenario, consolidation_scenario, phased_scenario,
 )
 from repro.scenarios.timeline import render_timeline
-from repro.sim.config import SystemConfig, scaled_four_core, scaled_two_core
+from repro.sim.config import (
+    FIGURE_REFS_PER_CORE, SystemConfig, scaled_four_core, scaled_two_core,
+)
 from repro.sim.runner import ALL_POLICIES, AloneResult, ExperimentRunner
 from repro.workloads.groups import group_benchmarks, group_names
 from repro.workloads.profiles import BENCHMARK_PROFILES, classify_mpki
-
-#: the three normalised tables the figures are built from, by title
-_METRICS = {
-    "speedup": "weighted speedup",
-    "dynamic": "dynamic energy per kilo-instruction",
-    "static": "static leakage power",
-}
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -176,9 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     selection.add_argument(
         "--refs-per-core", type=int, default=None, metavar="N",
-        help="measured references per core (default: 60000 for 2-core, "
-             "50000 for 4-core — the benchmark harness's scales, so a "
-             "default sweep pre-populates the figures' cache)",
+        help=f"measured references per core (default: {FIGURE_REFS_PER_CORE[2]} "
+             f"for 2-core, {FIGURE_REFS_PER_CORE[4]} for 4-core — the benchmark "
+             "harness's scales, so a default sweep pre-populates the figures' "
+             "cache)",
     )
     selection.add_argument(
         "--groups", default=None, metavar="SPEC",
@@ -214,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a group x scheme sweep in parallel and print the figure tables",
     )
     sweep.add_argument(
-        "--metric", choices=(*_METRICS, "all"), default="speedup",
+        "--metric", choices=(*METRICS, "all"), default="speedup",
         help="which normalised table(s) to print (default: speedup)",
     )
     sweep.add_argument(
@@ -353,10 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from(options: argparse.Namespace) -> SystemConfig:
     refs = options.refs_per_core
     if refs is None:
-        # Match benchmarks/conftest.py (60000, and 5/6 of it for the
-        # four-core sweeps) so `repro sweep` and the figure drivers
-        # share task keys.
-        refs = 60_000 if options.cores == 2 else 50_000
+        refs = FIGURE_REFS_PER_CORE[options.cores]
     if refs <= 0:
         raise SystemExit(f"--refs-per-core must be positive, got {refs}")
     factory = scaled_two_core if options.cores == 2 else scaled_four_core
@@ -522,49 +516,27 @@ def _print_figures(
 ) -> None:
     """Print a run grid's normalised figure tables as human tables,
     one JSON document or flat metric,group,policy,value CSV rows."""
-    results = by_group_policy({spec: runner.run(spec) for spec in experiments})
-    baseline = "fair_share" if "fair_share" in policies else policies[0]
-    tables: dict[str, dict] = {}
-    rows: dict[str, list] = {}
-    for metric in metrics:
-        if metric == "speedup":
-            groups = runner.normalized_weighted_speedup(results, config, baseline)
-        else:
-            groups = runner.normalized_energy(results, metric, baseline)
-        average = {
-            policy: geometric_mean([groups[group][policy] for group in groups])
-            for policy in policies
-        }
-        tables[metric] = {
-            "title": f"{config.n_cores}-core {_METRICS[metric]} "
-                     f"(normalised to {baseline})",
-            "baseline": baseline,
-            "groups": groups,
-            "average": average,
-        }
-        rows[metric] = [*groups.items(), ("AVG", average)]
+    results = {spec: runner.run(spec) for spec in experiments}
+    tables = figure_tables(runner, results, config, policies, metrics)
     if output_format == "json":
         sys.stdout.write(json_text({
             "n_cores": config.n_cores,
             "refs_per_core": config.refs_per_core,
             "policies": list(policies),
-            "metrics": tables,
+            "metrics": {metric: asdict(figure) for metric, figure in tables.items()},
         }))
         return
     if output_format == "csv":
         print(csv_text(("metric", "group", "policy", "value"), (
             (metric, group, policy, row[policy])
-            for metric in rows
-            for group, row in rows[metric]
+            for metric, figure in tables.items()
+            for group, row in figure.rows()
             for policy in policies
         )))
         return
-    columns = [Column("group", "<8"), *(Column(p, ">14", ".3f") for p in policies)]
-    for metric, data in tables.items():
-        print(f"\n=== {data['title']} ===")
-        print(table(columns, [
-            (group, *(row[p] for p in policies)) for group, row in rows[metric]
-        ]))
+    for figure in tables.values():
+        print(f"\n=== {figure.title} ===")
+        print(figure.render())
 
 
 # ----------------------------------------------------------------------
@@ -665,7 +637,7 @@ def _sweep(options: argparse.Namespace, session: _Session) -> int:
         _print_spec_rows(session.runner, experiments)
         print(f"\n{len(experiments)} spec(s); {session.tally()}")
         return 0
-    metrics = tuple(_METRICS) if options.metric == "all" else (options.metric,)
+    metrics = tuple(METRICS) if options.metric == "all" else (options.metric,)
     _print_figures(session.runner, experiments, config, policies, metrics)
     print(
         f"\n{len(experiments)} group runs over {len(groups)} groups x "
@@ -772,7 +744,7 @@ def _cmd_report(options: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    _print_figures(runner, experiments, config, policies, _METRICS, options.format)
+    _print_figures(runner, experiments, config, policies, METRICS, options.format)
     return 0
 
 

@@ -57,6 +57,8 @@ class SystemConfig:
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
+        if not 0.0 <= self.umon_decay < 1.0:
+            raise ValueError(f"umon_decay must be in [0, 1), got {self.umon_decay!r}")
 
     def with_threshold(self, threshold: float) -> "SystemConfig":
         """Copy of this config with a different takeover threshold."""
@@ -119,6 +121,12 @@ def paper_four_core() -> SystemConfig:
         warmup_refs=1_000_000,
         flush_bucket_cycles=250_000,
     )
+
+
+#: measured references per core of the Figs. 5–13 runs, by core
+#: count: the default of ``repro sweep``/``repro report`` and of the
+#: figure drivers in ``benchmarks/``, so both share task keys
+FIGURE_REFS_PER_CORE = {2: 60_000, 4: 50_000}
 
 
 def scaled_two_core(refs_per_core: int = 120_000) -> SystemConfig:

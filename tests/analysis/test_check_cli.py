@@ -5,6 +5,7 @@ tree is clean under its own analysis."""
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,20 @@ class TestCliWiring:
         output = capsys.readouterr().out
         assert "unseeded-random" in output
         assert "registered rules" in output
+
+    def test_catalog_documents_every_listed_rule(self, capsys):
+        """docs/static-analysis.md's catalog has one row per rule that
+        ``--list-rules`` prints, and no other."""
+        assert main(["check", "--list-rules"]) == 0
+        listed = [
+            line.split()[0] for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ")
+        ]
+        doc = (REPO_ROOT / "docs" / "static-analysis.md").read_text(encoding="utf-8")
+        catalog = doc.split("## The rule catalog", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^\| `([a-z-]+)` \|", catalog, re.MULTILINE)
+        assert len(listed) == len(registered_rules())
+        assert sorted(documented) == sorted(listed)
 
     def test_unknown_rule_selection_exits_2(self, capsys):
         code = main([

@@ -34,6 +34,13 @@ class TestSetSampler:
         assert SetSampler(64, 8).scale_factor == 8
 
 
+class TestDecayValidation:
+    @pytest.mark.parametrize("decay", [1.0, 1.5, -0.2])
+    def test_out_of_range_decay_raises_at_construction(self, decay):
+        with pytest.raises(ValueError, match="decay"):
+            UtilityMonitor(4, SetSampler(16, 1), decay=decay)
+
+
 class TestMissCurve:
     def test_empty_monitor_gives_zero_curve(self):
         monitor = UtilityMonitor(4, SetSampler(16, 1))

@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from repro.orchestration.cli import main
+from repro.orchestration.cli import _config_from, build_parser, main
+from repro.sim.config import FIGURE_REFS_PER_CORE
 
 #: small enough that the whole CLI suite stays in test-suite budget
 FAST = ["--refs-per-core", "3000", "--jobs", "2"]
@@ -76,6 +77,12 @@ class TestSweep:
     def test_unknown_policy_rejected(self, store_arguments):
         with pytest.raises(SystemExit):
             main(["sweep", "--policies", "lru", *FAST, *store_arguments])
+
+
+@pytest.mark.parametrize("cores", [2, 4])
+def test_default_refs_per_core_is_the_figure_length(cores):
+    options = build_parser().parse_args(["sweep", "--cores", str(cores)])
+    assert _config_from(options).refs_per_core == FIGURE_REFS_PER_CORE[cores]
 
 
 class TestSweepDryRun:

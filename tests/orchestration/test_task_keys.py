@@ -73,7 +73,7 @@ PARAMS = {
 #: equal values of one field, each encoding differently
 VARIANTS = {
     "threshold": (0, 0.0, False, -0.0),
-    "umon_decay": (1, 1.0, True),
+    "umon_decay": (0, 0.0, False, -0.0),
 }
 
 
@@ -118,7 +118,7 @@ class TestByteIdentity:
                     st.integers(0, 2),
                     st.sampled_from([0.0, -0.0, 0.05, 1.0]),
                 ),
-                st.one_of(st.booleans(), st.integers(0, 1), st.sampled_from([0.5, 1.0])),
+                st.one_of(st.just(False), st.just(0), st.sampled_from([0.0, -0.0, 0.5])),
                 st.sampled_from(sorted(PARAMS)),
             ),
             min_size=1,

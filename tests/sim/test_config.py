@@ -75,6 +75,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="flush_bucket_cycles"):
             dataclasses.replace(scaled_two_core(), flush_bucket_cycles=value)
 
+    @pytest.mark.parametrize("value", [1.0, 1.5, -0.2])
+    def test_umon_decay_must_be_below_one_and_not_negative(self, value):
+        with pytest.raises(ValueError, match="umon_decay"):
+            dataclasses.replace(scaled_two_core(), umon_decay=value)
+
     @pytest.mark.parametrize("field", ["epoch_cycles", "flush_bucket_cycles"])
     def test_one_cycle_is_accepted(self, field):
         config = dataclasses.replace(scaled_two_core(), **{field: 1})

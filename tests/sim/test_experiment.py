@@ -211,8 +211,8 @@ class TestAloneInterning:
         assert Experiment.alone_run("mcf", system=tiny_two_core) is not spec
 
     def test_equal_configs_of_other_types_stay_apart(self, tiny_two_core):
-        exact = dataclasses.replace(tiny_two_core, umon_decay=1.0)
-        loose = dataclasses.replace(tiny_two_core, umon_decay=1)
+        exact = dataclasses.replace(tiny_two_core, umon_decay=0.0)
+        loose = dataclasses.replace(tiny_two_core, umon_decay=0)
         assert exact == loose
         a = Experiment.alone_run("lbm", system=loose)
         b = Experiment.alone_run("lbm", system=exact)
