@@ -16,11 +16,13 @@ from repro.render import Column
 PHASE_HEAVY = ("G2-4", "G2-6", "G2-7", "G2-12", "G2-13")
 
 
-def test_ablation_lazy_vs_immediate_flush(benchmark, runner, two_core_config, two_core_groups):
+def test_ablation_lazy_vs_immediate_flush(
+    benchmark, executor, runner, two_core_config, two_core_groups
+):
     groups = [g for g in two_core_groups if g in PHASE_HEAVY] or two_core_groups[:3]
 
     def sweep():
-        results = runner.sweep(
+        results = executor.sweep(
             Experiment(group, policy, two_core_config)
             for group in groups
             for policy in ("cooperative", "cpe")

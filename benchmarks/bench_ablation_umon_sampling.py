@@ -17,11 +17,13 @@ INTERVALS = (1, 4, 16)
 GROUPS = ("G2-2", "G2-6", "G2-8")
 
 
-def test_ablation_umon_sampling_interval(benchmark, runner, two_core_config, two_core_groups):
+def test_ablation_umon_sampling_interval(
+    benchmark, executor, runner, two_core_config, two_core_groups
+):
     groups = [g for g in two_core_groups if g in GROUPS] or two_core_groups[:2]
 
     def sweep():
-        runner.sweep(
+        executor.sweep(
             Experiment(
                 group, "cooperative", replace(two_core_config, umon_interval=interval)
             )

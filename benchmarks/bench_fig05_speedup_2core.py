@@ -15,9 +15,9 @@ from conftest import scheme_figure
 from repro.sim.runner import ALL_POLICIES
 
 
-def test_fig05_weighted_speedup_two_core(benchmark, runner, two_core_config, two_core_groups):
+def test_fig05_weighted_speedup_two_core(benchmark, executor, two_core_config, two_core_groups):
     average = scheme_figure(
-        benchmark, runner, two_core_config, two_core_groups, "speedup", "Figure 5"
+        benchmark, executor, two_core_config, two_core_groups, "speedup", "Figure 5"
     ).average
     assert average["fair_share"] == 1.0
     # CP within a few percent of UCP, as in the paper.

@@ -10,9 +10,9 @@ those orderings.
 from conftest import scheme_figure
 
 
-def test_fig06_dynamic_energy_two_core(benchmark, runner, two_core_config, two_core_groups):
+def test_fig06_dynamic_energy_two_core(benchmark, executor, two_core_config, two_core_groups):
     figure = scheme_figure(
-        benchmark, runner, two_core_config, two_core_groups, "dynamic", "Figure 6"
+        benchmark, executor, two_core_config, two_core_groups, "dynamic", "Figure 6"
     )
     table, average = figure.groups, figure.average
     # Unmanaged/UCP ~ 2x Fair Share (all 8 ways probed vs 4).

@@ -10,9 +10,9 @@ cache is fully used (G2-6/7/12).
 from conftest import scheme_figure
 
 
-def test_fig07_static_energy_two_core(benchmark, runner, two_core_config, two_core_groups):
+def test_fig07_static_energy_two_core(benchmark, executor, two_core_config, two_core_groups):
     figure = scheme_figure(
-        benchmark, runner, two_core_config, two_core_groups, "static", "Figure 7"
+        benchmark, executor, two_core_config, two_core_groups, "static", "Figure 7"
     )
     table, average = figure.groups, figure.average
     # Non-gating schemes stay at 1.0 (within overhead noise).

@@ -9,9 +9,9 @@ cores"), while UCP and Cooperative Partitioning stay close together.
 from conftest import scheme_figure
 
 
-def test_fig08_weighted_speedup_four_core(benchmark, runner, four_core_config, four_core_groups):
+def test_fig08_weighted_speedup_four_core(benchmark, executor, four_core_config, four_core_groups):
     average = scheme_figure(
-        benchmark, runner, four_core_config, four_core_groups, "speedup", "Figure 8"
+        benchmark, executor, four_core_config, four_core_groups, "speedup", "Figure 8"
     ).average
     assert average["fair_share"] == 1.0
     assert average["cooperative"] > average["ucp"] - 0.08

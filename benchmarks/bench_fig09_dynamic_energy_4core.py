@@ -7,9 +7,9 @@ Paper: Unmanaged/UCP at ~4x Fair Share (16 ways probed vs 4), CP at
 from conftest import scheme_figure
 
 
-def test_fig09_dynamic_energy_four_core(benchmark, runner, four_core_config, four_core_groups):
+def test_fig09_dynamic_energy_four_core(benchmark, executor, four_core_config, four_core_groups):
     figure = scheme_figure(
-        benchmark, runner, four_core_config, four_core_groups, "dynamic", "Figure 9"
+        benchmark, executor, four_core_config, four_core_groups, "dynamic", "Figure 9"
     )
     table, average = figure.groups, figure.average
     # All-way probers land near 4x the Fair Share probe width.

@@ -8,9 +8,9 @@ five groups that use the whole cache.
 from conftest import scheme_figure
 
 
-def test_fig10_static_energy_four_core(benchmark, runner, four_core_config, four_core_groups):
+def test_fig10_static_energy_four_core(benchmark, executor, four_core_config, four_core_groups):
     figure = scheme_figure(
-        benchmark, runner, four_core_config, four_core_groups, "static", "Figure 10"
+        benchmark, executor, four_core_config, four_core_groups, "static", "Figure 10"
     )
     table, average = figure.groups, figure.average
     for policy in ("unmanaged", "ucp"):

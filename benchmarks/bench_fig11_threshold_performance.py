@@ -9,10 +9,10 @@ beyond, which justifies its default of 0.05.
 from conftest import threshold_figure
 
 
-def test_fig11_threshold_vs_performance(benchmark, runner, two_core_config, two_core_groups):
+def test_fig11_threshold_vs_performance(benchmark, executor, two_core_config, two_core_groups):
     averages = threshold_figure(
-        benchmark, runner, two_core_config, two_core_groups,
-        lambda spec, run: runner.weighted_speedup_of(run, spec.system),
+        benchmark, executor, two_core_config, two_core_groups,
+        lambda spec, run: executor.runner.weighted_speedup_of(run, spec.system),
         "Figure 11: weighted speedup vs takeover threshold (norm. to T=0)",
     )
     # Small thresholds cost (almost) nothing.

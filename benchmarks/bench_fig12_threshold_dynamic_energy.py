@@ -8,9 +8,9 @@ T grows (normalised to T=0, so lower is better).
 from conftest import threshold_figure
 
 
-def test_fig12_threshold_vs_dynamic_energy(benchmark, runner, two_core_config, two_core_groups):
+def test_fig12_threshold_vs_dynamic_energy(benchmark, executor, two_core_config, two_core_groups):
     averages = threshold_figure(
-        benchmark, runner, two_core_config, two_core_groups,
+        benchmark, executor, two_core_config, two_core_groups,
         lambda spec, run: run.dynamic_energy_per_kiloinstruction,
         "Figure 12: dynamic energy vs takeover threshold (norm. to T=0)",
     )

@@ -8,9 +8,9 @@ and powered off, so static energy falls with T.
 from conftest import threshold_figure
 
 
-def test_fig13_threshold_vs_static_energy(benchmark, runner, two_core_config, two_core_groups):
+def test_fig13_threshold_vs_static_energy(benchmark, executor, two_core_config, two_core_groups):
     averages = threshold_figure(
-        benchmark, runner, two_core_config, two_core_groups,
+        benchmark, executor, two_core_config, two_core_groups,
         lambda spec, run: run.static_power_nw,
         "Figure 13: static energy vs takeover threshold (norm. to T=0)",
     )

@@ -13,9 +13,9 @@ from repro import Experiment
 from repro.render import Column
 
 
-def test_fig14_takeover_event_mix(benchmark, runner, two_core_config, two_core_groups):
+def test_fig14_takeover_event_mix(benchmark, executor, two_core_config, two_core_groups):
     def sweep():
-        results = runner.sweep(
+        results = executor.sweep(
             Experiment(group, "cooperative", two_core_config)
             for group in two_core_groups
         )

@@ -14,9 +14,9 @@ from repro.metrics.speedup import geometric_mean
 from repro.render import Column
 
 
-def test_fig15_way_transition_time(benchmark, runner, two_core_config, two_core_groups):
+def test_fig15_way_transition_time(benchmark, executor, two_core_config, two_core_groups):
     def sweep():
-        results = runner.sweep(
+        results = executor.sweep(
             Experiment(group, policy, two_core_config)
             for group in two_core_groups
             for policy in ("cooperative", "ucp")

@@ -12,11 +12,11 @@ from repro import Experiment
 from repro.render import Column, table
 
 
-def test_fig16_flush_bandwidth_timeline(benchmark, runner, two_core_config, two_core_groups):
+def test_fig16_flush_bandwidth_timeline(benchmark, executor, two_core_config, two_core_groups):
     horizon = 24  # buckets of flush_bucket_cycles after a decision
 
     def sweep():
-        results = runner.sweep(
+        results = executor.sweep(
             Experiment(group, policy, two_core_config)
             for group in two_core_groups
             for policy in ("cooperative", "ucp")

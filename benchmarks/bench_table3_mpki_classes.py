@@ -12,9 +12,9 @@ from repro.render import Column
 from repro.workloads.profiles import BENCHMARK_PROFILES, classify_mpki
 
 
-def test_table3_mpki_classification(benchmark, runner, two_core_config):
+def test_table3_mpki_classification(benchmark, executor, two_core_config):
     def measure():
-        results = runner.sweep(
+        results = executor.sweep(
             Experiment.alone_run(name, system=two_core_config)
             for name in sorted(BENCHMARK_PROFILES)
         )

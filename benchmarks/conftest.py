@@ -2,10 +2,12 @@
 
 Every benchmark regenerates one table or figure of the paper at a
 laptop-feasible scale and prints the same rows/series the paper
-reports.  All benchmarks in a pytest session share one orchestrated
-:class:`~repro.sim.runner.ExperimentRunner`: results persist in the
-on-disk result store (so re-running any figure is a cache hit, even
-across sessions) and the big sweeps fan out across worker processes.
+reports.  All benchmarks in a pytest session share one
+:class:`~repro.orchestration.SweepExecutor` (the ``executor`` fixture,
+closed at teardown) and its :attr:`~repro.orchestration.SweepExecutor.
+runner` (the ``runner`` fixture): results persist in the on-disk
+result store (so re-running any figure is a cache hit, even across
+sessions) and the big sweeps fan out across one warm worker pool.
 ``repro sweep``/``repro report`` read and write the same store, so a
 figure can be pre-computed from the CLI and merely rendered here.
 
@@ -28,7 +30,7 @@ import pytest
 
 from repro import Experiment, PolicySpec
 from repro.metrics.figures import FigureTable, figure_tables
-from repro.orchestration import orchestrated_runner
+from repro.orchestration import SweepExecutor
 from repro.render import Column, table
 from repro.sim.config import FIGURE_REFS_PER_CORE, scaled_four_core, scaled_two_core
 from repro.sim.runner import ALL_POLICIES
@@ -50,8 +52,14 @@ def _selected_groups(n_cores: int) -> list[str]:
 
 
 @pytest.fixture(scope="session")
-def runner():
-    return orchestrated_runner()
+def executor():
+    with SweepExecutor() as executor:
+        yield executor
+
+
+@pytest.fixture(scope="session")
+def runner(executor):
+    return executor.runner
 
 
 @pytest.fixture(scope="session")
@@ -82,12 +90,14 @@ def print_table(title: str, columns, rows) -> None:
     print(table(columns, rows))
 
 
-def scheme_figure(benchmark, runner, config, groups, metric: str, figure: str) -> FigureTable:
+def scheme_figure(benchmark, executor, config, groups, metric: str, figure: str) -> FigureTable:
     """Sweep the (group × scheme) grid under ``benchmark``, then print
     and return its ``metric`` table, normalised to Fair Share."""
     def sweep():
-        results = runner.sweep(Experiment.grid(config, groups, list(ALL_POLICIES)))
-        return figure_tables(runner, results, config, ALL_POLICIES, (metric,))[metric]
+        results = executor.sweep(Experiment.grid(config, groups, list(ALL_POLICIES)))
+        return figure_tables(
+            executor.runner, results, config, ALL_POLICIES, (metric,)
+        )[metric]
 
     normalised = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print(f"\n=== {figure}: {normalised.title} ===")
@@ -95,7 +105,7 @@ def scheme_figure(benchmark, runner, config, groups, metric: str, figure: str) -
     return normalised
 
 
-def threshold_figure(benchmark, runner, config, groups, value, title: str) -> dict:
+def threshold_figure(benchmark, executor, config, groups, value, title: str) -> dict:
     """Sweep Cooperative Partitioning over :data:`THRESHOLDS` under
     ``benchmark``, normalise each group's ``value(spec, run)`` to its
     T=0 run, print the table with its arithmetic-mean AVG row and
@@ -108,7 +118,7 @@ def threshold_figure(benchmark, runner, config, groups, value, title: str) -> di
             for group in groups
             for threshold in THRESHOLDS
         }
-        results = runner.sweep(grid.values())
+        results = executor.sweep(grid.values())
         normalised = {}
         for group in groups:
             row = {t: value(grid[group, t], results[grid[group, t]]) for t in THRESHOLDS}

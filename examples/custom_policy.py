@@ -15,15 +15,17 @@ Third-party policies are first-class citizens: the
 ``@register_policy`` decorator plugs the class into the policy
 registry with a typed parameter dataclass, after which it is
 addressable by a ``PolicySpec`` and runs through exactly the same
-``ExperimentRunner.run(experiment)`` path (and on-disk result store)
-as the built-ins — no hand-driven simulator plumbing.
+``SweepExecutor.sweep`` path (and on-disk result store) as the
+built-ins — no hand-driven simulator plumbing.  A policy registered
+in a script's ``__main__`` cannot be rebuilt in a worker process, so
+the executor runs those specs in the parent.
 
 Run:  python examples/custom_policy.py
 """
 
 from dataclasses import dataclass
 
-from repro import Experiment, PolicySpec, orchestrated_runner, register_policy, scaled_two_core
+from repro import Experiment, PolicySpec, SweepExecutor, register_policy, scaled_two_core
 from repro.partitioning.base import BaseSharedCachePolicy
 
 
@@ -55,7 +57,6 @@ class StaticPriorityPolicy(BaseSharedCachePolicy):
 
 
 def main() -> None:
-    runner = orchestrated_runner()
     config = scaled_two_core(refs_per_core=50_000)
     group = "G2-12"  # soplex (streaming) + gcc (capacity-hungry)
     benchmarks = ("soplex", "gcc")
@@ -76,7 +77,9 @@ def main() -> None:
             config,
         )
     )
-    results = runner.sweep(experiments)
+    with SweepExecutor() as executor:
+        results = executor.sweep(experiments)
+    runner = executor.runner
 
     print(f"{'scheme':<26}{'weighted speedup':>17}{'gcc IPC':>9}{'ways probed':>13}")
     for run in results.values():

@@ -21,30 +21,37 @@ from repro import (
     ALL_POLICIES,
     Experiment,
     Scenario,
+    SweepExecutor,
     consolidation_scenario,
     scaled_four_core,
 )
-from repro.orchestration import orchestrated_runner
 from repro.scenarios import render_timeline
 
 
 def main() -> None:
-    runner = orchestrated_runner()
     config = scaled_four_core(refs_per_core=40_000)
     group_benchmarks = ("lbm", "libquantum", "gromacs", "mcf")  # G4-5
-
-    # Calibrate the departure to ~1/3 into the measured window using
-    # the static baseline (cached in the store for later comparison).
     static = Scenario.static(group_benchmarks, name="static-G4-5")
-    baseline = runner.run(
-        Experiment.for_scenario(static, system=config, policy="cooperative")
-    )
-    window_start = baseline.end_cycle - baseline.window_cycles
-    depart_cycle = window_start + baseline.window_cycles // 3
-    scenario = consolidation_scenario(
-        group_benchmarks, depart_cores=[2, 3], depart_cycle=depart_cycle,
-        name="consolidate-G4-5",
-    )
+
+    def runs_of(scenario):
+        return {
+            policy: Experiment.for_scenario(scenario, system=config, policy=policy)
+            for policy in ALL_POLICIES
+        }
+
+    with SweepExecutor() as executor:
+        # Calibrate the departure to ~1/3 into the measured window using
+        # the static baseline (cached in the store for later comparison).
+        calibration = runs_of(static)["cooperative"]
+        baseline = executor.sweep([calibration])[calibration]
+        window_start = baseline.end_cycle - baseline.window_cycles
+        depart_cycle = window_start + baseline.window_cycles // 3
+        scenario = consolidation_scenario(
+            group_benchmarks, depart_cores=[2, 3], depart_cycle=depart_cycle,
+            name="consolidate-G4-5",
+        )
+        departing, static_runs = runs_of(scenario), runs_of(static)
+        results = executor.sweep([*departing.values(), *static_runs.values()])
 
     print(f"Consolidating {', '.join(group_benchmarks)} on {config.l2.describe()}")
     print(f"cores 2 and 3 depart at cycle {depart_cycle:,}\n")
@@ -53,15 +60,9 @@ def main() -> None:
         f"{'scheme':<26}{'static nJ':>12}{'vs static':>11}"
         f"{'avg powered':>13}{'min powered':>13}{'dyn nJ/ki':>11}"
     )
-    runs = {}
     for policy in ALL_POLICIES:
-        run = runner.run(
-            Experiment.for_scenario(scenario, system=config, policy=policy)
-        )
-        static_run = runner.run(
-            Experiment.for_scenario(static, system=config, policy=policy)
-        )
-        runs[policy] = run
+        run = results[departing[policy]]
+        static_run = results[static_runs[policy]]
         print(
             f"{run.policy:<26}"
             f"{run.static_energy_nj:>12,.0f}"
@@ -72,7 +73,7 @@ def main() -> None:
         )
     print("(vs static = integrated static energy relative to the no-departure run)")
 
-    cooperative = runs["cooperative"]
+    cooperative = results[departing["cooperative"]]
     print("\nCooperative Partitioning timeline:")
     print(render_timeline(cooperative.timeline, config.l2.ways))
     print(

@@ -12,7 +12,7 @@ budget that meets a 25% total-energy-saving target.
 Run:  python examples/qos_energy.py
 """
 
-from repro import Experiment, GovernorSpec, orchestrated_runner, scaled_two_core
+from repro import Experiment, GovernorSpec, SweepExecutor, scaled_two_core
 
 GROUPS = ("G2-1", "G2-8")
 QOS_BUDGETS = (0.0, 0.02, 0.05, 0.10, 0.20, 0.40)
@@ -20,7 +20,6 @@ ENERGY_TARGET = 0.25  # fraction of the nominal-frequency total
 
 
 def main() -> None:
-    runner = orchestrated_runner()
     base = scaled_two_core(refs_per_core=50_000)
 
     # One spec per (group, budget) cell, plus the nominal-frequency
@@ -40,7 +39,8 @@ def main() -> None:
         for group in GROUPS
         for budget in QOS_BUDGETS
     }
-    results = runner.sweep([*nominal.values(), *grid.values()])
+    with SweepExecutor() as executor:
+        results = executor.sweep([*nominal.values(), *grid.values()])
 
     print(
         f"{'budget':>8}{'total nJ':>14}{'saving':>9}{'worst slowdown':>16}"

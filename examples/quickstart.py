@@ -11,13 +11,10 @@ partitioning activity.
 Run:  python examples/quickstart.py
 """
 
-from repro import Experiment, orchestrated_runner
+from repro import Experiment, SweepExecutor
 
 
 def main() -> None:
-    # Disk-backed runner: results land in .repro/store (see
-    # `repro report`), so re-running this script is a cache hit.
-    runner = orchestrated_runner()
     experiment = Experiment.two_core("G2-8", refs_per_core=60_000)
     config = experiment.system
     group = experiment.workload.name
@@ -25,8 +22,13 @@ def main() -> None:
     print(f"Simulating workload group {group} on: {config.l2.describe()}")
     print()
 
-    fair = runner.run(experiment.with_policy("fair_share"))
-    cooperative = runner.run(experiment.with_policy("cooperative"))
+    # Disk-backed: results land in .repro/store (see `repro report`),
+    # so re-running this script is a cache hit.
+    with SweepExecutor() as executor:
+        fair, cooperative = executor.sweep(
+            [experiment.with_policy("fair_share"), experiment.with_policy("cooperative")]
+        ).values()
+    runner = executor.runner
 
     for run in (fair, cooperative):
         speedup = runner.weighted_speedup_of(run, config)

@@ -10,7 +10,7 @@ performance loss stays under 2%.
 Run:  python examples/threshold_tradeoff.py
 """
 
-from repro import Experiment, PolicySpec, orchestrated_runner, scaled_two_core
+from repro import Experiment, PolicySpec, SweepExecutor, scaled_two_core
 
 GROUPS = ("G2-2", "G2-3", "G2-9")  # mixes with energy headroom
 THRESHOLDS = (0.0, 0.01, 0.05, 0.10, 0.20)
@@ -18,7 +18,6 @@ ACCEPTABLE_SLOWDOWN = 0.02
 
 
 def main() -> None:
-    runner = orchestrated_runner()
     base = scaled_two_core(refs_per_core=50_000)
 
     # One spec per (group, T) cell — the threshold is a policy
@@ -32,7 +31,9 @@ def main() -> None:
         for group in GROUPS
         for threshold in THRESHOLDS
     }
-    results = runner.sweep(grid.values())
+    with SweepExecutor() as executor:
+        results = executor.sweep(grid.values())
+    runner = executor.runner
     frontier = {}
     for threshold in THRESHOLDS:
         ws, dyn, stat = 0.0, 0.0, 0.0

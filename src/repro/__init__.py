@@ -9,18 +9,18 @@ CPU2006 workloads and the four comparison schemes.
 
 Quickstart::
 
-    from repro import Experiment, PolicySpec, orchestrated_runner
+    from repro import Experiment, PolicySpec, SweepExecutor
 
-    runner = orchestrated_runner()  # disk-backed, parallel sweeps
-    experiment = Experiment.two_core("G2-8").with_policy(
-        PolicySpec("cooperative", threshold=0.1)
-    )
-    run = runner.run(experiment)
+    with SweepExecutor() as executor:  # disk-backed, parallel sweeps
+        experiment = Experiment.two_core("G2-8").with_policy(
+            PolicySpec("cooperative", threshold=0.1)
+        )
+        run = executor.sweep([experiment])[experiment]
     print(run.average_ways_probed, run.dynamic_energy_nj)
 
-(`ExperimentRunner()` gives the same API without the on-disk store;
-see ``docs/api.md`` for the spec model and the policy plugin
-registry.)
+(``ExperimentRunner().run(experiment)`` runs one spec in this process
+without the on-disk store; see ``docs/api.md`` for the spec model and
+the policy plugin registry.)
 The ``repro`` console script — ``python -m repro`` from a source
 checkout — drives full figure sweeps from the shell::
 
@@ -53,7 +53,6 @@ from repro.orchestration import (
     ResultStore,
     SweepExecutor,
     default_store_path,
-    orchestrated_runner,
     task_key,
 )
 from repro.partitioning.lookahead import AllocationResult, lookahead_partition
@@ -91,7 +90,7 @@ from repro.sim.config import (
     scaled_four_core,
     scaled_two_core,
 )
-from repro.sim.runner import ALL_POLICIES, AloneResult, ExperimentRunner, get_shared_runner
+from repro.sim.runner import ALL_POLICIES, AloneResult, ExperimentRunner
 from repro.sim.simulator import CMPSimulator
 from repro.sim.stats import CoreResult, RunResult
 from repro.workloads.groups import FOUR_CORE_GROUPS, TWO_CORE_GROUPS, group_benchmarks, group_names
@@ -150,14 +149,12 @@ __all__ = [
     "generate_scenario",
     "generate_trace",
     "geometric_mean",
-    "get_shared_runner",
     "governor_info",
     "group_benchmarks",
     "group_names",
     "load_corpus",
     "lookahead_partition",
     "normalize",
-    "orchestrated_runner",
     "paper_four_core",
     "paper_two_core",
     "phase_change",

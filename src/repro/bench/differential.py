@@ -707,9 +707,13 @@ def run_suite(
     """Run the differential suite and collect every violation.
 
     Runs every selected corpus scenario under every (policy ×
-    governor) combination through the store-backed run path, applies
-    the per-run and cross-run checks, and re-simulates ``deep`` combos
-    live for the checks that need simulator state (occupancy recount).
+    governor) combination through ``runner`` (default: an in-memory
+    :class:`ExperimentRunner`), applies the per-run and cross-run
+    checks, and re-simulates ``deep`` combos live for the checks that
+    need simulator state (occupancy recount).  To fan the runs out,
+    materialise :func:`suite_experiments` with a
+    :class:`~repro.orchestration.SweepExecutor` first and pass its
+    ``runner``, as ``repro scenario --suite`` does.
     """
     if corpus is None:
         corpus = load_corpus()
@@ -732,7 +736,6 @@ def run_suite(
         f"policies x {len(governor_specs)} governors = "
         f"{len(experiments)} runs"
     )
-    runner.prefetch(experiments.values())
 
     rows: list[dict[str, Any]] = []
     violations: list[Violation] = []

@@ -11,21 +11,18 @@ ExperimentRunner` into a batch system in four layers:
 * :mod:`~repro.orchestration.pools` — where tasks run: the two
   :class:`Pool` classes (``warm`` persistent workers, ``ssh`` remote
   fan-out) plus the wire types they share;
-* :mod:`~repro.orchestration.executor` — the :class:`SweepExecutor`
-  planning (group × scheme × geometry) tasks against the store and
-  sharding them across a pool, or running them inline for the
-  ``serial`` backend, and :func:`orchestrated_runner`, the one-liner
-  that wires a runner to both.
+* :mod:`~repro.orchestration.executor` — the :class:`SweepExecutor`,
+  the one object that fans specs out: it owns the store, the engine
+  pin and the pool, plans (group × scheme × geometry) tasks against
+  the store, shards them across the pool (or runs them inline for the
+  ``serial`` backend) and reads the results back with
+  :meth:`SweepExecutor.sweep`.
 
 :mod:`~repro.orchestration.cli` exposes all of it as the ``repro``
 console script (``python -m repro`` from a source checkout).
 """
 
-from repro.orchestration.executor import (
-    SweepExecutor,
-    orchestrated_runner,
-    resolve_jobs,
-)
+from repro.orchestration.executor import SweepExecutor, resolve_jobs
 from repro.orchestration.pools import (
     Pool,
     PoolResult,
@@ -56,7 +53,6 @@ __all__ = [
     "alone_task_key",
     "default_store_path",
     "group_task_key",
-    "orchestrated_runner",
     "resolve_jobs",
     "resolve_pool",
     "task_key",

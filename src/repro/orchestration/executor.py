@@ -1,15 +1,18 @@
 """Sweep execution over the result store and a pluggable pool.
 
 A sweep is a set of independent :class:`~repro.experiment.Experiment`
-specs — each spec touches no shared mutable state — so the executor
-shards them across a :class:`~repro.orchestration.pools.Pool` backend
-and lets the store mediate all communication: a worker simulates its
+specs — each spec touches no shared mutable state — so the executor,
+the one object that fans specs out, shards them across a
+:class:`~repro.orchestration.pools.Pool` backend and lets the store
+mediate all communication: a worker simulates its
 spec with a private store-backed
 :class:`~repro.sim.runner.ExperimentRunner`, persists the artifact
 under :meth:`Experiment.task_key`, and reports only the spec's label
 and wall time.  The parent then assembles the figure tables entirely
-from cache hits, which guarantees the numbers are bit-identical to a
-serial in-process run — on every backend.
+from cache hits (:meth:`SweepExecutor.sweep` reads every result back
+through the executor's own store-backed runner), which guarantees the
+numbers are bit-identical to a serial in-process run — on every
+backend.
 
 Where tasks run is the pool's business (see
 :mod:`repro.orchestration.pools`): ``warm`` persistent workers by
@@ -37,10 +40,10 @@ artifact once and keeps the result in memory for assembly, and takes a
 damaged artifact for a miss, so it is recomputed on the pool with the
 rest of the pending work.
 
-An ``engine`` pin (``SweepExecutor(engine=...)``, or the pin of the
-``runner`` it is given) is passed as a value to the parent's runner
-and to every worker's, so a sharded sweep times the same engine a
-serial run would, and no process's ``$REPRO_ENGINE`` is written.
+An ``engine`` pin (``SweepExecutor(engine=...)``) is passed as a
+value to the executor's runner and to every worker's, so a sharded
+sweep times the same engine a serial run would, and no process's
+``$REPRO_ENGINE`` is written.
 
 Third-party policies keep working under sharding: each task carries
 the module that registered its policy class, and the worker imports
@@ -72,7 +75,8 @@ from repro.obs.trace import timed
 from repro.orchestration import pools
 from repro.orchestration.pools import PoolTask, SweepTaskError
 from repro.orchestration.store import ResultStore, default_store_path
-from repro.sim.runner import ExperimentRunner
+from repro.sim.runner import AloneResult, ExperimentRunner
+from repro.sim.stats import RunResult
 
 #: environment variable bounding worker-process count
 JOBS_ENV = "REPRO_JOBS"
@@ -81,33 +85,27 @@ JOBS_ENV = "REPRO_JOBS"
 def resolve_jobs(max_workers: int | None = None) -> int:
     """Worker count: explicit argument, else ``$REPRO_JOBS``, else cores.
 
-    Raises :class:`ValueError` naming ``$REPRO_JOBS`` when it is set
-    but not an integer; the CLI turns that into a clean exit.
+    Raises :class:`ValueError` when the count is below 1, naming
+    ``--jobs``/``max_workers`` or ``$REPRO_JOBS`` (whichever gave it),
+    and when ``$REPRO_JOBS`` is set but not an integer; the CLI turns
+    either into a clean exit.
     """
-    if max_workers is not None and max_workers > 0:
+    if max_workers is not None:
+        if max_workers < 1:
+            raise ValueError(
+                f"--jobs/max_workers must be at least 1, got {max_workers!r}"
+            )
         return max_workers
     env = os.environ.get(JOBS_ENV)
     if env:
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
             raise ValueError(f"${JOBS_ENV} must be an integer, got {env!r}") from None
+        if jobs < 1:
+            raise ValueError(f"${JOBS_ENV} must be at least 1, got {env!r}")
+        return jobs
     return os.cpu_count() or 1
-
-
-def orchestrated_runner(
-    store_path: str | os.PathLike | None = None,
-    max_workers: int | None = None,
-) -> ExperimentRunner:
-    """A runner wired to the on-disk store and the worker pool.
-
-    The one-liner the examples and benchmark harness use: results
-    persist under :func:`~repro.orchestration.store.default_store_path`
-    (override with ``store_path`` or ``$REPRO_STORE``) and sweeps fan
-    out across :func:`resolve_jobs` workers.
-    """
-    store = ResultStore(store_path if store_path is not None else default_store_path())
-    return ExperimentRunner(store=store, max_workers=resolve_jobs(max_workers))
 
 
 def _pool_safe(experiment: Experiment) -> bool:
@@ -123,19 +121,22 @@ def _pool_safe(experiment: Experiment) -> bool:
 class SweepExecutor:
     """Shards experiment specs across a pool of workers.
 
-    ``progress`` (optional) receives one human-readable line per
-    completed task — ``[done/total] label (seconds, backend)`` — the
-    CLI points it at stderr.  ``engine`` (optional) pins the
-    execution backend every task runs on — workers and inline parent
-    runs alike; it is resolved eagerly so an unavailable explicit
-    engine fails here, once, instead of in every worker.  A given
-    ``runner`` carries its own pin (:attr:`ExperimentRunner.engine`),
-    which the executor adopts; an ``engine`` that disagrees with it
-    is a :class:`ValueError`, since inline and pooled tasks would
-    then run on different engines.  ``pool``
-    selects the execution backend (``warm``/``ssh``/``serial``;
-    default ``$REPRO_POOL`` or ``warm``) and ``hosts`` feeds the ssh
-    pool; both are validated eagerly too.
+    ``store`` is where every task's artifact lands (default
+    :func:`~repro.orchestration.store.default_store_path`, i.e.
+    ``$REPRO_STORE`` or ``.repro/store``).  The executor builds its
+    own :attr:`runner` on that store and engine pin: inline tasks run
+    on it and :meth:`sweep` reads every result back through it, so
+    the store and the pin each have one owner.  ``max_workers`` sizes
+    the pool (:func:`resolve_jobs`).  ``progress`` (optional)
+    receives one human-readable line per completed task —
+    ``[done/total] label (seconds, backend)`` — the CLI points it at
+    stderr.  ``engine`` (optional) pins the execution backend every
+    task runs on — workers and inline parent runs alike; it is
+    resolved eagerly so an unavailable explicit engine fails here,
+    once, instead of in every worker.  ``pool`` selects the execution
+    backend (``warm``/``ssh``/``serial``; default ``$REPRO_POOL`` or
+    ``warm``) and ``hosts`` feeds the ssh pool; both are validated
+    eagerly too.
 
     Pools are persistent: the executor keeps one instance alive
     across :meth:`prefetch` calls and closes it in :meth:`close` (or
@@ -146,9 +147,8 @@ class SweepExecutor:
 
     def __init__(
         self,
-        store: ResultStore,
+        store: ResultStore | None = None,
         max_workers: int | None = None,
-        runner: ExperimentRunner | None = None,
         progress: Callable[[str], None] | None = None,
         engine: str | None = None,
         pool: str | None = None,
@@ -157,25 +157,16 @@ class SweepExecutor:
         from repro.engine import resolve_engine
 
         pinned = None if engine is None else resolve_engine(engine)
-        if runner is None:
-            runner = ExperimentRunner(store=store, engine=pinned)
-        else:
-            own = None if runner.engine is None else resolve_engine(runner.engine)
-            if engine is not None and pinned != own:
-                raise ValueError(
-                    f"engine={engine!r} disagrees with the runner's engine "
-                    f"{runner.engine!r}; pin the engine on the runner alone"
-                )
-            pinned = own
-        self.store = store
         self.max_workers = resolve_jobs(max_workers)
-        #: runs inline tasks and assembles final results; shares the
-        #: same store, so every artifact a worker persists is a cache
-        #: hit here
-        self.runner = runner
+        #: runs inline tasks and assembles final results on the store
+        #: the workers write, so every artifact a worker persists is a
+        #: cache hit here; its ``engine`` is the resolved pin, or None
+        #: to let each run pick its own
+        self.runner = ExperimentRunner(
+            store=ResultStore(default_store_path()) if store is None else store,
+            engine=pinned,
+        )
         self.progress = progress
-        #: resolved backend name, or None to let each run pick its own
-        self.engine = pinned
         #: resolved pool backend + host list (fails fast on bad input)
         self.pool_name, self.hosts = pools.resolve_pool_name(pool, hosts)
         self._pool: pools.Pool | None = None
@@ -261,6 +252,20 @@ class SweepExecutor:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def sweep(
+        self, tasks: Iterable[Experiment]
+    ) -> dict[Experiment, RunResult | AloneResult]:
+        """Run many specs, keyed by spec: :meth:`prefetch` them, then
+        read each result through :attr:`runner`.
+
+        :func:`repro.experiment.by_group_policy` folds the result of a
+        group grid into the ``{group: {policy: RunResult}}`` table the
+        figure helpers take.
+        """
+        tasks = list(tasks)
+        self.prefetch(tasks)
+        return {experiment: self.runner.run(experiment) for experiment in tasks}
+
     def prefetch(self, tasks: Iterable[Experiment]) -> tuple[int, int]:
         """Materialise artifacts for ``tasks`` (and their alone deps).
 
@@ -320,11 +325,13 @@ class SweepExecutor:
             else:
                 ready.append(experiment)
         if pooled and self._pool is None:
+            store = self.runner.store
+            assert store is not None  # __init__ always gives the runner one
             self._pool = pools.resolve_pool(
                 self.pool_name,
-                store=self.store,
+                store=store,
                 max_workers=self.max_workers,
-                engine=self.engine,
+                engine=self.runner.engine,
                 hosts=self.hosts,
             )
         pool = self._pool if pooled else None

@@ -4,12 +4,13 @@
 scaled-down variants the benchmark harness uses), ``cpu`` the per-core
 execution state, ``simulator`` the multi-core interleaved loop with
 epoch-based partitioning, ``stats`` the result records, and ``runner``
-the experiment driver (alone-run caching, group sweeps,
-normalisation) that the benchmarks and examples build on.
+the experiment driver (alone-run caching, the one run path,
+normalisation) that the sweep executor, the benchmarks and the
+examples build on.
 """
 
 from repro.sim.config import SystemConfig
-from repro.sim.runner import AloneResult, ExperimentRunner, get_shared_runner
+from repro.sim.runner import AloneResult, ExperimentRunner
 from repro.sim.simulator import CMPSimulator
 from repro.sim.stats import CoreResult, RunResult
 
@@ -20,5 +21,4 @@ __all__ = [
     "ExperimentRunner",
     "RunResult",
     "SystemConfig",
-    "get_shared_runner",
 ]

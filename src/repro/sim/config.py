@@ -6,13 +6,17 @@ and a shared L2 (2 MB/8-way for two cores, 4 MB/16-way for four),
 epoch.  ``paper_two_core()``/``paper_four_core()`` reproduce those
 geometries exactly.
 
-Running 1B instructions per core through a pure-Python model is not
-feasible, so the benchmark harness uses ``scaled_two_core()`` /
-``scaled_four_core()``: the LLC keeps its associativity (the quantity
-every partitioning result is expressed in) while sets, trace length
-and epoch length shrink together.  All reported results are
-normalised, so the scaling preserves the shape of every figure (see
-README.md, "Scaling fidelity").
+The figure runs use ``scaled_two_core()`` / ``scaled_four_core()``:
+the LLC keeps its associativity (the quantity every partitioning
+result is expressed in) while sets, trace length and epoch length
+shrink together, and every reported result is normalised.  The
+shorter length is a choice of cost, not a proof of fidelity: on a
+2-vCPU VM a cold two-core sweep at 960k references per core took
+3.86 s, and the normalised figures still move with length between
+the 60k figure default and 960k (Cooperative Partitioning's dynamic
+energy 0.919 → 0.841 of Fair Share; Fig. 15's speed advantage ≥6.8×
+→ ≥1.6×).  ROADMAP.md item 12 holds the readings and the plan to
+pick a converged length; README.md, "Scaling fidelity", sums it up.
 """
 
 from __future__ import annotations
@@ -57,6 +61,20 @@ class SystemConfig:
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
+        # A negative latency or threshold runs to a wrong table or fails
+        # an epoch later; zero (and -0.0) stays a valid setting.
+        for name in ("l1_latency", "l2_latency", "mem_latency", "mem_bank_busy",
+                     "threshold"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must not be negative, got {value!r}")
+        # The simulator issues by a shift of log2(issue_width), so any
+        # other width would silently run as the power of two below it.
+        width = self.issue_width
+        if width < 1 or width & (width - 1):
+            raise ValueError(
+                f"issue_width must be a positive power of two, got {width!r}"
+            )
         if not 0.0 <= self.umon_decay < 1.0:
             raise ValueError(f"umon_decay must be in [0, 1), got {self.umon_decay!r}")
 

@@ -12,18 +12,18 @@ The paper's protocol needs three kinds of runs, all served by
 * **scenario runs** execute a time-varying schedule of core
   arrivals/departures/phase changes.
 
-:meth:`ExperimentRunner.sweep` takes any iterable of specs, fans the
-missing ones out across worker processes (when a store and
-``max_workers`` are attached) and returns results keyed by spec.
+Fanning many specs out across worker processes is the job of
+:class:`~repro.orchestration.SweepExecutor`, which owns a
+store-backed runner and reads every result back through it.
 
 Caching is two-level.  The in-process dictionary is the L1: hits
 return the very same objects, so repeated reads within a session are
 free.  Like the store, it is keyed by task key, not by spec value
-(equal specs can carry different keys, ``threshold=0`` vs ``0.0``).  When a :class:`~repro.orchestration.store.ResultStore` is
-attached it acts as the L2: results are looked up on disk before
-simulating and written through after, so sweeps survive process
-restarts and can be sharded across worker processes (see
-:mod:`repro.orchestration.executor`).  Store task keys come from
+(equal specs can carry different keys, ``threshold=0`` vs ``0.0``).
+When a :class:`~repro.orchestration.store.ResultStore` is attached it
+acts as the L2: results are looked up on disk before simulating and
+written through after, so sweeps survive process restarts and can be
+sharded across worker processes.  Store task keys come from
 :meth:`Experiment.task_key`, which reproduces the historical
 string-API keys exactly — artifacts written before the spec redesign
 stay resolvable, bit-identically.
@@ -37,7 +37,6 @@ schemes, so every comparison is paired.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -70,20 +69,17 @@ class AloneResult:
 class ExperimentRunner:
     """Caches and runs :class:`Experiment` specs; optionally disk-backed.
 
-    ``store`` attaches an on-disk L2 cache of results; ``max_workers``
-    > 1 additionally fans :meth:`sweep` and :meth:`prefetch` out
-    across worker processes (a store is required for that — workers
-    hand results back through it).  ``engine`` pins the execution
-    backend of every simulation this runner performs (see
-    :meth:`CMPSimulator.run`); None lets each run resolve
-    ``$REPRO_ENGINE``/auto itself.  Sweeps fanned out from this
-    runner pin their workers to the same engine.
+    ``store`` attaches an on-disk L2 cache of results.  ``engine``
+    pins the execution backend of every simulation this runner
+    performs (see :meth:`CMPSimulator.run`); None lets each run
+    resolve ``$REPRO_ENGINE``/auto itself.  The runner simulates in
+    this process only; a :class:`~repro.orchestration.SweepExecutor`
+    fans specs out and reads them back through its own runner.
     """
 
     def __init__(
         self,
         store: "ResultStore | None" = None,
-        max_workers: int | None = None,
         engine: str | None = None,
     ) -> None:
         self._traces: dict[tuple, Trace] = {}
@@ -91,11 +87,7 @@ class ExperimentRunner:
         #: task keys (``threshold=0`` vs ``0.0``), so never by spec value
         self._results: dict[str, RunResult | AloneResult] = {}
         self.store = store
-        self.max_workers = max_workers
         self.engine = engine
-
-    def _parallel(self) -> bool:
-        return self.store is not None and (self.max_workers or 0) > 1
 
     # ------------------------------------------------------------------
     # Traces
@@ -173,17 +165,6 @@ class ExperimentRunner:
         miss here, where the sweep can still recompute it.
         """
         return self.cached(experiment) is not None
-
-    def sweep(self, experiments: Iterable[Experiment]) -> dict:
-        """Run many specs (in parallel if wired), keyed by spec.
-
-        :func:`repro.experiment.by_group_policy` folds the result of a
-        group grid into the ``{group: {policy: RunResult}}`` table the
-        figure helpers take.
-        """
-        experiments = list(experiments)
-        self.prefetch(experiments)
-        return {experiment: self.run(experiment) for experiment in experiments}
 
     # ------------------------------------------------------------------
     # Simulation bodies (cache misses only)
@@ -326,25 +307,6 @@ class ExperimentRunner:
         return weighted_speedup(run.ipcs(), alone_ipcs)
 
     # ------------------------------------------------------------------
-    # Parallel materialisation
-    # ------------------------------------------------------------------
-    def prefetch(self, tasks: Iterable[Experiment]) -> tuple[int, int]:
-        """Materialise specs into the store ahead of reads.
-
-        With a store and ``max_workers`` > 1 the specs (plus the alone
-        runs they depend on) are sharded across worker processes,
-        pinned to this runner's engine; otherwise this is a no-op and
-        the tasks run lazily in-process.
-        Returns ``(computed, cached)`` counts.
-        """
-        if not self._parallel():
-            return (0, 0)
-        from repro.orchestration.executor import SweepExecutor
-
-        with SweepExecutor(self.store, self.max_workers, runner=self) as executor:
-            return executor.prefetch(tasks)
-
-    # ------------------------------------------------------------------
     # Normalisation
     # ------------------------------------------------------------------
     def normalized_weighted_speedup(
@@ -391,29 +353,3 @@ class ExperimentRunner:
             }
         return table
 
-
-_SHARED_RUNNER: ExperimentRunner | None = None
-
-
-def get_shared_runner() -> ExperimentRunner:
-    """Process-wide runner so benchmarks share caches across files.
-
-    ``$REPRO_STORE`` (a directory path) attaches the on-disk result
-    store and ``$REPRO_JOBS`` enables parallel sweeps, so the same
-    entry point serves both quick in-memory scripting and orchestrated
-    runs.
-    """
-    global _SHARED_RUNNER
-    if _SHARED_RUNNER is None:
-        store = None
-        if os.environ.get("REPRO_STORE"):
-            from repro.orchestration.store import ResultStore, default_store_path
-
-            store = ResultStore(default_store_path())
-        jobs = None
-        if os.environ.get("REPRO_JOBS"):
-            from repro.orchestration.executor import resolve_jobs
-
-            jobs = resolve_jobs(None)
-        _SHARED_RUNNER = ExperimentRunner(store=store, max_workers=jobs)
-    return _SHARED_RUNNER

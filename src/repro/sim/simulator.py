@@ -221,7 +221,7 @@ class CMPSimulator:
         self.l1_writebacks = array("q", [0]) * n
         self.epoch_curves: list[list[int]] = []
         # Access-path constants and per-core L1 bindings.
-        self._issue_shift = max(0, config.issue_width.bit_length() - 1)
+        self._issue_shift = config.issue_width.bit_length() - 1
         self._l1_mask = config.l1.set_mask
         self._l1_shift = config.l1.set_shift
         self._miss_latency = config.l1_latency + config.l2_latency

@@ -20,7 +20,8 @@ def runner():
 
 @pytest.fixture(scope="module")
 def results(runner):
-    return runner.sweep(Experiment.grid(CONFIG, GROUPS, list(POLICIES)))
+    specs = Experiment.grid(CONFIG, GROUPS, list(POLICIES))
+    return {spec: runner.run(spec) for spec in specs}
 
 
 def test_every_group_has_the_baseline_at_exactly_one(runner, results):

@@ -469,16 +469,20 @@ class TestClean:
         assert "removed 0" in capsys.readouterr().out
 
 
+POOL_COMMANDS = [
+    ["sweep", "--cores", "2", "--groups", "1", "--refs-per-core", "3000"],
+    ["scenario", "--suite", "quick", "--filter", "sparse-2c"],
+]
+
+
 class TestJobsEnvironment:
-    """A non-integer ``$REPRO_JOBS`` is a clean CLI error on every
-    subcommand that sizes a pool, never a traceback."""
+    """A non-integer ``$REPRO_JOBS``, or a job count below 1 from either
+    source, is a clean CLI error on every subcommand that sizes a pool,
+    never a traceback."""
 
     MESSAGE = "$REPRO_JOBS must be an integer, got 'auto'"
 
-    @pytest.mark.parametrize("command", [
-        ["sweep", "--cores", "2", "--groups", "1", "--refs-per-core", "3000"],
-        ["scenario", "--suite", "quick", "--filter", "sparse-2c"],
-    ])
+    @pytest.mark.parametrize("command", POOL_COMMANDS)
     def test_exits_with_the_message(
         self, monkeypatch, store_arguments, command
     ):
@@ -486,3 +490,20 @@ class TestJobsEnvironment:
         with pytest.raises(SystemExit) as exit_info:
             main([*command, *store_arguments])
         assert self.MESSAGE in str(exit_info.value.code)
+
+    @pytest.mark.parametrize("command", POOL_COMMANDS)
+    def test_jobs_below_one_exits_with_the_message(self, store_arguments, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--jobs", "0", *store_arguments])
+        assert "--jobs/max_workers must be at least 1, got 0" in str(
+            exit_info.value.code
+        )
+
+    @pytest.mark.parametrize("command", POOL_COMMANDS)
+    def test_env_jobs_below_one_exits_with_the_message(
+        self, monkeypatch, store_arguments, command
+    ):
+        monkeypatch.setenv("REPRO_JOBS", "-4")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, *store_arguments])
+        assert "$REPRO_JOBS must be at least 1, got '-4'" in str(exit_info.value.code)

@@ -7,10 +7,10 @@ import multiprocessing
 import pytest
 
 from repro import experiment as experiment_module
-from repro.engine import COMPILED, PYTHON, compiled_available
+from repro.engine import PYTHON
 from repro.experiment import Experiment, by_group_policy
 from repro.orchestration import serialize
-from repro.orchestration.executor import SweepExecutor, orchestrated_runner, resolve_jobs
+from repro.orchestration.executor import SweepExecutor, resolve_jobs
 from repro.orchestration import pools
 from repro.orchestration.pools import PoolTask, SSHPool
 from repro.orchestration.serialize import group_task_key
@@ -27,6 +27,21 @@ def grid(config):
     return Experiment.grid(config, GROUPS, POLICIES)
 
 
+def in_memory(specs):
+    """``{spec: result}`` from one store-less runner, in this process."""
+    runner = ExperimentRunner()
+    return {spec: runner.run(spec) for spec in specs}
+
+
+def every_key(specs):
+    """The task keys a sweep of ``specs`` materialises, alone runs included."""
+    return {spec.task_key() for spec in specs} | {
+        dependency.task_key()
+        for spec in specs
+        for dependency in spec.alone_dependencies()
+    }
+
+
 @pytest.fixture
 def store(tmp_path):
     return ResultStore(tmp_path / "store")
@@ -35,13 +50,11 @@ def store(tmp_path):
 class TestParallelMatchesSerial:
     def test_sweep_results_identical(self, store, tiny_two_core):
         serial = ExperimentRunner()
-        serial_results = by_group_policy(serial.sweep(grid(tiny_two_core)))
+        serial_results = by_group_policy(in_memory(grid(tiny_two_core)))
         expected = serial.normalized_weighted_speedup(serial_results, tiny_two_core)
 
-        executor = SweepExecutor(store, max_workers=2)
-        executor.prefetch(grid(tiny_two_core))
-        # Every spec is now a cache hit for the executor's runner.
-        results = by_group_policy(executor.runner.sweep(grid(tiny_two_core)))
+        with SweepExecutor(store, max_workers=2) as executor:
+            results = by_group_policy(executor.sweep(grid(tiny_two_core)))
         actual = executor.runner.normalized_weighted_speedup(results, tiny_two_core)
         assert actual == expected, "parallel sweep must be bit-identical"
 
@@ -191,44 +204,68 @@ class TestPlanningCost:
         assert (len(encoded), len(keyed)) == (4, total), "packing re-derived keys"
 
 
-class TestRunnerIntegration:
-    def test_runner_sweep_uses_pool_when_configured(self, store, tiny_two_core):
-        parallel = ExperimentRunner(store=store, max_workers=2)
-        results = by_group_policy(parallel.sweep(grid(tiny_two_core)))
+class TestSweep:
+    """:meth:`SweepExecutor.sweep` is the one way to fan specs out: it
+    owns the store, the engine pin and the workers."""
 
-        serial = ExperimentRunner()
-        expected = by_group_policy(serial.sweep(grid(tiny_two_core)))
-        for group in GROUPS:
-            for policy in POLICIES:
-                assert results[group][policy].ipcs() == expected[group][policy].ipcs()
+    def test_warm_sweep_simulates_nothing_in_the_parent(
+        self, store, tiny_two_core, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_POOL", raising=False)
+        simulated = []
+        for name in ("_simulate_alone", "_simulate_group", "_simulate_scenario"):
+            body = getattr(ExperimentRunner, name)
 
-    def test_runner_sweeps_release_their_workers(
+            def counting(self, experiment, body=body):
+                simulated.append(experiment.label)
+                return body(self, experiment)
+
+            monkeypatch.setattr(ExperimentRunner, name, counting)
+        specs = grid(tiny_two_core)
+        with SweepExecutor(store, max_workers=2, pool="warm") as executor:
+            results = executor.sweep(specs)
+        assert simulated == []
+        assert list(results) == specs
+        assert set(store.keys()) >= every_key(specs)
+
+    def test_serial_sweep_fills_the_executors_store(self, store, tiny_two_core):
+        specs = grid(tiny_two_core)
+        with SweepExecutor(store, max_workers=2, pool="serial") as executor:
+            executor.sweep(specs)
+        assert executor.runner.store is store
+        assert set(store.keys()) >= every_key(specs)
+
+    def test_leaving_the_block_releases_the_workers(
         self, store, tiny_two_core, monkeypatch
     ):
         monkeypatch.delenv("REPRO_POOL", raising=False)
         before = set(multiprocessing.active_children())
-        runner = orchestrated_runner(store.root, max_workers=2)
-        for policy in ("fair_share", "cpe"):
-            runner.sweep(Experiment.grid(tiny_two_core, GROUPS, [policy]))
+        with SweepExecutor(store, max_workers=2) as executor:
+            for policy in ("fair_share", "cpe"):
+                executor.sweep(Experiment.grid(tiny_two_core, GROUPS, [policy]))
+            assert set(multiprocessing.active_children()) - before
         assert set(multiprocessing.active_children()) - before == set()
 
-    def test_executor_takes_the_runner_pin(self, store, tiny_two_core):
-        pinned = ExperimentRunner(store=store, engine=PYTHON)
-        assert SweepExecutor(store, runner=pinned).engine == PYTHON
-        assert SweepExecutor(store, runner=pinned, engine=PYTHON).engine == PYTHON
-        assert SweepExecutor(store, engine=PYTHON).runner.engine == PYTHON
-        # an explicit engine that disagrees would split inline and
-        # pooled tasks across two engines
-        unpinned = ExperimentRunner(store=store)
-        with pytest.raises(ValueError, match="disagrees with the runner"):
-            SweepExecutor(store, runner=unpinned, engine=PYTHON)
-        if compiled_available():
-            with pytest.raises(ValueError, match="disagrees with the runner"):
-                SweepExecutor(store, runner=pinned, engine=COMPILED)
+    def test_sweep_equals_an_in_memory_run(self, store, tiny_two_core):
+        specs = grid(tiny_two_core)
+        with SweepExecutor(store, max_workers=2) as executor:
+            results = executor.sweep(specs)
+        expected = in_memory(specs)
+        assert list(results) == list(expected)
+        for spec in specs:
+            assert serialize.run_result_to_dict(
+                results[spec]
+            ) == serialize.run_result_to_dict(expected[spec])
 
-    def test_prefetch_noop_without_store(self, tiny_two_core):
-        runner = ExperimentRunner()
-        assert runner.prefetch([Experiment("G2-4", "ucp", tiny_two_core)]) == (0, 0)
+    def test_executor_pins_its_own_runner(self, store):
+        executor = SweepExecutor(store, engine=PYTHON)
+        assert executor.runner.engine == PYTHON
+        assert executor.runner.store is store
+        assert SweepExecutor(store).runner.engine is None
+
+    def test_store_defaults_to_the_default_store_path(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "s"))
+        assert SweepExecutor().runner.store.root == tmp_path / "s"
 
     def test_progress_callback_sees_every_task(self, store, tiny_two_core):
         lines = []
@@ -261,7 +298,7 @@ class TestInlineSpecs:
                 store, max_workers=2, pool="warm", progress=lines.append
             ) as executor:
                 assert executor.prefetch(specs) == (7, 0)
-            results = executor.runner.sweep(specs)
+                results = executor.sweep(specs)
         finally:
             unregister_policy("main_ucp")
         inline = [line for line in lines if line.endswith(", serial)")]
@@ -285,8 +322,20 @@ class TestKnobs:
         with pytest.raises(ValueError, match=r"\$REPRO_JOBS must be an integer"):
             resolve_jobs(None)
 
-    def test_orchestrated_runner_wiring(self, tmp_path):
-        runner = orchestrated_runner(tmp_path / "s", max_workers=2)
-        assert runner.store is not None
-        assert runner.store.root == tmp_path / "s"
-        assert runner.max_workers == 2
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_resolve_jobs_rejects_an_explicit_count_below_one(
+        self, monkeypatch, jobs
+    ):
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        with pytest.raises(ValueError, match="--jobs/max_workers must be at least 1"):
+            resolve_jobs(jobs)
+
+    @pytest.mark.parametrize("env", ["0", "-4"])
+    def test_resolve_jobs_rejects_an_env_count_below_one(self, monkeypatch, env):
+        monkeypatch.setenv("REPRO_JOBS", env)
+        with pytest.raises(ValueError, match=r"\$REPRO_JOBS must be at least 1"):
+            resolve_jobs(None)
+
+    def test_executor_rejects_a_worker_count_below_one(self, store):
+        with pytest.raises(ValueError, match="max_workers"):
+            SweepExecutor(store, max_workers=0)

@@ -252,9 +252,8 @@ class TestProbe:
             assert (alone_pending, main_pending) == ([], [])
             assert total == 4  # two group tasks + two alone dependencies
             assert resumed.prefetch(specs) == (0, total)
-            runner = resumed.runner
-            for spec, run in runner.sweep(specs).items():
-                runner.weighted_speedup_of(run, tiny_two_core)
+            for run in resumed.sweep(specs).values():
+                resumed.runner.weighted_speedup_of(run, tiny_two_core)
         every_key = {spec.task_key() for spec in specs} | {
             dependency.task_key()
             for spec in specs

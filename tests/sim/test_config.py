@@ -64,6 +64,10 @@ class TestDerivedConfigs:
         assert "2MB" in rows["Shared L2"]
 
 
+#: the fields that must not be negative; zero is a valid setting of each
+NON_NEGATIVE = ("l1_latency", "l2_latency", "mem_latency", "mem_bank_busy", "threshold")
+
+
 class TestValidation:
     @pytest.mark.parametrize("value", [0, -5])
     def test_epoch_cycles_must_be_positive(self, value):
@@ -84,3 +88,26 @@ class TestValidation:
     def test_one_cycle_is_accepted(self, field):
         config = dataclasses.replace(scaled_two_core(), **{field: 1})
         assert getattr(config, field) == 1
+
+    @pytest.mark.parametrize("value", [0, 3, 6])
+    def test_issue_width_must_be_a_positive_power_of_two(self, value):
+        with pytest.raises(ValueError, match="issue_width"):
+            dataclasses.replace(scaled_two_core(), issue_width=value)
+
+    @pytest.mark.parametrize("value", [1, 2, 8])
+    def test_power_of_two_issue_widths_are_accepted(self, value):
+        assert dataclasses.replace(scaled_two_core(), issue_width=value).issue_width == value
+
+    @pytest.mark.parametrize("field, value", [
+        ("l1_latency", -1), ("l2_latency", -3), ("mem_latency", -1),
+        ("mem_bank_busy", -1), ("threshold", -0.5),
+    ])
+    def test_must_not_be_negative(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(scaled_two_core(), **{field: value})
+
+    @pytest.mark.parametrize("field", NON_NEGATIVE)
+    @pytest.mark.parametrize("value", [0, -0.0, False])
+    def test_zero_is_accepted(self, field, value):
+        config = dataclasses.replace(scaled_two_core(), **{field: value})
+        assert getattr(config, field) == 0

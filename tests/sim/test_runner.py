@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiment import Experiment, by_group_policy
+from repro.orchestration import ResultStore, SweepExecutor
 from repro.partitioning.registry import PolicySpec
 from repro.sim.runner import ALL_POLICIES, ExperimentRunner
 
@@ -92,22 +93,23 @@ class TestGroupRuns:
 
 
 class TestSweepNormalisation:
-    def test_spec_sweep_keyed_by_experiment(self, runner, tiny_two_core):
+    def test_spec_sweep_keyed_by_experiment(self, tmp_path, tiny_two_core):
         experiments = Experiment.grid(
             tiny_two_core, ["G2-4", "G2-8"], ["fair_share", "cooperative"]
         )
-        results = runner.sweep(experiments)
+        store = ResultStore(tmp_path / "store")
+        with SweepExecutor(store, pool="serial") as executor:
+            results = executor.sweep(experiments)
         assert list(results) == experiments
         table = by_group_policy(results)
-        ws = runner.normalized_weighted_speedup(table, tiny_two_core)
+        ws = executor.runner.normalized_weighted_speedup(table, tiny_two_core)
         for group_row in ws.values():
             assert group_row["fair_share"] == pytest.approx(1.0)
             assert group_row["cooperative"] > 0
 
     def test_unknown_energy_kind(self, runner, tiny_two_core):
-        results = by_group_policy(
-            runner.sweep(Experiment.grid(tiny_two_core, ["G2-4"], ["fair_share"]))
-        )
+        (experiment,) = Experiment.grid(tiny_two_core, ["G2-4"], ["fair_share"])
+        results = by_group_policy({experiment: runner.run(experiment)})
         with pytest.raises(ValueError):
             runner.normalized_energy(results, "thermal")
 
