@@ -1,7 +1,7 @@
 """Concurrency and store-safety rules.
 
-The result store is shared by racing writers (warm/ssh pool
-workers, concurrent sweeps); its contract is that
+The result store is shared by racing writers (warm pool workers,
+concurrent sweeps); its contract is that
 every visible file is either complete (temp-file + ``os.replace``) or
 an O_APPEND whole-line append.  Pool workers additionally inherit
 module state at fork/import time, so module-level mutable handles are

@@ -149,17 +149,14 @@ def _scenarios_surface() -> dict[str, Any]:
 
 
 def _orchestration_surface() -> dict[str, Any]:
-    """The pool layer, store and executor entry points."""
+    """The warm pool, store and executor entry points."""
     import repro.orchestration as orchestration
     from repro.orchestration.executor import SweepExecutor
     from repro.orchestration.pools import (
         POOL_NAMES,
-        WIRE_SCHEMA,
-        Pool,
         PoolResult,
         PoolTask,
-        remote_main,
-        resolve_pool,
+        WarmPool,
         resolve_pool_name,
     )
     from repro.orchestration.store import ResultStore
@@ -167,8 +164,7 @@ def _orchestration_surface() -> dict[str, Any]:
     return {
         "all": sorted(orchestration.__all__),
         "pool_names": list(POOL_NAMES),
-        "wire_schema": WIRE_SCHEMA,
-        "pool": _public_methods(Pool),
+        "pool": _public_methods(WarmPool),
         "pool_task": {
             "fields": [field.name for field in dataclasses.fields(PoolTask)],
         },
@@ -177,9 +173,7 @@ def _orchestration_surface() -> dict[str, Any]:
         },
         "store": _public_methods(ResultStore),
         "executor": _public_methods(SweepExecutor),
-        "resolve_pool": _signature_of(resolve_pool),
         "resolve_pool_name": _signature_of(resolve_pool_name),
-        "remote_main": _signature_of(remote_main),
     }
 
 

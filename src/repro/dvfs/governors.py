@@ -19,7 +19,8 @@ behind policies and :class:`~repro.partitioning.registry.PolicySpec`::
             ...
 
 Specs validate eagerly (unknown governor names list the registered
-ones, unknown/mis-typed parameters are rejected at construction), are
+ones; unknown, mis-typed and out-of-range parameters are rejected at
+construction, the last by the params dataclass's ``__post_init__``), are
 frozen and hashable, and ride on :class:`~repro.experiment.Experiment`
 as the optional ``governor=`` field — an absent spec means the
 nominal-frequency machine and **bit-identical** legacy results.
@@ -212,6 +213,13 @@ class OndemandParams:
     #: busy fraction below which the core steps down a level
     down_threshold: float = 0.35
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.down_threshold < self.up_threshold <= 1.0:
+            raise ValueError(
+                f"need 0 <= down_threshold < up_threshold <= 1, got "
+                f"down={self.down_threshold} up={self.up_threshold}"
+            )
+
 
 @register_governor("ondemand", params=OndemandParams)
 class OndemandGovernor(BaseGovernor):
@@ -232,11 +240,7 @@ class OndemandGovernor(BaseGovernor):
         up_threshold: float = 0.75,
         down_threshold: float = 0.35,
     ) -> None:
-        if not 0.0 <= down_threshold < up_threshold <= 1.0:
-            raise ValueError(
-                f"need 0 <= down_threshold < up_threshold <= 1, got "
-                f"down={down_threshold} up={up_threshold}"
-            )
+        OndemandParams(up_threshold, down_threshold)
         super().__init__(table, n_cores)
         self.up_threshold = up_threshold
         self.down_threshold = down_threshold
@@ -262,6 +266,12 @@ class CoordinatedParams:
     #: per-core slowdown budget against the nominal-frequency machine
     #: (0.1 = "at most 10% slower than running flat out")
     qos_slowdown: float = 0.10
+
+    def __post_init__(self) -> None:
+        if self.qos_slowdown < 0.0:
+            raise ValueError(
+                f"qos_slowdown must be non-negative, got {self.qos_slowdown}"
+            )
 
 
 @register_governor("coordinated", params=CoordinatedParams)
@@ -299,10 +309,7 @@ class CoordinatedGovernor(BaseGovernor):
     def __init__(
         self, table: VFTable, n_cores: int, qos_slowdown: float = 0.10
     ) -> None:
-        if qos_slowdown < 0.0:
-            raise ValueError(
-                f"qos_slowdown must be non-negative, got {qos_slowdown}"
-            )
+        CoordinatedParams(qos_slowdown)
         super().__init__(table, n_cores)
         self.qos_slowdown = qos_slowdown
 

@@ -1,8 +1,8 @@
 """Progress output for long-running commands, with one quiet switch.
 
 Every human-facing progress line in the library routes through
-:func:`progress` so ``--quiet`` (or ``$REPRO_QUIET`` for pool workers and
-remotes) silences the lot in one place.  Output goes to stderr so piped
+:func:`progress` so ``--quiet`` (or ``$REPRO_QUIET`` for pool workers)
+silences the lot in one place.  Output goes to stderr so piped
 stdout (reports, traces, metrics) stays machine-readable.
 """
 

@@ -12,8 +12,8 @@ boundaries.
 The default recorder is :data:`NULL_RECORDER`, whose every method is a
 no-op and whose ``enabled`` flag lets hot loops hoist the check; golden
 byte-identity relies on this default.  ``$REPRO_TRACE`` set at import time
-swaps in a live recorder, which is how warm pool workers and ssh
-remotes inherit tracing from the parent process.
+swaps in a live recorder, which is how warm pool workers inherit
+tracing from the parent process.
 
 Wall-clock time never becomes run data: ``perf_counter`` measures span
 durations, and the single absolute anchor (via
@@ -86,8 +86,8 @@ class TraceRecorder(NullRecorder):
     """In-memory recorder of Chrome trace events.
 
     Thread-safe enough for the repo's use: appends and token allocation
-    hold a lock so the ssh pool's feeder threads can interleave with the
-    main thread.
+    hold a lock, so threads sharing one recorder can interleave their
+    spans.
     """
 
     enabled = True

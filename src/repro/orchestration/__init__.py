@@ -1,4 +1,4 @@
-"""Sweep orchestration: durable results, pluggable pools, CLI.
+"""Sweep orchestration: durable results, the warm pool, CLI.
 
 This package turns the in-process :class:`~repro.sim.runner.
 ExperimentRunner` into a batch system in four layers:
@@ -8,9 +8,10 @@ ExperimentRunner` into a batch system in four layers:
 * :mod:`~repro.orchestration.store` — the on-disk
   :class:`ResultStore` (one flat directory of atomically written
   artifacts, self-healing on corruption);
-* :mod:`~repro.orchestration.pools` — where tasks run: the two
-  :class:`Pool` classes (``warm`` persistent workers, ``ssh`` remote
-  fan-out) plus the wire types they share;
+* :mod:`~repro.orchestration.pools` — where tasks run: the
+  :class:`WarmPool` of persistent worker processes, the
+  :class:`PoolTask`/:class:`PoolResult` values it carries and the
+  backend selection;
 * :mod:`~repro.orchestration.executor` — the :class:`SweepExecutor`,
   the one object that fans specs out: it owns the store, the engine
   pin and the pool, plans (group × scheme × geometry) tasks against
@@ -24,13 +25,10 @@ console script (``python -m repro`` from a source checkout).
 
 from repro.orchestration.executor import SweepExecutor, resolve_jobs
 from repro.orchestration.pools import (
-    Pool,
     PoolResult,
     PoolTask,
-    SSHPool,
     SweepTaskError,
     WarmPool,
-    resolve_pool,
 )
 from repro.orchestration.serialize import (
     SCHEMA_VERSION,
@@ -42,11 +40,9 @@ from repro.orchestration.store import ResultStore, default_store_path
 
 __all__ = [
     "SCHEMA_VERSION",
-    "Pool",
     "PoolResult",
     "PoolTask",
     "ResultStore",
-    "SSHPool",
     "SweepExecutor",
     "SweepTaskError",
     "WarmPool",
@@ -54,6 +50,5 @@ __all__ = [
     "default_store_path",
     "group_task_key",
     "resolve_jobs",
-    "resolve_pool",
     "task_key",
 ]

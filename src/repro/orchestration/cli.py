@@ -38,11 +38,11 @@ Every run-shaped command accepts ``--cores``, ``--refs-per-core``,
 ``--groups``, ``--policies`` and ``--threshold`` to select the slice
 of the evaluation, ``--governor``/``--governor-param`` to run it
 under a DVFS governor (see ``docs/energy.md``), plus ``--store``,
-``--jobs``, ``--pool`` and ``--hosts`` for the orchestration knobs
-(``$REPRO_STORE`` / ``$REPRO_JOBS`` / ``$REPRO_POOL`` /
-``$REPRO_HOSTS`` set the defaults; see ``docs/distributed.md`` for
-the pool backends).  Installed as a console script by ``setup.py``;
-``python -m repro`` is the equivalent for source checkouts.
+``--jobs`` and ``--pool`` for the orchestration knobs
+(``$REPRO_STORE`` / ``$REPRO_JOBS`` / ``$REPRO_POOL`` set the
+defaults; see ``docs/distributed.md`` for the pool backends).
+Installed as a console script by ``setup.py``; ``python -m repro`` is
+the equivalent for source checkouts.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from repro.metrics.figures import METRICS, figure_tables
 from repro.obs.log import progress
 from repro.obs.trace import read_events, to_chrome_trace, trace_key, write_trace_file
 from repro.orchestration.executor import SweepExecutor, resolve_jobs
-from repro.orchestration.pools import SERIAL
+from repro.orchestration.pools import POOL_NAMES, SERIAL
 from repro.orchestration.serialize import scenario_from_dict, scenario_to_dict
 from repro.orchestration.store import ResultStore, default_store_path
 from repro.render import Column, csv_text, json_text, table
@@ -114,17 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     pooling = argparse.ArgumentParser(add_help=False)
     pooling.add_argument(
         "--pool", default=None, metavar="NAME",
-        choices=("warm", "ssh", "serial"),
+        choices=POOL_NAMES,
         help="execution pool backend: warm (persistent workers; the "
-             "default), ssh (remote fan-out over --hosts) or serial "
-             "(inline); default: $REPRO_POOL, or ssh when hosts are "
-             "configured",
-    )
-    pooling.add_argument(
-        "--hosts", default=None, metavar="LIST",
-        help="comma-separated ssh hosts for --pool ssh (the name "
-             "'local' runs the same protocol in a local subprocess); "
-             "default: $REPRO_HOSTS",
+             "default) or serial (inline); default: $REPRO_POOL",
     )
 
     obs_flags = argparse.ArgumentParser(add_help=False)
@@ -436,9 +428,8 @@ def _apply_obs(options: argparse.Namespace) -> None:
     """Honour --quiet/--trace/--metrics before the handler runs.
 
     The env exports matter as much as the in-process switches: warm pool
-    workers inherit the parent environment, and the ssh pool reads
-    ``tracing_enabled()`` to decide whether to ask remotes for traces,
-    so setting state here covers every execution tier.
+    workers inherit the parent environment, so setting state here
+    covers inline runs and workers alike.
     """
     if getattr(options, "quiet", False):
         obs.set_quiet(True)
@@ -545,7 +536,7 @@ def _print_figures(
 class _Session:
     """The store, executor and specs of one simulating command.
 
-    The engine pin and ``--jobs``/``--pool``/``--hosts`` resolve here,
+    The engine pin and ``--jobs``/``--pool`` resolve here,
     once; an unavailable engine or a bad pool selection exits cleanly.
     Every :meth:`run` prefetches, so :attr:`runner` reads are hits.
     """
@@ -559,7 +550,6 @@ class _Session:
                 progress=progress,
                 engine=getattr(options, "engine", None),
                 pool=getattr(options, "pool", None),
-                hosts=getattr(options, "hosts", None),
             )
         except (EngineUnavailableError, ValueError) as error:
             raise SystemExit(str(error))

@@ -1,9 +1,9 @@
-"""Sweep execution over the result store and a pluggable pool.
+"""Sweep execution over the result store and the warm pool.
 
 A sweep is a set of independent :class:`~repro.experiment.Experiment`
 specs — each spec touches no shared mutable state — so the executor,
 the one object that fans specs out, shards them across a
-:class:`~repro.orchestration.pools.Pool` backend and lets the store
+:class:`~repro.orchestration.pools.WarmPool` and lets the store
 mediate all communication: a worker simulates its
 spec with a private store-backed
 :class:`~repro.sim.runner.ExperimentRunner`, persists the artifact
@@ -14,13 +14,13 @@ through the executor's own store-backed runner), which guarantees the
 numbers are bit-identical to a serial in-process run — on every
 backend.
 
-Where tasks run is the pool's business (see
+Where tasks run is the backend's business (see
 :mod:`repro.orchestration.pools`): ``warm`` persistent workers by
-default or ``ssh`` remote fan-out; ``serial`` has no pool, and the
-executor runs its tasks inline.  Every pool
-persists across phases and :meth:`SweepExecutor.prefetch` calls —
-reuse one executor (it is a context manager) to amortise worker
-start-up and per-worker trace caches across waves of a large sweep.
+default; ``serial`` has no pool, and the executor runs its tasks
+inline.  The warm pool persists across phases and
+:meth:`SweepExecutor.prefetch` calls — reuse one executor (it is a
+context manager) to amortise worker start-up and per-worker trace
+caches across waves of a large sweep.
 
 Scheduling is two-phase with per-spec dependency gating:
 
@@ -48,11 +48,11 @@ sweep times the same engine a serial run would, and no process's
 Third-party policies keep working under sharding: each task carries
 the module that registered its policy class, and the worker imports
 that module first (re-running the ``@register_policy`` decorator in
-the child, which matters under the ``spawn`` start method and on
-remote hosts).  Specs whose policy class was registered in
-``__main__`` — a script or notebook that never packaged the module —
-cannot be rebuilt in a worker at all, so those run inline in the
-parent instead of in the pool.
+the child, which matters under the ``spawn`` start method).  Specs
+whose policy class was registered in ``__main__`` — a script or
+notebook that never packaged the module — cannot be rebuilt in a
+worker at all, so those run inline in the parent instead of in the
+pool.
 
 Determinism: every task's randomness flows from
 ``SystemConfig.seed`` through the trace generator and policies, never
@@ -134,11 +134,10 @@ class SweepExecutor:
     task runs on — workers and inline parent runs alike; it is
     resolved eagerly so an unavailable explicit engine fails here,
     once, instead of in every worker.  ``pool`` selects the execution
-    backend (``warm``/``ssh``/``serial``; default ``$REPRO_POOL`` or
-    ``warm``) and ``hosts`` feeds the ssh pool; both are validated
-    eagerly too.
+    backend (``warm``/``serial``; default ``$REPRO_POOL`` or
+    ``warm``), validated eagerly too.
 
-    Pools are persistent: the executor keeps one instance alive
+    The pool is persistent: the executor keeps one instance alive
     across :meth:`prefetch` calls and closes it in :meth:`close` (or
     on ``with`` exit).  Exiting the process without
     closing is safe — workers are daemonic — but closing promptly
@@ -152,7 +151,6 @@ class SweepExecutor:
         progress: Callable[[str], None] | None = None,
         engine: str | None = None,
         pool: str | None = None,
-        hosts: "Iterable[str] | str | None" = None,
     ) -> None:
         from repro.engine import resolve_engine
 
@@ -167,9 +165,9 @@ class SweepExecutor:
             engine=pinned,
         )
         self.progress = progress
-        #: resolved pool backend + host list (fails fast on bad input)
-        self.pool_name, self.hosts = pools.resolve_pool_name(pool, hosts)
-        self._pool: pools.Pool | None = None
+        #: resolved pool backend (fails fast on bad input)
+        self.pool_name = pools.resolve_pool_name(pool)
+        self._pool: pools.WarmPool | None = None
 
     # ------------------------------------------------------------------
     # Pool lifecycle
@@ -297,18 +295,17 @@ class SweepExecutor:
         every task persists under its key and assembly reads the same
         artifacts a serial run produces.
 
-        A spec runs inline in the parent when the pool is ``serial``,
-        when the warm pool would get at most one worker, or when its
-        policy or governor class lives in ``__main__`` (a worker
-        cannot rebuild it).  Inline alone specs run first (they may
-        unblock pooled main specs), inline main specs after the pool
-        drains (by which point every alone dependency exists in the
-        store).  The pool is built only when something is pooled.
+        A spec runs inline in the parent when the backend is
+        ``serial``, when the warm pool would get at most one worker
+        or one task, or when its policy or governor class lives in
+        ``__main__`` (a worker cannot rebuild it).  Inline alone specs
+        run first (they may unblock pooled main specs), inline main
+        specs after the pool drains (by which point every alone
+        dependency exists in the store).  The pool is built only when
+        something is pooled.
         """
         pooled = {e.task_key() for e in (*alone, *main) if _pool_safe(e)}
-        if self.pool_name == pools.SERIAL or (
-            self.pool_name == pools.WARM and min(self.max_workers, len(pooled)) <= 1
-        ):
+        if self.pool_name == pools.SERIAL or min(self.max_workers, len(pooled)) <= 1:
             pooled = set()
         pending_alone = {e.task_key() for e in alone}
         #: pooled main specs gated on alone deps still pending
@@ -327,12 +324,8 @@ class SweepExecutor:
         if pooled and self._pool is None:
             store = self.runner.store
             assert store is not None  # __init__ always gives the runner one
-            self._pool = pools.resolve_pool(
-                self.pool_name,
-                store=store,
-                max_workers=self.max_workers,
-                engine=self.runner.engine,
-                hosts=self.hosts,
+            self._pool = pools.WarmPool(
+                store, self.max_workers, engine=self.runner.engine
             )
         pool = self._pool if pooled else None
         metrics_on = metrics_enabled()
@@ -388,7 +381,7 @@ class SweepExecutor:
         backend: str,
         seconds: float,
         error: str | None,
-        pool: pools.Pool | None,
+        pool: pools.WarmPool | None,
         queued_at: float | None,
     ) -> None:
         """Fold one completed task into the metric registry."""

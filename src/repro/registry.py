@@ -253,7 +253,8 @@ def _bind_params(
 ) -> dict[str, Any]:
     """Validate ``provided`` against the declared params and fill
     defaults; raises eagerly on unknown names, missing requireds and
-    type mismatches."""
+    type mismatches, and on any rule the params type checks when it
+    is constructed (its ``__post_init__``)."""
     fields = info.param_fields()
     unknown = sorted(set(provided) - set(fields))
     if unknown:
@@ -275,6 +276,7 @@ def _bind_params(
             bound[name] = defaults[name]
         else:
             raise ValueError(f"{kind} {info.name!r} requires parameter {name!r}")
+    info.params_type(**bound)
     return bound
 
 

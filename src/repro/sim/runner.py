@@ -118,7 +118,7 @@ class ExperimentRunner:
         span and — with a store attached — persists the task's trace
         events as a ``kind="trace"`` artifact under
         :func:`repro.obs.trace.trace_key`, so every execution tier
-        (inline, warm workers, ssh remotes) ships its traces through
+        (inline or warm workers) ships its traces through
         the same store plumbing as results.
         """
         result = self.cached(experiment)

@@ -7,47 +7,12 @@ whole suite stays fast; the benchmark harness is where full-scale
 
 from __future__ import annotations
 
-import json
-from io import BytesIO
 from typing import NamedTuple
 
 import pytest
 
 from repro.cache.geometry import CacheGeometry
-from repro.obs.metrics import merge_samples, take_samples
-from repro.orchestration.pools import remote_main
 from repro.sim.config import SystemConfig
-
-
-class StubTransport:
-    """An ssh-pool transport that runs the remote protocol in-process,
-    capturing each request document.
-
-    A real remote records metrics in its own process, so the stub runs
-    the protocol against an emptied registry, drops whatever samples
-    the reply did not carry home, and then gives the parent back its
-    own samples."""
-
-    def __init__(self) -> None:
-        self.requests: list[dict] = []
-
-    def run(self, request: bytes) -> bytes:
-        self.requests.append(json.loads(request))
-        parent = take_samples()
-        out = BytesIO()
-        try:
-            remote_main(BytesIO(request), out)
-        finally:
-            take_samples()
-            merge_samples(parent)
-        return out.getvalue()
-
-
-@pytest.fixture
-def stub_transport() -> StubTransport:
-    """A fresh :class:`StubTransport` (share it across hosts with
-    ``transport_factory=lambda host: stub_transport``)."""
-    return StubTransport()
 
 
 class LLCRead(NamedTuple):

@@ -7,8 +7,12 @@ import pytest
 from repro.dvfs.governors import (
     GOVERNOR_NAMES,
     BaseGovernor,
+    CoordinatedGovernor,
+    CoordinatedParams,
     CoreTelemetry,
     GovernorSpec,
+    OndemandGovernor,
+    OndemandParams,
     build_governor,
     governor_info,
     register_governor,
@@ -148,6 +152,46 @@ class TestOndemandGovernor:
                 2,
             )
 
+    def test_spec_rejects_inverted_thresholds(self):
+        """The range rule lives on ``OndemandParams``, so a bad spec
+        fails where it is built, not in the worker that runs it."""
+        with pytest.raises(ValueError, match="down_threshold < up_threshold"):
+            GovernorSpec("ondemand", up_threshold=0.2, down_threshold=0.9)
+        with pytest.raises(ValueError, match="down_threshold < up_threshold"):
+            OndemandGovernor(
+                default_vf_table(), 2, up_threshold=0.2, down_threshold=0.9
+            )
+
+    @pytest.mark.parametrize(
+        "up, down",
+        [(0.5, 0.5), (0.6, -0.1), (1.5, 0.35), (0.75, 0.9)],
+        ids=["equal", "negative-down", "up-above-one", "inverted"],
+    )
+    def test_every_check_site_gives_one_message(self, up, down):
+        """Params, spec and constructor share one rule, so each raises
+        the same message for the same bad pair."""
+        with pytest.raises(ValueError) as from_params:
+            OndemandParams(up_threshold=up, down_threshold=down)
+        message = str(from_params.value)
+        assert message == (
+            f"need 0 <= down_threshold < up_threshold <= 1, got "
+            f"down={down} up={up}"
+        )
+        with pytest.raises(ValueError) as from_spec:
+            GovernorSpec("ondemand", up_threshold=up, down_threshold=down)
+        assert str(from_spec.value) == message
+        with pytest.raises(ValueError) as from_governor:
+            OndemandGovernor(
+                default_vf_table(), 2, up_threshold=up, down_threshold=down
+            )
+        assert str(from_governor.value) == message
+
+    @pytest.mark.parametrize("up, down", [(1.0, 0.0), (0.01, 0.0)])
+    def test_range_ends_are_accepted(self, up, down):
+        spec = GovernorSpec("ondemand", up_threshold=up, down_threshold=down)
+        governor = build_governor(spec, default_vf_table(), 2)
+        assert (governor.up_threshold, governor.down_threshold) == (up, down)
+
     def test_memory_bound_steps_down_compute_bound_steps_up(self):
         table = default_vf_table()
         governor = build_governor(GovernorSpec("ondemand"), table, 2)
@@ -188,6 +232,33 @@ class TestCoordinatedGovernor:
                 default_vf_table(),
                 2,
             )
+
+    def test_spec_rejects_a_negative_budget(self):
+        with pytest.raises(ValueError, match="qos_slowdown must be non-negative"):
+            GovernorSpec("coordinated", qos_slowdown=-0.5)
+        with pytest.raises(ValueError, match="qos_slowdown must be non-negative"):
+            CoordinatedGovernor(default_vf_table(), 2, qos_slowdown=-0.5)
+
+    @pytest.mark.parametrize("qos", [-0.5, -1e-9])
+    def test_every_check_site_gives_one_message(self, qos):
+        message = f"qos_slowdown must be non-negative, got {qos}"
+        with pytest.raises(ValueError) as from_params:
+            CoordinatedParams(qos_slowdown=qos)
+        assert str(from_params.value) == message
+        with pytest.raises(ValueError) as from_spec:
+            GovernorSpec("coordinated", qos_slowdown=qos)
+        assert str(from_spec.value) == message
+        with pytest.raises(ValueError) as from_governor:
+            CoordinatedGovernor(default_vf_table(), 2, qos_slowdown=qos)
+        assert str(from_governor.value) == message
+
+    def test_zero_budget_is_accepted(self):
+        """A zero budget (no slowdown allowed) is the range's lower
+        end, so it is valid."""
+        governor = build_governor(
+            GovernorSpec("coordinated", qos_slowdown=0.0), default_vf_table(), 2
+        )
+        assert governor.qos_slowdown == 0.0
 
     def test_memory_bound_core_scales_deepest(self):
         """A fully memory-bound core loses nothing to a slow clock, so

@@ -1,13 +1,11 @@
 """The observability CLI surface: --trace/--metrics/--quiet flags,
 the merged trace file, and ``repro trace view``."""
 
-import functools
 import json
 
 import pytest
 
 from repro.obs.metrics import reset_metrics
-from repro.orchestration import pools
 from repro.orchestration.cli import main
 
 
@@ -82,11 +80,10 @@ class TestTraceFlag:
             main(["trace", "view", str(bad)])
 
 
-#: how each pool is selected; ``stub`` is the in-process ssh transport
+#: how each pool is selected
 POOL_ARGUMENTS = {
     "serial": ["--pool", "serial"],
     "warm": ["--pool", "warm", "--jobs", "2"],
-    "ssh": ["--pool", "ssh", "--hosts", "stub"],
 }
 
 
@@ -103,19 +100,9 @@ def _engine_lines(text):
 
 class TestMetricsFlag:
     @pytest.mark.parametrize("pool", sorted(POOL_ARGUMENTS))
-    def test_every_pool_dumps_the_serial_engine_samples(
-        self, pool, tmp_path, stub_transport, monkeypatch
-    ):
+    def test_every_pool_dumps_the_serial_engine_samples(self, pool, tmp_path):
         """Pooled tasks run in other processes; the samples they
-        record must still reach the parent's dump, and only writes to
-        the shared store count as store writes."""
-        monkeypatch.setattr(
-            pools,
-            "SSHPool",
-            functools.partial(
-                pools.SSHPool, transport_factory=lambda host: stub_transport
-            ),
-        )
+        record must still reach the parent's dump."""
         dumps = {}
         for name in dict.fromkeys(("serial", pool)):
             reset_metrics()

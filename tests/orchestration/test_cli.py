@@ -74,6 +74,30 @@ class TestSweep:
         assert code == 0
         assert "1 workers, serial pool)" in capsys.readouterr().out
 
+    def test_pool_choices_are_warm_and_serial(self, store_arguments, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["sweep", "--pool", "ssh", *FAST, *store_arguments])
+        assert caught.value.code == 2
+        # newer argparse versions print the choices without quotes
+        assert re.search(
+            r"invalid choice: '?ssh'? \(choose from '?warm'?, '?serial'?\)",
+            capsys.readouterr().err,
+        )
+
+    def test_hosts_flag_is_gone(self, store_arguments, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["sweep", "--hosts", "local", *FAST, *store_arguments])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --hosts" in capsys.readouterr().err
+
+    def test_unknown_env_pool_exits_with_the_message(
+        self, store_arguments, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_POOL", "ssh")
+        with pytest.raises(SystemExit, match="unknown pool 'ssh'; expected one "
+                           "of warm, serial"):
+            main(["sweep", "--groups", "1", *FAST, *store_arguments])
+
     def test_unknown_policy_rejected(self, store_arguments):
         with pytest.raises(SystemExit):
             main(["sweep", "--policies", "lru", *FAST, *store_arguments])
@@ -185,6 +209,32 @@ class TestGovernorSelection:
                 "--governor-param", "slack=0.1", "--groups", "1",
                 *FAST, *store_arguments,
             ])
+
+    def test_out_of_range_governor_param_fails_before_any_work(self, tmp_path):
+        """A parameter the governor would reject is rejected when the
+        spec is built: no worker starts and no artifact is written."""
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit, match="bad --governor selection"):
+            main([
+                "sweep", "--groups", "1", "--policies", "ucp",
+                "--refs-per-core", "2000", "--governor", "coordinated",
+                "--governor-param", "qos_slowdown=-0.5", "--jobs", "2",
+                "--store", str(store),
+            ])
+        assert not store.exists() or not any(store.iterdir())
+
+    def test_inverted_ondemand_thresholds_fail_before_any_work(self, tmp_path):
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit, match="bad --governor selection") as caught:
+            main([
+                "sweep", "--groups", "1", "--policies", "ucp",
+                "--refs-per-core", "2000", "--governor", "ondemand",
+                "--governor-param", "up_threshold=0.2",
+                "--governor-param", "down_threshold=0.9", "--jobs", "2",
+                "--store", str(store),
+            ])
+        assert "down_threshold < up_threshold" in str(caught.value)
+        assert not store.exists() or not any(store.iterdir())
 
     def test_spec_sweeps_reject_the_governor_flag(
         self, tmp_path, store_arguments

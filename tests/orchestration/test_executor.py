@@ -1,6 +1,5 @@
 """The sweep executor: parallel == serial, resume skips, planning."""
 
-import functools
 import json
 import multiprocessing
 
@@ -11,8 +10,7 @@ from repro.engine import PYTHON
 from repro.experiment import Experiment, by_group_policy
 from repro.orchestration import serialize
 from repro.orchestration.executor import SweepExecutor, resolve_jobs
-from repro.orchestration import pools
-from repro.orchestration.pools import PoolTask, SSHPool
+from repro.orchestration.pools import PoolTask
 from repro.orchestration.serialize import group_task_key
 from repro.orchestration.store import ResultStore
 from repro.partitioning.registry import register_policy, unregister_policy
@@ -90,35 +88,31 @@ class TestResume:
         assert store.probe(victim)
 
     def test_damaged_artifact_of_unchanged_size_reruns_on_the_pool(
-        self, store, tiny_two_core, stub_transport, monkeypatch
+        self, store, tiny_two_core, monkeypatch
     ):
         """Damage that keeps an artifact's byte size is a miss at
         planning, so the resume recomputes it on the pool and counts
         it, instead of taking it for cached and recomputing it inline
-        at assembly."""
+        at assembly.  Two damaged artifacts make two pending tasks, so
+        the warm pool runs them rather than the one-task inline path."""
         specs = [
             Experiment("G2-4", policy, tiny_two_core)
             for policy in ("cooperative", "ucp")
         ]
         with SweepExecutor(store, max_workers=1, pool="serial") as seeder:
             assert seeder.prefetch(specs) == (4, 0)
-        victim = next(iter(store.keys()))
-        path = store.path_for(victim)
-        path.write_bytes(b"x" * path.stat().st_size)
+        victims = sorted(store.keys())[:2]
+        for victim in victims:
+            path = store.path_for(victim)
+            path.write_bytes(b"x" * path.stat().st_size)
 
-        monkeypatch.setattr(
-            pools,
-            "SSHPool",
-            functools.partial(SSHPool, transport_factory=lambda host: stub_transport),
-        )
         lines = []
         with SweepExecutor(
-            store, max_workers=2, pool="ssh", hosts=["stub"], progress=lines.append
+            store, max_workers=2, pool="warm", progress=lines.append
         ) as resumed:
-            assert resumed.prefetch(specs) == (1, 3)
-            (request,) = stub_transport.requests
-            assert [task["key"] for task in request["tasks"]] == [victim]
-            assert len(lines) == 1 and "ssh" in lines[0]
+            assert resumed.prefetch(specs) == (2, 2)
+            assert len(lines) == 2
+            assert all(line.endswith(", warm)") for line in lines)
 
             import repro.sim.runner as runner_module
 
@@ -128,7 +122,7 @@ class TestResume:
             monkeypatch.setattr(runner_module, "CMPSimulator", explode)
             for spec in specs:
                 resumed.runner.run(spec)
-        assert store.probe(victim)
+        assert all(store.probe(victim) for victim in victims)
 
     def test_undecodable_payloads_are_recomputed(self, store, tiny_two_core):
         """An artifact whose envelope is valid but whose payload does

@@ -1,14 +1,11 @@
-"""The pool layer: backend equivalence, the wire protocol, failure
-surfacing, and concurrent writers racing on one store."""
+"""The pool layer: backend equivalence, failure surfacing, backend
+selection, and concurrent writers racing on one store."""
 
 import dataclasses
-import functools
-import json
 import os
 import subprocess
 import sys
 import threading
-from io import BytesIO
 from pathlib import Path
 
 import pytest
@@ -17,23 +14,14 @@ import repro
 from repro.engine import COMPILED, PYTHON, compiled_available
 from repro.experiment import Experiment
 from repro.obs.trace import TraceRecorder, set_recorder, trace_key
-from repro.orchestration import pools
 from repro.orchestration.executor import SweepExecutor
 from repro.orchestration.pools import (
-    WIRE_SCHEMA,
-    LocalTransport,
     PoolTask,
-    SSHPool,
-    SSHTransport,
     SweepTaskError,
     WarmPool,
-    remote_main,
-    resolve_pool,
     resolve_pool_name,
-    transport_for,
 )
 from repro.orchestration.store import ResultStore
-from repro.sim.runner import ExperimentRunner
 
 GROUPS = ["G2-4", "G2-8"]
 POLICIES = ("ucp", "cooperative")
@@ -51,21 +39,18 @@ def _sweep_into(root, config, pool, **kwargs):
 
 
 class TestBackendEquivalence:
-    """Every backend must persist bit-identical artifacts."""
+    """The warm pool must persist artifacts bit-identical to serial's."""
 
-    def test_warm_spawn_ssh_match_serial(self, tmp_path, tiny_two_core):
+    def test_warm_matches_serial(self, tmp_path, tiny_two_core):
         reference, computed, _ = _sweep_into(
             tmp_path / "serial", tiny_two_core, "serial"
         )
         assert computed > 0
         expected = {key: reference.get(key) for key in reference.keys()}
 
-        for pool, kwargs in [("warm", {}), ("ssh", {"hosts": ["local"]})]:
-            store, _, _ = _sweep_into(
-                tmp_path / pool, tiny_two_core, pool, **kwargs
-            )
-            actual = {key: store.get(key) for key in store.keys()}
-            assert actual == expected, f"{pool} artifacts diverge from serial"
+        store, _, _ = _sweep_into(tmp_path / "warm", tiny_two_core, "warm")
+        actual = {key: store.get(key) for key in store.keys()}
+        assert actual == expected, "warm artifacts diverge from serial"
 
 
 class TestEnginePin:
@@ -73,9 +58,9 @@ class TestEnginePin:
     built with it, and no process's ``$REPRO_ENGINE`` is written."""
 
     @pytest.mark.parametrize("engine", [PYTHON, COMPILED])
-    @pytest.mark.parametrize("pool", ["serial", "warm", "ssh"])
+    @pytest.mark.parametrize("pool", ["serial", "warm"])
     def test_every_task_runs_the_pinned_engine(
-        self, pool, engine, tmp_path, tiny_two_core, monkeypatch, stub_transport
+        self, pool, engine, tmp_path, tiny_two_core, monkeypatch
     ):
         if engine == COMPILED and not compiled_available():
             pytest.skip("the compiled engine needs a C toolchain")
@@ -86,23 +71,12 @@ class TestEnginePin:
         else:
             monkeypatch.delenv("REPRO_ENGINE", raising=False)
         monkeypatch.setenv("REPRO_TRACE", "1")
-        monkeypatch.setattr(
-            pools,
-            "SSHPool",
-            functools.partial(
-                SSHPool, transport_factory=lambda host: stub_transport
-            ),
-        )
         spec = Experiment("G2-4", "ucp", tiny_two_core)
         store = ResultStore(tmp_path / "store")
         previous = set_recorder(TraceRecorder())
         try:
             with SweepExecutor(
-                store,
-                max_workers=2,
-                engine=engine,
-                pool=pool,
-                hosts=["stub"] if pool == "ssh" else None,
+                store, max_workers=2, engine=engine, pool=pool
             ) as executor:
                 assert executor.prefetch([spec]) == (3, 0)
         finally:
@@ -121,38 +95,77 @@ class TestEnginePin:
         else:
             assert min(spans.values()) >= 1
 
-    def test_remote_main_leaves_the_environment_alone(
-        self, tmp_path, tiny_two_core, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_ENGINE", "auto")
-        task = PoolTask.from_experiment(
-            Experiment.alone_run("lbm", system=tiny_two_core)
-        )
-        request = json.dumps(
-            {"schema": WIRE_SCHEMA, "engine": PYTHON, "tasks": [task.to_dict()]}
-        ).encode("utf-8")
-        out = BytesIO()
-        assert remote_main(BytesIO(request), out) == 0
-        assert [r["error"] for r in json.loads(out.getvalue())["results"]] == [None]
-        assert os.environ.get("REPRO_ENGINE") == "auto"
+
+class _ListQueue(list):
+    """Stands in for the task queue: records each batch put on it."""
+
+    put = list.append
+
+
+class TestWarmPoolQueue:
+    """The pool's bookkeeping, with the workers and queue stubbed out."""
+
+    @staticmethod
+    def _pool(tmp_path, max_workers):
+        pool = WarmPool(ResultStore(tmp_path / "store"), max_workers=max_workers)
+        pool.start = lambda: None
+        pool._tasks = _ListQueue()
+        return pool
+
+    @pytest.mark.parametrize(
+        "count, workers, sizes",
+        [
+            (3, 2, [1, 1, 1]),
+            (20, 2, [5, 5, 5, 5]),
+            (40, 1, [8, 8, 8, 8, 8]),
+        ],
+        ids=["fewer-than-workers", "balanced", "capped-at-max-batch"],
+    )
+    def test_submit_many_batches_the_tasks(self, tmp_path, count, workers, sizes):
+        """Each batch holds at most ``max_batch`` tasks, and a small
+        sweep still gives every worker several batches."""
+        pool = self._pool(tmp_path, workers)
+        tasks = [
+            PoolTask(key=f"{i:064d}", label=str(i), spec={}, policy_module="m")
+            for i in range(count)
+        ]
+        assert pool.submit_many(iter(tasks)) == count
+        assert [len(batch) for batch in pool._tasks] == sizes
+        assert [task for batch in pool._tasks for task in batch] == tasks
+        assert pool.outstanding == count
+
+    def test_empty_submission_queues_nothing(self, tmp_path):
+        pool = self._pool(tmp_path, 2)
+        assert pool.submit_many([]) == 0
+        assert pool._tasks == [] and pool.outstanding == 0
+
+    def test_wait_one_with_nothing_outstanding_is_an_error(self, tmp_path):
+        pool = WarmPool(ResultStore(tmp_path / "store"), max_workers=1)
+        with pytest.raises(RuntimeError, match="no outstanding tasks"):
+            pool.wait_one()
+
+    def test_close_before_start_is_a_no_op(self, tmp_path):
+        pool = WarmPool(ResultStore(tmp_path / "store"), max_workers=0)
+        assert pool.max_workers == 1
+        pool.close()
+        pool.close()
+        assert pool.outstanding == 0
 
 
 class TestPoolTask:
-    def test_wire_round_trip(self, tiny_two_core):
+    def test_from_experiment_names_the_registering_modules(self, tiny_two_core):
+        """A task carries its key, its rebuildable spec and the modules
+        whose import registers its policy and governor classes."""
         experiment = Experiment("G2-4", "cooperative", tiny_two_core)
         task = PoolTask.from_experiment(experiment)
-        clone = PoolTask.from_dict(json.loads(json.dumps(task.to_dict())))
-        assert clone == task
-        assert clone.key == experiment.task_key()
-        # Group tasks carry their alone dependencies (the ssh pool
-        # ships those artifacts alongside the spec).
-        assert len(clone.dependencies) == 2
-        assert Experiment.from_dict(clone.spec) == experiment
-
-    def test_alone_task_has_no_dependencies(self, tiny_two_core):
-        alone = Experiment("G2-4", "cooperative", tiny_two_core)
-        dep = alone.alone_dependencies()[0]
-        assert PoolTask.from_experiment(dep).dependencies == ()
+        assert (task.key, task.label) == (experiment.task_key(), experiment.label)
+        assert Experiment.from_dict(task.spec) == experiment
+        assert task.policy_module == "repro.core.policy"
+        assert task.governor_module is None
+        governed = experiment.with_governor("coordinated")
+        assert PoolTask.from_experiment(governed).governor_module == (
+            "repro.dvfs.governors"
+        )
 
 
 class TestErrorSurfacing:
@@ -166,9 +179,12 @@ class TestErrorSurfacing:
             policy_module=good.policy_module,
         )
         pool = WarmPool(ResultStore(tmp_path / "store"), max_workers=1)
-        with pool:
-            pool.submit(bad)
+        pool.start()
+        try:
+            pool.submit_many([bad])
             result = pool.wait_one()
+        finally:
+            pool.close()
         assert result.error is not None
         assert result.key == good.key
         # the worker survives the failure and still runs later tasks
@@ -185,7 +201,7 @@ class TestErrorSurfacing:
         store = ResultStore(tmp_path / "store")
         executor = SweepExecutor(store, max_workers=2, pool="warm")
         # A zero-refs config passes spec validation and fails only
-        # when the worker generates its trace — the remote-failure
+        # when the worker generates its trace — the worker-failure
         # path the executor must translate into a SweepTaskError.
         broken = Experiment(
             "G2-4",
@@ -200,38 +216,6 @@ class TestErrorSurfacing:
         assert caught.value.backend == "warm"
         assert caught.value.error.startswith("ValueError")
         assert len(caught.value.key) == 64
-
-    @pytest.mark.parametrize("ending", ["eof", "half-response", "broken-pipe"])
-    def test_dropped_ssh_transport_names_the_task(
-        self, ending, tmp_path, tiny_two_core, stub_transport, monkeypatch
-    ):
-        """An ssh transport that ends mid-task — EOF, half a reply, a
-        broken pipe — fails the sweep with a SweepTaskError naming the
-        task, and nothing reaches the local store."""
-
-        class DroppedTransport:
-            def run(self, request: bytes) -> bytes:
-                if ending == "broken-pipe":
-                    raise BrokenPipeError(32, "Broken pipe")
-                reply = stub_transport.run(request)  # the remote did the work
-                return b"" if ending == "eof" else reply[: len(reply) // 2]
-
-        monkeypatch.setattr(
-            pools,
-            "SSHPool",
-            functools.partial(SSHPool, transport_factory=lambda host: DroppedTransport()),
-        )
-        spec = Experiment.alone_run("lbm", system=tiny_two_core)
-        store = ResultStore(tmp_path / "store")
-        with SweepExecutor(store, max_workers=2, pool="ssh", hosts=["stub"]) as executor:
-            with pytest.raises(SweepTaskError) as caught:
-                executor.prefetch([spec])
-        error = caught.value
-        assert (error.key, error.label, error.backend) == (
-            spec.task_key(), spec.label, "ssh"
-        )
-        assert spec.label in str(error) and "host stub" in error.error
-        assert not store.root.exists() or os.listdir(store.root) == []
 
     def test_dead_warm_worker_raises_instead_of_hanging(
         self, tmp_path, tiny_two_core, monkeypatch
@@ -271,133 +255,55 @@ class TestErrorSurfacing:
         assert "--pool serial" in str(raised[0])
 
 
-class TestRemoteProtocol:
-    def _request(self, tasks, artifacts=()):
-        return json.dumps(
-            {
-                "schema": WIRE_SCHEMA,
-                "engine": None,
-                "tasks": [task.to_dict() for task in tasks],
-                "artifacts": list(artifacts),
-            }
-        ).encode("utf-8")
-
-    def test_remote_main_round_trip(self, tmp_path, tiny_two_core):
-        # Compute the alone dependencies locally; the group task ships
-        # with those artifacts and the remote side must not recompute
-        # them (its scratch store is seeded before the runner starts).
-        store = ResultStore(tmp_path / "store")
-        runner = ExperimentRunner(store=store)
-        experiment = Experiment("G2-4", "ucp", tiny_two_core)
-        for dependency in experiment.alone_dependencies():
-            runner.run(dependency)
-        artifacts = [
-            store.get_envelope(key)
-            for key in [d.task_key() for d in experiment.alone_dependencies()]
-        ]
-        task = PoolTask.from_experiment(experiment)
-
-        out = BytesIO()
-        assert remote_main(BytesIO(self._request([task], artifacts)), out) == 0
-        response = json.loads(out.getvalue())
-        assert response["schema"] == WIRE_SCHEMA
-        assert [r["error"] for r in response["results"]] == [None]
-        # the response carries the computed group artifact only — the
-        # shipped dependencies were inputs, not results
-        assert [e["key"] for e in response["artifacts"]] == [task.key]
-
-        # and the artifact is exactly what a local runner produces
-        local = ExperimentRunner(store=ResultStore(tmp_path / "local"))
-        expected = local.run(experiment)
-        envelope = response["artifacts"][0]
-        clone = ResultStore(tmp_path / "clone")
-        clone.put_many(
-            [(envelope["key"], envelope["payload"], envelope["kind"], {})]
-        )
-        fetched = ExperimentRunner(store=clone).run(experiment)
-        assert fetched.ipcs() == expected.ipcs()
-
-    def test_remote_main_rejects_wrong_schema(self):
-        request = json.dumps({"schema": WIRE_SCHEMA + 1, "tasks": []})
-        with pytest.raises(SystemExit):
-            remote_main(BytesIO(request.encode("utf-8")), BytesIO())
-
-    def test_ssh_pool_over_stub_transport(
-        self, tmp_path, tiny_two_core, stub_transport
-    ):
-        """The full SSHPool machinery — feeder threads, batching,
-        dependency shipping, artifact sync — with the transport
-        replaced by an in-process stub running the remote protocol."""
-        store = ResultStore(tmp_path / "store")
-        runner = ExperimentRunner(store=store)
-        specs = [Experiment(g, "ucp", tiny_two_core) for g in GROUPS]
-        for spec in specs:
-            for dependency in spec.alone_dependencies():
-                runner.run(dependency)
-
-        pool = SSHPool(
-            store,
-            hosts=["stub-a", "stub-b"],
-            transport_factory=lambda host: stub_transport,
-        )
-        with pool:
-            submitted = pool.submit_many(
-                PoolTask.from_experiment(spec) for spec in specs
-            )
-            results = [pool.wait_one() for _ in range(submitted)]
-        assert [r.error for r in results] == [None] * len(specs)
-        # artifacts were synced back into the local store
-        for spec in specs:
-            assert store.probe(spec.task_key())
-
-    def test_transport_selection(self):
-        assert isinstance(transport_for("local"), LocalTransport)
-        remote = transport_for("worker@farm-03")
-        assert isinstance(remote, SSHTransport)
-        assert remote.host == "worker@farm-03"
-
-
 class TestSelection:
     def test_explicit_name_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_POOL", "serial")
-        assert resolve_pool_name("warm") == ("warm", ())
-        assert resolve_pool_name(None)[0] == "serial"
-
-    def test_hosts_imply_ssh(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL", raising=False)
-        name, hosts = resolve_pool_name(None, hosts="a,b")
-        assert (name, hosts) == ("ssh", ("a", "b"))
-        monkeypatch.setenv("REPRO_HOSTS", "c")
-        assert resolve_pool_name(None) == ("ssh", ("c",))
+        assert resolve_pool_name("warm") == "warm"
+        assert resolve_pool_name(None) == "serial"
 
     def test_default_is_warm(self, monkeypatch):
         monkeypatch.delenv("REPRO_POOL", raising=False)
-        monkeypatch.delenv("REPRO_HOSTS", raising=False)
-        assert resolve_pool_name(None) == ("warm", ())
+        assert resolve_pool_name(None) == "warm"
 
-    def test_ssh_without_hosts_is_an_error(self, monkeypatch):
-        monkeypatch.delenv("REPRO_HOSTS", raising=False)
-        with pytest.raises(ValueError, match="hosts"):
-            resolve_pool_name("ssh")
+    @pytest.mark.parametrize(
+        "explicit, env, expected",
+        [(" WARM ", None, "warm"), (None, " Serial ", "serial"), (None, "  ", "warm")],
+        ids=["explicit-padded", "env-padded", "blank-env"],
+    )
+    def test_names_are_trimmed_and_case_folded(
+        self, monkeypatch, explicit, env, expected
+    ):
+        if env is None:
+            monkeypatch.delenv("REPRO_POOL", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_POOL", env)
+        assert resolve_pool_name(explicit) == expected
+
+    def test_executor_rejects_an_unknown_pool_before_starting_one(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="unknown pool 'ssh'"):
+            SweepExecutor(store, max_workers=2, pool="ssh")
+        with SweepExecutor(store, max_workers=2, pool="serial") as executor:
+            assert executor.pool_name == "serial"
+            assert executor._pool is None
 
     def test_unknown_name_is_an_error(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown pool"):
             resolve_pool_name("fleet")
         with pytest.raises(ValueError, match="unknown pool 'spawn'") as caught:
             resolve_pool_name("spawn")
-        assert str(caught.value).endswith("warm, ssh, serial")
+        assert str(caught.value).endswith("warm, serial")
         monkeypatch.setenv("REPRO_POOL", "spawn")
         with pytest.raises(ValueError, match="unknown pool"):
             resolve_pool_name(None)
-
-    def test_resolve_pool_builds_each_backend(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        assert resolve_pool("warm", store=store, max_workers=2).name == "warm"
-        ssh = resolve_pool("ssh", store=store, hosts=["local"])
-        assert ssh.name == "ssh" and ssh.hosts == ("local",)
-        # serial has no pool: the executor runs its tasks inline
-        with pytest.raises(ValueError, match="inline"):
-            resolve_pool("serial", store=store)
+        message = "unknown pool 'ssh'; expected one of warm, serial"
+        with pytest.raises(ValueError) as caught:
+            resolve_pool_name("ssh")
+        assert str(caught.value) == message
+        monkeypatch.setenv("REPRO_POOL", "ssh")
+        with pytest.raises(ValueError) as caught:
+            resolve_pool_name(None)
+        assert str(caught.value) == message
 
 
 class TestConcurrentWriters:
