@@ -48,8 +48,8 @@ _PRINT_EXEMPT_MODULES = frozenset({"repro.obs.log"})
 )
 def check_bare_print(context: AnalysisContext) -> Iterator[Finding]:
     """Library code must not write to the terminal directly: a bare
-    ``print()`` ignores ``--quiet``/``$REPRO_QUIET`` and corrupts
-    machine-read stdout (``--format json``, ``--metrics -``).
+    ``print()`` ignores ``--quiet``, which pool workers inherit too, and
+    corrupts machine-read stdout (``--format json``, ``--metrics -``).
     Route progress through ``repro.obs.log.progress``.  CLI modules
     (``*cli``, ``__main__``), ``main()`` entry-point functions, and
     ``repro.obs.log`` itself are exempt — terminal I/O is their job."""

@@ -210,38 +210,24 @@ def _analysis_surface() -> dict[str, Any]:
 def _obs_surface() -> dict[str, Any]:
     """The metric registry, trace recorder and enable switches."""
     import repro.obs as obs
-    from repro.obs.log import QUIET_ENV, progress
+    from repro.obs.log import progress
     from repro.obs.metrics import (
-        METRICS_ENV,
         register_metric,
         registered_metrics,
         render_prometheus,
     )
-    from repro.obs.trace import (
-        TRACE_ARTIFACT_SCHEMA,
-        TRACE_ENV,
-        NullRecorder,
-        TraceRecorder,
-        trace_key,
-    )
+    from repro.obs.trace import NullRecorder, TraceRecorder
 
     metrics: dict[str, Any] = {}
     for info in registered_metrics():
         metrics[info.name] = {"kind": info.kind, "unit": info.unit}
     return {
         "all": sorted(obs.__all__),
-        "env": {
-            "metrics": METRICS_ENV,
-            "trace": TRACE_ENV,
-            "quiet": QUIET_ENV,
-        },
-        "trace_artifact_schema": TRACE_ARTIFACT_SCHEMA,
         "metrics": metrics,
         "register_metric": _signature_of(register_metric),
         "render_prometheus": _signature_of(render_prometheus),
         "null_recorder": _public_methods(NullRecorder),
         "trace_recorder": _public_methods(TraceRecorder),
-        "trace_key": _signature_of(trace_key),
         "progress": _signature_of(progress),
     }
 

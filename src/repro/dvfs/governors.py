@@ -47,7 +47,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
-from repro.dvfs.model import VFTable
+from repro.dvfs.model import VFTable, default_vf_table
 from repro.partitioning.registry import NoParams
 from repro.registry import DisplayNames, Registered, Registry, Spec
 
@@ -184,6 +184,11 @@ class FixedParams:
     #: operating-point frequency to pin every core at (None = nominal)
     freq_mhz: int | None = None
 
+    def __post_init__(self) -> None:
+        # Every run's DVFS state is built on the default table.
+        if self.freq_mhz is not None:
+            default_vf_table().level_of(self.freq_mhz)
+
 
 @register_governor("fixed", params=FixedParams)
 class FixedGovernor(BaseGovernor):
@@ -194,6 +199,7 @@ class FixedGovernor(BaseGovernor):
     def __init__(
         self, table: VFTable, n_cores: int, freq_mhz: int | None = None
     ) -> None:
+        FixedParams(freq_mhz)
         self._level = 0 if freq_mhz is None else table.level_of(freq_mhz)
         super().__init__(table, n_cores)
 

@@ -3,21 +3,20 @@
 Three small modules, all off by default and all zero-overhead when off:
 
 - :mod:`repro.obs.metrics` — counters/gauges/histograms behind a
-  ``register_metric`` decorator (``$REPRO_METRICS`` / ``--metrics``).
+  ``register_metric`` decorator (``--metrics``).
 - :mod:`repro.obs.trace` — sweep → task → run → epoch spans exported as
-  JSONL or Chrome trace-event JSON (``$REPRO_TRACE`` / ``--trace``), and
+  JSONL or Chrome trace-event JSON (``--trace``), and
   :func:`timed`, the one timing primitive, which feeds both a span and
   the site's metrics from one pair of clock reads.
 - :mod:`repro.obs.log` — the single progress-line helper honouring
-  ``--quiet`` / ``$REPRO_QUIET``.
+  ``--quiet``.
 
 See docs/observability.md for the metric catalogue and trace format.
 """
 
-from repro.obs.log import QUIET_ENV, progress, quiet, set_quiet
+from repro.obs.log import progress, quiet, set_quiet
 from repro.obs.metrics import (
     METRIC_NAMES,
-    METRICS_ENV,
     disable_metrics,
     enable_metrics,
     metrics_enabled,
@@ -29,7 +28,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import (
     NULL_RECORDER,
-    TRACE_ENV,
     NullRecorder,
     TraceRecorder,
     disable_tracing,
@@ -37,17 +35,13 @@ from repro.obs.trace import (
     recorder,
     set_recorder,
     timed,
-    trace_key,
     tracing_enabled,
 )
 
 __all__ = [
     "METRIC_NAMES",
-    "METRICS_ENV",
     "NULL_RECORDER",
     "NullRecorder",
-    "QUIET_ENV",
-    "TRACE_ENV",
     "TraceRecorder",
     "disable_metrics",
     "disable_tracing",
@@ -65,6 +59,5 @@ __all__ = [
     "set_recorder",
     "snapshot",
     "timed",
-    "trace_key",
     "tracing_enabled",
 ]

@@ -1,20 +1,17 @@
 """Progress output for long-running commands, with one quiet switch.
 
 Every human-facing progress line in the library routes through
-:func:`progress` so ``--quiet`` (or ``$REPRO_QUIET`` for pool workers)
-silences the lot in one place.  Output goes to stderr so piped
+:func:`progress` so ``--quiet`` silences the lot in one place (a warm
+pool passes the switch on to its workers).  Output goes to stderr so piped
 stdout (reports, traces, metrics) stays machine-readable.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from typing import TextIO
 
-QUIET_ENV = "REPRO_QUIET"
-
-_quiet = bool(os.environ.get(QUIET_ENV))
+_quiet = False
 
 
 def quiet() -> bool:

@@ -10,8 +10,7 @@ path), duplicate names raise, and the built-in catalogue in
 The whole subsystem is gated on a single module flag so the disabled path is
 a handful of attribute loads and one branch per call site: ``inc`` /
 ``set`` / ``observe`` return immediately unless :func:`enable_metrics` ran
-(or ``$REPRO_METRICS`` was set when this module was imported, which is how
-pool workers inherit the setting from the parent process).
+(a warm pool enables it in its workers when the parent had it on).
 
 Pool workers record into their own process's registry.  After each task
 a worker drains its counters and histograms with :func:`take_samples` and
@@ -26,13 +25,10 @@ that ``--metrics`` writes and for :func:`snapshot`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.registry import Registry
-
-METRICS_ENV = "REPRO_METRICS"
 
 METRIC_KINDS = ("counter", "gauge", "histogram")
 
@@ -47,7 +43,7 @@ SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
 
 LabelItems = tuple[tuple[str, str], ...]
 
-_enabled = bool(os.environ.get(METRICS_ENV))
+_enabled = False
 
 
 def metrics_enabled() -> bool:

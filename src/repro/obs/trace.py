@@ -11,9 +11,15 @@ boundaries.
 
 The default recorder is :data:`NULL_RECORDER`, whose every method is a
 no-op and whose ``enabled`` flag lets hot loops hoist the check; golden
-byte-identity relies on this default.  ``$REPRO_TRACE`` set at import time
-swaps in a live recorder, which is how warm pool workers inherit
-tracing from the parent process.
+byte-identity relies on this default.  :func:`enable_tracing` swaps in a
+live recorder.
+
+Warm pool workers record into their own process's recorder.  After each
+task a worker drains it with :meth:`TraceRecorder.take` and ships the
+events home with the task's result; the parent appends them to its
+recorder with :func:`merge_events`, so a ``--trace`` file reads the same
+on every pool.  A forked worker keeps the recorder it inherited, so its
+timestamps share the parent's clock origin.
 
 Wall-clock time never becomes run data: ``perf_counter`` measures span
 durations, and the single absolute anchor (via
@@ -22,7 +28,6 @@ durations, and the single absolute anchor (via
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
@@ -33,17 +38,6 @@ from typing import Any, Iterable, Mapping, TextIO
 
 from repro.obs.metrics import Counter, Histogram, metrics_enabled
 from repro.orchestration.clock import wall_now
-
-TRACE_ENV = "REPRO_TRACE"
-
-#: Schema tag for per-task trace artifacts persisted in the ResultStore.
-TRACE_ARTIFACT_SCHEMA = 1
-
-
-def trace_key(task_key: str) -> str:
-    """Derived store key for a task's trace artifact."""
-    return hashlib.sha256((task_key + ":trace").encode()).hexdigest()
-
 
 class NullRecorder:
     """Recorder with every probe compiled out; the default.
@@ -69,10 +63,7 @@ class NullRecorder:
     def run_end(self, **args: Any) -> dict:
         return {}
 
-    def mark(self) -> int:
-        return 0
-
-    def events_since(self, mark: int) -> list[dict]:
+    def take(self) -> list[dict]:
         return []
 
     def events(self) -> list[dict]:
@@ -105,7 +96,7 @@ class TraceRecorder(NullRecorder):
         self._lock = threading.Lock()
         # Events stamp os.getpid() at append time, not this snapshot:
         # warm-pool workers fork and inherit the parent's recorder, and
-        # the CLI deduplicates merged traces by pid.
+        # their events keep their own pid track in the merged trace.
         self._pid = os.getpid()
         # Run-scoped state (one engine run at a time per process/thread).
         self._run_token = -1
@@ -212,16 +203,16 @@ class TraceRecorder(NullRecorder):
 
     # -- export --------------------------------------------------------
 
-    def mark(self) -> int:
+    def take(self) -> list[dict]:
+        """Every event recorded so far, emptying the log (the kernel
+        totals stay): a pool worker ships each task's events home."""
         with self._lock:
-            return len(self._events)
-
-    def events_since(self, mark: int) -> list[dict]:
-        with self._lock:
-            return [dict(event) for event in self._events[mark:]]
+            taken, self._events = self._events, []
+        return taken
 
     def events(self) -> list[dict]:
-        return self.events_since(0)
+        with self._lock:
+            return [dict(event) for event in self._events]
 
     def summary(self) -> dict:
         return {
@@ -234,9 +225,7 @@ class TraceRecorder(NullRecorder):
 
 NULL_RECORDER = NullRecorder()
 
-_recorder: NullRecorder = (
-    TraceRecorder() if os.environ.get(TRACE_ENV) else NULL_RECORDER
-)
+_recorder: NullRecorder = NULL_RECORDER
 
 
 def recorder() -> NullRecorder:
@@ -267,6 +256,14 @@ def enable_tracing() -> NullRecorder:
 def disable_tracing() -> None:
     global _recorder
     _recorder = NULL_RECORDER
+
+
+def merge_events(events: Iterable[dict]) -> None:
+    """Append events from :meth:`TraceRecorder.take` (a pool worker's)
+    to this process's recorder, if it is live."""
+    if isinstance(_recorder, TraceRecorder):
+        with _recorder._lock:
+            _recorder._events.extend(events)
 
 
 # -- the timing primitive ---------------------------------------------
@@ -402,12 +399,3 @@ def write_trace_file(events: Iterable[dict], path: str) -> int:
             write_jsonl(rows, handle)
     return len(rows)
 
-
-def task_trace_payload(task_key: str, label: str, events: list[dict]) -> dict:
-    """Store payload for one task's trace artifact."""
-    return {
-        "schema": TRACE_ARTIFACT_SCHEMA,
-        "task": task_key,
-        "label": label,
-        "events": events,
-    }

@@ -30,9 +30,8 @@ Seven subcommands drive the whole evaluation through the orchestrator:
 
 ``sweep``, ``alone`` and ``scenario`` share one run path: each builds
 its :class:`~repro.experiment.Experiment` specs and runs them through
-one session owning the store, the sweep executor and the ``--trace``
-merge of worker spans, so ``--jobs`` fans out scenario presets and
-suites just as it fans out sweeps.
+one session owning the store and the sweep executor, so ``--jobs``
+fans out scenario presets and suites just as it fans out sweeps.
 
 Every run-shaped command accepts ``--cores``, ``--refs-per-core``,
 ``--groups``, ``--policies`` and ``--threshold`` to select the slice
@@ -49,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -62,7 +60,7 @@ from repro.engine import EngineUnavailableError
 from repro.experiment import Experiment
 from repro.metrics.figures import METRICS, figure_tables
 from repro.obs.log import progress
-from repro.obs.trace import read_events, to_chrome_trace, trace_key, write_trace_file
+from repro.obs.trace import read_events, to_chrome_trace, write_trace_file
 from repro.orchestration.executor import SweepExecutor, resolve_jobs
 from repro.orchestration.pools import POOL_NAMES, SERIAL
 from repro.orchestration.serialize import scenario_from_dict, scenario_to_dict
@@ -125,13 +123,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="record hierarchical trace spans (sweep/task/run/epoch) and "
              "write the merged trace to FILE on exit — Chrome/Perfetto "
              "JSON when FILE ends in .json, JSONL otherwise (convert "
-             "with `repro trace view`); workers inherit via $REPRO_TRACE",
+             "with `repro trace view`); pool workers ship theirs home",
     )
     obs_flags.add_argument(
         "--metrics", default=None, metavar="FILE",
         help="collect registry metrics and write a Prometheus text dump "
-             "to FILE on exit ('-' prints to stdout); workers inherit "
-             "via $REPRO_METRICS",
+             "to FILE on exit ('-' prints to stdout); pool workers ship "
+             "theirs home",
     )
 
     jobs_flag = argparse.ArgumentParser(add_help=False)
@@ -153,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     quiet_flag = argparse.ArgumentParser(add_help=False)
     quiet_flag.add_argument(
         "--quiet", action="store_true",
-        help="suppress progress lines on stderr (also $REPRO_QUIET); "
-             "result tables still print to stdout",
+        help="suppress progress lines on stderr; result tables still "
+             "print to stdout",
     )
 
     selection = argparse.ArgumentParser(add_help=False)
@@ -427,48 +425,27 @@ def _store_from(options: argparse.Namespace) -> ResultStore:
 def _apply_obs(options: argparse.Namespace) -> None:
     """Honour --quiet/--trace/--metrics before the handler runs.
 
-    The env exports matter as much as the in-process switches: warm pool
-    workers inherit the parent environment, so setting state here
-    covers inline runs and workers alike.
+    The switches are set before the executor exists, so its warm pool
+    captures them and passes them on to its workers.
     """
     if getattr(options, "quiet", False):
         obs.set_quiet(True)
-        os.environ[obs.QUIET_ENV] = "1"
     if getattr(options, "trace", None):
-        os.environ[obs.TRACE_ENV] = "1"
         obs.enable_tracing()
     if getattr(options, "metrics", None):
-        os.environ[obs.METRICS_ENV] = "1"
         obs.enable_metrics()
 
 
-def _finish_obs(options: argparse.Namespace, session: "_Session") -> None:
+def _finish_obs(options: argparse.Namespace) -> None:
     """Write --trace/--metrics output after a run command returns.
 
-    The trace holds the parent's own events plus the trace artifacts
-    workers persisted for every spec the session ran (alone
-    dependencies included; a cached task simulated nothing and has
-    none).
+    The trace holds every event of this process's recorder: its own
+    spans plus those each pool worker shipped home with a task (a
+    cached task simulated nothing and has none).
     """
     trace_path = getattr(options, "trace", None)
     if trace_path:
-        events = list(obs.recorder().events())
-        keys = dict.fromkeys(
-            spec.task_key()
-            for experiment in session.specs
-            for spec in (experiment, *experiment.alone_dependencies())
-        )
-        # Worker artifacts repeat the parent's own inline spans when
-        # tasks ran serially; the pid filter drops those duplicates.
-        pid = os.getpid()
-        for key in keys:
-            payload = session.store.get(trace_key(key)) or {}
-            events.extend(
-                event
-                for event in payload.get("events", ())
-                if event.get("pid") != pid
-            )
-        count = write_trace_file(events, trace_path)
+        count = write_trace_file(obs.recorder().events(), trace_path)
         obs.progress(f"wrote {count} trace event(s) to {trace_path}")
     metrics_path = getattr(options, "metrics", None)
     if metrics_path:
@@ -534,7 +511,7 @@ def _print_figures(
 # The run path: specs -> session -> render
 # ----------------------------------------------------------------------
 class _Session:
-    """The store, executor and specs of one simulating command.
+    """The store and executor of one simulating command.
 
     The engine pin and ``--jobs``/``--pool`` resolve here,
     once; an unavailable engine or a bad pool selection exits cleanly.
@@ -554,15 +531,11 @@ class _Session:
         except (EngineUnavailableError, ValueError) as error:
             raise SystemExit(str(error))
         self.runner = self.executor.runner
-        #: every spec run so far; _finish_obs merges their worker traces
-        self.specs: list[Experiment] = []
         self.computed = self.cached = 0
         self.started = time.perf_counter()
 
     def run(self, specs: Iterable[Experiment]) -> None:
         """Materialise ``specs`` (and their alone dependencies)."""
-        specs = list(specs)
-        self.specs.extend(specs)
         computed, cached = self.executor.prefetch(specs)
         self.computed += computed
         self.cached += cached
@@ -588,7 +561,7 @@ def _run_command(options: argparse.Namespace) -> int:
         code = options.run(options, session)
     finally:
         session.executor.close()
-    _finish_obs(options, session)
+    _finish_obs(options)
     return code
 
 
@@ -763,9 +736,14 @@ def _scenario(options: argparse.Namespace, session: _Session) -> int:
         }
 
     if options.spec:
-        with open(options.spec, "r", encoding="utf-8") as handle:
-            scenario = scenario_from_dict(json.load(handle))
-        scenario.validate(config.n_cores)
+        try:
+            with open(options.spec, "r", encoding="utf-8") as handle:
+                scenario = scenario_from_dict(json.load(handle))
+            scenario.validate(config.n_cores)
+        except (OSError, ValueError) as error:
+            raise SystemExit(
+                f"cannot read scenario spec {options.spec}: {error}"
+            ) from None
         # The comparison baseline must run the spec's own workload mix:
         # each slot's arrival benchmark, present from cycle 0.
         static = Scenario.static(

@@ -4,11 +4,12 @@ A sweep is a set of independent :class:`~repro.experiment.Experiment`
 specs — each spec touches no shared mutable state — so the executor,
 the one object that fans specs out, shards them across a
 :class:`~repro.orchestration.pools.WarmPool` and lets the store
-mediate all communication: a worker simulates its
+carry every result: a worker simulates its
 spec with a private store-backed
 :class:`~repro.sim.runner.ExperimentRunner`, persists the artifact
 under :meth:`Experiment.task_key`, and reports only the spec's label
-and wall time.  The parent then assembles the figure tables entirely
+and wall time (plus, with metrics or tracing on, the task's samples
+and trace events).  The parent then assembles the figure tables entirely
 from cache hits (:meth:`SweepExecutor.sweep` reads every result back
 through the executor's own store-backed runner), which guarantees the
 numbers are bit-identical to a serial in-process run — on every

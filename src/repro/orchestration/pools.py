@@ -35,10 +35,14 @@ pool silently — the worker catches it, and the executor re-raises it
 as a :class:`SweepTaskError` naming the task label, key and backend.
 A worker that dies outright is named the same way.
 
-Metrics: when the parent collects them, every worker ships the counter
-and histogram samples each task recorded inside that task's result
-record, and :meth:`WarmPool.wait_one` adds them into the parent's
-registry (see :mod:`repro.obs.metrics`).
+Observability: the pool captures the parent's three switches (trace,
+metrics, quiet) when it is built and passes them to each worker as
+arguments.  With metrics on, a worker ships the counter and histogram
+samples each task recorded inside that task's result record; with
+tracing on, it ships the task's trace events the same way.
+:meth:`WarmPool.wait_one` adds both into the parent's registry and
+recorder (see :mod:`repro.obs.metrics` and :mod:`repro.obs.trace`), so
+a cached task, which never reaches a worker, contributes nothing.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
 from repro.experiment import Experiment
+from repro.obs import log
 from repro.obs.metrics import (
     enable_metrics,
     merge_samples,
@@ -58,6 +63,7 @@ from repro.obs.metrics import (
     reset_metrics,
     take_samples,
 )
+from repro.obs.trace import enable_tracing, merge_events, recorder, tracing_enabled
 from repro.orchestration.store import ResultStore
 from repro.sim.runner import ExperimentRunner
 
@@ -157,23 +163,32 @@ def _attempt(task: PoolTask, runner: ExperimentRunner) -> PoolResult:
     return PoolResult(task.key, task.label, time.perf_counter() - start, error)
 
 
-def _result_record(task: PoolTask, runner: ExperimentRunner, metrics: bool) -> dict:
+def _result_record(
+    task: PoolTask, runner: ExperimentRunner, metrics: bool, trace: bool
+) -> dict:
     """Run one task in a worker and build the record it sends home:
     the :class:`PoolResult` fields, plus — with metrics on — the
-    samples this task recorded (taking them zeroes the worker's
-    counters, so the next record carries only its own)."""
+    samples this task recorded and — with tracing on — its trace
+    events (taking either empties the worker's copy, so the next
+    record carries only its own)."""
     record = asdict(_attempt(task, runner))
     if metrics:
         record["metrics"] = take_samples()
+    if trace:
+        record["events"] = recorder().take()
     return record
 
 
 def _collect(record: dict) -> PoolResult:
     """The :class:`PoolResult` of one worker record, after adding any
-    metric samples it carries into this process's registry."""
+    metric samples and trace events it carries into this process's
+    registry and recorder."""
     samples = record.pop("metrics", None)
     if samples:
         merge_samples(samples)
+    events = record.pop("events", None)
+    if events:
+        merge_events(events)
     return PoolResult(**record)
 
 
@@ -181,15 +196,22 @@ def _warm_worker(
     store_root: str,
     engine: str | None,
     metrics: bool,
+    trace: bool,
+    quiet: bool,
     tasks: "multiprocessing.Queue",
     results: "multiprocessing.Queue",
 ) -> None:
     """Long-lived worker body: one import, one engine resolution, one
     runner — then batches of tasks until the ``None`` sentinel."""
+    log.set_quiet(quiet)
     if metrics:
         enable_metrics()
         # a forked worker starts with a copy of the parent's samples
         reset_metrics()
+    if trace:
+        # ... and of the parent's recorder: keep it (and so the
+        # parent's clock origin), but not the events it holds
+        enable_tracing().take()
     try:
         # Resolve (and for the compiled engine, build + load the C
         # kernel) exactly once per worker, not once per task.
@@ -204,7 +226,7 @@ def _warm_worker(
         if batch is None:
             return
         for task in batch:
-            results.put(_result_record(task, runner, metrics))
+            results.put(_result_record(task, runner, metrics, trace))
 
 
 class WarmPool:
@@ -213,9 +235,10 @@ class WarmPool:
     Each worker holds one store-backed runner for its whole lifetime,
     so traces (and the loaded engine kernel) amortise across every
     task it runs — the difference that makes many-tiny-task sweeps
-    scale.  Results travel through the shared store, never through
-    the pool.  Safe to keep open across phases; the executor reuses
-    one instance for a whole sweep.
+    scale.  Results travel through the shared store; only a task's
+    outcome, metric samples and trace events travel through the pool.
+    Safe to keep open across phases; the executor reuses one instance
+    for a whole sweep.
     """
 
     #: backend name shown in progress lines and errors
@@ -236,9 +259,12 @@ class WarmPool:
         #: resolved engine pin every worker's runner is built with
         #: (None lets each run resolve ``$REPRO_ENGINE``/auto itself)
         self.engine = engine
-        #: workers ship their metric samples home when the parent
-        #: collects metrics
+        #: the parent's obs switches, passed on to every worker: with
+        #: metrics or tracing on, workers ship their samples or events
+        #: home
         self.metrics = metrics_enabled()
+        self.trace = tracing_enabled()
+        self.quiet = log.quiet()
         self.outstanding = 0
         self._workers: list[multiprocessing.Process] = []
         self._tasks: multiprocessing.Queue | None = None
@@ -256,7 +282,7 @@ class WarmPool:
                 target=_warm_worker,
                 args=(
                     str(self.store.root), self.engine, self.metrics,
-                    self._tasks, self._results,
+                    self.trace, self.quiet, self._tasks, self._results,
                 ),
                 daemon=True,  # never outlive the parent
             )

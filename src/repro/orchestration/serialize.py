@@ -153,21 +153,52 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     }
 
 
-def scenario_from_dict(data: dict[str, Any]) -> Scenario:
+#: fields every scenario event document carries (``benchmark`` is
+#: optional: departures have none)
+_EVENT_FIELDS = ("kind", "core", "at_cycle")
+
+
+def scenario_from_dict(data: Any) -> Scenario:
     """Rebuild a :class:`Scenario` from :func:`scenario_to_dict` output
-    (also the on-disk ``--spec`` file format of ``repro scenario``)."""
-    return Scenario(
-        name=data["name"],
-        events=tuple(
-            ScenarioEvent(
-                kind=event["kind"],
-                core=event["core"],
-                at_cycle=event["at_cycle"],
-                benchmark=event.get("benchmark"),
+    (also the on-disk ``--spec`` file format of ``repro scenario`` and
+    the ``scenario`` document of a corpus spec).
+
+    A malformed document raises :class:`ValueError` naming the missing
+    field, and the event index when an event is at fault.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"a scenario must be a JSON object, got {type(data).__name__}"
+        )
+    missing = [key for key in ("name", "events") if key not in data]
+    if missing:
+        raise ValueError(f"scenario is missing field(s) {', '.join(missing)}")
+    if not isinstance(data["events"], list):
+        raise ValueError("scenario 'events' must be a list")
+    events = []
+    for index, event in enumerate(data["events"]):
+        if not isinstance(event, dict):
+            raise ValueError(f"event #{index} must be an object, got {event!r}")
+        missing = [key for key in _EVENT_FIELDS if key not in event]
+        if missing:
+            raise ValueError(
+                f"event #{index} {event!r} is missing field(s) "
+                f"{', '.join(missing)}"
             )
-            for event in data["events"]
-        ),
-    )
+        try:
+            events.append(
+                ScenarioEvent(
+                    kind=event["kind"],
+                    core=event["core"],
+                    at_cycle=event["at_cycle"],
+                    benchmark=event.get("benchmark"),
+                )
+            )
+        except (TypeError, ValueError) as error:
+            raise ValueError(
+                f"event #{index} {event!r} is invalid: {error}"
+            ) from error
+    return Scenario(name=data["name"], events=tuple(events))
 
 
 # ----------------------------------------------------------------------

@@ -19,10 +19,9 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Mapping
 
 from repro.scenarios.generate import CORPUS_SCHEMA
-from repro.scenarios.model import Scenario, ScenarioEvent
+from repro.scenarios.model import Scenario
 
 
 class CorpusError(ValueError):
@@ -42,10 +41,6 @@ _REQUIRED_FIELDS = {
     "horizon_cycles": int,
     "scenario": dict,
 }
-
-#: required event fields (benchmark is nullable for departures)
-_EVENT_FIELDS = ("kind", "core", "at_cycle")
-
 
 @dataclasses.dataclass(frozen=True)
 class CorpusEntry:
@@ -68,36 +63,6 @@ def corpus_dir() -> Path:
 
 def _fail(path: Path, message: str) -> CorpusError:
     return CorpusError(f"corpus spec {path}: {message}")
-
-
-def _parse_events(path: Path, documents: list) -> tuple[ScenarioEvent, ...]:
-    events = []
-    for index, event in enumerate(documents):
-        if not isinstance(event, Mapping):
-            raise _fail(
-                path, f"event #{index} must be an object, got {event!r}"
-            )
-        missing = [key for key in _EVENT_FIELDS if key not in event]
-        if missing:
-            raise _fail(
-                path,
-                f"event #{index} {dict(event)!r} is missing "
-                f"field(s) {', '.join(missing)}",
-            )
-        try:
-            events.append(
-                ScenarioEvent(
-                    kind=event["kind"],
-                    core=event["core"],
-                    at_cycle=event["at_cycle"],
-                    benchmark=event.get("benchmark"),
-                )
-            )
-        except (TypeError, ValueError) as error:
-            raise _fail(
-                path, f"event #{index} {dict(event)!r} is invalid: {error}"
-            ) from error
-    return tuple(events)
 
 
 def load_spec(path: str | Path) -> CorpusEntry:
@@ -129,14 +94,11 @@ def load_spec(path: str | Path) -> CorpusEntry:
             f"version {CORPUS_SCHEMA}; regenerate the corpus with "
             f"`python -m repro.scenarios.generate`",
         )
-    document = data["scenario"]
-    if "name" not in document or "events" not in document:
-        raise _fail(path, "scenario document needs 'name' and 'events'")
-    if not isinstance(document["events"], list):
-        raise _fail(path, "scenario 'events' must be a list")
-    events = _parse_events(path, document["events"])
+    # Imported here: the serializer imports this package.
+    from repro.orchestration.serialize import scenario_from_dict
+
     try:
-        scenario = Scenario(name=document["name"], events=events)
+        scenario = scenario_from_dict(data["scenario"])
         scenario.validate(data["n_cores"])
     except ValueError as error:
         raise _fail(path, str(error)) from error

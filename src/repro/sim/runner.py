@@ -115,19 +115,14 @@ class ExperimentRunner:
         alone, group and scenario simulations alike.
 
         When tracing is enabled the cache-miss path records a task
-        span and — with a store attached — persists the task's trace
-        events as a ``kind="trace"`` artifact under
-        :func:`repro.obs.trace.trace_key`, so every execution tier
-        (inline or warm workers) ships its traces through
-        the same store plumbing as results.
+        span in this process's recorder (a warm pool worker ships it
+        home with the task's result).
         """
         result = self.cached(experiment)
         if result is not None:
             return result
-        from repro.obs.trace import recorder, timed
+        from repro.obs.trace import timed
 
-        rec = recorder()
-        mark = rec.mark()
         kind = experiment.kind
         with timed(experiment.label, kind=kind, key=experiment.task_key()):
             if kind == "alone":
@@ -137,7 +132,6 @@ class ExperimentRunner:
             else:
                 result = self._simulate_scenario(experiment)
             self._to_store(experiment, result)
-        self._trace_to_store(experiment, rec.events_since(mark))
         self._results[experiment.task_key()] = result
         return result
 
@@ -276,22 +270,6 @@ class ExperimentRunner:
             payload,
             kind=experiment.kind,
             meta=experiment.store_meta(),
-        )
-
-    def _trace_to_store(
-        self, experiment: Experiment, events: list[dict]
-    ) -> None:
-        """Persist one task's trace events next to its result artifact."""
-        if self.store is None or not events:
-            return
-        from repro.obs.trace import task_trace_payload, trace_key
-
-        key = experiment.task_key()
-        self.store.put(
-            trace_key(key),
-            task_trace_payload(key, experiment.label, events),
-            kind="trace",
-            meta={"task": key, "label": experiment.label},
         )
 
     # ------------------------------------------------------------------

@@ -511,7 +511,7 @@ class CMPSimulator:
             # Diagnostics carry only engine-invariant counts: the epoch
             # and event schedules are part of the shared run protocol,
             # so every engine (and every racing worker) serializes the
-            # same bytes.  Wall-clock data stays in the trace artifact.
+            # same bytes.  Wall-clock data stays in the trace.
             self._diagnostics = {
                 "epochs": summary["epochs"],
                 "events": event_index,

@@ -10,6 +10,7 @@ from repro.dvfs.governors import (
     CoordinatedGovernor,
     CoordinatedParams,
     CoreTelemetry,
+    FixedGovernor,
     GovernorSpec,
     OndemandGovernor,
     OndemandParams,
@@ -141,6 +142,12 @@ class TestFixedGovernor:
             build_governor(
                 GovernorSpec("fixed", freq_mhz=1700), default_vf_table(), 2
             )
+
+    def test_unknown_frequency_fails_when_the_spec_is_built(self):
+        with pytest.raises(ValueError, match="1700 MHz is not an operating point"):
+            GovernorSpec("fixed", freq_mhz=1700)
+        with pytest.raises(ValueError, match="1700 MHz is not an operating point"):
+            FixedGovernor(default_vf_table(), 2, freq_mhz=1700)
 
 
 class TestOndemandGovernor:

@@ -9,8 +9,6 @@ instrumentation into the rest of the suite.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.obs.metrics import disable_metrics, reset_metrics
@@ -18,19 +16,11 @@ from repro.obs.trace import NULL_RECORDER, set_recorder
 
 
 @pytest.fixture(autouse=True)
-def clean_obs_state(monkeypatch):
-    monkeypatch.delenv("REPRO_TRACE", raising=False)
-    monkeypatch.delenv("REPRO_METRICS", raising=False)
-    monkeypatch.delenv("REPRO_QUIET", raising=False)
+def clean_obs_state():
     disable_metrics()
     reset_metrics()
     set_recorder(NULL_RECORDER)
     yield
-    # the CLI's _apply_obs writes os.environ directly (so workers
-    # inherit the switches) — monkeypatch never saw those writes, so
-    # strip them by hand before the next test or package runs
-    for name in ("REPRO_TRACE", "REPRO_METRICS", "REPRO_QUIET"):
-        os.environ.pop(name, None)
     disable_metrics()
     reset_metrics()
     set_recorder(NULL_RECORDER)

@@ -1,21 +1,20 @@
 """The observability CLI surface: --trace/--metrics/--quiet flags,
 the merged trace file, and ``repro trace view``."""
 
+import collections
 import json
+import os
 
 import pytest
 
 from repro.obs.metrics import reset_metrics
+from repro.obs.trace import NULL_RECORDER, set_recorder
 from repro.orchestration.cli import main
 
 
 @pytest.fixture(autouse=True)
-def keep_env_clean(monkeypatch, tmp_path):
-    """_apply_obs exports $REPRO_TRACE/$REPRO_METRICS for workers;
-    monkeypatch scopes those exports (and the store) to each test."""
+def store_per_test(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_STORE", str(tmp_path / "store"))
-    monkeypatch.delenv("REPRO_TRACE", raising=False)
-    monkeypatch.delenv("REPRO_METRICS", raising=False)
 
 
 def _sweep(*extra):
@@ -96,6 +95,87 @@ def _engine_lines(text):
             "repro_store_artifacts_written_total",
         ))
     )
+
+
+#: the one-group ucp sweep whose trace the worker-event tests read
+TRACED_SWEEP = ["sweep", "--cores", "2", "--groups", "1", "--policies", "ucp",
+                "--refs-per-core", "3000", "--quiet"]
+
+
+def _traced_sweep(tmp_path, name, store, *pool):
+    """Run the traced sweep in a fresh recorder; its events."""
+    set_recorder(NULL_RECORDER)
+    trace = tmp_path / f"{name}.jsonl"
+    assert main([*TRACED_SWEEP, "--store", str(store), "--trace", str(trace),
+                 *pool]) == 0
+    return [json.loads(line) for line in trace.read_text().splitlines()]
+
+
+def _simulation_events(events):
+    return [
+        event for event in events
+        if event.get("cat") == "task"
+        or event["name"] in ("run", "kernel_span")
+    ]
+
+
+class TestWorkerEvents:
+    """Pooled tasks send their trace events home on the result record,
+    beside their metric samples; the store holds results only."""
+
+    def test_a_resumed_sweep_records_no_task_events(self, tmp_path):
+        store = tmp_path / "store"
+        first = _traced_sweep(tmp_path, "first", store, "--jobs", "2")
+        assert sum(event.get("cat") == "task" for event in first) == 3
+        second = _traced_sweep(tmp_path, "second", store, "--jobs", "2")
+        (sweep,) = [event for event in second if event["name"] == "sweep"]
+        assert sweep["args"]["pending"] == 0
+        assert _simulation_events(second) == []
+
+    def test_warm_and_serial_traces_agree(self, tmp_path):
+        traces = {
+            pool: _traced_sweep(tmp_path, pool, tmp_path / pool, *argv)
+            for pool, argv in POOL_ARGUMENTS.items()
+        }
+        tasks = {
+            pool: collections.Counter(
+                event["name"] for event in events if event.get("cat") == "task"
+            )
+            for pool, events in traces.items()
+        }
+        assert tasks["warm"] == tasks["serial"]
+        assert sum(tasks["serial"].values()) == 3
+        runs = {
+            pool: sum(event["name"] == "run" for event in events)
+            for pool, events in traces.items()
+        }
+        assert runs["warm"] == runs["serial"] == 3
+        # the warm tasks ran in the workers, not in this process
+        assert all(
+            event["pid"] != os.getpid()
+            for event in _simulation_events(traces["warm"])
+        )
+
+    def test_worker_events_lie_inside_the_sweep_span(self, tmp_path):
+        events = _traced_sweep(
+            tmp_path, "warm", tmp_path / "store", *POOL_ARGUMENTS["warm"]
+        )
+        (sweep,) = [event for event in events if event["name"] == "sweep"]
+        worker = [event for event in events if event["pid"] != os.getpid()]
+        assert worker
+        for event in worker:
+            assert sweep["ts"] <= event["ts"]
+            assert event["ts"] + event.get("dur", 0) <= sweep["ts"] + sweep["dur"]
+
+    def test_the_store_holds_results_only(self, tmp_path):
+        for pool, argv in POOL_ARGUMENTS.items():
+            store = tmp_path / pool
+            _traced_sweep(tmp_path, pool, store, *argv)
+            kinds = {
+                json.loads(path.read_text())["kind"]
+                for path in store.glob("*.json")
+            }
+            assert kinds == {"alone", "group"}
 
 
 class TestMetricsFlag:

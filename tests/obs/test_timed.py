@@ -122,8 +122,9 @@ class TestTimed:
         assert {e["name"] for e in gets} == {"store.get"}
         assert len(gets) == reads["reads"] > 1
         assert all(e["ph"] == "X" and e["dur"] >= 0 for e in store)
-        # three results plus one trace artifact per computed task
-        assert len(puts) == seen["batches"] == 6
+        # one put per computed task: three results, and no trace
+        # artifact beside them (trace events never reach the store)
+        assert len(puts) == seen["batches"] == 3
         assert sum(e["args"]["artifacts"] for e in puts) == seen["artifacts"]
         # nothing was observed: metrics stayed off
         assert list(builtin.STORE_PUT_SECONDS.collect()) == []

@@ -17,8 +17,8 @@ from repro.obs.trace import (
     recorder,
     set_recorder,
     timed,
+    merge_events,
     to_chrome_trace,
-    trace_key,
     tracing_enabled,
     write_jsonl,
     write_trace_file,
@@ -35,7 +35,7 @@ class TestNullRecorder:
         null.epoch(100)
         assert null.run_end() == {}
         assert null.events() == []
-        assert null.events_since(null.mark()) == []
+        assert null.take() == []
         assert null.summary() == {}
 
     def test_default_recorder_is_the_null(self):
@@ -60,15 +60,33 @@ class TestSpans:
         rec.end(12345)
         assert len(rec.events()) == before
 
-    def test_mark_and_events_since(self):
+    def test_take_drains_the_log(self):
         rec = TraceRecorder()
-        mark = rec.mark()
+        rec.end(rec.begin("first"))
+        assert [e["name"] for e in rec.take()] == ["trace_start", "first"]
+        assert rec.take() == []
         rec.end(rec.begin("after"))
-        fresh = rec.events_since(mark)
-        assert [e["name"] for e in fresh] == ["after"]
-        # returned events are copies: mutation cannot corrupt the log
-        fresh[0]["name"] = "mutated"
-        assert [e["name"] for e in rec.events_since(mark)] == ["after"]
+        taken = rec.take()
+        assert [e["name"] for e in taken] == ["after"]
+        assert rec.events() == [] and rec.take() == []
+
+    def test_events_are_copies(self):
+        rec = TraceRecorder()
+        rec.end(rec.begin("one"))
+        rec.events()[-1]["name"] = "mutated"
+        assert rec.events()[-1]["name"] == "one"
+
+    def test_merge_events_appends_to_a_live_recorder_only(self):
+        worker = TraceRecorder()
+        worker.end(worker.begin("task"))
+        shipped = worker.take()
+        merge_events(shipped)  # the default null recorder drops them
+        assert recorder().events() == []
+        parent = enable_tracing()
+        merge_events(shipped)
+        assert [e["name"] for e in parent.events()][-2:] == [
+            "trace_start", "task"
+        ]
 
     def test_trace_start_carries_the_wall_anchor(self):
         rec = TraceRecorder()
@@ -158,12 +176,6 @@ class TestGlobals:
         previous = set_recorder(mine)
         assert previous is NULL_RECORDER
         assert set_recorder(previous) is mine
-
-    def test_trace_key_is_stable_and_distinct(self):
-        key = "a" * 64
-        assert trace_key(key) == trace_key(key)
-        assert trace_key(key) != key
-        assert len(trace_key(key)) == 64
 
 
 class TestFileFormats:

@@ -223,6 +223,18 @@ class TestGovernorSelection:
             ])
         assert not store.exists() or not any(store.iterdir())
 
+    def test_unknown_fixed_frequency_fails_before_any_work(self, tmp_path):
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit, match="bad --governor selection") as caught:
+            main([
+                "sweep", "--groups", "1", "--policies", "ucp",
+                "--refs-per-core", "2000", "--governor", "fixed",
+                "--governor-param", "freq_mhz=1700", "--jobs", "2",
+                "--store", str(store),
+            ])
+        assert "1700 MHz is not an operating point" in str(caught.value)
+        assert not store.exists() or not any(store.iterdir())
+
     def test_inverted_ondemand_thresholds_fail_before_any_work(self, tmp_path):
         store = tmp_path / "store"
         with pytest.raises(SystemExit, match="bad --governor selection") as caught:
@@ -383,6 +395,27 @@ class TestScenario:
                      "--store", str(tmp_path / "store")])
         assert code == 0
         assert "from-spec" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "document, reason",
+        [
+            ({"name": "x", "events": [{"kind": "arrive", "core": 0}]},
+             r"event #0 .* is missing field\(s\) at_cycle"),
+            ({"events": []}, r"scenario is missing field\(s\) name"),
+        ],
+        ids=["event-without-at_cycle", "no-name"],
+    )
+    def test_malformed_spec_file_is_a_named_error(
+        self, tmp_path, store_arguments, document, reason
+    ):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(SystemExit) as caught:
+            main([*self.ARGS, "--spec", str(path), *store_arguments])
+        assert re.fullmatch(
+            f"cannot read scenario spec {re.escape(str(path))}: {reason}",
+            str(caught.value),
+        )
 
     def test_pooled_preset_reports_progress_and_matches_inline(
         self, tmp_path, capsys, monkeypatch

@@ -98,8 +98,7 @@ def record_outputs(root: Path) -> dict[str, str]:
     store = str(root / "store")
     outputs: dict[str, str] = {}
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("REPRO_JOBS", "REPRO_POOL", "REPRO_HOSTS", "REPRO_TRACE",
-                     "REPRO_METRICS"):
+        for name in ("REPRO_JOBS", "REPRO_POOL"):
             patch.delenv(name, raising=False)
         for case, argv, with_stderr in CASES:
             argv = [arg.format(**inputs) for arg in argv]

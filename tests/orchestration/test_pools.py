@@ -13,12 +13,14 @@ import pytest
 import repro
 from repro.engine import COMPILED, PYTHON, compiled_available
 from repro.experiment import Experiment
-from repro.obs.trace import TraceRecorder, set_recorder, trace_key
+from repro.obs import log
+from repro.obs.trace import NULL_RECORDER, TraceRecorder, set_recorder
 from repro.orchestration.executor import SweepExecutor
 from repro.orchestration.pools import (
     PoolTask,
     SweepTaskError,
     WarmPool,
+    _warm_worker,
     resolve_pool_name,
 )
 from repro.orchestration.store import ResultStore
@@ -70,10 +72,10 @@ class TestEnginePin:
             monkeypatch.setenv("REPRO_ENGINE", other)
         else:
             monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        monkeypatch.setenv("REPRO_TRACE", "1")
         spec = Experiment("G2-4", "ucp", tiny_two_core)
         store = ResultStore(tmp_path / "store")
-        previous = set_recorder(TraceRecorder())
+        rec = TraceRecorder()
+        previous = set_recorder(rec)
         try:
             with SweepExecutor(
                 store, max_workers=2, engine=engine, pool=pool
@@ -81,19 +83,28 @@ class TestEnginePin:
                 assert executor.prefetch([spec]) == (3, 0)
         finally:
             set_recorder(previous)
+        spans = _kernel_spans_per_task(rec.events())
         keys = [d.task_key() for d in spec.alone_dependencies()]
-        keys.append(spec.task_key())
-        spans = {}
-        for key in keys:
-            payload = store.get(trace_key(key))
-            assert payload is not None, f"no trace artifact for {key[:12]}"
-            spans[key] = sum(
-                event["name"] == "kernel_span" for event in payload["events"]
-            )
+        assert sorted(spans) == sorted([*keys, spec.task_key()])
         if engine == PYTHON:
             assert set(spans.values()) == {0}
         else:
             assert min(spans.values()) >= 1
+
+
+def _kernel_spans_per_task(events):
+    """Kernel-span events inside each task span (same process, within
+    its time range), keyed by the task's store key."""
+    tasks = [event for event in events if event.get("cat") == "task"]
+    return {
+        task["args"]["key"]: sum(
+            event["name"] == "kernel_span"
+            and event["pid"] == task["pid"]
+            and task["ts"] <= event["ts"] <= task["ts"] + task["dur"]
+            for event in events
+        )
+        for task in tasks
+    }
 
 
 class _ListQueue(list):
@@ -150,6 +161,48 @@ class TestWarmPoolQueue:
         pool.close()
         pool.close()
         assert pool.outstanding == 0
+
+
+class _ListTasks:
+    """Stands in for the task queue a worker reads: yields the given
+    batches, then the ``None`` sentinel."""
+
+    def __init__(self, *batches):
+        self._items = [*batches, None]
+
+    def get(self):
+        return self._items.pop(0)
+
+
+class TestWarmWorker:
+    """The worker body driven in this process over list-backed queues:
+    no process starts."""
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    def test_a_record_carries_the_task_events_only_when_tracing(
+        self, tmp_path, tiny_two_core, trace
+    ):
+        spec = Experiment.alone_run("lbm", system=tiny_two_core)
+        results = _ListQueue()
+        previous = set_recorder(NULL_RECORDER)
+        was_quiet = log.quiet()
+        try:
+            _warm_worker(
+                str(tmp_path / "store"), PYTHON, False, trace, was_quiet,
+                _ListTasks([PoolTask.from_experiment(spec)]), results,
+            )
+        finally:
+            set_recorder(previous)
+        (record,) = results
+        assert record["error"] is None and record["label"] == spec.label
+        assert "metrics" not in record
+        if not trace:
+            assert "events" not in record
+            return
+        tasks = [event for event in record["events"] if event["cat"] == "task"]
+        assert [task["name"] for task in tasks] == [spec.label]
+        assert tasks[0]["args"]["key"] == spec.task_key()
+        assert "trace_start" not in {event["name"] for event in record["events"]}
 
 
 class TestPoolTask:

@@ -110,6 +110,28 @@ def test_scenario_round_trips_through_json():
     assert hash(rebuilt) == hash(scenario)
 
 
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ([], "must be a JSON object"),
+        ({"events": []}, r"missing field\(s\) name"),
+        ({"name": "x"}, r"missing field\(s\) events"),
+        ({"name": "x", "events": {}}, "'events' must be a list"),
+        ({"name": "x", "events": [7]}, "event #0 must be an object"),
+        ({"name": "x", "events": [
+            {"kind": "arrive", "core": 0, "at_cycle": 0, "benchmark": "lbm"},
+            {"kind": "depart", "core": 0},
+        ]}, r"event #1 .* missing field\(s\) at_cycle"),
+        ({"name": "x", "events": [{"kind": "arrive", "core": -1,
+                                   "at_cycle": 0, "benchmark": "lbm"}]},
+         "event #0 .* is invalid: core must be non-negative"),
+    ],
+)
+def test_scenario_from_dict_names_what_is_wrong(document, message):
+    with pytest.raises(ValueError, match=message):
+        scenario_from_dict(document)
+
+
 def test_scenarios_are_hashable_cache_keys():
     a = consolidation_scenario(["lbm", "soplex"], [1], 100)
     b = consolidation_scenario(["lbm", "soplex"], [1], 100)
