@@ -208,23 +208,18 @@ def _analysis_surface() -> dict[str, Any]:
 
 
 def _obs_surface() -> dict[str, Any]:
-    """The metric registry, trace recorder and enable switches."""
+    """The metric catalogue, trace recorder and enable switches."""
     import repro.obs as obs
     from repro.obs.log import progress
-    from repro.obs.metrics import (
-        register_metric,
-        registered_metrics,
-        render_prometheus,
-    )
+    from repro.obs.metrics import CATALOGUE, render_prometheus
     from repro.obs.trace import NullRecorder, TraceRecorder
 
-    metrics: dict[str, Any] = {}
-    for info in registered_metrics():
-        metrics[info.name] = {"kind": info.kind, "unit": info.unit}
     return {
         "all": sorted(obs.__all__),
-        "metrics": metrics,
-        "register_metric": _signature_of(register_metric),
+        "metrics": {
+            metric.name: {"kind": metric.kind, "unit": metric.unit}
+            for metric in CATALOGUE
+        },
         "render_prometheus": _signature_of(render_prometheus),
         "null_recorder": _public_methods(NullRecorder),
         "trace_recorder": _public_methods(TraceRecorder),

@@ -71,7 +71,6 @@ from repro.engine.build import (
     load_kernel,
 )
 from repro.monitor.umon import UtilityMonitor
-from repro.obs import builtin as obs_metrics
 from repro.obs.log import note_fallback
 from repro.obs.trace import timed
 from repro.partitioning.lookahead import AllocationResult, check_lookahead
@@ -92,9 +91,6 @@ _EVBUF_TRIPLES = 4096
 _EV_FLUSH_TL = 1
 _EV_TFB = 2
 _EV_TRANS_DUR = 3
-
-#: the kernel span's count arg and the histogram it feeds
-_SPAN_COUNTS = {"refs": obs_metrics.KERNEL_SPAN_REFS}
 
 
 @cache
@@ -733,10 +729,7 @@ def run_compiled(sim):
     while unfinished:
         boundary = next_epoch if next_epoch < next_event else next_event
         refs_before = sum(refs_done)
-        with timed(
-            "kernel_span", obs_metrics.KERNEL_SPAN_SECONDS, cat="kernel",
-            counts=_SPAN_COUNTS, boundary=boundary,
-        ) as span:
+        with timed("kernel_span", cat="kernel", boundary=boundary) as span:
             marshal.enter(boundary, unfinished, warmed_up)
             status = run_span(ctx_ptr)
             marshal.leave()

@@ -1,13 +1,13 @@
-"""Observability: metrics registry, hierarchical tracing, progress log.
+"""Observability: one trace record, the metrics read from it, progress.
 
 Three small modules, all off by default and all zero-overhead when off:
 
-- :mod:`repro.obs.metrics` — counters/gauges/histograms behind a
-  ``register_metric`` decorator (``--metrics``).
-- :mod:`repro.obs.trace` — sweep → task → run → epoch spans exported as
-  JSONL or Chrome trace-event JSON (``--trace``), and
-  :func:`timed`, the one timing primitive, which feeds both a span and
-  the site's metrics from one pair of clock reads.
+- :mod:`repro.obs.trace` — the recorder: sweep → task → run → epoch
+  spans exported as JSONL or Chrome trace-event JSON (``--trace``),
+  and :func:`timed`, the one timing primitive.
+- :mod:`repro.obs.metrics` — a fixed metric catalogue rendered as
+  Prometheus text from the recorded events after the command
+  (``--metrics``, which turns recording on as ``--trace`` does).
 - :mod:`repro.obs.log` — the single progress-line helper honouring
   ``--quiet``.
 
@@ -15,17 +15,7 @@ See docs/observability.md for the metric catalogue and trace format.
 """
 
 from repro.obs.log import progress, quiet, set_quiet
-from repro.obs.metrics import (
-    METRIC_NAMES,
-    disable_metrics,
-    enable_metrics,
-    metrics_enabled,
-    register_metric,
-    registered_metrics,
-    render_prometheus,
-    reset_metrics,
-    snapshot,
-)
+from repro.obs.metrics import enable_metrics, render_prometheus, snapshot
 from repro.obs.trace import (
     NULL_RECORDER,
     NullRecorder,
@@ -39,22 +29,16 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "METRIC_NAMES",
     "NULL_RECORDER",
     "NullRecorder",
     "TraceRecorder",
-    "disable_metrics",
     "disable_tracing",
     "enable_metrics",
     "enable_tracing",
-    "metrics_enabled",
     "progress",
     "quiet",
     "recorder",
-    "register_metric",
-    "registered_metrics",
     "render_prometheus",
-    "reset_metrics",
     "set_quiet",
     "set_recorder",
     "snapshot",

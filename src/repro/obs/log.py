@@ -35,11 +35,12 @@ _noted: set[str] = set()
 
 
 def note_fallback(layer: str, line: str) -> None:
-    """Count one C-kernel-to-Python fallback in ``layer``
-    (``repro_kernel_fallbacks_total``); print ``line`` once per process."""
-    from repro.obs.builtin import KERNEL_FALLBACKS
+    """Record one C-kernel-to-Python fallback in ``layer`` as a
+    ``fallback`` event (``repro_kernel_fallbacks_total``); print
+    ``line`` once per process."""
+    from repro.obs.trace import recorder
 
-    KERNEL_FALLBACKS.inc(layer=layer)
+    recorder().instant("fallback", cat="fallback", layer=layer)
     if layer not in _noted:
         _noted.add(layer)
         progress(line)

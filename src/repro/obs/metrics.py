@@ -1,36 +1,25 @@
-"""Metrics registry: counters, gauges, and histograms behind one decorator.
+"""The ``--metrics`` view: a fixed catalogue read from the recorded trace.
 
-The catalogue is a :class:`repro.registry.Registry`, like the policy,
-governor and rule registries: metrics are declared once via
-:func:`register_metric` (or the :func:`counter` / :func:`gauge` /
-:func:`histogram` convenience constructors, which register through the same
-path), duplicate names raise, and the built-in catalogue in
-``repro.obs.builtin`` loads lazily on first registry lookup.
+The trace recorder (:mod:`repro.obs.trace`) is the one observability
+record.  ``--metrics FILE`` turns recording on, as ``--trace`` does,
+and after the command renders the Prometheus text exposition from the
+events the recorder holds — its own and those each pool worker sent
+home with a task — so a dump reads the same on every pool.  Nothing
+is counted while the program runs: each metric is a sum or a
+histogram over one kind of event (see :func:`_observations` and the
+catalogue table in docs/observability.md).
 
-The whole subsystem is gated on a single module flag so the disabled path is
-a handful of attribute loads and one branch per call site: ``inc`` /
-``set`` / ``observe`` return immediately unless :func:`enable_metrics` ran
-(a warm pool enables it in its workers when the parent had it on).
-
-Pool workers record into their own process's registry.  After each task
-a worker drains its counters and histograms with :func:`take_samples` and
-ships the document home with the task's result; the parent adds it into
-its registry with :func:`merge_samples`, so a ``--metrics`` dump reads the
-same on every pool.  Gauges are levels, not deltas, and are not shipped.
-
-Scrape output is deterministic: metric names, label sets, and histogram
-buckets all render in sorted order, both for the Prometheus text format
-that ``--metrics`` writes and for :func:`snapshot`.
+Output is deterministic: metrics render sorted by name, series by
+label set and histogram buckets in ascending order, both for the
+Prometheus text and for :func:`snapshot`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
-from repro.registry import Registry
-
-METRIC_KINDS = ("counter", "gauge", "histogram")
+from repro.obs.trace import enable_tracing, recorder
 
 #: Histogram bucket presets.  Seconds buckets cover sub-millisecond store
 #: probes up to multi-second pool tasks; size buckets are powers of two
@@ -43,22 +32,108 @@ SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
 
 LabelItems = tuple[tuple[str, str], ...]
 
-_enabled = False
-
-
-def metrics_enabled() -> bool:
-    """True when instruments record samples (default: off)."""
-    return _enabled
-
 
 def enable_metrics() -> None:
-    global _enabled
-    _enabled = True
+    """Turn recording on: the metrics are read from the recorded events."""
+    enable_tracing()
 
 
-def disable_metrics() -> None:
-    global _enabled
-    _enabled = False
+@dataclass(frozen=True)
+class Metric:
+    """One catalogue entry; ``buckets`` is set for a histogram only."""
+
+    name: str
+    kind: str
+    help: str
+    unit: str = ""
+    buckets: tuple[float, ...] = ()
+
+
+def _counter(name: str, help: str) -> Metric:
+    return Metric(name, "counter", help)
+
+
+def _histogram(
+    name: str, help: str, unit: str = "seconds",
+    buckets: tuple[float, ...] = SECONDS_BUCKETS,
+) -> Metric:
+    return Metric(name, "histogram", help, unit, buckets)
+
+
+#: every metric, sorted by name
+CATALOGUE = tuple(sorted((
+    # -- engine
+    _counter("repro_engine_runs_total", "Simulation runs completed, by policy."),
+    _counter("repro_engine_epochs_total",
+             "Partitioning epochs executed across all runs."),
+    _counter("repro_kernel_fallbacks_total",
+             "Work the C kernel could have done that ran in Python, by layer."),
+    _histogram("repro_kernel_span_refs",
+               "References retired per compiled-kernel span.",
+               unit="refs", buckets=SIZE_BUCKETS),
+    _histogram("repro_kernel_span_seconds", "Wall time per compiled-kernel span."),
+    # -- partitioning mechanics (paper section 4)
+    _counter("repro_takeover_events_total",
+             "Way takeover events observed at run end, by kind."),
+    _counter("repro_way_transitions_total", "Way ownership transitions started."),
+    _counter("repro_transfer_flushes_total",
+             "Dirty-line flushes caused by way transfers."),
+    _counter("repro_power_gate_drops_total",
+             "Timeline steps where powered-way count dropped (ways gated off)."),
+    # -- result store
+    _histogram("repro_store_get_seconds", "Latency of ResultStore artifact reads."),
+    _histogram("repro_store_put_seconds", "Latency of ResultStore.put_many batches."),
+    _counter("repro_store_artifacts_written_total",
+             "Artifacts written to the ResultStore."),
+    # -- executor
+    _histogram("repro_task_wall_seconds",
+               "Per-task wall time as reported by the pool backend."),
+    _histogram("repro_task_queue_seconds",
+               "Per-task time between submit and completion minus run time."),
+    _counter("repro_tasks_completed_total",
+             "Sweep tasks collected from a pool, by backend and outcome."),
+), key=lambda metric: metric.name))
+
+
+def _observations(
+    events: Iterable[dict],
+) -> Iterator[tuple[str, LabelItems, float]]:
+    """Every ``(metric, labels, value)`` the events hold: a counter
+    adds the value, a histogram observes it."""
+    for event in events:
+        cat, name, args = event["cat"], event["name"], event["args"]
+        seconds = event.get("dur", 0.0) / 1e6
+        if cat == "engine" and name == "run":
+            yield "repro_engine_runs_total", (("policy", args["policy"]),), 1
+            yield "repro_engine_epochs_total", (), args["epochs"]
+            for kind, count in args["takeover_events"].items():
+                yield "repro_takeover_events_total", (("kind", kind),), count
+            yield "repro_way_transitions_total", (), args["transitions_started"]
+            yield "repro_transfer_flushes_total", (), args["transfer_flushes"]
+            yield "repro_power_gate_drops_total", (), args["gate_drops"]
+        elif cat == "kernel":
+            yield "repro_kernel_span_refs", (), args["refs"]
+            yield "repro_kernel_span_seconds", (), seconds
+        elif cat == "fallback":
+            yield "repro_kernel_fallbacks_total", (("layer", args["layer"]),), 1
+        elif cat == "store" and name == "store.get":
+            yield "repro_store_get_seconds", (), seconds
+        elif cat == "store" and name == "store.put":
+            yield "repro_store_put_seconds", (), seconds
+            if "artifacts" in args:  # unset when the write raised
+                yield "repro_store_artifacts_written_total", (), args["artifacts"]
+        elif cat == "pool":
+            backend = (("backend", args["backend"]),)
+            yield "repro_tasks_completed_total", (
+                *backend, ("outcome", args["outcome"]),
+            ), 1
+            yield "repro_task_wall_seconds", backend, args["seconds"]
+            # The span runs from submit to collection; a task that ran
+            # inline was never queued.
+            if args["backend"] != "serial":
+                yield "repro_task_queue_seconds", backend, max(
+                    0.0, seconds - args["seconds"]
+                )
 
 
 @dataclass(frozen=True)
@@ -66,7 +141,7 @@ class Sample:
     """One rendered time-series value.
 
     ``suffix`` distinguishes histogram series (``_bucket`` / ``_sum`` /
-    ``_count``) from the bare metric name used by counters and gauges.
+    ``_count``) from the bare metric name used by counters.
     """
 
     labels: LabelItems
@@ -74,281 +149,38 @@ class Sample:
     suffix: str = ""
 
 
-# Collector callables yield the current samples for one metric.
-MetricSource = Callable[[], Iterable[Sample]]
+def _samples(events: Iterable[dict]) -> dict[str, list[Sample]]:
+    """Every catalogue metric's samples over ``events``.  A counter
+    series appears with its first nonzero count."""
+    series: dict[str, dict[LabelItems, list[float]]] = {
+        metric.name: {} for metric in CATALOGUE
+    }
+    for name, labels, value in _observations(events):
+        series[name].setdefault(labels, []).append(value)
+    samples: dict[str, list[Sample]] = {}
+    for metric in CATALOGUE:
+        rows: list[Sample] = []
+        for labels, values in sorted(series[metric.name].items()):
+            if metric.kind == "histogram":
+                rows.extend(_histogram_samples(metric.buckets, labels, values))
+            elif any(values):
+                rows.append(Sample(labels, float(sum(values))))
+        samples[metric.name] = rows
+    return samples
 
 
-@dataclass(frozen=True)
-class RegisteredMetric:
-    name: str
-    kind: str
-    help: str
-    unit: str
-    source: MetricSource
-    #: The imperative instrument, when one backs this metric (None for
-    #: metrics registered as bare collector functions).
-    instrument: "Metric | None" = field(default=None, compare=False)
-
-
-_REGISTRY: Registry[RegisteredMetric] = Registry(
-    "metric", "metrics", modules=("repro.obs.builtin",)
-)
-#: Live, set-like view of registered metric names (``in``, ``len``).
-METRIC_NAMES = _REGISTRY
-
-
-def register_metric(
-    name: str,
-    *,
-    kind: str,
-    help: str = "",
-    unit: str = "",
-    instrument: "Metric | None" = None,
-) -> Callable[[MetricSource], MetricSource]:
-    """Register a metric under ``name``; decorates its sample source.
-
-    The decorated callable takes no arguments and yields :class:`Sample`
-    rows each scrape.  Most call sites want :func:`counter` /
-    :func:`gauge` / :func:`histogram` instead, which build an imperative
-    instrument and register its collector through this same decorator.
-    """
-    if kind not in METRIC_KINDS:
-        raise ValueError(
-            f"unknown metric kind {kind!r}; expected one of {METRIC_KINDS}"
+def _histogram_samples(
+    buckets: tuple[float, ...], labels: LabelItems, values: list[float]
+) -> Iterator[Sample]:
+    for bound in buckets:
+        yield Sample(
+            labels + (("le", _format_value(bound)),),
+            float(sum(value <= bound for value in values)),
+            "_bucket",
         )
-    if not name or not name.replace("_", "a").isidentifier():
-        raise ValueError(f"invalid metric name {name!r}")
-
-    def decorate(source: MetricSource) -> MetricSource:
-        _REGISTRY.add(name, source, RegisteredMetric(
-            name=name, kind=kind, help=help, unit=unit, source=source,
-            instrument=instrument,
-        ))
-        return source
-
-    return decorate
-
-
-def unregister_metric(name: str) -> None:
-    """Remove a registered metric (tests use this to clean up)."""
-    _REGISTRY.remove(name)
-
-
-def metric_info(name: str) -> RegisteredMetric:
-    return _REGISTRY.info(name)
-
-
-def registered_metrics() -> list[RegisteredMetric]:
-    """All metrics, sorted by name for deterministic output."""
-    return [_REGISTRY.info(name) for name in sorted(_REGISTRY.names())]
-
-
-def _label_key(labels: dict[str, str]) -> LabelItems:
-    if not labels:
-        return ()
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
-class Metric:
-    """Base imperative instrument; subclasses add the update verbs."""
-
-    kind = ""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def collect(self) -> Iterable[Sample]:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def reset(self) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class Counter(Metric):
-    kind = "counter"
-
-    def __init__(self, name: str):
-        super().__init__(name)
-        self._values: dict[LabelItems, float] = {}
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        if not _enabled:
-            return
-        if amount < 0:
-            raise ValueError("counters only go up")
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def collect(self) -> Iterable[Sample]:
-        for key in sorted(self._values):
-            yield Sample(labels=key, value=self._values[key])
-
-    def reset(self) -> None:
-        self._values.clear()
-
-    def take(self) -> list:
-        """Every series as a ``[labels, value]`` row, zeroing them."""
-        rows = [[key, value] for key, value in sorted(self._values.items())]
-        self._values.clear()
-        return rows
-
-    def merge(self, rows: list) -> None:
-        """Add rows from :meth:`take` (possibly another process's)."""
-        for labels, value in rows:
-            key = _row_key(labels)
-            self._values[key] = self._values.get(key, 0.0) + value
-
-
-class Gauge(Metric):
-    kind = "gauge"
-
-    def __init__(self, name: str):
-        super().__init__(name)
-        self._values: dict[LabelItems, float] = {}
-
-    def set(self, value: float, **labels: str) -> None:
-        if not _enabled:
-            return
-        self._values[_label_key(labels)] = float(value)
-
-    def collect(self) -> Iterable[Sample]:
-        for key in sorted(self._values):
-            yield Sample(labels=key, value=self._values[key])
-
-    def reset(self) -> None:
-        self._values.clear()
-
-
-class Histogram(Metric):
-    kind = "histogram"
-
-    def __init__(self, name: str, buckets: tuple[float, ...] = SECONDS_BUCKETS):
-        super().__init__(name)
-        if not buckets or tuple(sorted(buckets)) != tuple(buckets):
-            raise ValueError("histogram buckets must be sorted and non-empty")
-        self.buckets = tuple(float(b) for b in buckets)
-        # Per label-set: [per-bucket counts..., +Inf count], sum.
-        self._counts: dict[LabelItems, list[int]] = {}
-        self._sums: dict[LabelItems, float] = {}
-
-    def observe(self, value: float, **labels: str) -> None:
-        if not _enabled:
-            return
-        key = _label_key(labels)
-        counts = self._counts.get(key)
-        if counts is None:
-            counts = [0] * (len(self.buckets) + 1)
-            self._counts[key] = counts
-            self._sums[key] = 0.0
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                counts[index] += 1
-                break
-        else:
-            counts[len(self.buckets)] += 1
-        self._sums[key] = self._sums[key] + value
-
-    def collect(self) -> Iterable[Sample]:
-        for key in sorted(self._counts):
-            counts = self._counts[key]
-            cumulative = 0
-            for bound, count in zip(self.buckets, counts):
-                cumulative += count
-                yield Sample(
-                    labels=key + (("le", _format_value(bound)),),
-                    value=float(cumulative),
-                    suffix="_bucket",
-                )
-            cumulative += counts[-1]
-            yield Sample(
-                labels=key + (("le", "+Inf"),),
-                value=float(cumulative),
-                suffix="_bucket",
-            )
-            yield Sample(labels=key, value=self._sums[key], suffix="_sum")
-            yield Sample(labels=key, value=float(cumulative), suffix="_count")
-
-    def reset(self) -> None:
-        self._counts.clear()
-        self._sums.clear()
-
-    def take(self) -> list:
-        """Every series as a ``[labels, bucket counts, sum]`` row,
-        zeroing them."""
-        rows = [
-            [key, self._counts[key], self._sums[key]]
-            for key in sorted(self._counts)
-        ]
-        self.reset()
-        return rows
-
-    def merge(self, rows: list) -> None:
-        """Add rows from :meth:`take` (possibly another process's)."""
-        for labels, counts, total in rows:
-            key = _row_key(labels)
-            mine = self._counts.setdefault(key, [0] * len(counts))
-            for index, count in enumerate(counts):
-                mine[index] += count
-            self._sums[key] = self._sums.get(key, 0.0) + total
-
-
-def counter(name: str, help: str = "", unit: str = "") -> Counter:
-    instrument = Counter(name)
-    register_metric(
-        name, kind="counter", help=help, unit=unit, instrument=instrument
-    )(instrument.collect)
-    return instrument
-
-
-def gauge(name: str, help: str = "", unit: str = "") -> Gauge:
-    instrument = Gauge(name)
-    register_metric(
-        name, kind="gauge", help=help, unit=unit, instrument=instrument
-    )(instrument.collect)
-    return instrument
-
-
-def histogram(
-    name: str,
-    help: str = "",
-    unit: str = "",
-    buckets: tuple[float, ...] = SECONDS_BUCKETS,
-) -> Histogram:
-    instrument = Histogram(name, buckets=buckets)
-    register_metric(
-        name, kind="histogram", help=help, unit=unit, instrument=instrument
-    )(instrument.collect)
-    return instrument
-
-
-def _row_key(labels: Iterable) -> LabelItems:
-    """A shipped row's labels (JSON turns the pairs into lists)."""
-    return tuple((key, value) for key, value in labels)
-
-
-def take_samples() -> dict[str, list]:
-    """Drain every counter and histogram into a JSON-able document,
-    keyed by metric name; series with no samples are left out."""
-    document: dict[str, list] = {}
-    for spec in registered_metrics():
-        if isinstance(spec.instrument, (Counter, Histogram)):
-            rows = spec.instrument.take()
-            if rows:
-                document[spec.name] = rows
-    return document
-
-
-def merge_samples(document: dict[str, list]) -> None:
-    """Add a :func:`take_samples` document into this registry."""
-    for name, rows in document.items():
-        metric_info(name).instrument.merge(rows)
-
-
-def reset_metrics() -> None:
-    """Zero every instrument-backed metric (scrape state, not the registry)."""
-    for spec in registered_metrics():
-        if spec.instrument is not None:
-            spec.instrument.reset()
+    yield Sample(labels + (("le", "+Inf"),), float(len(values)), "_bucket")
+    yield Sample(labels, sum(values), "_sum")
+    yield Sample(labels, float(len(values)), "_count")
 
 
 def _format_value(value: float) -> str:
@@ -374,31 +206,36 @@ def _escape_label(value: str) -> str:
 
 
 def render_prometheus() -> str:
-    """Render every registered metric in Prometheus text exposition format."""
+    """Render the catalogue in Prometheus text exposition format, read
+    from the process recorder's events."""
+    samples = _samples(recorder().events())
     lines: list[str] = []
-    for spec in registered_metrics():
-        if spec.help:
-            lines.append(f"# HELP {spec.name} {spec.help}")
-        lines.append(f"# TYPE {spec.name} {spec.kind}")
-        for sample in spec.source():
+    for metric in CATALOGUE:
+        lines.append(f"# HELP {metric.name} {metric.help}")
+        lines.append(f"# TYPE {metric.name} {metric.kind}")
+        for sample in samples[metric.name]:
             lines.append(
-                f"{spec.name}{sample.suffix}"
+                f"{metric.name}{sample.suffix}"
                 f"{_render_labels(sample.labels)} {_format_value(sample.value)}"
             )
     return "\n".join(lines) + "\n"
 
 
 def snapshot() -> dict:
-    """JSON-able dump of all current samples, deterministically ordered."""
-    out: dict = {}
-    for spec in registered_metrics():
-        rows = [
-            {
-                "labels": dict(sample.labels),
-                "value": sample.value,
-                **({"suffix": sample.suffix} if sample.suffix else {}),
-            }
-            for sample in spec.source()
-        ]
-        out[spec.name] = {"kind": spec.kind, "samples": rows}
-    return out
+    """JSON-able dump of the process recorder's samples, ordered as
+    :func:`render_prometheus` orders them."""
+    samples = _samples(recorder().events())
+    return {
+        metric.name: {
+            "kind": metric.kind,
+            "samples": [
+                {
+                    "labels": dict(sample.labels),
+                    "value": sample.value,
+                    **({"suffix": sample.suffix} if sample.suffix else {}),
+                }
+                for sample in samples[metric.name]
+            ],
+        }
+        for metric in CATALOGUE
+    }

@@ -19,7 +19,10 @@ task a worker drains it with :meth:`TraceRecorder.take` and ships the
 events home with the task's result; the parent appends them to its
 recorder with :func:`merge_events`, so a ``--trace`` file reads the same
 on every pool.  A forked worker keeps the recorder it inherited, so its
-timestamps share the parent's clock origin.
+timestamps share the parent's clock origin.  The recorder is the only
+observability record: ``--metrics`` renders its events
+(:mod:`repro.obs.metrics`), and :meth:`TraceRecorder.summary` sums
+its run spans.
 
 Wall-clock time never becomes run data: ``perf_counter`` measures span
 durations, and the single absolute anchor (via
@@ -34,10 +37,10 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, TextIO
+from typing import Any, Iterable, TextIO
 
-from repro.obs.metrics import Counter, Histogram, metrics_enabled
 from repro.orchestration.clock import wall_now
+
 
 class NullRecorder:
     """Recorder with every probe compiled out; the default.
@@ -52,6 +55,9 @@ class NullRecorder:
         return -1
 
     def end(self, token: int, **args: Any) -> None:
+        pass
+
+    def instant(self, name: str, cat: str, **args: Any) -> None:
         pass
 
     def run_begin(self, **args: Any) -> None:
@@ -83,9 +89,9 @@ class TraceRecorder(NullRecorder):
 
     enabled = True
 
-    #: Cap on retained kernel-span events; compiled runs can execute tens
-    #: of thousands of spans and the totals (``summary()``) are what a
-    #: profile or ledger needs.
+    #: Cap on retained kernel-span events per recorder; compiled runs
+    #: can execute tens of thousands of spans, and the run spans'
+    #: totals (``summary()``) are what a profile or ledger needs.
     KERNEL_EVENT_CAP = 2000
 
     def __init__(self) -> None:
@@ -103,15 +109,12 @@ class TraceRecorder(NullRecorder):
         self._epochs = 0
         self._epoch_start = self._origin
         self._epoch_cycle = 0
-        # Kernel-span totals are cumulative across runs (a profiled or
-        # ledgered sweep spans many); per-run deltas come from run_begin
-        # baselines.
-        self._kernel_spans = 0
-        self._kernel_seconds = 0.0
-        self._kernel_refs = 0
-        self._run_kernel_spans = 0
-        self._run_kernel_seconds = 0.0
-        self._run_kernel_refs = 0
+        # The open run's kernel totals, which its run span carries, and
+        # the kernel spans this recorder has seen, for KERNEL_EVENT_CAP.
+        self._run_spans = 0
+        self._run_seconds = 0.0
+        self._run_refs = 0
+        self._kernel_seen = 0
         self._events.append(
             {
                 "name": "trace_start",
@@ -130,13 +133,14 @@ class TraceRecorder(NullRecorder):
         self, name: str, cat: str, start: float, end: float, args: dict
     ) -> None:
         """Append one complete event timed by two ``perf_counter``
-        readings.  A kernel span also feeds the kernel totals; past
+        readings.  A kernel span also feeds its run's totals; past
         :attr:`KERNEL_EVENT_CAP` it feeds only them."""
         if cat == "kernel":
-            self._kernel_spans += 1
-            self._kernel_seconds += end - start
-            self._kernel_refs += int(args.get("refs", 0))
-            if self._kernel_spans > self.KERNEL_EVENT_CAP:
+            self._run_spans += 1
+            self._run_seconds += end - start
+            self._run_refs += int(args.get("refs", 0))
+            self._kernel_seen += 1
+            if self._kernel_seen > self.KERNEL_EVENT_CAP:
                 return
         event = {
             "name": name,
@@ -166,6 +170,21 @@ class TraceRecorder(NullRecorder):
                 name, cat, start, time.perf_counter(), {**opened, **args}
             )
 
+    def instant(self, name: str, cat: str, **args: Any) -> None:
+        """Append one instant event: something that happened, with no
+        duration (a kernel fallback)."""
+        event = {
+            "name": name,
+            "ph": "i",
+            "ts": (time.perf_counter() - self._origin) * 1e6,
+            "pid": os.getpid(),
+            "tid": threading.get_ident(),
+            "cat": cat,
+            "args": args,
+        }
+        with self._lock:
+            self._events.append(event)
+
     # -- engine-run protocol -------------------------------------------
 
     def run_begin(self, **args: Any) -> None:
@@ -173,9 +192,9 @@ class TraceRecorder(NullRecorder):
         self._epochs = 0
         self._epoch_start = time.perf_counter()
         self._epoch_cycle = 0
-        self._run_kernel_spans = self._kernel_spans
-        self._run_kernel_seconds = self._kernel_seconds
-        self._run_kernel_refs = self._kernel_refs
+        self._run_spans = 0
+        self._run_seconds = 0.0
+        self._run_refs = 0
 
     def epoch(self, cycle: int, **args: Any) -> None:
         """Record one epoch span covering (last boundary, ``cycle``]."""
@@ -191,9 +210,9 @@ class TraceRecorder(NullRecorder):
     def run_end(self, **args: Any) -> dict:
         summary = {
             "epochs": self._epochs,
-            "kernel_spans": self._kernel_spans - self._run_kernel_spans,
-            "kernel_seconds": self._kernel_seconds - self._run_kernel_seconds,
-            "kernel_refs": self._kernel_refs - self._run_kernel_refs,
+            "kernel_spans": self._run_spans,
+            "kernel_seconds": self._run_seconds,
+            "kernel_refs": self._run_refs,
         }
         # The run span carries its kernel totals, so a trace holds them
         # exactly even past KERNEL_EVENT_CAP.
@@ -204,8 +223,8 @@ class TraceRecorder(NullRecorder):
     # -- export --------------------------------------------------------
 
     def take(self) -> list[dict]:
-        """Every event recorded so far, emptying the log (the kernel
-        totals stay): a pool worker ships each task's events home."""
+        """Every event recorded so far, emptying the log: a pool worker
+        ships each task's events home."""
         with self._lock:
             taken, self._events = self._events, []
         return taken
@@ -215,11 +234,20 @@ class TraceRecorder(NullRecorder):
             return [dict(event) for event in self._events]
 
     def summary(self) -> dict:
+        """The kernel totals of every recorded run span, summed.  A
+        warm worker's run spans come home with its tasks, so a warm
+        and a serial sweep give the same totals."""
+        with self._lock:
+            count = len(self._events)
+            runs = [
+                event["args"] for event in self._events
+                if event["name"] == "run" and event["cat"] == "engine"
+            ]
         return {
-            "events": len(self._events),
-            "kernel_spans": self._kernel_spans,
-            "kernel_seconds": self._kernel_seconds,
-            "kernel_refs": self._kernel_refs,
+            "events": count,
+            "kernel_spans": sum(run["kernel_spans"] for run in runs),
+            "kernel_seconds": sum((run["kernel_seconds"] for run in runs), 0.0),
+            "kernel_refs": sum(run["kernel_refs"] for run in runs),
         }
 
 
@@ -271,14 +299,12 @@ def merge_events(events: Iterable[dict]) -> None:
 
 @dataclass(slots=True)
 class _Timed:
-    """A timed site with a sink on: one clock read at each end."""
+    """A timed site with tracing on: one clock read at each end."""
 
     name: str
     cat: str
     args: dict[str, Any]
-    rec: TraceRecorder | None
-    seconds: Histogram | None
-    counts: Mapping[str, Counter | Histogram] | None
+    rec: TraceRecorder
     start: float = 0.0
 
     def __enter__(self) -> dict[str, Any]:
@@ -286,22 +312,13 @@ class _Timed:
         return self.args
 
     def __exit__(self, *exc: object) -> None:
-        end = time.perf_counter()
-        if self.rec is not None:
-            self.rec._complete(self.name, self.cat, self.start, end, self.args)
-        if self.seconds is not None:
-            self.seconds.observe(end - self.start)
-        for arg, metric in (self.counts or {}).items():
-            value = self.args.get(arg)
-            if value is not None:
-                if isinstance(metric, Counter):
-                    metric.inc(value)
-                else:
-                    metric.observe(value)
+        self.rec._complete(
+            self.name, self.cat, self.start, time.perf_counter(), self.args
+        )
 
 
 class _Untimed:
-    """A timed site with both sinks off: no clock read, nothing fed."""
+    """A timed site with tracing off: no clock read, nothing recorded."""
 
     __slots__ = ()
 
@@ -315,35 +332,19 @@ class _Untimed:
 _UNTIMED = _Untimed()
 
 
-def timed(
-    name: str,
-    seconds: Histogram | None = None,
-    *,
-    cat: str = "task",
-    counts: Mapping[str, Counter | Histogram] | None = None,
-    **args: Any,
-) -> _Timed | _Untimed:
+def timed(name: str, *, cat: str = "task", **args: Any) -> _Timed | _Untimed:
     """Time one layer: the only timing code an instrumented site has.
 
-    ``with timed("store.put", STORE_PUT_SECONDS, cat="store",
-    counts={"artifacts": STORE_ARTIFACTS_WRITTEN}) as span:`` runs the
-    body, then, with tracing on, records one complete ``cat`` event
-    named ``name`` whose args are ``args`` plus whatever the body set
-    on ``span``; with metrics on, it observes the body's seconds in
-    ``seconds`` and feeds each ``counts`` metric the span arg of its
-    key (a counter is incremented by it, a histogram observes it).
-    Both happen even if the body raises.  With both sinks off, or only
-    metrics on and no metric given, it reads no clock and feeds
-    nothing; ``span`` is then a throwaway dict.
+    ``with timed("store.put", cat="store") as span:`` runs the body,
+    then, with tracing on, records one complete ``cat`` event named
+    ``name`` whose args are ``args`` plus whatever the body set on
+    ``span`` — even if the body raises.  With tracing off it reads no
+    clock and records nothing; ``span`` is then a throwaway dict.
     """
     rec = _recorder
-    metered = metrics_enabled() and (seconds is not None or bool(counts))
-    if not (rec.enabled or metered):
+    if not isinstance(rec, TraceRecorder):
         return _UNTIMED
-    return _Timed(
-        name, cat, args, rec if isinstance(rec, TraceRecorder) else None,
-        seconds if metered else None, counts if metered else None,
-    )
+    return _Timed(name, cat, args, rec)
 
 
 # -- file formats ------------------------------------------------------

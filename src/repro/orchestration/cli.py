@@ -82,12 +82,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for the ``repro`` console script; returns exit code."""
     parser = build_parser()
     options = parser.parse_args(argv)
+    found_recorder, found_quiet = obs.recorder(), obs.quiet()
     _apply_obs(options)
     try:
         return options.handler(options)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
+    finally:
+        obs.set_recorder(found_recorder)
+        obs.set_quiet(found_quiet)
 
 
 # ----------------------------------------------------------------------
@@ -127,9 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_flags.add_argument(
         "--metrics", default=None, metavar="FILE",
-        help="collect registry metrics and write a Prometheus text dump "
-             "to FILE on exit ('-' prints to stdout); pool workers ship "
-             "theirs home",
+        help="record trace spans as --trace does and write the metrics "
+             "read from them as a Prometheus text dump to FILE on exit "
+             "('-' prints to stdout)",
     )
 
     jobs_flag = argparse.ArgumentParser(add_help=False)
@@ -425,23 +429,25 @@ def _store_from(options: argparse.Namespace) -> ResultStore:
 def _apply_obs(options: argparse.Namespace) -> None:
     """Honour --quiet/--trace/--metrics before the handler runs.
 
-    The switches are set before the executor exists, so its warm pool
-    captures them and passes them on to its workers.
+    Either of the last two installs a fresh recorder, so a command's
+    trace and metrics hold its own events only; :func:`main` puts back
+    the recorder and the quiet switch it found.  The switches are set
+    before the executor exists, so its warm pool captures them and
+    passes them on to its workers.
     """
     if getattr(options, "quiet", False):
         obs.set_quiet(True)
-    if getattr(options, "trace", None):
-        obs.enable_tracing()
-    if getattr(options, "metrics", None):
-        obs.enable_metrics()
+    if getattr(options, "trace", None) or getattr(options, "metrics", None):
+        obs.set_recorder(obs.TraceRecorder())
 
 
 def _finish_obs(options: argparse.Namespace) -> None:
     """Write --trace/--metrics output after a run command returns.
 
-    The trace holds every event of this process's recorder: its own
-    spans plus those each pool worker shipped home with a task (a
-    cached task simulated nothing and has none).
+    Both read every event of this process's recorder: its own spans
+    plus those each pool worker shipped home with a task (a cached
+    task simulated nothing and has none).  The metrics are rendered
+    from those events (:mod:`repro.obs.metrics`).
     """
     trace_path = getattr(options, "trace", None)
     if trace_path:

@@ -8,10 +8,10 @@ carry every result: a worker simulates its
 spec with a private store-backed
 :class:`~repro.sim.runner.ExperimentRunner`, persists the artifact
 under :meth:`Experiment.task_key`, and reports only the spec's label
-and wall time (plus, with metrics or tracing on, the task's samples
-and trace events).  The parent then assembles the figure tables entirely
-from cache hits (:meth:`SweepExecutor.sweep` reads every result back
-through the executor's own store-backed runner), which guarantees the
+and wall time (plus, with tracing on, the task's trace events).  The
+parent then assembles the figure tables entirely from cache hits
+(:meth:`SweepExecutor.sweep` reads every result back through the
+executor's own store-backed runner), which guarantees the
 numbers are bit-identical to a serial in-process run — on every
 backend.
 
@@ -70,9 +70,7 @@ from collections import deque
 from typing import Callable, Iterable
 
 from repro.experiment import ALONE, Experiment
-from repro.obs import builtin as obs_metrics
-from repro.obs.metrics import metrics_enabled
-from repro.obs.trace import timed
+from repro.obs.trace import recorder, timed
 from repro.orchestration import pools
 from repro.orchestration.pools import PoolTask, SweepTaskError
 from repro.orchestration.store import ResultStore, default_store_path
@@ -304,6 +302,11 @@ class SweepExecutor:
         specs after the pool drains (by which point every alone
         dependency exists in the store).  The pool is built only when
         something is pooled.
+
+        Each collected task closes one ``pool`` span in this process's
+        recorder, begun when the task was queued (or, inline, just
+        before it ran), carrying its backend, outcome and
+        :attr:`PoolResult.seconds`.
         """
         pooled = {e.task_key() for e in (*alone, *main) if _pool_safe(e)}
         if self.pool_name == pools.SERIAL or min(self.max_workers, len(pooled)) <= 1:
@@ -329,19 +332,20 @@ class SweepExecutor:
                 store, self.max_workers, engine=self.runner.engine
             )
         pool = self._pool if pooled else None
-        metrics_on = metrics_enabled()
-        #: task key -> submit instant, for queue-time metrics
-        submitted: dict[str, float] = {}
+        rec = recorder()
+        #: task key -> its open ``pool`` span
+        dispatched: dict[str, int] = {}
+
+        def dispatch(key: str) -> None:
+            dispatched[key] = rec.begin("pool", cat="pool", key=key)
 
         def submit(experiments: list[Experiment]) -> None:
             if not experiments:
                 return
             batch = [PoolTask.from_experiment(e) for e in experiments]
+            for task in batch:
+                dispatch(task.key)
             pool.submit_many(batch)
-            if metrics_on:
-                now = time.perf_counter()
-                submitted.update((task.key, now) for task in batch)
-                obs_metrics.POOL_OUTSTANDING.set(pool.outstanding)
 
         total = len(alone) + len(main)
         #: alone specs first, so an inline main spec is never next while
@@ -357,13 +361,15 @@ class SweepExecutor:
                 ):
                     result = pool.wait_one()
                 else:
-                    result = self._run_inline(inline.popleft())
+                    experiment = inline.popleft()
+                    dispatch(experiment.task_key())
+                    result = self._run_inline(experiment)
                 backend = pools.SERIAL if result.key not in pooled else pool.name
-                if metrics_on:
-                    self._observe_completion(
-                        backend, result.seconds, result.error, pool,
-                        submitted.pop(result.key, None),
-                    )
+                rec.end(
+                    dispatched.pop(result.key), backend=backend,
+                    outcome="ok" if result.error is None else "error",
+                    seconds=result.seconds,
+                )
                 if result.error is not None:
                     raise SweepTaskError(
                         result.key, result.label, backend, result.error
@@ -376,26 +382,6 @@ class SweepExecutor:
         except BaseException:
             self.close()
             raise
-
-    @staticmethod
-    def _observe_completion(
-        backend: str,
-        seconds: float,
-        error: str | None,
-        pool: pools.WarmPool | None,
-        queued_at: float | None,
-    ) -> None:
-        """Fold one completed task into the metric registry."""
-        outcome = "ok" if error is None else "error"
-        obs_metrics.TASKS_COMPLETED.inc(backend=backend, outcome=outcome)
-        obs_metrics.TASK_WALL_SECONDS.observe(seconds, backend=backend)
-        if queued_at is not None:
-            wait = time.perf_counter() - queued_at - seconds
-            obs_metrics.TASK_QUEUE_SECONDS.observe(
-                max(0.0, wait), backend=backend
-            )
-        if pool is not None:
-            obs_metrics.POOL_OUTSTANDING.set(pool.outstanding)
 
     def _run_inline(self, experiment: Experiment) -> pools.PoolResult:
         """Run one spec in the parent on the runner (which carries the

@@ -35,14 +35,13 @@ pool silently — the worker catches it, and the executor re-raises it
 as a :class:`SweepTaskError` naming the task label, key and backend.
 A worker that dies outright is named the same way.
 
-Observability: the pool captures the parent's three switches (trace,
-metrics, quiet) when it is built and passes them to each worker as
-arguments.  With metrics on, a worker ships the counter and histogram
-samples each task recorded inside that task's result record; with
-tracing on, it ships the task's trace events the same way.
-:meth:`WarmPool.wait_one` adds both into the parent's registry and
-recorder (see :mod:`repro.obs.metrics` and :mod:`repro.obs.trace`), so
-a cached task, which never reaches a worker, contributes nothing.
+Observability: the pool captures the parent's two switches (trace
+and quiet) when it is built and passes them to each worker as
+arguments.  With tracing on (``--trace`` or ``--metrics``), a worker
+ships the trace events each task recorded inside that task's result
+record, and :meth:`WarmPool.wait_one` appends them to the parent's
+recorder (see :mod:`repro.obs.trace`), so a cached task, which never
+reaches a worker, contributes nothing.
 """
 
 from __future__ import annotations
@@ -56,13 +55,6 @@ from typing import Any, Iterable
 
 from repro.experiment import Experiment
 from repro.obs import log
-from repro.obs.metrics import (
-    enable_metrics,
-    merge_samples,
-    metrics_enabled,
-    reset_metrics,
-    take_samples,
-)
 from repro.obs.trace import enable_tracing, merge_events, recorder, tracing_enabled
 from repro.orchestration.store import ResultStore
 from repro.sim.runner import ExperimentRunner
@@ -163,29 +155,20 @@ def _attempt(task: PoolTask, runner: ExperimentRunner) -> PoolResult:
     return PoolResult(task.key, task.label, time.perf_counter() - start, error)
 
 
-def _result_record(
-    task: PoolTask, runner: ExperimentRunner, metrics: bool, trace: bool
-) -> dict:
+def _result_record(task: PoolTask, runner: ExperimentRunner, trace: bool) -> dict:
     """Run one task in a worker and build the record it sends home:
-    the :class:`PoolResult` fields, plus — with metrics on — the
-    samples this task recorded and — with tracing on — its trace
-    events (taking either empties the worker's copy, so the next
-    record carries only its own)."""
+    the :class:`PoolResult` fields, plus — with tracing on — the trace
+    events this task recorded (taking them empties the worker's log,
+    so the next record carries only its own)."""
     record = asdict(_attempt(task, runner))
-    if metrics:
-        record["metrics"] = take_samples()
     if trace:
         record["events"] = recorder().take()
     return record
 
 
 def _collect(record: dict) -> PoolResult:
-    """The :class:`PoolResult` of one worker record, after adding any
-    metric samples and trace events it carries into this process's
-    registry and recorder."""
-    samples = record.pop("metrics", None)
-    if samples:
-        merge_samples(samples)
+    """The :class:`PoolResult` of one worker record, after appending
+    any trace events it carries to this process's recorder."""
     events = record.pop("events", None)
     if events:
         merge_events(events)
@@ -195,7 +178,6 @@ def _collect(record: dict) -> PoolResult:
 def _warm_worker(
     store_root: str,
     engine: str | None,
-    metrics: bool,
     trace: bool,
     quiet: bool,
     tasks: "multiprocessing.Queue",
@@ -204,13 +186,10 @@ def _warm_worker(
     """Long-lived worker body: one import, one engine resolution, one
     runner — then batches of tasks until the ``None`` sentinel."""
     log.set_quiet(quiet)
-    if metrics:
-        enable_metrics()
-        # a forked worker starts with a copy of the parent's samples
-        reset_metrics()
     if trace:
-        # ... and of the parent's recorder: keep it (and so the
-        # parent's clock origin), but not the events it holds
+        # a forked worker starts with a copy of the parent's recorder:
+        # keep it (and so the parent's clock origin), but not the
+        # events it holds
         enable_tracing().take()
     try:
         # Resolve (and for the compiled engine, build + load the C
@@ -226,7 +205,7 @@ def _warm_worker(
         if batch is None:
             return
         for task in batch:
-            results.put(_result_record(task, runner, metrics, trace))
+            results.put(_result_record(task, runner, trace))
 
 
 class WarmPool:
@@ -236,7 +215,7 @@ class WarmPool:
     so traces (and the loaded engine kernel) amortise across every
     task it runs — the difference that makes many-tiny-task sweeps
     scale.  Results travel through the shared store; only a task's
-    outcome, metric samples and trace events travel through the pool.
+    outcome and trace events travel through the pool.
     Safe to keep open across phases; the executor reuses one instance
     for a whole sweep.
     """
@@ -260,9 +239,7 @@ class WarmPool:
         #: (None lets each run resolve ``$REPRO_ENGINE``/auto itself)
         self.engine = engine
         #: the parent's obs switches, passed on to every worker: with
-        #: metrics or tracing on, workers ship their samples or events
-        #: home
-        self.metrics = metrics_enabled()
+        #: tracing on, workers ship their events home
         self.trace = tracing_enabled()
         self.quiet = log.quiet()
         self.outstanding = 0
@@ -281,8 +258,8 @@ class WarmPool:
             process = context.Process(
                 target=_warm_worker,
                 args=(
-                    str(self.store.root), self.engine, self.metrics,
-                    self.trace, self.quiet, self._tasks, self._results,
+                    str(self.store.root), self.engine, self.trace,
+                    self.quiet, self._tasks, self._results,
                 ),
                 daemon=True,  # never outlive the parent
             )

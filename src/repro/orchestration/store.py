@@ -43,7 +43,6 @@ import re
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.obs import builtin as obs_metrics
 from repro.obs.trace import timed
 from repro.orchestration.serialize import SCHEMA_VERSION
 
@@ -119,7 +118,7 @@ class ResultStore:
         span and one ``repro_store_get_seconds`` sample.
         """
         path = self.path_for(key)
-        with timed("store.get", obs_metrics.STORE_GET_SECONDS, cat="store"):
+        with timed("store.get", cat="store"):
             try:
                 with open(path, "rb") as handle:
                     raw = handle.read()
@@ -169,10 +168,7 @@ class ResultStore:
         written to a sibling temp file and renamed into place, so a
         reader sees either the whole artifact or none.
         """
-        with timed(
-            "store.put", obs_metrics.STORE_PUT_SECONDS, cat="store",
-            counts={"artifacts": obs_metrics.STORE_ARTIFACTS_WRITTEN},
-        ) as span:
+        with timed("store.put", cat="store") as span:
             self.root.mkdir(parents=True, exist_ok=True)
             paths: list[Path] = []
             for key, payload, kind, meta in artifacts:

@@ -88,8 +88,6 @@ from repro.energy.accounting import EnergyAccounting
 from repro.energy.cacti import CactiEnergyModel
 from repro.monitor.sampling import SetSampler
 from repro.monitor.umon import UtilityMonitor
-from repro.obs import builtin as obs_metrics
-from repro.obs.metrics import metrics_enabled
 from repro.obs.trace import recorder as obs_recorder
 from repro.partitioning.base import PolicyStats
 from repro.partitioning.registry import PolicySpec, build_policy
@@ -507,7 +505,7 @@ class CMPSimulator:
             note_pending(end_cycle)
         rec = obs_recorder()
         if rec.enabled:
-            summary = rec.run_end(end_cycle=end_cycle)
+            summary = rec.run_end(end_cycle=end_cycle, **self._mechanics())
             # Diagnostics carry only engine-invariant counts: the epoch
             # and event schedules are part of the shared run protocol,
             # so every engine (and every racing worker) serializes the
@@ -516,31 +514,29 @@ class CMPSimulator:
                 "epochs": summary["epochs"],
                 "events": event_index,
             }
-        self._record_run_metrics()
         self._arrival_warm = None  # drop the engine's closure (a cycle)
         return self._collect(end_cycle)
 
-    def _record_run_metrics(self) -> None:
-        """Fold run-end partitioning mechanics into the metric registry."""
-        if not metrics_enabled():
-            return
+    def _mechanics(self) -> dict:
+        """The run's partitioning mechanics (paper section 4) for its
+        run span: takeover events by kind, way transitions started,
+        transfer flushes, and timeline steps that gated ways off."""
         stats = self.stats
-        obs_metrics.ENGINE_RUNS.inc(policy=self.policy.name)
-        for kind, count in stats.takeover_events.items():
-            if count:
-                obs_metrics.TAKEOVER_EVENTS.inc(count, kind=kind)
-        if stats.transitions_started:
-            obs_metrics.WAY_TRANSITIONS.inc(stats.transitions_started)
-        if stats.transfer_flushes:
-            obs_metrics.TRANSFER_FLUSHES.inc(stats.transfer_flushes)
         timeline = self._timeline or []
-        gate_drops = sum(
-            1
-            for before, after in zip(timeline, timeline[1:])
-            if after.powered_ways < before.powered_ways
-        )
-        if gate_drops:
-            obs_metrics.POWER_GATE_DROPS.inc(gate_drops)
+        return {
+            "takeover_events": {
+                kind: count
+                for kind, count in stats.takeover_events.items()
+                if count
+            },
+            "transitions_started": stats.transitions_started,
+            "transfer_flushes": stats.transfer_flushes,
+            "gate_drops": sum(
+                1
+                for before, after in zip(timeline, timeline[1:])
+                if after.powered_ways < before.powered_ways
+            ),
+        }
 
     # ------------------------------------------------------------------
     def _run_python(self) -> RunResult:
@@ -885,8 +881,6 @@ class CMPSimulator:
                 dynamic_energy_nj=self.energy.dynamic_nj,
                 powered_ways=self.policy.active_ways(),
             )
-        if metrics_enabled():
-            obs_metrics.ENGINE_EPOCHS.inc()
         stall = getattr(self.policy, "pending_stall", 0)
         if stall:
             for core in self.cores:

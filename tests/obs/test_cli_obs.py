@@ -7,9 +7,13 @@ import os
 
 import pytest
 
-from repro.obs.metrics import reset_metrics
-from repro.obs.trace import NULL_RECORDER, set_recorder
+from repro.engine import compiled_available
+from repro.experiment import Experiment
+from repro.obs import log
+from repro.obs.trace import NULL_RECORDER, TraceRecorder, recorder, set_recorder
 from repro.orchestration.cli import main
+from repro.orchestration.executor import SweepExecutor
+from repro.orchestration.store import ResultStore
 
 
 @pytest.fixture(autouse=True)
@@ -103,8 +107,7 @@ TRACED_SWEEP = ["sweep", "--cores", "2", "--groups", "1", "--policies", "ucp",
 
 
 def _traced_sweep(tmp_path, name, store, *pool):
-    """Run the traced sweep in a fresh recorder; its events."""
-    set_recorder(NULL_RECORDER)
+    """Run the traced sweep; its events."""
     trace = tmp_path / f"{name}.jsonl"
     assert main([*TRACED_SWEEP, "--store", str(store), "--trace", str(trace),
                  *pool]) == 0
@@ -120,8 +123,8 @@ def _simulation_events(events):
 
 
 class TestWorkerEvents:
-    """Pooled tasks send their trace events home on the result record,
-    beside their metric samples; the store holds results only."""
+    """Pooled tasks send their trace events home on the result record;
+    the store holds results only."""
 
     def test_a_resumed_sweep_records_no_task_events(self, tmp_path):
         store = tmp_path / "store"
@@ -167,6 +170,30 @@ class TestWorkerEvents:
             assert sweep["ts"] <= event["ts"]
             assert event["ts"] + event.get("dur", 0) <= sweep["ts"] + sweep["dur"]
 
+    @pytest.mark.skipif(not compiled_available(), reason="needs the C kernel")
+    def test_warm_and_serial_summaries_agree(self, tmp_path, tiny_two_core):
+        """summary() sums the run spans, which warm workers send home: a
+        warm and a serial sweep of one grid give the same kernel totals."""
+        totals = {}
+        for pool in ("warm", "serial"):
+            rec = TraceRecorder()
+            set_recorder(rec)
+            with SweepExecutor(
+                ResultStore(tmp_path / pool), max_workers=2, pool=pool
+            ) as executor:
+                executor.prefetch([
+                    Experiment(group, "ucp", tiny_two_core)
+                    for group in ("G2-4", "G2-8")
+                ])
+            summary = rec.summary()
+            runs = [e["args"] for e in rec.events() if e["name"] == "run"]
+            assert len(runs) == 5
+            for total in ("kernel_spans", "kernel_refs"):
+                assert summary[total] == sum(run[total] for run in runs)
+            totals[pool] = (summary["kernel_spans"], summary["kernel_refs"])
+        assert totals["warm"] == totals["serial"]
+        assert totals["serial"][0] > 0
+
     def test_the_store_holds_results_only(self, tmp_path):
         for pool, argv in POOL_ARGUMENTS.items():
             store = tmp_path / pool
@@ -178,6 +205,35 @@ class TestWorkerEvents:
             assert kinds == {"alone", "group"}
 
 
+class TestOneRecorderPerCommand:
+    def test_back_to_back_commands_write_disjoint_traces(self, tmp_path):
+        """Each traced command records into a fresh recorder and puts
+        back the one it found, with the quiet switch."""
+        first = _traced_sweep(tmp_path, "first", tmp_path / "one", "--jobs", "2")
+        second = _traced_sweep(tmp_path, "second", tmp_path / "two", "--jobs", "2")
+        for events in (first, second):
+            assert sum(event["name"] == "sweep" for event in events) == 1
+            assert sum(event.get("cat") == "task" for event in events) == 3
+        assert not {json.dumps(e, sort_keys=True) for e in first} & {
+            json.dumps(e, sort_keys=True) for e in second
+        }
+        assert recorder() is NULL_RECORDER and not log.quiet()
+
+    def test_a_command_puts_back_a_live_recorder(self, tmp_path):
+        mine = TraceRecorder()
+        set_recorder(mine)
+        before = len(mine.events())
+        _traced_sweep(tmp_path, "traced", tmp_path / "store", "--pool", "serial")
+        assert recorder() is mine and len(mine.events()) == before
+
+    def test_a_failing_command_puts_back_the_recorder(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main([*TRACED_SWEEP, "--store", str(tmp_path / "store"),
+                  "--trace", str(tmp_path / "t.jsonl"),
+                  "--governor-param", "freq_mhz=1700"])
+        assert recorder() is NULL_RECORDER and not log.quiet()
+
+
 class TestMetricsFlag:
     @pytest.mark.parametrize("pool", sorted(POOL_ARGUMENTS))
     def test_every_pool_dumps_the_serial_engine_samples(self, pool, tmp_path):
@@ -185,7 +241,6 @@ class TestMetricsFlag:
         record must still reach the parent's dump."""
         dumps = {}
         for name in dict.fromkeys(("serial", pool)):
-            reset_metrics()
             metrics = tmp_path / f"{name}.prom"
             assert main([
                 "sweep", "--groups", "1", "--policies", "ucp",

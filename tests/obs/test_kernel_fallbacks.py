@@ -1,6 +1,7 @@
 """Falling back from the C kernel to Python is never silent: each
-layer counts its fallbacks in ``repro_kernel_fallbacks_total`` and
-prints one note per process."""
+fallback is a recorded event, counted by layer in the
+``repro_kernel_fallbacks_total`` view, and each layer prints one note
+per process."""
 
 from __future__ import annotations
 
@@ -9,8 +10,7 @@ import pytest
 from repro.engine import COMPILED, compiled_available
 from repro.engine import compiled as compiled_module
 from repro.obs import log
-from repro.obs.builtin import KERNEL_FALLBACKS
-from repro.obs.metrics import enable_metrics
+from repro.obs.metrics import enable_metrics, snapshot
 from repro.sim.runner import ExperimentRunner
 from repro.sim.simulator import CMPSimulator
 from repro.workloads import trace as trace_module
@@ -18,7 +18,8 @@ from repro.workloads.profiles import profile_for
 
 
 def _fallbacks() -> dict[str, float]:
-    return {dict(s.labels)["layer"]: s.value for s in KERNEL_FALLBACKS.collect()}
+    samples = snapshot()["repro_kernel_fallbacks_total"]["samples"]
+    return {sample["labels"]["layer"]: sample["value"] for sample in samples}
 
 
 @pytest.fixture

@@ -1,64 +1,50 @@
-"""The metrics registry: registration, instrument semantics, the
-zero-overhead disabled path, and Prometheus rendering."""
+"""The ``--metrics`` view: its fixed catalogue, what it reads from the
+recorded events, and Prometheus rendering."""
 
+import collections
 import json
 import re
+import types
 
 import pytest
 
-from repro.obs import builtin
-from repro.obs.metrics import (
-    METRIC_NAMES,
-    counter,
-    disable_metrics,
-    enable_metrics,
-    gauge,
-    histogram,
-    merge_samples,
-    metric_info,
-    metrics_enabled,
-    register_metric,
-    registered_metrics,
-    render_prometheus,
-    reset_metrics,
-    snapshot,
-    take_samples,
-    unregister_metric,
-)
+from repro.experiment import Experiment
+from repro.obs import trace as trace_module
+from repro.obs.log import note_fallback
+from repro.obs.metrics import CATALOGUE, enable_metrics, render_prometheus, snapshot
+from repro.obs.trace import TraceRecorder, set_recorder, timed, tracing_enabled
+from repro.orchestration.executor import SweepExecutor
+from repro.orchestration.store import ResultStore
 
 
-class TestRegistry:
-    def test_register_and_unregister(self):
-        metric = counter("test_registry_total", help="a test counter")
-        try:
-            assert "test_registry_total" in METRIC_NAMES
-            info = metric_info("test_registry_total")
-            assert info.kind == "counter"
-            assert info.help == "a test counter"
-            assert metric.name == "test_registry_total"
-        finally:
-            unregister_metric("test_registry_total")
-        assert "test_registry_total" not in METRIC_NAMES
+def _run(rec, policy, epochs=0, **mechanics):
+    """One engine run on ``rec`` as the simulator records it."""
+    rec.run_begin(policy=policy)
+    for cycle in range(epochs):
+        rec.epoch(cycle + 1)
+    rec.run_end(**{
+        "takeover_events": {}, "transitions_started": 0,
+        "transfer_flushes": 0, "gate_drops": 0, **mechanics,
+    })
 
-    def test_duplicate_name_raises(self):
-        counter("test_duplicate_total")
-        try:
-            with pytest.raises(ValueError, match="test_duplicate_total"):
-                gauge("test_duplicate_total")
-        finally:
-            unregister_metric("test_duplicate_total")
 
-    def test_bad_kind_and_name_raise(self):
-        with pytest.raises(ValueError):
-            register_metric("test_bad_kind", kind="timer")(lambda: [])
-        with pytest.raises(ValueError):
-            register_metric("not-a-name", kind="counter")(lambda: [])
+def _series(text, name):
+    """``{labels: value}`` of one metric's sample lines."""
+    return {
+        labels: float(value)
+        for labels, value in re.findall(
+            rf"^{name}(\{{[^}}]*\}}|) (\S+)$", text, re.M
+        )
+    }
 
+
+class TestCatalogue:
     def test_listing_is_sorted(self):
-        names = [info.name for info in registered_metrics()]
+        names = [metric.name for metric in CATALOGUE]
         assert names == sorted(names)
 
-    def test_builtins_are_registered(self):
+    def test_builtins_are_listed(self):
+        names = {metric.name for metric in CATALOGUE}
         for name in (
             "repro_engine_runs_total",
             "repro_engine_epochs_total",
@@ -66,111 +52,108 @@ class TestRegistry:
             "repro_kernel_fallbacks_total",
             "repro_store_get_seconds",
         ):
-            assert name in METRIC_NAMES, name
+            assert name in names, name
 
     def test_builtin_catalogue_matches_docs(self, request):
         """docs/observability.md's metric table lists exactly the
-        registered repro_* instruments."""
+        view's catalogue."""
         docs = request.config.rootpath / "docs" / "observability.md"
         documented = set(re.findall(r"`(repro_[a-z_]+)` \|", docs.read_text()))
-        registered = {
-            info.name
-            for info in registered_metrics()
-            if info.name.startswith("repro_")
-        }
-        assert documented == registered
+        assert documented == {metric.name for metric in CATALOGUE}
 
-
-class TestInstruments:
-    def test_counter_disabled_is_noop(self):
-        assert not metrics_enabled()
-        builtin.ENGINE_RUNS.inc(policy="ucp")
-        assert list(builtin.ENGINE_RUNS.collect()) == []
-
-    def test_counter_counts_with_labels(self):
+    def test_enable_metrics_turns_recording_on(self):
+        assert not tracing_enabled()
         enable_metrics()
-        builtin.ENGINE_RUNS.inc(policy="ucp")
-        builtin.ENGINE_RUNS.inc(2, policy="ucp")
-        builtin.ENGINE_RUNS.inc(policy="cooperative")
-        samples = {
-            tuple(s.labels): s.value for s in builtin.ENGINE_RUNS.collect()
-        }
-        assert samples[(("policy", "ucp"),)] == 3.0
-        assert samples[(("policy", "cooperative"),)] == 1.0
+        assert tracing_enabled()
 
-    def test_counter_rejects_negative(self):
-        enable_metrics()
-        with pytest.raises(ValueError):
-            builtin.ENGINE_RUNS.inc(-1)
 
-    def test_gauge_set(self):
-        enable_metrics()
-        builtin.POOL_OUTSTANDING.set(4)
-        builtin.POOL_OUTSTANDING.set(3)
-        (sample,) = builtin.POOL_OUTSTANDING.collect()
-        assert sample.value == 3.0
-
-    def test_histogram_buckets(self):
-        enable_metrics()
-        metric = histogram("test_hist_seconds", buckets=(0.1, 1.0))
-        try:
-            metric.observe(0.05)
-            metric.observe(0.5)
-            metric.observe(5.0)
-            samples = {
-                (s.suffix, tuple(s.labels)): s.value for s in metric.collect()
-            }
-            assert samples[("_bucket", (("le", "0.1"),))] == 1.0
-            assert samples[("_bucket", (("le", "1"),))] == 2.0
-            assert samples[("_bucket", (("le", "+Inf"),))] == 3.0
-            assert samples[("_count", ())] == 3.0
-            assert samples[("_sum", ())] == pytest.approx(5.55)
-        finally:
-            unregister_metric("test_hist_seconds")
-
-    def test_reset_zeroes_instruments(self):
-        enable_metrics()
-        builtin.ENGINE_EPOCHS.inc(10)
-        reset_metrics()
-        assert list(builtin.ENGINE_EPOCHS.collect()) == []
-
-    def test_taken_samples_merge_back_through_json(self):
-        """A worker's take_samples document, shipped as JSON and merged
-        into a parent holding its own samples, adds to them; taking
-        zeroes counters and histograms but leaves gauges alone."""
-        enable_metrics()
-        builtin.ENGINE_RUNS.inc(2, policy="ucp")
-        builtin.TASK_WALL_SECONDS.observe(0.25, backend="warm")
-        builtin.POOL_OUTSTANDING.set(3)
-        shipped = json.loads(json.dumps(take_samples()))
-        assert sorted(shipped) == [
-            "repro_engine_runs_total", "repro_task_wall_seconds",
-        ]
-        assert list(builtin.ENGINE_RUNS.collect()) == []
-        assert list(builtin.TASK_WALL_SECONDS.collect()) == []
-        assert [s.value for s in builtin.POOL_OUTSTANDING.collect()] == [3.0]
-
-        builtin.ENGINE_RUNS.inc(policy="ucp")
-        builtin.TASK_WALL_SECONDS.observe(2.0, backend="warm")
-        merge_samples(shipped)
+class TestView:
+    def test_recording_off_renders_no_samples(self):
+        _run(TraceRecorder(), "ucp")  # a recorder nobody installed
         text = render_prometheus()
-        assert 'repro_engine_runs_total{policy="ucp"} 3' in text
-        assert 'repro_task_wall_seconds_count{backend="warm"} 2' in text
-        assert 'repro_task_wall_seconds_sum{backend="warm"} 2.25' in text
-        assert 'repro_task_wall_seconds_bucket{backend="warm",le="0.5"} 1' in text
+        assert [line for line in text.splitlines() if not line.startswith("#")] == []
+        assert all(document["samples"] == [] for document in snapshot().values())
 
-    def test_enable_disable_roundtrip(self):
-        enable_metrics()
-        assert metrics_enabled()
-        disable_metrics()
-        assert not metrics_enabled()
+    def test_run_spans_count_with_labels(self):
+        rec = TraceRecorder()
+        set_recorder(rec)
+        _run(rec, "ucp")
+        _run(rec, "ucp")
+        _run(rec, "ucp")
+        _run(rec, "cooperative")
+        runs = _series(render_prometheus(), "repro_engine_runs_total")
+        assert runs == {'{policy="cooperative"}': 1.0, '{policy="ucp"}': 3.0}
+
+    def test_run_span_mechanics_are_summed(self):
+        rec = TraceRecorder()
+        set_recorder(rec)
+        _run(rec, "cooperative", takeover_events={"donor_hit": 4},
+             transitions_started=2, transfer_flushes=5, gate_drops=1)
+        _run(rec, "cooperative", takeover_events={"donor_hit": 1, "donor_miss": 2},
+             transfer_flushes=3)
+        text = render_prometheus()
+        assert _series(text, "repro_takeover_events_total") == {
+            '{kind="donor_hit"}': 5.0, '{kind="donor_miss"}': 2.0,
+        }
+        assert _series(text, "repro_way_transitions_total") == {"": 2.0}
+        assert _series(text, "repro_transfer_flushes_total") == {"": 8.0}
+        assert _series(text, "repro_power_gate_drops_total") == {"": 1.0}
+
+    def test_histogram_buckets(self, monkeypatch):
+        clock = {"now": 0.0}
+        monkeypatch.setattr(
+            trace_module, "time",
+            types.SimpleNamespace(perf_counter=lambda: clock["now"]),
+        )
+        set_recorder(TraceRecorder())
+        for seconds in (0.05, 0.5, 5.0):
+            with timed("store.get", cat="store"):
+                clock["now"] += seconds
+        samples = {
+            (row.get("suffix", ""), tuple(row["labels"].items())): row["value"]
+            for row in snapshot()["repro_store_get_seconds"]["samples"]
+        }
+        assert samples[("_bucket", (("le", "0.1"),))] == 1.0
+        assert samples[("_bucket", (("le", "1"),))] == 2.0
+        assert samples[("_bucket", (("le", "+Inf"),))] == 3.0
+        assert samples[("_count", ())] == 3.0
+        assert samples[("_sum", ())] == pytest.approx(5.55)
+
+    def test_counters_match_the_run_results(self, tmp_path, tiny_two_core):
+        """The takeover, transition and flush counters read the same
+        values the sweep's results carry."""
+        rec = TraceRecorder()
+        set_recorder(rec)
+        specs = [Experiment(g, "cooperative", tiny_two_core) for g in ("G2-4", "G2-8")]
+        with SweepExecutor(
+            ResultStore(tmp_path / "store"), max_workers=1, pool="serial"
+        ) as executor:
+            results = executor.sweep(specs)
+        stats = [result.policy_stats for result in results.values()]
+        text = render_prometheus()
+        takeovers = collections.Counter()
+        for stat in stats:
+            takeovers.update({
+                f'{{kind="{kind}"}}': count
+                for kind, count in stat.takeover_events.items() if count
+            })
+        assert takeovers
+        assert _series(text, "repro_takeover_events_total") == takeovers
+        flushes = sum(stat.transfer_flushes for stat in stats)
+        assert _series(text, "repro_transfer_flushes_total") == (
+            {"": flushes} if flushes else {}
+        )
+        transitions = sum(stat.transitions_started for stat in stats)
+        assert _series(text, "repro_way_transitions_total") == (
+            {"": transitions} if transitions else {}
+        )
 
 
 class TestRendering:
     def test_prometheus_text(self):
-        enable_metrics()
-        builtin.ENGINE_RUNS.inc(policy="ucp")
-        builtin.ENGINE_EPOCHS.inc(7)
+        rec = TraceRecorder()
+        set_recorder(rec)
+        _run(rec, "ucp", epochs=7)
         text = render_prometheus()
         assert text.endswith("\n")
         assert "# HELP repro_engine_runs_total" in text
@@ -178,20 +161,20 @@ class TestRendering:
         assert 'repro_engine_runs_total{policy="ucp"} 1' in text
         assert "repro_engine_epochs_total 7" in text
 
-    def test_label_escaping(self):
-        enable_metrics()
-        metric = counter("test_escape_total")
-        try:
-            metric.inc(label='a"b\\c\nd')
-            text = render_prometheus()
-            assert 'label="a\\"b\\\\c\\nd"' in text
-        finally:
-            unregister_metric("test_escape_total")
+    def test_label_escaping(self, monkeypatch):
+        from repro.obs import log
+
+        monkeypatch.setattr(log, "_noted", {'a"b\\c\nd'})  # no stderr note
+        set_recorder(TraceRecorder())
+        note_fallback('a"b\\c\nd', "unused")
+        text = render_prometheus()
+        assert 'layer="a\\"b\\\\c\\nd"' in text
 
     def test_snapshot_is_jsonable(self):
-        enable_metrics()
-        builtin.ENGINE_RUNS.inc(policy="ucp")
-        builtin.TASK_WALL_SECONDS.observe(0.25, backend="warm")
+        rec = TraceRecorder()
+        set_recorder(rec)
+        _run(rec, "ucp")
         document = snapshot()
         json.dumps(document)  # must not raise
         assert document["repro_engine_runs_total"]["kind"] == "counter"
+        assert [metric.name for metric in CATALOGUE] == list(document)

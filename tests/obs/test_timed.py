@@ -1,7 +1,7 @@
-"""``repro.obs.timed``, the one timing primitive: what it feeds with
-each sink on, that it reads no clock with both off, and that it is the
-only timing code outside ``repro.obs`` apart from the sites whose
-seconds are program output."""
+"""``repro.obs.timed``, the one timing primitive: what it records with
+tracing on (and so what the ``--metrics`` view reads), that it reads
+no clock with tracing off, and that it is the only timing code outside
+``repro.obs`` apart from the sites whose seconds are program output."""
 
 import ast
 import re
@@ -12,9 +12,8 @@ import pytest
 
 import repro
 from repro.experiment import Experiment
-from repro.obs import builtin
 from repro.obs import trace as trace_module
-from repro.obs.metrics import counter, enable_metrics, render_prometheus, unregister_metric
+from repro.obs.metrics import enable_metrics, render_prometheus
 from repro.obs.trace import TraceRecorder, set_recorder
 from repro.orchestration.executor import SweepExecutor
 from repro.orchestration.store import ResultStore
@@ -25,7 +24,7 @@ class ClockRead(Exception):
 
 
 def _no_clock():
-    raise ClockRead("perf_counter read with both sinks off")
+    raise ClockRead("perf_counter read with tracing off")
 
 
 def _sweep(store_path, config, groups=("G2-4",)):
@@ -73,13 +72,19 @@ def _sample(text, name):
 
 
 class TestTimed:
-    def test_both_sinks_off_read_no_clock(self, tmp_path, tiny_two_core, monkeypatch):
-        monkeypatch.setattr(
-            trace_module, "time", types.SimpleNamespace(perf_counter=_no_clock)
-        )
+    def test_tracing_off_reads_no_clock(self, tmp_path, tiny_two_core, monkeypatch):
+        def no_clock():
+            monkeypatch.setattr(
+                trace_module, "time", types.SimpleNamespace(perf_counter=_no_clock)
+            )
+
+        no_clock()
         assert _sweep(tmp_path / "store", tiny_two_core) == (3, 0)
-        # the patch does reach the primitive once a sink is on
+        # the patch does reach the primitive once --metrics turns
+        # recording on
+        monkeypatch.undo()
         enable_metrics()
+        no_clock()
         with pytest.raises(ClockRead):
             _sweep(tmp_path / "other", tiny_two_core, groups=("G2-8",))
 
@@ -126,43 +131,30 @@ class TestTimed:
         # artifact beside them (trace events never reach the store)
         assert len(puts) == seen["batches"] == 3
         assert sum(e["args"]["artifacts"] for e in puts) == seen["artifacts"]
-        # nothing was observed: metrics stayed off
-        assert list(builtin.STORE_PUT_SECONDS.collect()) == []
 
-    def test_body_extends_args_and_feeds_counts_even_on_error(self):
+    def test_body_extends_args_and_records_even_on_error(self):
         from repro.obs import timed
 
         rec = TraceRecorder()
         set_recorder(rec)
-        enable_metrics()
-        items = counter("test_timed_items_total")
-        try:
-            with pytest.raises(RuntimeError):
-                with timed(
-                    "layer", builtin.STORE_PUT_SECONDS, cat="test",
-                    counts={"items": items}, size=3,
-                ) as span:
-                    span["items"] = 5
-                    raise RuntimeError("body failed")
-            (event,) = [e for e in rec.events() if e["name"] == "layer"]
-            assert event["cat"] == "test" and event["args"] == {"size": 3, "items": 5}
-            assert [s.value for s in items.collect()] == [5.0]
-            text = render_prometheus()
-            assert _sample(text, "repro_store_put_seconds_count") == 1
-        finally:
-            unregister_metric("test_timed_items_total")
+        with pytest.raises(RuntimeError):
+            with timed("store.put", cat="store", size=3) as span:
+                span["artifacts"] = 5
+                raise RuntimeError("body failed")
+        (event,) = [e for e in rec.events() if e["name"] == "store.put"]
+        assert event["cat"] == "store" and event["args"] == {"size": 3, "artifacts": 5}
+        text = render_prometheus()
+        assert _sample(text, "repro_store_artifacts_written_total") == 5
+        assert _sample(text, "repro_store_put_seconds_count") == 1
 
 
 #: Functions outside repro/obs that read perf_counter themselves, each
 #: because its seconds are program output rather than instrumentation:
 #: a pool task's wall time (``PoolResult.seconds``, progress lines and
-#: the task histograms), the CLI's elapsed-time summary, and the submit
-#: instants the queue-time histogram subtracts from.
+#: the ``pool`` span's ``seconds``) and the CLI's elapsed-time summary.
 CLOCK_READERS = {
     "orchestration/pools.py::_attempt",
     "orchestration/executor.py::SweepExecutor._run_inline",
-    "orchestration/executor.py::SweepExecutor._run_phases.submit",
-    "orchestration/executor.py::SweepExecutor._observe_completion",
     "orchestration/cli.py::_Session.__init__",
     "orchestration/cli.py::_Session.tally",
 }

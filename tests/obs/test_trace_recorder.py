@@ -31,6 +31,7 @@ class TestNullRecorder:
         assert null.enabled is False
         token = null.begin("task")
         null.end(token)
+        null.instant("fallback", cat="fallback", layer="x")
         null.run_begin()
         null.epoch(100)
         assert null.run_end() == {}
@@ -53,6 +54,14 @@ class TestSpans:
         assert event["dur"] >= 0
         assert event["args"] == {"key": "abc", "outcome": "ok"}
         assert event["cat"] == "task"
+
+    def test_instant_event(self):
+        rec = TraceRecorder()
+        rec.instant("fallback", cat="fallback", layer="engine.run")
+        event = rec.events()[-1]
+        assert (event["name"], event["ph"], event["cat"]) == ("fallback", "i", "fallback")
+        assert event["args"] == {"layer": "engine.run"}
+        assert "dur" not in event and event["ts"] >= 0
 
     def test_end_unknown_token_is_ignored(self):
         rec = TraceRecorder()
@@ -143,7 +152,7 @@ class TestRunProtocol:
         runs = [e for e in rec.events() if e["name"] == "run"]
         assert [run["args"]["kernel_refs"] for run in runs] == [100, 400]
         assert second["kernel_spans"] == 2 and second["kernel_refs"] == 400
-        # summary() reports the cumulative totals perfbench's ledger reads
+        # summary() sums the run spans: the totals perfbench's ledger reads
         total = rec.summary()
         assert total["kernel_spans"] == 3
         assert total["kernel_seconds"] == pytest.approx(1.0)
@@ -156,10 +165,44 @@ class TestRunProtocol:
         rec.run_begin()
         for _ in range(TraceRecorder.KERNEL_EVENT_CAP + 50):
             span(0.001, refs=1)
+        rec.run_end()
         events = [e for e in rec.events() if e["name"] == "kernel_span"]
         assert len(events) == TraceRecorder.KERNEL_EVENT_CAP
-        # totals still count every span past the cap
+        # the run span's totals still count every span past the cap
         assert rec.summary()["kernel_spans"] == TraceRecorder.KERNEL_EVENT_CAP + 50
+
+    def test_the_cap_spans_runs(self, monkeypatch):
+        """The cap bounds the recorder, not each run: a later run keeps
+        its totals but records no kernel-span event."""
+        span = _kernel_spans(monkeypatch)
+        rec = TraceRecorder()
+        set_recorder(rec)
+        rec.run_begin()
+        for _ in range(TraceRecorder.KERNEL_EVENT_CAP):
+            span(0.001, refs=1)
+        rec.run_end()
+        rec.run_begin()
+        span(0.001, refs=7)
+        assert rec.run_end()["kernel_refs"] == 7
+        events = [e for e in rec.events() if e["name"] == "kernel_span"]
+        assert len(events) == TraceRecorder.KERNEL_EVENT_CAP
+
+    def test_summary_sums_merged_run_spans(self, monkeypatch):
+        """A worker's run spans, merged into the parent, count in the
+        parent's summary() as its own do."""
+        span = _kernel_spans(monkeypatch)
+        worker = TraceRecorder()
+        set_recorder(worker)
+        worker.run_begin()
+        span(0.5, refs=30)
+        worker.run_end()
+        parent = TraceRecorder()
+        set_recorder(parent)
+        merge_events(worker.take())
+        assert worker.summary()["kernel_spans"] == 0  # its log went home
+        total = parent.summary()
+        assert (total["kernel_spans"], total["kernel_refs"]) == (1, 30)
+        assert total["kernel_seconds"] == pytest.approx(0.5)
 
 
 class TestGlobals:

@@ -188,7 +188,7 @@ class TestWarmWorker:
         was_quiet = log.quiet()
         try:
             _warm_worker(
-                str(tmp_path / "store"), PYTHON, False, trace, was_quiet,
+                str(tmp_path / "store"), PYTHON, trace, was_quiet,
                 _ListTasks([PoolTask.from_experiment(spec)]), results,
             )
         finally:
