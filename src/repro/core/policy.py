@@ -29,7 +29,7 @@ from repro.core.permissions import WayPermissionFile
 from repro.core.takeover import TO_OFF, TakeoverEngine, WayTransition
 from repro.core.transfer import OFF, InsufficientSettledWays, plan_transfers
 from repro.partitioning.base import BaseSharedCachePolicy
-from repro.partitioning.lookahead import AllocationResult
+from repro.partitioning.lookahead import AllocationResult, check_threshold
 from repro.partitioning.registry import register_policy
 
 #: the paper's default takeover threshold (Section 5.1 justifies 0.05)
@@ -49,6 +49,10 @@ class CooperativeParams:
 
     threshold: float | None = None
     seed: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.threshold is not None:
+            check_threshold("threshold", self.threshold)
 
 
 @register_policy("cooperative", params=CooperativeParams)

@@ -40,8 +40,9 @@
  * are the Python objects' own buffers, read and written in place.  A cache's line
  * columns are flat: line (set, way) sits at `set * ways + way`.  Only
  * O(n_cores) scalars are copied per span.  The traces are read in
- * place too, one copy per benchmark whichever cores run it: each line
- * read gets its core's address-space offset (`core_addr`).
+ * place too, one copy per benchmark whichever cores run it: each
+ * 32-bit line address read gets its core's address-space offset
+ * (`core_addr`), so addresses are 64-bit from there on.
  *
  * The per-reference finds (the LLC `mapped` probe, the L1 probe, the
  * ATD stack search) stop at their first match, as the Python engine's
@@ -141,7 +142,7 @@ typedef struct {
 
     /* ---- traces (zero-copy; one copy per benchmark, see core_addr) ---- */
     int32_t **trace_gaps;
-    i64 **trace_addr;
+    int32_t **trace_addr;
     int8_t **trace_writes;
 
     /* ---- L1 columns: per core -> its L1's column ---- */
@@ -243,7 +244,7 @@ typedef struct {
     i64 evbuf_len;  /* in: 0; out: triples used */
 
     /* ---- warm sweep (repro_warm_sweep only) ---- */
-    i64 **warm_lines; /* per core: resident lines to touch */
+    int32_t **warm_lines; /* per core: resident lines to touch */
     i64 *warm_len;    /* per core */
     i64 warm_round;   /* resume cursor after a bail */
     i64 warm_core;
@@ -1185,9 +1186,9 @@ void repro_mt_words(uint32_t *mt, i64 n, uint32_t *out)
 i64 repro_trace_fill(uint32_t *mt, i64 n_refs,
                      i64 n_phases, const i64 *durations, const double *weights,
                      i64 n_cat, const i64 *lines, const i64 *cyclic,
-                     const i64 *offsets, const i64 *tables,
+                     const i64 *offsets, const int32_t *tables,
                      double mean_gap, double write_ratio, i64 stream_base,
-                     int32_t *gaps, i64 *addresses, int8_t *writes)
+                     int32_t *gaps, int32_t *addresses, int8_t *writes)
 {
     if (n_cat < 2 || n_cat > 64 || n_phases < 1 || mt[MT_N] > MT_N)
         return ST_ERROR;
@@ -1238,7 +1239,7 @@ i64 repro_trace_fill(uint32_t *mt, i64 n_refs,
             address = tables[offsets[best] + r];
         }
         gaps[i] = (int32_t)(mt_random(mt) * 2.0 * mean_gap + 0.5);
-        addresses[i] = address;
+        addresses[i] = (int32_t)address;
         writes[i] = mt_random(mt) < write_ratio;
     }
     return ST_DONE;

@@ -7,7 +7,10 @@ events the recorder holds — its own and those each pool worker sent
 home with a task — so a dump reads the same on every pool.  Nothing
 is counted while the program runs: each metric is a sum or a
 histogram over one kind of event (see :func:`_observations` and the
-catalogue table in docs/observability.md).
+catalogue table in docs/observability.md).  The kernel-span
+histograms read the bucket counts each run span carries, so they
+count every span, not only those kept under the recorder's
+``KERNEL_EVENT_CAP``.
 
 Output is deterministic: metrics render sorted by name, series by
 label set and histogram buckets in ascending order, both for the
@@ -16,19 +19,12 @@ Prometheus text and for :func:`snapshot`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator
 
-from repro.obs.trace import enable_tracing, recorder
-
-#: Histogram bucket presets.  Seconds buckets cover sub-millisecond store
-#: probes up to multi-second pool tasks; size buckets are powers of two
-#: (kernel spans retire up to thousands of references).
-SECONDS_BUCKETS = (
-    0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0,
-)
-SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
-                512.0, 1024.0, 4096.0, 16384.0)
+from repro.obs.trace import SECONDS_BUCKETS, SIZE_BUCKETS, enable_tracing, recorder
 
 LabelItems = tuple[tuple[str, str], ...]
 
@@ -95,11 +91,21 @@ CATALOGUE = tuple(sorted((
 ), key=lambda metric: metric.name))
 
 
+@dataclass(frozen=True)
+class Bucketed:
+    """Histogram observations counted already: one count per bucket
+    (the last above every bound) and the observations' sum."""
+
+    counts: list[int]
+    total: float
+
+
 def _observations(
     events: Iterable[dict],
-) -> Iterator[tuple[str, LabelItems, float]]:
+) -> Iterator[tuple[str, LabelItems, float | Bucketed]]:
     """Every ``(metric, labels, value)`` the events hold: a counter
-    adds the value, a histogram observes it."""
+    adds the value, a histogram observes it (or adds a run span's
+    :class:`Bucketed` kernel spans)."""
     for event in events:
         cat, name, args = event["cat"], event["name"], event["args"]
         seconds = event.get("dur", 0.0) / 1e6
@@ -111,9 +117,12 @@ def _observations(
             yield "repro_way_transitions_total", (), args["transitions_started"]
             yield "repro_transfer_flushes_total", (), args["transfer_flushes"]
             yield "repro_power_gate_drops_total", (), args["gate_drops"]
-        elif cat == "kernel":
-            yield "repro_kernel_span_refs", (), args["refs"]
-            yield "repro_kernel_span_seconds", (), seconds
+            yield "repro_kernel_span_refs", (), Bucketed(
+                args["kernel_refs_buckets"], args["kernel_refs"]
+            )
+            yield "repro_kernel_span_seconds", (), Bucketed(
+                args["kernel_seconds_buckets"], args["kernel_seconds"]
+            )
         elif cat == "fallback":
             yield "repro_kernel_fallbacks_total", (("layer", args["layer"]),), 1
         elif cat == "store" and name == "store.get":
@@ -152,7 +161,7 @@ class Sample:
 def _samples(events: Iterable[dict]) -> dict[str, list[Sample]]:
     """Every catalogue metric's samples over ``events``.  A counter
     series appears with its first nonzero count."""
-    series: dict[str, dict[LabelItems, list[float]]] = {
+    series: dict[str, dict[LabelItems, list]] = {
         metric.name: {} for metric in CATALOGUE
     }
     for name, labels, value in _observations(events):
@@ -170,17 +179,25 @@ def _samples(events: Iterable[dict]) -> dict[str, list[Sample]]:
 
 
 def _histogram_samples(
-    buckets: tuple[float, ...], labels: LabelItems, values: list[float]
+    buckets: tuple[float, ...], labels: LabelItems, values: list
 ) -> Iterator[Sample]:
-    for bound in buckets:
+    counts = [0] * (len(buckets) + 1)
+    total = 0.0
+    for value in values:
+        if isinstance(value, Bucketed):
+            counts = [mine + theirs for mine, theirs in zip(counts, value.counts)]
+            total += value.total
+        else:
+            counts[bisect_left(buckets, value)] += 1
+            total += value
+    cumulative = list(accumulate(counts))
+    for bound, count in zip(buckets, cumulative):
         yield Sample(
-            labels + (("le", _format_value(bound)),),
-            float(sum(value <= bound for value in values)),
-            "_bucket",
+            labels + (("le", _format_value(bound)),), float(count), "_bucket"
         )
-    yield Sample(labels + (("le", "+Inf"),), float(len(values)), "_bucket")
-    yield Sample(labels, sum(values), "_sum")
-    yield Sample(labels, float(len(values)), "_count")
+    yield Sample(labels + (("le", "+Inf"),), float(cumulative[-1]), "_bucket")
+    yield Sample(labels, total, "_sum")
+    yield Sample(labels, float(cumulative[-1]), "_count")
 
 
 def _format_value(value: float) -> str:

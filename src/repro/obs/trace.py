@@ -36,10 +36,24 @@ import json
 import os
 import threading
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Iterable, TextIO
 
 from repro.orchestration.clock import wall_now
+
+#: Histogram bucket upper bounds: a value counts in the first bucket
+#: whose bound it does not exceed (``bisect_left``), or in one more
+#: bucket past the last bound.  Seconds buckets cover sub-millisecond
+#: store probes up to multi-second pool tasks; size buckets are powers
+#: of two (kernel spans retire up to thousands of references).  A run
+#: span counts its kernel spans into both, and the ``--metrics``
+#: histograms (:mod:`repro.obs.metrics`) use them.
+SECONDS_BUCKETS = (
+    0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0,
+)
+SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
+                512.0, 1024.0, 4096.0, 16384.0)
 
 
 class NullRecorder:
@@ -90,8 +104,9 @@ class TraceRecorder(NullRecorder):
     enabled = True
 
     #: Cap on retained kernel-span events per recorder; compiled runs
-    #: can execute tens of thousands of spans, and the run spans'
-    #: totals (``summary()``) are what a profile or ledger needs.
+    #: can execute tens of thousands of spans.  The run spans carry
+    #: every span's totals and bucket counts, so ``summary()`` and the
+    #: ``--metrics`` histograms stay exact past the cap.
     KERNEL_EVENT_CAP = 2000
 
     def __init__(self) -> None:
@@ -109,11 +124,14 @@ class TraceRecorder(NullRecorder):
         self._epochs = 0
         self._epoch_start = self._origin
         self._epoch_cycle = 0
-        # The open run's kernel totals, which its run span carries, and
-        # the kernel spans this recorder has seen, for KERNEL_EVENT_CAP.
+        # The open run's kernel totals and span-size/span-seconds
+        # bucket counts, which its run span carries, and the kernel
+        # spans this recorder has seen, for KERNEL_EVENT_CAP.
         self._run_spans = 0
         self._run_seconds = 0.0
         self._run_refs = 0
+        self._run_refs_buckets = [0] * (len(SIZE_BUCKETS) + 1)
+        self._run_seconds_buckets = [0] * (len(SECONDS_BUCKETS) + 1)
         self._kernel_seen = 0
         self._events.append(
             {
@@ -136,9 +154,12 @@ class TraceRecorder(NullRecorder):
         readings.  A kernel span also feeds its run's totals; past
         :attr:`KERNEL_EVENT_CAP` it feeds only them."""
         if cat == "kernel":
+            refs, seconds = int(args.get("refs", 0)), end - start
             self._run_spans += 1
-            self._run_seconds += end - start
-            self._run_refs += int(args.get("refs", 0))
+            self._run_seconds += seconds
+            self._run_refs += refs
+            self._run_refs_buckets[bisect_left(SIZE_BUCKETS, refs)] += 1
+            self._run_seconds_buckets[bisect_left(SECONDS_BUCKETS, seconds)] += 1
             self._kernel_seen += 1
             if self._kernel_seen > self.KERNEL_EVENT_CAP:
                 return
@@ -195,6 +216,8 @@ class TraceRecorder(NullRecorder):
         self._run_spans = 0
         self._run_seconds = 0.0
         self._run_refs = 0
+        self._run_refs_buckets = [0] * (len(SIZE_BUCKETS) + 1)
+        self._run_seconds_buckets = [0] * (len(SECONDS_BUCKETS) + 1)
 
     def epoch(self, cycle: int, **args: Any) -> None:
         """Record one epoch span covering (last boundary, ``cycle``]."""
@@ -214,9 +237,14 @@ class TraceRecorder(NullRecorder):
             "kernel_seconds": self._run_seconds,
             "kernel_refs": self._run_refs,
         }
-        # The run span carries its kernel totals, so a trace holds them
-        # exactly even past KERNEL_EVENT_CAP.
-        self.end(self._run_token, **summary, **args)
+        # The run span carries its kernel totals and bucket counts, so
+        # a trace holds them exactly even past KERNEL_EVENT_CAP.
+        self.end(
+            self._run_token, **summary,
+            kernel_refs_buckets=self._run_refs_buckets,
+            kernel_seconds_buckets=self._run_seconds_buckets,
+            **args,
+        )
         self._run_token = -1
         return summary
 

@@ -47,6 +47,7 @@ the equivalent for source checkouts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -133,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics", default=None, metavar="FILE",
         help="record trace spans as --trace does and write the metrics "
              "read from them as a Prometheus text dump to FILE on exit "
-             "('-' prints to stdout)",
+             "('-' prints the dump alone to stdout, and the command's "
+             "tables to stderr)",
     )
 
     jobs_flag = argparse.ArgumentParser(add_help=False)
@@ -350,7 +352,10 @@ def _config_from(options: argparse.Namespace) -> SystemConfig:
     factory = scaled_two_core if options.cores == 2 else scaled_four_core
     config = factory(refs_per_core=refs)
     if options.threshold is not None:
-        config = config.with_threshold(options.threshold)
+        try:
+            config = config.with_threshold(options.threshold)
+        except ValueError as error:
+            raise SystemExit(f"bad --threshold: {error}")
     return config
 
 
@@ -561,10 +566,14 @@ class _Session:
 
 def _run_command(options: argparse.Namespace) -> int:
     """``sweep``, ``alone`` and ``scenario``: build the subcommand's
-    specs, run them through one :class:`_Session`, render."""
+    specs, run them through one :class:`_Session`, render.  With
+    ``--metrics -`` the rendering goes to stderr, so stdout holds the
+    Prometheus dump alone."""
     session = _Session(options)
+    tables = sys.stderr if getattr(options, "metrics", None) == "-" else sys.stdout
     try:
-        code = options.run(options, session)
+        with contextlib.redirect_stdout(tables):
+            code = options.run(options, session)
     finally:
         session.executor.close()
     _finish_obs(options)

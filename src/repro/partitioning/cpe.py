@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.partitioning.base import BaseSharedCachePolicy
-from repro.partitioning.lookahead import lookahead_partition
+from repro.partitioning.lookahead import check_threshold, lookahead_partition
 from repro.partitioning.registry import register_policy
 
 #: assignment value for a powered-off way
@@ -38,6 +38,10 @@ class CPEParams:
     """
 
     threshold: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.threshold is not None:
+            check_threshold("threshold", self.threshold)
 
 
 @register_policy("cpe", params=CPEParams, profile_kwarg="profiles")

@@ -23,7 +23,11 @@ We implement the clearly intended semantics:
   ``T * mu_peak`` (and positive, when ``T > 0``);
 * ``T = 0`` degenerates to exact UCP lookahead — every way is
   allocated, including zero-utility ones;
-* ``T >= 1`` allocates nothing beyond the per-core minimum.
+* ``T = 1`` allocates the first winner and any later one whose utility
+  equals the peak;
+* any ``T > 1`` allocates nothing beyond the per-core minimum, so every
+  such ``T`` is the same setting: :func:`check_threshold` confines each
+  configured ``T`` (the system's and a policy spec's) to [0, 1].
 """
 
 from __future__ import annotations
@@ -31,6 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 _NEG_INF = float("-inf")
+
+
+def check_threshold(name: str, value: float) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``0 <= value <= 1``."""
+    if not 0 <= value <= 1:
+        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.cache.geometry import CacheGeometry
+from repro.partitioning.lookahead import check_threshold
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,14 @@ class SystemConfig:
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
         # A negative latency or threshold runs to a wrong table or fails
-        # an epoch later; zero (and -0.0) stays a valid setting.
-        for name in ("l1_latency", "l2_latency", "mem_latency", "mem_bank_busy",
-                     "threshold"):
+        # an epoch later; zero (and -0.0) stays a valid setting.  Every
+        # threshold above 1 runs as the same no-allocation setting, each
+        # under its own task key.
+        for name in ("l1_latency", "l2_latency", "mem_latency", "mem_bank_busy"):
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must not be negative, got {value!r}")
+        check_threshold("threshold", self.threshold)
         # The simulator issues by a shift of log2(issue_width), so any
         # other width would silently run as the power of two below it.
         width = self.issue_width

@@ -7,14 +7,21 @@ deterministically from ``(profile, geometry, seed)`` so every
 partitioning scheme sees byte-identical input — the comparisons in
 the paper's figures are paired.
 
-Address-space layout (line addresses):
+Address-space layout (line addresses, stored as 32-bit ``'i'`` items):
 
-* each ring ``k`` lives at ``(k + 1) << RING_REGION_BITS``;
 * the hot (L1-resident) region lives at 0;
-* the streaming component walks upward from ``STREAM_BASE``;
-* each core adds its own offset (``CoreState.offset``) to every line
-  it reads, keeping the multiprogrammed address spaces disjoint, so
-  every core that runs a benchmark reads the same copy of its trace.
+* each ring ``k`` lives at ``(k + 1) << RING_REGION_BITS``, below
+  ``STREAM_BASE``;
+* the streaming component walks upward from ``STREAM_BASE`` (``1 <<
+  30``), one new line per stream reference, so a trace of at most
+  ``2**30`` references stays within ``2**31 - 1``;
+* each core adds its own offset (``CoreState.offset``, ``(core + 1) <<
+  40``) to every line it reads, keeping the multiprogrammed address
+  spaces disjoint, so every core that runs a benchmark reads the same
+  copy of its trace.
+
+:func:`generate_trace` refuses a trace whose rings or stream would not
+fit these bounds before it allocates anything.
 
 Generation is one loop over references, written twice: the C kernel's
 ``repro_trace_fill`` (steps CPython's Mersenne Twister itself) and
@@ -42,7 +49,13 @@ from repro.workloads.seeding import stable_rng
 #: bits reserved for one ring's address region
 RING_REGION_BITS = 24
 #: line-address base of the streaming region
-STREAM_BASE = 1 << 32
+STREAM_BASE = 1 << 30
+#: largest line address the 32-bit address column holds
+MAX_LINE_ADDRESS = (1 << 31) - 1
+#: each column's ``array`` typecode: the width the C kernel reads it at
+COLUMN_TYPECODES = {
+    "gaps": "i", "line_addresses": "i", "writes": "b", "warm_lines": "i",
+}
 
 
 @dataclass
@@ -58,9 +71,11 @@ class Trace:
     compulsory misses the paper's 1B-instruction runs amortise away.
 
     The three parallel columns are ``array``-backed (``'i'`` int32 for
-    gaps, ``'q'`` for addresses, ``'b'`` 0/1 flags for writes) so a
-    100k-reference trace is three flat buffers, not 300k boxed Python
-    objects; the simulator indexes them directly in its inner loop.
+    gaps and line addresses, ``'b'`` 0/1 flags for writes), 9 bytes
+    per reference, so a 100k-reference trace is three flat buffers,
+    not 300k boxed Python objects; the simulator indexes them directly
+    in its inner loop.  ``warm_lines`` is ``'i'`` too.  The addresses
+    are the benchmark's own; each core adds its offset as it reads.
     The columns are read-only to every consumer, so all the cores that
     run this trace, in any run, share them.
     """
@@ -70,6 +85,17 @@ class Trace:
     line_addresses: "array[int]"
     writes: "array[int]"
     warm_lines: "array[int]"
+
+    def __post_init__(self) -> None:
+        # The compiled engine reads the columns in place, so a column of
+        # another width would run to a wrong result, not fail.
+        for field, code in COLUMN_TYPECODES.items():
+            typecode = getattr(self, field).typecode
+            if typecode != code:
+                raise TypeError(
+                    f"Trace.{field} must be an array({code!r}), "
+                    f"got an array({typecode!r})"
+                )
 
     def __len__(self) -> int:
         return len(self.line_addresses)
@@ -144,6 +170,12 @@ def generate_trace(
     """
     if n_refs <= 0:
         raise ValueError(f"n_refs must be positive, got {n_refs}")
+    # Every bound is checked before anything is allocated.
+    if STREAM_BASE + n_refs - 1 > MAX_LINE_ADDRESS:  # the stream's last line
+        raise ValueError(
+            f"{profile.name}: {n_refs} references could walk the stream "
+            f"past line {MAX_LINE_ADDRESS} of the 32-bit address column"
+        )
     mean_gap = 1000.0 / profile.apki - 1.0
     if 2 * mean_gap + 1 >= 1 << 31:  # the largest gap must fit in int32
         raise ValueError(
@@ -151,14 +183,19 @@ def generate_trace(
             f"a 32-bit gap column"
         )
     num_sets = llc_geometry.num_sets
+    ring_lines = [max(1, round(ring.ways_worth * num_sets)) for ring in profile.rings]
+    for index, lines in enumerate(ring_lines):
+        # _spread_addresses stays inside whole layers of num_sets lines
+        end = ((index + 1) << RING_REGION_BITS) + -(-lines // num_sets) * num_sets
+        if end > STREAM_BASE:
+            raise ValueError(
+                f"{profile.name}: ring {index} ({lines} lines) reaches the "
+                f"stream region at line {STREAM_BASE}"
+            )
     hot_addresses = _spread_addresses(0, max(1, l1_lines // 2), num_sets)
     ring_addresses = [
-        _spread_addresses(
-            (index + 1) << RING_REGION_BITS,
-            max(1, round(ring.ways_worth * num_sets)),
-            num_sets,
-        )
-        for index, ring in enumerate(profile.rings)
+        _spread_addresses((index + 1) << RING_REGION_BITS, lines, num_sets)
+        for index, lines in enumerate(ring_lines)
     ]
     # Per category (0 = hot region, 1..n = rings, last = stream): the
     # address table, empty for the stream, and whether it is walked
@@ -185,7 +222,7 @@ def generate_trace(
         gaps=gaps,
         line_addresses=addresses,
         writes=writes,
-        warm_lines=array("q", chain.from_iterable(tables)),
+        warm_lines=array("i", chain.from_iterable(tables)),
     )
 
 
@@ -259,7 +296,7 @@ def _fill_columns_python(
         addresses.append(address)
         writes.append(choose() < write_ratio)
 
-    return array("i", gaps), array("q", addresses), array("b", writes)
+    return array("i", gaps), array("i", addresses), array("b", writes)
 
 
 def _fill_columns_c(
@@ -279,9 +316,9 @@ def _fill_columns_c(
     lines = array("q", map(len, tables))
     flags = array("q", cyclic)
     offsets = array("q", accumulate(lines[:-1], initial=0))
-    flat = array("q", chain.from_iterable(tables))
+    flat = array("i", chain.from_iterable(tables))
     gaps = array("i", [0]) * n_refs
-    addresses = array("q", [0]) * n_refs
+    addresses = array("i", [0]) * n_refs
     writes = array("b", [0]) * n_refs
     status = kernel.repro_trace_fill(
         _addr(state), n_refs,

@@ -40,8 +40,8 @@ def _simulator(n_cores=2):
         l2_latency=L2_LATENCY,
     )
     traces = [
-        Trace(f"t{core}", array("i", [0]), array("q", [0]), array("b", [0]),
-              array("q"))
+        Trace(f"t{core}", array("i", [0]), array("i", [0]), array("b", [0]),
+              array("i"))
         for core in range(n_cores)
     ]
     sim = CMPSimulator(config, traces, "unmanaged")

@@ -4,6 +4,7 @@ the merged trace file, and ``repro trace view``."""
 import collections
 import json
 import os
+import re
 
 import pytest
 
@@ -82,6 +83,9 @@ class TestTraceFlag:
         with pytest.raises(SystemExit, match="cannot read trace"):
             main(["trace", "view", str(bad)])
 
+
+#: one line of the Prometheus text exposition: a comment or a sample
+EXPOSITION_LINE = re.compile(r"#.*|[A-Za-z_:][A-Za-z0-9_:]*(\{[^}]*\})? \S+")
 
 #: how each pool is selected
 POOL_ARGUMENTS = {
@@ -269,8 +273,14 @@ class TestMetricsFlag:
 
     def test_dash_prints_to_stdout(self, capsys):
         assert _sweep("--metrics", "-") == 0
-        out = capsys.readouterr().out
-        assert "# TYPE repro_engine_epochs_total counter" in out
+        captured = capsys.readouterr()
+        assert "# TYPE repro_engine_epochs_total counter" in captured.out
+        # stdout is the dump alone: every line is exposition
+        lines = [line for line in captured.out.splitlines() if line]
+        assert [line for line in lines if not EXPOSITION_LINE.fullmatch(line)] == []
+        # the tables and the summary line go to stderr
+        assert "weighted speedup" in captured.err
+        assert "tasks computed" in captured.err
 
 
 class TestQuietFlag:

@@ -8,11 +8,14 @@ import types
 
 import pytest
 
+from repro.engine import compiled_available
 from repro.experiment import Experiment
 from repro.obs import trace as trace_module
 from repro.obs.log import note_fallback
 from repro.obs.metrics import CATALOGUE, enable_metrics, render_prometheus, snapshot
-from repro.obs.trace import TraceRecorder, set_recorder, timed, tracing_enabled
+from repro.obs.trace import (
+    SIZE_BUCKETS, TraceRecorder, recorder, set_recorder, timed, tracing_enabled,
+)
 from repro.orchestration.executor import SweepExecutor
 from repro.orchestration.store import ResultStore
 
@@ -147,6 +150,59 @@ class TestView:
         assert _series(text, "repro_way_transitions_total") == (
             {"": transitions} if transitions else {}
         )
+
+
+def _sweep_runs(tmp_path, config):
+    """A tiny serial sweep's rendered dump, its run spans and kernel spans."""
+    specs = [Experiment("G2-4", policy, config) for policy in ("ucp", "cooperative")]
+    with SweepExecutor(
+        ResultStore(tmp_path / "store"), max_workers=1, pool="serial"
+    ) as executor:
+        executor.sweep(specs)
+    events = recorder().events()
+    runs = [e["args"] for e in events if e["name"] == "run" and e["cat"] == "engine"]
+    kernel = [e for e in events if e["cat"] == "kernel"]
+    return render_prometheus(), runs, kernel
+
+
+@pytest.mark.skipif(not compiled_available(), reason="kernel spans need the C kernel")
+class TestKernelSpanHistograms:
+    """The kernel-span histograms are read from the run spans, so they
+    count every span, not only the events the recorder keeps."""
+
+    def test_exact_past_the_event_cap(self, monkeypatch, tmp_path, tiny_two_core):
+        monkeypatch.setattr(TraceRecorder, "KERNEL_EVENT_CAP", 2)
+        set_recorder(TraceRecorder())
+        text, runs, kernel = _sweep_runs(tmp_path, tiny_two_core)
+        spans = sum(run["kernel_spans"] for run in runs)
+        assert len(kernel) == 2 < spans
+        for name in ("repro_kernel_span_refs", "repro_kernel_span_seconds"):
+            assert _series(text, f"{name}_count") == {"": spans}
+            assert _series(text, f"{name}_bucket")['{le="+Inf"}'] == spans
+        assert _series(text, "repro_kernel_span_refs_sum") == {
+            "": sum(run["kernel_refs"] for run in runs)
+        }
+        assert _series(text, "repro_kernel_span_seconds_sum")[""] == pytest.approx(
+            sum(run["kernel_seconds"] for run in runs)
+        )
+
+    def test_buckets_match_the_span_events(self, tmp_path, tiny_two_core):
+        """Under the cap, the run spans' span-size buckets are those of
+        the kernel-span events themselves."""
+        set_recorder(TraceRecorder())
+        _text, runs, kernel = _sweep_runs(tmp_path, tiny_two_core)
+        assert len(kernel) == sum(run["kernel_spans"] for run in runs)
+
+        def summed(key):
+            return [sum(column) for column in zip(*(run[key] for run in runs))]
+
+        refs = [event["args"]["refs"] for event in kernel]
+        bounds = (float("-inf"), *SIZE_BUCKETS, float("inf"))
+        assert summed("kernel_refs_buckets") == [
+            sum(1 for ref in refs if low < ref <= high)
+            for low, high in zip(bounds, bounds[1:])
+        ]
+        assert sum(summed("kernel_seconds_buckets")) == len(kernel)
 
 
 class TestRendering:

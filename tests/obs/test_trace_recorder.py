@@ -171,6 +171,33 @@ class TestRunProtocol:
         # the run span's totals still count every span past the cap
         assert rec.summary()["kernel_spans"] == TraceRecorder.KERNEL_EVENT_CAP + 50
 
+    def test_run_span_carries_bucket_counts(self, monkeypatch):
+        span = _kernel_spans(monkeypatch)
+        rec = TraceRecorder()
+        set_recorder(rec)
+        rec.run_begin()
+        for seconds, refs in ((0.00005, 1), (0.002, 3), (0.002, 300), (60.0, 20_000)):
+            span(seconds, refs=refs)
+        rec.run_end()
+        (run,) = [e["args"] for e in rec.events() if e["name"] == "run"]
+        # le = 1, 2, 4, ..., 512, 1024, 4096, 16384, then above 16384
+        assert run["kernel_refs_buckets"] == [1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1]
+        # le = 0.0001, 0.0005, 0.001, 0.005, ..., 30, then above 30
+        assert run["kernel_seconds_buckets"] == [1, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1]
+        assert run["kernel_spans"] == 4
+
+    def test_each_run_counts_its_own_buckets(self, monkeypatch):
+        span = _kernel_spans(monkeypatch)
+        rec = TraceRecorder()
+        set_recorder(rec)
+        for refs in (5, 500):
+            rec.run_begin()
+            span(0.001, refs=refs)
+            rec.run_end()
+        runs = [e["args"] for e in rec.events() if e["name"] == "run"]
+        assert [run["kernel_refs_buckets"].index(1) for run in runs] == [3, 9]
+        assert [sum(run["kernel_refs_buckets"]) for run in runs] == [1, 1]
+
     def test_the_cap_spans_runs(self, monkeypatch):
         """The cap bounds the recorder, not each run: a later run keeps
         its totals but records no kernel-span event."""

@@ -54,6 +54,15 @@ class TestSweep:
         with pytest.raises(SystemExit):
             main(["sweep", "--refs-per-core", "-5", "--groups", "1", *store_arguments])
 
+    @pytest.mark.parametrize("threshold", ["1.5", "-0.1"])
+    def test_threshold_outside_unit_range_fails_before_any_work(
+        self, tmp_path, threshold
+    ):
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit, match=r"bad --threshold: .*\[0, 1\]"):
+            main(["sweep", "--threshold", threshold, *FAST, "--store", str(store)])
+        assert not store.exists() or not any(store.iterdir())
+
     def test_baseline_named_in_titles_without_fair_share(self, store_arguments, capsys):
         code = main([
             "sweep", "--groups", "G2-4", "--policies", "ucp,cooperative",

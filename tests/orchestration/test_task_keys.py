@@ -115,7 +115,7 @@ class TestByteIdentity:
             st.tuples(
                 st.one_of(
                     st.booleans(),
-                    st.integers(0, 2),
+                    st.integers(0, 1),
                     st.sampled_from([0.0, -0.0, 0.05, 1.0]),
                 ),
                 st.one_of(st.just(False), st.just(0), st.sampled_from([0.0, -0.0, 0.5])),

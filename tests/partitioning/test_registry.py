@@ -82,6 +82,19 @@ class TestErrorPaths:
         with pytest.raises(TypeError, match="seed"):
             PolicySpec("cooperative", seed=1.5)
 
+    @pytest.mark.parametrize("policy", ["cooperative", "cpe"])
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5, 2])
+    def test_threshold_outside_unit_range_rejected_eagerly(self, policy, threshold):
+        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\]"):
+            PolicySpec(policy, threshold=threshold)
+
+    @pytest.mark.parametrize("policy", ["cooperative", "cpe"])
+    @pytest.mark.parametrize("threshold", [0, 1.0, None])
+    def test_threshold_in_unit_range_accepted(self, policy, threshold):
+        assert dict(PolicySpec(policy, threshold=threshold).params)["threshold"] == (
+            None if threshold is None else float(threshold)
+        )
+
     def test_int_coerces_to_float_for_canonical_binding(self):
         assert PolicySpec("cooperative", threshold=0) == PolicySpec(
             "cooperative", threshold=0.0

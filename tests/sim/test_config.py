@@ -106,6 +106,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(scaled_two_core(), **{field: value})
 
+    @pytest.mark.parametrize("value", [1.0000001, 1.5, 2, float("nan")])
+    def test_threshold_must_not_exceed_one(self, value):
+        # T >= 1 already allocates nothing beyond the per-core minimum
+        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\]"):
+            dataclasses.replace(scaled_two_core(), threshold=value)
+
+    @pytest.mark.parametrize("value", [1, 1.0, True])
+    def test_threshold_of_one_is_accepted(self, value):
+        assert dataclasses.replace(scaled_two_core(), threshold=value).threshold == 1
+
     @pytest.mark.parametrize("field", NON_NEGATIVE)
     @pytest.mark.parametrize("value", [0, -0.0, False])
     def test_zero_is_accepted(self, field, value):

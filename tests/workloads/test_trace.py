@@ -1,5 +1,6 @@
 """Unit and property tests for synthetic trace generation."""
 
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import strategies as st
 
 from repro.cache.geometry import CacheGeometry
 from repro.workloads import trace as trace_module
-from repro.workloads.profiles import BENCHMARK_PROFILES, profile_for
-from repro.workloads.trace import STREAM_BASE, _spread_addresses, generate_trace
+from repro.workloads.profiles import BENCHMARK_PROFILES, Ring, profile_for
+from repro.workloads.trace import (
+    RING_REGION_BITS, STREAM_BASE, _spread_addresses, generate_trace,
+)
 
 LLC = CacheGeometry(128 * 1024, 64, 8)  # 256 sets
 
@@ -109,6 +112,83 @@ class TestGeneration:
         in_a = sum(1 for a in phase_a if ring2_base <= a < (3 << 24))
         in_b = sum(1 for a in phase_b if ring2_base <= a < (3 << 24))
         assert in_a > in_b * 2  # the capacity ring fades in phase B
+
+
+def _no_allocation(monkeypatch):
+    """Make every step that allocates a region or a column fail."""
+
+    def allocated(*args):
+        raise AssertionError("generate_trace allocated before refusing")
+
+    monkeypatch.setattr(trace_module, "_spread_addresses", allocated)
+    monkeypatch.setattr(trace_module, "_kernel", allocated)
+
+
+def _stub_fill(monkeypatch):
+    """Let a trace through every guard without building it: no region
+    tables, and one-reference columns from a stub fill."""
+    monkeypatch.setattr(trace_module, "_spread_addresses", lambda *args: [args[0]])
+    monkeypatch.setattr(trace_module, "_kernel", lambda: None)
+    monkeypatch.setattr(
+        trace_module, "_fill_columns_python",
+        lambda *args: (array("i", [0]), array("i", [0]), array("b", [0])),
+    )
+
+
+class TestAddressBounds:
+    """Line addresses are 32-bit: the stream and the rings must fit."""
+
+    def test_rejects_a_stream_past_31_bits_before_allocating(self, monkeypatch):
+        # a 2**30 + 1 reference trace would take ~9 GB to build
+        _no_allocation(monkeypatch)
+        with pytest.raises(ValueError, match=r"^lbm: 1073741825 references"):
+            generate_trace(profile_for("lbm"), LLC, 64, (1 << 30) + 1)
+
+    def test_accepts_the_longest_stream(self, monkeypatch):
+        _stub_fill(monkeypatch)
+        trace = generate_trace(profile_for("lbm"), LLC, 64, 1 << 30)
+        assert trace.name == "lbm"
+
+    def test_rejects_a_ring_reaching_the_stream_before_allocating(
+        self, monkeypatch
+    ):
+        # ring 0 starts at 1 << 24; one more layer than fits below the stream
+        layers = (STREAM_BASE - (1 << RING_REGION_BITS)) // LLC.num_sets + 1
+        profile = replace(profile_for("mcf"), rings=(Ring(layers, "cyclic", 0.5),))
+        _no_allocation(monkeypatch)
+        with pytest.raises(ValueError, match=r"^mcf: ring 0 \(\d+ lines\) reaches"):
+            generate_trace(profile, LLC, 64, 1_000)
+
+    def test_accepts_a_ring_ending_below_the_stream(self, monkeypatch):
+        layers = (STREAM_BASE - (1 << RING_REGION_BITS)) // LLC.num_sets
+        profile = replace(profile_for("mcf"), rings=(Ring(layers, "cyclic", 0.5),))
+        _stub_fill(monkeypatch)
+        assert generate_trace(profile, LLC, 64, 1_000).name == "mcf"
+
+    def test_rejects_a_ring_region_at_the_stream_base(self, monkeypatch):
+        # ring k lives at (k + 1) << RING_REGION_BITS; ring 63 is STREAM_BASE
+        rings = tuple(Ring(0.001, "uniform", 0.01) for _ in range(64))
+        profile = replace(profile_for("mcf"), rings=rings, stream_weight=0.0)
+        _no_allocation(monkeypatch)
+        with pytest.raises(ValueError, match=r"^mcf: ring 63 \(1 lines\) reaches"):
+            generate_trace(profile, LLC, 64, 1_000)
+
+    @pytest.mark.parametrize("field, code", [
+        ("line_addresses", "q"), ("warm_lines", "q"), ("gaps", "q"), ("writes", "i"),
+    ])
+    def test_a_column_of_another_width_is_refused(self, field, code):
+        # the compiled engine would read it in place at the wrong width
+        trace = generate_trace(profile_for("mcf"), LLC, 64, 100, seed=3)
+        column = array(code, getattr(trace, field))
+        with pytest.raises(TypeError, match=rf"Trace\.{field} must be an array"):
+            replace(trace, **{field: column})
+
+    def test_addresses_are_32_bit(self):
+        trace = generate_trace(profile_for("libquantum"), LLC, 64, 5_000, seed=3)
+        for column in (trace.line_addresses, trace.warm_lines):
+            assert (column.typecode, column.itemsize) == ("i", 4)
+        assert max(trace.line_addresses) >= STREAM_BASE  # the stream ran
+        assert max(trace.warm_lines) < STREAM_BASE
 
 
 @settings(max_examples=15, deadline=None)

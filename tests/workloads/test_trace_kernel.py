@@ -7,7 +7,8 @@ kernel cannot load.  The two must emit identical traces from the same
 several seeds, the edge cases that exercise unusual draws (phase
 wrap-around, single-line regions, ``randrange(1)``), and the raw
 MT19937 word stream across the 624-word regeneration boundary.  Both
-fills write the gaps as 32-bit ``'i'`` items.
+fills write the gaps, the line addresses and the warming lines as
+32-bit ``'i'`` items.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ SEEDS = (0, 1, 2012)
 
 def _columns(trace) -> tuple[bytes, ...]:
     """The trace's columns."""
-    assert trace.gaps.typecode == "i"
+    for column in (trace.gaps, trace.line_addresses, trace.warm_lines):
+        assert (column.typecode, column.itemsize) == ("i", 4)
     return tuple(
         column.tobytes()
         for column in (
@@ -137,7 +139,7 @@ class TestEdgeCases:
                 monkeypatch, profile_for("mcf"), LLC, 64, 1, seed
             )
             assert c_cols == py_cols
-            assert (len(c_cols[0]), len(c_cols[1])) == (4, 8)
+            assert (len(c_cols[0]), len(c_cols[1])) == (4, 4)
 
     def test_longest_gaps_fit_32_bits(self, monkeypatch):
         # mean gap ~1e9: the widest gaps the guard lets through
@@ -146,6 +148,17 @@ class TestEdgeCases:
         assert c_cols == py_cols
         gaps = array("i", c_cols[0])
         assert max(gaps) > 1 << 30
+
+    def test_top_ring_region_and_stream(self, monkeypatch):
+        # 62 rings, the most the kernel takes: the last one sits just
+        # below STREAM_BASE, the highest addresses a ring can hold
+        rings = tuple(Ring(1.0, "cyclic", 0.01) for _ in range(62))
+        c_cols, py_cols = _both(monkeypatch, _profile(rings), LLC, 64, 3_000, 6)
+        assert c_cols == py_cols
+        addresses = array("i", c_cols[1])
+        top_ring = 62 << trace_module.RING_REGION_BITS
+        assert any(top_ring <= a < trace_module.STREAM_BASE for a in addresses)
+        assert max(addresses) >= trace_module.STREAM_BASE
 
     @pytest.mark.parametrize("pattern", ["cyclic", "uniform"])
     def test_single_line_ring(self, monkeypatch, pattern):
